@@ -4,7 +4,10 @@
 #   make ci     — everything a PR must pass
 #   make build  — release build of the whole workspace
 #   make test   — tier-1 tests (root package: facade + integration tests)
-#   make test-all — every workspace member's tests
+#   make test-all — every workspace member's tests (what `make ci` runs)
+#   make bench-selftest — the E11 benchmark package's own tests (a
+#                 separate workspace under benchmark/, so test-all does
+#                 not reach it)
 #   make doc    — rustdoc for all workspace crates (no deps)
 #   make lint   — clippy, warnings as errors
 #   make analyze — simba-analyze: telemetry registry + hygiene pass +
@@ -42,9 +45,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all doc lint analyze tsan soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory clean
+.PHONY: ci build test test-all bench-selftest doc lint analyze tsan soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory clean
 
-ci: build test doc lint analyze soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory
+ci: build test-all bench-selftest doc lint analyze soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory
 
 build:
 	$(CARGO) build --release
@@ -54,6 +57,9 @@ test:
 
 test-all:
 	$(CARGO) test --workspace -q
+
+bench-selftest:
+	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
 
 doc:
 	$(CARGO) doc --no-deps

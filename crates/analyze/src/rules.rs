@@ -353,7 +353,7 @@ pub fn file_findings(file: &SourceFile, facts: &FileFacts) -> Vec<Finding> {
                 line: u.line,
                 message: format!("`{}` has no backpressure", u.what),
                 help: Some(
-                    "use a bounded channel and account for drops, like MabHost's notice stream".into(),
+                    "use a bounded channel and account for drops, like the host's notice stream".into(),
                 ),
             });
         }

@@ -22,14 +22,14 @@ use crate::report::Table;
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::alert::{IncomingAlert, Urgency};
 use simba_core::classify::{Classifier, KeywordField};
-use simba_core::mab::MabStats;
 use simba_core::mode::DeliveryMode;
 use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::MabConfig;
 use simba_rules::{Decision, DigestConfig, RuleEngine, RuleSpec, RulesConfig};
 use simba_runtime::{
-    HostConfig, HostNotice, LoopbackChannels, MabHost, RuntimeNotice, SharedChannels,
+    ConfigFactory, HostNotice, LoopbackChannels, RuntimeNotice, SharedChannels, ShardedHost,
+    ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Telemetry};
@@ -210,18 +210,18 @@ async fn storm(opts: E10Options) -> StormRaw {
         .expect("digest rule");
 
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(10)));
-    let host_config = HostConfig {
-        wal_dir: None,
-        retirement_grace: SimDuration::ZERO,
-        completed_ring: 8,
+    let host_config = ShardedHostConfig {
+        rules: Some(engine.clone()),
         notice_capacity: (opts.normals + 8).max(simba_runtime::DEFAULT_NOTICE_CAPACITY),
+        ..ShardedHostConfig::default()
     };
-    let (host, mut notices) = MabHost::new(shared.clone(), host_config);
-    let mut host = host.with_rules(engine.clone());
+    let factory: ConfigFactory = std::sync::Arc::new(|user: &UserId| storm_user_config(&user.0));
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), host_config, factory, Telemetry::disabled())
+            .expect("in-memory shard logs");
     let storm_user = UserId::new("storm");
     let steady_user = UserId::new("steady");
-    host.add_user(storm_user.clone(), storm_user_config("storm")).expect("storm user");
-    host.add_user(steady_user.clone(), storm_user_config("steady")).expect("steady user");
+    host.register_many(vec![storm_user.clone(), steady_user.clone()]).await;
 
     // Interleave: every (storm_alarms / normals)-th alarm is followed by
     // one non-storm alert; the lone critical alarm lands mid-storm.
@@ -234,11 +234,11 @@ async fn storm(opts: E10Options) -> StormRaw {
             alarm.urgency = Urgency::Critical;
             alarm.body = "Sensor CRIT meltdown".to_string();
         }
-        assert!(host.submit_im(&storm_user, alarm).await, "storm user is hosted");
+        assert!(host.submit_im(&storm_user, alarm).await, "the storm user's shard is up");
         if i.is_multiple_of(stride) && normals_sent < opts.normals as u64 {
             let steady =
                 IncomingAlert::from_im("steady-gw", format!("Sensor steady {i}"), SimTime::ZERO);
-            assert!(host.submit_im(&steady_user, steady).await, "steady user is hosted");
+            assert!(host.submit_im(&steady_user, steady).await, "the steady user's shard is up");
             normals_sent += 1;
         }
     }
@@ -275,15 +275,8 @@ async fn storm(opts: E10Options) -> StormRaw {
     }
     assert_eq!(engine.pending_digests(), 0, "flush left the window behind");
 
-    let per_user = host.shutdown().await;
-    let mut merged = MabStats::default();
-    let mut per_name = std::collections::HashMap::new();
-    for (user, stats) in &per_user {
-        merged.merge(*stats);
-        per_name.insert(user.0.clone(), *stats);
-    }
-    let storm_stats = per_name.get("storm").copied().unwrap_or_default();
-    let steady_stats = per_name.get("steady").copied().unwrap_or_default();
+    let host = host.shutdown().await;
+    assert_eq!(host.unrouted, 0, "both users were registered");
 
     // Exactly-once accounting straight off the channel transcript: the
     // storm user hears twice (critical + digest), the steady user once
@@ -308,16 +301,15 @@ async fn storm(opts: E10Options) -> StormRaw {
         opts.storm_alarms as u64 - 1,
         "every non-critical alarm is absorbed"
     );
-    assert_eq!(merged.deliveries_started, normals_sent + 2, "normals + critical + digest");
-    assert_eq!(steady_stats.deliveries_started, normals_sent, "no non-storm alert lost");
-    assert_eq!(steady_sends, normals_sent, "no non-storm alert double-delivered");
-    assert_eq!(storm_stats.deliveries_started, 2, "storm user hears exactly twice");
+    assert_eq!(host.stats.deliveries_started, normals_sent + 2, "normals + critical + digest");
+    assert_eq!(steady_sends, normals_sent, "no non-storm alert lost or double-delivered");
+    assert_eq!(storm_sends.len(), 2, "storm user hears exactly twice");
 
     StormRaw {
         absorbed: metrics.counter("rules.digest_absorbed"),
         digest_deliveries,
         critical_bypass: metrics.counter("rules.critical_bypass"),
-        normals_delivered: steady_stats.deliveries_started,
+        normals_delivered: steady_sends,
         storm_user_sends: storm_sends.len() as u64,
     }
 }

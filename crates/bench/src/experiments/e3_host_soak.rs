@@ -1,15 +1,15 @@
-//! E3H — multi-user `MabHost` soak: K per-user buddies × M alerts each.
+//! E3H — multi-user host soak: K per-user buddies × M alerts each.
 //!
 //! Paper (§3.3): MyAlertBuddy is a *per-user* always-on agent, so a
 //! deployment runs many of them concurrently. This harness drives a
-//! [`MabHost`] fleet under mixed ack/timeout/failure traffic on the
+//! [`ShardedHost`] fleet under mixed ack/timeout/failure traffic on the
 //! deterministic tokio shim (virtual time) and asserts the delivery
 //! lifecycle keeps every in-memory table bounded: once the load drains,
-//! in-flight deliveries, the `attempt_owner` routing map, the live-task
-//! table, and pending timer tasks all return to zero, and the
-//! completed-rings stay at their caps. Wall-clock throughput is reported
-//! alongside (the virtual clock makes the traffic pattern reproducible;
-//! the wall cost is real scheduler + state-machine work).
+//! in-flight deliveries, tracked deliveries and the shard timer wheels
+//! all return to zero, and the completed-rings stay at their caps.
+//! Wall-clock throughput is reported alongside (the virtual clock makes
+//! the traffic pattern reproducible; the wall cost is real scheduler +
+//! state-machine work).
 
 use crate::benchjson::{BenchMode, BenchReport};
 use crate::experiments::ExperimentOutput;
@@ -18,13 +18,13 @@ use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::alert::IncomingAlert;
 use simba_core::classify::{Classifier, KeywordField};
 use simba_core::delivery::{DeliveryStatus, SendFailure};
-use simba_core::mab::MabStats;
 use simba_core::mode::DeliveryMode;
 use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::MabConfig;
 use simba_runtime::{
-    Channels, HostConfig, HostNotice, MabHost, RuntimeNotice, SendOutcome, SharedChannels,
+    Channels, ConfigFactory, HostNotice, RuntimeNotice, SendOutcome, SharedChannels, ShardedHost,
+    ShardedHostConfig, ShardedSnapshot,
 };
 use simba_sim::{SimDuration, SimRng, SimTime};
 use simba_telemetry::{RingBufferSink, Telemetry};
@@ -38,7 +38,7 @@ use std::time::Duration;
 pub struct SoakOptions {
     /// Seed for the scripted channel outcomes.
     pub seed: u64,
-    /// Hosted users (each with its own MabService).
+    /// Hosted users (each with its own buddy).
     pub users: usize,
     /// Alerts submitted to every user.
     pub alerts_per_user: usize,
@@ -70,7 +70,7 @@ pub struct SoakNumbers {
     pub unconfirmed: u64,
     /// ... exhausted.
     pub exhausted: u64,
-    /// Stale timer/ack wakeups dropped by generation tagging.
+    /// Stale acks dropped (the delivery had already retired).
     pub stale_dropped: u64,
     /// Alerts the host's routing front door handed to a hosted user
     /// (`host.routed`).
@@ -79,10 +79,12 @@ pub struct SoakNumbers {
     pub unrouted: u64,
     /// Highest concurrent in-flight delivery count sampled.
     pub peak_in_flight: usize,
-    /// Highest `attempt_owner` occupancy sampled.
-    pub peak_attempt_owner: usize,
-    /// Highest pending timer/ack task count sampled.
-    pub peak_pending_tasks: usize,
+    /// Highest tracked-delivery count sampled (in flight plus awaiting
+    /// retirement).
+    pub peak_tracked: usize,
+    /// Highest timer-wheel occupancy sampled (block timers and pending
+    /// simulated acks).
+    pub peak_pending_timers: usize,
     /// Total completed-ring occupancy after the drain (≤ users × cap).
     pub retired_ring: usize,
     /// Wall-clock seconds for the whole soak.
@@ -149,15 +151,15 @@ struct Outcomes {
 #[derive(Debug, Default, Clone, Copy)]
 struct Peaks {
     in_flight: usize,
-    attempt_owner: usize,
-    pending_tasks: usize,
+    tracked: usize,
+    pending_timers: usize,
 }
 
 impl Peaks {
-    fn observe(&mut self, snap: &simba_runtime::HostSnapshot) {
+    fn observe(&mut self, snap: &ShardedSnapshot) {
         self.in_flight = self.in_flight.max(snap.in_flight);
-        self.attempt_owner = self.attempt_owner.max(snap.attempt_owner);
-        self.pending_tasks = self.pending_tasks.max(snap.pending_tasks);
+        self.tracked = self.tracked.max(snap.tracked);
+        self.pending_timers = self.pending_timers.max(snap.pending_timers);
     }
 }
 
@@ -168,28 +170,30 @@ struct RawSoak {
     stale_dropped: u64,
     routed: u64,
     unrouted: u64,
-    merged: MabStats,
 }
 
 async fn soak(opts: SoakOptions) -> RawSoak {
     let telemetry = Telemetry::with_sink(std::sync::Arc::new(RingBufferSink::new(1_024)));
     let shared = SharedChannels::new(SoakChannels { rng: SimRng::new(opts.seed) });
-    let host_config = HostConfig {
-        wal_dir: None,
-        retirement_grace: SimDuration::ZERO,
+    let host_config = ShardedHostConfig {
+        // Fixed, so the seeded outcome script is spent in the same order
+        // on every machine.
+        shards: 2,
+        // Buddies stay resident: the floor below reads their rings.
+        hibernate_after: SimDuration::ZERO,
         completed_ring: opts.completed_ring,
         // The soak counts every terminal notice, so the (bounded) merged
         // stream is sized to the load rather than the operator default.
         notice_capacity: (opts.users * opts.alerts_per_user)
             .max(simba_runtime::DEFAULT_NOTICE_CAPACITY),
+        ..ShardedHostConfig::default()
     };
-    let (host, mut notices) = MabHost::new(shared, host_config);
-    let mut host = host.with_telemetry(telemetry.clone());
+    let factory: ConfigFactory = std::sync::Arc::new(|user: &UserId| user_config(&user.0));
+    let (host, mut notices) = ShardedHost::new(shared, host_config, factory, telemetry.clone())
+        .expect("in-memory shard logs");
 
     let users: Vec<UserId> = (0..opts.users).map(|i| UserId::new(format!("user{i:03}"))).collect();
-    for user in &users {
-        host.add_user(user.clone(), user_config(&user.0)).expect("fresh user");
-    }
+    host.register_many(users.clone()).await;
 
     // Count terminal outcomes off the merged notice stream as they land.
     // (The shim executor is single-threaded, so Rc<RefCell<_>> is safe.)
@@ -219,7 +223,7 @@ async fn soak(opts: SoakOptions) -> RawSoak {
                 format!("Sensor wave {round} ON"),
                 SimTime::ZERO,
             );
-            assert!(host.submit_im(user, alert).await, "routing front door rejected a hosted user");
+            assert!(host.submit_im(user, alert).await, "the owning shard worker is gone");
         }
         // 250 ms (virtual) between waves: with the 5 s ack window roughly
         // twenty waves overlap per user at steady state.
@@ -238,31 +242,21 @@ async fn soak(opts: SoakOptions) -> RawSoak {
         let snap = host.snapshot().await;
         peaks.observe(&snap);
         let done = outcomes.borrow().finished == total;
-        if done
-            && snap.in_flight == 0
-            && snap.tracked == 0
-            && snap.live == 0
-            && snap.attempt_owner == 0
-            && snap.pending_tasks == 0
-        {
+        if done && snap.in_flight == 0 && snap.tracked == 0 && snap.pending_timers == 0 {
             floor = Some(snap);
             break;
         }
     }
     let floor = floor.expect("delivery state failed to drain to the floor: lifecycle leak");
     assert!(
-        floor.retired <= opts.users * opts.completed_ring,
+        floor.retired_ring <= opts.users * opts.completed_ring,
         "completed-rings exceeded their caps: {} > {}",
-        floor.retired,
+        floor.retired_ring,
         opts.users * opts.completed_ring
     );
 
-    let per_user = host.shutdown().await;
+    let merged = host.shutdown().await.stats;
     drainer.await.expect("notice drainer");
-    let mut merged = MabStats::default();
-    for (_, stats) in &per_user {
-        merged.merge(*stats);
-    }
     assert_eq!(merged.deliveries_started, total, "every alert starts exactly one delivery");
     assert_eq!(merged.retired, total, "every delivery retires exactly once");
 
@@ -271,11 +265,10 @@ async fn soak(opts: SoakOptions) -> RawSoak {
     RawSoak {
         outcomes,
         peaks,
-        retired_ring: floor.retired,
+        retired_ring: floor.retired_ring,
         stale_dropped: metrics.counter("runtime.stale_dropped"),
         routed: metrics.counter("host.routed"),
         unrouted: metrics.counter("host.unrouted"),
-        merged,
     }
 }
 
@@ -298,8 +291,8 @@ pub fn measure(opts: SoakOptions) -> (SoakNumbers, Vec<Table>) {
         routed: raw.routed,
         unrouted: raw.unrouted,
         peak_in_flight: raw.peaks.in_flight,
-        peak_attempt_owner: raw.peaks.attempt_owner,
-        peak_pending_tasks: raw.peaks.pending_tasks,
+        peak_tracked: raw.peaks.tracked,
+        peak_pending_timers: raw.peaks.pending_timers,
         retired_ring: raw.retired_ring,
         wall_secs,
         throughput: if wall_secs > 0.0 { total as f64 / wall_secs } else { f64::INFINITY },
@@ -335,14 +328,10 @@ pub fn measure(opts: SoakOptions) -> (SoakNumbers, Vec<Table>) {
         &["table", "peak", "floor"],
     );
     bounds.row(&["in-flight deliveries".into(), numbers.peak_in_flight.to_string(), "0".into()]);
+    bounds.row(&["tracked deliveries".into(), numbers.peak_tracked.to_string(), "0".into()]);
     bounds.row(&[
-        "attempt_owner entries".into(),
-        numbers.peak_attempt_owner.to_string(),
-        "0".into(),
-    ]);
-    bounds.row(&[
-        "pending timer/ack tasks".into(),
-        numbers.peak_pending_tasks.to_string(),
+        "timer-wheel entries".into(),
+        numbers.peak_pending_timers.to_string(),
         "0".into(),
     ]);
     bounds.row(&[
@@ -361,7 +350,6 @@ pub fn measure(opts: SoakOptions) -> (SoakNumbers, Vec<Table>) {
         format!("{:.0}", numbers.throughput),
     ]);
 
-    let _ = raw.merged; // totals already asserted inside the soak
     (numbers, vec![config, mix, bounds, perf])
 }
 
@@ -398,7 +386,7 @@ pub fn run_with(opts: SoakOptions, mode: BenchMode) -> ExperimentOutput {
 
     ExperimentOutput {
         id: "E3H",
-        title: "multi-user MabHost soak (delivery lifecycle retirement)",
+        title: "multi-user host soak (delivery lifecycle retirement)",
         paper_claim: "§3.3: MyAlertBuddy is a per-user always-on agent; a deployment hosts many concurrently",
         tables,
         notes: vec![
@@ -407,8 +395,8 @@ pub fn run_with(opts: SoakOptions, mode: BenchMode) -> ExperimentOutput {
                  {:.0} alerts/s wall throughput",
                 numbers.finished, numbers.throughput
             ),
-            "in-flight, attempt_owner, live and pending-task tables all returned to zero \
-             after the drain (asserted, not just observed)"
+            "in-flight deliveries, tracked deliveries and the shard timer wheels all returned \
+             to zero after the drain (asserted, not just observed)"
                 .to_string(),
         ],
     }

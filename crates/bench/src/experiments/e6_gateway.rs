@@ -5,7 +5,7 @@
 //! must be refused explicitly rather than by stalling (§3, §4.2). This
 //! harness drives the `simba-gateway` TCP server with a multi-connection
 //! loadgen — injected connection drops, an optional slow-loris client —
-//! into a live 50-user [`MabHost`], and checks the ledger balances:
+//! into a live 50-user [`ShardedHost`], and checks the ledger balances:
 //!
 //! * **zero accepted-then-lost**: every client-side `Ack` shows up as a
 //!   pump-routed submission and a started delivery;
@@ -28,10 +28,12 @@ use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::MabConfig;
 use simba_gateway::proto::WireChannel;
 use simba_gateway::{
-    intake, pump_into_host, ClientConfig, GatewayClient, GatewayConfig, GatewayServer, RateLimit,
-    SubmitResult,
+    intake, pump_into_sharded_host, ClientConfig, GatewayClient, GatewayConfig, GatewayServer,
+    RateLimit, SubmitResult,
 };
-use simba_runtime::{HostConfig, LoopbackChannels, MabHost, SharedChannels};
+use simba_runtime::{
+    ConfigFactory, LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig,
+};
 use simba_sim::SimDuration;
 use simba_telemetry::{RingBufferSink, Telemetry};
 use std::sync::Arc;
@@ -100,7 +102,7 @@ pub struct GatewayNumbers {
     pub rejected_unknown: u64,
     /// Client reconnections performed (injected drops).
     pub reconnects: u64,
-    /// Submissions the pump handed to a hosted user's service.
+    /// Submissions the pump handed to the owning shard worker.
     pub routed: u64,
     /// Deliveries the host fleet actually started.
     pub deliveries_started: u64,
@@ -227,16 +229,19 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
     });
 
     let pump_telemetry = telemetry.clone();
-    let (report, per_user) = tokio::runtime::block_on(async move {
+    let (report, host) = tokio::runtime::block_on(async move {
         let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let (host, _notices) = MabHost::new(shared, HostConfig::default());
-        let mut host = host.with_telemetry(pump_telemetry.clone());
-        for name in &names {
-            host.add_user(UserId::new(name.clone()), user_config(name)).expect("fresh user");
-        }
-        let report = pump_into_host(&host, intake_rx, &pump_telemetry).await;
-        let per_user = host.shutdown().await;
-        (report, per_user)
+        let factory: ConfigFactory = Arc::new(|user: &UserId| user_config(&user.0));
+        let (host, _notices) = ShardedHost::new(
+            shared,
+            ShardedHostConfig::default(),
+            factory,
+            pump_telemetry.clone(),
+        )
+        .expect("in-memory shard logs");
+        host.register_many(names.into_iter().map(UserId::new).collect()).await;
+        let report = pump_into_sharded_host(&host, intake_rx, &pump_telemetry).await;
+        (report, host.shutdown().await)
     });
     let (ledgers, wall_secs) = supervisor.join().unwrap();
 
@@ -248,7 +253,7 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
         totals.rejected_unknown += l.rejected_unknown;
         totals.reconnects += l.reconnects;
     }
-    let deliveries_started: u64 = per_user.iter().map(|(_, s)| s.deliveries_started).sum();
+    let deliveries_started = host.stats.deliveries_started;
     let snap = telemetry.metrics().snapshot();
 
     let numbers = GatewayNumbers {
@@ -277,7 +282,8 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
         numbers.accepted, numbers.routed,
         "zero accepted-then-lost: every ack was routed into the host"
     );
-    assert_eq!(report.unrouted, 0, "the known-user gate admits only hosted users");
+    assert_eq!(report.unrouted, 0, "every shard worker outlived the pump");
+    assert_eq!(host.unrouted, 0, "the known-user gate admits only hosted users");
     assert_eq!(
         numbers.routed, numbers.deliveries_started,
         "every routed alert started a delivery"
@@ -417,7 +423,7 @@ pub fn run_with(opts: GatewayBenchOptions, mode: BenchMode) -> ExperimentOutput 
                 n.accepted, n.reconnects
             ),
             format!(
-                "{:.0} accepted alerts/s over localhost TCP into a {}-user MabHost",
+                "{:.0} accepted alerts/s over localhost TCP into a {}-user host",
                 n.throughput, opts.users
             ),
             "every rejection is a counted, explicit nack: sent == accepted + gateway.shed \

@@ -520,8 +520,9 @@ fn telemetry_tail(path: &str) -> Outcome {
 }
 
 /// `host --sharded [--users N] [--active A] [--waves W] [--shards S]
-/// [--threads]` — run the sharded/hibernating host (the E8 pipeline) at
-/// an interactive scale and report roster vs live-buddy bounds,
+/// [--threads]` — run the E8 population slice (many registered users,
+/// few active, hibernation on) at an interactive scale and report roster
+/// vs live-buddy bounds,
 /// group-commit amortization, and throughput. `--threads` pins each
 /// shard worker to its own OS thread (the multi-core mode) instead of
 /// the deterministic single-threaded executor.
@@ -587,9 +588,10 @@ fn host_sharded(args: &[String]) -> Outcome {
 }
 
 /// `host [--sharded] [--users N] [--alerts M] [--ring R] [--seed S]` —
-/// run the multi-user MabHost soak interactively and report the outcome
-/// mix, bounded-state peaks/floors, and wall-clock throughput. With
-/// `--sharded`, run the sharded/hibernating host instead (see
+/// run the multi-user host soak (E3H) interactively and report the
+/// outcome mix, bounded-state peaks/floors, and wall-clock throughput.
+/// With `--sharded`, run the E8 population slice on the same host
+/// instead — many registered users, few active, hibernation on (see
 /// [`host_sharded`] for its flags).
 pub fn host(args: &[String]) -> Outcome {
     use simba_bench::experiments::e3_host_soak::{measure, SoakOptions};
@@ -691,8 +693,10 @@ fn gateway_user_config(name: &str, source: &str) -> simba_core::MabConfig {
 /// [--queue Q] [--rate R] [--source S]` — host N users behind a live TCP
 /// gateway for D milliseconds, then drain and report.
 fn gateway_serve(args: &[String]) -> Outcome {
-    use simba_gateway::{intake, pump_into_host, GatewayConfig, GatewayServer, RateLimit};
-    use simba_runtime::{HostConfig, LoopbackChannels, MabHost, SharedChannels};
+    use simba_gateway::{intake, pump_into_sharded_host, GatewayConfig, GatewayServer, RateLimit};
+    use simba_runtime::{
+        ConfigFactory, LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig,
+    };
     use simba_telemetry::{RingBufferSink, Telemetry};
     use std::sync::Arc;
     use std::time::Duration;
@@ -783,19 +787,15 @@ fn gateway_serve(args: &[String]) -> Outcome {
     let pump_telemetry = telemetry.clone();
     let source_for_host = source.clone();
     let report = tokio::runtime::block_on(async move {
+        use simba_core::subscription::UserId;
         let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let (host, _notices) = MabHost::new(shared, HostConfig::default());
-        let mut host = host
-            .with_telemetry(pump_telemetry.clone())
-            .with_store(store, simba_sim::SimDuration::from_secs(1));
-        for name in &names {
-            host.add_user(
-                simba_core::subscription::UserId::new(name.clone()),
-                gateway_user_config(name, &source_for_host),
-            )
-            .expect("fresh user");
-        }
-        let report = pump_into_host(&host, intake_rx, &pump_telemetry).await;
+        let config = ShardedHostConfig { store: Some(store), ..ShardedHostConfig::default() };
+        let factory: ConfigFactory =
+            Arc::new(move |user: &UserId| gateway_user_config(&user.0, &source_for_host));
+        let (host, _notices) = ShardedHost::new(shared, config, factory, pump_telemetry.clone())
+            .expect("in-memory shard logs");
+        host.register_many(names.into_iter().map(UserId::new).collect()).await;
+        let report = pump_into_sharded_host(&host, intake_rx, &pump_telemetry).await;
         host.shutdown().await;
         report
     });

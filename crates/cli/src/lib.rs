@@ -10,10 +10,11 @@
 //!   a torn tail, as a restarting MyAlertBuddy would);
 //! * `demo pipeline|faultlog` — run the simulated deployment and print the
 //!   summary tables;
-//! * `host` — soak a multi-user `MabHost` fleet with mixed
+//! * `host` — soak a multi-user host fleet with mixed
 //!   ack/timeout/failure outcomes and report the outcome mix,
 //!   bounded-state peaks, routing totals, and throughput; with
-//!   `--sharded`, run the sharded/hibernating host and report roster vs
+//!   `--sharded`, run the E8 population slice on the same host (many
+//!   registered, few active, hibernation on) and report roster vs
 //!   live-buddy bounds and group-commit amortization instead;
 //! * `gateway serve|send|probe` — run the framed-TCP ingestion gateway
 //!   in front of a live host fleet, submit alerts to one, or check its
@@ -83,7 +84,7 @@ USAGE:
   simba-cli demo faultlog  [--seed <n>] [--fixes]
   simba-cli host [--users <n>] [--alerts <n>] [--ring <n>] [--seed <n>]
   simba-cli host --sharded [--users <n>] [--active <n>] [--waves <n>]
-            [--shards <n>]
+            [--shards <n>] [--threads]
   simba-cli gateway serve [--addr <a>] [--users <n>] [--duration-ms <n>]
             [--workers <n>] [--queue <n>] [--rate <alerts/s>] [--source <s>]
   simba-cli gateway send --addr <a> [--user <u>] [--body <text>]
@@ -114,6 +115,10 @@ block cascade: --disable turns an address off first, --fail makes a send
 to that address fail synchronously, --ack names the address whose send the
 user acknowledges (default: nothing is acknowledged, so every ack window
 expires).
+
+`host` soaks every hosted user with mixed outcomes (E3H); `host --sharded`
+runs the E8 population slice on the same host: many registered users, few
+active, idle buddies hibernated.
 ";
 
 /// Dispatches a command line (without the program name).

@@ -163,9 +163,14 @@ impl ShardLog {
                 valid_len += line.len();
                 continue;
             }
+            if !complete {
+                // Torn tail: even a record that parses must not touch
+                // in-memory state — it is about to be truncated from
+                // disk, and memory must equal durable state.
+                break;
+            }
             match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) if complete => valid_len += line.len(),
-                Ok(()) => break, // parses but unterminated: torn tail
+                Ok(()) => valid_len += line.len(),
                 Err(e) if is_last && tolerate_tail => {
                     let _ = e;
                     break;
@@ -691,6 +696,32 @@ mod tests {
         assert_eq!(log.unprocessed_len(), 1);
         assert!(log.has_unprocessed_for(&user("alice")));
         assert!(!log.has_unprocessed_for(&user("bob")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn parseable_but_unterminated_tail_never_reaches_memory() {
+        let dir = temp_dir("torn-valid");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        log.append(&user("alice"), &alert("complete", 1), t(1)).unwrap();
+        log.commit().unwrap();
+        drop(log);
+        // Die mid-commit with a whole record on disk but not its newline:
+        // the line parses, yet no commit ever covered it.
+        let path = segment_path(&dir, 0);
+        let committed = std::fs::read_to_string(&path).unwrap();
+        let tail = committed.trim_end().replacen("R\talice\t0\t", "R\tbob\t1\t", 1);
+        assert!(tail.starts_with("R\tbob\t1\t"), "the tail is a well-formed record: {tail:?}");
+        OpenOptions::new().append(true).open(&path).unwrap().write_all(tail.as_bytes()).unwrap();
+
+        for pass in ["first open", "reopen"] {
+            let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+            assert_eq!(log.unprocessed_len(), 1, "{pass}: only the committed record is live");
+            assert!(!log.has_unprocessed_for(&user("bob")), "{pass}: the torn record is in memory");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), committed, "{pass}: file");
+            // The torn record's id was never durably taken.
+            assert_eq!(log.append(&user("carol"), &alert("probe", 2), t(2)).unwrap(), 1, "{pass}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,19 +1,24 @@
 //! The thread → runtime bridge: a bounded intake queue plus the pump
-//! task that drains it into a [`MabHost`].
+//! task that drains it into the [`ShardedHost`].
 //!
 //! The vendored tokio shim has no `net` module, so sockets are served by
 //! std threads (see `DESIGN.md` §10). Those threads still have to hand
-//! alerts to the `MabHost`, whose services run on the shim's
-//! single-threaded executor. The bridge is the seam: worker threads call
-//! [`IntakeSender::try_submit`] (synchronous, lock-based, thread-safe —
-//! the shim's channel internals are `Arc<Mutex<..>>`), and the async
-//! [`pump_into_host`] task drains the queue from inside the runtime.
+//! alerts to the host, whose workers run on the shim's executors. The
+//! bridge is the seam: worker threads call [`IntakeSender::try_submit`]
+//! (synchronous, lock-based, thread-safe — the shim's channel internals
+//! are `Arc<Mutex<..>>`), and the async [`pump_into_sharded_host`] task
+//! drains the queue from inside the runtime.
 //!
-//! The pump wraps every `recv` in a short [`tokio::time::timeout`]: the
-//! shim executor treats "no runnable task and no timer" as a deadlock,
-//! and a cross-thread send only becomes visible at the next executor
-//! wake-up, so the tick doubles as the runtime's heartbeat. An admitted
-//! submission is therefore durable-in-process: once `try_submit`
+//! A cross-thread send wakes a parked executor (the shim's ready queue
+//! parks on a condvar), so an idle pump simply awaits the queue: no
+//! heartbeat timer is needed to notice a submission, and a host without
+//! a rules engine arms none. With rules attached the pump is also the
+//! only thing that flushes digest windows on their deadlines, and it
+//! cannot learn those deadlines by asking once: a routed alert opens (or
+//! joins) its window in the shard worker *after* the pump has gone back
+//! to waiting. So on a rules host the wait is bounded by [`PUMP_TICK`].
+//!
+//! An admitted submission is durable-in-process: once `try_submit`
 //! succeeds (and the worker acks the client), only process death can
 //! lose it — the pump drains the queue to `None` before the host shuts
 //! down, even if the submitting connection is long gone.
@@ -22,19 +27,19 @@ use crate::proto::WireChannel;
 use simba_core::alert::IncomingAlert;
 use simba_core::subscription::UserId;
 use simba_core::Telemetry;
-use simba_runtime::{Channels, MabHost, RuntimeClock, ShardedHost};
+use simba_runtime::ShardedHost;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::mpsc;
 
-/// How often the pump wakes when the queue is idle. Also bounds the
-/// latency between a worker-thread enqueue and the runtime noticing it.
-pub const PUMP_TICK: Duration = Duration::from_millis(1);
+/// How often an idle pump flushes due digest windows while a rules
+/// engine is attached (see the module docs). Never armed without one.
+const PUMP_TICK: Duration = Duration::from_millis(1);
 
-/// Under sustained load the pump never sees an idle tick, so it also
-/// drives the host's digest flush every this many submissions — bounding
-/// how stale a due digest window can get while traffic keeps flowing.
+/// Under sustained load the pump never goes idle, so it also drives the
+/// host's digest flush every this many submissions — bounding how stale
+/// a due digest window can get while traffic keeps flowing.
 const DIGEST_PUMP_EVERY: u64 = 256;
 
 /// One admitted alert submission on its way to the host.
@@ -79,14 +84,24 @@ pub struct IntakeSender {
 impl IntakeSender {
     /// Enqueues without blocking; hands the submission back when the
     /// queue is full (the caller sheds) or the pump is gone.
+    ///
+    /// The slot is counted in *before* the send and backed out on
+    /// refusal: the pump counts out only what it has received, so
+    /// `queued ≤ depth ≤ capacity` holds at every instant and the gauge
+    /// can never be decremented below zero.
     pub fn try_submit(&self, submission: Submission) -> Result<(), Submission> {
-        match self.tx.try_send(submission) {
-            Ok(()) => {
-                self.depth.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(tokio::sync::mpsc::error::SendError(submission)) => Err(submission),
+        let reserved = self
+            .depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                (depth < self.capacity).then_some(depth + 1)
+            });
+        if reserved.is_err() {
+            return Err(submission);
         }
+        self.tx.try_send(submission).map_err(|mpsc::error::SendError(submission)| {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            submission
+        })
     }
 
     /// Current queue depth (approximate under concurrency).
@@ -101,7 +116,8 @@ impl IntakeSender {
     }
 }
 
-/// Receiving half of the intake queue; owned by [`pump_into_host`].
+/// Receiving half of the intake queue; owned by
+/// [`pump_into_sharded_host`].
 #[derive(Debug)]
 pub struct IntakeReceiver {
     rx: mpsc::Receiver<Submission>,
@@ -109,12 +125,16 @@ pub struct IntakeReceiver {
 }
 
 /// What the pump routed by the time the intake queue closed.
+///
+/// The host resolves user → buddy *inside* the owning shard worker, so
+/// the pump only learns whether the submission was accepted onto the
+/// shard's queue; submissions for unregistered users surface in
+/// [`ShardedHost::snapshot`] (and the `host.unrouted` point) instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PumpReport {
-    /// Submissions handed to a hosted user's service.
+    /// Submissions handed to the owning shard worker.
     pub routed: u64,
-    /// Submissions whose user was not hosted (also counted by the host
-    /// as `host.unrouted`).
+    /// Submissions refused because the shard worker was gone.
     pub unrouted: u64,
 }
 
@@ -122,92 +142,30 @@ pub struct PumpReport {
 /// gone and the queue is empty. Run this inside the shim runtime,
 /// concurrently with the gateway's worker threads; shut the
 /// [`crate::GatewayServer`] down first so the senders drop.
-pub async fn pump_into_host<C: Channels + Clone>(
-    host: &MabHost<C>,
-    mut intake: IntakeReceiver,
-    telemetry: &Telemetry,
-) -> PumpReport {
-    let clock = RuntimeClock::start();
-    let depth_gauge = telemetry.metrics().gauge("gateway.queue_depth");
-    let mut report = PumpReport::default();
-    let mut since_digest_pump = 0u64;
-    loop {
-        let submission = match tokio::time::timeout(PUMP_TICK, intake.rx.recv()).await {
-            Err(_elapsed) => {
-                // Idle tick: keeps the shim executor alive and drains any
-                // digest windows whose deadline passed.
-                host.pump_digests().await;
-                since_digest_pump = 0;
-                continue;
-            }
-            Ok(None) => break, // every sender dropped and the queue drained
-            Ok(Some(submission)) => submission,
-        };
-        intake.depth.fetch_sub(1, Ordering::Relaxed);
-        depth_gauge.set(intake.depth.load(Ordering::Relaxed) as u64);
-        let now = clock.now();
-        let routed = match submission.channel {
-            WireChannel::Im => {
-                let alert = IncomingAlert::from_im(submission.source, submission.body, now);
-                host.submit_im(&submission.user, alert).await
-            }
-            WireChannel::Email => {
-                let alert = IncomingAlert::from_email(
-                    submission.source,
-                    "gateway",
-                    "alert",
-                    submission.body,
-                    now,
-                );
-                host.submit_email(&submission.user, alert).await
-            }
-        };
-        submission.slot.fetch_sub(1, Ordering::Relaxed);
-        if routed {
-            report.routed += 1;
-        } else {
-            report.unrouted += 1;
-        }
-        since_digest_pump += 1;
-        if since_digest_pump >= DIGEST_PUMP_EVERY {
-            host.pump_digests().await;
-            since_digest_pump = 0;
-        }
-    }
-    host.pump_digests().await;
-    depth_gauge.set(0);
-    report
-}
-
-/// Drains the intake queue into a [`ShardedHost`], the population-scale
-/// counterpart of [`pump_into_host`].
-///
-/// The semantics of the report shift with the architecture: the sharded
-/// host resolves user → buddy *inside* the owning shard worker, so the
-/// pump only learns whether the submission was accepted onto the shard's
-/// queue. `routed` therefore counts accepted hand-offs and `unrouted`
-/// counts shard-queue sheds; submissions for unregistered users surface
-/// in [`ShardedHost::snapshot`] (and the `host.unrouted` point) instead.
 pub async fn pump_into_sharded_host(
     host: &ShardedHost,
     mut intake: IntakeReceiver,
     telemetry: &Telemetry,
 ) -> PumpReport {
-    let clock = RuntimeClock::start();
+    let clock = host.clock();
     let depth_gauge = telemetry.metrics().gauge("gateway.queue_depth");
     let mut report = PumpReport::default();
     let mut since_digest_pump = 0u64;
     loop {
-        let submission = match tokio::time::timeout(PUMP_TICK, intake.rx.recv()).await {
-            Err(_elapsed) => {
-                // Idle tick: keeps the shim executor alive and drains any
-                // digest windows whose deadline passed.
-                host.pump_digests().await;
-                since_digest_pump = 0;
-                continue;
+        let next = if host.rules().is_none() {
+            intake.rx.recv().await
+        } else {
+            match tokio::time::timeout(PUMP_TICK, intake.rx.recv()).await {
+                Ok(next) => next,
+                Err(_elapsed) => {
+                    host.pump_digests().await;
+                    since_digest_pump = 0;
+                    continue;
+                }
             }
-            Ok(None) => break, // every sender dropped and the queue drained
-            Ok(Some(submission)) => submission,
+        };
+        let Some(submission) = next else {
+            break; // every sender dropped and the queue drained
         };
         intake.depth.fetch_sub(1, Ordering::Relaxed);
         depth_gauge.set(intake.depth.load(Ordering::Relaxed) as u64);
@@ -243,4 +201,62 @@ pub async fn pump_into_sharded_host(
     host.pump_digests().await;
     depth_gauge.set(0);
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn submission(seq: u64) -> Submission {
+        Submission {
+            seq,
+            channel: WireChannel::Im,
+            user: UserId::new("alice"),
+            source: "src".into(),
+            body: "Sensor ON".into(),
+            slot: Arc::new(AtomicUsize::new(0)),
+        }
+    }
+
+    /// Regression: the depth gauge was bumped *after* `try_send`, so a
+    /// drain landing between the two steps decremented first and the
+    /// counter wrapped to ~`usize::MAX`. A hot drainer thread races a hot
+    /// submitter through a tiny queue; every sample on either side must
+    /// stay within `0..=capacity`.
+    #[test]
+    fn depth_never_wraps_or_exceeds_capacity_under_a_racing_drain() {
+        const PAIRS: u64 = 20_000;
+        const CAPACITY: usize = 4;
+        let (tx, mut rx) = intake(CAPACITY);
+        let drainer = std::thread::spawn(move || {
+            let mut drained = 0;
+            while drained < PAIRS {
+                if rx.rx.try_recv().is_ok() {
+                    rx.depth.fetch_sub(1, Ordering::Relaxed);
+                    drained += 1;
+                }
+                let depth = rx.depth.load(Ordering::Relaxed);
+                assert!(depth <= CAPACITY, "drain side read depth {depth}");
+            }
+        });
+        let mut seq = 0;
+        // (A drainer whose assertion failed is gone: stop feeding it.)
+        while seq < PAIRS && !drainer.is_finished() {
+            if tx.try_submit(submission(seq)).is_ok() {
+                seq += 1;
+            }
+            let depth = tx.depth();
+            assert!(depth <= CAPACITY, "submit side read depth {depth}");
+        }
+        drainer.join().expect("drainer saw depth in range");
+        assert_eq!(tx.depth(), 0);
+    }
+
+    #[test]
+    fn a_vanished_pump_refuses_and_backs_the_count_out() {
+        let (tx, rx) = intake(2);
+        drop(rx);
+        assert!(tx.try_submit(submission(0)).is_err());
+        assert_eq!(tx.depth(), 0);
+    }
 }

@@ -2,8 +2,9 @@
 //! door with admission control and load shedding.
 //!
 //! The paper's MyAlertBuddy sits "interposed between all alert sources
-//! and the user" (§3), but everything upstream of [`simba_runtime::MabHost`]
-//! in this reproduction was in-process until now. This crate is the wire:
+//! and the user" (§3), but everything upstream of
+//! [`simba_runtime::ShardedHost`] in this reproduction was in-process
+//! until now. This crate is the wire:
 //!
 //! * [`proto`] — a versioned, length-prefixed, CRC-32-checked binary
 //!   frame protocol carrying alert submissions, acks/nacks with reasons,
@@ -18,9 +19,8 @@
 //!   (`gateway.shed`, `gateway.decode_err`, `gateway.idle_closed`);
 //! * [`GatewayClient`] — a blocking client with reconnect and bounded
 //!   retry (at-least-once submission);
-//! * [`pump_into_host`] / [`pump_into_sharded_host`] — the bridges
-//!   draining admitted submissions into a `MabHost` (task per user) or a
-//!   `ShardedHost` (population scale) running on the tokio-shim runtime.
+//! * [`pump_into_sharded_host`] — the bridge draining admitted
+//!   submissions into the host running on the tokio-shim runtime.
 //!
 //! The contract the whole stack hangs off: **a submission is acked only
 //! after it sits in the bounded intake queue, and the queue is fully
@@ -40,7 +40,7 @@ mod server;
 
 pub use admission::{RateLimit, TokenBuckets};
 pub use bridge::{
-    intake, pump_into_host, pump_into_sharded_host, IntakeReceiver, IntakeSender, PumpReport,
+    intake, pump_into_sharded_host, IntakeReceiver, IntakeSender, PumpReport,
     Submission,
 };
 pub use client::{ClientConfig, ClientError, GatewayClient, StateFact, SubmitResult};

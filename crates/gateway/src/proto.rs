@@ -59,9 +59,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Which delivery front door the alert claims to have arrived by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireChannel {
-    /// Instant-messaging borne (routes to `MabHost::submit_im`).
+    /// Instant-messaging borne (routes to `ShardedHost::submit_im`).
     Im,
-    /// Email borne (routes to `MabHost::submit_email`).
+    /// Email borne (routes to `ShardedHost::submit_email`).
     Email,
 }
 

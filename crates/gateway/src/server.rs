@@ -181,8 +181,8 @@ impl std::fmt::Debug for GatewayServer {
 impl GatewayServer {
     /// Binds the listener and spawns the acceptor and worker threads.
     /// Admitted submissions flow out through `intake`; keep its receiver
-    /// draining via [`crate::pump_into_host`] or the queue will fill and
-    /// the gateway will shed.
+    /// draining via [`crate::pump_into_sharded_host`] or the queue will
+    /// fill and the gateway will shed.
     pub fn bind(
         config: GatewayConfig,
         intake: IntakeSender,
@@ -193,9 +193,9 @@ impl GatewayServer {
 
     /// [`GatewayServer::bind`] plus a soft-state store: `StateUpdate`
     /// frames publish facts into it and `StateQuery` frames read them
-    /// back. Share the store with the [`MabHost`](simba_runtime::MabHost)
-    /// (see its `with_store`) so gateway-published presence facts steer
-    /// delivery routing.
+    /// back. Hand a clone of the store to the host
+    /// ([`simba_runtime::ShardedHostConfig::store`]) so gateway-published
+    /// presence facts steer delivery routing.
     pub fn bind_with_store(
         config: GatewayConfig,
         intake: IntakeSender,
@@ -273,7 +273,7 @@ impl GatewayServer {
     /// Stops accepting, lets workers finish their current frame (or hit
     /// the read poll), and joins every thread. Worker-held
     /// [`IntakeSender`](crate::IntakeSender) clones drop here, which is
-    /// what lets [`crate::pump_into_host`] finish its drain.
+    /// what lets [`crate::pump_into_sharded_host`] finish its drain.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor with a throwaway connection.

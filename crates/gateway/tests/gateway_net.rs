@@ -1,18 +1,20 @@
 //! End-to-end gateway tests over real localhost TCP.
 //!
-//! The server runs on std threads; where a `MabHost` is involved the main
+//! The server runs on std threads; where the host is involved the main
 //! test thread drives the tokio-shim runtime (unpaused, real time) with
-//! [`simba_gateway::pump_into_host`], exactly the shape the CLI and the
-//! E6 bench use.
+//! [`simba_gateway::pump_into_sharded_host`], exactly the shape the CLI,
+//! the E6 bench and the E11 benchmark use.
 
 use simba_core::subscription::UserId;
 use simba_core::Telemetry;
 use simba_gateway::proto::{self, Frame, NackReason, WireChannel, WireRule};
 use simba_gateway::{
-    intake, pump_into_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
-    GatewayServer, RateLimit, SubmitResult,
+    intake, pump_into_sharded_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
+    GatewayServer, RateLimit, Submission, SubmitResult,
 };
-use simba_runtime::{HostConfig, LoopbackChannels, MabHost, SharedChannels};
+use simba_runtime::{
+    ConfigFactory, LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig,
+};
 use simba_telemetry::RingBufferSink;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -50,77 +52,11 @@ fn user_config(name: &str) -> simba_core::MabConfig {
     simba_core::MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
 }
 
-/// Two client threads submit through the gateway into a live two-user
-/// host; every accepted alert must come out routed.
+/// Three client threads submit through the gateway into a live host:
+/// every accepted submission reaches the owning shard worker and starts
+/// a delivery.
 #[test]
 fn submissions_flow_through_tcp_into_the_host() {
-    let telemetry = telemetry();
-    let (intake_tx, intake_rx) = intake(256);
-    let server =
-        GatewayServer::bind(GatewayConfig::default(), intake_tx, telemetry.clone()).unwrap();
-    let addr = server.local_addr();
-
-    let clients: Vec<_> = ["alice", "bob"]
-        .into_iter()
-        .map(|name| {
-            std::thread::spawn(move || {
-                let mut client =
-                    GatewayClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
-                let mut accepted = 0u64;
-                for i in 0..50 {
-                    let result = client
-                        .submit(WireChannel::Im, name, "gw-src", &format!("Sensor {i} ON"))
-                        .unwrap();
-                    assert_eq!(result, SubmitResult::Accepted);
-                    accepted += 1;
-                }
-                accepted
-            })
-        })
-        .collect();
-
-    // Once every client is done the server shuts down, dropping the
-    // worker-held intake senders — that is what ends the pump below.
-    let supervisor = std::thread::spawn(move || {
-        let total: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
-        server.shutdown();
-        total
-    });
-
-    let host_telemetry = telemetry.clone();
-    let (report, stats) = tokio::runtime::block_on(async move {
-        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let (host, _notices) = MabHost::new(shared, HostConfig::default());
-        let mut host = host.with_telemetry(host_telemetry.clone());
-        for name in ["alice", "bob"] {
-            host.add_user(UserId::new(name), user_config(name)).unwrap();
-        }
-        let report = pump_into_host(&host, intake_rx, &host_telemetry).await;
-        let stats = host.shutdown().await;
-        (report, stats)
-    });
-
-    let sent = supervisor.join().unwrap();
-    assert_eq!(sent, 100);
-    assert_eq!(report.routed, 100);
-    assert_eq!(report.unrouted, 0);
-    let snap = telemetry.metrics().snapshot();
-    assert_eq!(snap.counter("gateway.accepted"), 100);
-    assert_eq!(snap.counter("gateway.shed"), 0);
-    assert_eq!(snap.counter("gateway.decode_err"), 0);
-    assert_eq!(snap.counter("host.routed"), 100);
-    let started: u64 = stats.iter().map(|(_, s)| s.deliveries_started).sum();
-    assert_eq!(started, 100, "every accepted alert started a delivery");
-}
-
-/// The same TCP path drained into the population-scale [`ShardedHost`]
-/// via [`pump_into_sharded_host`]: every accepted submission reaches the
-/// owning shard worker and starts a delivery.
-#[test]
-fn submissions_flow_through_tcp_into_the_sharded_host() {
-    use simba_gateway::pump_into_sharded_host;
-    use simba_runtime::{ShardedHost, ShardedHostConfig};
-
     let telemetry = telemetry();
     let (intake_tx, intake_rx) = intake(256);
     let server =
@@ -160,10 +96,8 @@ fn submissions_flow_through_tcp_into_the_sharded_host() {
             hibernate_after: simba_sim::SimDuration::ZERO,
             ..ShardedHostConfig::default()
         };
-        let factory: simba_runtime::ConfigFactory =
-            Arc::new(|user: &UserId| user_config(&user.0));
         let (host, _notices) =
-            ShardedHost::new(shared, config, factory, host_telemetry.clone()).unwrap();
+            ShardedHost::new(shared, config, factory(), host_telemetry.clone()).unwrap();
         host.register_many(
             ["alice", "bob", "carol"].into_iter().map(UserId::new).collect(),
         )
@@ -183,6 +117,147 @@ fn submissions_flow_through_tcp_into_the_sharded_host() {
     let metrics = telemetry.metrics().snapshot();
     assert_eq!(metrics.counter("gateway.accepted"), 120);
     assert_eq!(metrics.counter("host.routed"), 120);
+}
+
+fn factory() -> ConfigFactory {
+    Arc::new(|user: &UserId| user_config(&user.0))
+}
+
+fn submission(user: &str, source: &str, body: &str) -> Submission {
+    Submission {
+        seq: 0,
+        channel: WireChannel::Im,
+        user: UserId::new(user),
+        source: source.to_string(),
+        body: body.to_string(),
+        slot: Arc::new(std::sync::atomic::AtomicUsize::new(1)),
+    }
+}
+
+/// Drives `scenario` on its own thread and fails (rather than hangs) if
+/// it has not finished within ten seconds — the failure mode of a pump
+/// that sleeps through a wake-up is a hang.
+fn finishes_in_time<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(scenario()));
+    done_rx.recv_timeout(Duration::from_secs(10)).expect("the pump slept through a wake-up")
+}
+
+/// Settles the `PUMP_TICK` question, half one: the pump needs no
+/// heartbeat to notice a submission. The runtime below hosts nothing but
+/// the pump — shard workers run on their own threads and there is no
+/// rules engine — so once the pump awaits the empty intake queue the
+/// executor has no task to run and no timer to wait for: it parks. A
+/// submission from a plain std thread must wake it and be routed.
+#[test]
+fn a_submission_from_a_std_thread_wakes_an_idle_pump_with_no_timer_armed() {
+    let sent = finishes_in_time(|| {
+        let (intake_tx, intake_rx) = intake(16);
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+        let submitter = std::thread::spawn(move || {
+            // Wait until the runtime has finished its set-up, then give
+            // it time to run out of work and park.
+            parked_rx.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            intake_tx.try_submit(submission("alice", "gw-src", "Sensor ON")).unwrap();
+            // Dropping the sender ends the pump — the second wake-up.
+        });
+        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+        let sent = shared.clone();
+        let report = tokio::runtime::block_on(async move {
+            let config = ShardedHostConfig {
+                shards: 1,
+                threads: true,
+                ..ShardedHostConfig::default()
+            };
+            let (host, _notices) =
+                ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
+            host.register(UserId::new("alice")).await;
+            parked_tx.send(()).unwrap();
+            let report = pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await;
+            assert_eq!(host.shutdown().await.stats.deliveries_started, 1);
+            report
+        });
+        submitter.join().unwrap();
+        assert_eq!((report.routed, report.unrouted), (1, 0));
+        sent.with(|c| c.sent().len())
+    });
+    assert_eq!(sent, 1, "the lone submission was delivered");
+}
+
+/// Half two: what the pump *does* have to wake up for by itself. A lone
+/// alert is absorbed into a 150 ms digest window by its shard worker
+/// after the pump has already gone back to waiting, and no further
+/// submission ever arrives. The digest must still go out when its window
+/// closes — whatever the engine's earliest deadline looked like when the
+/// pump last went idle (`already_open`: a 60 s window opened just
+/// before, which must not become the pump's alarm clock).
+fn lone_digest_flushes_on_its_deadline(already_open: bool) -> usize {
+    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
+
+    finishes_in_time(move || {
+        let engine: simba_rules::SharedRuleEngine =
+            Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+        for (name, source, window_ms) in [("slow", "slow-src", 60_000), ("fold", "gw-src", 150)] {
+            let window = DigestConfig { window_ms, ..DigestConfig::default() };
+            let predicate = format!("source == \"{source}\"");
+            engine.upsert("alice", None, RuleSpec::digest(name, &predicate, window)).unwrap();
+        }
+        let (intake_tx, intake_rx) = intake(16);
+        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+        let sent = shared.clone();
+        tokio::runtime::block_on(async move {
+            let config = ShardedHostConfig {
+                shards: 1,
+                rules: Some(Arc::clone(&engine)),
+                ..ShardedHostConfig::default()
+            };
+            let (host, mut notices) =
+                ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
+            host.register(UserId::new("alice")).await;
+            if already_open {
+                let alert = simba_core::alert::IncomingAlert::from_im(
+                    "slow-src",
+                    "Sensor drift",
+                    host.clock().now(),
+                );
+                assert!(host.submit_im(&UserId::new("alice"), alert).await);
+                host.snapshot().await; // queued behind the alert: it has been evaluated
+                assert!(engine.next_deadline().is_some(), "the long window is open");
+            }
+            intake_tx.try_submit(submission("alice", "gw-src", "Sensor flap")).unwrap();
+            // The sender stays alive until the digest has been delivered:
+            // only the pump's own timer can wake it.
+            let host = std::rc::Rc::new(host);
+            let pump = tokio::spawn({
+                let host = std::rc::Rc::clone(&host);
+                async move {
+                    pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await
+                }
+            });
+            loop {
+                let notice = notices.recv().await.expect("host alive").notice;
+                if matches!(notice, simba_runtime::RuntimeNotice::DeliveryFinished { .. }) {
+                    break;
+                }
+            }
+            drop(intake_tx);
+            assert_eq!(pump.await.unwrap().routed, 1);
+            let host = std::rc::Rc::try_unwrap(host).expect("the pump has exited");
+            assert_eq!(host.shutdown().await.stats.deliveries_started, 1, "one digest, no alert");
+        });
+        sent.with(|c| c.sent().iter().filter(|(_, _, text)| text.contains("1 alerts")).count())
+    })
+}
+
+#[test]
+fn a_digest_window_opened_behind_an_idle_pump_still_flushes_on_its_deadline() {
+    assert_eq!(lone_digest_flushes_on_its_deadline(false), 1);
+}
+
+#[test]
+fn a_short_digest_window_is_not_held_to_a_longer_one_already_open() {
+    assert_eq!(lone_digest_flushes_on_its_deadline(true), 1);
 }
 
 /// Regression: a client that sends a partial frame and stalls must not

@@ -849,35 +849,38 @@ impl DeliveryLedger {
                 valid_len += line.len();
                 continue;
             }
+            if !complete {
+                // Torn tail: even a record that parses must not touch
+                // in-memory state — it is about to be truncated from
+                // disk, and memory must equal durable state.
+                break;
+            }
             if in_prefix {
                 if trimmed.starts_with("R\t") {
                     rotation_prefix.push_str(line);
                 } else if let Some(stored) = trimmed.strip_prefix("K\t") {
                     in_prefix = false;
-                    if complete {
-                        // The trailer covers exactly the `R` lines the
-                        // rotation wrote before it.
-                        let covered = std::mem::take(&mut rotation_prefix);
-                        let computed = crc32(covered.as_bytes());
-                        let stored_crc = u32::from_str_radix(stored, 16).unwrap_or(!computed);
-                        if stored_crc != computed {
-                            return Err(LedgerError::Corrupt {
-                                line: lineno + 1,
-                                reason: format!(
-                                    "rotation checksum mismatch: stored {stored_crc:08x}, computed {computed:08x}"
-                                ),
-                            });
-                        }
-                        valid_len += line.len();
-                        continue;
+                    // The trailer covers exactly the `R` lines the
+                    // rotation wrote before it.
+                    let covered = std::mem::take(&mut rotation_prefix);
+                    let computed = crc32(covered.as_bytes());
+                    let stored_crc = u32::from_str_radix(stored, 16).unwrap_or(!computed);
+                    if stored_crc != computed {
+                        return Err(LedgerError::Corrupt {
+                            line: lineno + 1,
+                            reason: format!(
+                                "rotation checksum mismatch: stored {stored_crc:08x}, computed {computed:08x}"
+                            ),
+                        });
                     }
+                    valid_len += line.len();
+                    continue;
                 } else {
                     in_prefix = false;
                 }
             }
             match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) if complete => valid_len += line.len(),
-                Ok(()) => break, // parses but unterminated: torn tail
+                Ok(()) => valid_len += line.len(),
                 Err(e) if is_last && tolerate_tail => {
                     let _ = e;
                     break;
@@ -1377,6 +1380,33 @@ mod tests {
         let live: Vec<u64> = ledger.records().map(|r| r.id).collect();
         assert_eq!(live, vec![b], "alice sent, carol uncommitted, bob replays");
         assert_eq!(ledger.records().next().unwrap().state, RecordState::Pending);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn parseable_but_unterminated_tail_never_reaches_memory() {
+        let dir = temp_dir("torn-valid");
+        let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
+        let mut ledger = DeliveryLedger::open(config.clone()).unwrap();
+        let a = ledger.enqueue(&user("alice"), 1, CommType::Im, "im:alice", "owed", t(0));
+        ledger.commit().unwrap();
+        drop(ledger);
+        // Die mid-commit with a whole `S` record on disk but not its
+        // newline: it parses, yet no commit ever covered it. Applying it
+        // would leave a `Sent` that exists only in RAM — the delivery
+        // reads as done until the next restart resurrects it.
+        let path = segment_path(&dir, 0);
+        let committed = std::fs::read_to_string(&path).unwrap();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(format!("S\t{a}").as_bytes()).unwrap();
+        drop(file);
+
+        for pass in ["first open", "reopen"] {
+            let ledger = DeliveryLedger::open(config.clone()).unwrap();
+            let live: Vec<(u64, RecordState)> = ledger.records().map(|r| (r.id, r.state)).collect();
+            assert_eq!(live, vec![(a, RecordState::Pending)], "{pass}: the send is still owed");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), committed, "{pass}: file");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -58,6 +58,20 @@ impl IdempotencyFilter {
         true
     }
 
+    /// Forgets `key`, so its next occurrence reads as fresh again. For a
+    /// caller that recorded the key before a send whose outcome turned out
+    /// to be a failure: the effect never happened, so the retry must not
+    /// be suppressed as its duplicate.
+    pub fn forget(&mut self, key: &str) {
+        if self.seen.remove(key) {
+            // Just recorded, so it sits at or near the back: search from
+            // there rather than scanning the whole window.
+            if let Some(at) = self.order.iter().rposition(|k| k == key) {
+                self.order.remove(at);
+            }
+        }
+    }
+
     /// Whether `key` has been seen, without recording anything.
     pub fn contains(&self, key: &str) -> bool {
         self.seen.contains(key)
@@ -108,6 +122,19 @@ mod tests {
         assert_eq!(filter.evicted(), 1);
         assert!(!filter.contains("a"));
         assert!(filter.first_seen("a"), "a aged out, so it reads as fresh again");
+    }
+
+    #[test]
+    fn forgotten_key_reads_fresh_and_frees_its_slot() {
+        let mut filter = IdempotencyFilter::new(2);
+        assert!(filter.first_seen("a"));
+        assert!(filter.first_seen("b"));
+        filter.forget("a");
+        assert_eq!(filter.len(), 1);
+        assert!(filter.first_seen("a"), "a forgotten key is fresh again");
+        assert_eq!(filter.len(), 2);
+        assert_eq!(filter.evicted(), 0, "forgetting freed the slot; b was not pushed out");
+        assert!(filter.contains("b"));
     }
 
     #[test]

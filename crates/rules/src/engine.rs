@@ -115,7 +115,7 @@ impl Decision {
 }
 
 /// A shareable engine handle: the engine is internally synchronized, so
-/// gateway pumps, shard workers, and the CLI share one `Arc`.
+/// the gateway pump, shard workers, and the CLI share one `Arc`.
 pub type SharedRuleEngine = std::sync::Arc<RuleEngine>;
 
 /// Builds the [`AlertView`] the predicate language evaluates: `kind` is
@@ -463,9 +463,9 @@ impl RuleEngine {
         decision
     }
 
-    /// Flushes every digest window whose deadline has passed. Callers
-    /// (the gateway pump tick, the shard timer wheel) route the returned
-    /// digests as deliveries.
+    /// Flushes every digest window whose deadline has passed. The caller
+    /// (the host's `pump_digests`) routes the returned digests as
+    /// deliveries.
     pub fn flush_due(&self, now_ms: u64) -> Vec<DigestAlert> {
         let flushed = self.with_inner(|inner| {
             let mut out = Vec::new();
@@ -882,7 +882,8 @@ mod tests {
         assert!(matches!(e.evaluate("ada", &im("s", "from ada"), 0), Decision::Digest { .. }));
         assert!(matches!(e.evaluate("bob", &im("s", "from bob"), 1), Decision::Digest { .. }));
         assert_eq!(e.pending_digests(), 2, "one window per user despite identical keys");
-        let mut flushed = e.flush_due(1000);
+        // bob's window opened at t=1, so both are due from t=1001.
+        let mut flushed = e.flush_due(1001);
         flushed.sort_by(|a, b| a.user.cmp(&b.user));
         assert_eq!(flushed.len(), 2);
         assert_eq!((flushed[0].user.as_str(), flushed[0].count), ("ada", 1));

@@ -29,12 +29,13 @@ pub trait Channels: Send + 'static {
 }
 
 /// A cloneable wrapper sharing one [`Channels`] implementation between
-/// several services — the shape a multi-tenant [`crate::MabHost`] needs,
-/// where every per-user service sends through the same gateway adapters.
+/// several senders — the shape [`crate::ShardedHost`] needs, where every
+/// shard worker (and every ledger worker's bridge) sends through the
+/// same gateway adapters.
 ///
 /// Sends are serialized by a mutex; that matches the [`Channels`]
 /// contract (cheap, non-blocking submissions), so contention stays low
-/// even with many tenants.
+/// even with many senders.
 #[derive(Debug)]
 pub struct SharedChannels<C> {
     inner: std::sync::Arc<std::sync::Mutex<C>>,
@@ -55,7 +56,7 @@ impl<C: Channels> SharedChannels<C> {
     /// Runs `f` with the wrapped adapter (e.g. to script outcomes or
     /// inspect a loopback's sent log mid-test).
     pub fn with<R>(&self, f: impl FnOnce(&mut C) -> R) -> R {
-        // A panic mid-`send` in another tenant must not take the whole
+        // A panic mid-`send` on another worker must not take the whole
         // host down with it: recover the adapter and keep sending.
         f(&mut self
             .inner

@@ -11,7 +11,10 @@
 //! The filter sits in front of the channel (not behind it) deliberately:
 //! a redelivery exists precisely because the ledger does not know whether
 //! the first send happened, and the only component that can know is the
-//! adapter that performed it.
+//! adapter that performed it. The key is recorded *before* the send — a
+//! sibling worker racing in on an expired lease must already see it — and
+//! forgotten again if the channel refuses, so the ledger's retry of a
+//! failed send is a fresh send, not a duplicate of one that never landed.
 
 use crate::channels::{Channels, SendOutcome};
 use simba_ledger::{ChannelResult, LeasedWork, LedgerChannels};
@@ -63,19 +66,18 @@ impl<C: Channels> LedgerChannelBridge<C> {
 
 impl<C: Channels> LedgerChannels for LedgerChannelBridge<C> {
     fn send(&mut self, work: &LeasedWork) -> ChannelResult {
-        let fresh = self
-            .filter
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .first_seen(&work.idempotency_key);
-        if !fresh {
+        let lock_filter = || self.filter.lock().unwrap_or_else(PoisonError::into_inner);
+        if !lock_filter().first_seen(&work.idempotency_key) {
             return ChannelResult::Duplicate;
         }
         match self.channels.send(work.channel, &work.address, &work.text) {
             // The ledger owns no ack lifecycle; an accepted-with-ack send
             // is simply accepted from its point of view.
             SendOutcome::Accepted | SendOutcome::AcceptedWithAck(_) => ChannelResult::Sent,
-            SendOutcome::Failed(failure) => ChannelResult::Failed(failure.to_string()),
+            SendOutcome::Failed(failure) => {
+                lock_filter().forget(&work.idempotency_key);
+                ChannelResult::Failed(failure.to_string())
+            }
         }
     }
 }
@@ -83,8 +85,9 @@ impl<C: Channels> LedgerChannels for LedgerChannelBridge<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::LoopbackChannels;
+    use crate::channels::{LoopbackChannels, SharedChannels};
     use simba_core::address::CommType;
+    use simba_core::delivery::SendFailure;
 
     fn work(key: &str) -> LeasedWork {
         LeasedWork {
@@ -107,5 +110,19 @@ mod tests {
         // still suppressed: the filter is shared.
         assert_eq!(b.send(&work("alice/1/IM")), ChannelResult::Duplicate);
         assert_eq!(a.send(&work("alice/2/IM")), ChannelResult::Sent);
+    }
+
+    #[test]
+    fn a_failed_send_is_forgotten_so_the_retry_goes_out() {
+        let channels = SharedChannels::new(LoopbackChannels::accept_all());
+        let mut bridge = LedgerChannelBridge::new(channels.clone());
+        channels.with(|c| c.script("im:alice", SendOutcome::Failed(SendFailure::ChannelDown)));
+        assert!(matches!(bridge.send(&work("alice/1/IM")), ChannelResult::Failed(_)));
+        // The channel recovers; the ledger's retry carries the same key.
+        channels.with(|c| c.script("im:alice", SendOutcome::Accepted));
+        assert_eq!(bridge.send(&work("alice/1/IM")), ChannelResult::Sent);
+        assert_eq!(bridge.send(&work("alice/1/IM")), ChannelResult::Duplicate);
+        let attempts = channels.with(|c| c.sent().len());
+        assert_eq!(attempts, 2, "the refused attempt plus exactly one visible send");
     }
 }

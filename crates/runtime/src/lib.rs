@@ -11,13 +11,15 @@
 //! [`RuntimeClock`] and feeds events in. That is the architectural payoff
 //! of keeping the core event-driven: one implementation, two drivers.
 //!
-//! For deployments, [`MabHost`] runs one service per user over
-//! [`SharedChannels`] with per-user WALs, routing alerts to the owning
-//! buddy and retiring terminal deliveries so fleet state stays bounded.
-//! At population scale, [`ShardedHost`] replaces task-per-user with a
-//! fixed pool of shard workers multiplexing thousands of buddies each
-//! over group-committed shard logs, hibernating idle buddies to compact
-//! snapshots so memory tracks *active* users rather than registered ones.
+//! [`MabService`] + [`run_watchdog`] are the paper's single-buddy shape
+//! (one MyAlertBuddy under its MDC). Deployments host many buddies on
+//! one [`ShardedHost`]: a fixed pool of shard workers multiplexing
+//! thousands of buddies each over group-committed shard logs, routing
+//! alerts to the owning buddy, retiring terminal deliveries so fleet
+//! state stays bounded, and hibernating idle buddies to compact
+//! snapshots so memory tracks *active* users rather than registered
+//! ones. Rules, the delivery ledger and the soft-state store all attach
+//! there, through [`ShardedHostConfig`].
 //!
 //! ```no_run
 //! use simba_runtime::{LoopbackChannels, MabService, RuntimeNotice};
@@ -45,7 +47,6 @@
 
 mod channels;
 mod clock;
-mod host;
 mod ledger_bridge;
 mod presence;
 mod service;
@@ -54,11 +55,13 @@ mod watchdog;
 
 pub use channels::{Channels, LoopbackChannels, SendOutcome, SharedChannels};
 pub use clock::RuntimeClock;
-pub use host::{HostConfig, HostError, HostNotice, HostSnapshot, MabHost, DEFAULT_NOTICE_CAPACITY};
 pub use ledger_bridge::{
     shared_filter, LedgerChannelBridge, SharedFilter, DEFAULT_DEDUPE_CAPACITY,
 };
-pub use shard::{ConfigFactory, ShardedHost, ShardedHostConfig, ShardedSnapshot};
-pub use presence::{chanhealth_key, spawn_sweeper, StoreModeSelector, HEALTHY_VALUE};
+pub use shard::{
+    ConfigFactory, HostNotice, ShardedHost, ShardedHostConfig, ShardedSnapshot,
+    DEFAULT_NOTICE_CAPACITY,
+};
+pub use presence::{chanhealth_key, StoreModeSelector, HEALTHY_VALUE};
 pub use service::{MabHandle, MabService, RuntimeNotice, ServiceSnapshot};
 pub use watchdog::{run_watchdog, run_watchdog_observed, WatchdogReport};

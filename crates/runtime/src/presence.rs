@@ -13,7 +13,7 @@ use crate::clock::RuntimeClock;
 use simba_core::routing::{ModeSelector, PresenceHint, RoutingContext};
 use simba_core::subscription::UserId;
 use simba_core::CommType;
-use simba_sim::{SimDuration, SimTime};
+use simba_sim::SimTime;
 use simba_store::{SoftStateStore, CHANHEALTH_SCOPE, PRESENCE_SCOPE};
 pub use simba_store::HEALTHY_VALUE;
 
@@ -65,19 +65,20 @@ impl ModeSelector for StoreModeSelector {
     }
 }
 
-/// Spawns the periodic TTL sweeper: every `period` of runtime time the
+/// How often the sweeper expires soft-state facts.
+const SWEEP_PERIOD: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// Spawns the periodic TTL sweeper: once a second of runtime time the
 /// store drops its expired facts. Driven by [`RuntimeClock`], so under a
 /// paused tokio runtime the sweeps land at deterministic instants. Abort
 /// the handle to stop sweeping (dropping the store does not).
-pub fn spawn_sweeper(
+pub(crate) fn spawn_sweeper(
     store: SoftStateStore,
     clock: RuntimeClock,
-    period: SimDuration,
 ) -> tokio::task::JoinHandle<()> {
-    let period = std::time::Duration::from_millis(period.as_millis().max(1));
     tokio::spawn(async move {
         loop {
-            tokio::time::sleep(period).await;
+            tokio::time::sleep(SWEEP_PERIOD).await;
             store.sweep(clock.now());
         }
     })
@@ -86,6 +87,7 @@ pub fn spawn_sweeper(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simba_sim::SimDuration;
     use simba_store::StoreConfig;
     use simba_telemetry::Telemetry;
 
@@ -125,7 +127,7 @@ mod tests {
         let store = SoftStateStore::new(StoreConfig::default(), Telemetry::disabled());
         let clock = RuntimeClock::start();
         store.put(PRESENCE_SCOPE, "alice", "away", SimDuration::from_secs(2), "wish", clock.now());
-        let sweeper = spawn_sweeper(store.clone(), clock, SimDuration::from_secs(1));
+        let sweeper = spawn_sweeper(store.clone(), clock);
 
         tokio::time::sleep(std::time::Duration::from_millis(1500)).await;
         assert_eq!(store.len(), 1, "fact still live before its TTL");

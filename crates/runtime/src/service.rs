@@ -11,14 +11,11 @@
 use crate::channels::{Channels, SendOutcome};
 use crate::clock::RuntimeClock;
 use simba_core::alert::IncomingAlert;
-use simba_core::delivery::{
-    AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, SendFailure,
-};
+use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus};
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy};
 use simba_core::rejuvenate::RejuvenationTrigger;
 use simba_core::wal::{InMemoryWal, WriteAheadLog};
 use simba_core::{MabConfig, Telemetry};
-use simba_sim::SimDuration;
 use simba_telemetry::Event;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -51,9 +48,8 @@ pub enum RuntimeNotice {
     ),
 }
 
-/// A point-in-time view of the service's in-memory delivery state; hosts
-/// and soak harnesses use it to assert that retirement keeps every table
-/// bounded.
+/// A point-in-time view of the service's in-memory delivery state; tests
+/// use it to assert that retirement keeps every table bounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// The buddy's running totals.
@@ -186,17 +182,6 @@ pub struct MabService<C, W = InMemoryWal> {
     live: HashMap<DeliveryId, LiveDelivery>,
     next_gen: u64,
     telemetry: Telemetry,
-    /// When set, channel attempts are enqueued into the durable delivery
-    /// ledger (owned by a worker pool) instead of being sent inline.
-    ledger: Option<LedgerSink>,
-}
-
-/// Where ledger-routed sends go: the shared ledger plus the identity the
-/// idempotency keys are minted under.
-#[derive(Debug, Clone)]
-struct LedgerSink {
-    ledger: simba_ledger::SharedLedger,
-    user: simba_core::subscription::UserId,
 }
 
 impl<C: Channels> MabService<C, InMemoryWal> {
@@ -238,7 +223,6 @@ impl<C: Channels, W: WriteAheadLog + Send + 'static> MabService<C, W> {
             live: HashMap::new(),
             next_gen: 0,
             telemetry: Telemetry::disabled(),
-            ledger: None,
         };
         (service, MabHandle { tx }, notice_rx)
     }
@@ -250,46 +234,6 @@ impl<C: Channels, W: WriteAheadLog + Send + 'static> MabService<C, W> {
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.mab.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Configures delivery retirement on the wrapped buddy: how long a
-    /// terminal delivery lingers (so straggling acks can still upgrade the
-    /// outcome) and the completed-ring capacity.
-    #[must_use]
-    pub fn with_retirement(mut self, grace: SimDuration, completed_cap: usize) -> Self {
-        self.mab.set_retirement(grace, completed_cap);
-        self
-    }
-
-    /// Installs a presence-aware mode selector on the wrapped buddy: live
-    /// soft-state facts then adjust the delivery mode at each delivery
-    /// start, falling back to the static profile when facts are absent or
-    /// expired.
-    #[must_use]
-    pub fn with_mode_selector(
-        mut self,
-        selector: Box<dyn simba_core::routing::ModeSelector>,
-    ) -> Self {
-        self.mab.set_mode_selector(selector);
-        self
-    }
-
-    /// Routes this service's channel attempts into a durable delivery
-    /// ledger under `user`'s identity. Each Send command then enqueues
-    /// one `(delivery, channel)` record (group-committed before the
-    /// attempt is acknowledged to the buddy) and a ledger worker pool —
-    /// not this service — performs the send, retries with backoff, and
-    /// dead-letters; see `simba_ledger`. Attempts report `SendAccepted`
-    /// at enqueue: acceptance means "durably owned by the ledger", the
-    /// §4.2.1 durable-before-ack contract moved one layer down.
-    #[must_use]
-    pub fn with_ledger(
-        mut self,
-        ledger: simba_ledger::SharedLedger,
-        user: simba_core::subscription::UserId,
-    ) -> Self {
-        self.ledger = Some(LedgerSink { ledger, user });
         self
     }
 
@@ -485,54 +429,6 @@ impl<C: Channels, W: WriteAheadLog + Send + 'static> MabService<C, W> {
                         } => {
                             let gen = self.generation(delivery);
                             self.attempt_owner.insert((delivery, attempt), gen);
-                            if let Some(sink) = &self.ledger {
-                                // Ledger-owned attempt: durable enqueue,
-                                // then acknowledge the handoff. A worker
-                                // pool performs the send and owns the
-                                // retry/backoff/dead-letter lifecycle.
-                                let accepted = {
-                                    let mut ledger = sink
-                                        .ledger
-                                        .lock()
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                    ledger.enqueue(
-                                        &sink.user,
-                                        delivery.0,
-                                        comm_type,
-                                        &address_value,
-                                        &text,
-                                        self.clock.now(),
-                                    );
-                                    // simba-analyze: allow(concurrency.blocking-under-guard): enqueue+commit is the atomic handoff to the worker pool; the guard scope IS the durability point
-                                    ledger.commit().is_ok()
-                                };
-                                if self.telemetry.enabled() {
-                                    self.telemetry.metrics().counter("runtime.sends").incr();
-                                    self.telemetry.emit(
-                                        Event::new(
-                                            "runtime.send",
-                                            self.clock.now().as_millis(),
-                                        )
-                                        .with("channel", comm_type.to_string())
-                                        .with("accepted", accepted),
-                                    );
-                                }
-                                let event = if accepted {
-                                    DeliveryEvent::SendAccepted { attempt }
-                                } else {
-                                    DeliveryEvent::SendFailed {
-                                        attempt,
-                                        failure: SendFailure::ChannelDown,
-                                    }
-                                };
-                                let now = self.clock.now();
-                                follow_ups.extend(self.mab.handle(
-                                    MabEvent::Delivery { id: delivery, event },
-                                    now,
-                                ));
-                                self.notify_if_finished(delivery);
-                                continue;
-                            }
                             let outcome = self.channels.send(comm_type, &address_value, &text);
                             if self.telemetry.enabled() {
                                 self.telemetry.metrics().counter("runtime.sends").incr();

@@ -1,14 +1,16 @@
-//! The sharded million-user host.
+//! The host: every hosted user's buddy behind one routing front door.
 //!
-//! [`MabHost`](crate::MabHost) runs one service *task* per user — the
-//! right shape for hundreds of tenants, the wrong one for a million. The
-//! [`ShardedHost`] here is the scale shape: a fixed pool of shard workers
+//! The paper's MyAlertBuddy is a *per-user* always-on agent (§3.3); a
+//! deployment therefore runs many of them. One task and one WAL file per
+//! user is the right shape for hundreds of tenants and the wrong one for
+//! a million, so [`ShardedHost`] is a fixed pool of shard workers
 //! (default: one per core), each multiplexing thousands of buddies over
 //! one [`ShardLog`] with **group commit** (one fsync per batch, not per
 //! alert) and **hibernation** (idle buddies are serialized to a compact
 //! CRC-guarded [`BuddySnapshot`] and rebuilt on the next routed alert or
 //! replay demand), so resident memory tracks *active* users while the
-//! roster tracks *registered* ones.
+//! roster tracks *registered* ones. One shard with hibernation off is
+//! the small-fleet shape; nothing else changes.
 //!
 //! The worker loop is the §4.2.1 pipeline batched:
 //!
@@ -32,7 +34,7 @@
 
 use crate::channels::{Channels, SendOutcome};
 use crate::clock::RuntimeClock;
-use crate::host::{HostNotice, DEFAULT_NOTICE_CAPACITY};
+use crate::presence::{spawn_sweeper, StoreModeSelector};
 use crate::service::RuntimeNotice;
 use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
@@ -43,6 +45,7 @@ use simba_core::subscription::UserId;
 use simba_core::wal::WalError;
 use simba_core::{MabConfig, Telemetry, UserShardWal};
 use simba_sim::{SimDuration, SimTime};
+use simba_store::SoftStateStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,6 +65,18 @@ type SharedShardLog = Arc<Mutex<ShardLog>>;
 /// hibernation snapshots; the factory is called at every activation —
 /// first alert, rehydration, replay demand, and post-crash restart.
 pub type ConfigFactory = Arc<dyn Fn(&UserId) -> MabConfig + Send + Sync>;
+
+/// Default capacity of the merged notice stream.
+pub const DEFAULT_NOTICE_CAPACITY: usize = 1024;
+
+/// A service notice tagged with the user whose buddy emitted it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostNotice {
+    /// The hosted user.
+    pub user: UserId,
+    /// What their buddy reported.
+    pub notice: RuntimeNotice,
+}
 
 /// Configuration for a [`ShardedHost`].
 #[derive(Debug, Clone)]
@@ -109,8 +124,13 @@ pub struct ShardedHostConfig {
     /// When set, every alert for a *registered* user runs through this
     /// rules engine inside the owning shard worker before it reaches the
     /// buddy; drive deadline flushes with [`ShardedHost::pump_digests`]
-    /// (the gateway pumps call it on their idle tick).
+    /// (the gateway pump calls it on its idle tick).
     pub rules: Option<simba_rules::SharedRuleEngine>,
+    /// When set, every buddy consults this soft-state store through a
+    /// [`StoreModeSelector`] at delivery start (presence-aware routing),
+    /// and the host sweeps expired facts once a second until shutdown.
+    /// Publish presence/health facts into a clone of the same store.
+    pub store: Option<SoftStateStore>,
 }
 
 impl Default for ShardedHostConfig {
@@ -128,6 +148,7 @@ impl Default for ShardedHostConfig {
             threads: false,
             ledger: None,
             rules: None,
+            store: None,
         }
     }
 }
@@ -167,6 +188,14 @@ pub struct ShardedSnapshot {
     pub in_flight: usize,
     /// Deliveries tracked (in-flight plus awaiting retirement).
     pub tracked: usize,
+    /// Entries waiting on the shard timer wheels (block timers and
+    /// simulated acks, including ones a retired delivery left behind —
+    /// those fire into a buddy that no longer tracks the delivery and
+    /// are ignored, so the wheels empty once the last deadline passes).
+    pub pending_timers: usize,
+    /// Retired-delivery summaries held in resident buddies' completed
+    /// rings (each ≤ [`ShardedHostConfig::completed_ring`]).
+    pub retired_ring: usize,
     /// Retired deliveries that ended acknowledged.
     pub acked: u64,
     /// Retired deliveries that ended unconfirmed.
@@ -197,6 +226,8 @@ impl ShardedSnapshot {
         self.stats.merge(other.stats);
         self.in_flight += other.in_flight;
         self.tracked += other.tracked;
+        self.pending_timers += other.pending_timers;
+        self.retired_ring += other.retired_ring;
         self.acked += other.acked;
         self.unconfirmed += other.unconfirmed;
         self.exhausted += other.exhausted;
@@ -310,6 +341,8 @@ pub struct ShardedHost {
     shards: Vec<ShardHandle>,
     clock: RuntimeClock,
     rules: Option<simba_rules::SharedRuleEngine>,
+    /// The soft-state TTL sweeper, when a store is attached.
+    sweeper: Option<JoinHandle<()>>,
 }
 
 impl ShardedHost {
@@ -368,6 +401,7 @@ impl ShardedHost {
             let completed_ring = config.completed_ring;
             let worker_ledger = config.ledger.clone();
             let worker_rules = config.rules.clone();
+            let worker_store = config.store.clone();
             let build = move || Worker {
                 rx,
                 depth: worker_depth,
@@ -397,6 +431,7 @@ impl ShardedHost {
                 completed_ring,
                 ledger: worker_ledger,
                 rules: worker_rules,
+                store: worker_store,
             };
             let task = if config.threads {
                 let thread = std::thread::Builder::new()
@@ -409,8 +444,15 @@ impl ShardedHost {
             };
             shards.push(ShardHandle { tx, depth, task });
         }
-        let rules = config.rules.clone();
-        Ok((ShardedHost { shards, clock: RuntimeClock::start(), rules }, notice_rx))
+        let clock = RuntimeClock::start();
+        let sweeper = config.store.map(|store| spawn_sweeper(store, clock));
+        Ok((ShardedHost { shards, clock, rules: config.rules, sweeper }, notice_rx))
+    }
+
+    /// The host's clock: the timeline its soft-state sweeper and digest
+    /// flushes measure. Stamp facts published for this host with it.
+    pub fn clock(&self) -> RuntimeClock {
+        self.clock
     }
 
     /// The attached rules engine, if any.
@@ -421,7 +463,7 @@ impl ShardedHost {
     /// Flushes every digest window whose deadline has passed and routes
     /// each result to the owning user's shard — as an email-borne alert
     /// that bypasses re-evaluation. Call from the runtime's idle tick
-    /// (the gateway pumps do); returns how many digests were dispatched.
+    /// (the gateway pump does); returns how many digests were dispatched.
     pub async fn pump_digests(&self) -> usize {
         let Some(engine) = self.rules.as_ref() else {
             return 0;
@@ -539,6 +581,9 @@ impl ShardedHost {
     /// Stops every worker (each drains, commits, and compacts nothing
     /// further) and returns the merged final snapshot.
     pub async fn shutdown(self) -> ShardedSnapshot {
+        if let Some(sweeper) = &self.sweeper {
+            sweeper.abort();
+        }
         let mut merged = ShardedSnapshot::default();
         for shard in self.shards {
             let (reply_tx, reply_rx) = oneshot::channel();
@@ -641,6 +686,8 @@ struct Worker<C> {
     ledger: Option<simba_ledger::SharedLedger>,
     /// Registered users' alerts run through this engine before routing.
     rules: Option<simba_rules::SharedRuleEngine>,
+    /// Buddies consult this store at delivery start when set.
+    store: Option<SoftStateStore>,
 }
 
 enum Flow {
@@ -722,7 +769,13 @@ impl<C: Channels> Worker<C> {
     /// to [1 ms, 1 s] so the worker stays responsive without spinning.
     fn idle_wait(&self) -> Duration {
         let now = self.clock.now();
-        let mut deadline = self.last_sweep + self.sweep_every;
+        // With hibernation off `last_sweep` never advances, so there is
+        // no sweep deadline to wake for.
+        let mut deadline = if self.hibernate_after == SimDuration::ZERO {
+            now + SimDuration::from_secs(1)
+        } else {
+            self.last_sweep + self.sweep_every
+        };
         if let Some(((at, _), _)) = self.timers.iter().next() {
             if *at < deadline {
                 deadline = *at;
@@ -907,6 +960,9 @@ impl<C: Channels> Worker<C> {
         };
         mab.set_retirement(self.retirement_grace, self.completed_ring);
         mab.set_telemetry(self.telemetry.clone());
+        if let Some(store) = &self.store {
+            mab.set_mode_selector(Box::new(StoreModeSelector::new(store.clone())));
+        }
         let recovery = mab.recover(now);
         staged.extend(recovery.into_iter().map(|cmd| (user.clone(), cmd)));
         if mab.is_crashed() {
@@ -1298,6 +1354,7 @@ impl<C: Channels> Worker<C> {
             crashes: self.crashes,
             corrupt_snapshots: self.corrupt_snapshots,
             unrouted: self.unrouted,
+            pending_timers: self.timers.len(),
             log: self.lock_log().stats(),
             ..ShardedSnapshot::default()
         };
@@ -1308,6 +1365,7 @@ impl<C: Channels> Worker<C> {
                     snap.stats.merge(active.mab.stats());
                     snap.in_flight += active.mab.in_flight();
                     snap.tracked += active.mab.tracked();
+                    snap.retired_ring += active.mab.retired_len();
                 }
                 UserSlot::Hibernated(_) => snap.hibernated += 1,
                 UserSlot::Fresh => {}

@@ -1,4 +1,4 @@
-//! End-to-end ledger-routed delivery: a `MabHost` whose services enqueue
+//! End-to-end ledger-routed delivery: the host's shard workers enqueue
 //! channel attempts into the durable ledger instead of sending inline,
 //! a worker pool draining the leases through the idempotency bridge into
 //! the loopback channels, and the acceptance invariant — every alert's
@@ -14,11 +14,12 @@ use simba_ledger::{
     DeliveryLedger, LedgerChannels, LedgerClock, LedgerConfig, LedgerWorkerPool, WorkerPoolConfig,
 };
 use simba_runtime::{
-    shared_filter, HostConfig, HostNotice, LedgerChannelBridge, LoopbackChannels, MabHost,
-    RuntimeNotice, SharedChannels,
+    shared_filter, Channels, ConfigFactory, HostNotice, LedgerChannelBridge, LoopbackChannels,
+    RuntimeNotice, SendOutcome, SharedChannels, ShardedHost, ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Telemetry};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 fn user_config(name: &str) -> MabConfig {
@@ -39,23 +40,15 @@ fn user_config(name: &str) -> MabConfig {
     MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
 }
 
-async fn wait_finished(notices: &mut tokio::sync::mpsc::Receiver<HostNotice>, n: usize) {
-    let mut finished = 0;
-    while finished < n {
-        let HostNotice { notice, .. } = notices.recv().await.expect("notice stream alive");
-        if matches!(notice, RuntimeNotice::DeliveryFinished { .. }) {
-            finished += 1;
-        }
-    }
-}
-
-/// Host accepts alerts by committing them to the ledger; the pool owns
-/// the sends. Kill one worker mid-flight: the survivor resumes its
-/// leases and the channel still sees each alert exactly once.
-#[tokio::test(start_paused = true)]
-async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
-    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(512)));
-    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+/// Everything both tests share: a ledgered host over `users` users, and a
+/// two-worker pool whose bridges (one idempotency filter between them)
+/// send through `channels`.
+async fn ledgered_host<C: Channels + Clone>(
+    channels: C,
+    users: usize,
+    telemetry: &Telemetry,
+) -> (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>, simba_ledger::SharedLedger, LedgerWorkerPool)
+{
     let ledger = Arc::new(Mutex::new(
         DeliveryLedger::open(LedgerConfig {
             lease_duration: SimDuration::from_millis(40),
@@ -66,17 +59,13 @@ async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
         .expect("in-memory open")
         .with_telemetry(telemetry.clone()),
     ));
+    let config =
+        ShardedHostConfig { ledger: Some(Arc::clone(&ledger)), ..ShardedHostConfig::default() };
+    let factory: ConfigFactory = Arc::new(|user: &UserId| user_config(&user.0));
+    let (host, notices) = ShardedHost::new(channels.clone(), config, factory, telemetry.clone())
+        .expect("in-memory shard logs");
+    host.register_many((0..users).map(|i| UserId::new(format!("user-{i}"))).collect()).await;
 
-    let (host, mut notices) = MabHost::new(channels.clone(), HostConfig::default());
-    let mut host = host.with_telemetry(telemetry.clone()).with_ledger(Arc::clone(&ledger));
-    let users = 8usize;
-    for i in 0..users {
-        let name = format!("user-{i}");
-        host.add_user(UserId::new(&name), user_config(&name)).expect("user added");
-    }
-
-    // The pool: two workers, each bridging into the same loopback
-    // channels behind one shared idempotency filter.
     let filter = shared_filter(1024);
     let adapters: Vec<Box<dyn LedgerChannels>> = (0..2)
         .map(|_| {
@@ -95,16 +84,57 @@ async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
         WorkerPoolConfig { workers: 2, batch: 4, ..WorkerPoolConfig::default() },
     )
     .expect("local spawn cannot fail");
+    (host, notices, ledger, pool)
+}
 
-    // Submit one alert per user. The host reports DeliveryFinished as
-    // soon as the attempt is durably owned by the ledger — acceptance
-    // is a commit, not a send.
+/// Submits one alert per user and waits until the host has handed every
+/// attempt to the ledger — acceptance is a commit, not a send.
+async fn submit_one_each(
+    host: &ShardedHost,
+    notices: &mut tokio::sync::mpsc::Receiver<HostNotice>,
+    users: usize,
+) {
     for i in 0..users {
         let alert =
             IncomingAlert::from_im("aladdin-gw", format!("Sensor {i} ON"), SimTime::ZERO);
         assert!(host.submit_im(&UserId::new(format!("user-{i}")), alert).await);
     }
-    wait_finished(&mut notices, users).await;
+    wait_finished(notices, users).await;
+}
+
+/// Each user's IM address saw their alert exactly once.
+fn assert_exactly_once(sent: &[(CommType, String, String)], users: usize) {
+    assert_eq!(sent.len(), users, "exactly one visible send per alert: {sent:?}");
+    for i in 0..users {
+        let hits = sent
+            .iter()
+            .filter(|(ct, addr, _)| *ct == CommType::Im && addr == &format!("im:user-{i}"))
+            .count();
+        assert_eq!(hits, 1, "user-{i} saw the alert exactly once");
+    }
+}
+
+async fn wait_finished(notices: &mut tokio::sync::mpsc::Receiver<HostNotice>, n: usize) {
+    let mut finished = 0;
+    while finished < n {
+        let HostNotice { notice, .. } = notices.recv().await.expect("notice stream alive");
+        if matches!(notice, RuntimeNotice::DeliveryFinished { .. }) {
+            finished += 1;
+        }
+    }
+}
+
+/// Host accepts alerts by committing them to the ledger; the pool owns
+/// the sends. Kill one worker mid-flight: the survivor resumes its
+/// leases and the channel still sees each alert exactly once.
+#[tokio::test(start_paused = true)]
+async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(512)));
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let users = 8usize;
+    let (host, mut notices, ledger, pool) =
+        ledgered_host(channels.clone(), users, &telemetry).await;
+    submit_one_each(&host, &mut notices, users).await;
 
     // Crash one of the two workers mid-drain; the survivor picks up the
     // expired leases.
@@ -116,19 +146,7 @@ async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
         "ledger fully drained"
     );
 
-    channels.with(|c| {
-        let sent = c.sent().to_vec();
-        assert_eq!(sent.len(), users, "exactly one visible send per alert: {sent:?}");
-        for i in 0..users {
-            assert_eq!(
-                sent.iter()
-                    .filter(|(ct, addr, _)| *ct == CommType::Im && addr == &format!("im:user-{i}"))
-                    .count(),
-                1,
-                "user-{i} saw the alert exactly once"
-            );
-        }
-    });
+    channels.with(|c| assert_exactly_once(c.sent(), users));
 
     host.shutdown().await;
     let snap = telemetry.metrics().snapshot();
@@ -139,4 +157,47 @@ async fn ledger_routed_host_delivers_exactly_once_despite_a_worker_kill() {
         true,
         "every record leased at least once"
     );
+}
+
+/// Loopback channels whose very first send is refused.
+#[derive(Clone)]
+struct FailsOnce {
+    inner: SharedChannels<LoopbackChannels>,
+    failed: Arc<AtomicBool>,
+}
+
+impl Channels for FailsOnce {
+    fn send(&mut self, comm_type: CommType, address: &str, text: &str) -> SendOutcome {
+        if !self.failed.swap(true, Ordering::Relaxed) {
+            return SendOutcome::Failed(simba_core::delivery::SendFailure::ChannelDown);
+        }
+        self.inner.send(comm_type, address, text)
+    }
+}
+
+/// Regression (found by E11): the bridge used to remember an idempotency
+/// key before knowing the send's outcome, so the ledger's retry of a
+/// *failed* send was absorbed as a duplicate and the alert never went
+/// out. One refused send must cost one retry, nothing else.
+#[tokio::test(start_paused = true)]
+async fn a_send_that_fails_once_is_retried_and_delivered_exactly_once() {
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(512)));
+    let loopback = SharedChannels::new(LoopbackChannels::accept_all());
+    let channels = FailsOnce { inner: loopback.clone(), failed: Arc::new(AtomicBool::new(false)) };
+    let users = 4usize;
+    let (host, mut notices, ledger, pool) = ledgered_host(channels, users, &telemetry).await;
+    submit_one_each(&host, &mut notices, users).await;
+
+    let stats = pool.drain().await;
+    assert_eq!(stats.failed, 1, "the injected refusal was reported to the ledger");
+    assert_eq!(stats.sent, users as u64, "every alert went out, the refused one on its retry");
+    assert_eq!(stats.deduped, 0, "a retry after a failure is not a duplicate");
+    loopback.with(|c| assert_exactly_once(c.sent(), users));
+    {
+        let ledger = ledger.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(ledger.is_drained(), "ledger fully drained");
+        assert_eq!(ledger.stats().dead_lettered, 0, "nothing was given up on");
+    }
+    host.shutdown().await;
+    assert!(telemetry.metrics().snapshot().counter("ledger.retried") >= 1);
 }

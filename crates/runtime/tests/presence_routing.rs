@@ -1,7 +1,8 @@
-//! Satellite 4 + the tentpole's end-to-end acceptance: presence facts
-//! published into the soft-state store change a delivery's block order,
-//! and once the facts expire the buddy reverts to static-profile routing
-//! — with every alert delivered exactly once either way.
+//! Presence-aware routing end to end on the host: presence facts
+//! published into the soft-state store (`ShardedHostConfig::store`)
+//! change a delivery's block order, and once the facts expire the buddy
+//! reverts to static-profile routing — with every alert delivered
+//! exactly once either way.
 
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};
@@ -10,7 +11,8 @@ use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::{IncomingAlert, MabConfig};
 use simba_runtime::{
-    HostConfig, HostNotice, LoopbackChannels, MabHost, RuntimeNotice, SharedChannels,
+    ConfigFactory, HostNotice, LoopbackChannels, RuntimeNotice, SharedChannels, ShardedHost,
+    ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_store::{SoftStateStore, StoreConfig, PRESENCE_SCOPE};
@@ -39,6 +41,21 @@ fn alice_config() -> MabConfig {
     MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
 }
 
+/// A host for alice alone, reading presence facts from `store`.
+async fn host_with_store(
+    channels: SharedChannels<LoopbackChannels>,
+    store: &SoftStateStore,
+    config: MabConfig,
+    telemetry: Telemetry,
+) -> (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>) {
+    let host_config = ShardedHostConfig { store: Some(store.clone()), ..ShardedHostConfig::default() };
+    let factory: ConfigFactory = Arc::new(move |_: &UserId| config.clone());
+    let (host, notices) =
+        ShardedHost::new(channels, host_config, factory, telemetry).expect("in-memory shard logs");
+    host.register(UserId::new("alice")).await;
+    (host, notices)
+}
+
 async fn wait_finished(notices: &mut tokio::sync::mpsc::Receiver<HostNotice>) {
     loop {
         let HostNotice { notice, .. } = notices.recv().await.expect("notice stream alive");
@@ -58,11 +75,8 @@ async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
     let channels = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(200)));
     let store = SoftStateStore::new(StoreConfig::default(), telemetry.clone());
 
-    let (host, mut notices) = MabHost::new(channels.clone(), HostConfig::default());
-    let mut host = host
-        .with_telemetry(telemetry.clone())
-        .with_store(store.clone(), SimDuration::from_secs(1));
-    host.add_user(UserId::new("alice"), alice_config()).expect("alice added");
+    let (host, mut notices) =
+        host_with_store(channels.clone(), &store, alice_config(), telemetry.clone()).await;
 
     // WISH reports alice away from her desk, valid for five seconds.
     store.put(
@@ -109,11 +123,9 @@ async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
         assert_eq!(sent.iter().filter(|(_, _, text)| text.contains("Sensor B")).count(), 1);
     });
 
-    let stats = host.shutdown().await;
-    assert_eq!(stats.len(), 1);
-    let alice = &stats[0].1;
-    assert_eq!(alice.deliveries_started, 2, "no alert lost, none double-started");
-    assert_eq!(alice.mode_overridden, 1, "only delivery 1 was presence-adjusted");
+    let stats = host.shutdown().await.stats;
+    assert_eq!(stats.deliveries_started, 2, "no alert lost, none double-started");
+    assert_eq!(stats.mode_overridden, 1, "only delivery 1 was presence-adjusted");
 
     let snap = telemetry.metrics().snapshot();
     assert_eq!(snap.counter("mab.mode_overridden"), 1);
@@ -153,9 +165,8 @@ async fn fact_expiring_mid_delivery_does_not_lose_or_duplicate() {
 
     let channels = SharedChannels::new(LoopbackChannels::accept_all());
     let store = SoftStateStore::new(StoreConfig::default(), Telemetry::disabled());
-    let (host, mut notices) = MabHost::new(channels.clone(), HostConfig::default());
-    let mut host = host.with_store(store.clone(), SimDuration::from_secs(1));
-    host.add_user(UserId::new("alice"), config).expect("alice added");
+    let (host, mut notices) =
+        host_with_store(channels.clone(), &store, config, Telemetry::disabled()).await;
 
     // Away presence skips the IM block; the adjusted mode starts with the
     // acked SMS block whose 30 s window far outlives the fact's 2 s TTL.
@@ -187,7 +198,7 @@ async fn fact_expiring_mid_delivery_does_not_lose_or_duplicate() {
         assert!(sent.iter().all(|(ty, _, _)| *ty != CommType::Im));
     });
 
-    let stats = host.shutdown().await;
-    assert_eq!(stats[0].1.deliveries_started, 1);
-    assert_eq!(stats[0].1.mode_overridden, 1);
+    let stats = host.shutdown().await.stats;
+    assert_eq!(stats.deliveries_started, 1);
+    assert_eq!(stats.mode_overridden, 1);
 }

@@ -1,4 +1,5 @@
-//! Integration tests for the sharded host: hibernation lifecycle and its
+//! Integration tests for the host: routing, bounded state and the notice
+//! stream, rules and presence wiring, the hibernation lifecycle and its
 //! races, corrupt-snapshot fallback, crash-replay over on-disk shard
 //! logs, and the one-buddy-crashes-alone group-commit contract.
 
@@ -95,8 +96,18 @@ async fn routes_and_delivers_across_shards() {
     assert_eq!(snap.tracked, 0);
     assert_eq!(snap.unrouted, 0);
     // Only the owning user's IM address saw each alert.
-    shared.with(|c| assert_eq!(c.sent().len(), 8));
+    shared.with(|c| {
+        assert_eq!(c.sent().len(), 8);
+        for user in &users {
+            let to_user = c.sent().iter().filter(|(_, addr, _)| *addr == format!("im:{user}"));
+            assert_eq!(to_user.count(), 1, "{user} heard exactly their own alert");
+        }
+    });
     let final_snap = host.shutdown().await;
+    // The merged notice stream ends once the workers are gone.
+    while let Some(HostNotice { notice, .. }) = notices.recv().await {
+        assert!(!matches!(notice, RuntimeNotice::DeliveryFinished { .. }), "all eight were read");
+    }
     assert_eq!(final_snap.stats.deliveries_started, 8);
     assert_eq!(final_snap.log.appends, 8);
     assert_eq!(final_snap.log.marks, 8);
@@ -106,16 +117,113 @@ async fn routes_and_delivers_across_shards() {
 
 #[tokio::test(start_paused = true)]
 async fn unregistered_user_is_counted_not_routed() {
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(64)));
     let shared = SharedChannels::new(LoopbackChannels::accept_all());
     let (host, _notices) =
-        ShardedHost::new(shared, test_config(2), factory(), Telemetry::disabled()).unwrap();
+        ShardedHost::new(shared.clone(), test_config(2), factory(), telemetry.clone()).unwrap();
     host.register(UserId::new("alice")).await;
-    host.submit_im(&UserId::new("mallory"), sensor_alert("Sensor ON")).await;
+    // The front door only queues; the owning worker does the refusing.
+    assert!(host.submit_im(&UserId::new("mallory"), sensor_alert("Sensor ON")).await);
     // Allow the worker to drain.
     tokio::time::sleep(Duration::from_millis(10)).await;
     let snap = host.snapshot().await;
     assert_eq!(snap.unrouted, 1);
     assert_eq!(snap.stats.received_im, 0);
+    assert_eq!(telemetry.metrics().snapshot().counter("host.unrouted"), 1);
+    shared.with(|c| assert!(c.sent().is_empty(), "nothing is sent for an unhosted user"));
+}
+
+#[tokio::test(start_paused = true)]
+async fn fleet_state_returns_to_the_floor_after_mixed_load() {
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
+    let config = ShardedHostConfig { completed_ring: 4, ..test_config(2) };
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+    let users: Vec<UserId> = (0..3).map(|i| UserId::new(format!("user{i}"))).collect();
+    host.register_many(users.clone()).await;
+    // One failing user exercises the fallback path under the host.
+    shared.with(|c| c.script("im:user2", SendOutcome::Failed(SendFailure::RecipientUnreachable)));
+
+    for round in 0..5 {
+        for user in &users {
+            host.submit_im(user, sensor_alert(&format!("Sensor {round} ON"))).await;
+        }
+    }
+    let mut statuses = Vec::new();
+    while statuses.len() < 15 {
+        statuses.push(next_finished(&mut notices).await.1);
+    }
+    // user2's deliveries fell back to unconfirmed email.
+    let unconfirmed = statuses.iter().filter(|s| matches!(s, DeliveryStatus::Unconfirmed { .. }));
+    assert_eq!(unconfirmed.count(), 5);
+    assert_eq!(statuses.iter().filter(|s| matches!(s, DeliveryStatus::Acked { .. })).count(), 10);
+
+    // The acked deliveries left their 60 s block timers on the wheel;
+    // once those lapse (dropped: the delivery is gone) nothing is held.
+    assert!(host.snapshot().await.pending_timers > 0);
+    tokio::time::sleep(Duration::from_secs(61)).await;
+    let snap = host.snapshot().await;
+    assert_eq!(snap.users, 3);
+    assert_eq!(snap.stats.deliveries_started, 15);
+    assert_eq!(snap.stats.retired, 15);
+    assert_eq!(snap.in_flight, 0);
+    assert_eq!(snap.tracked, 0);
+    assert_eq!(snap.pending_timers, 0);
+    assert_eq!(snap.retired_ring, 3 * 4, "five retirements each, rings capped at four");
+    host.shutdown().await;
+}
+
+#[tokio::test(start_paused = true)]
+async fn lagging_notice_consumer_drops_instead_of_buffering() {
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(256)));
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
+    let config = ShardedHostConfig { notice_capacity: 2, ..test_config(1) };
+    let (host, mut notices) =
+        ShardedHost::new(shared, config, factory(), telemetry.clone()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+
+    // Ten deliveries finish while nobody reads the merged stream: each
+    // produces several notices, but the stream holds only two.
+    for round in 0..10 {
+        host.submit_im(&alice, sensor_alert(&format!("Sensor {round} ON"))).await;
+    }
+    tokio::time::sleep(Duration::from_secs(5)).await;
+    let dropped = telemetry.metrics().snapshot().counter("host.notice_dropped");
+    assert!(dropped > 0, "expected overflow notices to be counted, got {dropped}");
+
+    let snap = host.shutdown().await;
+    assert_eq!(snap.stats.deliveries_started, 10, "delivery never waits on an observer");
+    // Exactly the buffered capacity survives for a late reader.
+    let mut buffered = 0;
+    while notices.recv().await.is_some() {
+        buffered += 1;
+    }
+    assert_eq!(buffered, 2);
+}
+
+#[tokio::test(start_paused = true)]
+async fn external_ack_reaches_the_right_buddy() {
+    // accept_all: no automatic ack, so both deliveries sit in their 60 s
+    // IM window until a user ack is reported through the front door.
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices) =
+        ShardedHost::new(shared, test_config(1), factory(), Telemetry::disabled()).unwrap();
+    let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
+    host.register_many(vec![alice.clone(), bob.clone()]).await;
+    host.submit_im(&alice, sensor_alert("Sensor A ON")).await;
+    host.submit_im(&bob, sensor_alert("Sensor B ON")).await;
+    tokio::time::sleep(Duration::from_millis(10)).await;
+
+    // Delivery and attempt ids are per buddy: both users hold (0, 0).
+    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    let (user, status) = next_finished(&mut notices).await;
+    assert_eq!(user, alice);
+    assert!(matches!(status, DeliveryStatus::Acked { .. }));
+    let snap = host.snapshot().await;
+    assert_eq!(snap.acked, 1);
+    assert_eq!(snap.in_flight, 1, "bob's delivery is untouched by alice's ack");
+    host.shutdown().await;
 }
 
 #[tokio::test(start_paused = true)]
@@ -439,6 +547,32 @@ async fn rules_digest_storm_collapses_inside_the_shard_worker() {
 }
 
 #[tokio::test(start_paused = true)]
+async fn rules_suppress_before_routing_and_let_the_rest_through() {
+    use simba_rules::{RuleEngine, RuleSpec, RulesConfig, SharedRuleEngine};
+
+    let engine: SharedRuleEngine =
+        Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+    engine.upsert("alice", None, RuleSpec::suppress("mute-off", "body contains \"OFF\"")).unwrap();
+    let config = ShardedHostConfig { rules: Some(engine), ..test_config(1) };
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+
+    host.submit_im(&alice, sensor_alert("Sensor OFF")).await;
+    host.submit_im(&alice, sensor_alert("Sensor ON")).await;
+    next_finished(&mut notices).await;
+    let snap = host.shutdown().await;
+    assert_eq!(snap.stats.received_im, 1, "the suppressed alert never reached the buddy");
+    assert_eq!(snap.stats.deliveries_started, 1);
+    shared.with(|c| {
+        assert_eq!(c.sent().len(), 1);
+        assert!(c.sent()[0].2.contains("Sensor ON"));
+    });
+}
+
+#[tokio::test(start_paused = true)]
 async fn rules_never_absorb_unregistered_users() {
     use simba_rules::{RuleEngine, RuleSpec, RulesConfig, SharedRuleEngine};
 
@@ -459,4 +593,50 @@ async fn rules_never_absorb_unregistered_users() {
     assert_eq!(snap.unrouted, 1);
     assert_eq!(snap.stats.received_im, 0);
     host.shutdown().await;
+}
+
+/// Presence-aware routing with each shard worker on its own OS thread:
+/// the store is read from the worker threads while the test publishes
+/// from this one, and the notice stream crosses back.
+#[test]
+fn presence_fact_steers_routing_on_threaded_shards() {
+    use simba_store::{SoftStateStore, StoreConfig, PRESENCE_SCOPE};
+
+    tokio::runtime::block_on(async {
+        let store = SoftStateStore::new(StoreConfig::default(), Telemetry::disabled());
+        let config = ShardedHostConfig {
+            threads: true,
+            store: Some(store.clone()),
+            ..test_config(2)
+        };
+        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+        let (host, mut notices) =
+            ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+        let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
+        host.register_many(vec![alice.clone(), bob.clone()]).await;
+        store.put(
+            PRESENCE_SCOPE,
+            "alice",
+            "away",
+            SimDuration::from_secs(600),
+            "wish",
+            host.clock().now(),
+        );
+
+        host.submit_im(&alice, sensor_alert("Sensor A ON")).await;
+        host.submit_im(&bob, sensor_alert("Sensor B ON")).await;
+        for _ in 0..2 {
+            next_finished(&mut notices).await;
+        }
+        shared.with(|c| {
+            let sent = c.sent();
+            assert_eq!(sent.len(), 2, "one send each: {sent:?}");
+            let to = |needle: &str| sent.iter().find(|(_, _, text)| text.contains(needle)).unwrap();
+            assert_eq!(to("Sensor A").0, CommType::Email, "away: alice's IM block is skipped");
+            assert_eq!(to("Sensor B").0, CommType::Im, "bob has no fact: static profile");
+        });
+        let snap = host.shutdown().await;
+        assert_eq!(snap.stats.mode_overridden, 1);
+        assert_eq!(snap.stats.deliveries_started, 2);
+    });
 }

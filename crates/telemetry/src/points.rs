@@ -162,7 +162,7 @@ pub const POINTS: &[PointDef] = &[
     point!("host.buddy_crashed", [Counter], "host", "buddies that crashed on a shard worker and were restarted with log replay"),
     point!("host.commit_failed", [Counter], "host", "shard-log group commits that failed (the batch's effects were withheld)"),
     point!("host.group_commits", [Counter], "host", "shard-log group commits (one fsync each in file mode)"),
-    point!("host.hibernated", [Counter], "host", "idle buddies hibernated to compact snapshots by the sharded host"),
+    point!("host.hibernated", [Counter], "host", "idle buddies hibernated to compact snapshots by the host"),
     point!("host.notice_dropped", [Counter], "host", "MAB notices dropped because the host's notice queue was full"),
     point!("host.rehydrated", [Counter], "host", "hibernated buddies rebuilt from snapshots on routed demand"),
     point!("host.routed", [Counter], "host", "alerts the multi-user host routed to a per-user MAB"),
@@ -170,9 +170,7 @@ pub const POINTS: &[PointDef] = &[
     point!("host.shard_depth", [Gauge], "host", "current inbound queue depth of a shard worker"),
     point!("host.snapshot_corrupt", [Counter], "host", "hibernation snapshots rejected at rehydration; each fell back to shard-log replay"),
     point!("host.unrouted", [Event, Counter], "host", "an alert arrived for a user the host does not run"),
-    point!("host.user_added", [Event], "host", "a per-user MAB runtime was started on the host"),
-    point!("host.user_stopped", [Event], "host", "a per-user MAB runtime was retired from the host"),
-    point!("host.users", [Counter], "host", "per-user MAB runtimes started over the host's lifetime"),
+    point!("host.users", [Counter], "host", "users registered on the host over its lifetime"),
     point!("im.one_way", [Summary], "im", "sim: one-way source-to-client IM latency (paper fig. E1)"),
     point!("ledger.commit_batch", [Counter], "ledger", "delivery-ledger group commits (one fsync each in file mode)"),
     point!("ledger.dead_lettered", [Counter], "ledger", "records parked in the bounded dead-letter queue after max attempts"),
