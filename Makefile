@@ -34,6 +34,10 @@
 #   make rules-smoke — E10 rules smoke: single-thread rule-evaluation
 #                 floor plus the 10k-alarm storm collapsed into exactly
 #                 one digest delivery with critical cut-through
+#   make loc    — non-test Rust lines under crates/ (every
+#                 crates/*/src/**/*.rs line before the file's first
+#                 `#[cfg(test)]`), per crate and in total — the figure
+#                 simplicity PRs quote in CHANGES.md
 #   make trajectory — merge the BENCH_e*.json artifacts into
 #                 BENCH_TRAJECTORY.json (schema in EXPERIMENTS.md) and
 #                 fail if any merged artifact recorded a failed floor
@@ -45,7 +49,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all bench-selftest doc lint analyze tsan soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory clean
+.PHONY: ci build test test-all bench-selftest doc lint analyze tsan soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory loc clean
 
 ci: build test-all bench-selftest doc lint analyze soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory
 
@@ -123,6 +127,12 @@ rules-smoke:
 
 trajectory:
 	$(CARGO) run --release -q -p simba-bench --bin bench_trajectory
+
+loc:
+	@for crate in crates/*/; do \
+		find $$crate/src -name '*.rs' -exec awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' {} + \
+			| sed "s|^|$$(basename $$crate) |"; \
+	done | awk '{ print; total += $$2 } END { print "total", total }'
 
 clean:
 	$(CARGO) clean

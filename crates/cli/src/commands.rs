@@ -7,7 +7,7 @@ use simba_core::delivery::{
     AttemptOutcome, DeliveryCommand, DeliveryEvent, DeliveryProcess, SendFailure,
 };
 use simba_core::mode::DeliveryMode;
-use simba_core::wal::{FileWal, WriteAheadLog};
+use simba_core::shardlog::{ShardLog, ShardLogConfig};
 use simba_sim::SimTime;
 use std::fmt::Write as _;
 
@@ -213,32 +213,39 @@ pub fn explain_cascade(
     out
 }
 
-/// `wal inspect <file>`.
+/// `wal inspect <dir>`: the unprocessed records of one shard log.
 pub fn wal(args: &[String]) -> Outcome {
-    let [action, path] = args else {
-        return Outcome::usage("wal takes an action and a file");
+    let [action, dir] = args else {
+        return Outcome::usage("wal takes an action and a shard-log directory");
     };
     if action != "inspect" {
         return Outcome::usage(&format!("unknown wal action {action:?}"));
     }
-    match FileWal::open_tolerant(path) {
-        Ok(wal) => {
-            let unprocessed = wal.unprocessed();
+    // Opening would create the directory; inspecting must not.
+    if !std::path::Path::new(dir).is_dir() {
+        return Outcome::error(format!("cannot open log: {dir} is not a directory\n"));
+    }
+    match ShardLog::open(ShardLogConfig::on_disk(dir)) {
+        Ok(log) => {
+            let mut users = log.users_with_unprocessed();
+            users.sort();
             let mut out = format!(
-                "{}: {} record(s), {} unprocessed\n",
-                path,
-                wal.len(),
-                unprocessed.len()
+                "{dir}: {} unprocessed record(s) for {} user(s)\n",
+                log.unprocessed_len(),
+                users.len()
             );
-            for r in unprocessed {
-                let _ = writeln!(
-                    out,
-                    "  #{} received {} from {:?}: {}",
-                    r.id,
-                    r.received_at,
-                    r.alert.source,
-                    summary_line(&r.alert.body)
-                );
+            for user in users {
+                let _ = writeln!(out, "  {user}:");
+                for r in log.unprocessed_for(&user) {
+                    let _ = writeln!(
+                        out,
+                        "    #{} received {} from {:?}: {}",
+                        r.id,
+                        r.received_at,
+                        r.alert.source,
+                        summary_line(&r.alert.body)
+                    );
+                }
             }
             Outcome::ok(out)
         }
@@ -1537,31 +1544,34 @@ mod tests {
     #[test]
     fn wal_inspect_round_trip() {
         use simba_core::alert::IncomingAlert;
-        let dir = std::env::temp_dir().join(format!("simba-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("inspect.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut w = FileWal::open(&path).unwrap();
-        let id = w
-            .append(
-                &IncomingAlert::from_im("aladdin-gw", "Sensor ON", SimTime::from_secs(9)),
-                SimTime::from_secs(10),
-            )
-            .unwrap();
-        w.append(
-            &IncomingAlert::from_im("aladdin-gw", "Sensor OFF", SimTime::from_secs(19)),
-            SimTime::from_secs(20),
-        )
-        .unwrap();
-        w.mark_processed(id).unwrap();
-        drop(w);
+        use simba_core::subscription::UserId;
+        let dir = std::env::temp_dir().join(format!("simba-cli-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let inspect = || wal(&strings(&["inspect", dir.to_string_lossy().as_ref()]));
+        let missing = inspect();
+        assert_eq!(missing.code, 1, "{}", missing.output);
+        assert!(!dir.exists(), "inspect must not create what it was asked to read");
 
-        let out = wal(&strings(&["inspect", path.to_string_lossy().as_ref()]));
+        let (ada, bob) = (UserId::new("ada"), UserId::new("bob"));
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        let on = IncomingAlert::from_im("aladdin-gw", "Sensor ON", SimTime::from_secs(9));
+        let id = log.append(&ada, &on, SimTime::from_secs(10)).unwrap();
+        let off = IncomingAlert::from_im("aladdin-gw", "Sensor OFF", SimTime::from_secs(19));
+        log.append(&ada, &off, SimTime::from_secs(20)).unwrap();
+        let door = IncomingAlert::from_im("aladdin-gw", "Door open", SimTime::from_secs(29));
+        log.append(&bob, &door, SimTime::from_secs(30)).unwrap();
+        log.mark_processed(&ada, id).unwrap();
+        log.commit().unwrap();
+        drop(log);
+
+        let out = inspect();
         assert_eq!(out.code, 0, "{}", out.output);
-        assert!(out.output.contains("2 record(s), 1 unprocessed"));
-        assert!(out.output.contains("Sensor OFF"));
+        assert!(out.output.contains("2 unprocessed record(s) for 2 user(s)"), "{}", out.output);
+        let (ada_at, bob_at) = (out.output.find("  ada:\n").unwrap(), out.output.find("  bob:\n").unwrap());
+        assert!(ada_at < out.output.find("Sensor OFF").unwrap());
+        assert!(bob_at < out.output.find("Door open").unwrap());
         assert!(!out.output.contains("Sensor ON\n")); // processed: not listed
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
 
         assert_eq!(wal(&strings(&["inspect"])).code, 2);
         assert_eq!(wal(&strings(&["scrub", "x"])).code, 2);

@@ -6,8 +6,8 @@
 //!   documents before installing them;
 //! * `explain` — dry-run a delivery mode against an address book and print
 //!   the block cascade under chosen failure assumptions;
-//! * `wal inspect <file>` — print a pessimistic log's records (tolerating
-//!   a torn tail, as a restarting MyAlertBuddy would);
+//! * `wal inspect <dir>` — print a shard log's unprocessed records per
+//!   user (tolerating a torn tail, as a restarting host would);
 //! * `demo pipeline|faultlog` — run the simulated deployment and print the
 //!   summary tables;
 //! * `host` — soak a multi-user host fleet with mixed
@@ -79,7 +79,7 @@ USAGE:
   simba-cli validate registry <file.xml>
   simba-cli explain --addresses <file.xml> --mode <file.xml>
             [--disable <name>]... [--fail <name>]... [--ack <name>]
-  simba-cli wal inspect <file.wal>
+  simba-cli wal inspect <shard-log-dir>
   simba-cli demo pipeline  [--seed <n>] [--alerts <n>]
   simba-cli demo faultlog  [--seed <n>] [--fixes]
   simba-cli host [--users <n>] [--alerts <n>] [--ring <n>] [--seed <n>]

@@ -1,36 +1,33 @@
-//! The per-shard segmented write-ahead log with group commit.
-//!
-//! Per-user WAL files ([`crate::wal::FileWal`]) pay one fsync per append
-//! — fine for a 50-user soak, fatal at a million users. A [`ShardLog`]
-//! multiplexes every buddy on one shard into a single segmented log:
-//! appends and processed-marks from the whole shard are buffered in
-//! memory and made durable together by one [`ShardLog::commit`] (one
-//! write + one fsync per *batch*, not per alert). The §4.2.1 invariant
-//! is preserved by the caller's batching discipline: the shard worker
+//! The per-shard write-ahead log: every buddy on one shard multiplexed
+//! into a single [`Journal`], so appends and processed-marks from the
+//! whole shard become durable together in one group commit (one write +
+//! one fsync per *batch*, not per alert). The §4.2.1 invariant is
+//! preserved by the caller's batching discipline: the shard worker
 //! defers every observable effect of a batch — acks, channel sends,
 //! notices — until the commit that covers the batch has returned.
 //!
 //! Records carry their owner in [`WalRecord::user`]. Only *unprocessed*
 //! records are held in memory, so the log's resident cost tracks the
-//! replay backlog, not history. On disk, history is bounded by segment
-//! rotation: when the active segment exceeds its size cap, the live
-//! (unprocessed) records are rewritten into a fresh segment and every
-//! older segment is deleted — retired deliveries are compacted away.
+//! replay backlog, not history; rotation carries exactly those records
+//! over. Segments, framing, commit, rotation and torn tails are the
+//! journal's ([`crate::journal`]); this module adds two payloads:
 //!
-//! Crash-safety of rotation: the fresh segment is written and fsynced
-//! *before* old segments are unlinked. A crash in between leaves
-//! duplicate `R` lines (reparsed idempotently) and `P` marks for
-//! records the new segment no longer carries (tolerated: a mark for an
-//! unknown id means the record was already compacted as processed).
+//! ```text
+//! R \t user \t id \t received_ms \t origin_ms \t urgency \t source \t sender \t subject \t body
+//! P \t id
+//! ```
+//!
+//! Both replay idempotently: an `R` for an id already live is a no-op and
+//! a `P` for an id no longer held means the record was compacted away as
+//! processed — what a crash between a rotation's steps leaves behind.
 
 use crate::alert::{IncomingAlert, Urgency};
+use crate::journal::{Frames, Journal};
 use crate::subscription::UserId;
 use crate::wal::{escape, unescape, WalError, WalRecord, WriteAheadLog};
 use simba_sim::SimTime;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Default segment-rotation threshold (bytes of one segment file).
 pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
@@ -78,25 +75,14 @@ pub struct ShardLogStats {
     pub segments_rotated: u64,
 }
 
-#[derive(Debug)]
-struct FileBackend {
-    dir: PathBuf,
-    seg_index: u64,
-    file: File,
-    seg_bytes: u64,
-    pending: String,
-}
-
-/// A segmented, group-committed write-ahead log shared by every buddy on
-/// one shard.
+/// A group-committed write-ahead log shared by every buddy on one shard.
 ///
 /// Not internally synchronized: the owning shard worker serializes all
 /// access (the runtime wraps it for the per-buddy [`WriteAheadLog`]
 /// facade).
 #[derive(Debug)]
 pub struct ShardLog {
-    backend: Option<FileBackend>,
-    segment_max_bytes: u64,
+    journal: Journal,
     /// Unprocessed records only, by id. Marked records leave memory at
     /// once; their history lives on disk until the next rotation.
     live: BTreeMap<u64, WalRecord>,
@@ -105,165 +91,66 @@ pub struct ShardLog {
     /// replay work, not registered users.
     by_user: HashMap<UserId, Vec<u64>>,
     next_id: u64,
-    dirty: bool,
-    stats: ShardLogStats,
+    appends: u64,
+    marks: u64,
     fail_marks_for: HashSet<UserId>,
 }
 
 impl ShardLog {
-    /// Opens (or creates) the log described by `config`, replaying every
-    /// segment in order. A torn tail on the *last* segment — the artifact
-    /// of dying mid-commit — is truncated away; the records it carried
-    /// were never covered by a completed commit, so by the group-commit
-    /// discipline nothing observable (no ack, no send) depended on them.
+    /// Opens (or creates) the log described by `config`, replaying what
+    /// the journal holds. A torn tail — the artifact of dying mid-commit
+    /// — never reaches memory; the records it carried were never covered
+    /// by a completed commit, so by the group-commit discipline nothing
+    /// observable (no ack, no send) depended on them.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or corruption before the tail.
     pub fn open(config: ShardLogConfig) -> Result<Self, WalError> {
         let mut log = ShardLog {
-            backend: None,
-            segment_max_bytes: config.segment_max_bytes.max(1),
+            journal: Journal::in_memory(),
             live: BTreeMap::new(),
             by_user: HashMap::new(),
             next_id: 0,
-            dirty: false,
-            stats: ShardLogStats::default(),
+            appends: 0,
+            marks: 0,
             fail_marks_for: HashSet::new(),
         };
-        let Some(dir) = config.dir else {
-            return Ok(log);
-        };
-        std::fs::create_dir_all(&dir)?;
-        let mut segments = list_segments(&dir)?;
-        segments.sort_by_key(|(idx, _)| *idx);
-        let last = segments.len().checked_sub(1);
-        for (pos, (_, path)) in segments.iter().enumerate() {
-            log.replay_segment(path, Some(pos) == last)?;
+        if let Some(dir) = config.dir {
+            log.journal = Journal::open(dir, config.segment_max_bytes, |payload| log.replay(payload))?;
         }
-        let seg_index = segments.last().map_or(0, |(idx, _)| *idx);
-        let path = segment_path(&dir, seg_index);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let seg_bytes = file.metadata()?.len();
-        log.backend = Some(FileBackend { dir, seg_index, file, seg_bytes, pending: String::new() });
         Ok(log)
     }
 
-    /// Replays one segment into the in-memory state. `tolerate_tail`
-    /// truncates a torn final line instead of failing.
-    fn replay_segment(&mut self, path: &Path, tolerate_tail: bool) -> Result<(), WalError> {
-        let content = std::fs::read_to_string(path)?;
-        let mut valid_len = 0usize;
-        let mut lines = content.split_inclusive('\n').enumerate().peekable();
-        while let Some((lineno, line)) = lines.next() {
-            let is_last = lines.peek().is_none();
-            let complete = line.ends_with('\n');
-            let trimmed = line.trim_end_matches('\n');
-            if trimmed.is_empty() {
-                valid_len += line.len();
-                continue;
-            }
-            if !complete {
-                // Torn tail: even a record that parses must not touch
-                // in-memory state — it is about to be truncated from
-                // disk, and memory must equal durable state.
-                break;
-            }
-            match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) => valid_len += line.len(),
-                Err(e) if is_last && tolerate_tail => {
-                    let _ = e;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if valid_len < content.len() {
-            if !tolerate_tail {
-                return Err(WalError::Corrupt {
-                    line: content.lines().count(),
-                    reason: "torn tail in non-final segment".to_string(),
-                });
-            }
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_len as u64)?;
-            file.sync_data()?;
+    fn replay(&mut self, payload: &str) -> Result<(), String> {
+        if let Some(id) = payload.strip_prefix("P\t") {
+            let id: u64 = id.parse().map_err(|_| "bad id")?;
+            self.next_id = self.next_id.max(id + 1);
+            self.remove(id);
+        } else {
+            let record = decode_record(payload).ok_or("not a record image or a mark")?;
+            self.next_id = self.next_id.max(record.id + 1);
+            self.insert(record);
         }
         Ok(())
     }
 
-    fn replay_line(&mut self, line: &str, lineno: usize) -> Result<(), WalError> {
-        let corrupt = |reason: &str| WalError::Corrupt { line: lineno, reason: reason.to_string() };
-        let mut fields = line.split('\t');
-        match fields.next() {
-            Some("R") => {
-                let user = UserId(fields.next().map(unescape).ok_or_else(|| corrupt("missing user"))?);
-                let id: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad id"))?;
-                let received_ms: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad received timestamp"))?;
-                let origin_ms: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad origin timestamp"))?;
-                let urgency = match fields.next() {
-                    Some("low") => Urgency::Low,
-                    Some("normal") => Urgency::Normal,
-                    Some("critical") => Urgency::Critical,
-                    _ => return Err(corrupt("bad urgency")),
-                };
-                let mut unescape_next =
-                    || -> Result<String, WalError> { fields.next().map(unescape).ok_or_else(|| corrupt("missing field")) };
-                let source = unescape_next()?;
-                let sender_name = unescape_next()?;
-                let subject = unescape_next()?;
-                let body = unescape_next()?;
-                self.next_id = self.next_id.max(id + 1);
-                // Duplicate ids can appear when a crash interrupted a
-                // rotation between writing the fresh segment and deleting
-                // the old ones; re-inserting is idempotent.
-                if self.live.insert(
-                    id,
-                    WalRecord {
-                        id,
-                        received_at: SimTime::from_millis(received_ms),
-                        alert: IncomingAlert {
-                            source,
-                            sender_name,
-                            subject,
-                            body,
-                            origin_timestamp: SimTime::from_millis(origin_ms),
-                            urgency,
-                        },
-                        processed: false,
-                        user: Some(user.clone()),
-                    },
-                ).is_none()
-                {
-                    self.by_user.entry(user).or_default().push(id);
-                }
-                Ok(())
+    /// Makes `record` live; a second image of a live id changes nothing.
+    fn insert(&mut self, record: WalRecord) {
+        let (id, Some(user)) = (record.id, record.user.clone()) else { return };
+        if self.live.insert(id, record).is_none() {
+            self.by_user.entry(user).or_default().push(id);
+        }
+    }
+
+    /// Drops `id` from the live set and its owner's backlog.
+    fn remove(&mut self, id: u64) {
+        let Some(user) = self.live.remove(&id).and_then(|record| record.user) else { return };
+        if let Some(ids) = self.by_user.get_mut(&user) {
+            ids.retain(|&x| x != id);
+            if ids.is_empty() {
+                self.by_user.remove(&user);
             }
-            Some("P") => {
-                let id: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad id"))?;
-                // A mark for an id we no longer hold means the record was
-                // compacted as processed in an earlier rotation: ignore.
-                if let Some(record) = self.live.remove(&id) {
-                    if let Some(user) = record.user {
-                        drop_user_id(&mut self.by_user, &user, id);
-                    }
-                }
-                self.next_id = self.next_id.max(id + 1);
-                Ok(())
-            }
-            _ => Err(corrupt("unknown tag")),
         }
     }
 
@@ -283,35 +170,16 @@ impl ShardLog {
     ) -> Result<u64, WalError> {
         let id = self.next_id;
         self.next_id += 1;
-        if let Some(backend) = &mut self.backend {
-            use std::fmt::Write as _;
-            // Infallible for String, but avoid unwrap in a prod path.
-            let _ = writeln!(
-                backend.pending,
-                "R\t{}\t{id}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                escape(&user.0),
-                received_at.as_millis(),
-                alert.origin_timestamp.as_millis(),
-                alert.urgency,
-                escape(&alert.source),
-                escape(&alert.sender_name),
-                escape(&alert.subject),
-                escape(&alert.body),
-            );
-        }
-        self.live.insert(
+        let record = WalRecord {
             id,
-            WalRecord {
-                id,
-                received_at,
-                alert: alert.clone(),
-                processed: false,
-                user: Some(user.clone()),
-            },
-        );
-        self.by_user.entry(user.clone()).or_default().push(id);
-        self.stats.appends += 1;
-        self.dirty = true;
+            received_at,
+            alert: alert.clone(),
+            processed: false,
+            user: Some(user.clone()),
+        };
+        self.journal.append(|out| encode_record(out, &record));
+        self.insert(record);
+        self.appends += 1;
         Ok(id)
     }
 
@@ -334,97 +202,33 @@ impl ShardLog {
         if self.fail_marks_for.remove(user) {
             return Err(WalError::Io(std::io::Error::other("injected mark failure")));
         }
-        if let Some(backend) = &mut self.backend {
+        self.journal.append(|out| {
             use std::fmt::Write as _;
-            let _ = writeln!(backend.pending, "P\t{id}");
-        }
-        self.live.remove(&id);
-        drop_user_id(&mut self.by_user, user, id);
-        self.stats.marks += 1;
-        self.dirty = true;
+            let _ = write!(out, "P\t{id}");
+        });
+        self.remove(id);
+        self.marks += 1;
         Ok(())
     }
 
-    /// Makes every buffered append and mark durable with a single write
-    /// and a single fsync, then rotates the segment if it outgrew its
-    /// cap. A no-op (no fsync, no counter) when nothing is buffered.
+    /// One group commit ([`Journal::commit`]): every buffered append and
+    /// mark becomes durable together; a rotation carries the live records.
     ///
     /// # Errors
     ///
-    /// I/O failure leaves the buffered tail unwritten; the caller must
-    /// treat the whole batch as non-durable (no acks may be released).
+    /// I/O failure leaves the whole batch non-durable and buffered for
+    /// the retry; no acks may be released.
     pub fn commit(&mut self) -> Result<(), WalError> {
-        if !self.dirty {
-            return Ok(());
-        }
-        if let Some(backend) = &mut self.backend {
-            backend.file.write_all(backend.pending.as_bytes())?;
-            backend.file.flush()?;
-            backend.file.sync_data()?;
-            backend.seg_bytes += backend.pending.len() as u64;
-            backend.pending.clear();
-        }
-        self.dirty = false;
-        self.stats.group_commits += 1;
-        if self
-            .backend
-            .as_ref()
-            .is_some_and(|b| b.seg_bytes >= self.segment_max_bytes)
-        {
-            self.rotate()?;
-        }
-        Ok(())
+        self.journal.commit(|out| snapshot(&self.live, out))
     }
 
-    /// Rewrites the live (unprocessed) records into a fresh segment and
-    /// deletes every older one. Called from [`ShardLog::commit`]; also
-    /// safe to call directly (e.g. at shutdown) to compact history.
+    /// Compacts history down to the live records now ([`Journal::rotate`]).
     ///
     /// # Errors
     ///
-    /// I/O failure before the old segments are removed leaves the log
-    /// readable (duplicates are tolerated on replay).
+    /// I/O failure leaves the log readable.
     pub fn rotate(&mut self) -> Result<(), WalError> {
-        let Some(backend) = &mut self.backend else {
-            self.stats.segments_rotated += 1;
-            return Ok(());
-        };
-        let old_index = backend.seg_index;
-        let new_index = old_index + 1;
-        let path = segment_path(&backend.dir, new_index);
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut carried = String::new();
-        for record in self.live.values() {
-            use std::fmt::Write as _;
-            let user = record.user.as_ref().map(|u| u.0.as_str()).unwrap_or_default();
-            let _ = writeln!(
-                carried,
-                "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                escape(user),
-                record.id,
-                record.received_at.as_millis(),
-                record.alert.origin_timestamp.as_millis(),
-                record.alert.urgency,
-                escape(&record.alert.source),
-                escape(&record.alert.sender_name),
-                escape(&record.alert.subject),
-                escape(&record.alert.body),
-            );
-        }
-        file.write_all(carried.as_bytes())?;
-        file.flush()?;
-        file.sync_data()?;
-        // Only after the fresh segment is durable do the old ones go.
-        for (idx, old_path) in list_segments(&backend.dir)? {
-            if idx < new_index {
-                std::fs::remove_file(old_path)?;
-            }
-        }
-        backend.seg_index = new_index;
-        backend.seg_bytes = carried.len() as u64;
-        backend.file = file;
-        self.stats.segments_rotated += 1;
-        Ok(())
+        self.journal.rotate(|out| snapshot(&self.live, out))
     }
 
     /// Unprocessed records for one buddy, in append order — its restart
@@ -459,17 +263,17 @@ impl ShardLog {
 
     /// Whether a commit is pending.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.journal.is_dirty()
     }
 
     /// Running totals.
     pub fn stats(&self) -> ShardLogStats {
-        self.stats
-    }
-
-    /// The active segment's index (for tests and diagnostics).
-    pub fn segment_index(&self) -> u64 {
-        self.backend.as_ref().map_or(0, |b| b.seg_index)
+        ShardLogStats {
+            appends: self.appends,
+            marks: self.marks,
+            group_commits: self.journal.commits(),
+            segments_rotated: self.journal.rotations(),
+        }
     }
 
     /// Arms a one-shot [`WalError::Io`] on `user`'s next processed-mark —
@@ -478,37 +282,63 @@ impl ShardLog {
     pub fn inject_mark_failure(&mut self, user: &UserId) {
         self.fail_marks_for.insert(user.clone());
     }
-}
 
-fn drop_user_id(by_user: &mut HashMap<UserId, Vec<u64>>, user: &UserId, id: u64) {
-    if let Some(ids) = by_user.get_mut(user) {
-        ids.retain(|&x| x != id);
-        if ids.is_empty() {
-            by_user.remove(user);
-        }
+    /// Arms [`Journal::fail_next_write_after`]: the next commit (or
+    /// rotation) writes `bytes` bytes, then fails.
+    pub fn inject_write_failure(&mut self, bytes: usize) {
+        self.journal.fail_next_write_after(bytes);
     }
 }
 
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("seg-{index:06}.log"))
+fn snapshot(live: &BTreeMap<u64, WalRecord>, out: &mut Frames) {
+    for record in live.values() {
+        out.push(|line| encode_record(line, record));
+    }
 }
 
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(idx) = name
-            .strip_prefix("seg-")
-            .and_then(|rest| rest.strip_suffix(".log"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        out.push((idx, entry.path()));
-    }
-    Ok(out)
+/// The `R` image — what an append journals and what a rotation carries.
+fn encode_record(out: &mut String, record: &WalRecord) {
+    use std::fmt::Write as _;
+    let alert = &record.alert;
+    // Infallible for String, but avoid unwrap in a prod path.
+    let _ = write!(
+        out,
+        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        escape(record.user.as_ref().map_or("", |u| u.0.as_str())),
+        record.id,
+        record.received_at.as_millis(),
+        alert.origin_timestamp.as_millis(),
+        alert.urgency,
+        escape(&alert.source),
+        escape(&alert.sender_name),
+        escape(&alert.subject),
+        escape(&alert.body),
+    );
+}
+
+fn decode_record(payload: &str) -> Option<WalRecord> {
+    let mut fields = payload.strip_prefix("R\t")?.split('\t');
+    let user = UserId(unescape(fields.next()?));
+    let id = fields.next()?.parse().ok()?;
+    let received_at = SimTime::from_millis(fields.next()?.parse().ok()?);
+    let origin_timestamp = SimTime::from_millis(fields.next()?.parse().ok()?);
+    let urgency = match fields.next()? {
+        "low" => Urgency::Low,
+        "normal" => Urgency::Normal,
+        "critical" => Urgency::Critical,
+        _ => return None,
+    };
+    let source = unescape(fields.next()?);
+    let sender_name = unescape(fields.next()?);
+    let subject = unescape(fields.next()?);
+    let body = unescape(fields.next()?);
+    Some(WalRecord {
+        id,
+        received_at,
+        alert: IncomingAlert { source, sender_name, subject, body, origin_timestamp, urgency },
+        processed: false,
+        user: Some(user),
+    })
 }
 
 /// One buddy's [`WriteAheadLog`] view of a shared [`ShardLog`].
@@ -666,66 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn ids_continue_after_reopen() {
-        let dir = temp_dir("ids");
-        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
-        let a = log.append(&user("alice"), &alert("x", 1), t(1)).unwrap();
-        log.mark_processed(&user("alice"), a).unwrap();
-        log.commit().unwrap();
-        drop(log);
-        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
-        let b = log.append(&user("alice"), &alert("y", 2), t(2)).unwrap();
-        assert!(b > a, "ids never reused, even across processed history");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_tail_on_last_segment_is_truncated() {
-        let dir = temp_dir("torn");
-        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
-        log.append(&user("alice"), &alert("complete", 1), t(1)).unwrap();
-        log.commit().unwrap();
-        drop(log);
-        // Die mid-commit: a partial line at the tail.
-        {
-            let path = segment_path(&dir, 0);
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"R\tbob\t7\t90").unwrap();
-        }
-        let log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
-        assert_eq!(log.unprocessed_len(), 1);
-        assert!(log.has_unprocessed_for(&user("alice")));
-        assert!(!log.has_unprocessed_for(&user("bob")));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parseable_but_unterminated_tail_never_reaches_memory() {
-        let dir = temp_dir("torn-valid");
-        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
-        log.append(&user("alice"), &alert("complete", 1), t(1)).unwrap();
-        log.commit().unwrap();
-        drop(log);
-        // Die mid-commit with a whole record on disk but not its newline:
-        // the line parses, yet no commit ever covered it.
-        let path = segment_path(&dir, 0);
-        let committed = std::fs::read_to_string(&path).unwrap();
-        let tail = committed.trim_end().replacen("R\talice\t0\t", "R\tbob\t1\t", 1);
-        assert!(tail.starts_with("R\tbob\t1\t"), "the tail is a well-formed record: {tail:?}");
-        OpenOptions::new().append(true).open(&path).unwrap().write_all(tail.as_bytes()).unwrap();
-
-        for pass in ["first open", "reopen"] {
-            let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
-            assert_eq!(log.unprocessed_len(), 1, "{pass}: only the committed record is live");
-            assert!(!log.has_unprocessed_for(&user("bob")), "{pass}: the torn record is in memory");
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), committed, "{pass}: file");
-            // The torn record's id was never durably taken.
-            assert_eq!(log.append(&user("carol"), &alert("probe", 2), t(2)).unwrap(), 1, "{pass}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn rotation_compacts_processed_history() {
         let dir = temp_dir("rotate");
         let config = ShardLogConfig { dir: Some(dir.clone()), segment_max_bytes: 256 };
@@ -741,8 +511,7 @@ mod tests {
         log.commit().unwrap();
         assert!(log.stats().segments_rotated > 0);
         // Exactly one segment remains on disk, holding only live records.
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 1, "old segments deleted: {segments:?}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "old segments deleted");
         drop(log);
         let log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
         assert_eq!(log.unprocessed_for(&user("bob"))[0].id, live);
@@ -752,16 +521,69 @@ mod tests {
 
     #[test]
     fn mark_for_compacted_record_is_tolerated_on_replay() {
-        // Simulate the crash-between-rotation-steps artifact directly: a
-        // stale P for an id the surviving segments no longer carry.
+        // A mark still buffered when a rotation compacts its record away
+        // lands in the fresh segment: a `P` for an id nothing carries.
         let dir = temp_dir("stalemark");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(segment_path(&dir, 3), "P\t2\nR\talice\t5\t1000\t1000\tnormal\tsrc\t\t\tbody\n").unwrap();
         let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        let gone = log.append(&user("alice"), &alert("old", 1), t(1)).unwrap();
+        log.commit().unwrap();
+        log.mark_processed(&user("alice"), gone).unwrap();
+        log.rotate().unwrap();
+        let kept = log.append(&user("alice"), &alert("kept", 2), t(2)).unwrap();
+        log.commit().unwrap();
+        drop(log);
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        assert_eq!(log.unprocessed_for(&user("alice"))[0].id, kept);
         assert_eq!(log.unprocessed_len(), 1);
         // next_id advanced past both the stale mark and the live record.
-        let next = log.append(&user("alice"), &alert("new", 1), t(1)).unwrap();
-        assert!(next >= 6);
+        assert!(log.append(&user("alice"), &alert("new", 3), t(3)).unwrap() > kept);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_commit_that_fails_part_way_loses_nothing_once_retried() {
+        let dir = temp_dir("commit-fault");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        log.append(&user("alice"), &alert("committed", 1), t(1)).unwrap();
+        log.commit().unwrap();
+        log.append(&user("bob"), &alert("acked after the retry", 2), t(2)).unwrap();
+        log.inject_write_failure(9);
+        assert!(matches!(log.commit(), Err(WalError::Io(_))));
+        assert!(log.is_dirty(), "the failed batch is still owed");
+        log.commit().unwrap();
+        assert_eq!(log.stats().group_commits, 2);
+        drop(log);
+        let log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        assert_eq!(log.unprocessed_for(&user("bob")).len(), 1, "bob's commit returned Ok");
+        assert_eq!(log.unprocessed_len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_rotation_never_outranks_what_follows_it() {
+        let dir = temp_dir("rotate-fault");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        let a = log.append(&user("alice"), &alert("processed later", 1), t(1)).unwrap();
+        log.append(&user("bob"), &alert("stays live", 2), t(2)).unwrap();
+        log.commit().unwrap();
+        log.inject_write_failure(40);
+        assert!(log.rotate().is_err());
+        // Life goes on in the old segment.
+        log.mark_processed(&user("alice"), a).unwrap();
+        log.append(&user("carol"), &alert("appended after", 3), t(3)).unwrap();
+        log.commit().unwrap();
+        let live = |log: &ShardLog| {
+            let mut users = log.users_with_unprocessed();
+            users.sort();
+            users
+        };
+        let before = live(&log);
+        assert_eq!(before, [user("bob"), user("carol")]);
+        assert_eq!(live(&ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap()), before);
+        // The next attempt succeeds and leaves exactly one segment.
+        log.rotate().unwrap();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(live(&ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap()), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,13 +12,10 @@
 //! back. Crash after append ⇒ replayed on restart (possibly causing a
 //! duplicate, which timestamp dedup discards at the user).
 
-use crate::alert::{IncomingAlert, Urgency};
+use crate::alert::IncomingAlert;
 use crate::subscription::UserId;
 use simba_sim::SimTime;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
 
 /// One logged alert.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +29,8 @@ pub struct WalRecord {
     /// Whether routing completed.
     pub processed: bool,
     /// Which buddy the record belongs to. Per-user logs leave this `None`
-    /// (the file itself scopes the owner); shard logs multiplex many
-    /// buddies into one file and tag every record with its owner.
+    /// (the log itself scopes the owner); shard logs multiplex many
+    /// buddies into one journal and tag every record with its owner.
     pub user: Option<UserId>,
 }
 
@@ -166,190 +163,9 @@ impl WriteAheadLog for InMemoryWal {
     }
 }
 
-/// A file-backed log: one line per event, flushed on every append
-/// (pessimistic). Reopening the file replays it, reconstructing the
-/// unprocessed set — that *is* the §4.2.1 restart protocol.
-#[derive(Debug)]
-pub struct FileWal {
-    path: PathBuf,
-    file: File,
-    records: BTreeMap<u64, WalRecord>,
-    next_id: u64,
-}
-
-impl FileWal {
-    /// Opens (creating if missing) the log at `path` and replays it.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors or a corrupt line.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut records = BTreeMap::new();
-        let mut next_id = 0u64;
-        if path.exists() {
-            let reader = BufReader::new(File::open(&path)?);
-            for (lineno, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.is_empty() {
-                    continue;
-                }
-                parse_line(&line, lineno + 1, &mut records)?;
-            }
-            next_id = records.keys().next_back().map_or(0, |id| id + 1);
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(FileWal {
-            path,
-            file,
-            records,
-            next_id,
-        })
-    }
-
-    /// Opens the log, tolerating a torn tail: a crash in the middle of an
-    /// append leaves a partial last line, which this constructor discards
-    /// (truncating the file to the last complete record) instead of
-    /// failing. Corruption anywhere *before* the tail is still an error —
-    /// that is not a crash artifact but real damage.
-    ///
-    /// The discarded record was, by the §4.2.1 protocol, never
-    /// acknowledged (the ack follows the durable append), so dropping it
-    /// is exactly the "crash before log" case: the sender falls back.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors or non-tail corruption.
-    pub fn open_tolerant(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        let path = path.as_ref().to_path_buf();
-        if path.exists() {
-            let content = std::fs::read_to_string(&path)?;
-            let mut valid_len = 0usize;
-            let mut scratch = BTreeMap::new();
-            let mut lines = content.split_inclusive('\n').enumerate().peekable();
-            while let Some((lineno, line)) = lines.next() {
-                let is_last = lines.peek().is_none();
-                let complete = line.ends_with('\n');
-                let trimmed = line.trim_end_matches('\n');
-                if trimmed.is_empty() {
-                    valid_len += line.len();
-                    continue;
-                }
-                match parse_line(trimmed, lineno + 1, &mut scratch) {
-                    Ok(()) if complete => valid_len += line.len(),
-                    Ok(()) => break, // complete-looking but unterminated tail: drop it
-                    Err(e) if is_last => {
-                        // Torn tail: discard.
-                        let _ = e;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if valid_len < content.len() {
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(valid_len as u64)?;
-                file.sync_data()?;
-            }
-        }
-        FileWal::open(path)
-    }
-
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Simulates a crash-restart: drops all in-memory state and replays
-    /// the file from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileWal::open`].
-    pub fn reopen(self) -> Result<Self, WalError> {
-        let path = self.path.clone();
-        drop(self);
-        FileWal::open(path)
-    }
-}
-
-fn parse_line(
-    line: &str,
-    lineno: usize,
-    records: &mut BTreeMap<u64, WalRecord>,
-) -> Result<(), WalError> {
-    let corrupt = |reason: &str| WalError::Corrupt {
-        line: lineno,
-        reason: reason.to_string(),
-    };
-    let mut fields = line.split('\t');
-    let tag = fields.next().ok_or_else(|| corrupt("empty line"))?;
-    match tag {
-        "R" => {
-            let id: u64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| corrupt("bad id"))?;
-            let received_ms: u64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| corrupt("bad received timestamp"))?;
-            let origin_ms: u64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| corrupt("bad origin timestamp"))?;
-            let urgency = match fields.next() {
-                Some("low") => Urgency::Low,
-                Some("normal") => Urgency::Normal,
-                Some("critical") => Urgency::Critical,
-                _ => return Err(corrupt("bad urgency")),
-            };
-            let mut unescape_next = || -> Result<String, WalError> {
-                fields.next().map(unescape).ok_or_else(|| corrupt("missing field"))
-            };
-            let source = unescape_next()?;
-            let sender_name = unescape_next()?;
-            let subject = unescape_next()?;
-            let body = unescape_next()?;
-            records.insert(
-                id,
-                WalRecord {
-                    id,
-                    received_at: SimTime::from_millis(received_ms),
-                    alert: IncomingAlert {
-                        source,
-                        sender_name,
-                        subject,
-                        body,
-                        origin_timestamp: SimTime::from_millis(origin_ms),
-                        urgency,
-                    },
-                    processed: false,
-                    user: None,
-                },
-            );
-            Ok(())
-        }
-        "P" => {
-            let id: u64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| corrupt("bad id"))?;
-            // A 'P' for an unknown id means the 'R' line was lost — that
-            // cannot happen with append-order writes, so treat as corrupt.
-            let rec = records
-                .get_mut(&id)
-                .ok_or_else(|| corrupt("processed mark for unknown record"))?;
-            rec.processed = true;
-            Ok(())
-        }
-        other => Err(corrupt(&format!("unknown tag {other:?}"))),
-    }
-}
-
 /// Escapes tabs, newlines, and backslashes so `s` survives a
-/// tab-separated, newline-terminated journal line. Shared by every
-/// journal in the workspace (shard WALs, the delivery ledger).
+/// tab-separated, newline-terminated journal payload
+/// ([`crate::journal`]); every record codec in the workspace uses it.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -388,60 +204,6 @@ pub fn unescape(s: &str) -> String {
     out
 }
 
-impl WriteAheadLog for FileWal {
-    fn append(&mut self, alert: &IncomingAlert, received_at: SimTime) -> Result<u64, WalError> {
-        let id = self.next_id;
-        let line = format!(
-            "R\t{id}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            received_at.as_millis(),
-            alert.origin_timestamp.as_millis(),
-            alert.urgency,
-            escape(&alert.source),
-            escape(&alert.sender_name),
-            escape(&alert.subject),
-            escape(&alert.body),
-        );
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        self.next_id += 1;
-        self.records.insert(
-            id,
-            WalRecord {
-                id,
-                received_at,
-                alert: alert.clone(),
-                processed: false,
-                user: None,
-            },
-        );
-        Ok(id)
-    }
-
-    fn mark_processed(&mut self, id: u64) -> Result<(), WalError> {
-        let Some(record) = self.records.get_mut(&id) else {
-            return Err(WalError::UnknownId(id));
-        };
-        self.file.write_all(format!("P\t{id}\n").as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        record.processed = true;
-        Ok(())
-    }
-
-    fn unprocessed(&self) -> Vec<WalRecord> {
-        self.records.values().filter(|r| !r.processed).cloned().collect()
-    }
-
-    fn has_unprocessed(&self) -> bool {
-        self.records.values().any(|r| !r.processed)
-    }
-
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,139 +229,6 @@ mod tests {
         assert_eq!(un.len(), 1);
         assert_eq!(un[0].alert.body, "two");
         assert!(matches!(wal.mark_processed(99), Err(WalError::UnknownId(99))));
-    }
-
-    #[test]
-    fn file_wal_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("survives_reopen.wal");
-        let _ = std::fs::remove_file(&path);
-
-        let mut wal = FileWal::open(&path).unwrap();
-        let a = wal.append(&alert("critical: basement", 10), t(11)).unwrap();
-        let _b = wal.append(&alert("second", 20), t(21)).unwrap();
-        wal.mark_processed(a).unwrap();
-
-        // Crash + restart.
-        let wal = wal.reopen().unwrap();
-        assert_eq!(wal.len(), 2);
-        let un = wal.unprocessed();
-        assert_eq!(un.len(), 1);
-        assert_eq!(un[0].alert.body, "second");
-        assert_eq!(un[0].alert.origin_timestamp, t(20));
-        assert_eq!(un[0].received_at, t(21));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_wal_new_ids_continue_after_reopen() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ids_continue.wal");
-        let _ = std::fs::remove_file(&path);
-
-        let mut wal = FileWal::open(&path).unwrap();
-        let a = wal.append(&alert("x", 1), t(1)).unwrap();
-        let mut wal = wal.reopen().unwrap();
-        let b = wal.append(&alert("y", 2), t(2)).unwrap();
-        assert!(b > a);
-        assert_eq!(wal.len(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_wal_escaping_round_trips_awkward_text() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("escaping.wal");
-        let _ = std::fs::remove_file(&path);
-
-        let mut nasty = IncomingAlert::from_email(
-            "src\twith\ttabs",
-            "name\nwith\nnewlines",
-            "subject \\ backslash",
-            "body\r\nmixed\tall",
-            t(5),
-        );
-        nasty.urgency = Urgency::Critical;
-        let mut wal = FileWal::open(&path).unwrap();
-        wal.append(&nasty, t(6)).unwrap();
-        let wal = wal.reopen().unwrap();
-        assert_eq!(wal.unprocessed()[0].alert, nasty);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_file_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.wal");
-        std::fs::write(&path, "R\tnot-a-number\n").unwrap();
-        assert!(matches!(FileWal::open(&path), Err(WalError::Corrupt { line: 1, .. })));
-        std::fs::write(&path, "P\t42\n").unwrap();
-        assert!(matches!(FileWal::open(&path), Err(WalError::Corrupt { .. })));
-        std::fs::write(&path, "Z\n").unwrap();
-        assert!(matches!(FileWal::open(&path), Err(WalError::Corrupt { .. })));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tolerant_open_discards_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn_tail.wal");
-        let _ = std::fs::remove_file(&path);
-
-        let mut wal = FileWal::open(&path).unwrap();
-        wal.append(&alert("complete record", 1), t(1)).unwrap();
-        drop(wal);
-        // Simulate a crash mid-append: a partial line at the tail.
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"R\t1\t2000\t20").unwrap(); // truncated record, no newline
-        }
-        // Strict open rejects it; tolerant open recovers the prefix.
-        assert!(matches!(FileWal::open(&path), Err(WalError::Corrupt { .. })));
-        let wal = FileWal::open_tolerant(&path).unwrap();
-        assert_eq!(wal.len(), 1);
-        assert_eq!(wal.unprocessed()[0].alert.body, "complete record");
-        // The file was truncated, so a subsequent strict open also works.
-        let mut wal = wal.reopen().unwrap();
-        assert_eq!(wal.len(), 1);
-        // And appending continues cleanly.
-        wal.append(&alert("after recovery", 2), t(2)).unwrap();
-        assert_eq!(wal.reopen().unwrap().len(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tolerant_open_still_rejects_mid_file_corruption() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mid_corrupt.wal");
-        std::fs::write(&path, "GARBAGE LINE\nP\t0\n").unwrap();
-        assert!(matches!(
-            FileWal::open_tolerant(&path),
-            Err(WalError::Corrupt { line: 1, .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tolerant_open_of_clean_or_missing_file_is_plain_open() {
-        let dir = std::env::temp_dir().join(format!("simba-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("clean.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = FileWal::open_tolerant(&path).unwrap();
-        assert!(wal.is_empty());
-        wal.append(&alert("x", 1), t(1)).unwrap();
-        drop(wal);
-        let wal = FileWal::open_tolerant(&path).unwrap();
-        assert_eq!(wal.len(), 1);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

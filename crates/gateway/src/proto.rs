@@ -29,32 +29,9 @@ pub const HEADER_LEN: usize = 14;
 /// Default cap on payload size (64 KiB) — protects the decoder's buffer.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 * 1024;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE 802.3) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3) — the workspace's one table, shared with the
+/// journal and the buddy snapshot.
+pub use simba_core::snapshot::crc32;
 
 /// Which delivery front door the alert claims to have arrived by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -774,13 +751,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE check values.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn all_frame_kinds_round_trip() {

@@ -1,15 +1,30 @@
-//! The ledger state machine and its segmented group-commit journal.
+//! The ledger state machine and its record codec over
+//! [`simba_core::journal`].
+//!
+//! Payloads (free text escaped with [`simba_core::wal::escape`]):
+//!
+//! ```text
+//! R \t id \t user \t delivery \t channel \t enqueued_ms \t state \t attempts \t not_before_ms \t address \t text \t error
+//! L \t id \t worker \t expires_ms \t attempts      lease granted
+//! S \t id                                         sent (terminal)
+//! F \t id \t attempts \t not_before_ms \t error     send failed, retry scheduled
+//! D \t id \t error                                dead-lettered
+//! Q \t id                                         requeued from the DLQ
+//! ```
+//!
+//! `R` is a record's whole image: an enqueue journals one, and a
+//! rotation carries one per live or dead-lettered record. A later image
+//! of an id replaces the earlier one.
 
 use simba_core::address::CommType;
-use simba_core::snapshot::crc32;
+use simba_core::journal::{Frames, Journal};
 use simba_core::subscription::UserId;
-use simba_core::wal::{escape, unescape};
+use simba_core::wal::{escape, unescape, WalError};
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Default segment-rotation threshold (bytes of one segment file).
@@ -233,9 +248,13 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-impl From<std::io::Error> for LedgerError {
-    fn from(e: std::io::Error) -> Self {
-        LedgerError::Io(e)
+impl From<WalError> for LedgerError {
+    fn from(e: WalError) -> Self {
+        match e {
+            WalError::Io(e) => LedgerError::Io(e),
+            WalError::Corrupt { line, reason } => LedgerError::Corrupt { line, reason },
+            WalError::UnknownId(id) => LedgerError::UnknownRecord(id),
+        }
     }
 }
 
@@ -281,28 +300,13 @@ pub struct LedgerCounts {
     pub dead_lettered: usize,
 }
 
-#[derive(Debug)]
-struct Backend {
-    dir: PathBuf,
-    seg_index: u64,
-    file: File,
-    seg_bytes: u64,
-    /// Size of the last rotation's carried snapshot. Rotation only pays
-    /// off once the segment has at least doubled past this: a live set
-    /// big enough that its snapshot alone exceeds `segment_max_bytes`
-    /// must not re-rotate on every commit.
-    baseline_bytes: u64,
-    pending: String,
-}
-
 /// The durable `alert_deliveries` queue.
 ///
 /// Not internally synchronized; the worker pool wraps it in
 /// [`SharedLedger`] and locks briefly around each operation.
 #[derive(Debug)]
 pub struct DeliveryLedger {
-    backend: Option<Backend>,
-    segment_max_bytes: u64,
+    journal: Journal,
     lease_duration: SimDuration,
     base_backoff: SimDuration,
     max_backoff: SimDuration,
@@ -321,19 +325,17 @@ pub struct DeliveryLedger {
     /// The bounded dead-letter queue, oldest first.
     dlq: VecDeque<LedgerRecord>,
     next_id: u64,
-    dirty: bool,
     stats: LedgerStats,
     telemetry: Telemetry,
 }
 
 impl DeliveryLedger {
     /// Opens (or creates) the ledger described by `config`, replaying
-    /// every journal segment in order. Leases found in the journal belong
-    /// to workers of a previous process and are reclaimed to Pending;
-    /// retry backoffs are reset (the clock base changed). A torn tail on
-    /// the *last* segment — the artifact of dying mid-commit — is
-    /// truncated away; nothing observable depended on it by the
-    /// group-commit discipline.
+    /// what the journal holds. Leases found there belong to workers of a
+    /// previous process and are reclaimed to Pending; retry backoffs are
+    /// reset (the clock base changed). A torn tail — the artifact of
+    /// dying mid-commit — never reaches memory; nothing observable
+    /// depended on it by the group-commit discipline.
     ///
     /// # Errors
     ///
@@ -341,8 +343,7 @@ impl DeliveryLedger {
     /// checksum mismatch).
     pub fn open(config: LedgerConfig) -> Result<Self, LedgerError> {
         let mut ledger = DeliveryLedger {
-            backend: None,
-            segment_max_bytes: config.segment_max_bytes.max(1),
+            journal: Journal::in_memory(),
             lease_duration: config.lease_duration,
             base_backoff: config.base_backoff,
             max_backoff: config.max_backoff,
@@ -355,44 +356,25 @@ impl DeliveryLedger {
             leased: BTreeSet::new(),
             dlq: VecDeque::new(),
             next_id: 0,
-            dirty: false,
             stats: LedgerStats::default(),
             telemetry: Telemetry::disabled(),
         };
         let Some(dir) = config.dir else {
             return Ok(ledger);
         };
-        std::fs::create_dir_all(&dir)?;
-        let mut segments = list_segments(&dir)?;
-        segments.sort_by_key(|(idx, _)| *idx);
-        let last = segments.len().checked_sub(1);
-        for (pos, (_, path)) in segments.iter().enumerate() {
-            ledger.replay_segment(path, Some(pos) == last)?;
-        }
+        ledger.journal =
+            Journal::open(dir, config.segment_max_bytes, |payload| ledger.replay(payload))?;
         // A lease in the journal was held by a worker of the process that
         // wrote it; reopening means that process is gone, so every lease
         // is reclaimable now.
-        let held: Vec<u64> = ledger.live.iter().filter(|(_, r)| r.state == RecordState::Leased).map(|(id, _)| *id).collect();
-        for id in held {
-            if let Some(record) = ledger.live.get_mut(&id) {
+        for (&id, record) in &mut ledger.live {
+            if record.state == RecordState::Leased {
                 record.state = RecordState::Pending;
                 record.lease = None;
                 record.not_before = SimTime::ZERO;
                 ledger.ready.insert((SimTime::ZERO, id));
             }
         }
-        let seg_index = segments.last().map_or(0, |(idx, _)| *idx);
-        let path = segment_path(&dir, seg_index);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let seg_bytes = file.metadata()?.len();
-        ledger.backend = Some(Backend {
-            dir,
-            seg_index,
-            file,
-            seg_bytes,
-            baseline_bytes: 0,
-            pending: String::new(),
-        });
         Ok(ledger)
     }
 
@@ -438,38 +420,25 @@ impl DeliveryLedger {
         }
         let id = self.next_id;
         self.next_id += 1;
-        if let Some(backend) = &mut self.backend {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                backend.pending,
-                "E\t{id}\t{}\t{delivery}\t{channel}\t{}\t{}\t{}",
-                escape(&user.0),
-                now.as_millis(),
-                escape(address),
-                escape(text),
-            );
-        }
-        self.live.insert(
+        let record = LedgerRecord {
             id,
-            LedgerRecord {
-                id,
-                user: user.clone(),
-                delivery,
-                channel,
-                address: address.to_string(),
-                text: text.to_string(),
-                idempotency_key: key.clone(),
-                state: RecordState::Pending,
-                attempts: 0,
-                not_before: SimTime::ZERO,
-                lease: None,
-                enqueued_at: now,
-                last_error: None,
-            },
-        );
+            user: user.clone(),
+            delivery,
+            channel,
+            address: address.to_string(),
+            text: text.to_string(),
+            idempotency_key: key.clone(),
+            state: RecordState::Pending,
+            attempts: 0,
+            not_before: SimTime::ZERO,
+            lease: None,
+            enqueued_at: now,
+            last_error: None,
+        };
+        self.journal.append(|out| encode_record(out, &record));
+        self.live.insert(id, record);
         self.by_key.insert(key, id);
         self.ready.insert((SimTime::ZERO, id));
-        self.dirty = true;
         self.stats.enqueued += 1;
         self.counter("ledger.enqueued");
         id
@@ -526,17 +495,10 @@ impl DeliveryLedger {
                 idempotency_key: record.idempotency_key.clone(),
                 attempt: attempts,
             };
-            if let Some(backend) = &mut self.backend {
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    backend.pending,
-                    "L\t{id}\t{}\t{}\t{attempts}",
-                    escape(&worker.0),
-                    expires_at.as_millis(),
-                );
-            }
+            self.journal.append(|out| {
+                let _ = write!(out, "L\t{id}\t{}\t{}\t{attempts}", escape(&worker.0), expires_at.as_millis());
+            });
             self.leased.insert((expires_at, id));
-            self.dirty = true;
             self.stats.leased += 1;
             self.counter("ledger.leased");
             granted.push(work);
@@ -577,11 +539,9 @@ impl DeliveryLedger {
             }
             self.by_key.remove(&record.idempotency_key);
         }
-        if let Some(backend) = &mut self.backend {
-            use std::fmt::Write as _;
-            let _ = writeln!(backend.pending, "S\t{id}");
-        }
-        self.dirty = true;
+        self.journal.append(|out| {
+            let _ = write!(out, "S\t{id}");
+        });
         self.stats.sent += 1;
         Ok(())
     }
@@ -647,17 +607,10 @@ impl DeliveryLedger {
         };
         record.state = RecordState::Retrying;
         record.not_before = not_before;
-        if let Some(backend) = &mut self.backend {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                backend.pending,
-                "F\t{id}\t{attempts}\t{}\t{}",
-                not_before.as_millis(),
-                escape(error),
-            );
-        }
+        self.journal.append(|out| {
+            let _ = write!(out, "F\t{id}\t{attempts}\t{}\t{}", not_before.as_millis(), escape(error));
+        });
         self.ready.insert((not_before, id));
-        self.dirty = true;
         self.stats.retried += 1;
         self.counter("ledger.retried");
         Ok(())
@@ -689,16 +642,14 @@ impl DeliveryLedger {
         if record.last_error.is_none() {
             record.last_error = Some(error.to_string());
         }
-        if let Some(backend) = &mut self.backend {
-            use std::fmt::Write as _;
-            let _ = writeln!(backend.pending, "D\t{id}\t{}", escape(error));
-        }
+        self.journal.append(|out| {
+            let _ = write!(out, "D\t{id}\t{}", escape(error));
+        });
         self.dlq.push_back(record);
         while self.dlq.len() > self.dlq_capacity {
             self.dlq.pop_front();
             self.stats.dlq_evicted += 1;
         }
-        self.dirty = true;
         self.stats.dead_lettered += 1;
         self.counter("ledger.dead_lettered");
     }
@@ -713,14 +664,12 @@ impl DeliveryLedger {
             record.attempts = 0;
             record.not_before = now;
             record.lease = None;
-            if let Some(backend) = &mut self.backend {
-                use std::fmt::Write as _;
-                let _ = writeln!(backend.pending, "Q\t{id}");
-            }
+            self.journal.append(|out| {
+                let _ = write!(out, "Q\t{id}");
+            });
             self.by_key.insert(record.idempotency_key.clone(), id);
             self.ready.insert((now, id));
             self.live.insert(id, record);
-            self.dirty = true;
             self.stats.requeued += 1;
         }
         moved
@@ -741,236 +690,69 @@ impl DeliveryLedger {
         }
     }
 
-    /// Makes every buffered transition durable with a single write and a
-    /// single fsync, then rotates the segment if it outgrew its cap. A
-    /// no-op (no fsync, no counter) when nothing is buffered.
+    /// One group commit ([`Journal::commit`]): every buffered transition
+    /// becomes durable together; a rotation carries the live records and
+    /// the DLQ, so Sent history compacts away.
     ///
     /// # Errors
     ///
-    /// I/O failure leaves the buffered tail unwritten; the caller must
-    /// treat the whole batch as non-durable.
+    /// I/O failure leaves the whole batch non-durable and buffered for
+    /// the retry.
     pub fn commit(&mut self) -> Result<(), LedgerError> {
-        if !self.dirty {
-            return Ok(());
+        let before = self.journal.commits();
+        let result = self.journal.commit(|out| snapshot(&self.live, &self.dlq, out));
+        if self.journal.commits() > before {
+            self.counter("ledger.commit_batch");
         }
-        if let Some(backend) = &mut self.backend {
-            backend.file.write_all(backend.pending.as_bytes())?;
-            backend.file.flush()?;
-            backend.file.sync_data()?;
-            backend.seg_bytes += backend.pending.len() as u64;
-            backend.pending.clear();
-        }
-        self.dirty = false;
-        self.stats.commit_batches += 1;
-        self.counter("ledger.commit_batch");
-        if self.backend.as_ref().is_some_and(|b| {
-            b.seg_bytes >= self.segment_max_bytes
-                && b.seg_bytes >= b.baseline_bytes.saturating_mul(2)
-        }) {
-            self.rotate()?;
-        }
-        Ok(())
+        Ok(result?)
     }
 
-    /// Rewrites the live records and the DLQ into a fresh segment guarded
-    /// by a crc32 trailer, then deletes every older segment — Sent
-    /// history compacts away. The fresh segment is fsynced *before* old
-    /// ones are unlinked; a crash in between leaves duplicate state lines
-    /// that replay idempotently.
+    /// Compacts history down to the live records and the DLQ now
+    /// ([`Journal::rotate`]).
     ///
     /// # Errors
     ///
-    /// I/O failure before the old segments are removed leaves the ledger
-    /// readable.
+    /// I/O failure leaves the ledger readable.
     pub fn rotate(&mut self) -> Result<(), LedgerError> {
-        let Some(backend) = &mut self.backend else {
-            self.stats.segments_rotated += 1;
-            return Ok(());
-        };
-        let old_index = backend.seg_index;
-        let new_index = old_index + 1;
-        let path = segment_path(&backend.dir, new_index);
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut carried = String::new();
-        for record in self.live.values().chain(self.dlq.iter()) {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                carried,
-                "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                record.id,
-                escape(&record.user.0),
-                record.delivery,
-                record.channel,
-                record.enqueued_at.as_millis(),
-                record.state.label(),
-                record.attempts,
-                record.not_before.as_millis(),
-                escape(&record.address),
-                escape(&record.text),
-                escape(record.last_error.as_deref().unwrap_or_default()),
-            );
-        }
-        {
-            use std::fmt::Write as _;
-            let _ = writeln!(carried, "K\t{:08x}", crc32(carried.as_bytes()));
-        }
-        file.write_all(carried.as_bytes())?;
-        file.flush()?;
-        file.sync_data()?;
-        // Only after the fresh segment is durable do the old ones go.
-        for (idx, old_path) in list_segments(&backend.dir)? {
-            if idx < new_index {
-                std::fs::remove_file(old_path)?;
-            }
-        }
-        backend.seg_index = new_index;
-        backend.seg_bytes = carried.len() as u64;
-        backend.baseline_bytes = carried.len() as u64;
-        backend.file = file;
-        self.stats.segments_rotated += 1;
-        Ok(())
+        Ok(self.journal.rotate(|out| snapshot(&self.live, &self.dlq, out))?)
     }
 
-    /// Replays one segment. `tolerate_tail` truncates a torn final line
-    /// (or an unfinished rotation prefix) instead of failing.
-    fn replay_segment(&mut self, path: &Path, tolerate_tail: bool) -> Result<(), LedgerError> {
-        let content = std::fs::read_to_string(path)?;
-        // A rotated segment opens with `R` state lines closed by a `K`
-        // checksum; verify the guard when present.
-        let mut rotation_prefix = String::new();
-        let mut in_prefix = true;
-        let mut valid_len = 0usize;
-        let mut lines = content.split_inclusive('\n').enumerate().peekable();
-        while let Some((lineno, line)) = lines.next() {
-            let is_last = lines.peek().is_none();
-            let complete = line.ends_with('\n');
-            let trimmed = line.trim_end_matches('\n');
-            if trimmed.is_empty() {
-                valid_len += line.len();
-                continue;
-            }
-            if !complete {
-                // Torn tail: even a record that parses must not touch
-                // in-memory state — it is about to be truncated from
-                // disk, and memory must equal durable state.
-                break;
-            }
-            if in_prefix {
-                if trimmed.starts_with("R\t") {
-                    rotation_prefix.push_str(line);
-                } else if let Some(stored) = trimmed.strip_prefix("K\t") {
-                    in_prefix = false;
-                    // The trailer covers exactly the `R` lines the
-                    // rotation wrote before it.
-                    let covered = std::mem::take(&mut rotation_prefix);
-                    let computed = crc32(covered.as_bytes());
-                    let stored_crc = u32::from_str_radix(stored, 16).unwrap_or(!computed);
-                    if stored_crc != computed {
-                        return Err(LedgerError::Corrupt {
-                            line: lineno + 1,
-                            reason: format!(
-                                "rotation checksum mismatch: stored {stored_crc:08x}, computed {computed:08x}"
-                            ),
-                        });
-                    }
-                    valid_len += line.len();
-                    continue;
-                } else {
-                    in_prefix = false;
-                }
-            }
-            match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) => valid_len += line.len(),
-                Err(e) if is_last && tolerate_tail => {
-                    let _ = e;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if in_prefix && !rotation_prefix.is_empty() && !tolerate_tail {
-            return Err(LedgerError::Corrupt {
-                line: content.lines().count(),
-                reason: "rotation prefix missing its checksum trailer in a non-final segment".to_string(),
-            });
-        }
-        if valid_len < content.len() {
-            if !tolerate_tail {
-                return Err(LedgerError::Corrupt {
-                    line: content.lines().count(),
-                    reason: "torn tail in non-final segment".to_string(),
-                });
-            }
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_len as u64)?;
-            file.sync_data()?;
-        }
-        Ok(())
+    /// Arms [`Journal::fail_next_write_after`]: the next commit (or
+    /// rotation) writes `bytes` bytes, then fails.
+    pub fn inject_write_failure(&mut self, bytes: usize) {
+        self.journal.fail_next_write_after(bytes);
     }
 
-    fn replay_line(&mut self, line: &str, lineno: usize) -> Result<(), LedgerError> {
-        let corrupt = |reason: &str| LedgerError::Corrupt { line: lineno, reason: reason.to_string() };
-        fn take_u64(
-            fields: &mut std::str::Split<'_, char>,
-            lineno: usize,
-            what: &str,
-        ) -> Result<u64, LedgerError> {
-            fields.next().and_then(|s| s.parse().ok()).ok_or_else(|| LedgerError::Corrupt {
-                line: lineno,
-                reason: format!("bad {what}"),
-            })
+    fn replay(&mut self, payload: &str) -> Result<(), String> {
+        fn number(fields: &mut std::str::Split<'_, char>, what: &str) -> Result<u64, String> {
+            fields.next().and_then(|s| s.parse().ok()).ok_or_else(|| format!("bad {what}"))
         }
-        let mut fields = line.split('\t');
-        let tag = fields.next().ok_or_else(|| corrupt("empty line"))?;
+        let mut fields = payload.split('\t');
+        let tag = fields.next().unwrap_or_default();
+        let id = number(&mut fields, "id")?;
+        self.next_id = self.next_id.max(id + 1);
         match tag {
-            "E" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
-                let user = UserId(fields.next().map(unescape).ok_or_else(|| corrupt("missing user"))?);
-                let delivery: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad delivery"))?;
-                let channel = fields
-                    .next()
-                    .and_then(CommType::from_token)
-                    .ok_or_else(|| corrupt("bad channel"))?;
-                let enqueued_ms: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad enqueue timestamp"))?;
-                let address = fields.next().map(unescape).ok_or_else(|| corrupt("missing address"))?;
-                let text = fields.next().map(unescape).ok_or_else(|| corrupt("missing text"))?;
-                self.next_id = self.next_id.max(id + 1);
-                let key = Self::idempotency_key(&user, delivery, channel);
-                // Duplicate ids can appear when a crash interrupted a
-                // rotation; re-inserting is idempotent.
-                if let std::collections::btree_map::Entry::Vacant(slot) = self.live.entry(id) {
-                    slot.insert(LedgerRecord {
-                        id,
-                        user,
-                        delivery,
-                        channel,
-                        address,
-                        text,
-                        idempotency_key: key.clone(),
-                        state: RecordState::Pending,
-                        attempts: 0,
-                        not_before: SimTime::ZERO,
-                        lease: None,
-                        enqueued_at: SimTime::from_millis(enqueued_ms),
-                        last_error: None,
-                    });
-                    self.by_key.insert(key, id);
-                    self.ready.insert((SimTime::ZERO, id));
+            "R" => {
+                let record = decode_record(payload).ok_or("bad record image")?;
+                // Drop any earlier image of this id (an interrupted
+                // rotation leaves the old segments behind).
+                if let Some(prev) = self.live.remove(&id) {
+                    self.ready.remove(&(prev.not_before, id));
+                    self.by_key.remove(&prev.idempotency_key);
                 }
-                Ok(())
+                self.dlq.retain(|r| r.id != id);
+                if record.state == RecordState::DeadLettered {
+                    self.park(record);
+                } else {
+                    self.by_key.insert(record.idempotency_key.clone(), id);
+                    self.ready.insert((SimTime::ZERO, id));
+                    self.live.insert(id, record);
+                }
             }
             "L" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
-                let worker = fields.next().map(unescape).ok_or_else(|| corrupt("missing worker"))?;
-                let expires_ms = take_u64(&mut fields, lineno, "expiry")?;
-                let attempts = take_u64(&mut fields, lineno, "attempts")? as u32;
-                self.next_id = self.next_id.max(id + 1);
+                let worker = fields.next().map(unescape).ok_or("missing worker")?;
+                let expires_ms = number(&mut fields, "expiry")?;
+                let attempts = number(&mut fields, "attempts")? as u32;
                 if let Some(record) = self.live.get_mut(&id) {
                     self.ready.remove(&(record.not_before, id));
                     record.state = RecordState::Leased;
@@ -980,23 +762,17 @@ impl DeliveryLedger {
                         expires_at: SimTime::from_millis(expires_ms),
                     });
                 }
-                Ok(())
             }
             "S" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
-                self.next_id = self.next_id.max(id + 1);
                 if let Some(record) = self.live.remove(&id) {
                     self.ready.remove(&(record.not_before, id));
                     self.by_key.remove(&record.idempotency_key);
                 }
-                Ok(())
             }
             "F" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
-                let attempts = take_u64(&mut fields, lineno, "attempts")? as u32;
-                let _not_before = take_u64(&mut fields, lineno, "not_before")?;
+                let attempts = number(&mut fields, "attempts")? as u32;
+                let _not_before = number(&mut fields, "not_before")?;
                 let error = fields.next().map(unescape).unwrap_or_default();
-                self.next_id = self.next_id.max(id + 1);
                 if let Some(record) = self.live.get_mut(&id) {
                     self.ready.remove(&(record.not_before, id));
                     record.state = RecordState::Retrying;
@@ -1008,12 +784,9 @@ impl DeliveryLedger {
                     record.last_error = Some(error);
                     self.ready.insert((SimTime::ZERO, id));
                 }
-                Ok(())
             }
             "D" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
                 let error = fields.next().map(unescape);
-                self.next_id = self.next_id.max(id + 1);
                 if let Some(mut record) = self.live.remove(&id) {
                     self.ready.remove(&(record.not_before, id));
                     self.by_key.remove(&record.idempotency_key);
@@ -1022,113 +795,44 @@ impl DeliveryLedger {
                     if error.is_some() {
                         record.last_error = error;
                     }
-                    self.dlq.push_back(record);
-                    while self.dlq.len() > self.dlq_capacity {
-                        self.dlq.pop_front();
-                    }
+                    self.park(record);
                 }
-                Ok(())
             }
             "Q" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
-                self.next_id = self.next_id.max(id + 1);
-                if let Some(pos) = self.dlq.iter().position(|r| r.id == id) {
-                    if let Some(mut record) = self.dlq.remove(pos) {
-                        record.state = RecordState::Pending;
-                        record.attempts = 0;
-                        record.not_before = SimTime::ZERO;
-                        record.lease = None;
-                        self.by_key.insert(record.idempotency_key.clone(), id);
-                        self.ready.insert((SimTime::ZERO, id));
-                        self.live.insert(id, record);
-                    }
-                }
-                Ok(())
-            }
-            "R" => {
-                let id = take_u64(&mut fields, lineno, "id")?;
-                let user = UserId(fields.next().map(unescape).ok_or_else(|| corrupt("missing user"))?);
-                let delivery: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad delivery"))?;
-                let channel = fields
-                    .next()
-                    .and_then(CommType::from_token)
-                    .ok_or_else(|| corrupt("bad channel"))?;
-                let enqueued_ms: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad enqueue timestamp"))?;
-                let state = fields
-                    .next()
-                    .and_then(RecordState::parse)
-                    .ok_or_else(|| corrupt("bad state"))?;
-                let attempts: u32 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad attempts"))?;
-                let _not_before: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad not_before"))?;
-                let address = fields.next().map(unescape).ok_or_else(|| corrupt("missing address"))?;
-                let text = fields.next().map(unescape).ok_or_else(|| corrupt("missing text"))?;
-                let error = fields.next().map(unescape).unwrap_or_default();
-                self.next_id = self.next_id.max(id + 1);
-                let key = Self::idempotency_key(&user, delivery, channel);
-                // Drop any earlier image of this id (an interrupted
-                // rotation leaves the old segments behind).
-                if let Some(prev) = self.live.remove(&id) {
-                    self.ready.remove(&(prev.not_before, id));
-                    self.by_key.remove(&prev.idempotency_key);
-                }
-                self.dlq.retain(|r| r.id != id);
-                let record = LedgerRecord {
-                    id,
-                    user,
-                    delivery,
-                    channel,
-                    address,
-                    text,
-                    idempotency_key: key.clone(),
-                    // Leases and retry clocks do not survive the writing
-                    // process; both resolve to eligible-now.
-                    state: match state {
-                        RecordState::Leased | RecordState::Retrying => RecordState::Pending,
-                        s => s,
-                    },
-                    attempts,
-                    not_before: SimTime::ZERO,
-                    lease: None,
-                    enqueued_at: SimTime::from_millis(enqueued_ms),
-                    last_error: (!error.is_empty()).then_some(error),
-                };
-                if record.state == RecordState::DeadLettered {
-                    self.dlq.push_back(record);
-                    while self.dlq.len() > self.dlq_capacity {
-                        self.dlq.pop_front();
-                    }
-                } else {
-                    self.by_key.insert(key, id);
+                if let Some(mut record) =
+                    self.dlq.iter().position(|r| r.id == id).and_then(|pos| self.dlq.remove(pos))
+                {
+                    record.state = RecordState::Pending;
+                    record.attempts = 0;
+                    record.not_before = SimTime::ZERO;
+                    record.lease = None;
+                    self.by_key.insert(record.idempotency_key.clone(), id);
                     self.ready.insert((SimTime::ZERO, id));
                     self.live.insert(id, record);
                 }
-                Ok(())
             }
-            _ => Err(corrupt("unknown tag")),
+            _ => return Err("unknown tag".into()),
+        }
+        Ok(())
+    }
+
+    /// Replay's bounded push onto the DLQ.
+    fn park(&mut self, record: LedgerRecord) {
+        self.dlq.push_back(record);
+        while self.dlq.len() > self.dlq_capacity {
+            self.dlq.pop_front();
         }
     }
 
     /// Whether a commit is pending.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.journal.is_dirty()
     }
 
     /// No live work remains (pending, leased, or retrying); the DLQ may
     /// still hold dead letters. The worker pool drains until this holds.
     pub fn is_drained(&self) -> bool {
-        self.live.is_empty() && !self.dirty
+        self.live.is_empty() && !self.journal.is_dirty()
     }
 
     /// Live record counts by state.
@@ -1157,12 +861,11 @@ impl DeliveryLedger {
 
     /// Running totals.
     pub fn stats(&self) -> LedgerStats {
-        self.stats
-    }
-
-    /// The active segment's index (for tests and diagnostics).
-    pub fn segment_index(&self) -> u64 {
-        self.backend.as_ref().map_or(0, |b| b.seg_index)
+        LedgerStats {
+            commit_batches: self.journal.commits(),
+            segments_rotated: self.journal.rotations(),
+            ..self.stats
+        }
     }
 }
 
@@ -1178,26 +881,64 @@ fn fnv_mix(seed: u64, id: u64, attempts: u64) -> u64 {
     hash
 }
 
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("seg-{index:06}.log"))
+fn snapshot(live: &BTreeMap<u64, LedgerRecord>, dlq: &VecDeque<LedgerRecord>, out: &mut Frames) {
+    for record in live.values().chain(dlq) {
+        out.push(|line| encode_record(line, record));
+    }
 }
 
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, LedgerError> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(idx) = name
-            .strip_prefix("seg-")
-            .and_then(|rest| rest.strip_suffix(".log"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        out.push((idx, entry.path()));
-    }
-    Ok(out)
+/// The `R` image — what an enqueue journals and what a rotation carries.
+fn encode_record(out: &mut String, record: &LedgerRecord) {
+    let _ = write!(
+        out,
+        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        record.id,
+        escape(&record.user.0),
+        record.delivery,
+        record.channel,
+        record.enqueued_at.as_millis(),
+        record.state.label(),
+        record.attempts,
+        record.not_before.as_millis(),
+        escape(&record.address),
+        escape(&record.text),
+        escape(record.last_error.as_deref().unwrap_or_default()),
+    );
+}
+
+fn decode_record(payload: &str) -> Option<LedgerRecord> {
+    let mut fields = payload.strip_prefix("R\t")?.split('\t');
+    let id = fields.next()?.parse().ok()?;
+    let user = UserId(unescape(fields.next()?));
+    let delivery = fields.next()?.parse().ok()?;
+    let channel = CommType::from_token(fields.next()?)?;
+    let enqueued_at = SimTime::from_millis(fields.next()?.parse().ok()?);
+    let state = RecordState::parse(fields.next()?)?;
+    let attempts = fields.next()?.parse().ok()?;
+    let _not_before: u64 = fields.next()?.parse().ok()?;
+    let address = unescape(fields.next()?);
+    let text = unescape(fields.next()?);
+    let error = unescape(fields.next()?);
+    Some(LedgerRecord {
+        id,
+        idempotency_key: DeliveryLedger::idempotency_key(&user, delivery, channel),
+        user,
+        delivery,
+        channel,
+        address,
+        text,
+        // Leases and retry clocks do not survive the writing process;
+        // both resolve to eligible-now.
+        state: match state {
+            RecordState::Leased | RecordState::Retrying => RecordState::Pending,
+            s => s,
+        },
+        attempts,
+        not_before: SimTime::ZERO,
+        lease: None,
+        enqueued_at,
+        last_error: (!error.is_empty()).then_some(error),
+    })
 }
 
 #[cfg(test)]
@@ -1384,33 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn parseable_but_unterminated_tail_never_reaches_memory() {
-        let dir = temp_dir("torn-valid");
-        let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
-        let mut ledger = DeliveryLedger::open(config.clone()).unwrap();
-        let a = ledger.enqueue(&user("alice"), 1, CommType::Im, "im:alice", "owed", t(0));
-        ledger.commit().unwrap();
-        drop(ledger);
-        // Die mid-commit with a whole `S` record on disk but not its
-        // newline: it parses, yet no commit ever covered it. Applying it
-        // would leave a `Sent` that exists only in RAM — the delivery
-        // reads as done until the next restart resurrects it.
-        let path = segment_path(&dir, 0);
-        let committed = std::fs::read_to_string(&path).unwrap();
-        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-        file.write_all(format!("S\t{a}").as_bytes()).unwrap();
-        drop(file);
-
-        for pass in ["first open", "reopen"] {
-            let ledger = DeliveryLedger::open(config.clone()).unwrap();
-            let live: Vec<(u64, RecordState)> = ledger.records().map(|r| (r.id, r.state)).collect();
-            assert_eq!(live, vec![(a, RecordState::Pending)], "{pass}: the send is still owed");
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), committed, "{pass}: file");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn leases_and_backoffs_reset_across_reopen() {
         let dir = temp_dir("leases");
         let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
@@ -1491,30 +1205,47 @@ mod tests {
             ledger.commit().unwrap();
         }
         assert!(ledger.stats().segments_rotated > 0);
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 1, "old segments deleted: {segments:?}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "old segments deleted");
         drop(ledger);
         let ledger = DeliveryLedger::open(config.clone()).unwrap();
         assert_eq!(ledger.records().count(), 0, "sent churn compacted away");
         let dead: Vec<u64> = ledger.dead_letters().map(|r| r.id).collect();
         assert_eq!(dead, vec![bob]);
         drop(ledger);
-        // Flip a byte inside the rotation prefix: the checksum must trip.
-        let (_, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        // Flip a byte inside the carried snapshot: the checksum must trip.
+        let seg = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
         let mut bytes = std::fs::read(&seg).unwrap();
-        if let Some(pos) = bytes.iter().position(|&b| b == b'b') {
-            bytes[pos] ^= 0x02;
-            std::fs::write(&seg, &bytes).unwrap();
-            // The damaged segment is the last one, so the torn-tail
-            // tolerance swallows it only if the K line no longer parses;
-            // a parseable-but-wrong checksum is corruption.
-            match DeliveryLedger::open(config) {
-                Err(LedgerError::Corrupt { reason, .. }) => {
-                    assert!(reason.contains("checksum"), "{reason}")
-                }
-                other => panic!("expected checksum corruption, got {other:?}"),
-            }
+        let pos = bytes.windows(3).position(|w| w == b"bob").unwrap();
+        bytes[pos] ^= 0x02;
+        std::fs::write(&seg, &bytes).unwrap();
+        match DeliveryLedger::open(config) {
+            Err(LedgerError::Corrupt { reason, .. }) => assert!(reason.contains("checksum"), "{reason}"),
+            other => panic!("expected checksum corruption, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_rotation_never_brings_a_sent_record_back() {
+        let dir = temp_dir("rotate-fault");
+        let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
+        let mut ledger = DeliveryLedger::open(config.clone()).unwrap();
+        let a = ledger.enqueue(&user("alice"), 1, CommType::Im, "im:alice", "sent later", t(0));
+        let b = ledger.enqueue(&user("bob"), 2, CommType::Im, "im:bob", "still owed", t(0));
+        ledger.commit().unwrap();
+        ledger.inject_write_failure(40);
+        assert!(matches!(ledger.rotate(), Err(LedgerError::Io(_))));
+        // Life goes on in the old segment: alice's delivery completes.
+        assert_eq!(ledger.lease(&worker("w"), t(1), 1)[0].id, a);
+        ledger.record_sent(&worker("w"), a, t(2)).unwrap();
+        ledger.commit().unwrap();
+        let owed = |ledger: &DeliveryLedger| ledger.records().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(owed(&DeliveryLedger::open(config.clone()).unwrap()), [b], "alice stays sent");
+        // The next attempt succeeds and leaves exactly one segment.
+        ledger.rotate().unwrap();
+        assert_eq!(ledger.stats().segments_rotated, 1);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(owed(&DeliveryLedger::open(config).unwrap()), [b]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,13 +40,10 @@
 //!
 //! # Durability
 //!
-//! Persistence reuses the `core::shardlog` group-commit machinery's
-//! discipline: appends buffer in memory and one [`DeliveryLedger::commit`]
-//! makes the whole batch durable (one write + one fsync), segments rotate
-//! once they outgrow their cap — live records are rewritten into a fresh
-//! segment guarded by a `crc32` trailer ([`simba_core::snapshot::crc32`])
-//! and history is deleted — and a torn tail on the last segment is the
-//! tolerated artifact of dying mid-commit.
+//! The ledger is a record codec over [`simba_core::journal`], which owns
+//! segments, framing and checksums, group commit
+//! ([`DeliveryLedger::commit`]), rotation behind a guarded snapshot, and
+//! torn-tail repair; the record shapes are in the `ledger` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

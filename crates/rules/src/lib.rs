@@ -9,8 +9,8 @@
 //!    small predicate language over source/kind/body ([`predicate`]), a
 //!    Deliver/Suppress/Digest action, optional severity override and
 //!    dedupe-key template — bounded per user and persisted in a
-//!    CRC-guarded versioned rules log (the `core::shardlog` idiom), so
-//!    rules survive restart.
+//!    versioned rules log (a record codec over `simba_core::journal`),
+//!    so rules survive restart.
 //! 2. **Evaluation** ([`engine`]): rules compile once into a per-user
 //!    matcher index keyed by the exact source/kind values predicates
 //!    pin; [`RuleEngine::evaluate`] is the allocation-light hot path

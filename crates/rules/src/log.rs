@@ -1,36 +1,31 @@
-//! The CRC-guarded, versioned rules log: user-owned rules that survive
-//! restart.
+//! The versioned rules log: user-owned rules that survive restart — a
+//! record codec over [`simba_core::journal`], which owns segments,
+//! framing and checksums, group commit, rotation and torn tails.
 //!
-//! Same idiom as `simba_core::shardlog` — tab-separated line records in
-//! numbered segments, group commit (buffer + one write + one fsync),
-//! torn-tail truncation on the last segment only, and rotation that
-//! rewrites live state before deleting history — plus two hardenings the
-//! shard log does not need: every line carries a CRC32 over its payload
-//! (a rules log is read rarely and edited by operators, so silent
-//! single-line corruption must be detected, not replayed), and every
-//! line carries the record-format version so a future format can replay
-//! old logs.
-//!
-//! Record shapes (fields escaped with `simba_core::wal::escape`):
+//! Payloads (fields escaped with `simba_core::wal::escape`); each leads
+//! with the record-format version so a future format can replay old logs:
 //!
 //! ```text
-//! <crc32 hex> \t 1 \t U \t user \t id \t name \t enabled \t severity \t dedupe \t predicate \t action…
-//! <crc32 hex> \t 1 \t D \t user \t id
+//! 1 \t U \t user \t id \t name \t enabled \t severity \t dedupe \t predicate \t action…
+//! 1 \t D \t user \t id
 //! ```
+//!
+//! A later `U` for an id replaces the earlier one, and a `D` for a rule
+//! no longer held is tolerated — so a rotation's snapshot replays
+//! idempotently over whatever history a crash left beside it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
-use simba_core::snapshot::crc32;
+use simba_core::journal::{Frames, Journal};
 use simba_core::wal::{escape, unescape, WalError};
 
 use crate::predicate::ParseError;
 use crate::rule::{severity_from_name, severity_name, AlertRule, DigestConfig, RuleAction, RuleSpec};
 
-/// Record-format version written on every line.
+/// Record-format version written on every record.
 pub const RULES_LOG_VERSION: u32 = 1;
 
 /// Default segment-rotation threshold.
@@ -42,7 +37,7 @@ pub const DEFAULT_MAX_RULES_PER_USER: usize = 64;
 /// How a [`RulesLog`] is stored and bounded.
 #[derive(Debug, Clone)]
 pub struct RulesLogConfig {
-    /// Directory holding `rules-NNNNNN.log` segments; `None` keeps the
+    /// Directory holding the journal's segments; `None` keeps the
     /// log in memory (tests, benches, simulation).
     pub dir: Option<PathBuf>,
     /// Rotate once the active segment grows past this many bytes.
@@ -125,136 +120,57 @@ impl From<ParseError> for RulesError {
     }
 }
 
-#[derive(Debug)]
-struct FileBackend {
-    dir: PathBuf,
-    seg_index: u64,
-    file: File,
-    seg_bytes: u64,
-    pending: String,
-}
-
 /// The persistent rule store. Not internally synchronized — the engine
 /// wraps it in its own lock.
 #[derive(Debug)]
 pub struct RulesLog {
-    backend: Option<FileBackend>,
-    segment_max_bytes: u64,
+    journal: Journal,
     max_rules_per_user: usize,
     /// Live rules by user, each user's set ordered by id.
     rules: HashMap<String, BTreeMap<u64, AlertRule>>,
     next_id: u64,
-    dirty: bool,
 }
 
 impl RulesLog {
-    /// Opens (or creates) the log, replaying every segment in order. A
-    /// torn tail on the last segment is truncated away; a CRC mismatch
-    /// anywhere else is corruption.
+    /// Opens (or creates) the log, replaying what the journal holds.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors or corruption before the tail.
     pub fn open(config: RulesLogConfig) -> Result<Self, WalError> {
         let mut log = RulesLog {
-            backend: None,
-            segment_max_bytes: config.segment_max_bytes.max(1),
+            journal: Journal::in_memory(),
             max_rules_per_user: config.max_rules_per_user.max(1),
             rules: HashMap::new(),
             next_id: 1,
-            dirty: false,
         };
-        let Some(dir) = config.dir else {
-            return Ok(log);
-        };
-        std::fs::create_dir_all(&dir)?;
-        let mut segments = list_segments(&dir)?;
-        segments.sort_by_key(|(idx, _)| *idx);
-        let last = segments.len().checked_sub(1);
-        for (pos, (_, path)) in segments.iter().enumerate() {
-            log.replay_segment(path, Some(pos) == last)?;
+        if let Some(dir) = config.dir {
+            log.journal = Journal::open(dir, config.segment_max_bytes, |payload| log.replay(payload))?;
         }
-        let seg_index = segments.last().map_or(0, |(idx, _)| *idx);
-        let path = segment_path(&dir, seg_index);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let seg_bytes = file.metadata()?.len();
-        log.backend = Some(FileBackend { dir, seg_index, file, seg_bytes, pending: String::new() });
         Ok(log)
     }
 
-    fn replay_segment(&mut self, path: &Path, tolerate_tail: bool) -> Result<(), WalError> {
-        let content = std::fs::read_to_string(path)?;
-        let mut valid_len = 0usize;
-        let mut lines = content.split_inclusive('\n').enumerate().peekable();
-        while let Some((lineno, line)) = lines.next() {
-            let is_last = lines.peek().is_none();
-            let complete = line.ends_with('\n');
-            let trimmed = line.trim_end_matches('\n');
-            if trimmed.is_empty() {
-                valid_len += line.len();
-                continue;
-            }
-            if !complete {
-                // Torn tail: even a record whose payload parses must not
-                // touch in-memory state — it is about to be truncated
-                // from disk, and memory must equal durable state.
-                break;
-            }
-            match self.replay_line(trimmed, lineno + 1) {
-                Ok(()) => valid_len += line.len(),
-                Err(e) if is_last && tolerate_tail => {
-                    let _ = e;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if valid_len < content.len() {
-            if !tolerate_tail {
-                return Err(WalError::Corrupt {
-                    line: content.lines().count(),
-                    reason: "torn tail in non-final segment".to_string(),
-                });
-            }
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_len as u64)?;
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    fn replay_line(&mut self, line: &str, lineno: usize) -> Result<(), WalError> {
-        let corrupt = |reason: &str| WalError::Corrupt { line: lineno, reason: reason.to_string() };
-        // CRC guard: the first field covers everything after the first tab.
-        let (crc_hex, payload) = line.split_once('\t').ok_or_else(|| corrupt("missing crc"))?;
-        let recorded = u32::from_str_radix(crc_hex, 16).map_err(|_| corrupt("bad crc field"))?;
-        if crc32(payload.as_bytes()) != recorded {
-            return Err(corrupt("crc mismatch"));
-        }
+    fn replay(&mut self, payload: &str) -> Result<(), String> {
         let mut fields = payload.split('\t');
-        let version: u32 = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| corrupt("bad version"))?;
-        if version != RULES_LOG_VERSION {
-            return Err(corrupt("unknown record version"));
+        if fields.next().and_then(|s| s.parse().ok()) != Some(RULES_LOG_VERSION) {
+            return Err("unknown record version".into());
         }
-        match fields.next() {
+        let tag = fields.next();
+        let mut next = || fields.next().map(unescape).ok_or("missing field");
+        let user = next()?;
+        let id: u64 = next()?.parse().map_err(|_| "bad id")?;
+        self.next_id = self.next_id.max(id + 1);
+        match tag {
             Some("U") => {
-                let mut next = || -> Result<String, WalError> {
-                    fields.next().map(unescape).ok_or_else(|| corrupt("missing field"))
-                };
-                let user = next()?;
-                let id: u64 = next()?.parse().map_err(|_| corrupt("bad id"))?;
                 let name = next()?;
                 let enabled = match next()?.as_str() {
                     "1" => true,
                     "0" => false,
-                    _ => return Err(corrupt("bad enabled flag")),
+                    _ => return Err("bad enabled flag".into()),
                 };
                 let severity = match next()?.as_str() {
                     "-" => None,
-                    s => Some(severity_from_name(s).ok_or_else(|| corrupt("bad severity"))?),
+                    s => Some(severity_from_name(s).ok_or("bad severity")?),
                 };
                 let dedupe = decode_opt(&next()?);
                 let predicate_src = next()?;
@@ -262,45 +178,32 @@ impl RulesLog {
                     "d" => RuleAction::Deliver,
                     "s" => RuleAction::Suppress,
                     "g" => {
-                        let window_ms: u64 = next()?.parse().map_err(|_| corrupt("bad window"))?;
-                        let max_count: u32 = next()?.parse().map_err(|_| corrupt("bad max_count"))?;
-                        let max_exemplars: u8 =
-                            next()?.parse().map_err(|_| corrupt("bad max_exemplars"))?;
+                        let window_ms: u64 = next()?.parse().map_err(|_| "bad window")?;
+                        let max_count: u32 = next()?.parse().map_err(|_| "bad max_count")?;
+                        let max_exemplars: u8 = next()?.parse().map_err(|_| "bad max_exemplars")?;
                         let key = decode_opt(&next()?);
                         RuleAction::Digest(DigestConfig { window_ms, max_count, max_exemplars, key })
                     }
-                    _ => return Err(corrupt("bad action tag")),
+                    _ => return Err("bad action tag".into()),
                 };
                 let spec = RuleSpec { name, enabled, severity, dedupe, predicate_src, action };
                 // The predicate was validated at upsert time; a canonical
                 // text that no longer parses is corruption, not user error.
                 let rule = AlertRule::compile(id, &user, spec)
-                    .map_err(|e| corrupt(&format!("stored predicate: {e}")))?;
-                self.next_id = self.next_id.max(id + 1);
-                // Duplicate ids appear when a crash interrupted rotation
-                // between writing the fresh segment and deleting the old
-                // ones; the later record wins, idempotently.
+                    .map_err(|e| format!("stored predicate: {e}"))?;
                 self.rules.entry(user).or_default().insert(id, rule);
-                Ok(())
             }
             Some("D") => {
-                let user = fields.next().map(unescape).ok_or_else(|| corrupt("missing user"))?;
-                let id: u64 = fields
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| corrupt("bad id"))?;
-                self.next_id = self.next_id.max(id + 1);
-                // A delete for an already-compacted rule is tolerated.
                 if let Some(per_user) = self.rules.get_mut(&user) {
                     per_user.remove(&id);
                     if per_user.is_empty() {
                         self.rules.remove(&user);
                     }
                 }
-                Ok(())
             }
-            _ => Err(corrupt("unknown tag")),
+            _ => return Err("unknown tag".into()),
         }
+        Ok(())
     }
 
     /// Creates (id `None`) or replaces (id `Some`) a rule for `user`,
@@ -337,9 +240,8 @@ impl RulesLog {
             }
         };
         let rule = AlertRule::compile(id, user, spec)?;
-        self.buffer_upsert(&rule);
+        self.journal.append(|out| encode_upsert(out, &rule));
         self.rules.entry(user.into()).or_default().insert(id, rule.clone());
-        self.dirty = true;
         Ok(rule)
     }
 
@@ -357,82 +259,25 @@ impl RulesLog {
         if self.rules.get(user).is_some_and(BTreeMap::is_empty) {
             self.rules.remove(user);
         }
-        if let Some(backend) = &mut self.backend {
-            let payload = format!("{RULES_LOG_VERSION}\tD\t{}\t{id}", escape(user));
-            use std::fmt::Write as _;
-            let _ = writeln!(backend.pending, "{:08x}\t{payload}", crc32(payload.as_bytes()));
-        }
-        self.dirty = true;
+        self.journal.append(|out| {
+            let _ = write!(out, "{RULES_LOG_VERSION}\tD\t{}\t{id}", escape(user));
+        });
         true
     }
 
-    fn buffer_upsert(&mut self, rule: &AlertRule) {
-        let Some(backend) = &mut self.backend else { return };
-        let payload = encode_upsert(rule);
-        use std::fmt::Write as _;
-        let _ = writeln!(backend.pending, "{:08x}\t{payload}", crc32(payload.as_bytes()));
-    }
-
-    /// Makes every buffered mutation durable with one write and one
-    /// fsync, rotating the segment if it outgrew its cap. A no-op when
-    /// nothing is buffered.
+    /// One group commit ([`Journal::commit`]); a rotation carries the
+    /// live rules, compacting upsert/delete churn away.
     ///
     /// # Errors
     ///
-    /// I/O failure leaves the buffered tail unwritten; callers must not
-    /// acknowledge the mutation.
+    /// I/O failure leaves the batch non-durable and buffered for the
+    /// retry; callers must not acknowledge the mutation.
     pub fn commit(&mut self) -> Result<(), WalError> {
-        if !self.dirty {
-            return Ok(());
-        }
-        if let Some(backend) = &mut self.backend {
-            backend.file.write_all(backend.pending.as_bytes())?;
-            backend.file.flush()?;
-            backend.file.sync_data()?;
-            backend.seg_bytes += backend.pending.len() as u64;
-            backend.pending.clear();
-        }
-        self.dirty = false;
-        if self
-            .backend
-            .as_ref()
-            .is_some_and(|b| b.seg_bytes >= self.segment_max_bytes)
-        {
-            self.rotate()?;
-        }
-        Ok(())
-    }
-
-    /// Rewrites the live rules into a fresh segment and deletes every
-    /// older one (upsert/delete churn is compacted away). The fresh
-    /// segment is durable before old ones are unlinked; a crash between
-    /// the steps leaves duplicate upserts, which replay idempotently.
-    fn rotate(&mut self) -> Result<(), WalError> {
-        let Some(backend) = &mut self.backend else { return Ok(()) };
-        let old_index = backend.seg_index;
-        let new_index = old_index + 1;
-        let path = segment_path(&backend.dir, new_index);
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut carried = String::new();
-        for per_user in self.rules.values() {
-            for rule in per_user.values() {
-                let payload = encode_upsert(rule);
-                use std::fmt::Write as _;
-                let _ = writeln!(carried, "{:08x}\t{payload}", crc32(payload.as_bytes()));
+        self.journal.commit(|out: &mut Frames| {
+            for rule in self.rules.values().flat_map(BTreeMap::values) {
+                out.push(|line| encode_upsert(line, rule));
             }
-        }
-        file.write_all(carried.as_bytes())?;
-        file.flush()?;
-        file.sync_data()?;
-        for (idx, old_path) in list_segments(&backend.dir)? {
-            if idx < new_index {
-                std::fs::remove_file(old_path)?;
-            }
-        }
-        backend.seg_index = new_index;
-        backend.seg_bytes = carried.len() as u64;
-        backend.file = file;
-        Ok(())
+        })
     }
 
     /// One user's rules, ordered by id.
@@ -465,13 +310,15 @@ impl RulesLog {
 
     /// Whether a commit is pending.
     pub fn is_dirty(&self) -> bool {
-        self.dirty
+        self.journal.is_dirty()
     }
 }
 
-fn encode_upsert(rule: &AlertRule) -> String {
+/// The `U` image — what an upsert journals and what a rotation carries.
+fn encode_upsert(out: &mut String, rule: &AlertRule) {
     let spec = &rule.spec;
-    let mut payload = format!(
+    let _ = write!(
+        out,
         "{RULES_LOG_VERSION}\tU\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         escape(&rule.user),
         rule.id,
@@ -483,9 +330,8 @@ fn encode_upsert(rule: &AlertRule) -> String {
         spec.action.tag(),
     );
     if let RuleAction::Digest(d) = &spec.action {
-        use std::fmt::Write as _;
         let _ = write!(
-            payload,
+            out,
             "\t{}\t{}\t{}\t{}",
             d.window_ms,
             d.max_count,
@@ -493,7 +339,6 @@ fn encode_upsert(rule: &AlertRule) -> String {
             encode_opt(d.key.as_deref()),
         );
     }
-    payload
 }
 
 /// `None` → `"0"`; `Some(v)` → `"1" + escape(v)` — unambiguous even for
@@ -507,28 +352,6 @@ fn encode_opt(value: Option<&str>) -> String {
 
 fn decode_opt(field: &str) -> Option<String> {
     field.strip_prefix('1').map(unescape).or(None)
-}
-
-fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("rules-{index:06}.log"))
-}
-
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(idx) = name
-            .strip_prefix("rules-")
-            .and_then(|rest| rest.strip_suffix(".log"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        out.push((idx, entry.path()));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -602,62 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_but_mid_file_corruption_fails() {
-        let dir = temp_dir("crc");
-        let mut log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
-        log.upsert("ada", None, RuleSpec::deliver("keep", "any")).unwrap();
-        log.commit().unwrap();
-        drop(log);
-
-        // Torn tail: a partial line with no newline is tolerated.
-        {
-            let mut f = OpenOptions::new().append(true).open(segment_path(&dir, 0)).unwrap();
-            f.write_all(b"deadbeef\t1\tU\tada\t9").unwrap();
-        }
-        let log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
-        assert_eq!(log.len(), 1);
-        drop(log);
-
-        // A bit-flip in a committed line is detected by the CRC guard.
-        let path = segment_path(&dir, 0);
-        let mut content = std::fs::read_to_string(&path).unwrap();
-        let flip = content.find("keep").unwrap();
-        content.replace_range(flip..flip + 4, "kelp");
-        content.push_str("ffffffff\t1\tU\ttrailing\t1\tx\t1\t-\t0\tany\td\n");
-        std::fs::write(&path, content).unwrap();
-        let err = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }), "got {err:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_but_parseable_tail_is_not_applied() {
-        let dir = temp_dir("torn-parseable");
-        let mut log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
-        log.upsert("ada", None, RuleSpec::deliver("keep", "any")).unwrap();
-        log.commit().unwrap();
-        drop(log);
-
-        // A record whose payload survived a crash intact but lost its
-        // trailing newline: CRC-valid and parseable, still torn — it
-        // must be truncated without ever reaching in-memory state.
-        let payload = "1\tU\tada\t9\ttorn\t1\t-\t0\tany\td";
-        let line = format!("{:08x}\t{payload}", crc32(payload.as_bytes()));
-        let path = segment_path(&dir, 0);
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(line.as_bytes()).unwrap();
-        }
-        let log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
-        assert_eq!(log.len(), 1, "torn record is not live in memory");
-        assert!(log.get("ada", 9).is_none());
-        drop(log);
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(!content.contains("torn"), "torn record truncated from disk");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn rotation_compacts_churn_and_state_survives() {
         let dir = temp_dir("rotate");
         let config = RulesLogConfig {
@@ -676,26 +443,11 @@ mod tests {
         }
         let keeper = log.upsert("bob", None, RuleSpec::suppress("quiet", "source == noisy")).unwrap();
         log.commit().unwrap();
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 1, "old segments deleted: {segments:?}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "old segments deleted");
         drop(log);
         let log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
         assert_eq!(log.list("ada").len(), 20);
         assert_eq!(log.list("bob")[0].id, keeper.id);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ids_continue_after_reopen_and_deletes() {
-        let dir = temp_dir("ids");
-        let mut log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
-        let a = log.upsert("ada", None, RuleSpec::deliver("a", "any")).unwrap();
-        log.delete("ada", a.id);
-        log.commit().unwrap();
-        drop(log);
-        let mut log = RulesLog::open(RulesLogConfig::on_disk(&dir)).unwrap();
-        let b = log.upsert("ada", None, RuleSpec::deliver("b", "any")).unwrap();
-        assert!(b.id > a.id, "ids never reused, even across deletes");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -196,10 +196,11 @@ impl<C: Channels> MabService<C, InMemoryWal> {
 }
 
 impl<C: Channels, W: WriteAheadLog + Send + 'static> MabService<C, W> {
-    /// Builds the service over an existing (possibly non-empty) log —
-    /// e.g. a [`simba_core::wal::FileWal`] for a durable daemon. The
+    /// Builds the service over an existing (possibly non-empty) log. The
     /// restart protocol runs on the first loop turn: unprocessed records
-    /// are replayed before new alerts are accepted.
+    /// are replayed before new alerts are accepted. (A durable daemon is
+    /// a [`crate::ShardedHost`] with a log directory; this single-buddy
+    /// shape keeps its log in memory.)
     pub fn with_wal(
         config: MabConfig,
         channels: C,

@@ -268,6 +268,8 @@ enum ShardMsg {
     Hibernate(UserId, oneshot::Sender<bool>),
     /// Test hook: fail the user's next processed-mark.
     InjectMarkFailure(UserId),
+    /// Test hook: fail this shard's next group commit after so many bytes.
+    InjectCommitFailure(usize),
     /// Test hook: flip a byte in the user's stored hibernation snapshot;
     /// replies whether there was one to damage.
     CorruptSnapshot(UserId, oneshot::Sender<bool>),
@@ -416,6 +418,7 @@ impl ShardedHost {
                 timer_seq: 0,
                 next_incarnation: 0,
                 touched: BTreeSet::new(),
+                withheld: Vec::new(),
                 folded: MabStats::default(),
                 outcomes: Outcomes::default(),
                 hibernations: 0,
@@ -566,6 +569,14 @@ impl ShardedHost {
         self.send(shard, ShardMsg::InjectMarkFailure(user.clone())).await;
     }
 
+    /// Test hook: the next group commit on the user's shard writes
+    /// `bytes` bytes of its batch, then fails
+    /// ([`ShardLog::inject_write_failure`]).
+    pub async fn inject_commit_failure(&self, user: &UserId, bytes: usize) {
+        let shard = shard_of(user, self.shards.len());
+        self.send(shard, ShardMsg::InjectCommitFailure(bytes)).await;
+    }
+
     /// Test hook: damages the user's stored hibernation snapshot so the
     /// next activation must take the corrupt-fallback path. Resolves
     /// `true` when a snapshot existed to damage.
@@ -667,6 +678,9 @@ struct Worker<C> {
     next_incarnation: u64,
     /// Users that saw events this batch — the retirement-sweep set.
     touched: BTreeSet<UserId>,
+    /// Effects of batches whose commit failed, released by the first
+    /// later commit that succeeds (it covers their records too).
+    withheld: Vec<(UserId, MabCommand)>,
     /// Totals of buddies no longer resident: hibernated (subtracted back
     /// at rehydration), crashed, and rejuvenated.
     folded: MabStats,
@@ -840,6 +854,9 @@ impl<C: Channels> Worker<C> {
             }
             ShardMsg::InjectMarkFailure(user) => {
                 self.lock_log().inject_mark_failure(&user);
+            }
+            ShardMsg::InjectCommitFailure(bytes) => {
+                self.lock_log().inject_write_failure(bytes);
             }
             ShardMsg::CorruptSnapshot(user, reply) => {
                 let damaged = match self.roster.get_mut(&user) {
@@ -1050,6 +1067,7 @@ impl<C: Channels> Worker<C> {
     /// commit+execute round, so their marks are durable too.
     fn finish_batch(&mut self, staged: Vec<(UserId, MabCommand)>, now: SimTime) {
         let mut staged = staged;
+        staged.splice(0..0, std::mem::take(&mut self.withheld));
         let mut rounds = 0usize;
         loop {
             let dirty = self.lock_log().is_dirty();
@@ -1058,9 +1076,9 @@ impl<C: Channels> Worker<C> {
             }
             if self.commit_once().is_err() {
                 // The batch is not durable: withhold every staged effect
-                // (no acks, no sends). The buffered tail stays pending and
-                // is retried with the next batch's commit.
-                staged.clear();
+                // (no acks, no sends). The journal keeps the batch buffered
+                // and the next commit retries it; only then may they go.
+                self.withheld = staged;
                 break;
             }
             if staged.is_empty() {

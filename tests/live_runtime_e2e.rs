@@ -63,44 +63,6 @@ async fn live_fallback_cascade_im_to_sms_to_email() {
 }
 
 #[tokio::test(start_paused = true)]
-async fn durable_service_replays_unprocessed_alerts_across_restart() {
-    use simba::core::wal::{FileWal, WriteAheadLog};
-    use simba::core::IncomingAlert as IA;
-    use simba::sim::SimTime as T;
-
-    let dir = std::env::temp_dir().join(format!("simba-live-wal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("durable.wal");
-    let _ = std::fs::remove_file(&path);
-
-    // Incarnation 1 dies after logging an alert but before routing it —
-    // simulated by writing the record directly, as a crashed service
-    // would have left it.
-    {
-        let mut wal = FileWal::open(&path).expect("fresh log");
-        wal.append(
-            &IA::from_im("aladdin-gw", "Sensor durable ON", T::from_secs(1)),
-            T::from_secs(1),
-        )
-        .expect("append");
-        // No mark_processed: the crash hit before routing completed.
-    }
-
-    // Incarnation 2 starts over the same file and must replay it.
-    let wal = FileWal::open_tolerant(&path).expect("reopen");
-    assert_eq!(wal.unprocessed().len(), 1);
-    let channels = Scripted(LoopbackChannels::always_ack(Duration::from_millis(250)));
-    let (service, _handle, mut notices) =
-        MabService::with_wal(standard_config(), channels, wal);
-    tokio::spawn(service.run());
-
-    // The replayed alert is routed and acked with no new submissions.
-    let status = wait_finished(&mut notices).await;
-    assert!(matches!(status, DeliveryStatus::Acked { .. }), "status {status:?}");
-    std::fs::remove_file(&path).expect("cleanup");
-}
-
-#[tokio::test(start_paused = true)]
 async fn live_email_alert_routes_without_ack() {
     let channels = Scripted(LoopbackChannels::always_ack(Duration::from_millis(300)));
     let (service, handle, mut notices) = MabService::new(standard_config(), channels);
