@@ -8,6 +8,10 @@
 #   make bench-selftest — the E11 benchmark package's own tests (a
 #                 separate workspace under benchmark/, so test-all does
 #                 not reach it)
+#   make e2e-quick — the E11 benchmark binary itself, every workload on
+#                 its ~30 s sanity path: the command the PR driver runs
+#                 (BENCHMARK.json), so a run that would end `run_failed`
+#                 there fails here first
 #   make doc    — rustdoc for all workspace crates (no deps)
 #   make lint   — clippy, warnings as errors
 #   make analyze — simba-analyze: telemetry registry + hygiene pass +
@@ -49,9 +53,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all bench-selftest doc lint analyze tsan soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory loc clean
+.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze tsan soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory loc clean
 
-ci: build test-all bench-selftest doc lint analyze soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory
+ci: build test-all bench-selftest e2e-quick doc lint analyze soak gateway-smoke store-smoke host-smoke ledger-smoke rules-smoke trajectory
 
 build:
 	$(CARGO) build --release
@@ -64,6 +68,9 @@ test-all:
 
 bench-selftest:
 	$(CARGO) test --offline --manifest-path benchmark/Cargo.toml
+
+e2e-quick:
+	$(CARGO) run --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
 
 doc:
 	$(CARGO) doc --no-deps

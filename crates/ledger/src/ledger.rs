@@ -10,6 +10,7 @@
 //! F \t id \t attempts \t not_before_ms \t error     send failed, retry scheduled
 //! D \t id \t error                                dead-lettered
 //! Q \t id                                         requeued from the DLQ
+//! X \t id                                         retracted before any lease (terminal)
 //! ```
 //!
 //! `R` is a record's whole image: an enqueue journals one, and a
@@ -22,6 +23,7 @@ use simba_core::subscription::UserId;
 use simba_core::wal::{escape, unescape, WalError};
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::Telemetry;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -281,6 +283,8 @@ pub struct LedgerStats {
     pub dlq_evicted: u64,
     /// Dead letters requeued by an operator.
     pub requeued: u64,
+    /// Never-leased records withdrawn because their handoff commit failed.
+    pub retracted: u64,
     /// Group commits performed (one fsync each in file mode).
     pub commit_batches: u64,
     /// Segment rotations (history compacted to live records).
@@ -442,6 +446,35 @@ impl DeliveryLedger {
         self.stats.enqueued += 1;
         self.counter("ledger.enqueued");
         id
+    }
+
+    /// Withdraws a record no worker has ever leased, for the enqueuer
+    /// whose [`DeliveryLedger::commit`] just failed (call it before
+    /// releasing the lock the enqueue was made under): the enqueuer is
+    /// about to report the attempt failed, so the record must not reach a
+    /// worker through someone else's later commit. The terminal frame
+    /// rides the same buffered batch as the record's image, so whichever
+    /// commit finally lands both replays to nothing.
+    ///
+    /// Returns `false`, changing nothing, when the record is unknown or
+    /// was ever leased: enqueue returned an existing record that an
+    /// earlier handoff committed, and a worker owns its outcome.
+    pub fn retract(&mut self, id: u64) -> bool {
+        let record = match self.live.entry(id) {
+            Entry::Occupied(held)
+                if held.get().state == RecordState::Pending && held.get().attempts == 0 =>
+            {
+                held.remove()
+            }
+            _ => return false,
+        };
+        self.ready.remove(&(record.not_before, id));
+        self.by_key.remove(&record.idempotency_key);
+        self.journal.append(|out| {
+            let _ = write!(out, "X\t{id}");
+        });
+        self.stats.retracted += 1;
+        true
     }
 
     /// Grants `worker` up to `batch` time-bounded leases. Expired leases
@@ -763,7 +796,7 @@ impl DeliveryLedger {
                     });
                 }
             }
-            "S" => {
+            "S" | "X" => {
                 if let Some(record) = self.live.remove(&id) {
                     self.ready.remove(&(record.not_before, id));
                     self.by_key.remove(&record.idempotency_key);
@@ -1003,6 +1036,39 @@ mod tests {
         let c = ledger.enqueue(&user("alice"), 7, CommType::Email, "a@b", "hi", t(5));
         assert_ne!(a, c, "another channel is another record");
         assert_eq!(ledger.stats().enqueued, 2);
+    }
+
+    #[test]
+    fn a_retracted_record_is_never_leased_and_does_not_survive_reopen() {
+        let dir = temp_dir("retract");
+        let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
+        let mut ledger = DeliveryLedger::open(config.clone()).unwrap();
+        let kept = ledger.enqueue(&user("ada"), 1, CommType::Im, "im:ada", "kept", t(0));
+        ledger.commit().unwrap();
+
+        // The handoff commit fails: the enqueuer retracts, and the retry
+        // that makes the batch durable carries image and retraction both.
+        let gone = ledger.enqueue(&user("ada"), 2, CommType::Im, "im:ada", "gone", t(1));
+        ledger.inject_write_failure(3);
+        assert!(ledger.commit().is_err());
+        assert!(ledger.retract(gone));
+        assert!(!ledger.retract(gone), "already withdrawn");
+        let granted = ledger.lease(&worker("w1"), t(2), 8);
+        assert_eq!(granted.iter().map(|w| w.id).collect::<Vec<_>>(), [kept]);
+        ledger.commit().unwrap();
+        assert!(!ledger.retract(kept), "a leased record belongs to its worker");
+        assert_eq!(ledger.stats().retracted, 1);
+        // The pair may be handed off afresh (the buddy's next block could
+        // name the same channel).
+        let again = ledger.enqueue(&user("ada"), 2, CommType::Im, "im:ada", "gone", t(3));
+        assert!(again > gone);
+        assert!(ledger.retract(again));
+        ledger.commit().unwrap();
+        drop(ledger);
+
+        let ledger = DeliveryLedger::open(config).unwrap();
+        assert_eq!(ledger.records().map(|r| r.id).collect::<Vec<_>>(), [kept]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -9,19 +9,22 @@
 //! is reported as a duplicate and suppressed — so the *visible* effect of
 //! an alert on a channel is exactly-once.
 //!
-//! The filter's memory is bounded: keys are retired FIFO once `capacity`
-//! is exceeded. Size it above the worst-case redelivery window (keys
-//! stop arriving once the ledger marks the record sent), not above the
-//! total send volume.
+//! The filter's memory is bounded: it never holds more than `capacity`
+//! keys (the oldest is retired FIFO before a fresh one goes in), and
+//! each key's text is stored once, shared between the lookup set and the
+//! FIFO. Size it above the worst-case redelivery window (keys stop
+//! arriving once the ledger marks the record sent), not above the total
+//! send volume.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Bounded first-seen filter over idempotency keys.
 #[derive(Debug)]
 pub struct IdempotencyFilter {
     capacity: usize,
-    seen: HashSet<String>,
-    order: VecDeque<String>,
+    seen: HashSet<Arc<str>>,
+    order: VecDeque<Arc<str>>,
     deduped: u64,
     evicted: u64,
 }
@@ -47,14 +50,17 @@ impl IdempotencyFilter {
             self.deduped += 1;
             return false;
         }
-        self.seen.insert(key.to_string());
-        self.order.push_back(key.to_string());
-        while self.order.len() > self.capacity {
+        // Evict before inserting, so neither container ever holds (and
+        // grows its allocation for) more than `capacity` keys.
+        while self.order.len() >= self.capacity {
             if let Some(old) = self.order.pop_front() {
                 self.seen.remove(&old);
                 self.evicted += 1;
             }
         }
+        let key: Arc<str> = Arc::from(key);
+        self.seen.insert(Arc::clone(&key));
+        self.order.push_back(key);
         true
     }
 
@@ -66,7 +72,7 @@ impl IdempotencyFilter {
         if self.seen.remove(key) {
             // Just recorded, so it sits at or near the back: search from
             // there rather than scanning the whole window.
-            if let Some(at) = self.order.iter().rposition(|k| k == key) {
+            if let Some(at) = self.order.iter().rposition(|k| k.as_ref() == key) {
                 self.order.remove(at);
             }
         }

@@ -1,11 +1,14 @@
 //! The streaming rule engine: compiled per-user matching, Deliver /
 //! Suppress / Digest decisions, and the windowed storm correlator.
 //!
-//! Rules compile once (at open and on every mutation) into a per-user
-//! index keyed by the exact `source`/`kind` equality constraints their
-//! predicates pin, so the hot path evaluates O(candidate rules), not
-//! O(all rules). When several rules match, the lowest id wins — rule
-//! order is creation order, which users can reason about.
+//! Rules compile into a per-user index keyed by the exact
+//! `source`/`kind` equality constraints their predicates pin, so the hot
+//! path evaluates O(candidate rules), not O(all rules). The index is
+//! maintained per user: open compiles every user's entry, a mutation
+//! recompiles only the mutated user's, so the engine lock is held for
+//! O(that user's rules) plus the commit. When several rules match, the
+//! lowest id wins — rule order is creation order, which users can reason
+//! about.
 //!
 //! The correlator absorbs alerts matched by digest rules into
 //! [`PendingDigest`] windows keyed per user and correlation key — the
@@ -172,26 +175,24 @@ struct UserIndex {
 }
 
 impl UserIndex {
-    fn insert(&mut self, rule: AlertRule) {
-        let (source, kind) = rule.predicate.index_keys();
-        let bucket = match (source, kind) {
-            (Some(s), Some(k)) => {
-                self.exact.entry(s.into()).or_default().entry(k.into()).or_default()
-            }
-            (Some(s), None) => self.by_source.entry(s.into()).or_default(),
-            (None, Some(k)) => self.by_kind.entry(k.into()).or_default(),
-            (None, None) => &mut self.wildcard,
-        };
-        bucket.push(rule);
-    }
-
-    fn buckets_mut(&mut self) -> impl Iterator<Item = &mut Vec<AlertRule>> {
-        self.exact
-            .values_mut()
-            .flat_map(HashMap::values_mut)
-            .chain(self.by_source.values_mut())
-            .chain(self.by_kind.values_mut())
-            .chain(std::iter::once(&mut self.wildcard))
+    /// Compiles one user's rules. `rules` must come in id order (as
+    /// [`RulesLog::rules_of`] yields them), so every bucket comes out
+    /// id-sorted and `best_match` can stop at the first hit.
+    fn compile<'a>(rules: impl Iterator<Item = &'a AlertRule>) -> UserIndex {
+        let mut index = UserIndex::default();
+        for rule in rules {
+            let (source, kind) = rule.predicate.index_keys();
+            let bucket = match (source, kind) {
+                (Some(s), Some(k)) => {
+                    index.exact.entry(s.into()).or_default().entry(k.into()).or_default()
+                }
+                (Some(s), None) => index.by_source.entry(s.into()).or_default(),
+                (None, Some(k)) => index.by_kind.entry(k.into()).or_default(),
+                (None, None) => &mut index.wildcard,
+            };
+            bucket.push(rule.clone());
+        }
+        index
     }
 
     /// The lowest-id enabled rule whose predicate matches `view`.
@@ -276,9 +277,13 @@ impl RuleEngine {
         telemetry: Telemetry,
     ) -> Result<RuleEngine, RulesError> {
         let log = RulesLog::open(config.log)?;
-        let mut inner = Inner {
+        let mut index = HashMap::new();
+        for user in log.users() {
+            reindex_user(&log, &mut index, user);
+        }
+        let inner = Inner {
             log,
-            index: HashMap::new(),
+            index,
             pending: HashMap::new(),
             pending_total: 0,
             deadlines: BTreeMap::new(),
@@ -288,7 +293,6 @@ impl RuleEngine {
             max_pending_per_user: config.max_pending_digests_per_user.max(1),
             max_dedupe_keys_per_user: config.max_dedupe_keys_per_user.max(1),
         };
-        rebuild_index(&mut inner);
         let engine = RuleEngine { telemetry, inner: Mutex::new(inner) };
         let loaded = engine.with_inner(|i| i.log.len());
         if loaded > 0 {
@@ -329,9 +333,12 @@ impl RuleEngine {
     pub fn upsert(&self, user: &str, id: Option<u64>, spec: RuleSpec) -> Result<AlertRule, RulesError> {
         let result = self.with_inner(|inner| {
             let rule = inner.log.upsert(user, id, spec)?;
-            // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline and the commit must cover the index rebuild
-            inner.log.commit()?;
-            rebuild_index(inner);
+            // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline — the log write, its commit and the one user's index entry change together
+            let committed = inner.log.commit();
+            // Even when the commit fails the log keeps the mutation (buffered
+            // for the retry), so the index follows the log, not the outcome.
+            reindex_user(&inner.log, &mut inner.index, user);
+            committed?;
             Ok(rule)
         });
         match &result {
@@ -352,8 +359,9 @@ impl RuleEngine {
             let existed = inner.log.delete(user, id);
             if existed {
                 // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline
-                inner.log.commit()?;
-                rebuild_index(inner);
+                let committed = inner.log.commit();
+                reindex_user(&inner.log, &mut inner.index, user);
+                committed?;
             }
             Ok::<bool, RulesError>(existed)
         })?;
@@ -519,18 +527,16 @@ impl RuleEngine {
     }
 }
 
-fn rebuild_index(inner: &mut Inner) {
-    let mut index: HashMap<String, UserIndex> = HashMap::new();
-    for rule in inner.log.iter() {
-        index.entry(rule.user.clone()).or_default().insert(rule.clone());
+/// Recompiles `user`'s index entry from the log — the one path that
+/// writes the index, at open (once per user) and after every mutation.
+/// A user left with no rules has no entry.
+fn reindex_user(log: &RulesLog, index: &mut HashMap<String, UserIndex>, user: &str) {
+    let mut rules = log.rules_of(user).peekable();
+    if rules.peek().is_none() {
+        index.remove(user);
+    } else {
+        index.insert(user.to_string(), UserIndex::compile(rules));
     }
-    // Buckets id-sorted so best_match can stop at the first hit.
-    for user_index in index.values_mut() {
-        for bucket in user_index.buckets_mut() {
-            bucket.sort_by_key(|r| r.id);
-        }
-    }
-    inner.index = index;
 }
 
 /// Records `key` as recently seen; true when it was already live inside
@@ -931,6 +937,155 @@ mod tests {
             Decision::Deliver { rule: Some(r.id), severity: Some(Urgency::Low) },
             "overflow delivery carries the rule's severity override"
         );
+    }
+
+    /// Heap addresses of `user`'s non-empty index buckets, `None` without
+    /// an entry. A recompiled entry is built before the old one drops, so
+    /// its buckets are fresh allocations: equal addresses mean untouched.
+    fn bucket_addrs(e: &RuleEngine, user: &str) -> Option<Vec<usize>> {
+        e.with_inner(|inner| {
+            let idx = inner.index.get(user)?;
+            let mut addrs: Vec<usize> = idx
+                .exact
+                .values()
+                .flat_map(HashMap::values)
+                .chain(idx.by_source.values())
+                .chain(idx.by_kind.values())
+                .chain(std::iter::once(&idx.wildcard))
+                .filter(|bucket| !bucket.is_empty())
+                .map(|bucket| bucket.as_ptr() as usize)
+                .collect();
+            addrs.sort_unstable();
+            Some(addrs)
+        })
+    }
+
+    /// Every decision `user` gets over a grid of alerts covering all four
+    /// bucket kinds. The generated rules neither digest nor dedupe, so
+    /// evaluating is free of side effects.
+    fn decisions(e: &RuleEngine, user: &str) -> Vec<Decision> {
+        let mut out = Vec::new();
+        for source in ["s0", "s1", "s2", "elsewhere"] {
+            for kind in ["", "k0", "k1"] {
+                for body in ["water leak", "all dry"] {
+                    let alert = IncomingAlert::from_email(source, "", kind, body, SimTime::ZERO);
+                    out.push(e.evaluate(user, &alert, 0));
+                }
+            }
+        }
+        out
+    }
+
+    fn random_spec(rng: &mut simba_sim::SimRng, source: u64) -> RuleSpec {
+        let kind = rng.range(0, 1);
+        let predicate = match rng.range(0, 4) {
+            0 => format!("source == s{source}"),
+            1 => format!("kind == k{kind}"),
+            2 => format!("source == s{source} and kind == k{kind}"),
+            3 => format!("source == s{source} and body contains leak"),
+            _ => "body contains leak".to_string(),
+        };
+        let mut spec = if rng.chance(0.5) {
+            RuleSpec::suppress("r", &predicate)
+        } else {
+            RuleSpec::deliver("r", &predicate)
+        };
+        if rng.chance(0.3) {
+            spec.severity = Some(Urgency::Low);
+        }
+        spec
+    }
+
+    #[test]
+    fn incremental_index_equals_a_full_build_from_the_log() {
+        const USERS: [&str; 4] = ["ada", "bob", "cy", "dee"];
+        let assert_same_as_reopened = |e: &RuleEngine, dir: &std::path::Path, ctx: &str| {
+            let full = RuleEngine::open(RulesConfig::on_disk(dir)).expect("reopen");
+            for user in USERS {
+                let specs = |e: &RuleEngine| -> Vec<(u64, RuleSpec)> {
+                    e.list(user).into_iter().map(|r| (r.id, r.spec)).collect()
+                };
+                assert_eq!(specs(e), specs(&full), "{ctx}: {user}'s list");
+                assert_eq!(decisions(e, user), decisions(&full, user), "{ctx}: {user}'s decisions");
+                assert_eq!(
+                    bucket_addrs(e, user).is_some(),
+                    bucket_addrs(&full, user).is_some(),
+                    "{ctx}: {user}'s index entry"
+                );
+            }
+        };
+        let mut emptied = 0;
+        for seed in 1..=6u64 {
+            let dir = std::env::temp_dir()
+                .join(format!("simba-rules-incremental-{seed}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let e = RuleEngine::open(RulesConfig::on_disk(&dir)).expect("open");
+            let mut rng = simba_sim::SimRng::new(seed);
+            for step in 0..150 {
+                let ctx = format!("seed {seed} step {step}");
+                let at = rng.range(0, 3) as usize;
+                let (user, bystander) = (USERS[at], USERS[(at + 1 + rng.range(0, 2) as usize) % 4]);
+                let bystander_before = (bucket_addrs(&e, bystander), decisions(&e, bystander));
+                let held = e.list(user);
+                let pick = held.get(rng.range(0, 63) as usize % held.len().max(1));
+                match (rng.range(0, 9), pick) {
+                    // Replace with a different source literal: the rule
+                    // moves to another bucket (or bucket kind).
+                    (0..=1, Some(rule)) => {
+                        let source = rng.range(0, 2);
+                        e.upsert(user, Some(rule.id), random_spec(&mut rng, source)).unwrap();
+                    }
+                    (2, Some(rule)) => {
+                        let spec = RuleSpec { enabled: !rule.spec.enabled, ..rule.spec.clone() };
+                        e.upsert(user, Some(rule.id), spec).unwrap();
+                    }
+                    (3..=6, Some(rule)) => {
+                        assert!(e.delete(user, rule.id).unwrap());
+                        emptied += usize::from(held.len() == 1);
+                    }
+                    _ => {
+                        let source = rng.range(0, 2);
+                        e.upsert(user, None, random_spec(&mut rng, source)).unwrap();
+                    }
+                }
+                assert_eq!(
+                    bucket_addrs(&e, user).is_some(),
+                    !e.list(user).is_empty(),
+                    "{ctx}: an index entry exists exactly while {user} has rules"
+                );
+                assert_eq!(
+                    (bucket_addrs(&e, bystander), decisions(&e, bystander)),
+                    bystander_before,
+                    "{ctx}: mutating {user} touched {bystander}"
+                );
+                if step % 10 == 9 {
+                    assert_same_as_reopened(&e, &dir, &ctx);
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(emptied > 0, "the sequences must delete some user's last rule");
+    }
+
+    /// Complexity guard: a mutation costs one user's rules, not the whole
+    /// engine. Rebuilding the whole index per upsert made this run
+    /// quadratic (0.86 ms per upsert at 2 000 rules in release, so over a
+    /// minute here and far longer in debug); per-user recompilation takes
+    /// well under a second, so the bound has no scheduler to blame.
+    #[test]
+    fn twenty_thousand_upserts_stay_linear() {
+        let e = engine();
+        let started = std::time::Instant::now();
+        for user in 0..2000 {
+            let user = format!("user-{user}");
+            for rule in 0..10 {
+                e.upsert(&user, None, RuleSpec::suppress("quiet", &format!("source == s{rule}")))
+                    .unwrap();
+            }
+        }
+        let took = started.elapsed();
+        assert_eq!(e.rule_count(), 20_000);
+        assert!(took < std::time::Duration::from_secs(10), "20 000 upserts took {took:?}");
     }
 
     #[test]

@@ -282,10 +282,7 @@ impl RulesLog {
 
     /// One user's rules, ordered by id.
     pub fn list(&self, user: &str) -> Vec<AlertRule> {
-        self.rules
-            .get(user)
-            .map(|per_user| per_user.values().cloned().collect())
-            .unwrap_or_default()
+        self.rules_of(user).cloned().collect()
     }
 
     /// One rule, if the user owns it.
@@ -293,9 +290,20 @@ impl RulesLog {
         self.rules.get(user).and_then(|per_user| per_user.get(&id))
     }
 
-    /// Every live rule, for engine compilation.
+    /// Every live rule, in no particular user order.
     pub fn iter(&self) -> impl Iterator<Item = &AlertRule> {
         self.rules.values().flat_map(BTreeMap::values)
+    }
+
+    /// The users holding at least one rule.
+    pub fn users(&self) -> impl Iterator<Item = &str> {
+        self.rules.keys().map(String::as_str)
+    }
+
+    /// One user's rules in id order, borrowed — what the engine compiles
+    /// that user's index entry from.
+    pub fn rules_of(&self, user: &str) -> impl Iterator<Item = &AlertRule> {
+        self.rules.get(user).into_iter().flat_map(BTreeMap::values)
     }
 
     /// Total live rules.

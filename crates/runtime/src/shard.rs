@@ -1168,10 +1168,15 @@ impl<C: Channels> Worker<C> {
                                 // Ledger-owned attempt: durable enqueue,
                                 // acknowledge the handoff, and let the
                                 // worker pool own send/retry/dead-letter.
+                                // A handoff whose commit failed is taken
+                                // back under the same guard, so an attempt
+                                // reported failed is never also sent. Only
+                                // a record some earlier handoff committed
+                                // can have been leased; that one stays.
                                 let accepted = {
                                     let mut guard =
                                         ledger.lock().unwrap_or_else(PoisonError::into_inner);
-                                    guard.enqueue(
+                                    let record = guard.enqueue(
                                         &user,
                                         delivery.0,
                                         comm_type,
@@ -1180,7 +1185,7 @@ impl<C: Channels> Worker<C> {
                                         now,
                                     );
                                     // simba-analyze: allow(concurrency.blocking-under-guard): enqueue+commit is the atomic handoff to the delivery workers; the guard scope IS the durability point
-                                    guard.commit().is_ok()
+                                    guard.commit().is_ok() || !guard.retract(record)
                                 };
                                 if self.telemetry.enabled() {
                                     self.telemetry.metrics().counter("runtime.sends").incr();

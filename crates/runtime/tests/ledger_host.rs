@@ -23,6 +23,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 fn user_config(name: &str) -> MabConfig {
+    user_config_with(name, vec![Block::fire_and_forget(vec!["IM".into()])])
+}
+
+/// One user subscribed to `Home` under a mode made of `blocks`, with an
+/// `IM` and an `Email` address to name in them.
+fn user_config_with(name: &str, blocks: Vec<Block>) -> MabConfig {
     let mut classifier = Classifier::new();
     classifier.accept_source("aladdin-gw", KeywordField::Body, "cfg");
     classifier.map_keyword("Sensor", "Home");
@@ -31,37 +37,48 @@ fn user_config(name: &str) -> MabConfig {
     let profile = registry.register_user(user.clone());
     let mut book = AddressBook::new();
     book.add(Address::new("IM", CommType::Im, format!("im:{name}"))).expect("unique");
+    book.add(Address::new("Email", CommType::Email, format!("{name}@example.org"))).expect("unique");
     profile.address_book = book;
-    profile.define_mode(
-        DeliveryMode::new("Urgent", vec![Block::fire_and_forget(vec!["IM".into()])])
-            .expect("valid mode"),
-    );
+    profile.define_mode(DeliveryMode::new("Urgent", blocks).expect("valid mode"));
     registry.subscribe("Home", user, "Urgent").expect("subscribed");
     MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
 }
 
-/// Everything both tests share: a ledgered host over `users` users, and a
-/// two-worker pool whose bridges (one idempotency filter between them)
-/// send through `channels`.
+type LedgeredHost =
+    (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>, simba_ledger::SharedLedger, LedgerWorkerPool);
+
+/// An in-memory ledgered host whose users deliver by IM alone.
 async fn ledgered_host<C: Channels + Clone>(
     channels: C,
     users: usize,
     telemetry: &Telemetry,
-) -> (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>, simba_ledger::SharedLedger, LedgerWorkerPool)
-{
+) -> LedgeredHost {
+    let factory: ConfigFactory = Arc::new(|user: &UserId| user_config(&user.0));
+    ledgered_host_with(channels, users, telemetry, LedgerConfig::in_memory(), factory).await
+}
+
+/// Everything the tests share: a ledgered host over `users` users, and a
+/// two-worker pool whose bridges (one idempotency filter between them)
+/// send through `channels`. `storage` says where the ledger lives.
+async fn ledgered_host_with<C: Channels + Clone>(
+    channels: C,
+    users: usize,
+    telemetry: &Telemetry,
+    storage: LedgerConfig,
+    factory: ConfigFactory,
+) -> LedgeredHost {
     let ledger = Arc::new(Mutex::new(
         DeliveryLedger::open(LedgerConfig {
             lease_duration: SimDuration::from_millis(40),
             base_backoff: SimDuration::from_millis(2),
             max_backoff: SimDuration::from_millis(10),
-            ..LedgerConfig::in_memory()
+            ..storage
         })
-        .expect("in-memory open")
+        .expect("ledger opens")
         .with_telemetry(telemetry.clone()),
     ));
     let config =
         ShardedHostConfig { ledger: Some(Arc::clone(&ledger)), ..ShardedHostConfig::default() };
-    let factory: ConfigFactory = Arc::new(|user: &UserId| user_config(&user.0));
     let (host, notices) = ShardedHost::new(channels.clone(), config, factory, telemetry.clone())
         .expect("in-memory shard logs");
     host.register_many((0..users).map(|i| UserId::new(format!("user-{i}"))).collect()).await;
@@ -200,4 +217,43 @@ async fn a_send_that_fails_once_is_retried_and_delivered_exactly_once() {
     }
     host.shutdown().await;
     assert!(telemetry.metrics().snapshot().counter("ledger.retried") >= 1);
+}
+
+/// Regression: when the ledger commit behind a handoff failed, the buddy
+/// was told `SendFailed` and fell back to its next block — but the record
+/// stayed live in the ledger, and the next successful commit (the
+/// fallback's own) made it durable and a worker sent it too. An attempt
+/// reported failed must not also be delivered.
+#[tokio::test(start_paused = true)]
+async fn an_attempt_whose_ledger_commit_failed_is_not_also_delivered() {
+    let dir = std::env::temp_dir().join(format!("simba-ledger-host-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(512)));
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let factory: ConfigFactory = Arc::new(|user: &UserId| {
+        let im_then_email = ["IM", "Email"].map(|a| Block::fire_and_forget(vec![a.into()]));
+        user_config_with(&user.0, im_then_email.into())
+    });
+    let (host, mut notices, ledger, pool) =
+        ledgered_host_with(channels.clone(), 1, &telemetry, LedgerConfig::on_disk(&dir), factory)
+            .await;
+
+    // The ledger is empty, so the next dirty commit is the IM handoff's.
+    ledger.lock().unwrap_or_else(PoisonError::into_inner).inject_write_failure(3);
+    submit_one_each(&host, &mut notices, 1).await;
+    let stats = pool.drain().await;
+
+    channels.with(|c| {
+        let sent = c.sent();
+        assert_eq!(sent.len(), 1, "the alert is visible exactly once: {sent:?}");
+        assert_eq!(sent[0].0, CommType::Email, "by the fallback — the IM attempt was reported failed");
+    });
+    assert_eq!(stats.sent, 1);
+    {
+        let ledger = ledger.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(ledger.is_drained(), "ledger fully drained");
+        assert_eq!(ledger.stats().retracted, 1, "the refused handoff was withdrawn");
+    }
+    host.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
 }
