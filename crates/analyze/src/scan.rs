@@ -566,10 +566,10 @@ mod tests {
 
     #[test]
     fn multiline_call_still_matches() {
-        let src = "fn f() {\n    t.emit(Event::new(\n        \"watchdog.service_down\",\n        now,\n    ));\n}";
+        let src = "fn f() {\n    t.emit(Event::new(\n        \"mab.crashed\",\n        now,\n    ));\n}";
         let facts = scan_source(src, false);
         assert_eq!(facts.telemetry.len(), 1);
-        assert_eq!(facts.telemetry[0].name, "watchdog.service_down");
+        assert_eq!(facts.telemetry[0].name, "mab.crashed");
         assert_eq!(facts.telemetry[0].line, 3);
     }
 

@@ -15,8 +15,9 @@
 //! owning user always scopes the window, so a custom key template
 //! without `{user}` cannot collide two users' bursts. A window flushes
 //! deterministically when
-//! its deadline passes ([`RuleEngine::flush_due`], driven by the pump
-//! tick or the shard timer wheel), when its count cap is reached, or
+//! its deadline passes ([`RuleEngine::flush_due`], called by the host
+//! front door's `pump_digests` on the gateway pump's tick, and for every
+//! open window at host shutdown), when its count cap is reached, or
 //! when a later alert escalates the window's severity. Critical alerts
 //! never wait: they bypass digesting entirely and deliver immediately.
 
@@ -502,25 +503,6 @@ impl RuleEngine {
         flushed
     }
 
-    /// Flushes one of `user`'s windows by key if its deadline has passed
-    /// — the shard timer-wheel entry point, where each worker flushes
-    /// only the keys it scheduled. Returns `None` for unknown keys
-    /// (already escalated) or windows whose deadline moved later.
-    pub fn flush_key(&self, user: &str, key: &str, now_ms: u64) -> Option<DigestAlert> {
-        let flushed = self.with_inner(|inner| {
-            let pending = inner.pending.get(user)?.get(key)?;
-            if pending.deadline_ms > now_ms {
-                return None;
-            }
-            remove_pending(inner, user, key)
-        });
-        if flushed.is_some() {
-            self.counter("rules.digest_flushed");
-            self.gauge("rules.pending_digests", self.pending_digests() as u64);
-        }
-        flushed
-    }
-
     /// The earliest pending flush deadline, if any window is open.
     pub fn next_deadline(&self) -> Option<u64> {
         self.with_inner(|inner| inner.deadlines.first_key_value().map(|((d, _), _)| *d))
@@ -842,30 +824,6 @@ mod tests {
             Decision::Deliver { rule: Some(r.id), severity: None }
         );
         assert_eq!(e.pending_digests(), 2);
-    }
-
-    #[test]
-    fn flush_key_honors_deadline_and_unknown_keys() {
-        let e = engine();
-        e.upsert(
-            "ada",
-            None,
-            RuleSpec::digest(
-                "storm",
-                "source == s",
-                DigestConfig { window_ms: 1000, ..DigestConfig::default() },
-            ),
-        )
-        .unwrap();
-        let key = match e.evaluate("ada", &im("s", "x"), 0) {
-            Decision::Digest { key, .. } => key,
-            other => panic!("{other:?}"),
-        };
-        assert!(e.flush_key("ada", &key, 500).is_none(), "not due yet");
-        assert_eq!(e.flush_key("ada", &key, 1000).map(|d| d.count), Some(1));
-        assert!(e.flush_key("ada", &key, 2000).is_none(), "already flushed");
-        assert!(e.flush_key("ada", "ada/other/", 2000).is_none());
-        assert!(e.flush_key("bob", &key, 2000).is_none(), "wrong user never flushes");
     }
 
     #[test]

@@ -25,20 +25,21 @@
 //!    those delivery events never touch the log, so no second fsync is
 //!    needed before their effects run.
 //!
-//! Durability ordering is preserved exactly as in the single-user
-//! service: no ack leaves the host before the commit covering its log
-//! record returns. A buddy whose processed-mark fails crashes *alone* —
-//! its stats fold into the shard, a fresh incarnation replays its log
-//! records — and the shard worker (with every other buddy on it) keeps
-//! running.
+//! Durability ordering is the paper's: no ack leaves the host before the
+//! commit covering its log record returns. The worker is also the live
+//! Master Daemon Controller (§4.2.2): a buddy whose processed-mark fails
+//! crashes *alone* — its stats fold into the shard, a fresh incarnation
+//! replays its log records — a buddy that asks for rejuvenation is
+//! restarted the same way, and the shard worker (with every other buddy
+//! on it) keeps running.
 
 use crate::channels::{Channels, SendOutcome};
 use crate::clock::RuntimeClock;
 use crate::presence::{spawn_sweeper, StoreModeSelector};
-use crate::service::RuntimeNotice;
 use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy, RetiredDelivery};
+use simba_core::rejuvenate::RejuvenationTrigger;
 use simba_core::shardlog::{ShardLog, ShardLogConfig, ShardLogStats, DEFAULT_SEGMENT_MAX_BYTES};
 use simba_core::snapshot::BuddySnapshot;
 use simba_core::subscription::UserId;
@@ -69,7 +70,30 @@ pub type ConfigFactory = Arc<dyn Fn(&UserId) -> MabConfig + Send + Sync>;
 /// Default capacity of the merged notice stream.
 pub const DEFAULT_NOTICE_CAPACITY: usize = 1024;
 
-/// A service notice tagged with the user whose buddy emitted it.
+/// Something a hosted buddy reports to the host's observer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RuntimeNotice {
+    /// The buddy acknowledged an incoming IM alert back to `source`.
+    AckSent {
+        /// The acknowledged source.
+        source: String,
+    },
+    /// A delivery reached a terminal state and was retired.
+    DeliveryFinished {
+        /// Which delivery.
+        delivery: DeliveryId,
+        /// Its terminal status.
+        status: DeliveryStatus,
+    },
+    /// The buddy requested rejuvenation; its shard worker folds its
+    /// totals and restarts it in the same batch.
+    Rejuvenating(
+        /// Why.
+        RejuvenationTrigger,
+    ),
+}
+
+/// A [`RuntimeNotice`] tagged with the user whose buddy emitted it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostNotice {
     /// The hosted user.
@@ -468,6 +492,11 @@ impl ShardedHost {
     /// that bypasses re-evaluation. Call from the runtime's idle tick
     /// (the gateway pump does); returns how many digests were dispatched.
     pub async fn pump_digests(&self) -> usize {
+        self.flush_digests(self.clock.now().as_millis()).await
+    }
+
+    /// Flushes the windows due at `now_ms` to their owners' shards.
+    async fn flush_digests(&self, now_ms: u64) -> usize {
         let Some(engine) = self.rules.as_ref() else {
             return 0;
         };
@@ -475,7 +504,7 @@ impl ShardedHost {
             return 0;
         }
         let mut dispatched = 0;
-        for digest in engine.flush_due(self.clock.now().as_millis()) {
+        for digest in engine.flush_due(now_ms) {
             let user = UserId::new(digest.user.clone());
             let shard = shard_of(&user, self.shards.len());
             if self.send(shard, ShardMsg::Digest(user, digest.to_incoming())).await {
@@ -590,11 +619,16 @@ impl ShardedHost {
     }
 
     /// Stops every worker (each drains, commits, and compacts nothing
-    /// further) and returns the merged final snapshot.
+    /// further) and returns the merged final snapshot. Digest windows
+    /// live in memory only, so every open one is flushed first — early
+    /// delivery, never loss. Shard queues are FIFO: each digest is
+    /// routed, committed and sent (or handed to the ledger) before its
+    /// shard sees `Stop`.
     pub async fn shutdown(self) -> ShardedSnapshot {
         if let Some(sweeper) = &self.sweeper {
             sweeper.abort();
         }
+        self.flush_digests(u64::MAX).await;
         let mut merged = ShardedSnapshot::default();
         for shard in self.shards {
             let (reply_tx, reply_rx) = oneshot::channel();
@@ -670,9 +704,9 @@ struct Worker<C> {
     notices: mpsc::Sender<HostNotice>,
     log: SharedShardLog,
     roster: HashMap<UserId, UserSlot>,
-    /// The central timer wheel: `(deadline, seq)` → entry. Replaces the
-    /// per-timer spawned tasks of [`crate::MabService`]; at shard scale,
-    /// one `BTreeMap` beats ten thousand sleeping tasks.
+    /// The central timer wheel: `(deadline, seq)` → entry. One `BTreeMap`
+    /// instead of a sleeping task per timer: at shard scale that is ten
+    /// thousand tasks saved.
     timers: BTreeMap<(SimTime, u64), TimerEntry>,
     timer_seq: u64,
     next_incarnation: u64,

@@ -1,7 +1,8 @@
 //! Integration tests for the host: routing, bounded state and the notice
-//! stream, rules and presence wiring, the hibernation lifecycle and its
-//! races, corrupt-snapshot fallback, crash-replay over on-disk shard
-//! logs, and the one-buddy-crashes-alone group-commit contract.
+//! stream, the delivery lifecycle against real (paused) time, rules and
+//! presence wiring, the hibernation lifecycle and its races,
+//! corrupt-snapshot fallback, crash-replay over on-disk shard logs,
+//! rejuvenation, and the one-buddy-crashes-alone group-commit contract.
 
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};
@@ -206,11 +207,13 @@ async fn lagging_notice_consumer_drops_instead_of_buffering() {
 async fn external_ack_reaches_the_right_buddy() {
     // accept_all: no automatic ack, so both deliveries sit in their 60 s
     // IM window until a user ack is reported through the front door.
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(64)));
     let shared = SharedChannels::new(LoopbackChannels::accept_all());
     let (host, mut notices) =
-        ShardedHost::new(shared, test_config(1), factory(), Telemetry::disabled()).unwrap();
+        ShardedHost::new(shared.clone(), test_config(1), factory(), telemetry.clone()).unwrap();
     let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
     host.register_many(vec![alice.clone(), bob.clone()]).await;
+    let t0 = tokio::time::Instant::now();
     host.submit_im(&alice, sensor_alert("Sensor A ON")).await;
     host.submit_im(&bob, sensor_alert("Sensor B ON")).await;
     tokio::time::sleep(Duration::from_millis(10)).await;
@@ -223,13 +226,27 @@ async fn external_ack_reaches_the_right_buddy() {
     let snap = host.snapshot().await;
     assert_eq!(snap.acked, 1);
     assert_eq!(snap.in_flight, 1, "bob's delivery is untouched by alice's ack");
+
+    // The same ack again, now that alice's delivery has retired: dropped
+    // and counted, never fed to the buddy.
+    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    assert_eq!(host.snapshot().await.stats, snap.stats);
+    assert_eq!(telemetry.metrics().snapshot().counter("runtime.stale_dropped"), 1);
+
+    // Nobody acks bob: his 60 s window (a wheel entry, auto-advanced)
+    // expires into the email fallback.
+    let (user, status) = next_finished(&mut notices).await;
+    assert_eq!(user, bob);
+    assert!(matches!(status, DeliveryStatus::Unconfirmed { block: 1, .. }), "{status:?}");
+    assert!(t0.elapsed() >= Duration::from_secs(60), "elapsed {:?}", t0.elapsed());
+    shared.with(|c| assert_eq!(c.sent().last().unwrap().1, "bob@mail"));
     host.shutdown().await;
 }
 
 #[tokio::test(start_paused = true)]
 async fn hibernate_and_rehydrate_preserves_totals_exactly_once() {
     let sink = Arc::new(RingBufferSink::new(64));
-    let telemetry = Telemetry::with_sink(sink);
+    let telemetry = Telemetry::with_sink(sink.clone());
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(100)));
     let (host, mut notices) =
         ShardedHost::new(shared.clone(), test_config(1), factory(), telemetry.clone()).unwrap();
@@ -239,6 +256,18 @@ async fn hibernate_and_rehydrate_preserves_totals_exactly_once() {
     host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
     let (_, status) = next_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
+
+    // One sink spans both layers of that alert: the core pipeline's
+    // events (mab.*, wal.*, delivery.*) and the worker's own counters.
+    let names: Vec<String> = sink.events().into_iter().map(|e| e.name).collect();
+    for expected in ["mab.received", "wal.append", "delivery.acked", "mab.retired"] {
+        assert!(names.iter().any(|n| n == expected), "missing {expected} in {names:?}");
+    }
+    let metrics = telemetry.metrics().snapshot();
+    assert_eq!(metrics.counter("runtime.sends"), 1);
+    assert_eq!(metrics.counter("runtime.acks_sent"), 1);
+    assert_eq!(metrics.counter("host.routed"), 1);
+    assert_eq!(metrics.histogram("delivery.ack_latency_ms").unwrap().count, 1);
 
     assert!(host.force_hibernate(&alice).await, "idle buddy must hibernate");
     let parked = host.snapshot().await;
@@ -394,6 +423,144 @@ async fn restart_replays_committed_unmarked_records_only() {
 }
 
 #[tokio::test(start_paused = true)]
+async fn replay_claims_delivery_ids_before_a_live_alert_queued_behind_it() {
+    // §4.2.1: the restart protocol replays unprocessed records before new
+    // alerts are accepted. Two committed, unmarked records sit in the
+    // on-disk shard log; a live alert is queued before the worker has
+    // taken its first turn.
+    let dir = std::env::temp_dir().join(format!("simba-shardhost-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let carol = UserId::new("carol");
+    {
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(dir.join("shard-000"))).unwrap();
+        log.append(&carol, &sensor_alert("Sensor replay A"), SimTime::ZERO).unwrap();
+        log.append(&carol, &sensor_alert("Sensor replay B"), SimTime::ZERO).unwrap();
+        log.commit().unwrap();
+    }
+    let config = ShardedHostConfig { log_dir: Some(dir.clone()), ..test_config(1) };
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+    host.submit_im(&carol, sensor_alert("Sensor live")).await;
+
+    let snap = host.snapshot().await;
+    assert_eq!(snap.stats.replayed, 2);
+    assert_eq!(snap.stats.deliveries_started, 3);
+    assert_eq!(snap.unrouted, 0, "the log's demand registered carol before the alert was routed");
+    shared.with(|c| {
+        let texts: Vec<&str> = c.sent().iter().map(|(_, _, text)| text.as_str()).collect();
+        assert_eq!(texts.len(), 3, "{texts:?}");
+        assert!(texts[0].contains("replay A") && texts[1].contains("replay B"), "{texts:?}");
+        assert!(texts[2].contains("Sensor live"), "{texts:?}");
+    });
+
+    // Only the live alert is acked back to its source (once its record
+    // is committed); replays are never re-acked.
+    let HostNotice { notice, .. } = notices.recv().await.unwrap();
+    assert_eq!(notice, RuntimeNotice::AckSent { source: "aladdin-gw".into() });
+
+    // The replays hold ids 0 and 1: acking those leaves exactly the live
+    // alert's delivery to run out its IM window into the email fallback.
+    for id in [0, 1] {
+        host.ack(&carol, DeliveryId(id), AttemptId(0)).await;
+        let HostNotice { notice, .. } = notices.recv().await.unwrap();
+        assert!(
+            matches!(notice, RuntimeNotice::DeliveryFinished { delivery, status: DeliveryStatus::Acked { .. } } if delivery == DeliveryId(id)),
+            "{notice:?}"
+        );
+    }
+    let HostNotice { notice, .. } = notices.recv().await.unwrap();
+    assert!(
+        matches!(notice, RuntimeNotice::DeliveryFinished { delivery: DeliveryId(2), status: DeliveryStatus::Unconfirmed { block: 1, .. } }),
+        "{notice:?}"
+    );
+    shared.with(|c| {
+        let (channel, _, text) = c.sent().last().unwrap();
+        assert_eq!(*channel, CommType::Email);
+        assert!(text.contains("Sensor live"), "{text}");
+    });
+    host.shutdown().await;
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[tokio::test(start_paused = true)]
+async fn a_delivery_with_every_block_disabled_finishes_exhausted_exactly_once() {
+    // Terminal at start: zero send commands, so nothing but retirement
+    // can report it — an observer waiting on the stream must not hang.
+    let nobody_home: ConfigFactory = Arc::new(|user: &UserId| {
+        let mut config = user_config(&user.0);
+        let book = &mut config.registry.user_mut(user).unwrap().address_book;
+        book.set_enabled("IM", false);
+        book.set_enabled("EM", false);
+        config
+    });
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), test_config(1), nobody_home, Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    host.submit_im(&alice, sensor_alert("Sensor ON")).await;
+
+    let snap = host.shutdown().await;
+    assert_eq!(snap.exhausted, 1);
+    let mut seen = Vec::new();
+    while let Some(HostNotice { notice, .. }) = notices.recv().await {
+        seen.push(notice);
+    }
+    assert_eq!(seen.len(), 2, "{seen:?}");
+    assert_eq!(seen[0], RuntimeNotice::AckSent { source: "aladdin-gw".into() });
+    assert!(
+        matches!(seen[1], RuntimeNotice::DeliveryFinished { status: DeliveryStatus::Exhausted { .. }, .. }),
+        "{seen:?}"
+    );
+    shared.with(|c| assert!(c.sent().is_empty()));
+}
+
+#[tokio::test(start_paused = true)]
+async fn remote_rejuvenation_restarts_the_buddy_and_the_worker_carries_on() {
+    use simba_core::rejuvenate::RejuvenationTrigger;
+
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), test_config(1), factory(), Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
+    next_finished(&mut notices).await;
+
+    host.submit_im(&alice, sensor_alert("SIMBA-REJUVENATE")).await;
+    loop {
+        let HostNotice { user, notice } = notices.recv().await.unwrap();
+        if let RuntimeNotice::Rejuvenating(trigger) = notice {
+            assert_eq!((user, trigger), (alice.clone(), RejuvenationTrigger::RemoteCommand));
+            break;
+        }
+    }
+    // The old incarnation's totals are folded, not lost, and the command
+    // itself started no delivery.
+    let snap = host.snapshot().await;
+    assert_eq!(snap.stats.remote_commands, 1);
+    assert_eq!(snap.stats.received_im, 2);
+    assert_eq!(snap.stats.deliveries_started, 1);
+    assert_eq!(snap.stats.replayed, 0, "the command's record was marked before the restart");
+    assert_eq!(snap.crashes, 0, "an orderly restart is not a crash");
+
+    // The next alert runs on a fresh incarnation: delivery ids restart.
+    host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
+    loop {
+        let HostNotice { notice, .. } = notices.recv().await.unwrap();
+        if let RuntimeNotice::DeliveryFinished { delivery, status } = notice {
+            assert_eq!(delivery, DeliveryId(0));
+            assert!(matches!(status, DeliveryStatus::Acked { .. }));
+            break;
+        }
+    }
+    let snap = host.shutdown().await;
+    assert_eq!(snap.stats.deliveries_started, 2);
+    shared.with(|c| assert_eq!(c.sent().len(), 2));
+}
+
+#[tokio::test(start_paused = true)]
 async fn a_failed_group_commit_releases_nothing_and_loses_nothing() {
     let dir = std::env::temp_dir().join(format!("simba-shardhost-commitfail-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -546,12 +713,12 @@ async fn im_failure_falls_back_to_email_under_sharding() {
     assert_eq!(snap.unconfirmed, 1);
 }
 
-#[tokio::test(start_paused = true)]
-async fn rules_digest_storm_collapses_inside_the_shard_worker() {
-    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig, SharedRuleEngine};
+/// An in-memory engine folding everything `aladdin-gw` sends alice into
+/// one 5 s digest window.
+fn alice_storm_engine() -> simba_rules::SharedRuleEngine {
+    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
 
-    let engine: SharedRuleEngine =
-        Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+    let engine = Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
     engine
         .upsert(
             "alice",
@@ -563,6 +730,12 @@ async fn rules_digest_storm_collapses_inside_the_shard_worker() {
             ),
         )
         .unwrap();
+    engine
+}
+
+#[tokio::test(start_paused = true)]
+async fn rules_digest_storm_collapses_inside_the_shard_worker() {
+    let engine = alice_storm_engine();
     let config = ShardedHostConfig { rules: Some(engine.clone()), ..test_config(2) };
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
     let (host, mut notices) =
@@ -594,6 +767,35 @@ async fn rules_digest_storm_collapses_inside_the_shard_worker() {
     // Two user deliveries plus one digest — never fifty-one.
     assert_eq!(snap.stats.deliveries_started, 2);
     assert_eq!(snap.unrouted, 0);
+}
+
+#[tokio::test(start_paused = true)]
+async fn shutdown_flushes_open_digest_windows_instead_of_dropping_them() {
+    let engine = alice_storm_engine();
+    let config = ShardedHostConfig { rules: Some(engine.clone()), ..test_config(1) };
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
+    let (host, _notices) =
+        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+
+    // Five admitted alerts sit in a window that is not due for 5 s.
+    for round in 0..5 {
+        assert!(host.submit_im(&alice, sensor_alert(&format!("Sensor {round} ON"))).await);
+    }
+    assert_eq!(host.snapshot().await.stats.deliveries_started, 0, "all five absorbed");
+    assert_eq!(engine.pending_digests(), 1);
+
+    // What `gateway serve` and E11 do at stop. Windows live in memory
+    // only, so whatever stop leaves open is lost without a crash.
+    assert_eq!(host.pump_digests().await, 0, "window not due yet");
+    let snap = host.shutdown().await;
+    assert_eq!(engine.pending_digests(), 0, "stop delivers early, it does not drop");
+    assert_eq!(snap.stats.deliveries_started, 1);
+    shared.with(|c| {
+        assert_eq!(c.sent().len(), 1, "exactly one digest: {:?}", c.sent());
+        assert!(c.sent()[0].2.contains("5 alerts"), "carrying all five: {:?}", c.sent()[0]);
+    });
 }
 
 #[tokio::test(start_paused = true)]

@@ -103,7 +103,7 @@ impl fmt::Display for Value {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Event name, dot-separated by subsystem (`wal.append`,
-    /// `delivery.fallback`, `watchdog.probe`, ...).
+    /// `delivery.fallback`, `mab.received`, ...).
     pub name: String,
     /// Timestamp in milliseconds. On simulation paths this is
     /// `SimTime::as_millis()` — never a wall-clock read; on live-runtime

@@ -85,7 +85,6 @@ pub const SCOPES: &[&str] = &[
     "client",
     "net",
     "runtime",
-    "watchdog",
     "stabilize",
     "rejuvenate",
     "store",
@@ -115,10 +114,7 @@ pub const DYNAMIC_SCOPES: &[&str] = &["net"];
 /// rules entirely — its tests and examples use placeholder names.
 pub const CRATE_SCOPES: &[(&str, &[&str])] = &[
     ("core", &["mab", "wal", "delivery", "stabilize", "rejuvenate"]),
-    (
-        "runtime",
-        &["runtime", "watchdog", "host", "mab", "wal", "delivery"],
-    ),
+    ("runtime", &["runtime", "host", "mab", "wal", "delivery"]),
     ("net", &["net"]),
     ("store", &["store"]),
     ("ledger", &["ledger"]),
@@ -233,16 +229,9 @@ pub const POINTS: &[PointDef] = &[
     point!("rules.suppressed", [Counter], "rules", "alerts dropped by a suppress rule or dedupe template"),
     point!("rules.upserts", [Counter], "rules", "rules created or replaced in the rules log"),
     point!("runtime.acks_sent", [Counter], "runtime", "acknowledgements the runtime forwarded to sources"),
-    point!("runtime.deliveries_finished", [Counter], "runtime", "delivery state machines driven to completion"),
-    point!("runtime.delivery_finished", [Event], "runtime", "one delivery state machine completed, with its outcome"),
-    point!("runtime.notice_dropped", [Counter], "runtime", "service notices dropped because the notice queue was full"),
-    point!("runtime.recovered", [Event], "runtime", "the supervisor restarted the MAB after a failure"),
-    point!("runtime.recoveries", [Counter], "runtime", "supervisor-driven MAB restarts"),
-    point!("runtime.rejuvenating", [Event], "runtime", "a proactive rejuvenation restart began"),
     point!("runtime.rejuvenations", [Counter], "runtime", "proactive rejuvenation restarts performed"),
-    point!("runtime.send", [Event], "runtime", "the runtime dispatched one channel send"),
     point!("runtime.sends", [Counter], "runtime", "channel sends dispatched by the runtime"),
-    point!("runtime.stale_dropped", [Event, Counter], "runtime", "an expired alert was dropped instead of delivered"),
+    point!("runtime.stale_dropped", [Counter], "runtime", "acks and timer wakeups dropped because their delivery or buddy incarnation was gone"),
     point!("sanity.client_restart", [Counter], "sanity", "sim: client restarts performed by the sanity checker (Table 2)"),
     point!("sanity.dialog_dismissed", [Counter], "sanity", "sim: stuck dialogs dismissed by the sanity checker (Table 2)"),
     point!("sanity.relogon", [Counter], "sanity", "sim: IM re-logons performed by the sanity checker (Table 2)"),
@@ -277,11 +266,6 @@ pub const POINTS: &[PointDef] = &[
     point!("wal.appends", [Counter], "wal", "WAL records appended"),
     point!("wal.replayed", [Event], "wal", "WAL replay finished after a restart, with record counts"),
     point!("wal.replays", [Counter], "wal", "WAL replays performed across restarts"),
-    point!("watchdog.missed_probes", [Counter], "watchdog", "liveness probes that timed out or errored"),
-    point!("watchdog.probe", [Event], "watchdog", "one watchdog liveness probe completed"),
-    point!("watchdog.probe_latency_ms", [Histogram], "watchdog", "watchdog probe round-trip time"),
-    point!("watchdog.probes", [Counter], "watchdog", "watchdog liveness probes sent"),
-    point!("watchdog.service_down", [Event], "watchdog", "the watchdog declared the service down and escalated"),
 ];
 
 /// Looks up a registered name.

@@ -242,7 +242,7 @@ impl MetricsSnapshot {
     /// ```text
     /// counter runtime.sends 3
     /// gauge   mab.backlog 0
-    /// histo   watchdog.probe_latency_ms n=2 mean=7.5ms p_buckets=[(4,1),(8,1)]
+    /// histo   delivery.ack_latency_ms n=2 mean=7.5ms p_buckets=[(4,1),(8,1)]
     /// ```
     pub fn render_text(&self) -> String {
         let mut out = String::new();
