@@ -16,7 +16,7 @@
 //!   deliver → mark), acked within a 1 ms window;
 //! * assert the ledger: every alert logged, delivered, acked, marked,
 //!   with zero crashes and zero unrouted;
-//! * let the idle sweep park the whole active set and assert memory
+//! * let the idle deadlines park the whole active set and assert memory
 //!   tracks *activations*, not registrations.
 //!
 //! E3H soaks the same host with every user busy. On multi-core hardware
@@ -57,7 +57,7 @@ pub struct E8Options {
     pub waves: usize,
     /// Shard workers multiplexing the fleet.
     pub shards: usize,
-    /// Idle threshold before the sweep parks a buddy (virtual time on
+    /// Idle time after which a buddy's deadline parks it (virtual time on
     /// the single-threaded path, wall time with `threads`).
     pub hibernate_after: SimDuration,
     /// Thread-per-shard: run each shard worker on a dedicated OS thread
@@ -130,7 +130,7 @@ pub struct E8Numbers {
     pub acked: u64,
     /// Highest concurrent live-buddy count sampled.
     pub peak_active: usize,
-    /// Buddies parked by the idle sweep after the drain.
+    /// Buddies parked by their idle deadlines after the drain.
     pub hibernated_final: u64,
     /// Log appends (one per alert) and processed-marks.
     pub log_appends: u64,
@@ -241,7 +241,7 @@ async fn drive(opts: E8Options) -> RawE8 {
     assert_eq!(drained.unrouted, 0, "every user was registered");
     assert_eq!(drained.crashes, 0, "no buddy may crash in the clean run");
 
-    // Let the idle sweep park the whole active set: memory tracks
+    // Let the idle deadlines park the whole active set: memory tracks
     // activations, not registrations.
     tokio::time::sleep(Duration::from_secs(90)).await;
     let final_snap = host.shutdown().await;
@@ -302,7 +302,7 @@ async fn drive_threaded(opts: E8Options) -> (RawE8, f64) {
     assert_eq!(drained.unrouted, 0, "every user was registered");
     assert_eq!(drained.crashes, 0, "no buddy may crash in the clean run");
 
-    // Park: poll until the idle sweep hibernates the whole active set.
+    // Park: poll until the idle deadlines have parked the whole active set.
     let mut final_snap = None;
     for _ in 0..2_000 {
         let snap = host.snapshot().await;
@@ -380,7 +380,7 @@ pub fn measure(opts: E8Options) -> (E8Numbers, Vec<Table>) {
 
     let mut bounded = Table::new(
         "E8: memory tracks active users, not registered",
-        &["registered", "peak live buddies", "hibernated after sweep", "live floor"],
+        &["registered", "peak live buddies", "hibernated at idle deadline", "live floor"],
     );
     bounded.row(&[
         numbers.users.to_string(),
@@ -477,7 +477,7 @@ pub fn run_with(opts: E8Options, mode: BenchMode) -> ExperimentOutput {
             ),
             format!(
                 "group commit amortized {:.1} log writes per commit; every buddy parked \
-                 back to a snapshot after the idle sweep (live floor 0)",
+                 back to a snapshot at its idle deadline (live floor 0)",
                 numbers.writes_per_commit
             ),
         ],

@@ -583,7 +583,7 @@ fn host_sharded(args: &[String]) -> Outcome {
     }
     let _ = writeln!(
         out,
-        "peak live buddies {} (of {} registered); {} hibernated after the sweep",
+        "peak live buddies {} (of {} registered); {} hibernated at their idle deadlines",
         numbers.peak_active, numbers.users, numbers.hibernated_final
     );
     let _ = writeln!(
@@ -1807,7 +1807,7 @@ mod tests {
             out.output
         );
         assert!(out.output.contains("log writes per group commit"), "{}", out.output);
-        assert!(out.output.contains("20 hibernated after the sweep"), "{}", out.output);
+        assert!(out.output.contains("20 hibernated at their idle deadlines"), "{}", out.output);
         assert_eq!(host(&strings(&["--sharded", "--active", "0"])).code, 2);
         assert_eq!(host(&strings(&["--sharded", "--waves", "none"])).code, 2);
         assert_eq!(host(&strings(&["--sharded", "--frobnicate"])).code, 2);
@@ -1821,7 +1821,7 @@ mod tests {
         ]));
         assert_eq!(out.code, 0, "{}", out.output);
         assert!(out.output.contains("(thread-per-shard)"), "{}", out.output);
-        assert!(out.output.contains("20 hibernated after the sweep"), "{}", out.output);
+        assert!(out.output.contains("20 hibernated at their idle deadlines"), "{}", out.output);
     }
 
     #[test]

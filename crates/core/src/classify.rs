@@ -15,7 +15,7 @@
 //! their unsubscribe instructions.
 
 use crate::alert::IncomingAlert;
-use std::collections::BTreeMap;
+use crate::vecmap::VecMap;
 
 /// Which field of an incoming alert carries the category keywords.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,7 @@ pub struct ServiceEntry {
 pub struct Classifier {
     sources: Vec<SourceRule>,
     /// keyword → personal category (aggregation).
-    keyword_map: BTreeMap<String, String>,
+    keyword_map: VecMap<String, String>,
     subcats: Vec<SubCatRule>,
     default_category: Option<String>,
 }

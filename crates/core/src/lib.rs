@@ -46,6 +46,7 @@ pub mod shardlog;
 pub mod snapshot;
 pub mod stabilize;
 pub mod subscription;
+pub(crate) mod vecmap;
 pub mod wal;
 
 pub use address::{Address, AddressBook, CommType};

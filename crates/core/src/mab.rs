@@ -402,6 +402,10 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
             }
             out.push(summary);
         }
+        if self.deliveries.is_empty() {
+            // Hand back the root leaf (eleven slots) an emptied map keeps.
+            self.deliveries = BTreeMap::new();
+        }
         out
     }
 

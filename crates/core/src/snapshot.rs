@@ -10,10 +10,10 @@
 //! id watermarks (delivery/alert ids are never reused, even across
 //! hibernate/rehydrate cycles).
 //!
-//! The encoding is versioned and CRC-guarded. Decoding a corrupt or
-//! foreign-version snapshot fails loudly ([`SnapshotError`]) so the host
-//! can fall back to the §4.2.1 recovery path: start a fresh buddy and
-//! replay the shard log. Nothing a snapshot holds is required for
+//! The encoding is versioned and CRC-guarded; counters are LEB128
+//! varints. A corrupt or foreign-version snapshot fails to decode
+//! ([`SnapshotError`]) and the host falls back to §4.2.1 recovery: a
+//! fresh buddy replays the shard log. Nothing a snapshot holds is required for
 //! *correctness* — alerts live in the write-ahead log — so losing one
 //! costs counters, never deliveries.
 
@@ -23,7 +23,7 @@ use simba_sim::SimTime;
 
 /// Current encoding version. Bump on any layout change; decoders reject
 /// versions they do not know instead of guessing.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// The 4-byte magic prefix of every encoded snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SBSN";
@@ -96,13 +96,17 @@ impl BuddySnapshot {
     /// Serializes to the versioned, CRC-trailed wire form.
     pub fn encode(&self) -> Vec<u8> {
         let user = self.user.0.as_bytes();
-        let mut out = Vec::with_capacity(4 + 2 + 4 + user.len() + 14 * 8 + 4);
+        let mut out = Vec::with_capacity(4 + 2 + 4 + user.len() + 14 * 2 + 4);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&(user.len() as u32).to_le_bytes());
         out.extend_from_slice(user);
-        for v in self.counter_words() {
-            out.extend_from_slice(&v.to_le_bytes());
+        for mut v in self.counter_words() {
+            while v >= 0x80 {
+                out.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -126,7 +130,7 @@ impl BuddySnapshot {
         if stored != computed {
             return Err(SnapshotError::BadCrc { stored, computed });
         }
-        let mut r = Reader { bytes: body, pos: 0 };
+        let mut r = Reader(body);
         if r.take(4)? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -140,9 +144,9 @@ impl BuddySnapshot {
             .to_string();
         let mut words = [0u64; 14];
         for w in &mut words {
-            *w = u64::from_le_bytes(r.take(8)?.try_into().map_err(|_| SnapshotError::Truncated)?);
+            *w = r.varint()?;
         }
-        if r.pos != body.len() {
+        if !r.0.is_empty() {
             return Err(SnapshotError::Malformed("trailing bytes"));
         }
         Ok(BuddySnapshot {
@@ -166,7 +170,7 @@ impl BuddySnapshot {
         })
     }
 
-    /// The fixed-width payload words, in encoding order.
+    /// The payload words, in encoding order.
     fn counter_words(&self) -> [u64; 14] {
         let s = &self.stats;
         [
@@ -188,20 +192,33 @@ impl BuddySnapshot {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+/// The bytes not yet decoded.
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
+        if n > self.0.len() {
             return Err(SnapshotError::Truncated);
         }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
+        let (out, rest) = self.0.split_at(n);
+        self.0 = rest;
         Ok(out)
+    }
+
+    /// One LEB128 `u64`: at most ten bytes, the tenth no more than 1.
+    fn varint(&mut self) -> Result<u64, SnapshotError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.take(1)?[0];
+            if shift == 63 && byte > 1 {
+                break;
+            }
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(SnapshotError::Malformed("varint longer than 10 bytes or over 64 bits"))
     }
 }
 
@@ -258,11 +275,79 @@ mod tests {
         }
     }
 
+    /// A snapshot whose fourteen payload words are `words`.
+    fn from_words(words: [u64; 14]) -> BuddySnapshot {
+        BuddySnapshot {
+            user: UserId::new("user042"),
+            stats: MabStats {
+                received_im: words[0],
+                received_email: words[1],
+                acked: words[2],
+                rejected: words[3],
+                routed: words[4],
+                unsubscribed: words[5],
+                deliveries_started: words[6],
+                replayed: words[7],
+                remote_commands: words[8],
+                retired: words[9],
+                mode_overridden: words[10],
+            },
+            next_delivery: words[11],
+            next_alert: words[12],
+            last_progress_at: SimTime::from_millis(words[13]),
+        }
+    }
+
     #[test]
     fn round_trips() {
-        let snap = snapshot();
-        let bytes = snap.encode();
-        assert_eq!(BuddySnapshot::decode(&bytes).unwrap(), snap);
+        let mut cases = vec![snapshot(), from_words([0; 14]), from_words([u64::MAX; 14])];
+        let mut rng = simba_sim::SimRng::new(0x5B5E);
+        for _ in 0..200 {
+            // Random widths, so every varint length 1..=10 is exercised.
+            cases.push(from_words(std::array::from_fn(|_| {
+                rng.range(0, u64::MAX) >> rng.range(0, 63)
+            })));
+        }
+        for snap in cases {
+            assert_eq!(BuddySnapshot::decode(&snap.encode()).unwrap(), snap);
+        }
+    }
+
+    #[test]
+    fn an_idle_users_snapshot_is_a_few_dozen_bytes() {
+        // 7-byte name, one alert's counters, a clock a few minutes in.
+        let mut words = [1u64; 14];
+        words[13] = 300_000;
+        assert!(from_words(words).encode().len() <= 48);
+    }
+
+    #[test]
+    fn overlong_and_overflowing_varints_are_malformed() {
+        // Header for an empty user name, then thirteen zero words and a
+        // bad last one, CRC re-sealed so only the varint check can object.
+        let sealed = |last: &[u8]| {
+            let mut bytes = SNAPSHOT_MAGIC.to_vec();
+            bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(&[0; 13]);
+            bytes.extend_from_slice(last);
+            let crc = crc32(&bytes).to_le_bytes();
+            bytes.extend_from_slice(&crc);
+            bytes
+        };
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(
+            BuddySnapshot::decode(&sealed(&max)).unwrap().last_progress_at.as_millis(),
+            u64::MAX
+        );
+        let overflow = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+        let eleven = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        for bad in [&overflow[..], &eleven[..]] {
+            assert!(matches!(
+                BuddySnapshot::decode(&sealed(bad)),
+                Err(SnapshotError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
@@ -274,24 +359,27 @@ mod tests {
 
     #[test]
     fn bit_flip_is_detected() {
-        let mut bytes = snapshot().encode();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(
-            BuddySnapshot::decode(&bytes),
-            Err(SnapshotError::BadCrc { .. })
-        ));
+        for snap in [snapshot(), from_words([u64::MAX; 14])] {
+            let bytes = snap.encode();
+            for bit in 0..bytes.len() * 8 {
+                let mut damaged = bytes.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                assert!(BuddySnapshot::decode(&damaged).is_err(), "bit {bit}");
+            }
+        }
     }
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = snapshot().encode();
-        for cut in [0, 3, 9, bytes.len() - 5] {
-            let err = BuddySnapshot::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Truncated | SnapshotError::BadCrc { .. }),
-                "cut at {cut}: {err:?}"
-            );
+        for snap in [snapshot(), from_words([u64::MAX; 14])] {
+            let bytes = snap.encode();
+            for cut in 0..bytes.len() {
+                let err = BuddySnapshot::decode(&bytes[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Truncated | SnapshotError::BadCrc { .. }),
+                    "cut at {cut}: {err:?}"
+                );
+            }
         }
     }
 
@@ -301,15 +389,14 @@ mod tests {
         let mut bytes = snap.encode();
         // Rewrite the version field and re-seal the CRC so only the
         // version check can object.
-        bytes[4] = 0xFF;
-        bytes[5] = 0xFF;
-        let body_len = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&crc);
-        assert_eq!(
-            BuddySnapshot::decode(&bytes),
-            Err(SnapshotError::BadVersion(0xFFFF))
-        );
+        // Version 1 (fixed-width words) is as foreign as any other.
+        for version in [0xFFFFu16, 1] {
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            let body_len = bytes.len() - 4;
+            let crc = crc32(&bytes[..body_len]).to_le_bytes();
+            bytes[body_len..].copy_from_slice(&crc);
+            assert_eq!(BuddySnapshot::decode(&bytes), Err(SnapshotError::BadVersion(version)));
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use crate::address::AddressBook;
 use crate::mode::DeliveryMode;
+use crate::vecmap::VecMap;
 use simba_sim::SimTime;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A user identifier.
@@ -113,7 +113,7 @@ pub struct UserProfile {
     pub address_book: AddressBook,
     /// Shared so a routed alert hands its [`DeliveryMode`] to the delivery
     /// process without a deep clone (the alert hot path).
-    modes: BTreeMap<String, Arc<DeliveryMode>>,
+    modes: VecMap<String, Arc<DeliveryMode>>,
 }
 
 impl UserProfile {
@@ -135,16 +135,16 @@ impl UserProfile {
 
     /// Names of all defined modes.
     pub fn mode_names(&self) -> impl Iterator<Item = &str> {
-        self.modes.keys().map(String::as_str)
+        self.modes.iter().map(|(name, _)| name.as_str())
     }
 }
 
 /// The registry behind the subscription layer.
 #[derive(Debug, Clone, Default)]
 pub struct SubscriptionRegistry {
-    users: BTreeMap<UserId, UserProfile>,
+    users: VecMap<UserId, UserProfile>,
     /// category → subscriptions.
-    subscriptions: BTreeMap<String, Vec<Subscription>>,
+    subscriptions: VecMap<String, Vec<Subscription>>,
 }
 
 impl SubscriptionRegistry {
@@ -155,7 +155,7 @@ impl SubscriptionRegistry {
 
     /// Registers a user (idempotent).
     pub fn register_user(&mut self, user: UserId) -> &mut UserProfile {
-        self.users.entry(user).or_default()
+        self.users.get_or_default(user)
     }
 
     /// The user's profile, if registered.
@@ -188,7 +188,7 @@ impl SubscriptionRegistry {
         if profile.mode(&mode_name).is_none() {
             return Err(SubscriptionError::UnknownMode { user, mode_name });
         }
-        let subs = self.subscriptions.entry(category.clone()).or_default();
+        let subs = self.subscriptions.get_or_default(category.clone());
         if subs.iter().any(|s| s.user == user) {
             return Err(SubscriptionError::Duplicate { category, user });
         }
@@ -304,7 +304,7 @@ impl SubscriptionRegistry {
 
     /// All categories with at least one subscription.
     pub fn categories(&self) -> impl Iterator<Item = &str> {
-        self.subscriptions.keys().map(String::as_str)
+        self.subscriptions.iter().map(|(category, _)| category.as_str())
     }
 
     /// All subscriptions registered under exactly `category` (no
@@ -471,6 +471,30 @@ mod tests {
         let subs = r.active_subscriptions("Investment", SimTime::ZERO);
         assert_eq!(subs[0].mode_name, "Travel");
         assert!(r.set_mode("Investment", &alice(), "Nope").is_err());
+    }
+
+    #[test]
+    fn users_and_categories_iterate_in_id_order_however_they_were_registered() {
+        let mut order: Vec<u64> = (0..1_000).collect();
+        let mut rng = simba_sim::SimRng::new(7);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.range(0, i as u64) as usize);
+        }
+        let mut r = SubscriptionRegistry::new();
+        for n in &order {
+            let user = UserId::new(format!("user{n:04}"));
+            let profile = r.register_user(user.clone());
+            profile.define_mode(DeliveryMode::im_then_email("M", "IM", "IM", SimDuration::from_secs(30)));
+            r.subscribe(format!("Cat{n:04}"), user, "M").unwrap();
+        }
+        let users: Vec<&str> = r.users().map(|(u, _)| u.0.as_str()).collect();
+        assert_eq!(users.len(), 1_000);
+        assert!(users.windows(2).all(|w| w[0] < w[1]));
+        let categories: Vec<&str> = r.categories().collect();
+        assert_eq!(categories.len(), 1_000);
+        assert!(categories.windows(2).all(|w| w[0] < w[1]));
+        assert!(r.user(&UserId::new("user0500")).is_some());
+        assert_eq!(r.subscriptions_in("Cat0999").len(), 1);
     }
 
     #[test]

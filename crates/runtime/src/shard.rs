@@ -6,7 +6,8 @@
 //! a million, so [`ShardedHost`] is a fixed pool of shard workers
 //! (default: one per core), each multiplexing thousands of buddies over
 //! one [`ShardLog`] with **group commit** (one fsync per batch, not per
-//! alert) and **hibernation** (idle buddies are serialized to a compact
+//! alert) and **hibernation** (a buddy idle past its deadline — one
+//! timer-wheel entry per resident buddy — is serialized to a compact
 //! CRC-guarded [`BuddySnapshot`] and rebuilt on the next routed alert or
 //! replay demand), so resident memory tracks *active* users while the
 //! roster tracks *registered* ones. One shard with hibernation off is
@@ -118,8 +119,11 @@ pub struct ShardedHostConfig {
     /// Most inbound messages a worker drains before committing; bounds
     /// both ack latency and the blast radius of one commit.
     pub batch_max: usize,
-    /// Idle time after which a buddy hibernates. [`SimDuration::ZERO`]
-    /// disables the sweep (buddies stay resident once activated).
+    /// Idle time after which a buddy hibernates: its idle deadline is
+    /// `hibernate_after` past its last alert or acknowledgement, and it
+    /// is parked when that deadline fires with no delivery in flight.
+    /// [`SimDuration::ZERO`] means never (buddies stay resident once
+    /// activated, and no deadline is armed).
     pub hibernate_after: SimDuration,
     /// How long a terminal delivery lingers before retirement.
     pub retirement_grace: SimDuration,
@@ -212,10 +216,12 @@ pub struct ShardedSnapshot {
     pub in_flight: usize,
     /// Deliveries tracked (in-flight plus awaiting retirement).
     pub tracked: usize,
-    /// Entries waiting on the shard timer wheels (block timers and
-    /// simulated acks, including ones a retired delivery left behind —
+    /// Entries waiting on the shard timer wheels: block timers and
+    /// simulated acks (including ones a retired delivery left behind —
     /// those fire into a buddy that no longer tracks the delivery and
-    /// are ignored, so the wheels empty once the last deadline passes).
+    /// are ignored), plus one idle deadline per resident buddy when
+    /// hibernation is on. With it off the wheels empty once the last
+    /// deadline passes.
     pub pending_timers: usize,
     /// Retired-delivery summaries held in resident buddies' completed
     /// rings (each ≤ [`ShardedHostConfig::completed_ring`]).
@@ -306,7 +312,8 @@ enum UserSlot {
     /// Registered; never activated (or reset after a crash/rejuvenation,
     /// awaiting its next alert to restart and replay).
     Fresh,
-    /// Hibernated: the encoded [`BuddySnapshot`], a few dozen bytes.
+    /// Hibernated: the encoded [`BuddySnapshot`] — header, user name,
+    /// fourteen varint counters, CRC; about forty bytes.
     Hibernated(Box<[u8]>),
     /// Resident.
     Active(Box<ActiveBuddy>),
@@ -320,22 +327,26 @@ struct ActiveBuddy {
     /// that has since hibernated, crashed, or restarted are stale by
     /// comparison and dropped.
     incarnation: u64,
-    /// Last alert/ack activity, for the hibernation sweep.
+    /// Last alert/ack activity; the idle deadline is this plus
+    /// `hibernate_after`.
     last_event_at: SimTime,
 }
 
 /// What a timer-wheel entry delivers when it fires.
 enum TimerFire {
     /// A delivery-mode block timer.
-    Block(TimerId),
+    Block(DeliveryId, TimerId),
     /// A channel-simulated user acknowledgement
     /// ([`SendOutcome::AcceptedWithAck`]).
-    Ack(AttemptId),
+    Ack(DeliveryId, AttemptId),
+    /// The buddy's idle deadline: exactly one per resident buddy while
+    /// hibernation is on, armed at activation and re-armed when it fires
+    /// on a buddy that was touched since or is still delivering.
+    Idle,
 }
 
 struct TimerEntry {
     user: UserId,
-    delivery: DeliveryId,
     fire: TimerFire,
     incarnation: u64,
 }
@@ -452,8 +463,6 @@ impl ShardedHost {
                 unrouted: 0,
                 batch_max,
                 hibernate_after,
-                sweep_every: sweep_period(hibernate_after),
-                last_sweep: SimTime::ZERO,
                 retirement_grace,
                 completed_ring,
                 ledger: worker_ledger,
@@ -671,12 +680,6 @@ impl std::fmt::Debug for ShardedHost {
     }
 }
 
-/// Half the hibernation threshold, at least 1 ms: a buddy hibernates no
-/// later than 1.5× its idle threshold.
-fn sweep_period(hibernate_after: SimDuration) -> SimDuration {
-    SimDuration::from_millis((hibernate_after.as_millis() / 2).max(1))
-}
-
 /// Field-wise saturating subtraction: removes a rehydrated snapshot's
 /// totals from the folded aggregate they were parked in.
 fn stats_sub(total: &mut MabStats, part: MabStats) {
@@ -710,7 +713,7 @@ struct Worker<C> {
     timers: BTreeMap<(SimTime, u64), TimerEntry>,
     timer_seq: u64,
     next_incarnation: u64,
-    /// Users that saw events this batch — the retirement-sweep set.
+    /// Users that saw events this batch — the retirement set.
     touched: BTreeSet<UserId>,
     /// Effects of batches whose commit failed, released by the first
     /// later commit that succeeds (it covers their records too).
@@ -726,8 +729,6 @@ struct Worker<C> {
     unrouted: u64,
     batch_max: usize,
     hibernate_after: SimDuration,
-    sweep_every: SimDuration,
-    last_sweep: SimTime,
     retirement_grace: SimDuration,
     completed_ring: usize,
     /// Channel attempts go here instead of `channels` when set.
@@ -755,7 +756,6 @@ impl<C: Channels> Worker<C> {
         // buddy (auto-registered — the log proves they existed) whose
         // `recover()` replays them before new traffic is accepted.
         let now = self.clock.now();
-        self.last_sweep = now;
         let mut staged = Vec::new();
         let demand = self.lock_log().users_with_unprocessed();
         for user in demand {
@@ -799,11 +799,10 @@ impl<C: Channels> Worker<C> {
                     let _ = self.commit_once();
                     return;
                 }
-                Err(_) => {} // idle tick: timers and sweeps only
+                Err(_) => {} // idle tick: due timers only
             }
             self.fire_due_timers(now, &mut staged);
             self.finish_batch(staged, now);
-            self.maybe_sweep(now);
             if let Some(reply) = stop {
                 self.retire_all(now);
                 let _ = self.commit_once();
@@ -813,23 +812,16 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Time until the next timer deadline or hibernation sweep, clamped
-    /// to [1 ms, 1 s] so the worker stays responsive without spinning.
+    /// Time until the next timer-wheel deadline (block timer, simulated
+    /// ack or idle deadline), clamped to [1 ms, 1 s] so the worker stays
+    /// responsive without spinning.
     fn idle_wait(&self) -> Duration {
         let now = self.clock.now();
-        // With hibernation off `last_sweep` never advances, so there is
-        // no sweep deadline to wake for.
-        let mut deadline = if self.hibernate_after == SimDuration::ZERO {
-            now + SimDuration::from_secs(1)
-        } else {
-            self.last_sweep + self.sweep_every
+        let wait = match self.timers.first_key_value() {
+            Some(((at, _), _)) => at.since(now).as_millis(),
+            None => 1_000,
         };
-        if let Some(((at, _), _)) = self.timers.iter().next() {
-            if *at < deadline {
-                deadline = *at;
-            }
-        }
-        Duration::from_millis(deadline.since(now).as_millis().clamp(1, 1_000))
+        Duration::from_millis(wait.clamp(1, 1_000))
     }
 
     fn handle_msg(
@@ -843,6 +835,9 @@ impl<C: Channels> Worker<C> {
                 if self.telemetry.enabled() && !users.is_empty() {
                     self.telemetry.metrics().counter("host.users").add(users.len() as u64);
                 }
+                // One table allocation, not a run of doublings whose
+                // old+new copies set the process's memory high-water mark.
+                self.roster.reserve(users.len());
                 for user in users {
                     self.roster.entry(user).or_insert(UserSlot::Fresh);
                 }
@@ -1030,6 +1025,9 @@ impl<C: Channels> Worker<C> {
             user.clone(),
             UserSlot::Active(Box::new(ActiveBuddy { mab, incarnation, last_event_at: now })),
         );
+        if self.hibernate_after != SimDuration::ZERO {
+            self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
+        }
     }
 
     fn fold_crash(&mut self, user: &UserId, stats: MabStats) {
@@ -1065,34 +1063,36 @@ impl<C: Channels> Worker<C> {
     }
 
     /// Fires every due timer-wheel entry; entries whose incarnation no
-    /// longer matches the resident buddy are stale and dropped.
+    /// longer matches the resident buddy are stale and dropped (counted
+    /// when a delivery event was lost with them, not for idle deadlines).
     fn fire_due_timers(&mut self, now: SimTime, staged: &mut Vec<(UserId, MabCommand)>) {
         while let Some(((at, seq), entry)) = self.timers.pop_first() {
             if at > now {
                 self.timers.insert((at, seq), entry);
                 break;
             }
-            let current = matches!(
+            let live = matches!(
                 self.roster.get(&entry.user),
                 Some(UserSlot::Active(active)) if active.incarnation == entry.incarnation
             );
-            if !current {
-                if self.telemetry.enabled() {
-                    self.telemetry.metrics().counter("runtime.stale_dropped").incr();
+            let (id, event) = match entry.fire {
+                TimerFire::Idle => {
+                    if live {
+                        self.idle_deadline(&entry.user, now);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let event = match entry.fire {
-                TimerFire::Block(timer) => DeliveryEvent::TimerFired { timer },
-                TimerFire::Ack(attempt) => DeliveryEvent::Acked { attempt },
+                _ if !live => {
+                    if self.telemetry.enabled() {
+                        self.telemetry.metrics().counter("runtime.stale_dropped").incr();
+                    }
+                    continue;
+                }
+                TimerFire::Block(id, timer) => (id, DeliveryEvent::TimerFired { timer }),
+                TimerFire::Ack(id, attempt) => (id, DeliveryEvent::Acked { attempt }),
             };
             self.touched.insert(entry.user.clone());
-            self.feed(
-                &entry.user,
-                MabEvent::Delivery { id: entry.delivery, event },
-                now,
-                staged,
-            );
+            self.feed(&entry.user, MabEvent::Delivery { id, event }, now, staged);
         }
     }
 
@@ -1251,8 +1251,7 @@ impl<C: Channels> Worker<C> {
                                 SendOutcome::AcceptedWithAck(after) => {
                                     self.schedule(
                                         &user,
-                                        delivery,
-                                        TimerFire::Ack(attempt),
+                                        TimerFire::Ack(delivery, attempt),
                                         SimDuration::from_millis(after.as_millis() as u64),
                                         now,
                                     );
@@ -1271,7 +1270,7 @@ impl<C: Channels> Worker<C> {
                             );
                         }
                         DeliveryCommand::StartTimer { timer, after } => {
-                            self.schedule(&user, delivery, TimerFire::Block(timer), after, now);
+                            self.schedule(&user, TimerFire::Block(delivery, timer), after, now);
                         }
                     },
                 }
@@ -1281,14 +1280,7 @@ impl<C: Channels> Worker<C> {
         rejuvenating
     }
 
-    fn schedule(
-        &mut self,
-        user: &UserId,
-        delivery: DeliveryId,
-        fire: TimerFire,
-        after: SimDuration,
-        now: SimTime,
-    ) {
+    fn schedule(&mut self, user: &UserId, fire: TimerFire, after: SimDuration, now: SimTime) {
         let Some(UserSlot::Active(active)) = self.roster.get(user) else {
             return;
         };
@@ -1296,7 +1288,7 @@ impl<C: Channels> Worker<C> {
         self.timer_seq += 1;
         self.timers.insert(
             (now + after, seq),
-            TimerEntry { user: user.clone(), delivery, fire, incarnation: active.incarnation },
+            TimerEntry { user: user.clone(), fire, incarnation: active.incarnation },
         );
     }
 
@@ -1345,28 +1337,19 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// The hibernation sweep: every `sweep_every`, buddies idle past the
-    /// threshold are retired-then-hibernated.
-    fn maybe_sweep(&mut self, now: SimTime) {
-        if self.hibernate_after == SimDuration::ZERO || now.since(self.last_sweep) < self.sweep_every
-        {
+    /// A resident buddy's idle deadline fired. Touched since it was armed:
+    /// the deadline moved with the touch. Otherwise hibernate — or, with a
+    /// delivery still in flight, ask again one period on. Either way the
+    /// buddy keeps exactly one idle entry while it is resident.
+    fn idle_deadline(&mut self, user: &UserId, now: SimTime) {
+        let Some(UserSlot::Active(active)) = self.roster.get(user) else {
             return;
-        }
-        self.last_sweep = now;
-        let due: Vec<UserId> = self
-            .roster
-            .iter()
-            .filter_map(|(user, slot)| match slot {
-                UserSlot::Active(active)
-                    if now.since(active.last_event_at) >= self.hibernate_after =>
-                {
-                    Some(user.clone())
-                }
-                _ => None,
-            })
-            .collect();
-        for user in due {
-            self.try_hibernate(&user, now);
+        };
+        let deadline = active.last_event_at + self.hibernate_after;
+        if deadline > now {
+            self.schedule(user, TimerFire::Idle, deadline.since(now), now);
+        } else if !self.try_hibernate(user, now) {
+            self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
         }
     }
 
@@ -1465,12 +1448,6 @@ mod tests {
             seen.insert(shard_of(&UserId::new(format!("user{i}")), 8));
         }
         assert_eq!(seen.len(), 8, "256 users should reach all 8 shards");
-    }
-
-    #[test]
-    fn sweep_period_is_half_threshold_with_floor() {
-        assert_eq!(sweep_period(SimDuration::from_millis(100)), SimDuration::from_millis(50));
-        assert_eq!(sweep_period(SimDuration::ZERO), SimDuration::from_millis(1));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};
 use simba_core::delivery::{AttemptId, SendFailure};
 use simba_core::mab::DeliveryId;
-use simba_core::mode::DeliveryMode;
+use simba_core::mode::{Block, DeliveryMode};
 use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::shardlog::{ShardLog, ShardLogConfig};
 use simba_core::subscription::{SubscriptionRegistry, UserId};
@@ -299,7 +299,7 @@ async fn hibernate_and_rehydrate_preserves_totals_exactly_once() {
 
 #[tokio::test(start_paused = true)]
 async fn hibernation_refused_while_delivery_in_flight() {
-    // The race: an alert is mid-delivery when the hibernation sweep picks
+    // The race: an alert is mid-delivery when hibernation is asked of
     // the buddy. Hibernation must refuse (not idle), and the later routed
     // alert must still deliver exactly once.
     let shared = SharedChannels::new(LoopbackChannels::accept_all());
@@ -663,7 +663,7 @@ async fn mark_failure_crashes_one_buddy_not_the_shard() {
 }
 
 #[tokio::test(start_paused = true)]
-async fn idle_sweep_hibernates_automatically() {
+async fn idle_buddies_hibernate_automatically() {
     let config = ShardedHostConfig {
         shards: 1,
         hibernate_after: SimDuration::from_millis(200),
@@ -680,7 +680,7 @@ async fn idle_sweep_hibernates_automatically() {
     for _ in 0..3 {
         next_finished(&mut notices).await;
     }
-    // Past the idle threshold, the sweep parks all three.
+    // Past their idle deadlines, all three are parked.
     tokio::time::sleep(Duration::from_secs(2)).await;
     let snap = host.snapshot().await;
     assert_eq!(snap.active, 0, "idle buddies must hibernate: {snap:?}");
@@ -696,6 +696,156 @@ async fn idle_sweep_hibernates_automatically() {
     assert_eq!(snap.hibernated, 2);
     assert_eq!(snap.rehydrations, 1);
     host.shutdown().await;
+}
+
+/// One shard, `hibernate_after` 500 ms, and E11's profile: a single
+/// fire-and-forget IM block, so a delivery retires in the batch that
+/// started it and leaves nothing on the timer wheel but idle deadlines
+/// (`pending_timers` then counts exactly those).
+fn deadline_host(telemetry: Telemetry) -> ShardedHost {
+    let direct: ConfigFactory = Arc::new(|user: &UserId| {
+        let mut config = user_config(&user.0);
+        let profile = config.registry.user_mut(user).unwrap();
+        profile.define_mode(
+            DeliveryMode::new("Urgent", vec![Block::fire_and_forget(vec!["IM".into()])]).unwrap(),
+        );
+        config
+    });
+    let config = ShardedHostConfig {
+        shards: 1,
+        hibernate_after: SimDuration::from_millis(500),
+        ..ShardedHostConfig::default()
+    };
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    ShardedHost::new(shared, config, direct, telemetry).unwrap().0
+}
+
+/// `(active, hibernated, pending_timers)` at `at`.
+async fn residency_at(host: &ShardedHost, at: tokio::time::Instant) -> (usize, usize, usize) {
+    tokio::time::sleep_until(at).await;
+    let snap = host.snapshot().await;
+    (snap.active, snap.hibernated, snap.pending_timers)
+}
+
+#[tokio::test(start_paused = true)]
+async fn a_buddy_hibernates_on_its_idle_deadline_and_an_alert_moves_it() {
+    let host = deadline_host(Telemetry::disabled());
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    // Off any multiple of a whole-roster sweep period since host start:
+    // such a sweep would find the buddy 400 ms idle at 500 ms and park it
+    // only at 750 ms — 650 ms after its last alert.
+    tokio::time::sleep(Duration::from_millis(100)).await;
+    let ms = Duration::from_millis;
+
+    let t = tokio::time::Instant::now();
+    host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
+    let (active, hibernated, _) = residency_at(&host, t + ms(499)).await;
+    assert_eq!((active, hibernated), (1, 0));
+    let (active, hibernated, _) = residency_at(&host, t + ms(501)).await;
+    assert_eq!((active, hibernated), (0, 1), "parked on the deadline, not at the next sweep");
+
+    // A second alert 400 ms after the first moves the deadline to 900 ms
+    // without arming a second entry: the one entry is re-armed when it
+    // fires at 500 ms.
+    let u = tokio::time::Instant::now();
+    host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
+    tokio::time::sleep_until(u + ms(400)).await;
+    host.submit_im(&alice, sensor_alert("Sensor 3 ON")).await;
+    assert_eq!(residency_at(&host, u + ms(401)).await, (1, 0, 1));
+    assert_eq!(residency_at(&host, u + ms(501)).await, (1, 0, 1));
+    assert_eq!(residency_at(&host, u + ms(899)).await, (1, 0, 1));
+    assert_eq!(residency_at(&host, u + ms(901)).await, (0, 1, 0));
+    let snap = host.shutdown().await;
+    assert_eq!((snap.hibernations, snap.rehydrations), (2, 1));
+    assert_eq!(snap.stats.deliveries_started, 3);
+}
+
+#[tokio::test(start_paused = true)]
+async fn an_in_flight_delivery_defers_the_idle_deadline_by_one_period() {
+    // The 60 s IM window of the default profile, and nobody acks: at the
+    // 500 ms deadline the delivery is still in flight.
+    let config = ShardedHostConfig { hibernate_after: SimDuration::from_millis(500), ..test_config(1) };
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices) =
+        ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    let ms = Duration::from_millis;
+
+    let t = tokio::time::Instant::now();
+    host.submit_im(&alice, sensor_alert("Sensor ON")).await;
+    let (active, hibernated, _) = residency_at(&host, t + ms(501)).await;
+    assert_eq!((active, hibernated), (1, 0), "a delivering buddy is not parked");
+
+    // The user acks at 700 ms: the delivery retires, and the ack is the
+    // buddy's last activity — one period later it is parked.
+    tokio::time::sleep_until(t + ms(700)).await;
+    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    let (_, status) = next_finished(&mut notices).await;
+    assert!(matches!(status, DeliveryStatus::Acked { .. }));
+    let (active, hibernated, _) = residency_at(&host, t + ms(1_199)).await;
+    assert_eq!((active, hibernated), (1, 0));
+    let (active, hibernated, _) = residency_at(&host, t + ms(1_201)).await;
+    assert_eq!((active, hibernated), (0, 1));
+    assert_eq!(host.shutdown().await.acked, 1);
+}
+
+#[tokio::test(start_paused = true)]
+async fn a_dead_incarnations_idle_deadline_never_parks_its_successor() {
+    let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(64)));
+    let host = deadline_host(telemetry.clone());
+    let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
+    host.register_many(vec![alice.clone(), bob.clone()]).await;
+    let ms = Duration::from_millis;
+
+    // Alice is force-hibernated at 300 ms and back at 400 ms; bob's
+    // second alert at 300 ms crashes his buddy (failed processed-mark),
+    // and the worker restarts it in the same batch. Both first
+    // incarnations leave a deadline at 500 ms behind.
+    let t = tokio::time::Instant::now();
+    host.submit_im(&alice, sensor_alert("Sensor A1 ON")).await;
+    host.submit_im(&bob, sensor_alert("Sensor B1 ON")).await;
+    tokio::time::sleep_until(t + ms(300)).await;
+    assert!(host.force_hibernate(&alice).await);
+    host.inject_mark_failure(&bob).await;
+    host.submit_im(&bob, sensor_alert("Sensor B2 ON")).await;
+    tokio::time::sleep_until(t + ms(400)).await;
+    host.submit_im(&alice, sensor_alert("Sensor A2 ON")).await;
+    let snap = host.snapshot().await;
+    assert_eq!((snap.crashes, snap.hibernations, snap.rehydrations), (1, 1, 1));
+    assert_eq!((snap.active, snap.pending_timers), (2, 4), "two live deadlines, two dead ones");
+
+    // 500 ms: the dead entries are dropped — silently, no delivery event
+    // was lost with them — and hibernate nobody.
+    assert_eq!(residency_at(&host, t + ms(501)).await, (2, 0, 2));
+    assert_eq!(telemetry.metrics().snapshot().counter("runtime.stale_dropped"), 0);
+    // The successors keep their own deadlines: bob 300 + 500, alice 400 + 500.
+    assert_eq!(residency_at(&host, t + ms(799)).await, (2, 0, 2));
+    assert_eq!(residency_at(&host, t + ms(801)).await, (1, 1, 1));
+    assert_eq!(residency_at(&host, t + ms(899)).await, (1, 1, 1));
+    assert_eq!(residency_at(&host, t + ms(901)).await, (0, 2, 0));
+    assert_eq!(telemetry.metrics().snapshot().counter("runtime.stale_dropped"), 0);
+    host.shutdown().await;
+}
+
+#[tokio::test(start_paused = true)]
+async fn with_hibernation_off_the_wheel_holds_no_idle_deadlines() {
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
+    let (host, mut notices) =
+        ShardedHost::new(shared, test_config(1), factory(), Telemetry::disabled()).unwrap();
+    let users: Vec<UserId> = (0..50_000).map(|i| UserId::new(format!("user{i:05}"))).collect();
+    let resident = users[7].clone();
+    host.register_many(users).await;
+    host.submit_im(&resident, sensor_alert("Sensor ON")).await;
+    next_finished(&mut notices).await;
+
+    // A hundred idle ticks (the worker wakes at most once a second):
+    // nothing is armed, nobody is parked, the one resident buddy stays.
+    tokio::time::sleep(Duration::from_secs(100)).await;
+    let snap = host.shutdown().await;
+    assert_eq!((snap.users, snap.active, snap.hibernated), (50_000, 1, 0));
+    assert_eq!((snap.hibernations, snap.pending_timers), (0, 0));
 }
 
 #[tokio::test(start_paused = true)]

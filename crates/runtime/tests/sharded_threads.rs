@@ -75,8 +75,8 @@ fn threaded_shards_keep_the_ledger_under_crashes_and_hibernation() {
     let config = ShardedHostConfig {
         shards: 4,
         threads: true,
-        // Short idle threshold so the sweep parks buddies between waves
-        // and later waves rehydrate them mid-run.
+        // Short idle threshold so buddies hibernate between waves and
+        // later waves rehydrate them mid-run.
         hibernate_after: SimDuration::from_millis(30),
         ..ShardedHostConfig::default()
     };
