@@ -12,12 +12,11 @@
 //! * **no silent drops**: `sent == accepted + rejected`, and every
 //!   rejection is accounted under `gateway.shed` / `gateway.unknown_user`
 //!   / `gateway.decode_err`;
-//! * **throughput**: the accepted stream sustains ≥ 10 k alerts/s over
-//!   localhost TCP (asserted at full scale, reported always);
+//! * accepted alerts per second over localhost TCP are printed, not
+//!   gated (E11's `benchmark compare` gates the whole path);
 //! * a rate-limit sweep shows the shed curve: tighter buckets shed more,
 //!   and the accounting still balances at every point.
 
-use crate::benchjson::{BenchMode, BenchReport};
 use crate::experiments::ExperimentOutput;
 use crate::report::Table;
 use simba_core::address::{Address, AddressBook, CommType};
@@ -74,8 +73,7 @@ impl GatewayBenchOptions {
         }
     }
 
-    /// CI smoke: 1 000 alerts over 2 connections, drops injected, no
-    /// throughput floor asserted.
+    /// CI smoke: 1 000 alerts over 2 connections, drops injected.
     pub fn smoke() -> Self {
         GatewayBenchOptions {
             users: 10,
@@ -313,39 +311,10 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
     numbers
 }
 
-/// Regression floor for the full-scale gateway load (recorded ≈ 34 k
-/// accepted alerts/s over localhost TCP).
-pub const FULL_THROUGHPUT_FLOOR: f64 = 10_000.0;
-/// Regression floor for the CI smoke shape (`make gateway-smoke`).
-pub const SMOKE_THROUGHPUT_FLOOR: f64 = 1_000.0;
-
-/// Runs the headline load plus a rate-limit shed sweep, writes
-/// `BENCH_e6.json`, asserts the throughput floor, and renders the tables.
-pub fn run_with(opts: GatewayBenchOptions, mode: BenchMode) -> ExperimentOutput {
+/// Runs the headline load plus a rate-limit shed sweep and renders the
+/// tables.
+fn run_with(opts: GatewayBenchOptions) -> ExperimentOutput {
     let n = measure(opts);
-
-    let mut bench = BenchReport::new("E6", mode);
-    bench
-        .metric("throughput", n.throughput, "alerts/s")
-        .metric("accepted", n.accepted as f64, "alerts")
-        .metric("shed", n.rejected_shed as f64, "alerts")
-        .metric("reconnects", n.reconnects as f64, "reconnects")
-        .metric("deliveries_started", n.deliveries_started as f64, "deliveries")
-        .metric("wall_secs", n.wall_secs, "s");
-    let floor = match mode {
-        BenchMode::Full => FULL_THROUGHPUT_FLOOR,
-        BenchMode::Smoke => SMOKE_THROUGHPUT_FLOOR,
-    };
-    bench.floor("throughput", floor, n.throughput);
-    // The dependability floor: nothing accepted may vanish before the
-    // host fleet (asserted exactly inside `measure`).
-    bench.floor("accepted_all_routed", 0.0, (n.routed as f64) - (n.accepted as f64));
-    bench.write();
-    assert!(
-        n.throughput >= floor,
-        "throughput floor: {:.0} alerts/s < {floor:.0}",
-        n.throughput
-    );
 
     let mut config = Table::new(
         "E6: gateway load shape",
@@ -435,7 +404,12 @@ pub fn run_with(opts: GatewayBenchOptions, mode: BenchMode) -> ExperimentOutput 
 
 /// Full-scale E6 (the seed only labels the run; the load is deterministic).
 pub fn run(_seed: u64) -> ExperimentOutput {
-    run_with(GatewayBenchOptions::full(), BenchMode::Full)
+    run_with(GatewayBenchOptions::full())
+}
+
+/// The CI smoke shape.
+pub fn run_smoke(_seed: u64) -> ExperimentOutput {
+    run_with(GatewayBenchOptions::smoke())
 }
 
 #[cfg(test)]

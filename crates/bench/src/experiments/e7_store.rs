@@ -16,10 +16,8 @@
 //!   `store.puts` counter, and a final sweep leaves only live facts;
 //! * **writers never block on observers**: laggy subscribers are shed
 //!   (counted under `store.sub_dropped`), never waited on;
-//! * **throughput**: the combined put/get stream sustains ≥ 100 k ops/s
-//!   (asserted at full scale, reported always).
+//! * combined puts + gets per second are printed, not gated.
 
-use crate::benchjson::{BenchMode, BenchReport};
 use crate::experiments::ExperimentOutput;
 use crate::report::Table;
 use simba_sim::{SimDuration, SimTime};
@@ -58,8 +56,7 @@ impl StoreBenchOptions {
         }
     }
 
-    /// CI smoke: 8 writers × 2 000 facts, 4 subscribers, no throughput
-    /// floor asserted.
+    /// CI smoke: 8 writers × 2 000 facts, 4 subscribers.
     pub fn smoke() -> Self {
         StoreBenchOptions {
             writers: 8,
@@ -245,39 +242,9 @@ pub fn measure(opts: StoreBenchOptions, seed: u64) -> StoreNumbers {
     numbers
 }
 
-/// Regression floor for the full-scale store workload (recorded ≈ 1.2 M
-/// combined ops/s on the reference single core).
-pub const FULL_THROUGHPUT_FLOOR: f64 = 100_000.0;
-/// Regression floor for the CI smoke shape (`make store-smoke`).
-pub const SMOKE_THROUGHPUT_FLOOR: f64 = 10_000.0;
-
-/// Runs the headline load, writes `BENCH_e7.json`, asserts the
-/// throughput floor, and renders the tables.
-pub fn run_with(opts: StoreBenchOptions, seed: u64, mode: BenchMode) -> ExperimentOutput {
+/// Runs the headline load and renders the tables.
+fn run_with(opts: StoreBenchOptions, seed: u64) -> ExperimentOutput {
     let n = measure(opts, seed);
-
-    let mut bench = BenchReport::new("E7", mode);
-    bench
-        .metric("throughput", n.ops_per_sec, "ops/s")
-        .metric("puts", n.puts as f64, "facts")
-        .metric("reads", n.reads as f64, "reads")
-        .metric("hits", n.hits as f64, "reads")
-        .metric("expired_reads", n.expired_reads as f64, "reads")
-        .metric("wall_secs", n.wall_secs, "s");
-    let floor = match mode {
-        BenchMode::Full => FULL_THROUGHPUT_FLOOR,
-        BenchMode::Smoke => SMOKE_THROUGHPUT_FLOOR,
-    };
-    bench.floor("throughput", floor, n.ops_per_sec);
-    // The staleness floor: an expired fact must read as absent, never as
-    // a stale hit (asserted per read inside `measure`).
-    bench.floor("zero_expired_reads", 0.0, -(n.expired_reads as f64));
-    bench.write();
-    assert!(
-        n.ops_per_sec >= floor,
-        "throughput floor: {:.0} ops/s < {floor:.0}",
-        n.ops_per_sec
-    );
 
     let mut config = Table::new(
         "E7: store load shape",
@@ -339,7 +306,12 @@ pub fn run_with(opts: StoreBenchOptions, seed: u64, mode: BenchMode) -> Experime
 
 /// Full-scale E7.
 pub fn run(seed: u64) -> ExperimentOutput {
-    run_with(StoreBenchOptions::full(), seed, BenchMode::Full)
+    run_with(StoreBenchOptions::full(), seed)
+}
+
+/// The CI smoke shape.
+pub fn run_smoke(seed: u64) -> ExperimentOutput {
+    run_with(StoreBenchOptions::smoke(), seed)
 }
 
 #[cfg(test)]

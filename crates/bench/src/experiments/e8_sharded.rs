@@ -19,18 +19,14 @@
 //! * let the idle deadlines park the whole active set and assert memory
 //!   tracks *activations*, not registrations.
 //!
-//! E3H soaks the same host with every user busy. On multi-core hardware
-//! the share-nothing shards are the scale-out lever (each worker owns
-//! its roster, wheel, and log; nothing is shared), but this repository's
-//! reference environment is a single core, which one §4.2.1 pipeline
-//! already saturates — so E8's honest single-core payoff is *memory
-//! bounded by active users* and *~500 log writes per fsync-equivalent
-//! commit*, at roughly E3H parity throughput. The asserted floor is a
-//! regression guard on that measured number, not the aspirational
-//! multi-core multiplier; `BENCH_e8.json` records the real value so the
-//! trajectory across PRs stays machine-readable.
+//! E3H soaks the same host with every user busy. One core runs one
+//! §4.2.1 pipeline either way, so E8 lands at roughly E3H throughput;
+//! what it proves is *memory bounded by active users* and *~500 log
+//! writes per fsync-equivalent commit*. Throughput is a printed column,
+//! not a gate. The drive runs on the deterministic paused clock; the
+//! thread-per-shard mode is covered by
+//! `crates/runtime/tests/sharded_threads.rs` (DESIGN.md §9).
 
-use crate::benchjson::{BenchMode, BenchReport};
 use crate::experiments::ExperimentOutput;
 use crate::report::Table;
 use simba_core::alert::IncomingAlert;
@@ -57,14 +53,8 @@ pub struct E8Options {
     pub waves: usize,
     /// Shard workers multiplexing the fleet.
     pub shards: usize,
-    /// Idle time after which a buddy's deadline parks it (virtual time on
-    /// the single-threaded path, wall time with `threads`).
+    /// Idle (virtual) time after which a buddy's deadline parks it.
     pub hibernate_after: SimDuration,
-    /// Thread-per-shard: run each shard worker on a dedicated OS thread
-    /// with its own real-time event loop. The drive switches from the
-    /// paused virtual clock to wall-clock pacing, so this is the
-    /// multi-core measurement shape, not the deterministic one.
-    pub threads: bool,
 }
 
 impl E8Options {
@@ -76,7 +66,6 @@ impl E8Options {
             waves: 10,
             shards: 8,
             hibernate_after: SimDuration::from_secs(30),
-            threads: false,
         }
     }
 
@@ -88,27 +77,6 @@ impl E8Options {
             waves: 5,
             shards: 4,
             hibernate_after: SimDuration::from_secs(30),
-            threads: false,
-        }
-    }
-
-    /// The multi-core comparison shape: CI-sized, real-time, `shards`
-    /// threads. The same shape with `shards = 1` is the single-core
-    /// baseline the multiplier divides by.
-    pub fn multicore(shards: usize, mode: BenchMode) -> Self {
-        let (users, active, waves) = match mode {
-            BenchMode::Full => (200_000, 20_000, 10),
-            BenchMode::Smoke => (40_000, 8_000, 5),
-        };
-        E8Options {
-            users,
-            active,
-            waves,
-            shards: shards.max(1),
-            // Wall time: short enough that the post-drain park completes
-            // in a bench run, long enough to stay out of the traffic.
-            hibernate_after: SimDuration::from_millis(250),
-            threads: true,
         }
     }
 
@@ -144,9 +112,6 @@ pub struct E8Numbers {
     pub throughput: f64,
     /// Buddy crashes (must be zero).
     pub crashes: u64,
-    /// OS threads the shard workers ran on (1 on the single-threaded
-    /// executor, `shards` in thread-per-shard mode).
-    pub shard_threads: usize,
 }
 
 /// Every IM send is accepted and acked 1 ms later — the cheapest honest
@@ -252,86 +217,17 @@ async fn drive(opts: E8Options) -> RawE8 {
     RawE8 { final_snap, peak_active }
 }
 
-/// Real-time counterpart of [`drive`] for the thread-per-shard shape:
-/// the workers run wall-anchored event loops on their own threads, so
-/// the pacing sleeps are real and the drain/park phases poll instead of
-/// jumping virtual time. Returns the raw outcome plus the wall seconds
-/// of the traffic window (first submit through drain), which is what
-/// the multi-core multiplier divides — the park wait afterwards is a
-/// fixed idle cost, not pipeline work.
-async fn drive_threaded(opts: E8Options) -> (RawE8, f64) {
-    let config = ShardedHostConfig {
-        shards: opts.shards,
-        threads: true,
-        hibernate_after: opts.hibernate_after,
-        ..ShardedHostConfig::default()
-    };
-    let (host, _notices) =
-        ShardedHost::new(AckFast, config, factory(), Telemetry::disabled()).expect("in-memory host");
-
-    let users: Vec<UserId> = (0..opts.users).map(|i| UserId::new(format!("user{i:06}"))).collect();
-    let active: Vec<UserId> = users[..opts.active].to_vec();
-    host.register_many(users).await;
-
-    let total = opts.total_alerts();
-    let traffic = std::time::Instant::now();
-    let mut peak_active = 0usize;
-    for wave in 0..opts.waves {
-        let body = format!("Sensor wave {wave} ON");
-        for user in &active {
-            let alert = IncomingAlert::from_im("shard-gw", body.clone(), SimTime::ZERO);
-            assert!(host.submit_im(user, alert).await, "shard worker died mid-bench");
-        }
-    }
-
-    // Drain under real time: poll until every delivery is acked and
-    // retired (the 1 ms ack timers fire on the shard threads' wheels).
-    let mut drained = None;
-    for _ in 0..2_000 {
-        let snap = host.snapshot().await;
-        peak_active = peak_active.max(snap.active);
-        if snap.acked == total && snap.in_flight == 0 {
-            drained = Some(snap);
-            break;
-        }
-        tokio::time::sleep(Duration::from_millis(5)).await;
-    }
-    let traffic_secs = traffic.elapsed().as_secs_f64();
-    let drained = drained.expect("deliveries failed to drain: lifecycle leak");
-    assert_eq!(drained.stats.received_im, total, "every alert entered the pipeline");
-    assert_eq!(drained.unrouted, 0, "every user was registered");
-    assert_eq!(drained.crashes, 0, "no buddy may crash in the clean run");
-
-    // Park: poll until the idle deadlines have parked the whole active set.
-    let mut final_snap = None;
-    for _ in 0..2_000 {
-        let snap = host.snapshot().await;
-        if snap.active == 0 && snap.hibernated == opts.active {
-            final_snap = Some(snap);
-            break;
-        }
-        tokio::time::sleep(Duration::from_millis(10)).await;
-    }
-    assert!(final_snap.is_some(), "idle buddies must all hibernate");
-    let final_snap = host.shutdown().await;
-    assert_eq!(final_snap.active, 0, "idle buddies must all hibernate");
-    assert_eq!(final_snap.hibernated, opts.active, "every activation parked");
-    assert_eq!(final_snap.log.appends, total, "one log append per alert");
-    assert_eq!(final_snap.log.marks, total, "one processed-mark per alert");
-    (RawE8 { final_snap, peak_active }, traffic_secs)
-}
-
-/// Runs E8 and returns the headline numbers plus tables. Dispatches on
-/// [`E8Options::threads`]: the deterministic paused-clock drive, or the
-/// real-time thread-per-shard one.
+/// Runs E8 and returns the headline numbers plus tables.
 pub fn measure(opts: E8Options) -> (E8Numbers, Vec<Table>) {
-    let (raw, wall_secs) = if opts.threads {
-        tokio::runtime::block_on(async move { drive_threaded(opts).await })
-    } else {
-        let wall = std::time::Instant::now();
-        let raw = tokio::runtime::block_on_test(true, async move { drive(opts).await });
-        (raw, wall.elapsed().as_secs_f64())
-    };
+    let wall = std::time::Instant::now();
+    let raw = tokio::runtime::block_on_test(true, async move { drive(opts).await });
+    let wall_secs = wall.elapsed().as_secs_f64();
+    assert!(
+        raw.peak_active <= opts.active,
+        "live buddies exceeded the active subset: {} > {}",
+        raw.peak_active,
+        opts.active
+    );
     let total = opts.total_alerts();
     let commits = raw.final_snap.log.group_commits.max(1);
 
@@ -349,12 +245,11 @@ pub fn measure(opts: E8Options) -> (E8Numbers, Vec<Table>) {
         wall_secs,
         throughput: if wall_secs > 0.0 { total as f64 / wall_secs } else { f64::INFINITY },
         crashes: raw.final_snap.crashes,
-        shard_threads: if opts.threads { opts.shards } else { 1 },
     };
 
     let mut config = Table::new(
         "E8: sharded host configuration",
-        &["registered", "active", "waves", "total alerts", "shards", "threads"],
+        &["registered", "active", "waves", "total alerts", "shards"],
     );
     config.row(&[
         numbers.users.to_string(),
@@ -362,7 +257,6 @@ pub fn measure(opts: E8Options) -> (E8Numbers, Vec<Table>) {
         opts.waves.to_string(),
         total.to_string(),
         opts.shards.to_string(),
-        numbers.shard_threads.to_string(),
     ]);
 
     let mut ledger = Table::new(
@@ -413,55 +307,9 @@ pub fn measure(opts: E8Options) -> (E8Numbers, Vec<Table>) {
     (numbers, vec![config, ledger, bounded, log, perf])
 }
 
-/// Floor thresholds (alerts/s), regression guards on the recorded
-/// single-core numbers (full ≈ 55 k, smoke ≈ 110 k on the reference
-/// machine), set low enough to tolerate run-to-run variance and a loaded
-/// CI box. The design target of 10× E3H is a multi-core property (one
-/// core per share-nothing shard); a single core cannot express it, so it
-/// is documented in `EXPERIMENTS.md` rather than asserted here.
-pub const FULL_THROUGHPUT_FLOOR: f64 = 30_000.0;
-/// See [`FULL_THROUGHPUT_FLOOR`].
-pub const SMOKE_THROUGHPUT_FLOOR: f64 = 20_000.0;
-
-/// Runs E8 at the given shape, writes `BENCH_e8.json`, asserts floors.
-pub fn run_with(opts: E8Options, mode: BenchMode) -> ExperimentOutput {
+/// Runs E8 at the given shape and packages the result.
+fn run_with(opts: E8Options) -> ExperimentOutput {
     let (numbers, tables) = measure(opts);
-
-    let mut bench = BenchReport::new("E8", mode);
-    bench
-        .metric("throughput", numbers.throughput, "alerts/s")
-        .metric("total_alerts", numbers.total_alerts as f64, "alerts")
-        .metric("registered_users", numbers.users as f64, "users")
-        .metric("active_users", numbers.active as f64, "users")
-        .metric("peak_live_buddies", numbers.peak_active as f64, "buddies")
-        .metric("hibernated_final", numbers.hibernated_final as f64, "buddies")
-        .metric("writes_per_commit", numbers.writes_per_commit, "writes")
-        .metric("wall_secs", numbers.wall_secs, "s")
-        .metric("shard_threads", numbers.shard_threads as f64, "threads")
-        .metric("cores", available_cores() as f64, "cores");
-    let floor = match mode {
-        BenchMode::Full => FULL_THROUGHPUT_FLOOR,
-        BenchMode::Smoke => SMOKE_THROUGHPUT_FLOOR,
-    };
-    bench.floor("throughput", floor, numbers.throughput);
-    // The structural floor: live buddies never exceed the active subset.
-    bench.floor(
-        "peak_live_buddies_bounded",
-        0.0,
-        (numbers.active as f64) - (numbers.peak_active as f64),
-    );
-    bench.write();
-    assert!(
-        numbers.throughput >= floor,
-        "throughput floor: {:.0} alerts/s < {floor:.0}",
-        numbers.throughput
-    );
-    assert!(
-        numbers.peak_active <= numbers.active,
-        "live buddies exceeded the active subset: {} > {}",
-        numbers.peak_active,
-        numbers.active
-    );
 
     ExperimentOutput {
         id: "E8",
@@ -471,8 +319,7 @@ pub fn run_with(opts: E8Options, mode: BenchMode) -> ExperimentOutput {
         tables,
         notes: vec![
             format!(
-                "{} alerts across {} active of {} registered users at {:.0} alerts/s \
-                 (shards are share-nothing, so cores scale it)",
+                "{} alerts across {} active of {} registered users at {:.0} alerts/s",
                 numbers.total_alerts, numbers.active, numbers.users, numbers.throughput
             ),
             format!(
@@ -486,116 +333,12 @@ pub fn run_with(opts: E8Options, mode: BenchMode) -> ExperimentOutput {
 
 /// Runs E8 at full scale (the recorded shape).
 pub fn run(_seed: u64) -> ExperimentOutput {
-    run_with(E8Options::full(), BenchMode::Full)
+    run_with(E8Options::full())
 }
 
-fn available_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The asserted multi-core multiplier: with ≥ 4 cores, `threads` shard
-/// threads must deliver at least twice the single-thread throughput of
-/// the same build. Below 4 cores the multiplier is recorded, not
-/// asserted — a 1-core box cannot express parallelism, and on 2–3 cores
-/// the margin is too thin to guard without flaking.
-pub const MULTICORE_MULTIPLIER_FLOOR: f64 = 2.0;
-
-/// Runs the multi-core comparison: the same build, same shape, driven
-/// once on one shard thread and once on `threads` of them, both over
-/// real time. Writes `BENCH_e8.json` with `shard_threads`, `cores`, the
-/// single/multi throughputs and the multiplier; asserts the multiplier
-/// floor when the machine has ≥ 4 cores.
-pub fn run_multicore(threads: usize, mode: BenchMode) -> ExperimentOutput {
-    let threads = threads.max(2);
-    let cores = available_cores();
-    let (single, _) = measure(E8Options::multicore(1, mode));
-    let (multi, tables) = measure(E8Options::multicore(threads, mode));
-    let multiplier = if single.throughput > 0.0 {
-        multi.throughput / single.throughput
-    } else {
-        f64::INFINITY
-    };
-
-    let mut bench = BenchReport::new("E8", mode);
-    bench
-        .metric("throughput", multi.throughput, "alerts/s")
-        .metric("throughput_single_thread", single.throughput, "alerts/s")
-        .metric("multicore_multiplier", multiplier, "x")
-        .metric("total_alerts", multi.total_alerts as f64, "alerts")
-        .metric("registered_users", multi.users as f64, "users")
-        .metric("active_users", multi.active as f64, "users")
-        .metric("peak_live_buddies", multi.peak_active as f64, "buddies")
-        .metric("hibernated_final", multi.hibernated_final as f64, "buddies")
-        .metric("writes_per_commit", multi.writes_per_commit, "writes")
-        .metric("wall_secs", multi.wall_secs, "s")
-        .metric("shard_threads", multi.shard_threads as f64, "threads")
-        .metric("cores", cores as f64, "cores");
-    let floor = match mode {
-        BenchMode::Full => FULL_THROUGHPUT_FLOOR,
-        BenchMode::Smoke => SMOKE_THROUGHPUT_FLOOR,
-    };
-    bench.floor("throughput", floor, multi.throughput);
-    bench.floor(
-        "peak_live_buddies_bounded",
-        0.0,
-        (multi.active as f64) - (multi.peak_active as f64),
-    );
-    let assert_multiplier = cores >= 4;
-    if assert_multiplier {
-        bench.floor("multicore_multiplier", MULTICORE_MULTIPLIER_FLOOR, multiplier);
-    }
-    bench.write();
-    assert!(
-        multi.throughput >= floor,
-        "threaded throughput floor: {:.0} alerts/s < {floor:.0}",
-        multi.throughput
-    );
-    if assert_multiplier {
-        assert!(
-            multiplier >= MULTICORE_MULTIPLIER_FLOOR,
-            "multi-core multiplier: {threads} shard threads gave {multiplier:.2}x \
-             (single {:.0} alerts/s, multi {:.0} alerts/s) on a {cores}-core machine",
-            single.throughput,
-            multi.throughput
-        );
-    }
-
-    let mut comparison = Table::new(
-        "E8: multi-core multiplier (same build, same shape)",
-        &["shard threads", "cores", "single-thread alerts/s", "multi-thread alerts/s", "multiplier"],
-    );
-    comparison.row(&[
-        threads.to_string(),
-        cores.to_string(),
-        format!("{:.0}", single.throughput),
-        format!("{:.0}", multi.throughput),
-        format!("{multiplier:.2}x"),
-    ]);
-    let mut tables = tables;
-    tables.push(comparison);
-
-    ExperimentOutput {
-        id: "E8",
-        title: "million-user sharded host, thread-per-shard multi-core mode",
-        paper_claim: "§3.3/§4.2.1 at scale: share-nothing shard workers on real cores multiply \
-                      throughput without relaxing durable-before-ack",
-        tables,
-        notes: vec![
-            format!(
-                "{} shard threads on {cores} core(s): {:.0} alerts/s vs {:.0} single-thread \
-                 ({multiplier:.2}x){}",
-                threads,
-                multi.throughput,
-                single.throughput,
-                if assert_multiplier { "; >= 2x asserted" } else { "; multiplier recorded, asserted only with >= 4 cores" }
-            ),
-            format!(
-                "ledger identical to the single-threaded mode: every alert appended, marked, \
-                 acked; {:.1} writes per group commit; all {} activations parked after the drain",
-                multi.writes_per_commit, multi.active
-            ),
-        ],
-    }
+/// The CI smoke shape.
+pub fn run_smoke(_seed: u64) -> ExperimentOutput {
+    run_with(E8Options::smoke())
 }
 
 #[cfg(test)]
@@ -612,7 +355,6 @@ mod tests {
             waves: 3,
             shards: 2,
             hibernate_after: SimDuration::from_secs(30),
-            threads: false,
         };
         let (n, _) = measure(opts);
         assert_eq!(n.total_alerts, 600);

@@ -21,11 +21,9 @@
 //! * assert the matrix: ledger fully drained, every key's effect count
 //!   exactly 1, expiries and reclaims actually happened.
 //!
-//! Throughput (deliveries per wall second over the drain window) is
-//! recorded in `BENCH_e9.json` and guarded by floors: the full shape
-//! must clear 50 k deliveries/s, the CI smoke shape 20 k.
+//! Throughput (deliveries per wall second over the drain window) is a
+//! printed column, not a gate.
 
-use crate::benchjson::{BenchMode, BenchReport};
 use crate::experiments::ExperimentOutput;
 use crate::report::Table;
 use simba_core::address::CommType;
@@ -350,47 +348,9 @@ pub fn measure(opts: E9Options) -> (E9Numbers, Vec<Table>) {
     (numbers, vec![config, matrix, crash, durability, perf])
 }
 
-/// Throughput floors (deliveries/s), regression guards on the recorded
-/// numbers with headroom for a loaded CI box. The full 100 k shape
-/// clears well above 50 k/s on the reference machine; the smoke shape
-/// pays the same fixed costs over a fifth of the work.
-pub const FULL_THROUGHPUT_FLOOR: f64 = 50_000.0;
-/// See [`FULL_THROUGHPUT_FLOOR`].
-pub const SMOKE_THROUGHPUT_FLOOR: f64 = 20_000.0;
-
-/// Runs E9 at the given shape, writes `BENCH_e9.json`, asserts floors.
-pub fn run_with(opts: E9Options, mode: BenchMode) -> ExperimentOutput {
+/// Runs E9 at the given shape and packages the result.
+fn run_with(opts: E9Options) -> ExperimentOutput {
     let (numbers, tables) = measure(opts);
-
-    let mut bench = BenchReport::new("E9", mode);
-    bench
-        .metric("throughput", numbers.throughput, "deliveries/s")
-        .metric("deliveries", numbers.deliveries as f64, "deliveries")
-        .metric("effects", numbers.effects as f64, "effects")
-        .metric("double_effects", numbers.double_effects as f64, "effects")
-        .metric("workers_killed", numbers.killed as f64, "workers")
-        .metric("lease_expiries", numbers.lease_expiries as f64, "leases")
-        .metric("idempotent_dedups", numbers.deduped as f64, "sends")
-        .metric("stale_reports", numbers.stale_reports as f64, "reports")
-        .metric("retries", numbers.retried as f64, "sends")
-        .metric("commit_batches", numbers.commit_batches as f64, "commits")
-        .metric("records_per_commit", numbers.records_per_commit, "records")
-        .metric("segments_rotated", numbers.segments_rotated as f64, "segments")
-        .metric("wall_secs", numbers.wall_secs, "s");
-    let floor = match mode {
-        BenchMode::Full => FULL_THROUGHPUT_FLOOR,
-        BenchMode::Smoke => SMOKE_THROUGHPUT_FLOOR,
-    };
-    bench.floor("throughput", floor, numbers.throughput);
-    // Structural floors: nothing lost, nothing doubled.
-    bench.floor("effects", numbers.deliveries as f64, numbers.effects as f64);
-    bench.floor("double_effects_zero", 0.0, -(numbers.double_effects as f64));
-    bench.write();
-    assert!(
-        numbers.throughput >= floor,
-        "throughput floor: {:.0} deliveries/s < {floor:.0}",
-        numbers.throughput
-    );
 
     ExperimentOutput {
         id: "E9",
@@ -421,7 +381,12 @@ pub fn run_with(opts: E9Options, mode: BenchMode) -> ExperimentOutput {
 
 /// Runs E9 at full scale (the recorded shape).
 pub fn run(_seed: u64) -> ExperimentOutput {
-    run_with(E9Options::full(), BenchMode::Full)
+    run_with(E9Options::full())
+}
+
+/// The CI smoke shape.
+pub fn run_smoke(_seed: u64) -> ExperimentOutput {
+    run_with(E9Options::smoke())
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! `simba-bench` — the experiment harness reproducing the SIMBA evaluation.
 //!
-//! The library half hosts the reusable pieces; the `src/bin` half hosts one
-//! binary per experiment (see `DESIGN.md` §5 and `EXPERIMENTS.md`):
+//! The library half hosts the reusable pieces; `src/bin/exp.rs` is the one
+//! runner over the [`experiments`] table (see `DESIGN.md` §5 and
+//! `EXPERIMENTS.md`):
 //!
 //! * [`harness`] — the end-to-end pipeline world: alert sources → IM/email
 //!   channels → MyAlertBuddy (with its client managers, watchdog,
@@ -9,12 +10,11 @@
 //!   inside the deterministic `simba-sim` engine;
 //! * [`faultlog`] — the 30-day fault-injection campaign behind experiment
 //!   E5 (the paper's one-month recovery log);
-//! * [`report`] — table formatting shared by the experiment binaries.
+//! * [`report`] — table formatting shared by the experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchjson;
 pub mod experiments;
 pub mod faultlog;
 pub mod harness;

@@ -1,8 +1,9 @@
-//! Table formatting shared by the experiment binaries.
+//! Table formatting shared by the experiments.
 //!
 //! Every experiment prints (a) the paper's reported value, (b) the
 //! measured value, and (c) enough distribution detail to judge the match.
-//! `exp_all` concatenates these tables into `EXPERIMENTS.md`.
+//! `exp all --write` concatenates these tables into
+//! `EXPERIMENTS_RESULTS.md`.
 
 use simba_sim::Summary;
 use std::fmt::Write as _;
@@ -74,7 +75,7 @@ impl Table {
 
     /// Renders as an aligned plain-text table.
     pub fn to_text(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.chars().count());
@@ -143,6 +144,26 @@ mod tests {
         assert!(text.contains("== Latency =="));
         assert!(text.contains("one-way  0.45 s"));
         assert!(text.contains("ack      1.50 s"));
+    }
+
+    #[test]
+    fn text_rendering_measures_headers_in_chars_like_cells() {
+        // "≤" is one char, three bytes: a byte-measured header makes its
+        // column and the rule two too wide.
+        let mut t = Table::new("A1b", &["seen ≤5 min", "msgs"]);
+        t.row_str(&["37.2 %", "2.60"]);
+        t.row_str(&["25.2 %", "2.50"]);
+        let text = t.to_text();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        let column = |line: &str, cell: &str| {
+            let at = line.find(cell).expect("second column present");
+            line[..at].chars().count()
+        };
+        let widths = "seen ≤5 min".chars().count() + "msgs".len();
+        assert_eq!(column(lines[0], "msgs"), 2 + 11 + 2);
+        assert_eq!(column(lines[2], "2.60"), 2 + 11 + 2);
+        assert_eq!(column(lines[3], "2.50"), 2 + 11 + 2);
+        assert_eq!(lines[1].trim(), "-".repeat(widths + 2 * 2));
     }
 
     #[test]

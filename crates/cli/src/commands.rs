@@ -526,137 +526,6 @@ fn telemetry_tail(path: &str) -> Outcome {
     Outcome::ok(out)
 }
 
-/// `host --sharded [--users N] [--active A] [--waves W] [--shards S]
-/// [--threads]` — run the E8 population slice (many registered users,
-/// few active, hibernation on) at an interactive scale and report roster
-/// vs live-buddy bounds,
-/// group-commit amortization, and throughput. `--threads` pins each
-/// shard worker to its own OS thread (the multi-core mode) instead of
-/// the deterministic single-threaded executor.
-fn host_sharded(args: &[String]) -> Outcome {
-    use simba_bench::experiments::e8_sharded::{measure, E8Options};
-
-    // Interactive default: a thousandth of the full E8 shape.
-    let mut opts = E8Options::smoke();
-    opts.users = 1_000;
-    opts.active = 100;
-    opts.waves = 5;
-    opts.shards = 4;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let field = match flag.as_str() {
-            "--users" => &mut opts.users,
-            "--active" => &mut opts.active,
-            "--waves" => &mut opts.waves,
-            "--shards" => &mut opts.shards,
-            "--threads" => {
-                opts.threads = true;
-                continue;
-            }
-            other => return Outcome::usage(&format!("unknown flag {other:?}")),
-        };
-        match it.next().and_then(|v| v.parse().ok()) {
-            Some(v) => *field = v,
-            None => return Outcome::usage(&format!("{flag} needs a number")),
-        }
-    }
-    if opts.active == 0 || opts.active > opts.users || opts.waves == 0 || opts.shards == 0 {
-        return Outcome::usage("need 0 < --active <= --users, --waves >= 1, --shards >= 1");
-    }
-    if opts.threads {
-        // Real threads pace on wall time; the virtual-time hibernation
-        // default (30 s) would keep the post-run park from completing.
-        opts.hibernate_after = simba_sim::SimDuration::from_millis(250);
-    }
-    let (numbers, tables) = measure(opts);
-    let mut out = format!(
-        "sharded host: {} registered, {} active x {} waves over {} shards{}\n\n",
-        opts.users,
-        opts.active,
-        opts.waves,
-        opts.shards,
-        if opts.threads { " (thread-per-shard)" } else { "" }
-    );
-    for t in &tables {
-        out.push_str(&t.to_text());
-        out.push('\n');
-    }
-    let _ = writeln!(
-        out,
-        "peak live buddies {} (of {} registered); {} hibernated at their idle deadlines",
-        numbers.peak_active, numbers.users, numbers.hibernated_final
-    );
-    let _ = writeln!(
-        out,
-        "{} alerts acked at {:.0} alerts/s; {:.0} log writes per group commit",
-        numbers.acked, numbers.throughput, numbers.writes_per_commit
-    );
-    Outcome::ok(out)
-}
-
-/// `host [--sharded] [--users N] [--alerts M] [--ring R] [--seed S]` —
-/// run the multi-user host soak (E3H) interactively and report the
-/// outcome mix, bounded-state peaks/floors, and wall-clock throughput.
-/// With `--sharded`, run the E8 population slice on the same host
-/// instead — many registered users, few active, hibernation on (see
-/// [`host_sharded`] for its flags).
-pub fn host(args: &[String]) -> Outcome {
-    use simba_bench::experiments::e3_host_soak::{measure, SoakOptions};
-
-    if args.first().is_some_and(|a| a == "--sharded") {
-        return host_sharded(&args[1..]);
-    }
-    let mut opts = SoakOptions::new(42);
-    // Interactive default: a tenth of the full soak, still mixed-outcome.
-    opts.users = 10;
-    opts.alerts_per_user = 50;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--users" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.users = v,
-                None => return Outcome::usage("--users needs a number"),
-            },
-            "--alerts" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.alerts_per_user = v,
-                None => return Outcome::usage("--alerts needs a number"),
-            },
-            "--ring" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.completed_ring = v,
-                None => return Outcome::usage("--ring needs a number"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.seed = v,
-                None => return Outcome::usage("--seed needs a number"),
-            },
-            other => return Outcome::usage(&format!("unknown flag {other:?}")),
-        }
-    }
-    if opts.users == 0 || opts.alerts_per_user == 0 {
-        return Outcome::usage("--users and --alerts must be at least 1");
-    }
-    let (numbers, tables) = measure(opts);
-    let mut out = format!(
-        "host soak: {} users x {} alerts (seed {})\n\n",
-        opts.users, opts.alerts_per_user, opts.seed
-    );
-    for t in &tables {
-        out.push_str(&t.to_text());
-        out.push('\n');
-    }
-    let _ = writeln!(
-        out,
-        "host routing: {} routed (host.routed), {} unrouted (host.unrouted)",
-        numbers.routed, numbers.unrouted
-    );
-    let _ = writeln!(
-        out,
-        "{} deliveries drained to the floor at {:.0} alerts/s",
-        numbers.finished, numbers.throughput
-    );
-    Outcome::ok(out)
-}
-
 /// `gateway serve|send|probe` — run the TCP front door, or talk to one.
 pub fn gateway(args: &[String]) -> Outcome {
     match args.first().map(String::as_str) {
@@ -1772,56 +1641,6 @@ mod tests {
         assert_eq!(demo(&strings(&["pipeline", "--seed", "NaN"])).code, 2);
         assert_eq!(demo(&strings(&["nonsense"])).code, 2);
         assert_eq!(demo(&strings(&[])).code, 2);
-    }
-
-    #[test]
-    fn host_soak_reports_floor_and_throughput() {
-        let out = host(&strings(&["--users", "4", "--alerts", "10", "--seed", "7"]));
-        assert_eq!(out.code, 0, "{}", out.output);
-        assert!(out.output.contains("host soak: 4 users x 10 alerts"), "{}", out.output);
-        assert!(out.output.contains("terminal outcome mix"), "{}", out.output);
-        assert!(out.output.contains("drained to the floor"), "{}", out.output);
-        assert_eq!(host(&strings(&["--users", "NaN"])).code, 2);
-        assert_eq!(host(&strings(&["--users", "0"])).code, 2);
-        assert_eq!(host(&strings(&["--frobnicate"])).code, 2);
-    }
-
-    #[test]
-    fn host_soak_reports_routing_totals() {
-        let out = host(&strings(&["--users", "3", "--alerts", "5", "--seed", "11"]));
-        assert_eq!(out.code, 0, "{}", out.output);
-        assert!(
-            out.output.contains("host routing: 15 routed (host.routed), 0 unrouted"),
-            "{}",
-            out.output
-        );
-    }
-
-    #[test]
-    fn host_sharded_reports_bounds_and_commit_amortization() {
-        let out = host(&strings(&["--sharded", "--users", "200", "--active", "20", "--waves", "3"]));
-        assert_eq!(out.code, 0, "{}", out.output);
-        assert!(
-            out.output.contains("sharded host: 200 registered, 20 active x 3 waves"),
-            "{}",
-            out.output
-        );
-        assert!(out.output.contains("log writes per group commit"), "{}", out.output);
-        assert!(out.output.contains("20 hibernated at their idle deadlines"), "{}", out.output);
-        assert_eq!(host(&strings(&["--sharded", "--active", "0"])).code, 2);
-        assert_eq!(host(&strings(&["--sharded", "--waves", "none"])).code, 2);
-        assert_eq!(host(&strings(&["--sharded", "--frobnicate"])).code, 2);
-    }
-
-    #[test]
-    fn host_sharded_threads_runs_thread_per_shard() {
-        let out = host(&strings(&[
-            "--sharded", "--users", "200", "--active", "20", "--waves", "2", "--shards", "2",
-            "--threads",
-        ]));
-        assert_eq!(out.code, 0, "{}", out.output);
-        assert!(out.output.contains("(thread-per-shard)"), "{}", out.output);
-        assert!(out.output.contains("20 hibernated at their idle deadlines"), "{}", out.output);
     }
 
     #[test]

@@ -10,12 +10,6 @@
 //!   user (tolerating a torn tail, as a restarting host would);
 //! * `demo pipeline|faultlog` — run the simulated deployment and print the
 //!   summary tables;
-//! * `host` — soak a multi-user host fleet with mixed
-//!   ack/timeout/failure outcomes and report the outcome mix,
-//!   bounded-state peaks, routing totals, and throughput; with
-//!   `--sharded`, run the E8 population slice on the same host (many
-//!   registered, few active, hibernation on) and report roster vs
-//!   live-buddy bounds and group-commit amortization instead;
 //! * `gateway serve|send|probe` — run the framed-TCP ingestion gateway
 //!   in front of a live host fleet, submit alerts to one, or check its
 //!   health counters;
@@ -82,9 +76,6 @@ USAGE:
   simba-cli wal inspect <shard-log-dir>
   simba-cli demo pipeline  [--seed <n>] [--alerts <n>]
   simba-cli demo faultlog  [--seed <n>] [--fixes]
-  simba-cli host [--users <n>] [--alerts <n>] [--ring <n>] [--seed <n>]
-  simba-cli host --sharded [--users <n>] [--active <n>] [--waves <n>]
-            [--shards <n>] [--threads]
   simba-cli gateway serve [--addr <a>] [--users <n>] [--duration-ms <n>]
             [--workers <n>] [--queue <n>] [--rate <alerts/s>] [--source <s>]
   simba-cli gateway send --addr <a> [--user <u>] [--body <text>]
@@ -115,10 +106,6 @@ block cascade: --disable turns an address off first, --fail makes a send
 to that address fail synchronously, --ack names the address whose send the
 user acknowledges (default: nothing is acknowledged, so every ack window
 expires).
-
-`host` soaks every hosted user with mixed outcomes (E3H); `host --sharded`
-runs the E8 population slice on the same host: many registered users, few
-active, idle buddies hibernated.
 ";
 
 /// Dispatches a command line (without the program name).
@@ -130,7 +117,6 @@ pub fn run(args: &[String]) -> Outcome {
         Some("explain") => commands::explain(&args[1..]),
         Some("wal") => commands::wal(&args[1..]),
         Some("demo") => commands::demo(&args[1..]),
-        Some("host") => commands::host(&args[1..]),
         Some("gateway") => commands::gateway(&args[1..]),
         Some("store") => commands::store(&args[1..]),
         Some("telemetry") => commands::telemetry(&args[1..]),

@@ -92,8 +92,8 @@ pub trait WriteAheadLog {
     /// set.
     fn unprocessed(&self) -> Vec<WalRecord>;
 
-    /// Whether any record is still unprocessed. The hibernation sweep
-    /// calls this on every idle candidate, so implementations should
+    /// Whether any record is still unprocessed. A buddy's idle deadline
+    /// calls this before hibernating it, so implementations should
     /// answer without building the full replay set.
     fn has_unprocessed(&self) -> bool {
         !self.unprocessed().is_empty()
