@@ -23,6 +23,11 @@
 #                 their CI shape: `exp <id> --smoke` each; a violated
 #                 invariant panics. Throughput is printed, never gated —
 #                 `benchmark compare` (E11) is the performance gate
+#   make alloc-budget — allocations and requested bytes per delivered
+#                 alert on the admitted-alert path, against half of what
+#                 PR 20's tree spent (crates/runtime/tests/alloc_budget.rs;
+#                 its printed table is the artefact; `test-all` runs the
+#                 same test without printing it)
 #   make loc    — non-test Rust lines under crates/ (every
 #                 crates/*/src/**/*.rs line before the file's first
 #                 `#[cfg(test)]`), per crate and in total — the figure
@@ -30,7 +35,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke loc clean
+.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget loc clean
 
 ci: build test-all bench-selftest e2e-quick doc lint analyze smoke
 
@@ -66,6 +71,9 @@ smoke:
 	@for id in e3h e6 e7 e8 e9 e10; do \
 		$(CARGO) run --release -q -p simba-bench --bin exp -- $$id --smoke || exit 1; \
 	done
+
+alloc-budget:
+	$(CARGO) test --release -p simba-runtime --test alloc_budget -- --nocapture
 
 loc:
 	@for crate in crates/*/; do \

@@ -231,7 +231,7 @@ async fn storm(opts: E10Options) -> StormRaw {
             IncomingAlert::from_im("flappy", format!("Sensor flap {i}"), SimTime::ZERO);
         if i == opts.storm_alarms / 2 {
             alarm.urgency = Urgency::Critical;
-            alarm.body = "Sensor CRIT meltdown".to_string();
+            alarm.body = "Sensor CRIT meltdown".into();
         }
         assert!(host.submit_im(&storm_user, alarm).await, "the storm user's shard is up");
         if i.is_multiple_of(stride) && normals_sent < opts.normals as u64 {

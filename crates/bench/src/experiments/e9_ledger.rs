@@ -117,7 +117,7 @@ struct CountingChannels {
 impl LedgerChannels for CountingChannels {
     fn send(&mut self, work: &LeasedWork) -> ChannelResult {
         let mut effects = self.effects.lock().unwrap_or_else(PoisonError::into_inner);
-        let count = effects.entry(work.idempotency_key.clone()).or_insert(0);
+        let count = effects.entry(work.idempotency_key.to_string()).or_insert(0);
         if *count > 0 {
             ChannelResult::Duplicate
         } else {

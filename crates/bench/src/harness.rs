@@ -597,7 +597,7 @@ fn emit(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, alert: IncomingAlert
     let now = ctx.now();
     world.track(tag).emitted_at = Some(now);
     world.metrics.incr("source.emitted");
-    let source = ImHandle::new(alert.source.clone());
+    let source = ImHandle::new(&*alert.source);
     // Sources keep their own sessions alive: re-logon before emitting if a
     // recovery or outage dropped the session.
     if !world.im.is_logged_on(&source, now) {
@@ -606,7 +606,7 @@ fn emit(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, alert: IncomingAlert
     if !world.im.is_logged_on(&ImHandle::new(USER_IM), now) {
         let _ = world.im.logon(&ImHandle::new(USER_IM), now);
     }
-    match world.im.send(&source, &ImHandle::new(MAB_IM), alert.body.clone(), now) {
+    match world.im.send(&source, &ImHandle::new(MAB_IM), &*alert.body, now) {
         Ok(Transit { message, delay, lost }) => {
             world.track(tag).via = Some(CommType::Im);
             if !lost {
@@ -626,11 +626,11 @@ fn emit_email_fallback(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, alert
     world.track(tag).via = Some(CommType::Email);
     world.metrics.incr("source.email_fallback");
     let transit = world.email.send(
-        &EmailAddr::new(alert.source.clone()),
+        &EmailAddr::new(&*alert.source),
         &EmailAddr::new(MAB_EMAIL),
         alert.sender_name.clone(),
         alert.subject.clone(),
-        alert.body.clone(),
+        &*alert.body,
         now,
     );
     let delay = transit.delay;
@@ -681,7 +681,7 @@ fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: Inc
         return;
     }
     // Tag the text so user-side events can find the track.
-    alert.body = format!("{} [#{tag}]", alert.body);
+    alert.body = format!("{} [#{tag}]", alert.body).into();
 
     let wal_cost = if world.pessimistic_logging {
         world.timing.wal_cost
@@ -711,7 +711,7 @@ fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: Inc
     for to in acks {
         let send_at_delay = wal_cost;
         let mab_handle_im = ImHandle::new(MAB_IM);
-        let target = ImHandle::new(to);
+        let target = ImHandle::new(&*to);
         // Model: schedule the ack IM send after the fsync. We send now
         // with the service latency standing in for (fsync + transit).
         if let Ok(Transit { delay, lost, .. }) =
@@ -762,7 +762,7 @@ fn execute_commands(world: &mut World, ctx: &mut Ctx<'_, Ev>, commands: Vec<MabC
                 }
                 DeliveryCommand::Send { attempt, comm_type, address_value, text, .. } => {
                     let tag = parse_tag(&text).unwrap_or(u64::MAX);
-                    send_to_user(world, ctx, delivery, attempt, comm_type, &address_value, text, tag);
+                    send_to_user(world, ctx, delivery, attempt, comm_type, &address_value, text.to_string(), tag);
                 }
             },
         }

@@ -164,7 +164,7 @@ pub fn explain_cascade(
         for command in commands {
             match command {
                 DeliveryCommand::Send { attempt, comm_type, address_name, .. } => {
-                    if failing.contains(&address_name) {
+                    if failing.iter().any(|name| **name == *address_name) {
                         let _ = writeln!(out, "  [{now}] send {comm_type} via {address_name:?} → FAILS");
                         next.extend(process.handle(
                             DeliveryEvent::SendFailed { attempt, failure: SendFailure::RecipientUnreachable },
@@ -174,7 +174,7 @@ pub fn explain_cascade(
                     } else {
                         let _ = writeln!(out, "  [{now}] send {comm_type} via {address_name:?} → accepted");
                         next.extend(process.handle(DeliveryEvent::SendAccepted { attempt }, book, now));
-                        if acked == Some(address_name.as_str()) {
+                        if acked == Some(&*address_name) {
                             let _ = writeln!(out, "  [{now}] user acknowledges via {address_name:?}");
                             next.extend(process.handle(DeliveryEvent::Acked { attempt }, book, now));
                         }
@@ -1621,7 +1621,7 @@ mod tests {
             let mut l = DeliveryLedger::open(LedgerConfig::on_disk(&dir)).unwrap();
             let work = l.lease(&WorkerId::new("w2"), SimTime::from_secs(1), 4);
             assert_eq!(work.len(), 1, "requeued record must be leasable");
-            assert_eq!(work[0].address, "ada@mail");
+            assert_eq!(&*work[0].address, "ada@mail");
             l.record_sent(&WorkerId::new("w2"), work[0].id, SimTime::from_secs(1)).unwrap();
             l.commit().unwrap();
         }

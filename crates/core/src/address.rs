@@ -8,6 +8,7 @@
 //! dies is the §3.3 scenario that makes delivery-mode fallback automatic.
 
 use simba_xml::{Element, XmlError};
+use std::sync::Arc;
 
 /// The communication type of an address — the paper's `"IM"`, `"SMS"`,
 /// `"EM"` vocabulary.
@@ -57,12 +58,14 @@ impl std::fmt::Display for CommType {
 /// One delivery address in a user's address book.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Address {
-    /// Friendly name, the key actions in delivery modes refer to.
-    pub friendly_name: String,
+    /// Friendly name, the key actions in delivery modes refer to. Shared
+    /// with every attempt record and send command that names it.
+    pub friendly_name: Arc<str>,
     /// Channel type.
     pub comm_type: CommType,
     /// Channel-specific value: IM handle, phone number, or email address.
-    pub value: String,
+    /// Shared with every send command and ledger record addressed to it.
+    pub value: Arc<str>,
     /// Whether the address is currently enabled.
     pub enabled: bool,
 }
@@ -70,9 +73,9 @@ pub struct Address {
 impl Address {
     /// Creates an enabled address.
     pub fn new(
-        friendly_name: impl Into<String>,
+        friendly_name: impl Into<Arc<str>>,
         comm_type: CommType,
-        value: impl Into<String>,
+        value: impl Into<Arc<str>>,
     ) -> Self {
         Address {
             friendly_name: friendly_name.into(),
@@ -135,7 +138,7 @@ impl AddressBook {
     /// Fails if the friendly name is already taken.
     pub fn add(&mut self, address: Address) -> Result<(), AddressBookError> {
         if self.get(&address.friendly_name).is_some() {
-            return Err(AddressBookError::DuplicateName(address.friendly_name));
+            return Err(AddressBookError::DuplicateName(address.friendly_name.to_string()));
         }
         self.addresses.push(address);
         Ok(())
@@ -145,7 +148,7 @@ impl AddressBook {
     pub fn get(&self, friendly_name: &str) -> Option<&Address> {
         self.addresses
             .iter()
-            .find(|a| a.friendly_name == friendly_name)
+            .find(|a| &*a.friendly_name == friendly_name)
     }
 
     /// Enables or disables an address. Returns `false` if unknown.
@@ -158,7 +161,7 @@ impl AddressBook {
         match self
             .addresses
             .iter_mut()
-            .find(|a| a.friendly_name == friendly_name)
+            .find(|a| &*a.friendly_name == friendly_name)
         {
             Some(a) => {
                 a.enabled = enabled;
@@ -214,9 +217,9 @@ impl AddressBook {
         for a in &self.addresses {
             root = root.with_child(
                 Element::new("Address")
-                    .with_attr("name", a.friendly_name.clone())
+                    .with_attr("name", &*a.friendly_name)
                     .with_attr("type", a.comm_type.as_token())
-                    .with_attr("value", a.value.clone())
+                    .with_attr("value", &*a.value)
                     .with_attr("enabled", if a.enabled { "true" } else { "false" }),
             );
         }
@@ -252,9 +255,9 @@ impl AddressBook {
                 .ok_or_else(|| AddressBookError::UnknownCommType(ty.to_string()))?;
             let enabled = el.attr("enabled").is_none_or(|v| v == "true");
             book.add(Address {
-                friendly_name: name.to_string(),
+                friendly_name: name.into(),
                 comm_type,
-                value: value.to_string(),
+                value: value.into(),
                 enabled,
             })?;
         }

@@ -1,6 +1,7 @@
 //! Alerts: the unit of information SIMBA delivers.
 
 use simba_sim::SimTime;
+use std::sync::Arc;
 
 /// Unique id assigned by MyAlertBuddy when an alert enters the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,16 +45,21 @@ impl std::fmt::Display for Urgency {
 /// body tagged with the sender handle; email alerts additionally carry a
 /// sender display name and subject — the two fields the classifier's
 /// per-source keyword rules read (§4.2).
+///
+/// `source` and `body` are shared: the log record, the acknowledgement,
+/// the routed [`Alert`] and every send of it hold the strings this value
+/// was built with, so cloning an IM alert allocates nothing (the two
+/// email-only fields are empty there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncomingAlert {
     /// Source identifier: the sending IM handle or email address.
-    pub source: String,
+    pub source: Arc<str>,
     /// Sender display name (email) or empty (IM).
     pub sender_name: String,
     /// Subject line (email) or empty (IM).
     pub subject: String,
     /// Alert text.
-    pub body: String,
+    pub body: Arc<str>,
     /// The source's own timestamp, used for duplicate detection at the
     /// user (§4.2.1: "We use timestamps to allow the user to detect and
     /// discard duplicates").
@@ -64,7 +70,7 @@ pub struct IncomingAlert {
 
 impl IncomingAlert {
     /// Creates an IM-style incoming alert (no sender name / subject).
-    pub fn from_im(source: impl Into<String>, body: impl Into<String>, origin: SimTime) -> Self {
+    pub fn from_im(source: impl Into<Arc<str>>, body: impl Into<Arc<str>>, origin: SimTime) -> Self {
         IncomingAlert {
             source: source.into(),
             sender_name: String::new(),
@@ -77,10 +83,10 @@ impl IncomingAlert {
 
     /// Creates an email-style incoming alert.
     pub fn from_email(
-        source: impl Into<String>,
+        source: impl Into<Arc<str>>,
         sender_name: impl Into<String>,
         subject: impl Into<String>,
-        body: impl Into<String>,
+        body: impl Into<Arc<str>>,
         origin: SimTime,
     ) -> Self {
         IncomingAlert {
@@ -150,10 +156,10 @@ impl DigestAlert {
             body.push_str(exemplar);
         }
         IncomingAlert {
-            source: self.source.clone(),
+            source: self.source.as_str().into(),
             sender_name: String::new(),
             subject: format!("digest: {}x {}", self.count, self.kind),
-            body,
+            body: body.into(),
             origin_timestamp: self.last,
             urgency: self.urgency,
         }
@@ -166,11 +172,12 @@ pub struct Alert {
     /// Pipeline-assigned id.
     pub id: AlertId,
     /// Source identifier.
-    pub source: String,
+    pub source: Arc<str>,
     /// The personal category the classifier assigned.
-    pub category: String,
-    /// Display text delivered to the user.
-    pub text: String,
+    pub category: Arc<str>,
+    /// Display text delivered to the user; every send of the alert, the
+    /// ledger record and the leased work share this one string.
+    pub text: Arc<str>,
     /// The source's own timestamp (for dedup).
     pub origin_timestamp: SimTime,
     /// When MyAlertBuddy accepted it.
@@ -183,12 +190,8 @@ impl Alert {
     /// The key used for timestamp-based duplicate detection at the user:
     /// two alerts with the same source, category, and origin timestamp are
     /// duplicates (a retransmission after an unmarked WAL replay).
-    pub fn dedup_key(&self) -> (String, String, SimTime) {
-        (
-            self.source.clone(),
-            self.category.clone(),
-            self.origin_timestamp,
-        )
+    pub fn dedup_key(&self) -> (Arc<str>, Arc<str>, SimTime) {
+        (Arc::clone(&self.source), Arc::clone(&self.category), self.origin_timestamp)
     }
 }
 
@@ -208,7 +211,7 @@ mod tests {
         let im = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::ZERO);
         assert!(im.sender_name.is_empty());
         assert!(im.subject.is_empty());
-        assert_eq!(im.body, "Basement Water Sensor ON");
+        assert_eq!(&*im.body, "Basement Water Sensor ON");
 
         let em = IncomingAlert::from_email(
             "alerts@yahoo",

@@ -9,15 +9,19 @@
 use crate::alert::Alert;
 use simba_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+/// What [`Alert::dedup_key`] returns: `(source, category, origin)`.
+type DedupKey = (Arc<str>, Arc<str>, SimTime);
 
 /// A sliding-window duplicate detector keyed by [`Alert::dedup_key`].
 #[derive(Debug)]
 pub struct DuplicateDetector {
     window: SimDuration,
     /// key → when first seen.
-    seen: HashMap<(String, String, SimTime), SimTime>,
+    seen: HashMap<DedupKey, SimTime>,
     /// FIFO of (seen_at, key) for expiry.
-    order: VecDeque<(SimTime, (String, String, SimTime))>,
+    order: VecDeque<(SimTime, DedupKey)>,
     duplicates: u64,
     accepted: u64,
 }

@@ -64,14 +64,14 @@ pub enum DeliveryCommand {
         attempt: AttemptId,
         /// Channel to use.
         comm_type: CommType,
-        /// Friendly name of the address (for traces).
-        address_name: String,
-        /// Channel-specific address value.
-        address_value: String,
+        /// Friendly name of the address (for traces); the book's string.
+        address_name: Arc<str>,
+        /// Channel-specific address value; the book's string.
+        address_value: Arc<str>,
         /// The alert being delivered.
         alert: AlertId,
-        /// Text to deliver.
-        text: String,
+        /// Text to deliver; the alert's string.
+        text: Arc<str>,
     },
     /// Arrange for [`DeliveryEvent::TimerFired`] after `after`.
     StartTimer {
@@ -181,7 +181,7 @@ pub struct AttemptRecord {
     /// Zero-based block index.
     pub block: usize,
     /// Friendly name of the address used.
-    pub address_name: String,
+    pub address_name: Arc<str>,
     /// Channel type used.
     pub comm_type: CommType,
     /// When the attempt was issued.
@@ -198,8 +198,9 @@ pub struct DeliveryProcess {
     block_idx: usize,
     status: DeliveryStatus,
     attempts: Vec<AttemptRecord>,
-    /// Attempts issued for the *current* block.
-    current: Vec<AttemptId>,
+    /// Attempts issued for the *current* block: ids are handed out in
+    /// order, so a block's attempts are a range of them.
+    current: std::ops::Range<u64>,
     current_failed: usize,
     current_accepted: usize,
     current_timer: Option<TimerId>,
@@ -237,7 +238,7 @@ impl DeliveryProcess {
             block_idx: 0,
             status: DeliveryStatus::InProgress,
             attempts: Vec::new(),
-            current: Vec::new(),
+            current: 0..0,
             current_failed: 0,
             current_accepted: 0,
             current_timer: None,
@@ -331,7 +332,7 @@ impl DeliveryProcess {
                         rec.outcome = AttemptOutcome::Accepted;
                     }
                 }
-                if self.current.contains(&attempt) {
+                if self.current.contains(&attempt.0) {
                     self.current_accepted += 1;
                     self.check_block_progress(book, now, &mut cmds);
                 }
@@ -348,7 +349,7 @@ impl DeliveryProcess {
                             .with("failure", failure.to_string()),
                     );
                 }
-                if self.current.contains(&attempt) {
+                if self.current.contains(&attempt.0) {
                     self.current_failed += 1;
                     self.check_block_progress(book, now, &mut cmds);
                 }
@@ -404,7 +405,7 @@ impl DeliveryProcess {
     /// After an accept/fail in the current block, decide whether the block
     /// resolved.
     fn check_block_progress(&mut self, book: &AddressBook, now: SimTime, cmds: &mut Vec<DeliveryCommand>) {
-        let issued = self.current.len();
+        let issued = (self.current.end - self.current.start) as usize;
         let ack_required = matches!(
             self.mode.blocks()[self.block_idx].ack,
             AckPolicy::Required(_)
@@ -433,7 +434,7 @@ impl DeliveryProcess {
     }
 
     fn enter_block(&mut self, idx: usize, book: &AddressBook, now: SimTime, cmds: &mut Vec<DeliveryCommand>) {
-        self.current.clear();
+        self.current = self.next_attempt..self.next_attempt;
         self.current_failed = 0;
         self.current_accepted = 0;
         self.current_timer = None;
@@ -482,6 +483,8 @@ impl DeliveryProcess {
                 );
             }
 
+            self.attempts.reserve_exact(enabled);
+            cmds.reserve_exact(enabled + usize::from(matches!(block.ack, AckPolicy::Required(_))));
             for addr in block
                 .actions
                 .iter()
@@ -489,7 +492,7 @@ impl DeliveryProcess {
             {
                 let attempt = AttemptId(self.next_attempt);
                 self.next_attempt += 1;
-                self.current.push(attempt);
+                self.current.end = self.next_attempt;
                 self.attempts.push(AttemptRecord {
                     attempt,
                     block: idx,
@@ -557,7 +560,7 @@ mod tests {
         cmds.iter()
             .filter_map(|c| match c {
                 DeliveryCommand::Send { address_name, comm_type, .. } => {
-                    Some((address_name.as_str(), *comm_type))
+                    Some((&**address_name, *comm_type))
                 }
                 _ => None,
             })

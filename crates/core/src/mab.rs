@@ -20,10 +20,11 @@ use crate::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryProcess
 use crate::rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
 use crate::snapshot::BuddySnapshot;
 use crate::subscription::{SubscriptionRegistry, UserId};
+use crate::vecmap::VecMap;
 use crate::wal::{WalRecord, WriteAheadLog};
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{Event, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Default capacity of the completed-delivery ring.
@@ -67,8 +68,8 @@ pub enum MabEvent {
 pub enum MabCommand {
     /// Send the application-level IM acknowledgement back to `to`.
     AckIm {
-        /// Source handle to acknowledge.
-        to: String,
+        /// Source handle to acknowledge (the alert's own string).
+        to: Arc<str>,
         /// The log id backing the ack (for tracing).
         wal_id: u64,
     },
@@ -186,7 +187,9 @@ pub struct RetiredDelivery {
 pub struct MyAlertBuddy<W> {
     config: MabConfig,
     wal: W,
-    deliveries: BTreeMap<DeliveryId, (UserId, DeliveryProcess)>,
+    /// Tracked deliveries: usually none or one, filled and emptied once
+    /// per alert — hence a [`VecMap`], not a tree with an eleven-slot leaf.
+    deliveries: VecMap<DeliveryId, (UserId, DeliveryProcess)>,
     completed: VecDeque<RetiredDelivery>,
     completed_cap: usize,
     retirement_grace: SimDuration,
@@ -209,7 +212,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
         MyAlertBuddy {
             config,
             wal,
-            deliveries: BTreeMap::new(),
+            deliveries: VecMap::default(),
             completed: VecDeque::new(),
             completed_cap: DEFAULT_COMPLETED_CAP,
             retirement_grace: SimDuration::ZERO,
@@ -361,19 +364,14 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
     /// completed-ring, and their summaries are returned so the harness can
     /// drop per-attempt bookkeeping and cancel pending timer tasks.
     pub fn retire_terminal(&mut self, now: SimTime) -> Vec<RetiredDelivery> {
-        let due: Vec<DeliveryId> = self
-            .deliveries
-            .iter()
-            .filter_map(|(id, (_, p))| {
-                let at = p.status().terminal_at()?;
-                (now.since(at) >= self.retirement_grace).then_some(*id)
-            })
-            .collect();
-        let mut out = Vec::with_capacity(due.len());
-        for id in due {
-            let Some((user, process)) = self.deliveries.remove(&id) else {
-                continue;
-            };
+        let grace = self.retirement_grace;
+        let due = |(id, (_, p)): (&DeliveryId, &(UserId, DeliveryProcess))| {
+            (now.since(p.status().terminal_at()?) >= grace).then_some(*id)
+        };
+        let mut out = Vec::with_capacity(self.deliveries.iter().filter_map(due).count());
+        loop {
+            let Some(id) = self.deliveries.iter().find_map(due) else { break };
+            let Some((user, process)) = self.deliveries.remove(&id) else { break };
             let summary = RetiredDelivery {
                 id,
                 user,
@@ -389,7 +387,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                 self.telemetry.emit(
                     Event::new("mab.retired", now.as_millis())
                         .with("delivery", id.0)
-                        .with("user", summary.user.0.clone())
+                        .with("user", &*summary.user.0)
                         .with("status", status_name(summary.status))
                         .with("attempts", summary.attempts.len()),
                 );
@@ -401,10 +399,6 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                 self.completed.push_back(summary.clone());
             }
             out.push(summary);
-        }
-        if self.deliveries.is_empty() {
-            // Hand back the root leaf (eleven slots) an emptied map keeps.
-            self.deliveries = BTreeMap::new();
         }
         out
     }
@@ -471,21 +465,28 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
     /// dropped, exactly like a dead process — senders see missing acks and
     /// fall back).
     pub fn handle(&mut self, event: MabEvent, now: SimTime) -> Vec<MabCommand> {
+        let mut cmds = Vec::new();
+        self.handle_into(event, now, &mut cmds);
+        cmds
+    }
+
+    /// [`MyAlertBuddy::handle`], appending the commands to `cmds` — for a
+    /// driver that feeds many events and keeps one buffer.
+    pub fn handle_into(&mut self, event: MabEvent, now: SimTime, cmds: &mut Vec<MabCommand>) {
         if self.crashed || self.hung {
-            return Vec::new();
+            return;
         }
         self.last_progress_at = now;
-        let mut cmds = Vec::new();
         match event {
             MabEvent::AlertByIm(alert) => {
                 self.stats.received_im += 1;
                 self.note_received("im", &alert, now);
-                self.ingest(alert, true, now, &mut cmds);
+                self.ingest(alert, true, now, cmds);
             }
             MabEvent::AlertByEmail(alert) => {
                 self.stats.received_email += 1;
                 self.note_received("email", &alert, now);
-                self.ingest(alert, false, now, &mut cmds);
+                self.ingest(alert, false, now, cmds);
             }
             MabEvent::Delivery { id, event } => {
                 if let Some((user, process)) = self.deliveries.get_mut(&id) {
@@ -509,7 +510,6 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                 }
             }
         }
-        cmds
     }
 
     fn note_received(&self, channel: &str, alert: &IncomingAlert, now: SimTime) {
@@ -518,7 +518,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
             self.telemetry.emit(
                 Event::new("mab.received", now.as_millis())
                     .with("channel", channel)
-                    .with("source", alert.source.as_str()),
+                    .with("source", &*alert.source),
             );
         }
     }
@@ -560,7 +560,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
             self.telemetry.emit(
                 Event::new("wal.append", now.as_millis())
                     .with("wal_id", wal_id)
-                    .with("source", alert.source.as_str()),
+                    .with("source", &*alert.source),
             );
         }
         if self.crash_if(CrashPoint::AfterLogBeforeAck, now) {
@@ -573,12 +573,12 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                 self.telemetry.metrics().counter("mab.acked").incr();
                 self.telemetry.emit(
                     Event::new("mab.ack", now.as_millis())
-                        .with("to", alert.source.as_str())
+                        .with("to", &*alert.source)
                         .with("wal_id", wal_id),
                 );
             }
             cmds.push(MabCommand::AckIm {
-                to: alert.source.clone(),
+                to: Arc::clone(&alert.source),
                 wal_id,
             });
         }
@@ -609,7 +609,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                 self.telemetry.emit(
                     Event::new("rejuvenate.triggered", now.as_millis())
                         .with("trigger", "remote")
-                        .with("source", alert.source.as_str()),
+                        .with("source", &*alert.source),
                 );
             }
             if !self.mark_processed_or_crash(record.id, now) {
@@ -621,20 +621,16 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
 
         match self.config.classifier.classify(alert) {
             Ok(category) => {
-                let subs: Vec<(UserId, String)> = self
-                    .config
-                    .registry
-                    .active_subscriptions(&category, now)
-                    .into_iter()
-                    .map(|s| (s.user.clone(), s.mode_name.clone()))
-                    .collect();
+                // Borrowed from the registry for the whole fan-out: the
+                // loop below touches other fields of `self` only.
+                let subs = self.config.registry.active_subscriptions(&category, now);
                 if subs.is_empty() {
                     self.stats.unsubscribed += 1;
                     if self.telemetry.enabled() {
                         self.telemetry.metrics().counter("mab.unsubscribed").incr();
                         self.telemetry.emit(
                             Event::new("mab.unsubscribed", now.as_millis())
-                                .with("category", category.as_str()),
+                                .with("category", &*category),
                         );
                     }
                 } else {
@@ -647,16 +643,17 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                             .observe_ms(now.since(record.received_at).as_millis());
                         self.telemetry.emit(
                             Event::new("mab.routed", now.as_millis())
-                                .with("category", category.as_str())
+                                .with("category", &*category)
                                 .with("fanout", subs.len()),
                         );
                     }
                 }
-                for (user, mode_name) in subs {
-                    let Some(profile) = self.config.registry.user(&user) else {
+                for sub in subs {
+                    let (user, mode_name) = (&sub.user, &sub.mode_name);
+                    let Some(profile) = self.config.registry.user(user) else {
                         continue;
                     };
-                    let Some(mode) = profile.mode_shared(&mode_name) else {
+                    let Some(mode) = profile.mode_shared(mode_name) else {
                         continue;
                     };
                     // Presence-aware mode selection: live soft-state facts
@@ -664,7 +661,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                     // the static profile untouched.
                     let mode = match &self.mode_selector {
                         Some(selector) => {
-                            let ctx = selector.context(&user, now);
+                            let ctx = selector.context(user, now);
                             match crate::routing::apply_routing(&mode, &profile.address_book, &ctx)
                             {
                                 Some(adjusted) => {
@@ -676,7 +673,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                                             .incr();
                                         self.telemetry.emit(
                                             Event::new("mab.mode_overridden", now.as_millis())
-                                                .with("user", user.0.as_str())
+                                                .with("user", &*user.0)
                                                 .with("mode", mode_name.as_str())
                                                 .with(
                                                     "presence",
@@ -695,8 +692,8 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                     };
                     let alert_out = Alert {
                         id: AlertId(self.next_alert),
-                        source: alert.source.clone(),
-                        category: category.clone(),
+                        source: Arc::clone(&alert.source),
+                        category: Arc::clone(&category),
                         text: display_text(alert),
                         origin_timestamp: alert.origin_timestamp,
                         received_at: now,
@@ -723,7 +720,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                             command,
                         });
                     }
-                    self.deliveries.insert(id, (user, process));
+                    self.deliveries.insert(id, (user.clone(), process));
                 }
             }
             Err(_) => {
@@ -732,7 +729,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                     self.telemetry.metrics().counter("mab.rejected").incr();
                     self.telemetry.emit(
                         Event::new("mab.rejected", now.as_millis())
-                            .with("source", alert.source.as_str()),
+                            .with("source", &*alert.source),
                     );
                 }
             }
@@ -775,12 +772,12 @@ fn status_name(status: DeliveryStatus) -> &'static str {
 }
 
 /// The text shown to the user: subject line if the channel had one,
-/// otherwise the body.
-fn display_text(alert: &IncomingAlert) -> String {
+/// otherwise the body itself (shared, not copied).
+fn display_text(alert: &IncomingAlert) -> Arc<str> {
     if alert.subject.is_empty() {
-        alert.body.clone()
+        Arc::clone(&alert.body)
     } else {
-        format!("{}: {}", alert.subject, alert.body)
+        format!("{}: {}", alert.subject, alert.body).into()
     }
 }
 
@@ -840,7 +837,7 @@ mod tests {
         let mut m = mab();
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // Command order is the pipeline order: ack first, then the send.
-        assert!(matches!(&cmds[0], MabCommand::AckIm { to, .. } if to == "aladdin-gw"));
+        assert!(matches!(&cmds[0], MabCommand::AckIm { to, .. } if &**to == "aladdin-gw"));
         assert!(cmds.iter().any(|c| matches!(
             c,
             MabCommand::Channel { command: DeliveryCommand::Send { comm_type: CommType::Im, .. }, .. }
@@ -1238,6 +1235,6 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        assert_eq!(text, "MSFT at 80: details");
+        assert_eq!(&*text, "MSFT at 80: details");
     }
 }

@@ -86,7 +86,7 @@ pub fn registry_to_xml(registry: &SubscriptionRegistry) -> String {
     }
 
     for (user, profile) in registry.users() {
-        let mut user_el = Element::new("User").with_attr("id", user.0.clone());
+        let mut user_el = Element::new("User").with_attr("id", &*user.0);
 
         // Inline the address book (reparse of its own document shape).
         // simba-analyze: allow(hygiene.unwrap): reparsing our own serializer's output; a failure is a codec bug the roundtrip tests catch

@@ -304,7 +304,7 @@ fn encode_record(out: &mut String, record: &WalRecord) {
     let _ = write!(
         out,
         "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        escape(record.user.as_ref().map_or("", |u| u.0.as_str())),
+        escape(record.user.as_ref().map_or("", |u| &u.0)),
         record.id,
         record.received_at.as_millis(),
         alert.origin_timestamp.as_millis(),
@@ -318,7 +318,7 @@ fn encode_record(out: &mut String, record: &WalRecord) {
 
 fn decode_record(payload: &str) -> Option<WalRecord> {
     let mut fields = payload.strip_prefix("R\t")?.split('\t');
-    let user = UserId(unescape(fields.next()?));
+    let user = UserId::new(unescape(fields.next()?));
     let id = fields.next()?.parse().ok()?;
     let received_at = SimTime::from_millis(fields.next()?.parse().ok()?);
     let origin_timestamp = SimTime::from_millis(fields.next()?.parse().ok()?);
@@ -328,10 +328,10 @@ fn decode_record(payload: &str) -> Option<WalRecord> {
         "critical" => Urgency::Critical,
         _ => return None,
     };
-    let source = unescape(fields.next()?);
+    let source = unescape(fields.next()?).into();
     let sender_name = unescape(fields.next()?);
     let subject = unescape(fields.next()?);
-    let body = unescape(fields.next()?);
+    let body = unescape(fields.next()?).into();
     Some(WalRecord {
         id,
         received_at,
@@ -442,7 +442,7 @@ mod tests {
         log.mark_processed(&user("alice"), a1).unwrap();
         let remaining = log.unprocessed_for(&user("alice"));
         assert_eq!(remaining.len(), 1);
-        assert_eq!(remaining[0].alert.body, "three");
+        assert_eq!(&*remaining[0].alert.body, "three");
         assert_eq!(remaining[0].user, Some(user("alice")));
 
         // Cross-user marks are rejected: bob cannot retire alice's record.

@@ -150,7 +150,7 @@ impl BuddySnapshot {
             return Err(SnapshotError::Malformed("trailing bytes"));
         }
         Ok(BuddySnapshot {
-            user: UserId(user),
+            user: UserId::new(user),
             stats: MabStats {
                 received_im: words[0],
                 received_email: words[1],

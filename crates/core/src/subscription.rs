@@ -14,13 +14,15 @@ use crate::vecmap::VecMap;
 use simba_sim::SimTime;
 use std::sync::Arc;
 
-/// A user identifier.
+/// A user identifier. Every layer an alert crosses keeps one (routing
+/// key, log record, staged command, ledger record, notice), so the name
+/// is shared: a clone is a count bump, not an allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct UserId(pub String);
+pub struct UserId(pub Arc<str>);
 
 impl UserId {
     /// Convenience constructor.
-    pub fn new(s: impl Into<String>) -> Self {
+    pub fn new(s: impl Into<Arc<str>>) -> Self {
         UserId(s.into())
     }
 }
@@ -487,7 +489,7 @@ mod tests {
             profile.define_mode(DeliveryMode::im_then_email("M", "IM", "IM", SimDuration::from_secs(30)));
             r.subscribe(format!("Cat{n:04}"), user, "M").unwrap();
         }
-        let users: Vec<&str> = r.users().map(|(u, _)| u.0.as_str()).collect();
+        let users: Vec<&str> = r.users().map(|(u, _)| &*u.0).collect();
         assert_eq!(users.len(), 1_000);
         assert!(users.windows(2).all(|w| w[0] < w[1]));
         let categories: Vec<&str> = r.categories().collect();

@@ -1,8 +1,10 @@
-//! A sorted-vector map for the few-entry maps inside [`crate::MabConfig`]:
-//! a `BTreeMap` pays an eleven-slot leaf for its first entry, four times
-//! per resident buddy. One `Vec` of pairs, sorted by key, grown a slot at
-//! a time (doubling brings the slack back): binary-search look-ups, the
-//! `BTreeMap`'s iteration order, O(n) inserts — registries are built once.
+//! A sorted-vector map for the few-entry maps inside [`crate::MabConfig`]
+//! and a buddy's table of tracked deliveries: a `BTreeMap` pays an
+//! eleven-slot leaf for its first entry — four times per resident buddy,
+//! and once more per alert when the delivery table fills and empties. One
+//! `Vec` of pairs, sorted by key, grown a slot at a time (doubling brings
+//! the slack back) and handed back when it empties: binary-search
+//! look-ups, the `BTreeMap`'s iteration order, O(n) inserts and removes.
 
 use std::borrow::Borrow;
 
@@ -61,8 +63,33 @@ impl<K: Ord, V> VecMap<K, V> {
         &mut self.0[at].1
     }
 
+    /// Removes `key`; an emptied map keeps no allocation.
+    pub(crate) fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        let at = self.search(key).ok()?;
+        let (_, value) = self.0.remove(at);
+        if self.0.is_empty() {
+            self.0 = Vec::new();
+        }
+        Some(value)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, v)| v)
     }
 }
 
@@ -82,7 +109,7 @@ mod tests {
             let mut model: BTreeMap<String, Vec<u64>> = BTreeMap::new();
             for step in 0..400u64 {
                 let key = format!("k{:02}", rng.range(0, 63));
-                match rng.range(0, 3) {
+                match rng.range(0, 4) {
                     0 => assert_eq!(
                         map.insert(key.clone(), vec![step]),
                         model.insert(key, vec![step])
@@ -96,12 +123,15 @@ mod tests {
                             want.push(step);
                         }
                     }
-                    _ => {
+                    3 => {
                         map.get_or_default(key.clone()).push(step);
                         model.entry(key).or_default().push(step);
                     }
+                    _ => assert_eq!(map.remove(key.as_str()), model.remove(key.as_str())),
                 }
                 assert!(map.iter().eq(model.iter()), "seed {seed} step {step}");
+                assert!(map.values().eq(model.values()));
+                assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
             }
         }
     }

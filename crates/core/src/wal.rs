@@ -166,18 +166,31 @@ impl WriteAheadLog for InMemoryWal {
 /// Escapes tabs, newlines, and backslashes so `s` survives a
 /// tab-separated, newline-terminated journal payload
 /// ([`crate::journal`]); every record codec in the workspace uses it.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
+/// The escaped form is written where it is formatted — straight into
+/// the journal's buffer — never into a string of its own.
+pub fn escape(s: &str) -> Escaped<'_> {
+    Escaped(s)
+}
+
+/// [`escape`]'s result: displays as the escaped text.
+#[derive(Debug, Clone, Copy)]
+pub struct Escaped<'a>(&'a str);
+
+impl std::fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut rest = self.0;
+        while let Some(at) = rest.find(['\\', '\t', '\n', '\r']) {
+            f.write_str(&rest[..at])?;
+            f.write_str(match rest.as_bytes()[at] {
+                b'\\' => "\\\\",
+                b'\t' => "\\t",
+                b'\n' => "\\n",
+                _ => "\\r",
+            })?;
+            rest = &rest[at + 1..];
         }
+        f.write_str(rest)
     }
-    out
 }
 
 /// Inverse of [`escape`].
@@ -227,14 +240,14 @@ mod tests {
         wal.mark_processed(a).unwrap();
         let un = wal.unprocessed();
         assert_eq!(un.len(), 1);
-        assert_eq!(un[0].alert.body, "two");
+        assert_eq!(&*un[0].alert.body, "two");
         assert!(matches!(wal.mark_processed(99), Err(WalError::UnknownId(99))));
     }
 
     #[test]
     fn escape_unescape_inverse() {
         for s in ["plain", "a\tb", "a\nb", "a\\b", "\\t literal", "", "trailing\\"] {
-            assert_eq!(unescape(&escape(s)), s, "for {s:?}");
+            assert_eq!(unescape(&escape(s).to_string()), s, "for {s:?}");
         }
     }
 }

@@ -51,10 +51,10 @@ pub struct Submission {
     pub channel: WireChannel,
     /// The target user.
     pub user: UserId,
-    /// The alerting source.
-    pub source: String,
-    /// The alert body.
-    pub body: String,
+    /// The alerting source: the string the alert carries from here on.
+    pub source: Arc<str>,
+    /// The alert body: likewise.
+    pub body: Arc<str>,
     /// The submitting connection's in-flight slot; the pump releases it
     /// after routing. Outlives the connection (an `Arc`), so a dropped
     /// client never strands the accounting.

@@ -485,10 +485,13 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    fn string(&mut self, what: &'static str) -> Result<String, FrameError> {
+    fn str(&mut self, what: &'static str) -> Result<&'a str, FrameError> {
         let len = self.u16(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Malformed(what))
+        std::str::from_utf8(self.take(len, what)?).map_err(|_| FrameError::Malformed(what))
+    }
+
+    fn string(&mut self, what: &'static str) -> Result<String, FrameError> {
+        self.str(what).map(str::to_owned)
     }
 
     fn opt_string(&mut self, what: &'static str) -> Result<Option<String>, FrameError> {
@@ -545,16 +548,24 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes `frame` (header + payload) onto the end of `out`.
+/// Encodes `frame` (header + payload) onto the end of `out`. The payload
+/// is written where it goes, straight after the header, whose length and
+/// CRC fields are filled in once it is there.
 pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(32);
+    let header_at = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(frame.type_byte());
+    out.extend_from_slice(&[0; 8]);
+    let payload_at = out.len();
+    let payload = &mut *out;
     match frame {
         Frame::Submit { seq, channel, user, source, body } => {
             payload.extend_from_slice(&seq.to_le_bytes());
             payload.push(channel.as_u8());
-            put_str(&mut payload, user);
-            put_str(&mut payload, source);
-            put_str(&mut payload, body);
+            put_str(payload, user);
+            put_str(payload, source);
+            put_str(payload, body);
         }
         Frame::Ack { seq } => payload.extend_from_slice(&seq.to_le_bytes()),
         Frame::Nack { seq, reason, retry_after_ms } => {
@@ -573,53 +584,51 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
         }
         Frame::StateUpdate { seq, scope, key, value, ttl_ms, source } => {
             payload.extend_from_slice(&seq.to_le_bytes());
-            put_str(&mut payload, scope);
-            put_str(&mut payload, key);
-            put_str(&mut payload, value);
+            put_str(payload, scope);
+            put_str(payload, key);
+            put_str(payload, value);
             payload.extend_from_slice(&ttl_ms.to_le_bytes());
-            put_str(&mut payload, source);
+            put_str(payload, source);
         }
         Frame::StateQuery { seq, scope, key } => {
             payload.extend_from_slice(&seq.to_le_bytes());
-            put_str(&mut payload, scope);
-            put_str(&mut payload, key);
+            put_str(payload, scope);
+            put_str(payload, key);
         }
         Frame::StateReply { seq, found, value, generation, ttl_remaining_ms } => {
             payload.extend_from_slice(&seq.to_le_bytes());
             payload.push(u8::from(*found));
-            put_str(&mut payload, value);
+            put_str(payload, value);
             payload.extend_from_slice(&generation.to_le_bytes());
             payload.extend_from_slice(&ttl_remaining_ms.to_le_bytes());
         }
         Frame::RuleUpsert { seq, user, rule } => {
             payload.extend_from_slice(&seq.to_le_bytes());
-            put_str(&mut payload, user);
-            put_rule(&mut payload, rule);
+            put_str(payload, user);
+            put_rule(payload, rule);
         }
         Frame::RuleDelete { seq, user, rule_id } => {
             payload.extend_from_slice(&seq.to_le_bytes());
-            put_str(&mut payload, user);
+            put_str(payload, user);
             payload.extend_from_slice(&rule_id.to_le_bytes());
         }
         Frame::RuleList { seq, user } => {
             payload.extend_from_slice(&seq.to_le_bytes());
-            put_str(&mut payload, user);
+            put_str(payload, user);
         }
         Frame::RuleListReply { seq, rules } => {
             payload.extend_from_slice(&seq.to_le_bytes());
             let count = rules.len().min(u16::MAX as usize);
             payload.extend_from_slice(&(count as u16).to_le_bytes());
             for rule in &rules[..count] {
-                put_rule(&mut payload, rule);
+                put_rule(payload, rule);
             }
         }
     }
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(frame.type_byte());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let len = (out.len() - payload_at) as u32;
+    let crc = crc32(&out[payload_at..]);
+    out[header_at + 6..header_at + 10].copy_from_slice(&len.to_le_bytes());
+    out[header_at + 10..header_at + 14].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Encodes `frame` into a fresh buffer.
@@ -629,23 +638,66 @@ pub fn encode_to_vec(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Decodes a payload the header described, verifying its CRC first.
-pub fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, FrameError> {
+/// A [`Frame::Submit`]'s fields, borrowed from its payload. The server
+/// reads submissions this way, so each string is copied off the wire
+/// buffer once — into the shared form the pipeline keeps — not into a
+/// `String` first.
+#[derive(Debug, Clone, Copy)]
+pub struct SubmitRef<'a> {
+    /// Client-chosen sequence number, echoed in the reply.
+    pub seq: u64,
+    /// Which front door to use.
+    pub channel: WireChannel,
+    /// Target user id.
+    pub user: &'a str,
+    /// Alerting source.
+    pub source: &'a str,
+    /// Alert body.
+    pub body: &'a str,
+}
+
+/// Verifies the payload against the header's CRC and starts reading it.
+fn checked<'a>(header: &Header, payload: &'a [u8]) -> Result<Reader<'a>, FrameError> {
     debug_assert_eq!(payload.len(), header.payload_len as usize);
     let actual = crc32(payload);
     if actual != header.crc {
         return Err(FrameError::BadCrc { expected: header.crc, actual });
     }
-    let mut r = Reader { buf: payload, pos: 0 };
+    Ok(Reader { buf: payload, pos: 0 })
+}
+
+fn submit_fields<'a>(r: &mut Reader<'a>) -> Result<SubmitRef<'a>, FrameError> {
+    let seq = r.u64("submit.seq")?;
+    let channel = WireChannel::from_u8(r.u8("submit.channel")?)
+        .ok_or(FrameError::Malformed("submit.channel"))?;
+    let user = r.str("submit.user")?;
+    let source = r.str("submit.source")?;
+    let body = r.str("submit.body")?;
+    Ok(SubmitRef { seq, channel, user, source, body })
+}
+
+/// Decodes the payload of a `Submit` frame without copying its strings;
+/// `None` when the header describes any other frame (decode that with
+/// [`decode_payload`]). Checks what `decode_payload` checks.
+pub fn decode_submit<'a>(
+    header: &Header,
+    payload: &'a [u8],
+) -> Option<Result<SubmitRef<'a>, FrameError>> {
+    (header.frame_type == 1).then(|| {
+        let mut r = checked(header, payload)?;
+        let submit = submit_fields(&mut r)?;
+        r.finish("trailing bytes")?;
+        Ok(submit)
+    })
+}
+
+/// Decodes a payload the header described, verifying its CRC first.
+pub fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, FrameError> {
+    let mut r = checked(header, payload)?;
     let frame = match header.frame_type {
         1 => {
-            let seq = r.u64("submit.seq")?;
-            let channel = WireChannel::from_u8(r.u8("submit.channel")?)
-                .ok_or(FrameError::Malformed("submit.channel"))?;
-            let user = r.string("submit.user")?;
-            let source = r.string("submit.source")?;
-            let body = r.string("submit.body")?;
-            Frame::Submit { seq, channel, user, source, body }
+            let SubmitRef { seq, channel, user, source, body } = submit_fields(&mut r)?;
+            Frame::Submit { seq, channel, user: user.into(), source: source.into(), body: body.into() }
         }
         // simba-analyze: allow(durability.ack-before-commit): the decoder reconstructs a peer's frame from wire bytes; nothing is being acknowledged here
         2 => Frame::Ack { seq: r.u64("ack.seq")? },
@@ -898,8 +950,26 @@ mod tests {
             };
             let bytes = encode_to_vec(&frame);
             let (decoded, consumed) = decode_frame(&bytes).expect("encode -> decode");
-            prop_assert_eq!(decoded, frame);
+            prop_assert_eq!(&decoded, &frame);
             prop_assert_eq!(consumed, bytes.len());
+
+            // The borrowed reading sees the same fields, checks the same
+            // CRC, and leaves every other frame type to `decode_payload`.
+            let header = Header::parse(bytes[..HEADER_LEN].try_into().unwrap(), DEFAULT_MAX_PAYLOAD).unwrap();
+            let payload = &bytes[HEADER_LEN..];
+            let s = decode_submit(&header, payload).expect("a submit frame").expect("a valid one");
+            let borrowed = Frame::Submit {
+                seq: s.seq,
+                channel: s.channel,
+                user: s.user.into(),
+                source: s.source.into(),
+                body: s.body.into(),
+            };
+            prop_assert_eq!(&borrowed, &frame);
+            let mut torn = payload.to_vec();
+            torn[0] ^= 1;
+            prop_assert!(matches!(decode_submit(&header, &torn), Some(Err(FrameError::BadCrc { .. }))));
+            prop_assert!(decode_submit(&Header { frame_type: 2, ..header }, payload).is_none());
         }
 
         /// Satellite 2: the ProbeReply carries depth, shed count, and

@@ -24,7 +24,7 @@
 use crate::admission::{RateLimit, TokenBuckets};
 use crate::bridge::{IntakeSender, Submission};
 use crate::proto::{
-    self, Frame, FrameError, Header, NackReason, ProbeStats, WireRule, HEADER_LEN,
+    self, Frame, FrameError, Header, NackReason, ProbeStats, SubmitRef, WireRule, HEADER_LEN,
 };
 use crate::rulewire;
 use simba_core::subscription::UserId;
@@ -396,6 +396,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let slot = Arc::new(AtomicUsize::new(0));
     let mut header_buf = [0u8; HEADER_LEN];
     let mut payload_buf: Vec<u8> = Vec::new();
+    // Every reply of this connection is encoded here.
+    let mut reply_buf: Vec<u8> = Vec::new();
 
     loop {
         match read_full(shared, &mut stream, &mut header_buf) {
@@ -414,7 +416,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(e) => {
                 note_decode_err(shared, &e);
                 // The byte stream is desynchronised; nack and drop it.
-                let _ = write_frame(&mut stream, &malformed_nack());
+                let _ = write_frame(&mut stream, &mut reply_buf, &malformed_nack());
                 return;
             }
         };
@@ -429,54 +431,59 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             ReadOutcome::Stopped => return nack_shutdown(shared, &mut stream),
             ReadOutcome::Failed => return,
         }
-        let frame = match proto::decode_payload(&header, &payload_buf) {
-            Ok(frame) => frame,
+        // A submission is read where it lies; any other frame is decoded whole.
+        let reply = match proto::decode_submit(&header, &payload_buf) {
+            Some(submit) => submit.map(|submit| admit(shared, &slot, submit)),
+            None => proto::decode_payload(&header, &payload_buf)
+                .and_then(|frame| answer(shared, &slot, frame)),
+        };
+        let reply = match reply {
+            Ok(reply) => reply,
             Err(e) => {
                 note_decode_err(shared, &e);
-                let _ = write_frame(&mut stream, &malformed_nack());
+                let _ = write_frame(&mut stream, &mut reply_buf, &malformed_nack());
                 return;
             }
         };
-        let reply = match frame {
-            Frame::Submit { seq, channel, user, source, body } => {
-                admit(shared, &slot, seq, channel, user, source, body)
-            }
-            Frame::Probe { nonce } => Frame::ProbeReply { nonce, stats: shared.stats() },
-            Frame::StateUpdate { seq, scope, key, value, ttl_ms, source } => {
-                state_update(shared, seq, &scope, &key, value, ttl_ms, source)
-            }
-            Frame::StateQuery { seq, scope, key } => state_query(shared, seq, &scope, &key),
-            Frame::RuleUpsert { seq, user, rule } => rule_upsert(shared, seq, &user, &rule),
-            Frame::RuleDelete { seq, user, rule_id } => rule_delete(shared, seq, &user, rule_id),
-            Frame::RuleList { seq, user } => rule_list(shared, seq, &user),
-            Frame::Ack { .. } | Frame::Nack { .. } | Frame::ProbeReply { .. }
-            | Frame::StateReply { .. } | Frame::RuleListReply { .. } => {
-                // Server-to-client frames arriving at the server: a
-                // protocol violation; treat like a decode failure.
-                note_decode_err(shared, &FrameError::Malformed("client sent a server frame"));
-                let _ = write_frame(&mut stream, &malformed_nack());
-                return;
-            }
-        };
-        if write_frame(&mut stream, &reply).is_err() {
+        if write_frame(&mut stream, &mut reply_buf, &reply).is_err() {
             return;
         }
     }
 }
 
+/// The reply to one decoded client frame.
+///
+/// # Errors
+///
+/// A server-to-client frame arriving at the server is a protocol
+/// violation, handled like a decode failure.
+fn answer(shared: &Shared, slot: &Arc<AtomicUsize>, frame: Frame) -> Result<Frame, FrameError> {
+    Ok(match frame {
+        Frame::Submit { seq, channel, user, source, body } => {
+            let (user, source, body) = (&user, &source, &body);
+            admit(shared, slot, SubmitRef { seq, channel, user, source, body })
+        }
+        Frame::Probe { nonce } => Frame::ProbeReply { nonce, stats: shared.stats() },
+        Frame::StateUpdate { seq, scope, key, value, ttl_ms, source } => {
+            state_update(shared, seq, &scope, &key, value, ttl_ms, source)
+        }
+        Frame::StateQuery { seq, scope, key } => state_query(shared, seq, &scope, &key),
+        Frame::RuleUpsert { seq, user, rule } => rule_upsert(shared, seq, &user, &rule),
+        Frame::RuleDelete { seq, user, rule_id } => rule_delete(shared, seq, &user, rule_id),
+        Frame::RuleList { seq, user } => rule_list(shared, seq, &user),
+        Frame::Ack { .. } | Frame::Nack { .. } | Frame::ProbeReply { .. }
+        | Frame::StateReply { .. } | Frame::RuleListReply { .. } => {
+            return Err(FrameError::Malformed("client sent a server frame"));
+        }
+    })
+}
+
 /// The admission pipeline for one submission: user gate → per-connection
 /// in-flight gate → per-source token bucket → bounded intake queue.
-fn admit(
-    shared: &Shared,
-    slot: &Arc<AtomicUsize>,
-    seq: u64,
-    channel: crate::proto::WireChannel,
-    user: String,
-    source: String,
-    body: String,
-) -> Frame {
+fn admit(shared: &Shared, slot: &Arc<AtomicUsize>, submit: SubmitRef<'_>) -> Frame {
+    let SubmitRef { seq, channel, user, source, body } = submit;
     if let Some(known) = &shared.config.known_users {
-        if !known.contains(&user) {
+        if !known.contains(user) {
             shared.counters.unknown_user.incr();
             if shared.telemetry.enabled() {
                 shared.telemetry.emit(
@@ -488,9 +495,9 @@ fn admit(
     }
     let retry_after = shared.config.shed_retry_after.as_millis() as u32;
     if slot.load(Ordering::Relaxed) >= shared.config.per_conn_inflight {
-        return shed(shared, seq, NackReason::ConnBusy, retry_after, &source);
+        return shed(shared, seq, NackReason::ConnBusy, retry_after, source);
     }
-    let admitted = shared.buckets.try_take(&source);
+    let admitted = shared.buckets.try_take(source);
     // Surface any buckets the amortized idle sweep just dropped, on
     // whichever worker's take triggered it.
     let evicted = shared.buckets.take_evicted();
@@ -498,14 +505,16 @@ fn admit(
         shared.counters.buckets_evicted.add(evicted);
     }
     if let Err(wait_ms) = admitted {
-        return shed(shared, seq, NackReason::RateLimited, wait_ms, &source);
+        return shed(shared, seq, NackReason::RateLimited, wait_ms, source);
     }
+    // The one copy of the submission's strings, into the form every
+    // later layer shares.
     let submission = Submission {
         seq,
         channel,
         user: UserId::new(user),
-        source,
-        body,
+        source: source.into(),
+        body: body.into(),
         slot: Arc::clone(slot),
     };
     // Reserve the slot before enqueueing: the pump may route (and
@@ -651,16 +660,17 @@ fn close_idle(shared: &Shared, mid_frame: bool) {
 
 fn nack_shutdown(shared: &Shared, stream: &mut TcpStream) {
     let retry = shared.config.shed_retry_after.as_millis() as u32;
-    let _ = write_frame(
-        stream,
-        &Frame::Nack { seq: 0, reason: NackReason::Shutdown, retry_after_ms: retry },
-    );
+    let nack = Frame::Nack { seq: 0, reason: NackReason::Shutdown, retry_after_ms: retry };
+    let _ = write_frame(stream, &mut Vec::new(), &nack);
 }
 
 fn malformed_nack() -> Frame {
     Frame::Nack { seq: 0, reason: NackReason::Malformed, retry_after_ms: 0 }
 }
 
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    stream.write_all(&proto::encode_to_vec(frame))
+/// Encodes `frame` into `buf` (the connection's, reused) and writes it.
+fn write_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, frame: &Frame) -> std::io::Result<()> {
+    buf.clear();
+    proto::encode(frame, buf);
+    stream.write_all(buf)
 }

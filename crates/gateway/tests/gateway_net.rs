@@ -129,8 +129,8 @@ fn submission(user: &str, source: &str, body: &str) -> Submission {
         seq: 0,
         channel: WireChannel::Im,
         user: UserId::new(user),
-        source: source.to_string(),
-        body: body.to_string(),
+        source: source.into(),
+        body: body.into(),
         slot: Arc::new(std::sync::atomic::AtomicUsize::new(1)),
     }
 }

@@ -37,13 +37,14 @@ pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
 /// send).
 pub type SharedLedger = Arc<Mutex<DeliveryLedger>>;
 
-/// Identifies a ledger worker for lease ownership checks.
+/// Identifies a ledger worker for lease ownership checks. Shared: every
+/// lease a worker holds names it without copying the name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct WorkerId(pub String);
+pub struct WorkerId(pub Arc<str>);
 
 impl WorkerId {
     /// A worker id from anything stringy.
-    pub fn new(s: impl Into<String>) -> Self {
+    pub fn new(s: impl Into<Arc<str>>) -> Self {
         WorkerId(s.into())
     }
 }
@@ -104,7 +105,8 @@ pub struct Lease {
 }
 
 /// One durable queue entry: a channel attempt for one `(delivery,
-/// channel)` pair of one user.
+/// channel)` pair of one user. Its strings are shared with the send
+/// command that produced it and with every [`LeasedWork`] cut from it.
 #[derive(Debug, Clone)]
 pub struct LedgerRecord {
     /// Ledger-monotonic id (never reused, even across restarts).
@@ -116,12 +118,12 @@ pub struct LedgerRecord {
     /// The outbound channel.
     pub channel: CommType,
     /// Channel-specific address value.
-    pub address: String,
+    pub address: Arc<str>,
     /// The alert text to send.
-    pub text: String,
+    pub text: Arc<str>,
     /// Stable idempotency key (`user/delivery/channel`): identical on
     /// every retry and re-lease, so channel adapters can dedupe.
-    pub idempotency_key: String,
+    pub idempotency_key: Arc<str>,
     /// Lifecycle state.
     pub state: RecordState,
     /// Lease grants so far (== send attempts started).
@@ -145,11 +147,11 @@ pub struct LeasedWork {
     /// The outbound channel.
     pub channel: CommType,
     /// Channel-specific address value.
-    pub address: String,
+    pub address: Arc<str>,
     /// The alert text.
-    pub text: String,
+    pub text: Arc<str>,
     /// The stable idempotency key to stamp on the outbound send.
-    pub idempotency_key: String,
+    pub idempotency_key: Arc<str>,
     /// Which attempt this is (1-based).
     pub attempt: u32,
 }
@@ -321,7 +323,10 @@ pub struct DeliveryLedger {
     live: BTreeMap<u64, LedgerRecord>,
     /// Stable-key index over live records, for the one-record-per-
     /// `(delivery, channel)` upsert contract.
-    by_key: HashMap<String, u64>,
+    by_key: HashMap<Arc<str>, u64>,
+    /// Where [`DeliveryLedger::enqueue_shared`] spells a key before it
+    /// knows whether the key is new.
+    key_scratch: String,
     /// `(not_before, id)` over Pending/Retrying records.
     ready: BTreeSet<(SimTime, u64)>,
     /// `(expires_at, id)` over Leased records.
@@ -356,6 +361,7 @@ impl DeliveryLedger {
             jitter_seed: config.jitter_seed,
             live: BTreeMap::new(),
             by_key: HashMap::new(),
+            key_scratch: String::new(),
             ready: BTreeSet::new(),
             leased: BTreeSet::new(),
             dlq: VecDeque::new(),
@@ -401,7 +407,9 @@ impl DeliveryLedger {
     /// enqueue after the record already concluded (so adapter-level
     /// dedupe catches host-replay double-enqueues too).
     pub fn idempotency_key(user: &UserId, delivery: u64, channel: CommType) -> String {
-        format!("{}/{}/{}", user.0, delivery, channel)
+        let mut key = String::new();
+        write_key(&mut key, user, delivery, channel);
+        key
     }
 
     /// Enqueues a channel attempt. One live record exists per `(user,
@@ -418,10 +426,28 @@ impl DeliveryLedger {
         text: &str,
         now: SimTime,
     ) -> u64 {
-        let key = Self::idempotency_key(user, delivery, channel);
-        if let Some(&id) = self.by_key.get(&key) {
+        self.enqueue_shared(user, delivery, channel, address.into(), text.into(), now)
+    }
+
+    /// [`DeliveryLedger::enqueue`] for a caller that already holds the
+    /// address and text as shared strings (the shard worker: they are the
+    /// address book's and the alert's): the record keeps those, and a
+    /// fresh record allocates its idempotency key and nothing else.
+    pub fn enqueue_shared(
+        &mut self,
+        user: &UserId,
+        delivery: u64,
+        channel: CommType,
+        address: Arc<str>,
+        text: Arc<str>,
+        now: SimTime,
+    ) -> u64 {
+        self.key_scratch.clear();
+        write_key(&mut self.key_scratch, user, delivery, channel);
+        if let Some(&id) = self.by_key.get(self.key_scratch.as_str()) {
             return id;
         }
+        let key: Arc<str> = self.key_scratch.as_str().into();
         let id = self.next_id;
         self.next_id += 1;
         let record = LedgerRecord {
@@ -429,9 +455,9 @@ impl DeliveryLedger {
             user: user.clone(),
             delivery,
             channel,
-            address: address.to_string(),
-            text: text.to_string(),
-            idempotency_key: key.clone(),
+            address,
+            text,
+            idempotency_key: Arc::clone(&key),
             state: RecordState::Pending,
             attempts: 0,
             not_before: SimTime::ZERO,
@@ -523,9 +549,9 @@ impl DeliveryLedger {
             let work = LeasedWork {
                 id,
                 channel: record.channel,
-                address: record.address.clone(),
-                text: record.text.clone(),
-                idempotency_key: record.idempotency_key.clone(),
+                address: Arc::clone(&record.address),
+                text: Arc::clone(&record.text),
+                idempotency_key: Arc::clone(&record.idempotency_key),
                 attempt: attempts,
             };
             self.journal.append(|out| {
@@ -551,7 +577,7 @@ impl DeliveryLedger {
             (RecordState::Leased, Some(lease)) if lease.worker == *worker => Ok(()),
             (_, lease) => Err(LedgerError::StaleLease {
                 id,
-                holder: lease.as_ref().map(|l| l.worker.0.clone()),
+                holder: lease.as_ref().map(|l| l.worker.0.to_string()),
             }),
         }
     }
@@ -791,7 +817,7 @@ impl DeliveryLedger {
                     record.state = RecordState::Leased;
                     record.attempts = attempts;
                     record.lease = Some(Lease {
-                        worker: WorkerId(worker),
+                        worker: WorkerId::new(worker),
                         expires_at: SimTime::from_millis(expires_ms),
                     });
                 }
@@ -902,6 +928,11 @@ impl DeliveryLedger {
     }
 }
 
+/// Spells the `user/delivery/channel` idempotency key onto `out`.
+fn write_key(out: &mut String, user: &UserId, delivery: u64, channel: CommType) {
+    let _ = write!(out, "{}/{}/{}", user.0, delivery, channel);
+}
+
 /// FNV-1a over three words — the deterministic jitter source.
 fn fnv_mix(seed: u64, id: u64, attempts: u64) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
@@ -942,19 +973,19 @@ fn encode_record(out: &mut String, record: &LedgerRecord) {
 fn decode_record(payload: &str) -> Option<LedgerRecord> {
     let mut fields = payload.strip_prefix("R\t")?.split('\t');
     let id = fields.next()?.parse().ok()?;
-    let user = UserId(unescape(fields.next()?));
+    let user = UserId::new(unescape(fields.next()?));
     let delivery = fields.next()?.parse().ok()?;
     let channel = CommType::from_token(fields.next()?)?;
     let enqueued_at = SimTime::from_millis(fields.next()?.parse().ok()?);
     let state = RecordState::parse(fields.next()?)?;
     let attempts = fields.next()?.parse().ok()?;
     let _not_before: u64 = fields.next()?.parse().ok()?;
-    let address = unescape(fields.next()?);
-    let text = unescape(fields.next()?);
+    let address = unescape(fields.next()?).into();
+    let text = unescape(fields.next()?).into();
     let error = unescape(fields.next()?);
     Some(LedgerRecord {
         id,
-        idempotency_key: DeliveryLedger::idempotency_key(&user, delivery, channel),
+        idempotency_key: DeliveryLedger::idempotency_key(&user, delivery, channel).into(),
         user,
         delivery,
         channel,
@@ -1016,7 +1047,7 @@ mod tests {
         assert_eq!(work.len(), 1);
         assert_eq!(work[0].id, id);
         assert_eq!(work[0].attempt, 1);
-        assert_eq!(work[0].idempotency_key, "alice/7/IM");
+        assert_eq!(&*work[0].idempotency_key, "alice/7/IM");
         assert_eq!(ledger.counts().leased, 1);
         // Nothing else to lease while held.
         assert!(ledger.lease(&worker("w1"), t(2), 10).is_empty());
@@ -1084,7 +1115,7 @@ mod tests {
         assert_eq!(reclaimed.len(), 1);
         assert_eq!(reclaimed[0].id, id);
         assert_eq!(reclaimed[0].attempt, 2);
-        assert_eq!(reclaimed[0].idempotency_key, "alice/1/IM", "key is stable across re-lease");
+        assert_eq!(&*reclaimed[0].idempotency_key, "alice/1/IM", "key is stable across re-lease");
         assert_eq!(ledger.stats().lease_expired, 1);
         // The loser's late report is rejected.
         assert!(matches!(
@@ -1337,8 +1368,8 @@ mod tests {
         let ledger = DeliveryLedger::open(config).unwrap();
         let record = ledger.records().next().unwrap();
         assert_eq!(record.user, tricky);
-        assert_eq!(record.address, "im:a\tb");
-        assert_eq!(record.text, "line\nbreak");
+        assert_eq!(&*record.address, "im:a\tb");
+        assert_eq!(&*record.text, "line\nbreak");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -330,7 +330,7 @@ mod tests {
             }
             drop(failures);
             let mut effects = self.effects.lock().unwrap_or_else(PoisonError::into_inner);
-            let count = effects.entry(work.idempotency_key.clone()).or_insert(0);
+            let count = effects.entry(work.idempotency_key.to_string()).or_insert(0);
             if *count > 0 {
                 ChannelResult::Duplicate
             } else {

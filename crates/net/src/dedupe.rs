@@ -44,9 +44,10 @@ impl IdempotencyFilter {
 
     /// Whether `key` is fresh. The first call for a key returns `true`
     /// (and remembers it); every later call returns `false` until the
-    /// key ages out of the bounded window.
-    pub fn first_seen(&mut self, key: &str) -> bool {
-        if self.seen.contains(key) {
+    /// key ages out of the bounded window. Hand it a clone of the ledger
+    /// record's own `Arc<str>` and remembering the key allocates nothing.
+    pub fn first_seen(&mut self, key: impl AsRef<str> + Into<Arc<str>>) -> bool {
+        if self.seen.contains(key.as_ref()) {
             self.deduped += 1;
             return false;
         }
@@ -58,7 +59,7 @@ impl IdempotencyFilter {
                 self.evicted += 1;
             }
         }
-        let key: Arc<str> = Arc::from(key);
+        let key: Arc<str> = key.into();
         self.seen.insert(Arc::clone(&key));
         self.order.push_back(key);
         true

@@ -468,7 +468,10 @@ impl RuleEngine {
                 }
             }
         }
-        self.gauge("rules.pending_digests", self.pending_digests() as u64);
+        if self.telemetry.enabled() {
+            // Reading the count takes the engine lock a second time.
+            self.gauge("rules.pending_digests", self.pending_digests() as u64);
+        }
         decision
     }
 

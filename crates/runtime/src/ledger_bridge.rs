@@ -67,7 +67,7 @@ impl<C: Channels> LedgerChannelBridge<C> {
 impl<C: Channels> LedgerChannels for LedgerChannelBridge<C> {
     fn send(&mut self, work: &LeasedWork) -> ChannelResult {
         let lock_filter = || self.filter.lock().unwrap_or_else(PoisonError::into_inner);
-        if !lock_filter().first_seen(&work.idempotency_key) {
+        if !lock_filter().first_seen(Arc::clone(&work.idempotency_key)) {
             return ChannelResult::Duplicate;
         }
         match self.channels.send(work.channel, &work.address, &work.text) {
@@ -93,9 +93,9 @@ mod tests {
         LeasedWork {
             id: 1,
             channel: CommType::Im,
-            address: "im:alice".to_string(),
-            text: "alert".to_string(),
-            idempotency_key: key.to_string(),
+            address: "im:alice".into(),
+            text: "alert".into(),
+            idempotency_key: key.into(),
             attempt: 1,
         }
     }

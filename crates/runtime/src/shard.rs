@@ -76,8 +76,8 @@ pub const DEFAULT_NOTICE_CAPACITY: usize = 1024;
 pub enum RuntimeNotice {
     /// The buddy acknowledged an incoming IM alert back to `source`.
     AckSent {
-        /// The acknowledged source.
-        source: String,
+        /// The acknowledged source (the alert's own string).
+        source: Arc<str>,
     },
     /// A delivery reached a terminal state and was retired.
     DeliveryFinished {
@@ -432,42 +432,18 @@ impl ShardedHost {
             let worker_telemetry = telemetry.clone();
             let worker_factory = Arc::clone(&factory);
             let worker_notices = notice_tx.clone();
-            let batch_max = config.batch_max.max(1);
-            let hibernate_after = config.hibernate_after;
-            let retirement_grace = config.retirement_grace;
-            let completed_ring = config.completed_ring;
-            let worker_ledger = config.ledger.clone();
-            let worker_rules = config.rules.clone();
-            let worker_store = config.store.clone();
-            let build = move || Worker {
-                rx,
-                depth: worker_depth,
-                channels: worker_channels,
-                clock: RuntimeClock::start(),
-                telemetry: worker_telemetry,
-                factory: worker_factory,
-                notices: worker_notices,
-                log,
-                roster: HashMap::new(),
-                timers: BTreeMap::new(),
-                timer_seq: 0,
-                next_incarnation: 0,
-                touched: BTreeSet::new(),
-                withheld: Vec::new(),
-                folded: MabStats::default(),
-                outcomes: Outcomes::default(),
-                hibernations: 0,
-                rehydrations: 0,
-                crashes: 0,
-                corrupt_snapshots: 0,
-                unrouted: 0,
-                batch_max,
-                hibernate_after,
-                retirement_grace,
-                completed_ring,
-                ledger: worker_ledger,
-                rules: worker_rules,
-                store: worker_store,
+            let worker_config = config.clone();
+            let build = move || {
+                Worker::new(
+                    rx,
+                    worker_depth,
+                    worker_channels,
+                    worker_telemetry,
+                    worker_factory,
+                    worker_notices,
+                    log,
+                    &worker_config,
+                )
             };
             let task = if config.threads {
                 let thread = std::thread::Builder::new()
@@ -716,8 +692,13 @@ struct Worker<C> {
     /// Users that saw events this batch — the retirement set.
     touched: BTreeSet<UserId>,
     /// Effects of batches whose commit failed, released by the first
-    /// later commit that succeeds (it covers their records too).
+    /// later commit that succeeds (it covers their records too) — and
+    /// whatever a batch still had staged when it ran out of
+    /// commit+execute rounds, released by the next batch.
     withheld: Vec<(UserId, MabCommand)>,
+    /// Where a buddy writes the commands of one event before they are
+    /// staged under its owner's name; empty between events.
+    fed: Vec<MabCommand>,
     /// Totals of buddies no longer resident: hibernated (subtracted back
     /// at rehydration), crashed, and rejuvenated.
     folded: MabStats,
@@ -739,12 +720,62 @@ struct Worker<C> {
     store: Option<SoftStateStore>,
 }
 
+/// Most commit+execute rounds one batch runs: a round past the first
+/// exists only to make a restarted buddy's replay marks durable before
+/// its replay sends go out, and a restart's replay can ask for another.
+const MAX_ROUNDS: usize = 8;
+
 enum Flow {
     Continue,
     Stop(oneshot::Sender<ShardedSnapshot>),
 }
 
 impl<C: Channels> Worker<C> {
+    /// A worker with an empty roster, on the calling thread's clock.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        rx: mpsc::Receiver<ShardMsg>,
+        depth: Arc<AtomicUsize>,
+        channels: C,
+        telemetry: Telemetry,
+        factory: ConfigFactory,
+        notices: mpsc::Sender<HostNotice>,
+        log: SharedShardLog,
+        config: &ShardedHostConfig,
+    ) -> Self {
+        Worker {
+            rx,
+            depth,
+            channels,
+            clock: RuntimeClock::start(),
+            telemetry,
+            factory,
+            notices,
+            log,
+            roster: HashMap::new(),
+            timers: BTreeMap::new(),
+            timer_seq: 0,
+            next_incarnation: 0,
+            touched: BTreeSet::new(),
+            withheld: Vec::new(),
+            fed: Vec::new(),
+            folded: MabStats::default(),
+            outcomes: Outcomes::default(),
+            hibernations: 0,
+            rehydrations: 0,
+            crashes: 0,
+            corrupt_snapshots: 0,
+            unrouted: 0,
+            batch_max: config.batch_max.max(1),
+            hibernate_after: config.hibernate_after,
+            retirement_grace: config.retirement_grace,
+            completed_ring: config.completed_ring,
+            ledger: config.ledger.clone(),
+            rules: config.rules.clone(),
+            store: config.store.clone(),
+        }
+    }
+
     /// Exclusive access to the shard log (uncontended: only this worker
     /// and its buddies' WAL facades — same thread — ever lock it).
     fn lock_log(&self) -> MutexGuard<'_, ShardLog> {
@@ -756,19 +787,19 @@ impl<C: Channels> Worker<C> {
         // buddy (auto-registered — the log proves they existed) whose
         // `recover()` replays them before new traffic is accepted.
         let now = self.clock.now();
+        // One buffer for every batch: `finish_batch` hands it back empty.
         let mut staged = Vec::new();
         let demand = self.lock_log().users_with_unprocessed();
         for user in demand {
             self.roster.entry(user.clone()).or_insert(UserSlot::Fresh);
             self.activate(&user, now, &mut staged);
         }
-        self.finish_batch(staged, now);
+        self.finish_batch(&mut staged, now);
 
         loop {
             let wait = self.idle_wait();
             let inbound = tokio::time::timeout(wait, self.rx.recv()).await;
             let now = self.clock.now();
-            let mut staged = Vec::new();
             let mut stop = None;
             match inbound {
                 Ok(Some(msg)) => {
@@ -802,7 +833,7 @@ impl<C: Channels> Worker<C> {
                 Err(_) => {} // idle tick: due timers only
             }
             self.fire_due_timers(now, &mut staged);
-            self.finish_batch(staged, now);
+            self.finish_batch(&mut staged, now);
             if let Some(reply) = stop {
                 self.retire_all(now);
                 let _ = self.commit_once();
@@ -863,13 +894,9 @@ impl<C: Channels> Worker<C> {
                     Some(UserSlot::Active(active)) if active.mab.delivery_status(delivery).is_some()
                 );
                 if live {
-                    self.touch(&user, now);
-                    self.feed(
-                        &user,
-                        MabEvent::Delivery { id: delivery, event: DeliveryEvent::Acked { attempt } },
-                        now,
-                        staged,
-                    );
+                    self.touched.insert(user.clone());
+                    let event = DeliveryEvent::Acked { attempt };
+                    let _ = self.feed(&user, MabEvent::Delivery { id: delivery, event }, now, true, staged);
                 } else if self.telemetry.enabled() {
                     self.telemetry.metrics().counter("runtime.stale_dropped").incr();
                 }
@@ -916,13 +943,13 @@ impl<C: Channels> Worker<C> {
         now: SimTime,
         staged: &mut Vec<(UserId, MabCommand)>,
     ) -> Option<IncomingAlert> {
-        let Some(engine) = self.rules.clone() else {
-            return Some(alert);
+        let decision = match &self.rules {
+            Some(engine) if self.roster.contains_key(user) => {
+                engine.evaluate(&user.0, &alert, now.as_millis())
+            }
+            _ => return Some(alert),
         };
-        if !self.roster.contains_key(user) {
-            return Some(alert);
-        }
-        match engine.evaluate(&user.0, &alert, now.as_millis()) {
+        match decision {
             simba_rules::Decision::Deliver { severity, .. } => {
                 if let Some(severity) = severity {
                     alert.urgency = severity;
@@ -940,7 +967,9 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// The routing step: activate (rehydrating if hibernated) and feed.
+    /// The routing step: feed a resident buddy — one roster look-up, the
+    /// one inside [`Self::feed`] — or activate (rehydrating if hibernated)
+    /// and feed.
     fn route(
         &mut self,
         user: UserId,
@@ -948,26 +977,30 @@ impl<C: Channels> Worker<C> {
         now: SimTime,
         staged: &mut Vec<(UserId, MabCommand)>,
     ) {
-        if !self.roster.contains_key(&user) {
-            self.unrouted += 1;
-            if self.telemetry.enabled() {
-                self.telemetry.metrics().counter("host.unrouted").incr();
+        if let Err(event) = self.feed(&user, event, now, true, staged) {
+            if !self.roster.contains_key(&user) {
+                self.unrouted += 1;
+                if self.telemetry.enabled() {
+                    self.telemetry.metrics().counter("host.unrouted").incr();
+                }
+                return;
             }
-            return;
+            self.activate(&user, now, staged);
+            // Still not resident if the replay crashed the fresh buddy:
+            // the alert is dropped unlogged and unacknowledged, so its
+            // sender falls back, as with any dead process.
+            let _ = self.feed(&user, event, now, true, staged);
         }
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.routed").incr();
         }
-        self.activate(&user, now, staged);
-        self.touch(&user, now);
-        self.feed(&user, event, now, staged);
+        self.touched.insert(user);
     }
 
-    fn touch(&mut self, user: &UserId, now: SimTime) {
-        self.touched.insert(user.clone());
-        if let Some(UserSlot::Active(active)) = self.roster.get_mut(user) {
-            active.last_event_at = now;
-        }
+    /// Replaces a registered user's roster slot in place and returns the
+    /// slot it held (`None`, changing nothing, for an unregistered user).
+    fn put(&mut self, user: &UserId, slot: UserSlot) -> Option<UserSlot> {
+        self.roster.get_mut(user).map(|held| std::mem::replace(held, slot))
     }
 
     /// Ensures `user` is resident: rehydrates a hibernated snapshot
@@ -979,7 +1012,7 @@ impl<C: Channels> Worker<C> {
             None | Some(UserSlot::Active(_)) => return,
             Some(UserSlot::Fresh | UserSlot::Hibernated(_)) => {}
         }
-        let prev = self.roster.insert(user.clone(), UserSlot::Fresh);
+        let prev = self.put(user, UserSlot::Fresh);
         let wal = UserShardWal::new(Arc::clone(&self.log), user.clone());
         let mut mab = match prev {
             Some(UserSlot::Hibernated(bytes)) => match BuddySnapshot::decode(&bytes) {
@@ -1021,10 +1054,7 @@ impl<C: Channels> Worker<C> {
         self.touched.insert(user.clone());
         let incarnation = self.next_incarnation;
         self.next_incarnation += 1;
-        self.roster.insert(
-            user.clone(),
-            UserSlot::Active(Box::new(ActiveBuddy { mab, incarnation, last_event_at: now })),
-        );
+        self.put(user, UserSlot::Active(Box::new(ActiveBuddy { mab, incarnation, last_event_at: now })));
         if self.hibernate_after != SimDuration::ZERO {
             self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
         }
@@ -1033,33 +1063,40 @@ impl<C: Channels> Worker<C> {
     fn fold_crash(&mut self, user: &UserId, stats: MabStats) {
         self.folded.merge(stats);
         self.crashes += 1;
-        self.roster.insert(user.clone(), UserSlot::Fresh);
+        self.put(user, UserSlot::Fresh);
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.buddy_crashed").incr();
         }
     }
 
-    /// Feeds one event through a resident buddy, staging its commands. A
-    /// crash crashes that buddy alone: stats fold, the slot resets, and a
-    /// fresh incarnation immediately replays the user's log records — the
-    /// shard worker never stops.
+    /// Feeds one event through a resident buddy, staging its commands;
+    /// `touch` marks the event as the user's own activity, which restarts
+    /// the buddy's idle clock. `Err` hands the event back unfed: the user
+    /// is not resident. A crash crashes that buddy alone: stats fold, the
+    /// slot resets, and a fresh incarnation immediately replays the
+    /// user's log records — the shard worker never stops.
     fn feed(
         &mut self,
         user: &UserId,
         event: MabEvent,
         now: SimTime,
+        touch: bool,
         staged: &mut Vec<(UserId, MabCommand)>,
-    ) {
+    ) -> Result<(), MabEvent> {
         let Some(UserSlot::Active(active)) = self.roster.get_mut(user) else {
-            return;
+            return Err(event);
         };
-        let commands = active.mab.handle(event, now);
+        if touch {
+            active.last_event_at = now;
+        }
+        active.mab.handle_into(event, now, &mut self.fed);
         let crashed = active.mab.is_crashed().then(|| active.mab.stats());
-        staged.extend(commands.into_iter().map(|cmd| (user.clone(), cmd)));
+        staged.extend(self.fed.drain(..).map(|cmd| (user.clone(), cmd)));
         if let Some(stats) = crashed {
             self.fold_crash(user, stats);
             self.activate(user, now, staged);
         }
+        Ok(())
     }
 
     /// Fires every due timer-wheel entry; entries whose incarnation no
@@ -1092,45 +1129,37 @@ impl<C: Channels> Worker<C> {
                 TimerFire::Ack(id, attempt) => (id, DeliveryEvent::Acked { attempt }),
             };
             self.touched.insert(entry.user.clone());
-            self.feed(&entry.user, MabEvent::Delivery { id, event }, now, staged);
+            let _ = self.feed(&entry.user, MabEvent::Delivery { id, event }, now, false, staged);
         }
     }
 
-    /// Phases 2 and 3: one group commit, then release the staged effects.
-    /// Restarted buddies' replay commands loop back through another
-    /// commit+execute round, so their marks are durable too.
-    fn finish_batch(&mut self, staged: Vec<(UserId, MabCommand)>, now: SimTime) {
-        let mut staged = staged;
+    /// Phases 2 and 3: one group commit, then release the staged effects
+    /// (`staged` comes back empty). Restarted buddies' replay commands
+    /// loop back through another commit+execute round, so their marks are
+    /// durable too — for at most [`MAX_ROUNDS`] rounds; what is staged
+    /// after the last one waits in `withheld` for the next batch.
+    fn finish_batch(&mut self, staged: &mut Vec<(UserId, MabCommand)>, now: SimTime) {
         staged.splice(0..0, std::mem::take(&mut self.withheld));
-        let mut rounds = 0usize;
-        loop {
+        for round in 0.. {
             let dirty = self.lock_log().is_dirty();
             if staged.is_empty() && !dirty {
                 break;
             }
-            if self.commit_once().is_err() {
-                // The batch is not durable: withhold every staged effect
-                // (no acks, no sends). The journal keeps the batch buffered
-                // and the next commit retries it; only then may they go.
-                self.withheld = staged;
+            // Out of rounds, or the commit failed and the batch is not
+            // durable: withhold every staged effect (no acks, no sends).
+            // The journal keeps what it has buffered and the next batch's
+            // commit covers it; only then may they go.
+            if round == MAX_ROUNDS || self.commit_once().is_err() {
+                self.withheld.append(staged);
                 break;
             }
-            if staged.is_empty() {
-                break;
-            }
-            let batch = std::mem::take(&mut staged);
-            let restarts = self.execute(batch, now);
-            for user in restarts {
+            for user in self.execute(staged, now) {
                 if let Some(UserSlot::Active(active)) = self.roster.get_mut(&user) {
                     let stats = active.mab.stats();
                     self.folded.merge(stats);
-                    self.roster.insert(user.clone(), UserSlot::Fresh);
-                    self.activate(&user, now, &mut staged);
+                    self.put(&user, UserSlot::Fresh);
+                    self.activate(&user, now, staged);
                 }
-            }
-            rounds += 1;
-            if rounds >= 8 {
-                break;
             }
         }
         self.retire_touched(now);
@@ -1174,12 +1203,11 @@ impl<C: Channels> Worker<C> {
     /// run immediately; ack windows and block timers go on the wheel).
     /// Returns users whose buddy requested rejuvenation — the caller
     /// restarts them (the worker plays the MDC role at shard scale).
-    fn execute(&mut self, batch: Vec<(UserId, MabCommand)>, now: SimTime) -> Vec<UserId> {
+    fn execute(&mut self, batch: &mut Vec<(UserId, MabCommand)>, now: SimTime) -> Vec<UserId> {
         let mut rejuvenating = Vec::new();
-        let mut queue = batch;
-        while !queue.is_empty() {
-            let mut follow = Vec::new();
-            for (user, command) in queue {
+        let mut follow = Vec::new();
+        loop {
+            for (user, command) in batch.drain(..) {
                 match command {
                     MabCommand::AckIm { to, .. } => {
                         if self.telemetry.enabled() {
@@ -1210,12 +1238,12 @@ impl<C: Channels> Worker<C> {
                                 let accepted = {
                                     let mut guard =
                                         ledger.lock().unwrap_or_else(PoisonError::into_inner);
-                                    let record = guard.enqueue(
+                                    let record = guard.enqueue_shared(
                                         &user,
                                         delivery.0,
                                         comm_type,
-                                        &address_value,
-                                        &text,
+                                        address_value,
+                                        text,
                                         now,
                                     );
                                     // simba-analyze: allow(concurrency.blocking-under-guard): enqueue+commit is the atomic handoff to the delivery workers; the guard scope IS the durability point
@@ -1233,12 +1261,8 @@ impl<C: Channels> Worker<C> {
                                             simba_core::delivery::SendFailure::ChannelDown,
                                     }
                                 };
-                                self.feed(
-                                    &user,
-                                    MabEvent::Delivery { id: delivery, event },
-                                    now,
-                                    &mut follow,
-                                );
+                                let event = MabEvent::Delivery { id: delivery, event };
+                                let _ = self.feed(&user, event, now, false, &mut follow);
                                 continue;
                             }
                             let outcome = self.channels.send(comm_type, &address_value, &text);
@@ -1262,12 +1286,8 @@ impl<C: Channels> Worker<C> {
                                     DeliveryEvent::SendFailed { attempt, failure }
                                 }
                             };
-                            self.feed(
-                                &user,
-                                MabEvent::Delivery { id: delivery, event },
-                                now,
-                                &mut follow,
-                            );
+                            let event = MabEvent::Delivery { id: delivery, event };
+                            let _ = self.feed(&user, event, now, false, &mut follow);
                         }
                         DeliveryCommand::StartTimer { timer, after } => {
                             self.schedule(&user, TimerFire::Block(delivery, timer), after, now);
@@ -1275,9 +1295,11 @@ impl<C: Channels> Worker<C> {
                     },
                 }
             }
-            queue = follow;
+            if follow.is_empty() {
+                return rejuvenating;
+            }
+            batch.append(&mut follow);
         }
-        rejuvenating
     }
 
     fn schedule(&mut self, user: &UserId, fire: TimerFire, after: SimDuration, now: SimTime) {
@@ -1370,7 +1392,7 @@ impl<C: Channels> Worker<C> {
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.hibernated").incr();
         }
-        self.roster.insert(user.clone(), UserSlot::Hibernated(bytes));
+        self.put(user, UserSlot::Hibernated(bytes));
         true
     }
 
@@ -1437,6 +1459,103 @@ mod tests {
         assert_send::<ShardMsg>();
         assert_send::<ActiveBuddy>();
         assert_send::<ShardedHostConfig>();
+    }
+
+    /// A channel that, until told to stop, answers every send by logging
+    /// two more unprocessed records for the user behind the worker's back
+    /// — a remote rejuvenation command and an ordinary alert — so every
+    /// restart's replay asks for another restart and stages another send.
+    struct Relentless {
+        log: SharedShardLog,
+        user: UserId,
+        feeding: Arc<std::sync::atomic::AtomicBool>,
+        sent: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Relentless {
+        fn feed(&self, n: usize) {
+            let mut log = self.log.lock().unwrap();
+            for body in ["SIMBA-REJUVENATE".to_string(), format!("Sensor {n}")] {
+                let alert = IncomingAlert::from_im("gw", body, SimTime::ZERO);
+                log.append(&self.user, &alert, SimTime::ZERO).unwrap();
+            }
+        }
+    }
+
+    impl Channels for Relentless {
+        fn send(&mut self, _: simba_core::address::CommType, _: &str, text: &str) -> SendOutcome {
+            let mut sent = self.sent.lock().unwrap();
+            sent.push(text.to_string());
+            if self.feeding.load(Ordering::Relaxed) {
+                self.feed(sent.len());
+            }
+            SendOutcome::Accepted
+        }
+    }
+
+    /// Regression: a batch that ran out of commit+execute rounds dropped
+    /// whatever it still had staged — replay sends of a restarted buddy,
+    /// whose log records were already marked processed. They must wait in
+    /// `withheld` and go out with the next batch.
+    #[test]
+    fn a_batch_out_of_rounds_parks_its_remainder_instead_of_dropping_it() {
+        use simba_core::address::{Address, CommType};
+        use simba_core::classify::KeywordField;
+        use simba_core::mode::{Block, DeliveryMode};
+
+        let user = UserId::new("ada");
+        let factory: ConfigFactory = Arc::new(|user: &UserId| {
+            let mut config = MabConfig::default();
+            config.classifier.accept_source("gw", KeywordField::Body, "");
+            config.classifier.map_keyword("Sensor", "Home");
+            let profile = config.registry.register_user(user.clone());
+            profile.address_book.add(Address::new("IM", CommType::Im, "im:ada")).unwrap();
+            let direct = vec![Block::fire_and_forget(vec!["IM".into()])];
+            profile.define_mode(DeliveryMode::new("Direct", direct).unwrap());
+            config.registry.subscribe("Home", user.clone(), "Direct").unwrap();
+            config
+        });
+        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
+        let channels = Relentless {
+            log: Arc::clone(&log),
+            user: user.clone(),
+            feeding: Arc::new(std::sync::atomic::AtomicBool::new(true)),
+            sent: Arc::default(),
+        };
+        let (feeding, sent) = (Arc::clone(&channels.feeding), Arc::clone(&channels.sent));
+        channels.feed(0);
+        let (_tx, rx) = mpsc::channel(1);
+        let (notices, _notice_rx) = mpsc::channel(64);
+        let mut worker = Worker::new(
+            rx,
+            Arc::default(),
+            channels,
+            Telemetry::disabled(),
+            factory,
+            notices,
+            log,
+            &ShardedHostConfig::default(),
+        );
+        worker.roster.insert(user.clone(), UserSlot::Fresh);
+
+        // Startup replay: the rejuvenation command and "Sensor 0". Every
+        // round sends one alert, whose send logs the next pair.
+        let mut staged = Vec::new();
+        worker.activate(&user, SimTime::ZERO, &mut staged);
+        worker.finish_batch(&mut staged, SimTime::ZERO);
+        let rounds: Vec<String> = (0..MAX_ROUNDS).map(|n| format!("Sensor {n}")).collect();
+        assert_eq!(*sent.lock().unwrap(), rounds);
+        assert!(staged.is_empty());
+        // The ninth round's restart and send were staged when the rounds
+        // ran out: parked, not dropped.
+        assert_eq!(worker.withheld.len(), 2);
+
+        feeding.store(false, Ordering::Relaxed);
+        worker.finish_batch(&mut staged, SimTime::ZERO);
+        assert_eq!(sent.lock().unwrap().last().unwrap(), &format!("Sensor {MAX_ROUNDS}"));
+        assert_eq!(sent.lock().unwrap().len(), MAX_ROUNDS + 1);
+        assert!(worker.withheld.is_empty());
+        assert_eq!(worker.lock_log().unprocessed_len(), 0);
     }
 
     #[test]

@@ -426,7 +426,7 @@ mod tests {
             ]
         );
         let alert = r.alert.expect("critical sensor alerts");
-        assert_eq!(alert.body, "Security Disarm Sensor ON");
+        assert_eq!(&*alert.body, "Security Disarm Sensor ON");
         assert_eq!(alert.origin_timestamp, t(100));
         assert_eq!(alert.urgency, Urgency::Critical);
     }
@@ -464,7 +464,7 @@ mod tests {
         assert!(h.trigger_sensor("basement-water", true, t(10), &mut rng).alert.is_none());
         // Back to OFF: change → alert.
         let r = h.trigger_sensor("basement-water", false, t(20), &mut rng);
-        assert_eq!(r.alert.unwrap().body, "Basement Water Sensor OFF");
+        assert_eq!(&*r.alert.unwrap().body, "Basement Water Sensor OFF");
     }
 
     #[test]
@@ -495,7 +495,7 @@ mod tests {
         let alerts = h.check_device_health(t(40 * 60));
         // Both critical sensors break simultaneously (no heartbeats at all).
         assert_eq!(alerts.len(), 2);
-        assert!(alerts.iter().any(|a| a.body == "Basement Water Sensor Broken"));
+        assert!(alerts.iter().any(|a| &*a.body == "Basement Water Sensor Broken"));
         // Reported once.
         assert!(h.check_device_health(t(41 * 60)).is_empty());
     }

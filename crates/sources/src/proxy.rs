@@ -206,7 +206,7 @@ mod tests {
             panic!("expected alert, got {out:?}")
         };
         assert!(alert.body.contains("Bush +327"));
-        assert_eq!(alert.source, "proxy-im");
+        assert_eq!(&*alert.source, "proxy-im");
         assert_eq!(alert.origin_timestamp, t(30));
         assert_eq!(proxy.alerts_generated(), 1);
     }

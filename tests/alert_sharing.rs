@@ -60,7 +60,7 @@ fn sends(commands: &[MabCommand]) -> Vec<(DeliveryId, String, simba::core::deliv
                 delivery,
                 user,
                 command: DeliveryCommand::Send { attempt, address_value, .. },
-            } => Some((*delivery, user.0.clone(), *attempt, address_value.clone())),
+            } => Some((*delivery, user.0.to_string(), *attempt, address_value.to_string())),
             _ => None,
         })
         .collect()

@@ -75,7 +75,7 @@ fn fail_everything(mode: &DeliveryMode, book: &AddressBook) -> (Vec<String>, Del
         let mut next = Vec::new();
         for c in cmds {
             if let DeliveryCommand::Send { attempt, address_name, .. } = c {
-                fired.push(address_name);
+                fired.push(address_name.to_string());
                 next.extend(p.handle(
                     DeliveryEvent::SendFailed { attempt, failure: SendFailure::ChannelDown },
                     book,

@@ -67,7 +67,7 @@ proptest! {
                     id: AlertId(i),
                     source: "aladdin-gw".into(),
                     category: "Home.Security".into(),
-                    text: format!("Sensor p{i} ON"),
+                    text: format!("Sensor p{i} ON").into(),
                     origin_timestamp: now,
                     received_at: now,
                     urgency: Urgency::Normal,
