@@ -28,6 +28,11 @@
 #                 PR 20's tree spent (crates/runtime/tests/alloc_budget.rs;
 #                 its printed table is the artefact; `test-all` runs the
 #                 same test without printing it)
+#   make wake-budget — voluntary context switches per alert of the thread
+#                 that runs the gateway pump, over real TCP at 20 000/s,
+#                 against a budget of 0.25
+#                 (crates/gateway/tests/wake_budget.rs; `test-all` runs
+#                 the same test without printing it)
 #   make loc    — non-test Rust lines under crates/ (every
 #                 crates/*/src/**/*.rs line before the file's first
 #                 `#[cfg(test)]`), per crate and in total — the figure
@@ -35,7 +40,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget loc clean
+.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget wake-budget loc clean
 
 ci: build test-all bench-selftest e2e-quick doc lint analyze smoke
 
@@ -74,6 +79,9 @@ smoke:
 
 alloc-budget:
 	$(CARGO) test --release -p simba-runtime --test alloc_budget -- --nocapture
+
+wake-budget:
+	$(CARGO) test --release -p simba-gateway --test wake_budget -- --nocapture
 
 loc:
 	@for crate in crates/*/; do \

@@ -64,8 +64,10 @@ pub const CONTRACTS: &[Contract] = &[
         name: "try_submit",
         qualifier: None,
         kind: ContractKind::Commit,
-        doc: "bounded intake handoff into the host; the pump drains the \
-              queue into the WAL before any ack-after-enqueue reply",
+        doc: "bounded intake handoff into the host: in memory only, not \
+              durable. The gateway acks right after it, and the pump may \
+              see the submission up to one executor park (1 ms) later; \
+              a process death loses what is still queued",
     },
 ];
 

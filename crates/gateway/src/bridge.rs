@@ -12,11 +12,16 @@
 //! A cross-thread send wakes a parked executor (the shim's ready queue
 //! parks on a condvar), so an idle pump simply awaits the queue: no
 //! heartbeat timer is needed to notice a submission, and a host without
-//! a rules engine arms none. With rules attached the pump is also the
-//! only thing that flushes digest windows on their deadlines, and it
-//! cannot learn those deadlines by asking once: a routed alert opens (or
-//! joins) its window in the shard worker *after* the pump has gone back
-//! to waiting. So on a rules host the wait is bounded by [`PUMP_TICK`].
+//! a rules engine arms none. The wake is immediate only when the
+//! executor's park has no deadline, or one more than 1 ms away; one
+//! that ends sooner (a [`PUMP_TICK`], a ledger pool's yield) is left to
+//! end, and the pump then drains everything that arrived meanwhile in
+//! one go. With rules attached the pump is also the only thing that
+//! flushes digest windows on their deadlines, and it cannot learn those
+//! deadlines by asking once: a routed alert opens (or joins) its window
+//! in the shard worker *after* the pump has gone back to waiting. So on
+//! a rules host the wait is bounded by [`PUMP_TICK`], and a busy pump
+//! flushes once a tick has passed since its last flush.
 //!
 //! An admitted submission is durable-in-process: once `try_submit`
 //! succeeds (and the worker acks the client), only process death can
@@ -33,14 +38,11 @@ use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::mpsc;
 
-/// How often an idle pump flushes due digest windows while a rules
-/// engine is attached (see the module docs). Never armed without one.
+/// How often the pump flushes due digest windows while a rules engine
+/// is attached (see the module docs): on an idle tick, and between
+/// submissions once this long has passed since the last flush. Never
+/// armed without one.
 const PUMP_TICK: Duration = Duration::from_millis(1);
-
-/// Under sustained load the pump never goes idle, so it also drives the
-/// host's digest flush every this many submissions — bounding how stale
-/// a due digest window can get while traffic keeps flowing.
-const DIGEST_PUMP_EVERY: u64 = 256;
 
 /// One admitted alert submission on its way to the host.
 #[derive(Debug)]
@@ -150,7 +152,7 @@ pub async fn pump_into_sharded_host(
     let clock = host.clock();
     let depth_gauge = telemetry.metrics().gauge("gateway.queue_depth");
     let mut report = PumpReport::default();
-    let mut since_digest_pump = 0u64;
+    let mut flushed_at = clock.now();
     loop {
         let next = if host.rules().is_none() {
             intake.rx.recv().await
@@ -159,7 +161,7 @@ pub async fn pump_into_sharded_host(
                 Ok(next) => next,
                 Err(_elapsed) => {
                     host.pump_digests().await;
-                    since_digest_pump = 0;
+                    flushed_at = clock.now();
                     continue;
                 }
             }
@@ -192,10 +194,10 @@ pub async fn pump_into_sharded_host(
         } else {
             report.unrouted += 1;
         }
-        since_digest_pump += 1;
-        if since_digest_pump >= DIGEST_PUMP_EVERY {
+        // A busy pump never sees its tick elapse: flush on time anyway.
+        if Duration::from_millis(now.since(flushed_at).as_millis()) >= PUMP_TICK {
             host.pump_digests().await;
-            since_digest_pump = 0;
+            flushed_at = now;
         }
     }
     host.pump_digests().await;

@@ -5,6 +5,9 @@
 //! [`simba_gateway::pump_into_sharded_host`], exactly the shape the CLI,
 //! the E6 bench and the E11 benchmark use.
 
+mod common;
+
+use common::factory;
 use simba_core::subscription::UserId;
 use simba_core::Telemetry;
 use simba_gateway::proto::{self, Frame, NackReason, WireChannel, WireRule};
@@ -12,9 +15,7 @@ use simba_gateway::{
     intake, pump_into_sharded_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
     GatewayServer, RateLimit, Submission, SubmitResult,
 };
-use simba_runtime::{
-    ConfigFactory, LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig,
-};
+use simba_runtime::{LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig};
 use simba_telemetry::RingBufferSink;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -23,34 +24,6 @@ use std::time::{Duration, Instant};
 
 fn telemetry() -> Telemetry {
     Telemetry::with_sink(Arc::new(RingBufferSink::new(4096)))
-}
-
-fn user_config(name: &str) -> simba_core::MabConfig {
-    use simba_core::address::{Address, AddressBook, CommType};
-    use simba_core::classify::{Classifier, KeywordField};
-    use simba_core::mode::DeliveryMode;
-    use simba_core::rejuvenate::RejuvenationPolicy;
-    use simba_core::subscription::SubscriptionRegistry;
-
-    let mut classifier = Classifier::new();
-    classifier.accept_source("gw-src", KeywordField::Body, "cfg");
-    classifier.accept_source("slow-src", KeywordField::Body, "cfg");
-    classifier.map_keyword("Sensor", "Home");
-    let mut registry = SubscriptionRegistry::new();
-    let user = UserId::new(name);
-    let profile = registry.register_user(user.clone());
-    let mut book = AddressBook::new();
-    book.add(Address::new("IM", CommType::Im, format!("im:{name}"))).unwrap();
-    book.add(Address::new("EM", CommType::Email, format!("{name}@mail"))).unwrap();
-    profile.address_book = book;
-    profile.define_mode(DeliveryMode::im_then_email(
-        "Urgent",
-        "IM",
-        "EM",
-        simba_sim::SimDuration::from_secs(60),
-    ));
-    registry.subscribe("Home", user, "Urgent").unwrap();
-    simba_core::MabConfig { classifier, registry, rejuvenation: RejuvenationPolicy::default() }
 }
 
 /// Three client threads submit through the gateway into a live host:
@@ -118,10 +91,6 @@ fn submissions_flow_through_tcp_into_the_host() {
     let metrics = telemetry.metrics().snapshot();
     assert_eq!(metrics.counter("gateway.accepted"), 120);
     assert_eq!(metrics.counter("host.routed"), 120);
-}
-
-fn factory() -> ConfigFactory {
-    Arc::new(|user: &UserId| user_config(&user.0))
 }
 
 fn submission(user: &str, source: &str, body: &str) -> Submission {
@@ -266,6 +235,110 @@ fn a_digest_window_opened_behind_an_idle_pump_still_flushes_on_its_deadline() {
 #[test]
 fn a_short_digest_window_is_not_held_to_a_longer_one_already_open() {
     assert_eq!(lone_digest_flushes_on_its_deadline(true), 1);
+}
+
+/// Regression: a busy pump flushes a due digest on time. Its idle tick
+/// never elapses while submissions arrive less than a tick apart, and it
+/// used to flush otherwise only every 256 submissions: at 2 000/s a 50 ms
+/// window went out ≈ 128 ms after its alert. Here a rule-less user is
+/// fed every 0.5 ms for 400 ms while one alert for another user opens a
+/// 50 ms window.
+#[test]
+fn a_busy_pump_still_flushes_a_digest_on_its_deadline() {
+    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
+
+    let digest_after = finishes_in_time(|| {
+        let engine: simba_rules::SharedRuleEngine =
+            Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+        let window = DigestConfig { window_ms: 50, ..DigestConfig::default() };
+        let fold = RuleSpec::digest("fold", "source == \"gw-src\"", window);
+        engine.upsert("alice", None, fold).unwrap();
+        let (intake_tx, intake_rx) = intake(4096);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
+        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+        let sent = shared.clone();
+        let feeder = std::thread::spawn(move || {
+            let digest_sent =
+                || sent.with(|c| c.sent().iter().any(|(_, _, text)| text.contains("1 alerts")));
+            ready_rx.recv().unwrap();
+            let started = Instant::now();
+            intake_tx.try_submit(submission("alice", "gw-src", "Sensor flap")).unwrap();
+            let mut digest_after = None;
+            let mut due = started;
+            for i in 0..800 {
+                due += Duration::from_micros(500);
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                let body = format!("Sensor {i} ON");
+                intake_tx.try_submit(submission("bob", "gw-src", &body)).unwrap();
+                if digest_after.is_none() && digest_sent() {
+                    digest_after = Some(started.elapsed());
+                }
+            }
+            digest_after
+        });
+        tokio::runtime::block_on(async move {
+            let config = ShardedHostConfig {
+                shards: 1,
+                rules: Some(engine),
+                ..ShardedHostConfig::default()
+            };
+            let (host, _notices) =
+                ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
+            host.register_many(vec![UserId::new("alice"), UserId::new("bob")]).await;
+            ready_tx.send(()).unwrap();
+            pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await;
+            host.shutdown().await;
+        });
+        feeder.join().unwrap()
+    });
+    let after = digest_after.expect("the digest went out while the pump was busy");
+    assert!(after < Duration::from_millis(80), "a 50 ms digest window went out after {after:?}");
+}
+
+/// What the shim's wake rule costs a submission, end to end. On a rules
+/// host the pump's tick is armed, so the executor always parks with a
+/// deadline at most a tick away, and a send from another thread leaves
+/// that park to end rather than cutting it short. A lone submission is
+/// still routed within a few ticks.
+#[test]
+fn a_submission_into_a_rules_host_with_its_tick_armed_is_routed_promptly() {
+    use simba_rules::{RuleEngine, RulesConfig};
+
+    let routed_after = finishes_in_time(|| {
+        let engine: simba_rules::SharedRuleEngine =
+            Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+        let telemetry = telemetry();
+        let (intake_tx, intake_rx) = intake(16);
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+        let metrics = telemetry.metrics().clone();
+        let submitter = std::thread::spawn(move || {
+            parked_rx.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            let started = Instant::now();
+            intake_tx.try_submit(submission("alice", "gw-src", "Sensor ON")).unwrap();
+            while metrics.snapshot().counter("host.routed") == 0 {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            started.elapsed()
+        });
+        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+        tokio::runtime::block_on(async move {
+            let config = ShardedHostConfig {
+                shards: 1,
+                rules: Some(engine),
+                ..ShardedHostConfig::default()
+            };
+            let (host, _notices) =
+                ShardedHost::new(shared, config, factory(), telemetry.clone()).unwrap();
+            host.register(UserId::new("alice")).await;
+            parked_tx.send(()).unwrap();
+            let report = pump_into_sharded_host(&host, intake_rx, &telemetry).await;
+            assert_eq!((report.routed, report.unrouted), (1, 0));
+            host.shutdown().await;
+        });
+        submitter.join().unwrap()
+    });
+    assert!(routed_after < Duration::from_millis(20), "routed after {routed_after:?}");
 }
 
 /// Regression: a client that sends a partial frame and stalls must not
