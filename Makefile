@@ -29,7 +29,8 @@
 #                 its printed table is the artefact; `test-all` runs the
 #                 same test without printing it)
 #   make wake-budget — voluntary context switches per alert of the thread
-#                 that runs the gateway pump, over real TCP at 20 000/s,
+#                 that runs the gateway pump, and of the gateway worker
+#                 threads together, over real TCP at 20 000/s, each
 #                 against a budget of 0.25
 #                 (crates/gateway/tests/wake_budget.rs; `test-all` runs
 #                 the same test without printing it)

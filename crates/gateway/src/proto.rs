@@ -779,24 +779,28 @@ pub fn decode_payload(header: &Header, payload: &[u8]) -> Result<Frame, FrameErr
     Ok(frame)
 }
 
-/// Decodes one whole frame from the front of `buf`; returns the frame and
-/// how many bytes it consumed. Convenience for tests and in-memory use —
-/// the server and client parse header and payload separately off the
-/// socket.
+/// Splits the next whole frame off the front of `buf`: its header and
+/// payload, which end `HEADER_LEN + payload.len()` bytes in. `Ok(None)`
+/// while `buf` holds only the start of a frame — read more. The header is
+/// checked as soon as it is in, so an oversized frame is refused before
+/// its payload is buffered; the payload's CRC is checked by whichever
+/// decoder reads it.
+pub fn split_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Header, &[u8])>, FrameError> {
+    let Some(header_bytes) = buf.first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let header = Header::parse(header_bytes, max_payload)?;
+    let end = HEADER_LEN + header.payload_len as usize;
+    Ok(buf.get(HEADER_LEN..end).map(|payload| (header, payload)))
+}
+
+/// Decodes one whole frame from the front of `buf`, a truncated one being
+/// an error; returns the frame and how many bytes it consumed. For tests
+/// and in-memory use: a byte stream's reader wants [`split_frame`].
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < HEADER_LEN {
-        return Err(FrameError::Malformed("truncated header"));
-    }
-    let header_bytes: [u8; HEADER_LEN] = buf[..HEADER_LEN]
-        .try_into()
-        .map_err(|_| FrameError::Malformed("truncated header"))?;
-    let header = Header::parse(&header_bytes, DEFAULT_MAX_PAYLOAD)?;
-    let total = HEADER_LEN + header.payload_len as usize;
-    if buf.len() < total {
-        return Err(FrameError::Malformed("truncated payload"));
-    }
-    let frame = decode_payload(&header, &buf[HEADER_LEN..total])?;
-    Ok((frame, total))
+    let (header, payload) = split_frame(buf, DEFAULT_MAX_PAYLOAD)?
+        .ok_or(FrameError::Malformed("truncated frame"))?;
+    Ok((decode_payload(&header, payload)?, HEADER_LEN + payload.len()))
 }
 
 #[cfg(test)]
@@ -917,6 +921,31 @@ mod tests {
                 "prefix of {cut} bytes decoded"
             );
         }
+    }
+
+    #[test]
+    fn split_frame_tells_a_partial_frame_from_an_invalid_one() {
+        let probe = encode_to_vec(&Frame::Probe { nonce: 5 });
+        let mut stream = probe.clone();
+        stream.extend_from_slice(&probe[..3]);
+        let (header, payload) = split_frame(&stream, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+        assert_eq!(HEADER_LEN + payload.len(), probe.len());
+        assert_eq!(decode_payload(&header, payload).unwrap(), Frame::Probe { nonce: 5 });
+        // Every prefix of a frame is "read more", never an error.
+        for cut in 0..probe.len() {
+            assert!(split_frame(&probe[..cut], DEFAULT_MAX_PAYLOAD).unwrap().is_none());
+        }
+        // A header over the cap is refused with none of its payload in.
+        let mut big = probe[..HEADER_LEN].to_vec();
+        big[6..10].copy_from_slice(&(DEFAULT_MAX_PAYLOAD + 1).to_le_bytes());
+        assert!(matches!(
+            split_frame(&big, DEFAULT_MAX_PAYLOAD),
+            Err(FrameError::TooLarge { .. })
+        ));
+        // A bad CRC is the decoder's to find, not the splitter's.
+        stream[HEADER_LEN] ^= 1;
+        let (header, payload) = split_frame(&stream, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+        assert!(matches!(decode_payload(&header, payload), Err(FrameError::BadCrc { .. })));
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //!   onto a bounded hand-off queue — when the queue is full the
 //!   connection itself is shed with a best-effort `Nack(QueueFull)`;
 //! * a small **worker pool** pops sockets and speaks the frame protocol
-//!   for one connection at a time. Reads poll with a short timeout so a
-//!   worker notices shutdown promptly, and a connection that goes quiet
-//!   mid-frame (slow loris) is closed once `idle_timeout` passes without
-//!   a byte — the worker is reclaimed, other connections never wait;
+//!   for one connection at a time: read what the socket holds, answer
+//!   every whole frame in it in order, write the replies at once. After a
+//!   read that held two or more frames (the peer pipelines) the worker
+//!   sleeps out the rest of `CONN_TICK`, 1 ms from that read, so such a
+//!   connection costs one read, write and wake per tick, not per frame; a
+//!   stop-and-wait peer is never made to wait. Reads poll with a short
+//!   timeout so a worker notices shutdown promptly, and a connection that
+//!   goes quiet mid-frame (slow loris) is closed once `idle_timeout`
+//!   passes without a byte — the worker is reclaimed, other connections
+//!   never wait;
 //! * admitted submissions go to the runtime through the bounded
 //!   [`IntakeSender`](crate::IntakeSender); the ack is written only
 //!   *after* the enqueue succeeds, so an acked alert can no longer be
@@ -34,6 +40,7 @@ use simba_sim::{SimDuration, SimTime};
 use simba_store::SoftStateStore;
 use simba_telemetry::{CounterHandle, Event};
 use std::collections::BTreeSet;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,6 +48,12 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// After a read that held two or more frames, a worker reads that
+/// connection again only this long after the read returned.
+const CONN_TICK: Duration = Duration::from_millis(1);
+/// A connection's read buffer; it grows only for a frame longer than this.
+const READ_BUF: usize = 64 * 1024;
 
 /// Gateway tuning knobs. The defaults suit tests and the CLI; the bench
 /// raises the queue sizes.
@@ -339,53 +352,6 @@ fn worker_loop(shared: &Shared, socket_rx: &Arc<Mutex<Receiver<TcpStream>>>) {
     }
 }
 
-/// Outcome of trying to read an exact number of bytes.
-enum ReadOutcome {
-    /// The buffer was filled.
-    Full,
-    /// The peer closed; `mid_frame` when bytes of this frame were lost.
-    Eof { mid_frame: bool },
-    /// No byte arrived for `idle_timeout` — slow-loris / dead peer.
-    Idle { mid_frame: bool },
-    /// The server is shutting down.
-    Stopped,
-    /// Hard I/O error.
-    Failed,
-}
-
-/// Reads exactly `buf.len()` bytes, polling so idleness and shutdown are
-/// noticed. `std`'s `read_exact` is unusable here: a read timeout makes
-/// it discard whatever prefix already arrived.
-fn read_full(shared: &Shared, stream: &mut TcpStream, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0usize;
-    let mut last_byte = Instant::now();
-    while filled < buf.len() {
-        if shared.stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Stopped;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Eof { mid_frame: filled > 0 },
-            Ok(n) => {
-                filled += n;
-                last_byte = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if last_byte.elapsed() >= shared.config.idle_timeout {
-                    return ReadOutcome::Idle { mid_frame: filled > 0 };
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Failed,
-        }
-    }
-    ReadOutcome::Full
-}
-
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     shared.counters.conn_opened.incr();
     let _ = stream.set_nodelay(true);
@@ -394,75 +360,106 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
 
     let slot = Arc::new(AtomicUsize::new(0));
-    let mut header_buf = [0u8; HEADER_LEN];
-    let mut payload_buf: Vec<u8> = Vec::new();
-    // Every reply of this connection is encoded here.
+    let max_frame = HEADER_LEN + shared.config.max_payload as usize;
+    // `inbuf[..filled]` is read but not yet answered: at most the start of
+    // one frame between turns. Zeroed only when it grows.
+    let mut inbuf = vec![0u8; READ_BUF];
+    let mut filled = 0;
+    // The replies of one turn, written at once.
     let mut reply_buf: Vec<u8> = Vec::new();
+    let mut last_read = Instant::now();
 
     loop {
-        match read_full(shared, &mut stream, &mut header_buf) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof { mid_frame: false } => return, // clean close
-            ReadOutcome::Eof { mid_frame: true } => {
-                note_decode_err(shared, &FrameError::Malformed("eof inside header"));
-                return;
-            }
-            ReadOutcome::Idle { mid_frame } => return close_idle(shared, mid_frame),
-            ReadOutcome::Stopped => return nack_shutdown(shared, &mut stream),
-            ReadOutcome::Failed => return,
+        if shared.stop.load(Ordering::SeqCst) {
+            return nack_shutdown(shared, &mut stream);
         }
-        let header = match Header::parse(&header_buf, shared.config.max_payload) {
-            Ok(header) => header,
+        if filled == inbuf.len() {
+            // The frame at the front is longer than the buffer; its header
+            // passed `max_payload`, so `max_frame` holds it.
+            inbuf.resize((2 * filled).min(max_frame), 0);
+        }
+        match stream.read(&mut inbuf[filled..]) {
+            Ok(0) if filled == 0 => return, // clean close
+            Ok(0) => {
+                let cut =
+                    if filled < HEADER_LEN { "eof inside header" } else { "eof inside payload" };
+                return note_decode_err(shared, &FrameError::Malformed(cut));
+            }
+            Ok(n) => {
+                filled += n;
+                last_read = Instant::now();
+            }
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                if last_read.elapsed() >= shared.config.idle_timeout {
+                    return close_idle(shared, filled > 0);
+                }
+                continue;
+            }
+            Err(_) => return,
+        }
+        let (used, served) = match answer_all(shared, &slot, &inbuf[..filled], &mut reply_buf) {
+            Ok(done) => done,
             Err(e) => {
                 note_decode_err(shared, &e);
-                // The byte stream is desynchronised; nack and drop it.
-                let _ = write_frame(&mut stream, &mut reply_buf, &malformed_nack());
+                // The byte stream is desynchronised: the replies so far,
+                // then a nack, then drop it.
+                proto::encode(&malformed_nack(), &mut reply_buf);
+                let _ = stream.write_all(&reply_buf);
                 return;
             }
         };
-        payload_buf.resize(header.payload_len as usize, 0);
-        match read_full(shared, &mut stream, &mut payload_buf) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof { .. } => {
-                note_decode_err(shared, &FrameError::Malformed("eof inside payload"));
-                return;
-            }
-            ReadOutcome::Idle { mid_frame } => return close_idle(shared, mid_frame),
-            ReadOutcome::Stopped => return nack_shutdown(shared, &mut stream),
-            ReadOutcome::Failed => return,
-        }
-        // A submission is read where it lies; any other frame is decoded whole.
-        let reply = match proto::decode_submit(&header, &payload_buf) {
-            Some(submit) => submit.map(|submit| admit(shared, &slot, submit)),
-            None => proto::decode_payload(&header, &payload_buf)
-                .and_then(|frame| answer(shared, &slot, frame)),
-        };
-        let reply = match reply {
-            Ok(reply) => reply,
-            Err(e) => {
-                note_decode_err(shared, &e);
-                let _ = write_frame(&mut stream, &mut reply_buf, &malformed_nack());
-                return;
-            }
-        };
-        if write_frame(&mut stream, &mut reply_buf, &reply).is_err() {
+        if !reply_buf.is_empty() && stream.write_all(&reply_buf).is_err() {
             return;
+        }
+        reply_buf.clear();
+        inbuf.copy_within(used..filled, 0);
+        filled -= used;
+        if served >= 2 {
+            std::thread::sleep(CONN_TICK.saturating_sub(last_read.elapsed()));
         }
     }
 }
 
-/// The reply to one decoded client frame.
+/// Answers every whole frame at the front of `buf`, in order, encoding
+/// each reply onto `replies`; returns how many bytes and frames that was.
 ///
 /// # Errors
 ///
-/// A server-to-client frame arriving at the server is a protocol
-/// violation, handled like a decode failure.
-fn answer(shared: &Shared, slot: &Arc<AtomicUsize>, frame: Frame) -> Result<Frame, FrameError> {
-    Ok(match frame {
-        Frame::Submit { seq, channel, user, source, body } => {
-            let (user, source, body) = (&user, &source, &body);
-            admit(shared, slot, SubmitRef { seq, channel, user, source, body })
-        }
+/// The first frame that fails to decode, or that no client may send;
+/// the replies before it stay in `replies`.
+fn answer_all(
+    shared: &Shared,
+    slot: &Arc<AtomicUsize>,
+    buf: &[u8],
+    replies: &mut Vec<u8>,
+) -> Result<(usize, usize), FrameError> {
+    let (mut used, mut frames) = (0, 0);
+    let max_payload = shared.config.max_payload;
+    while let Some((header, payload)) = proto::split_frame(&buf[used..], max_payload)? {
+        proto::encode(&answer(shared, slot, &header, payload)?, replies);
+        used += HEADER_LEN + payload.len();
+        frames += 1;
+    }
+    Ok((used, frames))
+}
+
+/// The reply to one client frame. A submission is read where it lies;
+/// any other frame is decoded whole.
+///
+/// # Errors
+///
+/// A frame that fails to decode, or a server-to-client frame arriving at
+/// the server — a protocol violation, handled like a decode failure.
+fn answer(
+    shared: &Shared,
+    slot: &Arc<AtomicUsize>,
+    header: &Header,
+    payload: &[u8],
+) -> Result<Frame, FrameError> {
+    if let Some(submit) = proto::decode_submit(header, payload) {
+        return Ok(admit(shared, slot, submit?));
+    }
+    Ok(match proto::decode_payload(header, payload)? {
         Frame::Probe { nonce } => Frame::ProbeReply { nonce, stats: shared.stats() },
         Frame::StateUpdate { seq, scope, key, value, ttl_ms, source } => {
             state_update(shared, seq, &scope, &key, value, ttl_ms, source)
@@ -471,6 +468,8 @@ fn answer(shared: &Shared, slot: &Arc<AtomicUsize>, frame: Frame) -> Result<Fram
         Frame::RuleUpsert { seq, user, rule } => rule_upsert(shared, seq, &user, &rule),
         Frame::RuleDelete { seq, user, rule_id } => rule_delete(shared, seq, &user, rule_id),
         Frame::RuleList { seq, user } => rule_list(shared, seq, &user),
+        // `decode_submit` claimed every submission above.
+        Frame::Submit { .. } => return Err(FrameError::Malformed("submit decoded whole")),
         Frame::Ack { .. } | Frame::Nack { .. } | Frame::ProbeReply { .. }
         | Frame::StateReply { .. } | Frame::RuleListReply { .. } => {
             return Err(FrameError::Malformed("client sent a server frame"));
@@ -661,16 +660,9 @@ fn close_idle(shared: &Shared, mid_frame: bool) {
 fn nack_shutdown(shared: &Shared, stream: &mut TcpStream) {
     let retry = shared.config.shed_retry_after.as_millis() as u32;
     let nack = Frame::Nack { seq: 0, reason: NackReason::Shutdown, retry_after_ms: retry };
-    let _ = write_frame(stream, &mut Vec::new(), &nack);
+    let _ = stream.write_all(&proto::encode_to_vec(&nack));
 }
 
 fn malformed_nack() -> Frame {
     Frame::Nack { seq: 0, reason: NackReason::Malformed, retry_after_ms: 0 }
-}
-
-/// Encodes `frame` into `buf` (the connection's, reused) and writes it.
-fn write_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, frame: &Frame) -> std::io::Result<()> {
-    buf.clear();
-    proto::encode(frame, buf);
-    stream.write_all(buf)
 }

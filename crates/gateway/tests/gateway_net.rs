@@ -486,6 +486,166 @@ fn garbage_bytes_are_nacked_and_counted() {
     assert!(telemetry.metrics().snapshot().counter("gateway.decode_err") >= 1);
 }
 
+fn submit_frame(seq: u64) -> Vec<u8> {
+    proto::encode_to_vec(&Frame::Submit {
+        seq,
+        channel: WireChannel::Im,
+        user: "alice".into(),
+        source: "gw-src".into(),
+        body: format!("Basement water sensor {seq:04} ON"),
+    })
+}
+
+/// Reads replies until the gateway closes the connection.
+fn replies_until_close(stream: &mut TcpStream) -> Vec<Frame> {
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).unwrap();
+    let mut frames = Vec::new();
+    let mut used = 0;
+    while used < bytes.len() {
+        let (frame, len) = proto::decode_frame(&bytes[used..]).expect("whole replies");
+        frames.push(frame);
+        used += len;
+    }
+    frames
+}
+
+/// A stop-and-wait client never has a second frame in flight, so the
+/// gateway never paces it: 500 sequential submissions into a small host
+/// take ≈ 5 ms. A gateway that slept out its 1 ms tick after every read
+/// would take ≥ 500 ms.
+#[test]
+fn a_stop_and_wait_client_is_never_paced() {
+    let (intake_tx, intake_rx) = intake(256);
+    let server =
+        GatewayServer::bind(GatewayConfig::default(), intake_tx, Telemetry::disabled()).unwrap();
+    let addr = server.local_addr();
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
+    let client = std::thread::spawn(move || {
+        ready_rx.recv().unwrap();
+        let mut client = GatewayClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
+        let started = Instant::now();
+        for i in 0..500 {
+            let result =
+                client.submit(WireChannel::Im, "alice", "gw-src", &format!("Sensor {i} ON"));
+            assert_eq!(result.unwrap(), SubmitResult::Accepted);
+        }
+        let took = started.elapsed();
+        server.shutdown();
+        took
+    });
+    let routed = tokio::runtime::block_on(async move {
+        let shared = SharedChannels::new(LoopbackChannels::accept_all());
+        let config = ShardedHostConfig { shards: 1, ..ShardedHostConfig::default() };
+        let (host, _notices) =
+            ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
+        host.register(UserId::new("alice")).await;
+        ready_tx.send(()).unwrap();
+        let report = pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await;
+        host.shutdown().await;
+        report.routed
+    });
+    let took = client.join().unwrap();
+    assert_eq!(routed, 500);
+    assert!(took < Duration::from_millis(250), "500 stop-and-wait submissions took {took:?}");
+}
+
+/// One write of 1 000 pipelined submissions — more than one read's worth,
+/// so some frame straddles two reads — gets 1 000 acks, in order.
+#[test]
+fn a_pipelined_burst_larger_than_a_read_gets_every_ack_in_order() {
+    let telemetry = telemetry();
+    let (intake_tx, _intake_rx) = intake(1024); // held open, never drained
+    let config = GatewayConfig { per_conn_inflight: 1024, ..GatewayConfig::default() };
+    let server = GatewayServer::bind(config, intake_tx, telemetry.clone()).unwrap();
+    let burst: Vec<u8> = (0..1000).flat_map(submit_frame).collect();
+    let frame_len = submit_frame(0).len();
+    assert!(burst.len() > 64 * 1024 && (64 * 1024) % frame_len != 0);
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&burst).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let replies = replies_until_close(&mut stream);
+    let acks: Vec<Frame> = (0..1000).map(|seq| Frame::Ack { seq }).collect();
+    assert_eq!(replies, acks);
+
+    server.shutdown();
+    let snap = telemetry.metrics().snapshot();
+    assert_eq!((snap.counter("gateway.accepted"), snap.counter("gateway.decode_err")), (1000, 0));
+}
+
+/// A frame that arrives a byte at a time is answered once, when whole.
+#[test]
+fn a_frame_trickled_a_byte_per_write_gets_one_ack() {
+    let telemetry = telemetry();
+    let (intake_tx, _intake_rx) = intake(16);
+    let server =
+        GatewayServer::bind(GatewayConfig::default(), intake_tx, telemetry.clone()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    for byte in submit_frame(7) {
+        stream.write_all(&[byte]).unwrap();
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(replies_until_close(&mut stream), vec![Frame::Ack { seq: 7 }]);
+    server.shutdown();
+    assert_eq!(telemetry.metrics().snapshot().counter("gateway.accepted"), 1);
+}
+
+/// Valid frames ahead of a corrupt one in the same write are all answered
+/// first; then comes the `Malformed` nack, and the connection closes.
+#[test]
+fn frames_ahead_of_a_corrupt_one_are_acked_before_the_nack() {
+    let telemetry = telemetry();
+    let (intake_tx, _intake_rx) = intake(16);
+    let server =
+        GatewayServer::bind(GatewayConfig::default(), intake_tx, telemetry.clone()).unwrap();
+    let mut bytes: Vec<u8> = (0..5).flat_map(submit_frame).collect();
+    let mut torn = submit_frame(5);
+    let last = torn.len() - 1;
+    torn[last] ^= 0x01; // the CRC no longer matches
+    bytes.extend_from_slice(&torn);
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&bytes).unwrap();
+    let mut expected: Vec<Frame> = (0..5).map(|seq| Frame::Ack { seq }).collect();
+    expected.push(Frame::Nack { seq: 0, reason: NackReason::Malformed, retry_after_ms: 0 });
+    assert_eq!(replies_until_close(&mut stream), expected);
+
+    server.shutdown();
+    let snap = telemetry.metrics().snapshot();
+    assert_eq!((snap.counter("gateway.accepted"), snap.counter("gateway.decode_err")), (5, 1));
+}
+
+/// A header announcing more than `max_payload` is refused on sight: the
+/// nack comes back with none of the payload sent, long before the idle
+/// timeout that a gateway waiting for that payload would hit.
+#[test]
+fn an_oversized_header_is_refused_before_its_payload_arrives() {
+    let telemetry = telemetry();
+    let (intake_tx, _intake_rx) = intake(16);
+    let config = GatewayConfig {
+        max_payload: 1024,
+        idle_timeout: Duration::from_secs(30),
+        ..GatewayConfig::default()
+    };
+    let server = GatewayServer::bind(config, intake_tx, telemetry.clone()).unwrap();
+    let mut header = submit_frame(1)[..proto::HEADER_LEN].to_vec();
+    header[6..10].copy_from_slice(&1025u32.to_le_bytes());
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let started = Instant::now();
+    stream.write_all(&header).unwrap();
+    let nack = Frame::Nack { seq: 0, reason: NackReason::Malformed, retry_after_ms: 0 };
+    assert_eq!(replies_until_close(&mut stream), vec![nack]);
+    assert!(started.elapsed() < Duration::from_secs(5));
+
+    server.shutdown();
+    assert_eq!(telemetry.metrics().snapshot().counter("gateway.decode_err"), 1);
+}
+
 /// The client survives a dropped connection by reconnecting and
 /// resending (at-least-once).
 #[test]
