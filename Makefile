@@ -31,9 +31,10 @@
 #   make wake-budget — voluntary context switches per alert of the thread
 #                 that runs the gateway pump, and of the gateway worker
 #                 threads together, over real TCP at 20 000/s, each
-#                 against a budget of 0.25
+#                 against a budget of 0.25; and those of the pump's thread
+#                 while a rules host sits idle for 500 ms, against 25
 #                 (crates/gateway/tests/wake_budget.rs; `test-all` runs
-#                 the same test without printing it)
+#                 the same tests without printing them)
 #   make loc    — non-test Rust lines under crates/ (every
 #                 crates/*/src/**/*.rs line before the file's first
 #                 `#[cfg(test)]`), per crate and in total — the figure

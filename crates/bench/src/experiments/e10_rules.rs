@@ -256,13 +256,16 @@ async fn storm(opts: E10Options) -> StormRaw {
             None => panic!("notice stream closed before the pre-flush traffic drained"),
         }
     }
-    assert_eq!(engine.pending_digests(), 1, "the storm must collapse into one pending window");
-    assert_eq!(host.pump_digests().await, 0, "nothing flushes before the window deadline");
+    let before = host.snapshot().await;
+    assert_eq!(before.open_windows, 1, "the storm must collapse into one pending window");
+    assert_eq!(before.stats.deliveries_started, before_flush, "nothing flushes before the deadline");
 
-    // Past the deadline the pump delivers exactly one digest.
+    // Past the deadline the shard worker delivers exactly one digest.
     tokio::time::sleep(Duration::from_secs(70)).await;
-    let digest_deliveries = host.pump_digests().await as u64;
+    let after = host.snapshot().await;
+    let digest_deliveries = after.stats.deliveries_started - before.stats.deliveries_started;
     assert_eq!(digest_deliveries, 1, "the storm must flush as exactly one digest");
+    assert_eq!(after.open_windows, 0, "flush left the window behind");
     let mut digest_finished = 0u64;
     while digest_finished < digest_deliveries {
         match notices.recv().await {
@@ -273,8 +276,6 @@ async fn storm(opts: E10Options) -> StormRaw {
             None => panic!("notice stream closed before the digest delivery drained"),
         }
     }
-    assert_eq!(engine.pending_digests(), 0, "flush left the window behind");
-
     let host = host.shutdown().await;
     assert_eq!(host.unrouted, 0, "both users were registered");
 

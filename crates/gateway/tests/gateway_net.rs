@@ -15,6 +15,7 @@ use simba_gateway::{
     intake, pump_into_sharded_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
     GatewayServer, RateLimit, Submission, SubmitResult,
 };
+use simba_rules::{RuleEngine, RulesConfig, SharedRuleEngine};
 use simba_runtime::{LoopbackChannels, SharedChannels, ShardedHost, ShardedHostConfig};
 use simba_telemetry::RingBufferSink;
 use std::io::{Read, Write};
@@ -113,15 +114,15 @@ fn finishes_in_time<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'st
     done_rx.recv_timeout(Duration::from_secs(10)).expect("the pump slept through a wake-up")
 }
 
-/// Settles the `PUMP_TICK` question, half one: the pump needs no
-/// heartbeat to notice a submission. The runtime below hosts nothing but
-/// the pump — shard workers run on their own threads and there is no
-/// rules engine — so once the pump awaits the empty intake queue the
-/// executor has no task to run and no timer to wait for: it parks. A
-/// submission from a plain std thread must wake it and be routed.
-#[test]
-fn a_submission_from_a_std_thread_wakes_an_idle_pump_with_no_timer_armed() {
-    let sent = finishes_in_time(|| {
+/// The pump needs no heartbeat to notice a submission. The runtime below
+/// hosts nothing but the pump — shard workers run on their own threads —
+/// so once the pump awaits the empty intake queue the executor has no
+/// task to run and no timer to wait for: it parks. That holds with a
+/// rules engine attached too, since digest windows are the workers'
+/// business. A submission from a plain std thread must wake it and be
+/// routed.
+fn a_submission_from_a_std_thread_wakes_an_idle_pump(rules: bool) {
+    let sent = finishes_in_time(move || {
         let (intake_tx, intake_rx) = intake(16);
         let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
         let submitter = std::thread::spawn(move || {
@@ -138,6 +139,7 @@ fn a_submission_from_a_std_thread_wakes_an_idle_pump_with_no_timer_armed() {
             let config = ShardedHostConfig {
                 shards: 1,
                 threads: true,
+                rules: rules.then(|| Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap())),
                 ..ShardedHostConfig::default()
             };
             let (host, _notices) =
@@ -155,157 +157,24 @@ fn a_submission_from_a_std_thread_wakes_an_idle_pump_with_no_timer_armed() {
     assert_eq!(sent, 1, "the lone submission was delivered");
 }
 
-/// Half two: what the pump *does* have to wake up for by itself. A lone
-/// alert is absorbed into a 150 ms digest window by its shard worker
-/// after the pump has already gone back to waiting, and no further
-/// submission ever arrives. The digest must still go out when its window
-/// closes — whatever the engine's earliest deadline looked like when the
-/// pump last went idle (`already_open`: a 60 s window opened just
-/// before, which must not become the pump's alarm clock).
-fn lone_digest_flushes_on_its_deadline(already_open: bool) -> usize {
-    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
-
-    finishes_in_time(move || {
-        let engine: simba_rules::SharedRuleEngine =
-            Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
-        for (name, source, window_ms) in [("slow", "slow-src", 60_000), ("fold", "gw-src", 150)] {
-            let window = DigestConfig { window_ms, ..DigestConfig::default() };
-            let predicate = format!("source == \"{source}\"");
-            engine.upsert("alice", None, RuleSpec::digest(name, &predicate, window)).unwrap();
-        }
-        let (intake_tx, intake_rx) = intake(16);
-        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let sent = shared.clone();
-        let digests_sent = move || {
-            sent.with(|c| c.sent().iter().filter(|(_, _, text)| text.contains("1 alerts")).count())
-        };
-        tokio::runtime::block_on(async move {
-            let config = ShardedHostConfig {
-                shards: 1,
-                rules: Some(Arc::clone(&engine)),
-                ..ShardedHostConfig::default()
-            };
-            let (host, mut notices) =
-                ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
-            host.register(UserId::new("alice")).await;
-            if already_open {
-                let alert = simba_core::alert::IncomingAlert::from_im(
-                    "slow-src",
-                    "Sensor drift",
-                    host.clock().now(),
-                );
-                assert!(host.submit_im(&UserId::new("alice"), alert).await);
-                host.snapshot().await; // queued behind the alert: it has been evaluated
-                assert!(engine.next_deadline().is_some(), "the long window is open");
-            }
-            intake_tx.try_submit(submission("alice", "gw-src", "Sensor flap")).unwrap();
-            // The sender stays alive until the digest has been delivered:
-            // only the pump's own timer can wake it.
-            let host = std::rc::Rc::new(host);
-            let pump = tokio::spawn({
-                let host = std::rc::Rc::clone(&host);
-                async move {
-                    pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await
-                }
-            });
-            loop {
-                let notice = notices.recv().await.expect("host alive").notice;
-                if matches!(notice, simba_runtime::RuntimeNotice::DeliveryFinished { .. }) {
-                    break;
-                }
-            }
-            drop(intake_tx);
-            assert_eq!(pump.await.unwrap().routed, 1);
-            let host = std::rc::Rc::try_unwrap(host).expect("the pump has exited");
-            let on_deadline = digests_sent();
-            // Stop flushes the 60 s window early rather than dropping it.
-            let started = host.shutdown().await.stats.deliveries_started;
-            assert_eq!(started, 1 + u64::from(already_open), "digests only, no lone alert");
-            assert_eq!(digests_sent() as u64, started);
-            on_deadline
-        })
-    })
+#[test]
+fn a_submission_from_a_std_thread_wakes_an_idle_pump_with_no_timer_armed() {
+    a_submission_from_a_std_thread_wakes_an_idle_pump(false);
 }
 
 #[test]
-fn a_digest_window_opened_behind_an_idle_pump_still_flushes_on_its_deadline() {
-    assert_eq!(lone_digest_flushes_on_its_deadline(false), 1);
+fn a_submission_from_a_std_thread_wakes_an_idle_rules_pump_with_no_timer_armed() {
+    a_submission_from_a_std_thread_wakes_an_idle_pump(true);
 }
 
+/// What the shim's wake rule costs a submission, end to end. The pump of
+/// an idle rules host has gone back to waiting untimed, so the executor
+/// parks with no deadline a tick away, and a send from another thread
+/// wakes it at once. A lone submission is routed well within 20 ms.
 #[test]
-fn a_short_digest_window_is_not_held_to_a_longer_one_already_open() {
-    assert_eq!(lone_digest_flushes_on_its_deadline(true), 1);
-}
-
-/// Regression: a busy pump flushes a due digest on time. Its idle tick
-/// never elapses while submissions arrive less than a tick apart, and it
-/// used to flush otherwise only every 256 submissions: at 2 000/s a 50 ms
-/// window went out ≈ 128 ms after its alert. Here a rule-less user is
-/// fed every 0.5 ms for 400 ms while one alert for another user opens a
-/// 50 ms window.
-#[test]
-fn a_busy_pump_still_flushes_a_digest_on_its_deadline() {
-    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
-
-    let digest_after = finishes_in_time(|| {
-        let engine: simba_rules::SharedRuleEngine =
-            Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
-        let window = DigestConfig { window_ms: 50, ..DigestConfig::default() };
-        let fold = RuleSpec::digest("fold", "source == \"gw-src\"", window);
-        engine.upsert("alice", None, fold).unwrap();
-        let (intake_tx, intake_rx) = intake(4096);
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
-        let sent = shared.clone();
-        let feeder = std::thread::spawn(move || {
-            let digest_sent =
-                || sent.with(|c| c.sent().iter().any(|(_, _, text)| text.contains("1 alerts")));
-            ready_rx.recv().unwrap();
-            let started = Instant::now();
-            intake_tx.try_submit(submission("alice", "gw-src", "Sensor flap")).unwrap();
-            let mut digest_after = None;
-            let mut due = started;
-            for i in 0..800 {
-                due += Duration::from_micros(500);
-                std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                let body = format!("Sensor {i} ON");
-                intake_tx.try_submit(submission("bob", "gw-src", &body)).unwrap();
-                if digest_after.is_none() && digest_sent() {
-                    digest_after = Some(started.elapsed());
-                }
-            }
-            digest_after
-        });
-        tokio::runtime::block_on(async move {
-            let config = ShardedHostConfig {
-                shards: 1,
-                rules: Some(engine),
-                ..ShardedHostConfig::default()
-            };
-            let (host, _notices) =
-                ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
-            host.register_many(vec![UserId::new("alice"), UserId::new("bob")]).await;
-            ready_tx.send(()).unwrap();
-            pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await;
-            host.shutdown().await;
-        });
-        feeder.join().unwrap()
-    });
-    let after = digest_after.expect("the digest went out while the pump was busy");
-    assert!(after < Duration::from_millis(80), "a 50 ms digest window went out after {after:?}");
-}
-
-/// What the shim's wake rule costs a submission, end to end. On a rules
-/// host the pump's tick is armed, so the executor always parks with a
-/// deadline at most a tick away, and a send from another thread leaves
-/// that park to end rather than cutting it short. A lone submission is
-/// still routed within a few ticks.
-#[test]
-fn a_submission_into_a_rules_host_with_its_tick_armed_is_routed_promptly() {
-    use simba_rules::{RuleEngine, RulesConfig};
-
+fn a_submission_into_an_idle_rules_host_is_routed_promptly() {
     let routed_after = finishes_in_time(|| {
-        let engine: simba_rules::SharedRuleEngine =
+        let engine: SharedRuleEngine =
             Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
         let telemetry = telemetry();
         let (intake_tx, intake_rx) = intake(16);
@@ -775,12 +644,9 @@ fn unsupported_nack_is_permanent_and_never_retried() {
 /// stored shape, and deletion is idempotent.
 #[test]
 fn rule_frames_manage_the_engine_over_tcp() {
-    use simba_rules::{RuleEngine, RulesConfig};
-
     let telemetry = telemetry();
     let (intake_tx, _intake_rx) = intake(256);
-    let engine: simba_rules::SharedRuleEngine =
-        Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+    let engine: SharedRuleEngine = Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
     let server = GatewayServer::bind_with_rules(
         GatewayConfig::default(),
         intake_tx,

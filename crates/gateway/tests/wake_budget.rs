@@ -7,8 +7,9 @@
 //! `write`, spin-paced at 20 000/s → intake queue → pump → a two-shard
 //! `ShardedHost` with a rules engine (200 users, one deliver rule each).
 //!
-//! The shim's executor parks whenever it runs out of work, and on a rules
-//! host every park has a deadline at most one pump tick (1 ms) away. When
+//! The shim's executor parks whenever it runs out of work, and while
+//! submissions flow every park has a deadline at most one pump tick
+//! (1 ms) away. When
 //! each send from a gateway thread cut such a park short, the runtime
 //! thread read 0.95–0.98 switches per alert in release and 0.32 in debug
 //! (2-vCPU VM). A park that ends within 1 ms is now left to end, and the
@@ -20,6 +21,12 @@
 //! frames the worker serves that connection once per 1 ms tick, ≈ 20
 //! frames a turn at this rate: ≈ 0.05. Both figures have the budget
 //! [`BUDGET`].
+//!
+//! The pump arms its tick only while submissions arrive, so an idle
+//! rules host sleeps. The second case lets a two-shard rules host with a
+//! running pump sit idle for 500 ms and counts the runtime thread's
+//! voluntary switches: 467 when the pump ticked whenever rules were
+//! attached, ≈ 1 now; the budget is [`IDLE_BUDGET`].
 mod common;
 
 use common::factory;
@@ -32,6 +39,7 @@ use simba_runtime::{LoopbackChannels, SharedChannels, ShardedHost, ShardedHostCo
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,6 +49,10 @@ const RATE_PER_S: u32 = 20_000;
 /// Voluntary switches per alert the runtime thread, and the gateway
 /// workers together, may each spend.
 const BUDGET: f64 = 0.25;
+/// Voluntary switches the runtime thread of an idle rules host may spend
+/// in [`IDLE`].
+const IDLE_BUDGET: u64 = 25;
+const IDLE: Duration = Duration::from_millis(500);
 
 fn user(i: u64) -> String {
     format!("u{i:03}")
@@ -123,12 +135,22 @@ fn count_acks(stream: &mut TcpStream) -> u64 {
     acked
 }
 
-#[test]
-fn the_runtime_thread_and_the_gateway_workers_wake_at_most_once_per_four_alerts() {
+/// A two-shard host whose [`USERS`] registered users each own one deliver
+/// rule.
+async fn rules_host(channels: SharedChannels<LoopbackChannels>) -> ShardedHost {
     let engine: SharedRuleEngine = Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
     for i in 0..USERS as u64 {
         engine.upsert(&user(i), None, RuleSpec::deliver("all", "source == \"gw-src\"")).unwrap();
     }
+    let config = ShardedHostConfig { shards: 2, rules: Some(engine), ..ShardedHostConfig::default() };
+    let (host, _notices) =
+        ShardedHost::new(channels, config, factory(), Telemetry::disabled()).unwrap();
+    host.register_many((0..USERS as u64).map(|i| UserId::new(user(i))).collect()).await;
+    host
+}
+
+#[test]
+fn the_runtime_thread_and_the_gateway_workers_wake_at_most_once_per_four_alerts() {
     let (intake_tx, intake_rx) = intake(2 * FRAMES as usize);
     let config = GatewayConfig { per_conn_inflight: FRAMES as usize, ..GatewayConfig::default() };
     let server = GatewayServer::bind(config, intake_tx, Telemetry::disabled()).unwrap();
@@ -146,14 +168,7 @@ fn the_runtime_thread_and_the_gateway_workers_wake_at_most_once_per_four_alerts(
 
     let channels = SharedChannels::new(LoopbackChannels::accept_all());
     let (routed, started, switches) = tokio::runtime::block_on(async move {
-        let config = ShardedHostConfig {
-            shards: 2,
-            rules: Some(engine),
-            ..ShardedHostConfig::default()
-        };
-        let (host, _notices) =
-            ShardedHost::new(channels, config, factory(), Telemetry::disabled()).unwrap();
-        host.register_many((0..USERS as u64).map(|i| UserId::new(user(i))).collect()).await;
+        let host = rules_host(channels).await;
         ready_tx.send(()).unwrap();
         let runtime_thread = Path::new("/proc/thread-self/status");
         let before = voluntary_switches(runtime_thread);
@@ -175,4 +190,30 @@ fn the_runtime_thread_and_the_gateway_workers_wake_at_most_once_per_four_alerts(
         );
         assert!(per_alert <= BUDGET, "{threads}: {per_alert:.3} wakes per alert, over {BUDGET}");
     }
+}
+
+#[test]
+fn an_idle_rules_host_with_a_running_pump_sleeps() {
+    let (intake_tx, intake_rx) = intake(16);
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let switches = tokio::runtime::block_on(async move {
+        let host = Rc::new(rules_host(channels).await);
+        let pump = tokio::spawn({
+            let host = Rc::clone(&host);
+            async move { pump_into_sharded_host(&host, intake_rx, &Telemetry::disabled()).await }
+        });
+        let runtime_thread = Path::new("/proc/thread-self/status");
+        let before = voluntary_switches(runtime_thread);
+        tokio::time::sleep(IDLE).await;
+        let switches = voluntary_switches(runtime_thread) - before;
+        drop(intake_tx);
+        assert_eq!(pump.await.unwrap().routed, 0);
+        Rc::try_unwrap(host).expect("the pump has exited").shutdown().await;
+        switches
+    });
+    println!(
+        "idle rules host: {switches} voluntary switches of the runtime thread in {IDLE:?} \
+         (budget {IDLE_BUDGET})"
+    );
+    assert!(switches <= IDLE_BUDGET, "an idle rules host woke {switches} times in {IDLE:?}");
 }

@@ -10,19 +10,19 @@
 //! lowest id wins — rule order is creation order, which users can reason
 //! about.
 //!
-//! The correlator absorbs alerts matched by digest rules into
-//! [`PendingDigest`] windows keyed per user and correlation key — the
-//! owning user always scopes the window, so a custom key template
-//! without `{user}` cannot collide two users' bursts. A window flushes
-//! deterministically when
-//! its deadline passes ([`RuleEngine::flush_due`], called by the host
-//! front door's `pump_digests` on the gateway pump's tick, and for every
-//! open window at host shutdown), when its count cap is reached, or
-//! when a later alert escalates the window's severity. Critical alerts
-//! never wait: they bypass digesting entirely and deliver immediately.
+//! The engine's lock guards definitions (rules log, index); a
+//! [`Correlator`] holds what evaluation leaves behind: the dedupe horizon
+//! and [`PendingDigest`] windows keyed per user and correlation key (so a
+//! key template without `{user}` cannot collide two users' bursts). Each
+//! host shard worker owns the correlator of its users
+//! ([`RuleEngine::evaluate_in`]); [`RuleEngine::evaluate`] uses the
+//! engine's own. A window flushes when its deadline passes
+//! ([`Correlator::flush_due`]: the owner calls it after every batch, and
+//! for every window at shutdown), when its count cap is reached, or when
+//! a later alert escalates its severity. Critical alerts never wait.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use simba_core::{DigestAlert, IncomingAlert, Urgency};
 use simba_sim::SimTime;
@@ -119,7 +119,8 @@ impl Decision {
 }
 
 /// A shareable engine handle: the engine is internally synchronized, so
-/// the gateway pump, shard workers, and the CLI share one `Arc`.
+/// the gateway's rule frames, every shard worker (each evaluating against
+/// its own [`Correlator`]) and the CLI share one `Arc`.
 pub type SharedRuleEngine = std::sync::Arc<RuleEngine>;
 
 /// Builds the [`AlertView`] the predicate language evaluates: `kind` is
@@ -231,22 +232,205 @@ fn consider<'a>(best: &mut Option<&'a AlertRule>, bucket: &'a [AlertRule], view:
 struct Inner {
     log: RulesLog,
     index: HashMap<String, UserIndex>,
+}
+
+/// The per-user bounds every [`Correlator`] of one engine enforces.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    dedupe_window_ms: u64,
+    max_pending_per_user: usize,
+    max_dedupe_keys_per_user: usize,
+}
+
+/// Correlation state for the users one owner evaluates: open digest
+/// windows and recently seen dedupe keys. It is not synchronized. Each
+/// owner holds its own (a host's shard worker, or the engine itself for
+/// [`RuleEngine::evaluate`]), so a window never leaves its owner.
+#[derive(Debug)]
+pub struct Correlator {
+    telemetry: Telemetry,
+    bounds: Bounds,
     /// Open digest windows, user → correlation key → window. Nesting by
     /// user means a custom key template without `{user}` can never
     /// collide two users into one window (which would leak one user's
     /// exemplars into the other's digest and lose their alerts).
     pending: HashMap<String, HashMap<String, PendingDigest>>,
-    /// Total open windows across users (the `pending` leaf count).
-    pending_total: usize,
-    /// Flush order: (deadline_ms, seq) → (user, correlation key). Stale
-    /// entries (escalated windows) are dropped when popped.
+    /// Flush order: (deadline_ms, seq) → (user, correlation key), one
+    /// entry per open window.
     deadlines: BTreeMap<(u64, u64), (String, String)>,
     /// Per-user recently seen dedupe keys, oldest first.
     recent: HashMap<String, VecDeque<(u64, String)>>,
     seq: u64,
-    dedupe_window_ms: u64,
-    max_pending_per_user: usize,
-    max_dedupe_keys_per_user: usize,
+}
+
+impl Correlator {
+    fn new(bounds: Bounds, telemetry: Telemetry) -> Correlator {
+        let (pending, deadlines, recent) = Default::default();
+        Correlator { telemetry, bounds, pending, deadlines, recent, seq: 0 }
+    }
+
+    /// Open digest windows across this correlator's users.
+    pub fn open_windows(&self) -> usize {
+        self.deadlines.len()
+    }
+
+    /// The earliest flush deadline (ms), if any window is open.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.deadlines.first_key_value().map(|((d, _), _)| *d)
+    }
+
+    /// Flushes every digest window whose deadline is at or before
+    /// `now_ms`. The owner routes the returned digests as deliveries.
+    pub fn flush_due(&mut self, now_ms: u64) -> Vec<DigestAlert> {
+        let mut out = Vec::new();
+        while let Some(due) = self.deadlines.first_entry().filter(|e| e.key().0 <= now_ms) {
+            let (user, key) = due.remove();
+            out.extend(self.remove_pending(&user, &key));
+        }
+        if !out.is_empty() && self.telemetry.enabled() {
+            self.telemetry.metrics().counter("rules.digest_flushed").add(out.len() as u64);
+        }
+        out
+    }
+
+    /// What `rule`, the best match for one of `user`'s alerts, decides for
+    /// it. The flag is true for a critical alert cutting through a digest
+    /// rule.
+    fn decide(
+        &mut self,
+        user: &str,
+        rule: &AlertRule,
+        urgency: Urgency,
+        view: AlertView<'_>,
+        now_ms: u64,
+    ) -> (Decision, bool) {
+        let severity = rule.spec.severity;
+        let effective = severity.unwrap_or(urgency);
+        let critical = effective >= Urgency::Critical;
+
+        // Dedupe-key template: a repeat within the window is noise —
+        // but critical alerts always cut through, so they are never
+        // suppressed as repeats (and do not charge the window).
+        if let Some(template) = &rule.spec.dedupe {
+            if !critical && self.note_recent(user, expand_template(template, user, view), now_ms) {
+                return (Decision::Suppress { rule: rule.id, reason: SuppressReason::Dedupe }, false);
+            }
+        }
+
+        match &rule.spec.action {
+            RuleAction::Deliver => (Decision::Deliver { rule: Some(rule.id), severity }, false),
+            RuleAction::Suppress => {
+                (Decision::Suppress { rule: rule.id, reason: SuppressReason::Rule }, false)
+            }
+            // Critical cuts through: never parked in a window.
+            RuleAction::Digest(_) if critical => {
+                (Decision::Deliver { rule: Some(rule.id), severity }, true)
+            }
+            RuleAction::Digest(config) => {
+                let key = match &config.key {
+                    Some(template) => expand_template(template, user, view),
+                    None => default_correlation_key(user, view),
+                };
+                (self.absorb(user, rule.id, &key, config, view, severity, effective, now_ms), false)
+            }
+        }
+    }
+
+    /// Records `key` as recently seen; true when it was already live inside
+    /// the dedupe window.
+    fn note_recent(&mut self, user: &str, key: String, now_ms: u64) -> bool {
+        let recent = self.recent.entry(user.to_string()).or_default();
+        while let Some((seen, _)) = recent.front() {
+            if now_ms.saturating_sub(*seen) >= self.bounds.dedupe_window_ms {
+                recent.pop_front();
+            } else {
+                break;
+            }
+        }
+        if recent.iter().any(|(_, k)| *k == key) {
+            return true;
+        }
+        recent.push_back((now_ms, key));
+        while recent.len() > self.bounds.max_dedupe_keys_per_user {
+            recent.pop_front();
+        }
+        false
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn absorb(
+        &mut self,
+        user: &str,
+        rule_id: u64,
+        key: &str,
+        config: &crate::rule::DigestConfig,
+        view: AlertView<'_>,
+        severity: Option<Urgency>,
+        urgency: Urgency,
+        now_ms: u64,
+    ) -> Decision {
+        let open_for_user = self.pending.get(user).map_or(0, HashMap::len);
+        if !self.pending.get(user).is_some_and(|open| open.contains_key(key)) {
+            if open_for_user >= self.bounds.max_pending_per_user {
+                // Bounded correlator state: deliver directly (keeping the
+                // rule's severity override, like the critical-bypass path)
+                // rather than grow without bound or silently drop.
+                return Decision::Deliver { rule: Some(rule_id), severity };
+            }
+            self.seq += 1;
+            let seq = self.seq;
+            let deadline_ms = now_ms + config.window_ms.max(1);
+            self.pending.entry(user.to_string()).or_default().insert(
+                key.to_string(),
+                PendingDigest {
+                    user: user.to_string(),
+                    key: key.to_string(),
+                    source: view.source.to_string(),
+                    kind: view.kind.to_string(),
+                    count: 0,
+                    first: SimTime::from_millis(now_ms),
+                    last: SimTime::from_millis(now_ms),
+                    exemplars: Vec::new(),
+                    max_exemplars: config.max_exemplars as usize,
+                    max_count: config.max_count,
+                    urgency: Urgency::Low,
+                    deadline_ms,
+                    seq,
+                },
+            );
+            self.deadlines.insert((deadline_ms, seq), (user.to_string(), key.to_string()));
+        }
+        let pending = self
+            .pending
+            .get_mut(user)
+            .and_then(|open| open.get_mut(key))
+            .expect("just inserted or present");
+        let escalated = pending.count > 0 && urgency > pending.urgency;
+        pending.count += 1;
+        pending.last = SimTime::from_millis(now_ms);
+        pending.urgency = pending.urgency.max(urgency);
+        if pending.exemplars.len() < pending.max_exemplars {
+            pending.exemplars.push(view.body.to_string());
+        }
+        let capped = pending.max_count > 0 && pending.count >= u64::from(pending.max_count);
+        let deadline_ms = pending.deadline_ms;
+        let flushed = if escalated || capped {
+            self.remove_pending(user, key).map(Box::new)
+        } else {
+            None
+        };
+        Decision::Digest { rule: rule_id, key: key.to_string(), deadline_ms, flushed }
+    }
+
+    fn remove_pending(&mut self, user: &str, key: &str) -> Option<DigestAlert> {
+        let open = self.pending.get_mut(user)?;
+        let pending = open.remove(key)?;
+        if open.is_empty() {
+            self.pending.remove(user);
+        }
+        self.deadlines.remove(&(pending.deadline_ms, pending.seq));
+        Some(pending.into_digest())
+    }
 }
 
 /// The rule engine. Internally synchronized; share via
@@ -254,7 +438,11 @@ struct Inner {
 #[derive(Debug)]
 pub struct RuleEngine {
     telemetry: Telemetry,
+    bounds: Bounds,
     inner: Mutex<Inner>,
+    /// The correlator behind [`RuleEngine::evaluate`] and
+    /// [`RuleEngine::flush_due`].
+    correlator: Mutex<Correlator>,
 }
 
 impl RuleEngine {
@@ -282,28 +470,25 @@ impl RuleEngine {
         for user in log.users() {
             reindex_user(&log, &mut index, user);
         }
-        let inner = Inner {
-            log,
-            index,
-            pending: HashMap::new(),
-            pending_total: 0,
-            deadlines: BTreeMap::new(),
-            recent: HashMap::new(),
-            seq: 0,
+        let loaded = log.len();
+        if loaded > 0 && telemetry.enabled() {
+            telemetry.metrics().counter("rules.loaded").add(loaded as u64);
+        }
+        let bounds = Bounds {
             dedupe_window_ms: config.dedupe_window_ms.max(1),
             max_pending_per_user: config.max_pending_digests_per_user.max(1),
             max_dedupe_keys_per_user: config.max_dedupe_keys_per_user.max(1),
         };
-        let engine = RuleEngine { telemetry, inner: Mutex::new(inner) };
-        let loaded = engine.with_inner(|i| i.log.len());
-        if loaded > 0 {
-            engine.add("rules.loaded", loaded as u64);
-        }
-        Ok(engine)
+        Ok(RuleEngine {
+            correlator: Mutex::new(Correlator::new(bounds, telemetry.clone())),
+            telemetry,
+            bounds,
+            inner: Mutex::new(Inner { log, index }),
+        })
     }
 
     fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
-        f(&mut self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+        f(&mut lock(&self.inner))
     }
 
     fn counter(&self, name: &str) {
@@ -312,16 +497,10 @@ impl RuleEngine {
         }
     }
 
-    fn add(&self, name: &str, n: u64) {
-        if self.telemetry.enabled() {
-            self.telemetry.metrics().counter(name).add(n);
-        }
-    }
-
-    fn gauge(&self, name: &str, value: u64) {
-        if self.telemetry.enabled() {
-            self.telemetry.metrics().gauge(name).set(value);
-        }
+    /// A fresh, empty correlator with this engine's bounds and telemetry,
+    /// for an owner that evaluates through [`RuleEngine::evaluate_in`].
+    pub fn correlator(&self) -> Correlator {
+        Correlator::new(self.bounds, self.telemetry.clone())
     }
 
     /// Creates (`id: None`) or replaces (`id: Some`) a rule and commits
@@ -382,66 +561,35 @@ impl RuleEngine {
         self.with_inner(|inner| inner.log.len())
     }
 
-    /// Open digest windows across all users.
+    /// Open digest windows in the engine's own correlator.
     pub fn pending_digests(&self) -> usize {
-        self.with_inner(|inner| inner.pending_total)
+        lock(&self.correlator).open_windows()
     }
 
-    /// The hot path: decides what happens to one alert for `user` at
-    /// `now_ms`. Digest absorption happens inside this call; a returned
-    /// [`Decision::Digest`] means the alert must *not* be routed (its
-    /// content lives in the pending window), except that any
+    /// Decides what happens to one alert for `user` at `now_ms`, against
+    /// the engine's own correlator. Digest absorption happens inside this
+    /// call; a returned [`Decision::Digest`] means the alert must *not* be
+    /// routed (its content lives in the pending window), except that any
     /// `flushed` digest it carries must be delivered now.
     pub fn evaluate(&self, user: &str, alert: &IncomingAlert, now_ms: u64) -> Decision {
+        self.evaluate_in(&mut lock(&self.correlator), user, alert, now_ms)
+    }
+
+    /// The hot path: [`RuleEngine::evaluate`] against `correlator`, whose
+    /// windows and dedupe horizon the decision reads and updates.
+    pub fn evaluate_in(
+        &self,
+        correlator: &mut Correlator,
+        user: &str,
+        alert: &IncomingAlert,
+        now_ms: u64,
+    ) -> Decision {
         self.counter("rules.evaluated");
         let (decision, critical_bypass) = self.with_inner(|inner| {
             let view = view_of(alert);
-            // Copy the deciding rule's fields out so the index borrow ends
-            // before the correlator mutates `inner`.
-            let Some((rule_id, severity, dedupe, action)) =
-                inner.index.get(user).and_then(|idx| idx.best_match(view)).map(|rule| {
-                    (rule.id, rule.spec.severity, rule.spec.dedupe.clone(), rule.spec.action.clone())
-                })
-            else {
-                return (Decision::Deliver { rule: None, severity: None }, false);
-            };
-            let effective = severity.unwrap_or(alert.urgency);
-            let critical = effective >= Urgency::Critical;
-
-            // Dedupe-key template: a repeat within the window is noise —
-            // but critical alerts always cut through, so they are never
-            // suppressed as repeats (and do not charge the window).
-            if let Some(template) = dedupe {
-                if !critical {
-                    let key = expand_template(&template, user, view);
-                    if note_recent(inner, user, key, now_ms) {
-                        return (
-                            Decision::Suppress { rule: rule_id, reason: SuppressReason::Dedupe },
-                            false,
-                        );
-                    }
-                }
-            }
-
-            match action {
-                RuleAction::Deliver => (Decision::Deliver { rule: Some(rule_id), severity }, false),
-                RuleAction::Suppress => {
-                    (Decision::Suppress { rule: rule_id, reason: SuppressReason::Rule }, false)
-                }
-                RuleAction::Digest(config) => {
-                    if critical {
-                        // Critical cuts through: never parked in a window.
-                        return (Decision::Deliver { rule: Some(rule_id), severity }, true);
-                    }
-                    let key = match &config.key {
-                        Some(template) => expand_template(template, user, view),
-                        None => default_correlation_key(user, view),
-                    };
-                    (
-                        absorb(inner, user, rule_id, &key, &config, view, severity, effective, now_ms),
-                        false,
-                    )
-                }
+            match inner.index.get(user).and_then(|idx| idx.best_match(view)) {
+                Some(rule) => correlator.decide(user, rule, alert.urgency, view, now_ms),
+                None => (Decision::Deliver { rule: None, severity: None }, false),
             }
         });
         match &decision {
@@ -468,48 +616,18 @@ impl RuleEngine {
                 }
             }
         }
-        if self.telemetry.enabled() {
-            // Reading the count takes the engine lock a second time.
-            self.gauge("rules.pending_digests", self.pending_digests() as u64);
-        }
         decision
     }
 
-    /// Flushes every digest window whose deadline has passed. The caller
-    /// (the host's `pump_digests`) routes the returned digests as
-    /// deliveries.
+    /// Flushes every window of the engine's own correlator whose deadline
+    /// has passed; the caller routes the returned digests as deliveries.
     pub fn flush_due(&self, now_ms: u64) -> Vec<DigestAlert> {
-        let flushed = self.with_inner(|inner| {
-            let mut out = Vec::new();
-            while let Some((&(deadline, seq), _)) = inner.deadlines.first_key_value() {
-                if deadline > now_ms {
-                    break;
-                }
-                let (user, key) = inner.deadlines.remove(&(deadline, seq)).expect("just observed");
-                // Stale entries (escalated windows already flushed, or a
-                // window re-opened under a later seq) are dropped.
-                let Some(pending) = inner.pending.get(&user).and_then(|open| open.get(&key))
-                else {
-                    continue;
-                };
-                if pending.seq != seq {
-                    continue;
-                }
-                out.push(remove_pending(inner, &user, &key).expect("pending just observed"));
-            }
-            out
-        });
-        if !flushed.is_empty() {
-            self.add("rules.digest_flushed", flushed.len() as u64);
-            self.gauge("rules.pending_digests", self.pending_digests() as u64);
-        }
-        flushed
+        lock(&self.correlator).flush_due(now_ms)
     }
+}
 
-    /// The earliest pending flush deadline, if any window is open.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.with_inner(|inner| inner.deadlines.first_key_value().map(|((d, _), _)| *d))
-    }
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Recompiles `user`'s index entry from the log — the one path that
@@ -522,106 +640,6 @@ fn reindex_user(log: &RulesLog, index: &mut HashMap<String, UserIndex>, user: &s
     } else {
         index.insert(user.to_string(), UserIndex::compile(rules));
     }
-}
-
-/// Records `key` as recently seen; true when it was already live inside
-/// the dedupe window.
-fn note_recent(inner: &mut Inner, user: &str, key: String, now_ms: u64) -> bool {
-    let window = inner.dedupe_window_ms;
-    let max_keys = inner.max_dedupe_keys_per_user;
-    let recent = inner.recent.entry(user.to_string()).or_default();
-    while let Some((seen, _)) = recent.front() {
-        if now_ms.saturating_sub(*seen) >= window {
-            recent.pop_front();
-        } else {
-            break;
-        }
-    }
-    if recent.iter().any(|(_, k)| *k == key) {
-        return true;
-    }
-    recent.push_back((now_ms, key));
-    while recent.len() > max_keys {
-        recent.pop_front();
-    }
-    false
-}
-
-#[allow(clippy::too_many_arguments)]
-fn absorb(
-    inner: &mut Inner,
-    user: &str,
-    rule_id: u64,
-    key: &str,
-    config: &crate::rule::DigestConfig,
-    view: AlertView<'_>,
-    severity: Option<Urgency>,
-    urgency: Urgency,
-    now_ms: u64,
-) -> Decision {
-    let open_for_user = inner.pending.get(user).map_or(0, HashMap::len);
-    if !inner.pending.get(user).is_some_and(|open| open.contains_key(key)) {
-        if open_for_user >= inner.max_pending_per_user {
-            // Bounded correlator state: deliver directly (keeping the
-            // rule's severity override, like the critical-bypass path)
-            // rather than grow without bound or silently drop.
-            return Decision::Deliver { rule: Some(rule_id), severity };
-        }
-        inner.seq += 1;
-        let seq = inner.seq;
-        let deadline_ms = now_ms + config.window_ms.max(1);
-        inner.pending.entry(user.to_string()).or_default().insert(
-            key.to_string(),
-            PendingDigest {
-                user: user.to_string(),
-                key: key.to_string(),
-                source: view.source.to_string(),
-                kind: view.kind.to_string(),
-                count: 0,
-                first: SimTime::from_millis(now_ms),
-                last: SimTime::from_millis(now_ms),
-                exemplars: Vec::new(),
-                max_exemplars: config.max_exemplars as usize,
-                max_count: config.max_count,
-                urgency: Urgency::Low,
-                deadline_ms,
-                seq,
-            },
-        );
-        inner.pending_total += 1;
-        inner.deadlines.insert((deadline_ms, seq), (user.to_string(), key.to_string()));
-    }
-    let pending = inner
-        .pending
-        .get_mut(user)
-        .and_then(|open| open.get_mut(key))
-        .expect("just inserted or present");
-    let escalated = pending.count > 0 && urgency > pending.urgency;
-    pending.count += 1;
-    pending.last = SimTime::from_millis(now_ms);
-    pending.urgency = pending.urgency.max(urgency);
-    if pending.exemplars.len() < pending.max_exemplars {
-        pending.exemplars.push(view.body.to_string());
-    }
-    let capped = pending.max_count > 0 && pending.count >= u64::from(pending.max_count);
-    let deadline_ms = pending.deadline_ms;
-    let flushed = if escalated || capped {
-        remove_pending(inner, user, key).map(Box::new)
-    } else {
-        None
-    };
-    Decision::Digest { rule: rule_id, key: key.to_string(), deadline_ms, flushed }
-}
-
-fn remove_pending(inner: &mut Inner, user: &str, key: &str) -> Option<DigestAlert> {
-    let open = inner.pending.get_mut(user)?;
-    let pending = open.remove(key)?;
-    if open.is_empty() {
-        inner.pending.remove(user);
-    }
-    inner.pending_total -= 1;
-    inner.deadlines.remove(&(pending.deadline_ms, pending.seq));
-    Some(pending.into_digest())
 }
 
 #[cfg(test)]
@@ -857,6 +875,20 @@ mod tests {
         assert_eq!(flushed[0].exemplars, vec!["from ada".to_string()]);
         assert_eq!((flushed[1].user.as_str(), flushed[1].count), ("bob", 1));
         assert_eq!(flushed[1].exemplars, vec!["from bob".to_string()]);
+    }
+
+    #[test]
+    fn each_correlator_owns_its_windows() {
+        let e = engine();
+        let window = DigestConfig { window_ms: 1000, ..DigestConfig::default() };
+        e.upsert("ada", None, RuleSpec::digest("storm", "source == s", window)).unwrap();
+        let (mut mine, theirs) = (e.correlator(), e.correlator());
+        assert!(matches!(e.evaluate_in(&mut mine, "ada", &im("s", "x"), 0), Decision::Digest { .. }));
+        assert_eq!((mine.open_windows(), theirs.open_windows(), e.pending_digests()), (1, 0, 0));
+        assert_eq!(mine.next_deadline(), Some(1000));
+        assert!(e.flush_due(u64::MAX).is_empty(), "the engine's own correlator is another owner");
+        assert_eq!(mine.flush_due(1000)[0].count, 1);
+        assert_eq!((mine.open_windows(), mine.next_deadline()), (0, None));
     }
 
     #[test]

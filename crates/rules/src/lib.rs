@@ -15,7 +15,8 @@
 //!    matcher index keyed by the exact source/kind values predicates
 //!    pin; [`RuleEngine::evaluate`] is the allocation-light hot path
 //!    emitting `rules.*` telemetry.
-//! 3. **Correlation & digests** ([`engine`]): a windowed correlator
+//! 3. **Correlation & digests** ([`engine`]): a windowed [`Correlator`],
+//!    one per owner (a host's shard worker owns its users' windows),
 //!    collapses bursts sharing a correlation key into one
 //!    [`simba_core::DigestAlert`] (count, first/last timestamps,
 //!    exemplar payloads) with bounded per-user pending state,
@@ -31,7 +32,9 @@ pub mod log;
 pub mod predicate;
 pub mod rule;
 
-pub use engine::{view_of, Decision, RuleEngine, RulesConfig, SharedRuleEngine, SuppressReason};
+pub use engine::{
+    view_of, Correlator, Decision, RuleEngine, RulesConfig, SharedRuleEngine, SuppressReason,
+};
 pub use log::{RulesError, RulesLog, RulesLogConfig, DEFAULT_MAX_RULES_PER_USER, RULES_LOG_VERSION};
 pub use predicate::{AlertView, ParseError, Predicate};
 pub use rule::{

@@ -16,7 +16,8 @@
 //! The worker loop is the §4.2.1 pipeline batched:
 //!
 //! 1. **handle** — drain up to `batch_max` inbound messages plus due
-//!    timer-wheel entries through each buddy's state machine; WAL appends
+//!    timer-wheel entries and due digest windows (the worker owns its
+//!    users' windows) through each buddy's state machine; WAL appends
 //!    and processed-marks buffer in the shard log, observable effects
 //!    (acks, sends, notices) are *staged*;
 //! 2. **commit** — one [`ShardLog::commit`] makes the whole batch
@@ -45,7 +46,8 @@ use simba_core::shardlog::{ShardLog, ShardLogConfig, ShardLogStats, DEFAULT_SEGM
 use simba_core::snapshot::BuddySnapshot;
 use simba_core::subscription::UserId;
 use simba_core::wal::WalError;
-use simba_core::{MabConfig, Telemetry, UserShardWal};
+use simba_core::{DigestAlert, MabConfig, Telemetry, UserShardWal};
+use simba_rules::Correlator;
 use simba_sim::{SimDuration, SimTime};
 use simba_store::SoftStateStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -151,8 +153,8 @@ pub struct ShardedHostConfig {
     pub ledger: Option<simba_ledger::SharedLedger>,
     /// When set, every alert for a *registered* user runs through this
     /// rules engine inside the owning shard worker before it reaches the
-    /// buddy; drive deadline flushes with [`ShardedHost::pump_digests`]
-    /// (the gateway pump calls it on its idle tick).
+    /// buddy. Each worker holds the digest windows of its own users and
+    /// flushes them on their deadlines, and every open one at shutdown.
     pub rules: Option<simba_rules::SharedRuleEngine>,
     /// When set, every buddy consults this soft-state store through a
     /// [`StoreModeSelector`] at delivery start (presence-aware routing),
@@ -243,6 +245,8 @@ pub struct ShardedSnapshot {
     pub corrupt_snapshots: u64,
     /// Alerts refused because the user was not registered.
     pub unrouted: u64,
+    /// Digest windows open in the shards' correlators.
+    pub open_windows: usize,
     /// Shard-log totals (appends, marks, group commits, rotations).
     pub log: ShardLogStats,
 }
@@ -266,6 +270,7 @@ impl ShardedSnapshot {
         self.crashes += other.crashes;
         self.corrupt_snapshots += other.corrupt_snapshots;
         self.unrouted += other.unrouted;
+        self.open_windows += other.open_windows;
         self.log.appends += other.log.appends;
         self.log.marks += other.log.marks;
         self.log.group_commits += other.log.group_commits;
@@ -281,11 +286,6 @@ enum ShardMsg {
     Im(UserId, IncomingAlert),
     /// An email-borne alert for a user.
     Email(UserId, IncomingAlert),
-    /// A flushed digest for a user — routed like an email-borne alert
-    /// but *never* re-evaluated against the rules engine (the digest
-    /// keeps its original source, so a by-source digest rule would
-    /// re-absorb it forever).
-    Digest(UserId, IncomingAlert),
     /// An external user acknowledgement for a delivery attempt.
     Ack {
         user: UserId,
@@ -377,7 +377,6 @@ struct ShardHandle {
 pub struct ShardedHost {
     shards: Vec<ShardHandle>,
     clock: RuntimeClock,
-    rules: Option<simba_rules::SharedRuleEngine>,
     /// The soft-state TTL sweeper, when a store is attached.
     sweeper: Option<JoinHandle<()>>,
 }
@@ -458,45 +457,13 @@ impl ShardedHost {
         }
         let clock = RuntimeClock::start();
         let sweeper = config.store.map(|store| spawn_sweeper(store, clock));
-        Ok((ShardedHost { shards, clock, rules: config.rules, sweeper }, notice_rx))
+        Ok((ShardedHost { shards, clock, sweeper }, notice_rx))
     }
 
-    /// The host's clock: the timeline its soft-state sweeper and digest
-    /// flushes measure. Stamp facts published for this host with it.
+    /// The host's clock: the timeline its soft-state sweeper measures.
+    /// Stamp facts published for this host with it.
     pub fn clock(&self) -> RuntimeClock {
         self.clock
-    }
-
-    /// The attached rules engine, if any.
-    pub fn rules(&self) -> Option<&simba_rules::SharedRuleEngine> {
-        self.rules.as_ref()
-    }
-
-    /// Flushes every digest window whose deadline has passed and routes
-    /// each result to the owning user's shard — as an email-borne alert
-    /// that bypasses re-evaluation. Call from the runtime's idle tick
-    /// (the gateway pump does); returns how many digests were dispatched.
-    pub async fn pump_digests(&self) -> usize {
-        self.flush_digests(self.clock.now().as_millis()).await
-    }
-
-    /// Flushes the windows due at `now_ms` to their owners' shards.
-    async fn flush_digests(&self, now_ms: u64) -> usize {
-        let Some(engine) = self.rules.as_ref() else {
-            return 0;
-        };
-        if engine.pending_digests() == 0 {
-            return 0;
-        }
-        let mut dispatched = 0;
-        for digest in engine.flush_due(now_ms) {
-            let user = UserId::new(digest.user.clone());
-            let shard = shard_of(&user, self.shards.len());
-            if self.send(shard, ShardMsg::Digest(user, digest.to_incoming())).await {
-                dispatched += 1;
-            }
-        }
-        dispatched
     }
 
     /// Worker count.
@@ -605,15 +572,14 @@ impl ShardedHost {
 
     /// Stops every worker (each drains, commits, and compacts nothing
     /// further) and returns the merged final snapshot. Digest windows
-    /// live in memory only, so every open one is flushed first — early
-    /// delivery, never loss. Shard queues are FIFO: each digest is
-    /// routed, committed and sent (or handed to the ledger) before its
-    /// shard sees `Stop`.
+    /// live in memory only, so each worker flushes every open one in the
+    /// batch that carries `Stop` — early delivery, never loss: each digest
+    /// is committed and sent (or handed to the ledger) before `Stop`
+    /// replies.
     pub async fn shutdown(self) -> ShardedSnapshot {
         if let Some(sweeper) = &self.sweeper {
             sweeper.abort();
         }
-        self.flush_digests(u64::MAX).await;
         let mut merged = ShardedSnapshot::default();
         for shard in self.shards {
             let (reply_tx, reply_rx) = oneshot::channel();
@@ -714,8 +680,9 @@ struct Worker<C> {
     completed_ring: usize,
     /// Channel attempts go here instead of `channels` when set.
     ledger: Option<simba_ledger::SharedLedger>,
-    /// Registered users' alerts run through this engine before routing.
-    rules: Option<simba_rules::SharedRuleEngine>,
+    /// Registered users' alerts run through this engine before routing,
+    /// against this worker's correlator: the digest windows of its users.
+    rules: Option<(simba_rules::SharedRuleEngine, Correlator)>,
     /// Buddies consult this store at delivery start when set.
     store: Option<SoftStateStore>,
 }
@@ -771,7 +738,7 @@ impl<C: Channels> Worker<C> {
             retirement_grace: config.retirement_grace,
             completed_ring: config.completed_ring,
             ledger: config.ledger.clone(),
-            rules: config.rules.clone(),
+            rules: config.rules.as_ref().map(|engine| (Arc::clone(engine), engine.correlator())),
             store: config.store.clone(),
         }
     }
@@ -830,9 +797,13 @@ impl<C: Channels> Worker<C> {
                     let _ = self.commit_once();
                     return;
                 }
-                Err(_) => {} // idle tick: due timers only
+                Err(_) => {} // idle tick: due timers and windows only
             }
             self.fire_due_timers(now, &mut staged);
+            // Stop flushes every open window: windows live in memory only.
+            let flush_at = if stop.is_some() { u64::MAX } else { now.as_millis() };
+            let due = self.rules.as_mut().map(|(_, windows)| windows.flush_due(flush_at));
+            self.route_digests(due.into_iter().flatten(), now, &mut staged);
             self.finish_batch(&mut staged, now);
             if let Some(reply) = stop {
                 self.retire_all(now);
@@ -844,14 +815,14 @@ impl<C: Channels> Worker<C> {
     }
 
     /// Time until the next timer-wheel deadline (block timer, simulated
-    /// ack or idle deadline), clamped to [1 ms, 1 s] so the worker stays
-    /// responsive without spinning.
+    /// ack or idle deadline) or digest-window deadline, clamped to
+    /// [1 ms, 1 s] so the worker stays responsive without spinning.
     fn idle_wait(&self) -> Duration {
         let now = self.clock.now();
-        let wait = match self.timers.first_key_value() {
-            Some(((at, _), _)) => at.since(now).as_millis(),
-            None => 1_000,
-        };
+        let window = self.rules.as_ref().and_then(|(_, windows)| windows.next_deadline());
+        let timer = self.timers.first_key_value().map(|((at, _), _)| at.as_millis());
+        let next = window.into_iter().chain(timer).min();
+        let wait = next.map_or(1_000, |at| at.saturating_sub(now.as_millis()));
         Duration::from_millis(wait.clamp(1, 1_000))
     }
 
@@ -882,11 +853,6 @@ impl<C: Channels> Worker<C> {
                 if let Some(alert) = self.apply_rules(&user, alert, now, staged) {
                     self.route(user, MabEvent::AlertByEmail(alert), now, staged);
                 }
-            }
-            ShardMsg::Digest(user, alert) => {
-                // Deliberately no apply_rules: digests never re-enter
-                // evaluation.
-                self.route(user, MabEvent::AlertByEmail(alert), now, staged);
             }
             ShardMsg::Ack { user, delivery, attempt } => {
                 let live = matches!(
@@ -930,12 +896,12 @@ impl<C: Channels> Worker<C> {
         Flow::Continue
     }
 
-    /// Runs one registered user's alert through the rules engine. `Some`
-    /// means route it (urgency possibly rewritten); `None` means a rule
-    /// consumed it. Unregistered users bypass evaluation so [`Self::route`]
-    /// still counts them unrouted — rules never absorb unhosted traffic.
-    /// A digest forced out early (count cap, severity escalation) is
-    /// routed inline as an email-borne alert, bypassing re-evaluation.
+    /// Runs one registered user's alert through the rules engine, against
+    /// this worker's correlator. `Some` means route it (urgency possibly
+    /// rewritten); `None` means a rule consumed it. Unregistered users
+    /// bypass evaluation so [`Self::route`] still counts them unrouted —
+    /// rules never absorb unhosted traffic. A digest forced out early
+    /// (count cap, severity escalation) is routed inline.
     fn apply_rules(
         &mut self,
         user: &UserId,
@@ -943,9 +909,9 @@ impl<C: Channels> Worker<C> {
         now: SimTime,
         staged: &mut Vec<(UserId, MabCommand)>,
     ) -> Option<IncomingAlert> {
-        let decision = match &self.rules {
-            Some(engine) if self.roster.contains_key(user) => {
-                engine.evaluate(&user.0, &alert, now.as_millis())
+        let decision = match &mut self.rules {
+            Some((engine, windows)) if self.roster.contains_key(user) => {
+                engine.evaluate_in(windows, &user.0, &alert, now.as_millis())
             }
             _ => return Some(alert),
         };
@@ -958,12 +924,24 @@ impl<C: Channels> Worker<C> {
             }
             simba_rules::Decision::Suppress { .. } => None,
             simba_rules::Decision::Digest { flushed, .. } => {
-                if let Some(digest) = flushed {
-                    let owner = UserId::new(digest.user.clone());
-                    self.route(owner, MabEvent::AlertByEmail(digest.to_incoming()), now, staged);
-                }
+                self.route_digests(flushed.map(|digest| *digest), now, staged);
                 None
             }
+        }
+    }
+
+    /// The one way a digest enters a buddy: by the email door, *never*
+    /// re-evaluated (the digest keeps its original source, so a by-source
+    /// digest rule would re-absorb it forever).
+    fn route_digests(
+        &mut self,
+        digests: impl IntoIterator<Item = DigestAlert>,
+        now: SimTime,
+        staged: &mut Vec<(UserId, MabCommand)>,
+    ) {
+        for digest in digests {
+            let owner = UserId::new(digest.user.clone());
+            self.route(owner, MabEvent::AlertByEmail(digest.to_incoming()), now, staged);
         }
     }
 
@@ -1416,6 +1394,7 @@ impl<C: Channels> Worker<C> {
             crashes: self.crashes,
             corrupt_snapshots: self.corrupt_snapshots,
             unrouted: self.unrouted,
+            open_windows: self.rules.as_ref().map_or(0, |(_, windows)| windows.open_windows()),
             pending_timers: self.timers.len(),
             log: self.lock_log().stats(),
             ..ShardedSnapshot::default()

@@ -863,30 +863,44 @@ async fn im_failure_falls_back_to_email_under_sharding() {
     assert_eq!(snap.unconfirmed, 1);
 }
 
-/// An in-memory engine folding everything `aladdin-gw` sends alice into
-/// one 5 s digest window.
-fn alice_storm_engine() -> simba_rules::SharedRuleEngine {
+/// An in-memory engine where each of `users` folds everything
+/// `aladdin-gw` sends them into one `window_ms` digest window, under a
+/// key template without `{user}`: every user's window has the same key.
+fn storm_engine(users: &[&str], window_ms: u64) -> simba_rules::SharedRuleEngine {
     use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
 
     let engine = Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+    let window =
+        DigestConfig { window_ms, max_count: 0, max_exemplars: 3, key: Some("{source}".into()) };
+    for user in users {
+        let storm = RuleSpec::digest("storm", "source == \"aladdin-gw\"", window.clone());
+        engine.upsert(user, None, storm).unwrap();
+    }
     engine
-        .upsert(
-            "alice",
-            None,
-            RuleSpec::digest(
-                "storm",
-                "source == \"aladdin-gw\"",
-                DigestConfig { window_ms: 5_000, max_count: 0, max_exemplars: 3, key: None },
-            ),
-        )
-        .unwrap();
-    engine
+}
+
+/// `(open_windows, deliveries_started)` at `at`.
+async fn windows_at(host: &ShardedHost, at: tokio::time::Instant) -> (usize, u64) {
+    tokio::time::sleep_until(at).await;
+    let snap = host.snapshot().await;
+    (snap.open_windows, snap.stats.deliveries_started)
+}
+
+/// The channel sends whose text contains `needle`, as `(address, text)`.
+fn sends_containing(shared: &SharedChannels<LoopbackChannels>, needle: &str) -> Vec<(String, String)> {
+    shared.with(|c| {
+        c.sent()
+            .iter()
+            .filter(|(_, _, text)| text.contains(needle))
+            .map(|(_, addr, text)| (addr.clone(), text.clone()))
+            .collect()
+    })
 }
 
 #[tokio::test(start_paused = true)]
 async fn rules_digest_storm_collapses_inside_the_shard_worker() {
-    let engine = alice_storm_engine();
-    let config = ShardedHostConfig { rules: Some(engine.clone()), ..test_config(2) };
+    let engine = storm_engine(&["alice"], 5_000);
+    let config = ShardedHostConfig { rules: Some(engine), ..test_config(2) };
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
     let (host, mut notices) =
         ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
@@ -902,13 +916,12 @@ async fn rules_digest_storm_collapses_inside_the_shard_worker() {
     let (user, status) = next_finished(&mut notices).await;
     assert_eq!(user, UserId::new("bob"));
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
-    assert_eq!(engine.pending_digests(), 1);
-    assert_eq!(host.pump_digests().await, 0, "window not due yet");
+    let snap = host.snapshot().await;
+    assert_eq!((snap.open_windows, snap.stats.deliveries_started), (1, 1), "window not due yet");
 
-    // Past the window, the pump dispatches exactly one digest.
+    // Past the window, alice's shard worker routes exactly one digest.
     tokio::time::sleep(Duration::from_secs(6)).await;
-    assert_eq!(host.pump_digests().await, 1);
-    assert_eq!(engine.pending_digests(), 0);
+    assert_eq!(host.snapshot().await.open_windows, 0);
     let (user, status) = next_finished(&mut notices).await;
     assert_eq!(user, UserId::new("alice"));
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
@@ -921,8 +934,8 @@ async fn rules_digest_storm_collapses_inside_the_shard_worker() {
 
 #[tokio::test(start_paused = true)]
 async fn shutdown_flushes_open_digest_windows_instead_of_dropping_them() {
-    let engine = alice_storm_engine();
-    let config = ShardedHostConfig { rules: Some(engine.clone()), ..test_config(1) };
+    let engine = storm_engine(&["alice"], 5_000);
+    let config = ShardedHostConfig { rules: Some(engine), ..test_config(1) };
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
     let (host, _notices) =
         ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
@@ -933,19 +946,151 @@ async fn shutdown_flushes_open_digest_windows_instead_of_dropping_them() {
     for round in 0..5 {
         assert!(host.submit_im(&alice, sensor_alert(&format!("Sensor {round} ON"))).await);
     }
-    assert_eq!(host.snapshot().await.stats.deliveries_started, 0, "all five absorbed");
-    assert_eq!(engine.pending_digests(), 1);
+    let t = tokio::time::Instant::now();
+    assert_eq!(windows_at(&host, t + Duration::from_secs(1)).await, (1, 0), "all five absorbed");
 
     // What `gateway serve` and E11 do at stop. Windows live in memory
     // only, so whatever stop leaves open is lost without a crash.
-    assert_eq!(host.pump_digests().await, 0, "window not due yet");
     let snap = host.shutdown().await;
-    assert_eq!(engine.pending_digests(), 0, "stop delivers early, it does not drop");
+    assert_eq!(snap.open_windows, 0, "stop delivers early, it does not drop");
     assert_eq!(snap.stats.deliveries_started, 1);
     shared.with(|c| {
         assert_eq!(c.sent().len(), 1, "exactly one digest: {:?}", c.sent());
         assert!(c.sent()[0].2.contains("5 alerts"), "carrying all five: {:?}", c.sent()[0]);
     });
+}
+
+/// A lone alert opens a 150 ms window, and nothing else ever arrives:
+/// the worker's own wait must end on the window's deadline, whatever
+/// window was open before (`already_open`: a 60 s one, which must not
+/// become the worker's alarm clock).
+async fn a_lone_window_flushes_on_its_deadline(already_open: bool) {
+    use simba_rules::{DigestConfig, RuleEngine, RuleSpec, RulesConfig};
+
+    let engine = Arc::new(RuleEngine::open(RulesConfig::in_memory()).unwrap());
+    for (name, word, window_ms) in [("slow", "drift", 60_000), ("fold", "flap", 150)] {
+        let window = DigestConfig { window_ms, key: Some(name.into()), ..DigestConfig::default() };
+        let predicate = format!("body contains \"{word}\"");
+        engine.upsert("alice", None, RuleSpec::digest(name, &predicate, window)).unwrap();
+    }
+    let config = ShardedHostConfig { rules: Some(engine), ..test_config(1) };
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+    let (host, _notices) =
+        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    if already_open {
+        assert!(host.submit_im(&alice, sensor_alert("Sensor drift")).await);
+    }
+    let t = tokio::time::Instant::now();
+    assert!(host.submit_im(&alice, sensor_alert("Sensor flap")).await);
+    let ms = Duration::from_millis;
+    let open = 1 + usize::from(already_open);
+    assert_eq!(windows_at(&host, t + ms(149)).await, (open, 0));
+    assert_eq!(windows_at(&host, t + ms(151)).await, (open - 1, 1), "flushed on its deadline");
+    assert_eq!(sends_containing(&shared, "1 alerts").len(), 1);
+
+    // Stop flushes the 60 s window early rather than dropping it.
+    let snap = host.shutdown().await;
+    assert_eq!(snap.stats.deliveries_started, open as u64, "digests only, no lone alert");
+    assert_eq!(sends_containing(&shared, "1 alerts").len(), open);
+}
+
+#[tokio::test(start_paused = true)]
+async fn a_digest_window_opened_on_an_idle_host_flushes_on_its_deadline() {
+    a_lone_window_flushes_on_its_deadline(false).await;
+}
+
+#[tokio::test(start_paused = true)]
+async fn a_short_digest_window_is_not_held_to_a_longer_one_already_open() {
+    a_lone_window_flushes_on_its_deadline(true).await;
+}
+
+/// A worker whose queue never runs dry never sees its idle wait elapse,
+/// and must flush a due window anyway. Here bob is fed every 0.5 ms for
+/// 200 ms while one alert for alice opens a 50 ms window.
+#[tokio::test(start_paused = true)]
+async fn a_busy_host_still_flushes_a_digest_on_its_deadline() {
+    let engine = storm_engine(&["alice"], 50);
+    let config = ShardedHostConfig { rules: Some(engine), ..test_config(1) };
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+    let (host, _notices) =
+        ShardedHost::new(shared, config, factory(), Telemetry::disabled()).unwrap();
+    let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
+    host.register_many(vec![alice.clone(), bob.clone()]).await;
+
+    let t = tokio::time::Instant::now();
+    assert!(host.submit_im(&alice, sensor_alert("Sensor flap")).await);
+    let mut flushed_after = None;
+    for i in 0..400 {
+        tokio::time::sleep(Duration::from_micros(500)).await;
+        assert!(host.submit_im(&bob, sensor_alert(&format!("Sensor {i} ON"))).await);
+        if flushed_after.is_none() && host.snapshot().await.open_windows == 0 {
+            flushed_after = Some(t.elapsed());
+        }
+    }
+    let after = flushed_after.expect("the digest went out while the host was busy");
+    assert!(after <= Duration::from_millis(51), "a 50 ms digest window went out after {after:?}");
+    assert_eq!(host.shutdown().await.stats.deliveries_started, 401, "bob's 400 and one digest");
+}
+
+/// Alice and bob live on different shards of two (FNV-1a: shard 1 and
+/// shard 0), and their windows share one correlation key.
+fn two_shard_storm_host() -> (ShardedHost, SharedChannels<LoopbackChannels>) {
+    let engine = storm_engine(&["alice", "bob"], 5_000);
+    let config = ShardedHostConfig { rules: Some(engine), ..test_config(2) };
+    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(5)));
+    let (host, _notices) =
+        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+    (host, shared)
+}
+
+/// Feeds alice three alerts and bob four, all absorbed.
+async fn open_both_windows(host: &ShardedHost) {
+    host.register_many(vec![UserId::new("alice"), UserId::new("bob")]).await;
+    for (user, alerts) in [("alice", 3), ("bob", 4)] {
+        for i in 0..alerts {
+            let alert = sensor_alert(&format!("Sensor {user} {i}"));
+            assert!(host.submit_im(&UserId::new(user), alert).await);
+        }
+    }
+    let snap = host.snapshot().await;
+    assert_eq!((snap.open_windows, snap.stats.deliveries_started), (2, 0));
+}
+
+/// Each user's digest: one send each, to their own address, with their
+/// own count and exemplars and nobody else's.
+fn assert_one_digest_each(shared: &SharedChannels<LoopbackChannels>) {
+    let mut digests = sends_containing(shared, "alerts from aladdin-gw");
+    digests.sort();
+    assert_eq!(digests.len(), 2, "one digest per user: {digests:?}");
+    for ((addr, text), (user, count, other)) in
+        digests.iter().zip([("alice", 3, "bob"), ("bob", 4, "alice")])
+    {
+        assert_eq!(addr, &format!("im:{user}"));
+        assert!(text.contains(&format!("{count} alerts")), "{user}'s count: {text}");
+        assert!(text.contains(&format!("Sensor {user}")) && !text.contains(other), "{text}");
+    }
+}
+
+#[tokio::test(start_paused = true)]
+async fn users_on_different_shards_with_one_correlation_key_get_a_digest_each() {
+    let (host, shared) = two_shard_storm_host();
+    open_both_windows(&host).await;
+    tokio::time::sleep(Duration::from_secs(6)).await;
+    let snap = host.snapshot().await;
+    assert_eq!((snap.open_windows, snap.stats.deliveries_started), (0, 2));
+    assert_one_digest_each(&shared);
+    host.shutdown().await;
+}
+
+#[tokio::test(start_paused = true)]
+async fn shutdown_flushes_an_open_window_on_every_shard_before_it_returns() {
+    let (host, shared) = two_shard_storm_host();
+    open_both_windows(&host).await;
+    let snap = host.shutdown().await;
+    assert_eq!((snap.open_windows, snap.stats.deliveries_started), (0, 2));
+    assert_one_digest_each(&shared);
 }
 
 #[tokio::test(start_paused = true)]

@@ -224,7 +224,6 @@ pub const POINTS: &[PointDef] = &[
     point!("rules.evaluated", [Counter], "rules", "alerts pushed through the rule engine's hot path"),
     point!("rules.loaded", [Counter], "rules", "rules replayed from the rules log at engine open"),
     point!("rules.matched", [Counter], "rules", "evaluations where some rule matched (any action)"),
-    point!("rules.pending_digests", [Gauge], "rules", "open digest windows across all users"),
     point!("rules.rejected", [Counter], "rules", "rule mutations rejected (parse error, per-user bound, unknown id)"),
     point!("rules.suppressed", [Counter], "rules", "alerts dropped by a suppress rule or dedupe template"),
     point!("rules.upserts", [Counter], "rules", "rules created or replaced in the rules log"),
