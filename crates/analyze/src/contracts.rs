@@ -164,7 +164,7 @@ mod tests {
         assert!(!is_ack("Ack", None), "wire frame requires its qualifier");
         assert!(!is_ack("Ack", Some("Reply")));
         assert!(is_commit("commit", None));
-        assert!(is_commit("commit", Some("WriteAheadLog")));
+        assert!(is_commit("commit", Some("ShardLog")));
         assert!(is_commit("try_submit", None));
         assert!(!is_commit("enqueue", None));
     }

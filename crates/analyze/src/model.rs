@@ -562,7 +562,7 @@ mod tests {
 
     #[test]
     fn impl_for_takes_innermost_type() {
-        let src = "impl ShardLogHandle for std::sync::Arc<std::sync::Mutex<ShardLog>> { fn f(&self) { self.lock(); } }";
+        let src = "impl Lend for std::sync::Arc<std::sync::Mutex<ShardLog>> { fn f(&self) { self.lock(); } }";
         let got = fns(src);
         assert_eq!(got[0].owner.as_deref(), Some("ShardLog"));
         assert!(matches!(

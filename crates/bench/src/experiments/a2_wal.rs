@@ -17,7 +17,8 @@ use crate::report::Table;
 use simba_core::alert::{Alert, AlertId, IncomingAlert, Urgency};
 use simba_core::dedup::DuplicateDetector;
 use simba_core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
-use simba_core::wal::InMemoryWal;
+use simba_core::shardlog::UserShardWal;
+use simba_core::subscription::UserId;
 use simba_sim::{SimRng, SimTime};
 
 /// Alerts pushed through the buddy per arm.
@@ -48,7 +49,9 @@ fn routed_count(commands: &[MabCommand]) -> u64 {
 fn run_arm(seed: u64, logging: bool) -> A2Arm {
     let mut rng = SimRng::new(seed ^ 0xA2);
     let config = standard_config();
-    let mut mab = MyAlertBuddy::new(config.clone(), InMemoryWal::new(), SimTime::ZERO);
+    let fresh_log = || UserShardWal::in_memory(UserId::new("alice"));
+    let mut wal = fresh_log();
+    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone(), SimTime::ZERO);
     let mut dedup = DuplicateDetector::daily();
 
     let mut acked_without_delivery = 0u64;
@@ -80,8 +83,10 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
             crashes += 1;
             // The MDC restarts the buddy. With logging, the new incarnation
             // replays unprocessed records; without, it starts blank.
-            let wal = if logging { mab.into_wal() } else { InMemoryWal::new() };
-            mab = MyAlertBuddy::new(config.clone(), wal, now);
+            if !logging {
+                wal = fresh_log();
+            }
+            mab = MyAlertBuddy::new(config.clone(), wal.clone(), now);
             let recovery = mab.recover(now);
             routed += routed_count(&recovery);
         }

@@ -27,9 +27,9 @@ use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, SendFailur
 use simba_core::mab::{DeliveryId, MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba_core::mdc::{MasterDaemonController, MdcAction, MdcConfig};
 use simba_core::mode::DeliveryMode;
+use simba_core::shardlog::UserShardWal;
 use simba_core::stabilize::{StabilizationConfig, StabilizationSchedule};
 use simba_core::subscription::{SubscriptionRegistry, UserId};
-use simba_core::wal::InMemoryWal;
 use simba_net::email::{EmailAddr, EmailService, EmailTransit};
 use simba_net::im::{ImHandle, ImMessage, ImService, Transit};
 use simba_net::latency::LatencyModel;
@@ -364,8 +364,10 @@ pub struct World {
     /// SMS gateway.
     pub sms: SmsGateway,
     /// The buddy (None while restarting).
-    pub mab: Option<MyAlertBuddy<InMemoryWal>>,
-    wal_parked: Option<InMemoryWal>,
+    pub mab: Option<MyAlertBuddy>,
+    /// The buddy's log: it outlives every incarnation, and each restart
+    /// replays it.
+    wal: UserShardWal,
     /// Config used to re-create the buddy on restart.
     pub mab_config: MabConfig,
     /// The buddy's IM client manager.
@@ -438,14 +440,15 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
     let mut email_mgr = EmailManager::new(EmailAddr::new(MAB_EMAIL));
     email_mgr.start(SimTime::ZERO);
 
-    let mab = MyAlertBuddy::new(mab_config.clone(), InMemoryWal::new(), SimTime::ZERO);
+    let wal = UserShardWal::in_memory(UserId::new("alice"));
+    let mab = MyAlertBuddy::new(mab_config.clone(), wal.clone(), SimTime::ZERO);
 
     let world = World {
         im,
         email,
         sms,
         mab: Some(mab),
-        wal_parked: None,
+        wal,
         mab_config,
         im_mgr,
         email_mgr,
@@ -578,9 +581,7 @@ pub fn handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
             ctx.trace("power.out", format!("machine dark for {restore_after}"));
             world.metrics.incr("power.outages");
             world.machine_down = true;
-            if let Some(mab) = world.mab.take() {
-                world.wal_parked = Some(mab.into_wal());
-            }
+            world.mab = None;
             world.im_mgr.core_mut().process_mut().kill();
             world.email_mgr.core_mut().process_mut().kill();
             ctx.schedule_in(restore_after, Ev::MachineUp);
@@ -968,18 +969,14 @@ fn perform_mdc_action(world: &mut World, ctx: &mut Ctx<'_, Ev>, action: MdcActio
         MdcAction::RestartMab => {
             ctx.trace("mdc.restart", "restarting MyAlertBuddy");
             world.metrics.incr("mdc.restarts");
-            if let Some(mab) = world.mab.take() {
-                world.wal_parked = Some(mab.into_wal());
-            }
+            world.mab = None;
             ctx.schedule_in(world.timing.restart_delay, Ev::MabRestarted);
         }
         MdcAction::RebootMachine => {
             ctx.trace("mdc.reboot", "rebooting the machine");
             world.metrics.incr("mdc.reboots");
             world.machine_down = true;
-            if let Some(mab) = world.mab.take() {
-                world.wal_parked = Some(mab.into_wal());
-            }
+            world.mab = None;
             ctx.schedule_in(world.timing.reboot_delay, Ev::MachineUp);
         }
     }
@@ -988,9 +985,7 @@ fn perform_mdc_action(world: &mut World, ctx: &mut Ctx<'_, Ev>, action: MdcActio
 fn on_mab_crashed(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
     ctx.trace("mab.crash", "MyAlertBuddy terminated abnormally");
     world.metrics.incr("mab.crashes");
-    if let Some(mab) = world.mab.take() {
-        world.wal_parked = Some(mab.into_wal());
-    }
+    world.mab = None;
     let action = world.mdc.on_mab_terminated(ctx.now());
     perform_mdc_action(world, ctx, action);
 }
@@ -1000,8 +995,7 @@ fn mab_restarted(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
         return; // the reboot path restarts us via MachineUp
     }
     let now = ctx.now();
-    let wal = world.wal_parked.take().unwrap_or_default();
-    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), wal, now);
+    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), world.wal.clone(), now);
     let commands = mab.recover(now);
     world.metrics.add("mab.replayed", mab.stats().replayed);
     world.mab = Some(mab);
@@ -1127,9 +1121,7 @@ fn nightly(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
 /// An orderly shutdown + relaunch (rejuvenation): the MDC observes the
 /// exit but treats it as planned — no failure-streak accounting.
 fn graceful_restart(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
-    if let Some(mab) = world.mab.take() {
-        world.wal_parked = Some(mab.into_wal());
-    }
+    world.mab = None;
     ctx.schedule_in(world.timing.restart_delay, Ev::MabRestarted);
 }
 

@@ -361,11 +361,10 @@ pub fn telemetry(args: &[String]) -> Outcome {
 fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
     use simba_core::delivery::{DeliveryEvent, SendFailure};
     use simba_core::mab::{MabEvent, MyAlertBuddy};
-    use simba_core::wal::InMemoryWal;
     use simba_core::{
         Address, AddressBook, Classifier, CommType, DeliveryCommand, DeliveryMode,
         IncomingAlert, KeywordField, MabCommand, MabConfig, RejuvenationPolicy,
-        SubscriptionRegistry, Telemetry, UserId,
+        SubscriptionRegistry, Telemetry, UserId, UserShardWal,
     };
     use simba_sim::{SimDuration, SimRng};
     use simba_telemetry::RingBufferSink;
@@ -389,7 +388,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
         "EM",
         SimDuration::from_secs(60),
     ));
-    registry.subscribe("Home.Security", alice, "Urgent").unwrap();
+    registry.subscribe("Home.Security", alice.clone(), "Urgent").unwrap();
     let config = MabConfig {
         classifier,
         registry,
@@ -413,7 +412,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
         SimTime::ZERO,
     );
 
-    let mut mab = MyAlertBuddy::new(config, InMemoryWal::new(), SimTime::ZERO)
+    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice), SimTime::ZERO)
         .with_telemetry(telemetry.clone())
         .with_mode_selector(Box::new(simba_runtime::StoreModeSelector::new(store)));
     let mut rng = SimRng::new(seed);

@@ -15,10 +15,10 @@
 //!   filtering (keyword → personal category and sub-categorization), and
 //!   routing to every subscriber of the category (§4.2);
 //! * the **fault-tolerance stack** that keeps MyAlertBuddy highly available
-//!   (§4.2.1): [`wal`] (pessimistic logging: the interface and its
-//!   in-memory form), [`journal`] (the one durable log every file-backed
-//!   component writes through) and [`shardlog`] (the per-shard WAL over
-//!   it), [`mdc`] (the Master Daemon
+//!   (§4.2.1): [`wal`] (pessimistic logging: the record and its
+//!   codec helpers), [`journal`] (the one durable log every file-backed
+//!   component writes through) and [`shardlog`] (every buddy's WAL over
+//!   it, in memory or on disk), [`mdc`] (the Master Daemon
 //!   Controller watchdog), [`stabilize`] (self-stabilization invariant
 //!   checks), [`rejuvenate`] (software rejuvenation policy), and [`dedup`]
 //!   (timestamp-based duplicate suppression at the user).
@@ -62,10 +62,10 @@ pub use mode::{AckPolicy, Block, DeliveryMode};
 pub use profile_xml::{registry_from_xml, registry_to_xml, RegistryXmlError};
 pub use rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
 pub use routing::{apply_routing, ModeSelector, PresenceHint, RoutingContext};
-pub use shardlog::{ShardLog, ShardLogConfig, ShardLogHandle, ShardLogStats, UserShardWal};
+pub use shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats, UserShardWal};
 pub use snapshot::{BuddySnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use subscription::{Subscription, SubscriptionRegistry, UserId};
-pub use wal::{InMemoryWal, WalError, WalRecord, WriteAheadLog};
+pub use wal::{WalError, WalRecord};
 
 // Components take a `Telemetry` via `with_telemetry(..)`; re-exported so
 // embedders don't need a direct `simba-telemetry` dependency.

@@ -18,10 +18,10 @@ use crate::alert::{Alert, AlertId, IncomingAlert};
 use crate::classify::Classifier;
 use crate::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryProcess, DeliveryStatus};
 use crate::rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
+use crate::shardlog::UserShardWal;
 use crate::snapshot::BuddySnapshot;
 use crate::subscription::{SubscriptionRegistry, UserId};
 use crate::vecmap::VecMap;
-use crate::wal::{WalRecord, WriteAheadLog};
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{Event, Telemetry};
 use std::collections::VecDeque;
@@ -184,9 +184,9 @@ pub struct RetiredDelivery {
 
 /// The MyAlertBuddy daemon state machine.
 #[derive(Debug)]
-pub struct MyAlertBuddy<W> {
+pub struct MyAlertBuddy {
     config: MabConfig,
-    wal: W,
+    wal: UserShardWal,
     /// Tracked deliveries: usually none or one, filled and emptied once
     /// per alert — hence a [`VecMap`], not a tree with an eleven-slot leaf.
     deliveries: VecMap<DeliveryId, (UserId, DeliveryProcess)>,
@@ -204,11 +204,13 @@ pub struct MyAlertBuddy<W> {
     mode_selector: Option<Box<dyn crate::routing::ModeSelector>>,
 }
 
-impl<W: WriteAheadLog> MyAlertBuddy<W> {
+impl MyAlertBuddy {
     /// Launches MyAlertBuddy over an existing (possibly non-empty) log.
     /// Call [`MyAlertBuddy::recover`] next — the paper's restart protocol
-    /// replays unprocessed alerts "before accepting new alerts".
-    pub fn new(config: MabConfig, wal: W, now: SimTime) -> Self {
+    /// replays unprocessed alerts "before accepting new alerts". A caller
+    /// that restarts the buddy after a crash keeps a clone of `wal` for
+    /// the next incarnation.
+    pub fn new(config: MabConfig, wal: UserShardWal, now: SimTime) -> Self {
         MyAlertBuddy {
             config,
             wal,
@@ -269,16 +271,6 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
     /// Running totals.
     pub fn stats(&self) -> MabStats {
         self.stats
-    }
-
-    /// Access to the log (for health snapshots).
-    pub fn wal(&self) -> &W {
-        &self.wal
-    }
-
-    /// Tears the buddy down, releasing the log for the next incarnation.
-    pub fn into_wal(self) -> W {
-        self.wal
     }
 
     /// Arms a one-shot crash at the given pipeline stage.
@@ -412,8 +404,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
     /// Captures the compact hibernation snapshot, or `None` when the
     /// buddy is not [idle](MyAlertBuddy::is_idle). `user` tags the
     /// snapshot with its owner (checked again at rehydration). The caller
-    /// drops the buddy afterwards — [`MyAlertBuddy::into_wal`] first if
-    /// the log must outlive it.
+    /// drops the buddy afterwards; its log lives on in the shard.
     pub fn hibernate(&self, user: &UserId, _now: SimTime) -> Option<BuddySnapshot> {
         if !self.is_idle() {
             return None;
@@ -432,7 +423,12 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
     /// any number of hibernate/rehydrate cycles and delivery/alert ids
     /// are never reused. Configuration is rebuilt by the caller (it is
     /// derivable state, deliberately not serialized).
-    pub fn rehydrate(config: MabConfig, wal: W, snapshot: &BuddySnapshot, now: SimTime) -> Self {
+    pub fn rehydrate(
+        config: MabConfig,
+        wal: UserShardWal,
+        snapshot: &BuddySnapshot,
+        now: SimTime,
+    ) -> Self {
         let mut buddy = MyAlertBuddy::new(config, wal, now);
         buddy.stats = snapshot.stats;
         buddy.next_delivery = snapshot.next_delivery;
@@ -445,7 +441,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
     /// commands to execute; acks are *not* re-sent.
     pub fn recover(&mut self, now: SimTime) -> Vec<MabCommand> {
         let mut cmds = Vec::new();
-        let backlog: Vec<WalRecord> = self.wal.unprocessed();
+        let backlog = self.wal.unprocessed();
         if self.telemetry.enabled() && !backlog.is_empty() {
             self.telemetry.metrics().counter("wal.replays").add(backlog.len() as u64);
             self.telemetry.emit(
@@ -454,7 +450,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
         }
         for record in backlog {
             self.stats.replayed += 1;
-            self.route_logged(record, now, &mut cmds);
+            self.route_logged(record.id, record.received_at, &record.alert, now, &mut cmds);
         }
         cmds
     }
@@ -544,17 +540,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
             return;
         }
         // (1) Pessimistic log, before anything observable.
-        let Ok(wal_id) = self.wal.append(&alert, now) else {
-            // Persistence failed: do not ack; the sender will fall back.
-            self.crashed = true;
-            if self.telemetry.enabled() {
-                self.telemetry.metrics().counter("mab.crashes").incr();
-                self.telemetry.emit(
-                    Event::new("mab.crashed", now.as_millis()).with("point", "wal_append_failed"),
-                );
-            }
-            return;
-        };
+        let wal_id = self.wal.append(&alert, now);
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("wal.appends").incr();
             self.telemetry.emit(
@@ -586,20 +572,18 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
             return;
         }
         // (3..) Classify and route.
-        let record = WalRecord {
-            id: wal_id,
-            received_at: now,
-            alert,
-            processed: false,
-            user: None,
-        };
-        self.route_logged(record, now, cmds);
+        self.route_logged(wal_id, now, &alert, now, cmds);
     }
 
-    /// Classification + routing + processed-mark for a logged alert.
-    fn route_logged(&mut self, record: WalRecord, now: SimTime, cmds: &mut Vec<MabCommand>) {
-        let alert = &record.alert;
-
+    /// Classification + routing + processed-mark for logged alert `id`.
+    fn route_logged(
+        &mut self,
+        id: u64,
+        received_at: SimTime,
+        alert: &IncomingAlert,
+        now: SimTime,
+        cmds: &mut Vec<MabCommand>,
+    ) {
         // Remote administration check precedes classification: the command
         // keyword is not an alert.
         if let Some(trigger) = self.config.rejuvenation.remote_trigger(&alert.body) {
@@ -612,7 +596,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                         .with("source", &*alert.source),
                 );
             }
-            if !self.mark_processed_or_crash(record.id, now) {
+            if !self.mark_processed_or_crash(id, now) {
                 return;
             }
             cmds.push(MabCommand::Rejuvenate(trigger));
@@ -640,7 +624,7 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
                         self.telemetry
                             .metrics()
                             .histogram("mab.route_lag_ms")
-                            .observe_ms(now.since(record.received_at).as_millis());
+                            .observe_ms(now.since(received_at).as_millis());
                         self.telemetry.emit(
                             Event::new("mab.routed", now.as_millis())
                                 .with("category", &*category)
@@ -739,13 +723,13 @@ impl<W: WriteAheadLog> MyAlertBuddy<W> {
             return;
         }
         // (4) Mark processed.
-        self.mark_processed_or_crash(record.id, now);
+        self.mark_processed_or_crash(id, now);
     }
 
-    /// Marks a log record processed, treating failure like a failed
-    /// append: the buddy crashes rather than letting disk and memory
-    /// diverge silently. The record stays unprocessed, so the next
-    /// incarnation replays it — a duplicate the user-side dedup discards.
+    /// Marks a log record processed, treating failure as a crash: the
+    /// buddy stops rather than letting disk and memory diverge silently.
+    /// The record stays unprocessed, so the next incarnation replays it —
+    /// a duplicate the user-side dedup discards.
     fn mark_processed_or_crash(&mut self, id: u64, now: SimTime) -> bool {
         if self.wal.mark_processed(id).is_ok() {
             return true;
@@ -787,8 +771,9 @@ mod tests {
     use crate::address::{Address, AddressBook, CommType};
     use crate::classify::KeywordField;
     use crate::mode::DeliveryMode;
-    use crate::wal::InMemoryWal;
+    use crate::shardlog::{SharedShardLog, ShardLog, ShardLogConfig};
     use simba_sim::SimDuration;
+    use std::sync::Mutex;
 
     fn config() -> MabConfig {
         let mut classifier = Classifier::new();
@@ -820,8 +805,33 @@ mod tests {
         }
     }
 
-    fn mab() -> MyAlertBuddy<InMemoryWal> {
-        MyAlertBuddy::new(config(), InMemoryWal::new(), SimTime::ZERO)
+    fn alice() -> UserId {
+        UserId::new("alice")
+    }
+
+    fn mab() -> MyAlertBuddy {
+        MyAlertBuddy::new(config(), UserShardWal::in_memory(alice()), SimTime::ZERO)
+    }
+
+    /// A buddy over a fresh in-memory shard log, and that log.
+    fn mab_and_log() -> (MyAlertBuddy, SharedShardLog) {
+        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
+        (restart(&log, SimTime::ZERO), log)
+    }
+
+    /// A fresh incarnation over `log` — what the MDC's restart does.
+    fn restart(log: &SharedShardLog, now: SimTime) -> MyAlertBuddy {
+        MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), alice()), now)
+    }
+
+    /// Records ever appended — the shard log compacts processed ones away,
+    /// so this is what tells "logged" from "never logged".
+    fn appends(log: &SharedShardLog) -> u64 {
+        log.lock().unwrap().stats().appends
+    }
+
+    fn unprocessed(log: &SharedShardLog) -> usize {
+        log.lock().unwrap().unprocessed_len()
     }
 
     fn sensor_alert(secs: u64) -> IncomingAlert {
@@ -834,7 +844,7 @@ mod tests {
 
     #[test]
     fn im_alert_logged_acked_and_routed() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // Command order is the pipeline order: ack first, then the send.
         assert!(matches!(&cmds[0], MabCommand::AckIm { to, .. } if &**to == "aladdin-gw"));
@@ -847,8 +857,8 @@ mod tests {
         assert_eq!(m.stats().deliveries_started, 1);
         assert_eq!(m.in_flight(), 1);
         // The log record is already marked processed.
-        assert!(m.wal().unprocessed().is_empty());
-        assert_eq!(m.wal().len(), 1);
+        assert_eq!(unprocessed(&log), 0);
+        assert_eq!(appends(&log), 1);
     }
 
     #[derive(Debug)]
@@ -909,7 +919,7 @@ mod tests {
 
     #[test]
     fn rejected_source_counted_and_marked_processed() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         let cmds = m.handle(
             MabEvent::AlertByIm(IncomingAlert::from_im("spammer", "junk", t(0))),
             t(1),
@@ -918,13 +928,13 @@ mod tests {
         assert_eq!(cmds.len(), 1);
         assert!(matches!(cmds[0], MabCommand::AckIm { .. }));
         assert_eq!(m.stats().rejected, 1);
-        assert!(m.wal().unprocessed().is_empty());
+        assert_eq!(unprocessed(&log), 0);
     }
 
     #[test]
     fn crash_after_ack_before_route_replays_on_recovery() {
         // The scenario pessimistic logging exists for.
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         m.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
         // The ack went out...
@@ -932,63 +942,60 @@ mod tests {
         assert!(matches!(cmds[0], MabCommand::AckIm { .. }));
         assert!(m.is_crashed());
         // ...but nothing was routed. The log still holds the alert.
-        let wal = m.into_wal();
-        assert_eq!(wal.unprocessed().len(), 1);
+        assert_eq!(unprocessed(&log), 1);
 
         // MDC restarts a fresh incarnation over the same log.
-        let mut m2 = MyAlertBuddy::new(config(), wal, t(10));
+        let mut m2 = restart(&log, t(10));
         let cmds = m2.recover(t(10));
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
         assert_eq!(m2.stats().replayed, 1);
-        assert!(m2.wal().unprocessed().is_empty());
+        assert_eq!(unprocessed(&log), 0);
     }
 
     #[test]
     fn crash_before_log_loses_nothing_durable_and_sends_no_ack() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         m.inject_crash_at(CrashPoint::BeforeLog);
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
         assert!(cmds.is_empty()); // no ack: sender falls back
-        let wal = m.into_wal();
-        assert_eq!(wal.len(), 0);
+        assert_eq!(appends(&log), 0);
     }
 
     #[test]
     fn crash_after_route_before_mark_causes_replayable_duplicate() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         m.inject_crash_at(CrashPoint::AfterRouteBeforeMark);
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
         // Routed once...
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
-        let wal = m.into_wal();
         // ...but unmarked, so recovery routes it again (duplicate; the
         // user-side timestamp dedup discards it).
-        assert_eq!(wal.unprocessed().len(), 1);
-        let mut m2 = MyAlertBuddy::new(config(), wal, t(10));
+        assert_eq!(unprocessed(&log), 1);
+        let mut m2 = restart(&log, t(10));
         let replay = m2.recover(t(10));
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
     }
 
     #[test]
     fn crashed_buddy_processes_nothing() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         m.inject_crash_at(CrashPoint::BeforeLog);
         m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
         assert!(m.is_crashed());
         assert!(!m.are_you_working());
         assert!(m.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
-        assert_eq!(m.wal().len(), 0);
+        assert_eq!(appends(&log), 0);
     }
 
     #[test]
     fn hung_buddy_fails_health_probe_but_keeps_state() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
         m.inject_hang();
         assert!(!m.are_you_working());
         assert!(!m.is_crashed());
         assert!(m.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
-        assert_eq!(m.wal().len(), 1); // only the pre-hang alert
+        assert_eq!(appends(&log), 1); // only the pre-hang alert
     }
 
     #[test]
@@ -1025,7 +1032,7 @@ mod tests {
 
     #[test]
     fn remote_rejuvenation_command_recognized() {
-        let mut m = mab();
+        let (mut m, log) = mab_and_log();
         let cmds = m.handle(
             MabEvent::AlertByIm(IncomingAlert::from_im("aladdin-gw", "SIMBA-REJUVENATE", t(0))),
             t(1),
@@ -1035,7 +1042,7 @@ mod tests {
             .any(|c| matches!(c, MabCommand::Rejuvenate(RejuvenationTrigger::RemoteCommand))));
         assert_eq!(m.stats().remote_commands, 1);
         assert_eq!(m.stats().routed, 0);
-        assert!(m.wal().unprocessed().is_empty());
+        assert_eq!(unprocessed(&log), 0);
     }
 
     #[test]
@@ -1049,45 +1056,16 @@ mod tests {
         assert_eq!(m.stats().deliveries_started, 0);
     }
 
-    /// A log whose processed-marks can be made to fail, for exercising the
-    /// disk/memory-divergence crash path.
-    struct MarkFailWal {
-        inner: InMemoryWal,
-        fail_marks: bool,
-    }
-
-    impl WriteAheadLog for MarkFailWal {
-        fn append(&mut self, alert: &IncomingAlert, received_at: SimTime) -> Result<u64, crate::wal::WalError> {
-            self.inner.append(alert, received_at)
-        }
-
-        fn mark_processed(&mut self, id: u64) -> Result<(), crate::wal::WalError> {
-            if self.fail_marks {
-                Err(crate::wal::WalError::Io(std::io::Error::other("disk full")))
-            } else {
-                self.inner.mark_processed(id)
-            }
-        }
-
-        fn unprocessed(&self) -> Vec<WalRecord> {
-            self.inner.unprocessed()
-        }
-
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-    }
-
     #[test]
-    fn failed_processed_mark_crashes_like_failed_append() {
+    fn failed_processed_mark_crashes_the_buddy() {
         // Regression: a mark_processed error used to be swallowed by
         // `let _ =`, leaving the record unprocessed with no signal. It must
         // crash the buddy (the MDC restarts it; replay dedups the alert).
         use simba_telemetry::{RingBufferSink, Telemetry};
         let sink = std::sync::Arc::new(RingBufferSink::new(64));
-        let wal = MarkFailWal { inner: InMemoryWal::new(), fail_marks: true };
-        let mut m = MyAlertBuddy::new(config(), wal, SimTime::ZERO)
-            .with_telemetry(Telemetry::with_sink(sink.clone()));
+        let (m, log) = mab_and_log();
+        let mut m = m.with_telemetry(Telemetry::with_sink(sink.clone()));
+        log.lock().unwrap().inject_mark_failure(&alice());
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
 
         // The pipeline ran (ack + route went out) before the mark failed...
@@ -1102,19 +1080,19 @@ mod tests {
             .any(|e| e.name == "mab.crashed"
                 && e.fields.iter().any(|(k, v)| k == "point" && v.to_string().contains("wal_mark_failed"))));
 
-        // The record survives unprocessed: the next incarnation replays it.
-        let wal = m.into_wal();
-        assert_eq!(wal.unprocessed().len(), 1);
-        let mut m2 = MyAlertBuddy::new(config(), MarkFailWal { inner: wal.inner, fail_marks: false }, t(10));
+        // The record survives unprocessed: the next incarnation replays it
+        // (the injected failure was one-shot).
+        assert_eq!(unprocessed(&log), 1);
+        let mut m2 = restart(&log, t(10));
         let replay = m2.recover(t(10));
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
-        assert!(m2.wal().unprocessed().is_empty());
+        assert_eq!(unprocessed(&log), 0);
     }
 
     #[test]
     fn failed_mark_on_remote_rejuvenate_crashes_without_rejuvenating() {
-        let wal = MarkFailWal { inner: InMemoryWal::new(), fail_marks: true };
-        let mut m = MyAlertBuddy::new(config(), wal, SimTime::ZERO);
+        let (mut m, log) = mab_and_log();
+        log.lock().unwrap().inject_mark_failure(&alice());
         let cmds = m.handle(
             MabEvent::AlertByIm(IncomingAlert::from_im("aladdin-gw", "SIMBA-REJUVENATE", t(0))),
             t(1),
@@ -1125,7 +1103,7 @@ mod tests {
     }
 
     /// Drives one alert to a terminal state and returns (mab, delivery id).
-    fn delivered_mab(secs: u64) -> (MyAlertBuddy<InMemoryWal>, DeliveryId) {
+    fn delivered_mab(secs: u64) -> (MyAlertBuddy, DeliveryId) {
         let mut m = mab();
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(secs)), t(secs));
         let (id, attempt) = cmds

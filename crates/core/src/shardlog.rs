@@ -1,7 +1,10 @@
-//! The per-shard write-ahead log: every buddy on one shard multiplexed
-//! into a single [`Journal`], so appends and processed-marks from the
-//! whole shard become durable together in one group commit (one write +
-//! one fsync per *batch*, not per alert). The §4.2.1 invariant is
+//! The write-ahead log of every MyAlertBuddy: every buddy on one shard
+//! multiplexed into a single [`Journal`], so appends and processed-marks
+//! from the whole shard become durable together in one group commit (one
+//! write + one fsync per *batch*, not per alert). A buddy writes it
+//! through a [`UserShardWal`] scoped to its user; a simulation or a test
+//! that drives one buddy gives it a log of its own
+//! ([`UserShardWal::in_memory`]). On disk, the §4.2.1 invariant is
 //! preserved by the caller's batching discipline: the shard worker
 //! defers every observable effect of a batch — acks, channel sends,
 //! notices — until the commit that covers the batch has returned.
@@ -24,10 +27,12 @@
 use crate::alert::{IncomingAlert, Urgency};
 use crate::journal::{Frames, Journal};
 use crate::subscription::UserId;
-use crate::wal::{escape, unescape, WalError, WalRecord, WriteAheadLog};
+use crate::wal::{escape, unescape, WalError, WalRecord};
 use simba_sim::SimTime;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::convert::Infallible;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default segment-rotation threshold (bytes of one segment file).
 pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
@@ -78,8 +83,7 @@ pub struct ShardLogStats {
 /// A group-committed write-ahead log shared by every buddy on one shard.
 ///
 /// Not internally synchronized: the owning shard worker serializes all
-/// access (the runtime wraps it for the per-buddy [`WriteAheadLog`]
-/// facade).
+/// access, and shares it with its buddies as a [`SharedShardLog`].
 #[derive(Debug)]
 pub struct ShardLog {
     journal: Journal,
@@ -107,7 +111,16 @@ impl ShardLog {
     ///
     /// Fails on I/O errors or corruption before the tail.
     pub fn open(config: ShardLogConfig) -> Result<Self, WalError> {
-        let mut log = ShardLog {
+        let mut log = ShardLog::in_memory();
+        if let Some(dir) = config.dir {
+            log.journal = Journal::open(dir, config.segment_max_bytes, |payload| log.replay(payload))?;
+        }
+        Ok(log)
+    }
+
+    /// An empty log with no files behind it.
+    fn in_memory() -> Self {
+        ShardLog {
             journal: Journal::in_memory(),
             live: BTreeMap::new(),
             by_user: HashMap::new(),
@@ -115,11 +128,7 @@ impl ShardLog {
             appends: 0,
             marks: 0,
             fail_marks_for: HashSet::new(),
-        };
-        if let Some(dir) = config.dir {
-            log.journal = Journal::open(dir, config.segment_max_bytes, |payload| log.replay(payload))?;
         }
-        Ok(log)
     }
 
     fn replay(&mut self, payload: &str) -> Result<(), String> {
@@ -137,7 +146,7 @@ impl ShardLog {
 
     /// Makes `record` live; a second image of a live id changes nothing.
     fn insert(&mut self, record: WalRecord) {
-        let (id, Some(user)) = (record.id, record.user.clone()) else { return };
+        let (id, user) = (record.id, record.user.clone());
         if self.live.insert(id, record).is_none() {
             self.by_user.entry(user).or_default().push(id);
         }
@@ -145,7 +154,7 @@ impl ShardLog {
 
     /// Drops `id` from the live set and its owner's backlog.
     fn remove(&mut self, id: u64) {
-        let Some(user) = self.live.remove(&id).and_then(|record| record.user) else { return };
+        let Some(WalRecord { user, .. }) = self.live.remove(&id) else { return };
         if let Some(ids) = self.by_user.get_mut(&user) {
             ids.retain(|&x| x != id);
             if ids.is_empty() {
@@ -154,29 +163,20 @@ impl ShardLog {
         }
     }
 
-    /// Buffers a record for `user`. The id is shard-monotonic. The record
-    /// is *not* durable until the next [`ShardLog::commit`]; callers must
-    /// not acknowledge the alert before that commit returns.
-    ///
-    /// # Errors
-    ///
-    /// This buffered path cannot fail today, but keeps the
-    /// [`WriteAheadLog`] error contract for the facade.
+    /// Buffers a record for `user` and returns its id, which is
+    /// shard-monotonic. The record is *not* durable until the next
+    /// [`ShardLog::commit`]; callers must not acknowledge the alert before
+    /// that commit returns. Buffering cannot fail — I/O errors surface at
+    /// the commit — which the [`Infallible`] error type states.
     pub fn append(
         &mut self,
         user: &UserId,
         alert: &IncomingAlert,
         received_at: SimTime,
-    ) -> Result<u64, WalError> {
+    ) -> Result<u64, Infallible> {
         let id = self.next_id;
         self.next_id += 1;
-        let record = WalRecord {
-            id,
-            received_at,
-            alert: alert.clone(),
-            processed: false,
-            user: Some(user.clone()),
-        };
+        let record = WalRecord { id, received_at, alert: alert.clone(), user: user.clone() };
         self.journal.append(|out| encode_record(out, &record));
         self.insert(record);
         self.appends += 1;
@@ -196,7 +196,7 @@ impl ShardLog {
     /// affected buddy observes it.
     pub fn mark_processed(&mut self, user: &UserId, id: u64) -> Result<(), WalError> {
         match self.live.get(&id) {
-            Some(record) if record.user.as_ref() == Some(user) => {}
+            Some(record) if record.user == *user => {}
             _ => return Err(WalError::UnknownId(id)),
         }
         if self.fail_marks_for.remove(user) {
@@ -238,11 +238,6 @@ impl ShardLog {
             .get(user)
             .map(|ids| ids.iter().filter_map(|id| self.live.get(id).cloned()).collect())
             .unwrap_or_default()
-    }
-
-    /// How many unprocessed records `user` has.
-    pub fn unprocessed_count_for(&self, user: &UserId) -> usize {
-        self.by_user.get(user).map_or(0, |ids| ids.len())
     }
 
     /// Whether `user` has replay work.
@@ -304,7 +299,7 @@ fn encode_record(out: &mut String, record: &WalRecord) {
     let _ = write!(
         out,
         "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        escape(record.user.as_ref().map_or("", |u| &u.0)),
+        escape(&record.user.0),
         record.id,
         record.received_at.as_millis(),
         alert.origin_timestamp.as_millis(),
@@ -336,80 +331,75 @@ fn decode_record(payload: &str) -> Option<WalRecord> {
         id,
         received_at,
         alert: IncomingAlert { source, sender_name, subject, body, origin_timestamp, urgency },
-        processed: false,
-        user: Some(user),
+        user,
     })
 }
 
-/// One buddy's [`WriteAheadLog`] view of a shared [`ShardLog`].
-///
-/// The shard worker owns the log and hands each active buddy a facade
-/// scoped to its user; the facade tags appends, checks mark ownership,
-/// and scopes the replay set. `L` is anything that can lend the log out
-/// mutably — the runtime uses `Arc<Mutex<ShardLog>>` inside a worker
-/// (uncontended: the log never leaves its shard's thread).
+/// A [`ShardLog`] shared between its shard worker and the buddies on the
+/// shard. `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` so the worker
+/// future is `Send` and can be pinned to a dedicated OS thread; the mutex
+/// is uncontended — a log never leaves its shard's event loop.
+pub type SharedShardLog = Arc<Mutex<ShardLog>>;
+
+/// One buddy's write-ahead log: a [`SharedShardLog`] scoped to its user.
+/// It tags appends, checks mark ownership and scopes the replay set.
+/// Clones share the log, so a caller that must read the log after the
+/// buddy has crashed — or hand it to the next incarnation — keeps one.
 #[derive(Debug, Clone)]
-pub struct UserShardWal<L> {
-    log: L,
+pub struct UserShardWal {
+    log: SharedShardLog,
     user: UserId,
 }
 
-impl<L: ShardLogHandle> UserShardWal<L> {
-    /// A facade over `log` scoped to `user`.
-    pub fn new(log: L, user: UserId) -> Self {
+impl UserShardWal {
+    /// A view of `log` scoped to `user`.
+    pub fn new(log: SharedShardLog, user: UserId) -> Self {
         UserShardWal { log, user }
     }
 
-    /// The scoped user.
-    pub fn user(&self) -> &UserId {
-        &self.user
+    /// A view of a fresh in-memory log of its own, for a buddy driven
+    /// outside a shard (simulations, tests, examples).
+    pub fn in_memory(user: UserId) -> Self {
+        UserShardWal::new(Arc::new(Mutex::new(ShardLog::in_memory())), user)
     }
-}
 
-/// Lends a [`ShardLog`] out for one operation. Implemented for
-/// `Arc<Mutex<ShardLog>>` — the only handle shape the runtime uses, so
-/// buddies (and the futures that drive them) stay `Send` even though
-/// each log lives and dies on one shard thread.
-pub trait ShardLogHandle {
-    /// Runs `f` with exclusive access to the log.
-    fn with_log<R>(&self, f: impl FnOnce(&mut ShardLog) -> R) -> R;
-}
-
-impl ShardLogHandle for std::sync::Arc<std::sync::Mutex<ShardLog>> {
     fn with_log<R>(&self, f: impl FnOnce(&mut ShardLog) -> R) -> R {
-        f(&mut self.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-}
-
-impl<L: ShardLogHandle> WriteAheadLog for UserShardWal<L> {
-    fn append(&mut self, alert: &IncomingAlert, received_at: SimTime) -> Result<u64, WalError> {
-        self.log.with_log(|log| log.append(&self.user, alert, received_at))
+        f(&mut self.log.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    fn mark_processed(&mut self, id: u64) -> Result<(), WalError> {
-        self.log.with_log(|log| log.mark_processed(&self.user, id))
+    /// Logs an alert *before* it is acknowledged ([`ShardLog::append`]);
+    /// returns the record's id.
+    pub fn append(&self, alert: &IncomingAlert, received_at: SimTime) -> u64 {
+        let Ok(id) = self.with_log(|log| log.append(&self.user, alert, received_at));
+        id
     }
 
-    fn unprocessed(&self) -> Vec<WalRecord> {
-        self.log.with_log(|log| log.unprocessed_for(&self.user))
+    /// Marks a logged alert processed ([`ShardLog::mark_processed`]).
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::UnknownId`] for an id this user does not own live;
+    /// [`WalError::Io`] when a failure was injected for the user.
+    pub fn mark_processed(&self, id: u64) -> Result<(), WalError> {
+        self.with_log(|log| log.mark_processed(&self.user, id))
     }
 
-    fn has_unprocessed(&self) -> bool {
-        self.log.with_log(|log| log.has_unprocessed_for(&self.user))
+    /// The user's unprocessed records in append order — the restart
+    /// replay set.
+    pub fn unprocessed(&self) -> Vec<WalRecord> {
+        self.with_log(|log| log.unprocessed_for(&self.user))
     }
 
-    fn len(&self) -> usize {
-        // The shard log compacts processed history away, so "total
-        // records" is the per-user backlog — the figure health snapshots
-        // actually watch.
-        self.log.with_log(|log| log.unprocessed_count_for(&self.user))
+    /// Whether the user has replay work; a buddy's idle check asks this
+    /// before hibernating it.
+    pub fn has_unprocessed(&self) -> bool {
+        self.with_log(|log| log.has_unprocessed_for(&self.user))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
     fn alert(body: &str, origin_secs: u64) -> IncomingAlert {
         IncomingAlert::from_im("aladdin-gw", body, SimTime::from_secs(origin_secs))
@@ -436,14 +426,14 @@ mod tests {
         let b1 = log.append(&user("bob"), &alert("two", 2), t(2)).unwrap();
         let a2 = log.append(&user("alice"), &alert("three", 3), t(3)).unwrap();
         assert!(a1 < b1 && b1 < a2, "ids are shard-monotonic");
-        assert_eq!(log.unprocessed_count_for(&user("alice")), 2);
-        assert_eq!(log.unprocessed_count_for(&user("bob")), 1);
+        assert_eq!(log.unprocessed_for(&user("alice")).len(), 2);
+        assert_eq!(log.unprocessed_for(&user("bob")).len(), 1);
 
         log.mark_processed(&user("alice"), a1).unwrap();
         let remaining = log.unprocessed_for(&user("alice"));
         assert_eq!(remaining.len(), 1);
         assert_eq!(&*remaining[0].alert.body, "three");
-        assert_eq!(remaining[0].user, Some(user("alice")));
+        assert_eq!(remaining[0].user, user("alice"));
 
         // Cross-user marks are rejected: bob cannot retire alice's record.
         assert!(matches!(
@@ -602,20 +592,19 @@ mod tests {
 
     #[test]
     fn user_facade_scopes_the_shared_log() {
-        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
-        let mut alice = UserShardWal::new(Arc::clone(&log), user("alice"));
-        let mut bob = UserShardWal::new(Arc::clone(&log), user("bob"));
-        let a = alice.append(&alert("for alice", 1), t(1)).unwrap();
-        let b = bob.append(&alert("for bob", 2), t(2)).unwrap();
+        let log: SharedShardLog = Arc::new(Mutex::new(ShardLog::in_memory()));
+        let alice = UserShardWal::new(Arc::clone(&log), user("alice"));
+        let bob = UserShardWal::new(Arc::clone(&log), user("bob"));
+        let a = alice.append(&alert("for alice", 1), t(1));
+        let b = bob.append(&alert("for bob", 2), t(2));
         assert_eq!(alice.unprocessed().len(), 1);
-        assert_eq!(alice.len(), 1);
         assert!(alice.has_unprocessed());
         // Ownership enforced through the facade too.
         assert!(alice.mark_processed(b).is_err());
         alice.mark_processed(a).unwrap();
         assert!(!alice.has_unprocessed());
         assert!(bob.has_unprocessed());
-        assert_eq!(log.with_log(|l| l.unprocessed_len()), 1);
+        assert_eq!(log.lock().unwrap().unprocessed_len(), 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Pessimistic logging (§4.2.1).
+//! Pessimistic logging (§4.2.1): the record, the error type and the
+//! payload escaping shared by every log in the workspace.
 //!
 //! "Upon receiving an IM, MyAlertBuddy instructs the SIMBA library to save
 //! a copy to a log file **before** sending the acknowledgement. After
@@ -6,18 +7,22 @@
 //! Every time MyAlertBuddy is restarted, it first checks the log file for
 //! unprocessed IMs before accepting new alerts."
 //!
-//! The invariant this buys (property-tested in `tests/wal_safety.rs`): an
-//! alert that was acknowledged to its sender is never lost, at any crash
-//! point. Crash before append ⇒ no ack ⇒ the sender's delivery mode falls
-//! back. Crash after append ⇒ replayed on restart (possibly causing a
-//! duplicate, which timestamp dedup discards at the user).
+//! The log a buddy writes is its shard's [`ShardLog`](crate::shardlog::ShardLog),
+//! in memory or on disk, seen through a
+//! [`UserShardWal`](crate::shardlog::UserShardWal). The invariant this buys
+//! (property-tested in `tests/wal_safety.rs`, in memory and across a
+//! reopen from disk): an alert that was acknowledged to its sender is never
+//! lost, at any crash point. Crash before append ⇒ no ack ⇒ the sender's
+//! delivery mode falls back. Crash after append ⇒ replayed on restart
+//! (possibly causing a duplicate, which timestamp dedup discards at the
+//! user).
 
 use crate::alert::IncomingAlert;
 use crate::subscription::UserId;
 use simba_sim::SimTime;
-use std::collections::BTreeMap;
 
-/// One logged alert.
+/// One logged, not yet processed alert. A processed-mark removes the
+/// record, so a log only ever hands out unprocessed ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Log-assigned id (monotonic).
@@ -26,12 +31,9 @@ pub struct WalRecord {
     pub received_at: SimTime,
     /// The raw alert payload.
     pub alert: IncomingAlert,
-    /// Whether routing completed.
-    pub processed: bool,
-    /// Which buddy the record belongs to. Per-user logs leave this `None`
-    /// (the log itself scopes the owner); shard logs multiplex many
-    /// buddies into one journal and tag every record with its owner.
-    pub user: Option<UserId>,
+    /// Which buddy the record belongs to: a shard log multiplexes many
+    /// buddies into one journal.
+    pub user: UserId,
 }
 
 /// Errors from a write-ahead log.
@@ -68,98 +70,6 @@ impl std::error::Error for WalError {}
 impl From<std::io::Error> for WalError {
     fn from(e: std::io::Error) -> Self {
         WalError::Io(e)
-    }
-}
-
-/// The pessimistic-logging interface used by MyAlertBuddy.
-pub trait WriteAheadLog {
-    /// Persists an alert *before* it is acknowledged. Returns the log id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::Io`] if persistence failed — in that case the
-    /// caller must NOT acknowledge the alert.
-    fn append(&mut self, alert: &IncomingAlert, received_at: SimTime) -> Result<u64, WalError>;
-
-    /// Marks a logged alert as processed (routing completed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::UnknownId`] for ids never appended.
-    fn mark_processed(&mut self, id: u64) -> Result<(), WalError>;
-
-    /// All records still unprocessed, in append order — the restart replay
-    /// set.
-    fn unprocessed(&self) -> Vec<WalRecord>;
-
-    /// Whether any record is still unprocessed. A buddy's idle deadline
-    /// calls this before hibernating it, so implementations should
-    /// answer without building the full replay set.
-    fn has_unprocessed(&self) -> bool {
-        !self.unprocessed().is_empty()
-    }
-
-    /// Total records in the log.
-    fn len(&self) -> usize;
-
-    /// Whether the log holds no records.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// An in-memory log for simulation harnesses: the harness owns the log so
-/// it survives a simulated MyAlertBuddy crash.
-#[derive(Debug, Clone, Default)]
-pub struct InMemoryWal {
-    records: BTreeMap<u64, WalRecord>,
-    next_id: u64,
-}
-
-impl InMemoryWal {
-    /// An empty log.
-    pub fn new() -> Self {
-        InMemoryWal::default()
-    }
-}
-
-impl WriteAheadLog for InMemoryWal {
-    fn append(&mut self, alert: &IncomingAlert, received_at: SimTime) -> Result<u64, WalError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.records.insert(
-            id,
-            WalRecord {
-                id,
-                received_at,
-                alert: alert.clone(),
-                processed: false,
-                user: None,
-            },
-        );
-        Ok(id)
-    }
-
-    fn mark_processed(&mut self, id: u64) -> Result<(), WalError> {
-        match self.records.get_mut(&id) {
-            Some(r) => {
-                r.processed = true;
-                Ok(())
-            }
-            None => Err(WalError::UnknownId(id)),
-        }
-    }
-
-    fn unprocessed(&self) -> Vec<WalRecord> {
-        self.records.values().filter(|r| !r.processed).cloned().collect()
-    }
-
-    fn has_unprocessed(&self) -> bool {
-        self.records.values().any(|r| !r.processed)
-    }
-
-    fn len(&self) -> usize {
-        self.records.len()
     }
 }
 
@@ -220,29 +130,6 @@ pub fn unescape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn alert(body: &str, origin_secs: u64) -> IncomingAlert {
-        IncomingAlert::from_im("aladdin-gw", body, SimTime::from_secs(origin_secs))
-    }
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::from_secs(secs)
-    }
-
-    #[test]
-    fn in_memory_append_mark_replay() {
-        let mut wal = InMemoryWal::new();
-        let a = wal.append(&alert("one", 1), t(1)).unwrap();
-        let b = wal.append(&alert("two", 2), t(2)).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(wal.len(), 2);
-        assert_eq!(wal.unprocessed().len(), 2);
-        wal.mark_processed(a).unwrap();
-        let un = wal.unprocessed();
-        assert_eq!(un.len(), 1);
-        assert_eq!(&*un[0].alert.body, "two");
-        assert!(matches!(wal.mark_processed(99), Err(WalError::UnknownId(99))));
-    }
 
     #[test]
     fn escape_unescape_inverse() {

@@ -8,11 +8,10 @@ use simba_core::mab::{CrashPoint, MabEvent, MyAlertBuddy};
 use simba_core::stabilize::{
     check_invariants_observed, HealthSnapshot, StabilizationConfig,
 };
-use simba_core::wal::InMemoryWal;
 use simba_core::{
     Address, AddressBook, Classifier, CommType, DeliveryCommand, DeliveryMode, IncomingAlert,
     KeywordField, MabCommand, MabConfig, RejuvenationPolicy, SubscriptionRegistry, Telemetry,
-    UserId,
+    UserId, UserShardWal,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Value};
@@ -45,12 +44,19 @@ fn config() -> MabConfig {
     }
 }
 
-fn observed_mab() -> (MyAlertBuddy<InMemoryWal>, Arc<RingBufferSink>, Telemetry) {
+fn wal() -> UserShardWal {
+    UserShardWal::in_memory(UserId::new("alice"))
+}
+
+fn observed_mab_over(wal: UserShardWal) -> (MyAlertBuddy, Arc<RingBufferSink>, Telemetry) {
     let sink = Arc::new(RingBufferSink::new(256));
     let telemetry = Telemetry::with_sink(sink.clone());
-    let mab = MyAlertBuddy::new(config(), InMemoryWal::new(), SimTime::ZERO)
-        .with_telemetry(telemetry.clone());
+    let mab = MyAlertBuddy::new(config(), wal, SimTime::ZERO).with_telemetry(telemetry.clone());
     (mab, sink, telemetry)
+}
+
+fn observed_mab() -> (MyAlertBuddy, Arc<RingBufferSink>, Telemetry) {
+    observed_mab_over(wal())
 }
 
 fn sensor_alert(secs: u64) -> IncomingAlert {
@@ -94,7 +100,8 @@ fn ingest_pipeline_emits_stage_events_in_order() {
 
 #[test]
 fn crash_point_emits_crashed_event_and_replay_is_observed() {
-    let (mut m, sink, _) = observed_mab();
+    let wal = wal();
+    let (mut m, sink, _) = observed_mab_over(wal.clone());
     m.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
     m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
     let crash = sink
@@ -105,7 +112,6 @@ fn crash_point_emits_crashed_event_and_replay_is_observed() {
     assert_eq!(crash.field("point"), Some(&Value::Str("after_ack_before_route".into())));
 
     // Fresh incarnation over the same log: replay is one wal.replayed event.
-    let wal = m.into_wal();
     let sink2 = Arc::new(RingBufferSink::new(64));
     let mut m2 = MyAlertBuddy::new(config(), wal, t(10))
         .with_telemetry(Telemetry::with_sink(sink2.clone()));
@@ -215,7 +221,7 @@ fn stabilization_sweep_emits_violations() {
 fn disabled_telemetry_changes_nothing_observable() {
     // Two identical runs, one instrumented, one not: commands and stats
     // must be byte-for-byte identical (telemetry never alters behavior).
-    let mut plain = MyAlertBuddy::new(config(), InMemoryWal::new(), SimTime::ZERO);
+    let mut plain = MyAlertBuddy::new(config(), wal(), SimTime::ZERO);
     let (mut observed, _, _) = observed_mab();
     let a = plain.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
     let b = observed.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));

@@ -42,7 +42,9 @@ use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy, RetiredDelivery};
 use simba_core::rejuvenate::RejuvenationTrigger;
-use simba_core::shardlog::{ShardLog, ShardLogConfig, ShardLogStats, DEFAULT_SEGMENT_MAX_BYTES};
+use simba_core::shardlog::{
+    SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats, DEFAULT_SEGMENT_MAX_BYTES,
+};
 use simba_core::snapshot::BuddySnapshot;
 use simba_core::subscription::UserId;
 use simba_core::wal::WalError;
@@ -57,12 +59,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
-
-/// The shard log handle a worker shares with its buddies' WAL facades.
-/// `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` so the worker future is
-/// `Send` and can be pinned to a dedicated OS thread; the mutex is
-/// uncontended — a log never leaves its shard's event loop.
-type SharedShardLog = Arc<Mutex<ShardLog>>;
 
 /// Builds a user's [`MabConfig`] on demand. Configuration is derivable
 /// state (profiles, subscriptions), deliberately not serialized into
@@ -321,7 +317,7 @@ enum UserSlot {
 
 /// A resident buddy plus its worker-side bookkeeping.
 struct ActiveBuddy {
-    mab: MyAlertBuddy<UserShardWal<SharedShardLog>>,
+    mab: MyAlertBuddy,
     /// Monotonic per-worker activation id; timer-wheel entries carry the
     /// incarnation they were scheduled under, so wakeups for a buddy
     /// that has since hibernated, crashed, or restarted are stale by

@@ -13,7 +13,8 @@ use simba::client::ImManager;
 use simba::core::alert::IncomingAlert;
 use simba::core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
 use simba::core::mdc::{MasterDaemonController, MdcAction, MdcConfig};
-use simba::core::wal::{InMemoryWal, WriteAheadLog};
+use simba::core::shardlog::UserShardWal;
+use simba::core::subscription::UserId;
 use simba::net::im::{ImHandle, ImService};
 use simba::sim::{SimRng, SimTime};
 use simba_bench::harness::standard_config;
@@ -21,7 +22,8 @@ use simba_bench::harness::standard_config;
 fn main() {
     println!("— scenario 1: crash after ack, before routing —");
     let config = standard_config();
-    let mut mab = MyAlertBuddy::new(config.clone(), InMemoryWal::new(), SimTime::ZERO);
+    let wal = UserShardWal::in_memory(UserId::new("alice"));
+    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone(), SimTime::ZERO);
     mab.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
 
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
@@ -31,7 +33,6 @@ fn main() {
     println!("  MyAlertBuddy crashed: {}", mab.is_crashed());
 
     // The MDC restarts a fresh incarnation over the same log.
-    let wal = mab.into_wal();
     println!("  unprocessed alerts in the log: {}", wal.unprocessed().len());
     let mut mab = MyAlertBuddy::new(config.clone(), wal, SimTime::from_secs(20));
     let replayed = mab.recover(SimTime::from_secs(20));

@@ -12,8 +12,8 @@ use simba::core::classify::{Classifier, KeywordField};
 use simba::core::delivery::{DeliveryCommand, DeliveryEvent, SendFailure};
 use simba::core::mab::{MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::DeliveryMode;
+use simba::core::shardlog::UserShardWal;
 use simba::core::subscription::{SubscriptionRegistry, UserId};
-use simba::core::wal::InMemoryWal;
 use simba::sim::SimTime;
 
 fn main() {
@@ -61,7 +61,7 @@ fn main() {
         registry,
         rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
     };
-    let mut mab = MyAlertBuddy::new(config, InMemoryWal::new(), SimTime::ZERO);
+    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice), SimTime::ZERO);
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
     let commands = mab.handle(MabEvent::AlertByIm(alert), SimTime::from_secs(5));
 

@@ -11,11 +11,11 @@ use simba::core::classify::{Classifier, KeywordField};
 use simba::core::delivery::{DeliveryCommand, DeliveryEvent, DeliveryStatus, SendFailure};
 use simba::core::mab::{DeliveryId, MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::DeliveryMode;
+use simba::core::shardlog::UserShardWal;
 use simba::core::subscription::{SubscriptionRegistry, UserId};
-use simba::core::wal::InMemoryWal;
 use simba::sim::{SimDuration, SimTime};
 
-fn household() -> MyAlertBuddy<InMemoryWal> {
+fn household() -> MyAlertBuddy {
     let mut classifier = Classifier::new();
     classifier.accept_source("aladdin-gw", KeywordField::Body, "cfg");
     classifier.map_keyword("Sensor", "Home.Security");
@@ -46,7 +46,7 @@ fn household() -> MyAlertBuddy<InMemoryWal> {
             registry,
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
-        InMemoryWal::new(),
+        UserShardWal::in_memory(UserId::new("household")),
         SimTime::ZERO,
     )
 }

@@ -8,11 +8,10 @@
 use proptest::prelude::*;
 use simba::core::delivery::{DeliveryEvent, SendFailure};
 use simba::core::mab::{MabEvent, MyAlertBuddy};
-use simba::core::wal::InMemoryWal;
 use simba::core::{
     Address, AddressBook, Classifier, CommType, DeliveryCommand, DeliveryMode, IncomingAlert,
     KeywordField, MabCommand, MabConfig, RejuvenationPolicy, SubscriptionRegistry, Telemetry,
-    UserId,
+    UserId, UserShardWal,
 };
 use simba::net::im::{ImHandle, ImService};
 use simba::net::{LatencyModel, LossModel};
@@ -66,7 +65,7 @@ fn run_scenario(seed: u64, alerts: u64) -> (Vec<String>, String) {
     im.logon(&alice, SimTime::ZERO).unwrap();
 
     // Core pipeline: log → ack → classify → route → deliver.
-    let mut mab = MyAlertBuddy::new(config(), InMemoryWal::new(), SimTime::ZERO)
+    let mut mab = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")), SimTime::ZERO)
         .with_telemetry(telemetry.clone());
 
     let first_send = |cmds: &[MabCommand]| {
@@ -156,9 +155,9 @@ proptest! {
 
 #[test]
 fn instrumented_and_plain_runs_behave_identically() {
-    let mut plain = MyAlertBuddy::new(config(), InMemoryWal::new(), SimTime::ZERO);
+    let mut plain = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")), SimTime::ZERO);
     let sink = Arc::new(RingBufferSink::new(256));
-    let mut observed = MyAlertBuddy::new(config(), InMemoryWal::new(), SimTime::ZERO)
+    let mut observed = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")), SimTime::ZERO)
         .with_telemetry(Telemetry::with_sink(sink));
     for i in 0..4u64 {
         let at = SimTime::from_secs(10 + i * 60);

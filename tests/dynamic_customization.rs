@@ -14,11 +14,11 @@ use simba::core::classify::{Classifier, KeywordField};
 use simba::core::delivery::DeliveryCommand;
 use simba::core::mab::{MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::{Block, DeliveryMode};
+use simba::core::shardlog::UserShardWal;
 use simba::core::subscription::{SubscriptionRegistry, TimeWindow, UserId};
-use simba::core::wal::InMemoryWal;
 use simba::sim::{SimDuration, SimTime};
 
-fn buddy() -> MyAlertBuddy<InMemoryWal> {
+fn buddy() -> MyAlertBuddy {
     let mut classifier = Classifier::new();
     // Three independent services; Yahoo!/CBS put keywords in the sender
     // name, WSJ in the subject — per-source rules as in §4.2.
@@ -57,7 +57,7 @@ fn buddy() -> MyAlertBuddy<InMemoryWal> {
             registry,
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
-        InMemoryWal::new(),
+        UserShardWal::in_memory(UserId::new("alice")),
         SimTime::ZERO,
     )
 }
@@ -157,7 +157,7 @@ fn whole_configuration_survives_xml_round_trip() {
             registry: restored,
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
-        InMemoryWal::new(),
+        UserShardWal::in_memory(UserId::new("alice")),
         SimTime::ZERO,
     );
     let [alert, ..] = service_alerts(SimTime::from_secs(10));
