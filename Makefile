@@ -35,6 +35,12 @@
 #                 while a rules host sits idle for 500 ms, against 25
 #                 (crates/gateway/tests/wake_budget.rs; `test-all` runs
 #                 the same tests without printing them)
+#   make commit-budget — shard-log and ledger commits per delivered alert
+#                 with both logs on disk (one shard, the default 4-worker
+#                 pool, 200 alerts one per ms on the paused clock), against
+#                 0 shard-log commits and 2.4 in all
+#                 (crates/runtime/tests/commit_budget.rs; deterministic, so
+#                 `make ci` runs it here, printing its table)
 #   make loc    — non-test Rust lines under crates/ (every
 #                 crates/*/src/**/*.rs line before the file's first
 #                 `#[cfg(test)]`), per crate and in total — the figure
@@ -42,9 +48,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget wake-budget loc clean
+.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget wake-budget commit-budget loc clean
 
-ci: build test-all bench-selftest e2e-quick doc lint analyze smoke
+ci: build test-all bench-selftest e2e-quick doc lint analyze smoke commit-budget
 
 build:
 	$(CARGO) build --release
@@ -84,6 +90,9 @@ alloc-budget:
 
 wake-budget:
 	$(CARGO) test --release -p simba-gateway --test wake_budget -- --nocapture
+
+commit-budget:
+	$(CARGO) test --release -p simba-runtime --test commit_budget -- --nocapture
 
 loc:
 	@for crate in crates/*/; do \

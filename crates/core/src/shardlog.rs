@@ -1,13 +1,22 @@
 //! The write-ahead log of every MyAlertBuddy: every buddy on one shard
-//! multiplexed into a single [`Journal`], so appends and processed-marks
-//! from the whole shard become durable together in one group commit (one
-//! write + one fsync per *batch*, not per alert). A buddy writes it
-//! through a [`UserShardWal`] scoped to its user; a simulation or a test
-//! that drives one buddy gives it a log of its own
+//! multiplexed into a single [`Journal`], so what the whole shard logged
+//! in one batch becomes durable together in one group commit. A buddy
+//! writes it through a [`UserShardWal`] scoped to its user; a simulation
+//! or a test that drives one buddy gives it a log of its own
 //! ([`UserShardWal::in_memory`]). On disk, the §4.2.1 invariant is
 //! preserved by the caller's batching discipline: the shard worker
 //! defers every observable effect of a batch — acks, channel sends,
 //! notices — until the commit that covers the batch has returned.
+//!
+//! **A commit writes what its batch leaves unprocessed.** A record
+//! appended and marked processed before the next commit would replay to
+//! nothing, and nothing of its batch was released yet, so it is never
+//! written: `append` only buffers the record in memory, and `commit`
+//! frames an `R` image for each record appended since the last commit
+//! that is still unprocessed. A `P` mark is written only for a record an
+//! earlier commit made durable. A healthy batch — every buddy marks what
+//! it routes in the `handle()` that logged it — writes nothing, and its
+//! commit is free.
 //!
 //! Records carry their owner in [`WalRecord::user`]. Only *unprocessed*
 //! records are held in memory, so the log's resident cost tracks the
@@ -74,7 +83,12 @@ pub struct ShardLogStats {
     pub appends: u64,
     /// Processed-marks applied.
     pub marks: u64,
-    /// Batches made durable (one fsync each in file mode).
+    /// Frames handed to the journal: `R` images of records a batch left
+    /// unprocessed and `P` marks of records an earlier commit wrote (a
+    /// rotation's snapshot is not counted). Zero for a healthy run.
+    pub written: u64,
+    /// Batches made durable (one fsync each in file mode). A batch that
+    /// wrote nothing is not one.
     pub group_commits: u64,
     /// Segment rotations (each rewrites live records and deletes history).
     pub segments_rotated: u64,
@@ -95,8 +109,12 @@ pub struct ShardLog {
     /// replay work, not registered users.
     by_user: HashMap<UserId, Vec<u64>>,
     next_id: u64,
+    /// The first id appended since the last commit: live records at or
+    /// above it have no `R` frame yet.
+    unframed_from: u64,
     appends: u64,
     marks: u64,
+    written: u64,
     fail_marks_for: HashSet<UserId>,
 }
 
@@ -115,6 +133,7 @@ impl ShardLog {
         if let Some(dir) = config.dir {
             log.journal = Journal::open(dir, config.segment_max_bytes, |payload| log.replay(payload))?;
         }
+        log.unframed_from = log.next_id;
         Ok(log)
     }
 
@@ -125,8 +144,10 @@ impl ShardLog {
             live: BTreeMap::new(),
             by_user: HashMap::new(),
             next_id: 0,
+            unframed_from: 0,
             appends: 0,
             marks: 0,
+            written: 0,
             fail_marks_for: HashSet::new(),
         }
     }
@@ -165,7 +186,8 @@ impl ShardLog {
 
     /// Buffers a record for `user` and returns its id, which is
     /// shard-monotonic. The record is *not* durable until the next
-    /// [`ShardLog::commit`]; callers must not acknowledge the alert before
+    /// [`ShardLog::commit`], which writes it only if it is still
+    /// unprocessed then; callers must not acknowledge the alert before
     /// that commit returns. Buffering cannot fail — I/O errors surface at
     /// the commit — which the [`Infallible`] error type states.
     pub fn append(
@@ -176,16 +198,15 @@ impl ShardLog {
     ) -> Result<u64, Infallible> {
         let id = self.next_id;
         self.next_id += 1;
-        let record = WalRecord { id, received_at, alert: alert.clone(), user: user.clone() };
-        self.journal.append(|out| encode_record(out, &record));
-        self.insert(record);
+        self.insert(WalRecord { id, received_at, alert: alert.clone(), user: user.clone() });
         self.appends += 1;
         Ok(id)
     }
 
-    /// Marks record `id` processed on behalf of `user`. The mark is
-    /// buffered like an append (durable at the next commit); the record
-    /// leaves memory immediately.
+    /// Marks record `id` processed on behalf of `user`; the record leaves
+    /// memory immediately. A record an earlier commit wrote gets a `P`
+    /// mark, buffered like the rest of the batch; one appended since the
+    /// last commit was never written and needs none.
     ///
     /// # Errors
     ///
@@ -202,33 +223,48 @@ impl ShardLog {
         if self.fail_marks_for.remove(user) {
             return Err(WalError::Io(std::io::Error::other("injected mark failure")));
         }
-        self.journal.append(|out| {
-            use std::fmt::Write as _;
-            let _ = write!(out, "P\t{id}");
-        });
+        if id < self.unframed_from {
+            self.journal.append(|out| {
+                use std::fmt::Write as _;
+                let _ = write!(out, "P\t{id}");
+            });
+            self.written += 1;
+        }
         self.remove(id);
         self.marks += 1;
         Ok(())
     }
 
-    /// One group commit ([`Journal::commit`]): every buffered append and
-    /// mark becomes durable together; a rotation carries the live records.
+    /// One group commit ([`Journal::commit`]): frames the `R` image of
+    /// every record appended since the last commit and still unprocessed,
+    /// then makes it durable together with the buffered marks; a rotation
+    /// carries the live records. Free when the batch left nothing to
+    /// write.
     ///
     /// # Errors
     ///
     /// I/O failure leaves the whole batch non-durable and buffered for
     /// the retry; no acks may be released.
     pub fn commit(&mut self) -> Result<(), WalError> {
+        for (_, record) in self.live.range(self.unframed_from..) {
+            self.journal.append(|out| encode_record(out, record));
+            self.written += 1;
+        }
+        self.unframed_from = self.next_id;
         self.journal.commit(|out| snapshot(&self.live, out))
     }
 
     /// Compacts history down to the live records now ([`Journal::rotate`]).
+    /// The snapshot carries unframed records too, so the next commit need
+    /// not frame them.
     ///
     /// # Errors
     ///
     /// I/O failure leaves the log readable.
     pub fn rotate(&mut self) -> Result<(), WalError> {
-        self.journal.rotate(|out| snapshot(&self.live, out))
+        self.journal.rotate(|out| snapshot(&self.live, out))?;
+        self.unframed_from = self.next_id;
+        Ok(())
     }
 
     /// Unprocessed records for one buddy, in append order — its restart
@@ -256,9 +292,10 @@ impl ShardLog {
         self.live.len()
     }
 
-    /// Whether a commit is pending.
+    /// Whether a commit would write anything: buffered marks, or records
+    /// appended since the last commit and still unprocessed.
     pub fn is_dirty(&self) -> bool {
-        self.journal.is_dirty()
+        self.journal.is_dirty() || self.live.range(self.unframed_from..).next().is_some()
     }
 
     /// Running totals.
@@ -266,6 +303,7 @@ impl ShardLog {
         ShardLogStats {
             appends: self.appends,
             marks: self.marks,
+            written: self.written,
             group_commits: self.journal.commits(),
             segments_rotated: self.journal.rotations(),
         }
@@ -291,7 +329,8 @@ fn snapshot(live: &BTreeMap<u64, WalRecord>, out: &mut Frames) {
     }
 }
 
-/// The `R` image — what an append journals and what a rotation carries.
+/// The `R` image — what a commit frames for a record its batch left
+/// unprocessed, and what a rotation carries.
 fn encode_record(out: &mut String, record: &WalRecord) {
     use std::fmt::Write as _;
     let alert = &record.alert;
@@ -447,19 +486,106 @@ mod tests {
         assert_eq!(log.stats().group_commits, 1);
     }
 
+    /// Every frame of every segment in `dir`, oldest segment first.
+    fn frames_on_disk(dir: &std::path::Path) -> Vec<String> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+        paths.sort();
+        let text: String = paths.iter().map(|p| std::fs::read_to_string(p).unwrap()).collect();
+        text.lines().map(str::to_string).collect()
+    }
+
     #[test]
     fn group_commit_batches_many_buddies_into_one_commit() {
         let mut log = ShardLog::open(ShardLogConfig::in_memory()).unwrap();
-        for i in 0..100u64 {
-            let u = user(&format!("u{}", i % 10));
-            let id = log.append(&u, &alert("x", i), t(i)).unwrap();
-            log.mark_processed(&u, id).unwrap();
+        // A hundred records from ten buddies outlive their batch: one
+        // commit writes all their images.
+        let ids: Vec<(UserId, u64)> = (0..100u64)
+            .map(|i| {
+                let u = user(&format!("u{}", i % 10));
+                let id = log.append(&u, &alert("x", i), t(i)).unwrap();
+                (u, id)
+            })
+            .collect();
+        log.commit().unwrap();
+        assert_eq!((log.stats().written, log.stats().group_commits), (100, 1));
+        // The next batch marks them all: one commit writes every mark.
+        for (u, id) in &ids {
+            log.mark_processed(u, *id).unwrap();
         }
         log.commit().unwrap();
         assert_eq!(log.stats().appends, 100);
         assert_eq!(log.stats().marks, 100);
-        assert_eq!(log.stats().group_commits, 1);
+        assert_eq!((log.stats().written, log.stats().group_commits), (200, 2));
         assert_eq!(log.unprocessed_len(), 0);
+    }
+
+    #[test]
+    fn an_append_marked_in_its_own_batch_is_never_written() {
+        let dir = temp_dir("elided");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        for i in 0..10u64 {
+            let id = log.append(&user("alice"), &alert("routed at once", i), t(i)).unwrap();
+            log.mark_processed(&user("alice"), id).unwrap();
+        }
+        assert!(!log.is_dirty());
+        log.commit().unwrap();
+        assert_eq!((log.stats().written, log.stats().group_commits), (0, 0));
+        assert!(frames_on_disk(&dir).is_empty(), "zero bytes written");
+        drop(log);
+        let log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        assert_eq!(log.unprocessed_len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_marked_in_a_later_batch_gets_its_mark_written() {
+        let dir = temp_dir("later-mark");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        let id = log.append(&user("alice"), &alert("outlives its batch", 1), t(1)).unwrap();
+        log.commit().unwrap();
+        log.mark_processed(&user("alice"), id).unwrap();
+        assert!(log.is_dirty(), "the mark of a written record is owed");
+        log.commit().unwrap();
+        assert_eq!((log.stats().written, log.stats().group_commits), (2, 2));
+        let frames = frames_on_disk(&dir);
+        assert_eq!(frames.len(), 2);
+        assert!(frames[0].contains("\tR\t") && frames[1].ends_with(&format!("\tP\t{id}")), "{frames:?}");
+        drop(log);
+        assert_eq!(ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap().unprocessed_len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_whose_mark_failed_is_written_at_commit() {
+        let dir = temp_dir("failed-mark");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        log.inject_mark_failure(&user("alice"));
+        let id = log.append(&user("alice"), &alert("still owed", 1), t(1)).unwrap();
+        assert!(log.mark_processed(&user("alice"), id).is_err());
+        assert!(log.is_dirty());
+        log.commit().unwrap();
+        assert_eq!((log.stats().written, log.stats().group_commits), (1, 1));
+        drop(log);
+        let log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        assert_eq!(log.unprocessed_for(&user("alice"))[0].id, id);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rotation_carries_an_unframed_record_once() {
+        let dir = temp_dir("rotate-unframed");
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        let id = log.append(&user("alice"), &alert("carried", 1), t(1)).unwrap();
+        log.rotate().unwrap();
+        assert!(!log.is_dirty(), "the snapshot made it durable");
+        log.commit().unwrap();
+        assert_eq!(log.stats().written, 0);
+        let images = frames_on_disk(&dir).iter().filter(|f| f.contains("\tR\t")).count();
+        assert_eq!(images, 1, "one image, in the snapshot");
+        drop(log);
+        let log = ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap();
+        assert_eq!(log.unprocessed_for(&user("alice"))[0].id, id);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -490,9 +616,11 @@ mod tests {
         let dir = temp_dir("rotate");
         let config = ShardLogConfig { dir: Some(dir.clone()), segment_max_bytes: 256 };
         let mut log = ShardLog::open(config).unwrap();
-        // Churn enough processed records to trip several rotations.
+        // Churn enough records that outlive their batch — an image in one
+        // commit, a mark in the next — to trip several rotations.
         for i in 0..50u64 {
             let id = log.append(&user("alice"), &alert("churn", i), t(i)).unwrap();
+            log.commit().unwrap();
             log.mark_processed(&user("alice"), id).unwrap();
             log.commit().unwrap();
         }

@@ -7,12 +7,24 @@
 //! tests rely on) or an OS thread running its own `block_on` (`threads:
 //! true` — real parallelism for benchmarks and production).
 //!
-//! A worker's cycle is *lease → commit → send → record → commit*: the
-//! lease grants are durable before any send happens (so a crash can only
-//! ever re-deliver, never lose), and outcomes group-commit after the
-//! batch. A killed worker stops dead between sends — it records nothing
-//! — and its leases expire for any surviving worker to resume, which is
-//! exactly the crash the idempotency keys exist to absorb.
+//! A worker's cycle is *lease → commit → send → record → yield*, one
+//! ledger commit per cycle: the commit after the lease makes the new
+//! grants durable together with the outcomes this worker (and anyone
+//! else) recorded since the last commit. Two invariants follow:
+//!
+//! * every lease grant is durable before its send, so a crash can only
+//!   ever re-deliver, never lose;
+//! * every outcome is durable before its worker sends again. An outcome
+//!   lost to a crash before that leaves its record owed, and the resend
+//!   meets the idempotency key.
+//!
+//! A lease that comes back empty still commits what is buffered before
+//! the worker idles, and a draining worker exits only once the ledger is
+//! clean. A worker leases only *after* its yield: leasing first would
+//! hold every batch through the yield unsent. A killed worker stops dead
+//! between sends — it records nothing — and its leases expire for any
+//! surviving worker to resume, which is exactly the crash the
+//! idempotency keys exist to absorb.
 
 use crate::ledger::{LeasedWork, LedgerError, SharedLedger, WorkerId};
 use simba_sim::{SimDuration, SimTime};
@@ -229,27 +241,23 @@ impl Worker {
                 return self.stats;
             }
             let now = (self.clock)();
-            // Lease, then make the grants durable *before* sending: a
-            // crash after this point re-delivers, never loses.
-            let work = {
+            // Lease, then make the grants — and the outcomes recorded
+            // since the last commit — durable *before* sending: a crash
+            // after this point re-delivers, never loses.
+            let (work, drained) = {
                 let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
-                let work = ledger.lease(&self.id, now, self.batch);
+                let mut work = ledger.lease(&self.id, now, self.batch);
                 // simba-analyze: allow(concurrency.blocking-under-guard): a lease is only actionable once durable — lease+commit must be atomic under the ledger lock
-                if !work.is_empty() && ledger.commit().is_err() {
+                if ledger.commit().is_err() {
                     self.stats.io_errors += 1;
                     // Non-durable leases must not be acted on; they sit
                     // leased in memory until they expire and retry.
-                    Vec::new()
-                } else {
-                    work
+                    work.clear();
                 }
+                let drained = ledger.is_drained();
+                (work, drained)
             };
             if work.is_empty() {
-                let drained = self
-                    .ledger
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_drained();
                 if self.stop.load(Ordering::Acquire) && drained {
                     return self.stats;
                 }
@@ -270,6 +278,9 @@ impl Worker {
                 }
                 outcomes.push((item.id, self.channels.send(item)));
             }
+            // Outcomes buffer in the journal; the next lease's commit — this
+            // worker's, a sibling's or the shard worker's enqueue — makes
+            // them durable.
             let now = (self.clock)();
             {
                 let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
@@ -291,14 +302,12 @@ impl Worker {
                         Err(_) => self.stats.io_errors += 1,
                     }
                 }
-                // simba-analyze: allow(concurrency.blocking-under-guard): outcome records and their commit are one batch; releasing mid-way would let a sibling lease half-recorded work
-                if ledger.commit().is_err() {
-                    self.stats.io_errors += 1;
-                }
             }
             if self.yield_between_batches {
                 // On a shared executor a worker that always finds work
                 // would otherwise starve its siblings (and the caller).
+                // Without the yield (own thread) the next lease commits
+                // these outcomes at once.
                 tokio::time::sleep(Duration::from_millis(1)).await;
             }
         }
@@ -400,6 +409,100 @@ mod tests {
         let effects = effects.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(effects.len(), 200);
         assert!(effects.values().all(|&c| c == 1), "every effect exactly once");
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn a_pool_commits_once_per_lease_batch_plus_once_to_finish() {
+        let (records, batch) = (200u64, 16usize);
+        let (ledger, channels, _) = pool_fixture(3, 0);
+        enqueue_n(&ledger, records);
+        let pool = LedgerWorkerPool::spawn(
+            Arc::clone(&ledger),
+            channels,
+            paused_clock(),
+            WorkerPoolConfig { workers: 3, batch, ..WorkerPoolConfig::default() },
+        )
+        .expect("local spawn cannot fail");
+        let stats = pool.drain().await;
+        assert_eq!(stats.sent, records);
+        let commits = ledger.lock().unwrap_or_else(PoisonError::into_inner).stats().commit_batches;
+        let bound = records.div_ceil(batch as u64) + 1;
+        assert!(commits <= bound, "{commits} commits for {records} records in batches of {batch} (bound {bound})");
+    }
+
+    /// Copies every file of `from` into a fresh `to`.
+    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+        let _ = std::fs::remove_dir_all(to);
+        std::fs::create_dir_all(to).expect("create copy");
+        for entry in std::fs::read_dir(from).expect("read ledger dir") {
+            let entry = entry.expect("dir entry");
+            std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy segment");
+        }
+    }
+
+    /// What a crash at the first send of the second batch leaves owed:
+    /// the first batch's ids, and how many records in all.
+    type Owed = Arc<Mutex<Option<(Vec<u64>, usize)>>>;
+
+    /// Sends everything; on the first send of the second batch, opens a
+    /// copy of the ledger directory as a crash there would leave it and
+    /// reports what is still owed in it.
+    struct CrashProbe {
+        dir: std::path::PathBuf,
+        batch: usize,
+        first_batch: Vec<u64>,
+        owed_at_second_batch: Owed,
+    }
+
+    impl LedgerChannels for CrashProbe {
+        fn send(&mut self, work: &LeasedWork) -> ChannelResult {
+            if self.first_batch.len() < self.batch {
+                self.first_batch.push(work.id);
+            } else {
+                let mut probed = self.owed_at_second_batch.lock().unwrap_or_else(PoisonError::into_inner);
+                if probed.is_none() {
+                    let copy = self.dir.with_extension("crash-copy");
+                    copy_dir(&self.dir, &copy);
+                    let reopened = DeliveryLedger::open(LedgerConfig::on_disk(&copy)).expect("open the copy");
+                    let owed: Vec<u64> = reopened.records().chain(reopened.dead_letters()).map(|r| r.id).collect();
+                    let first = owed.iter().copied().filter(|id| self.first_batch.contains(id)).collect();
+                    *probed = Some((first, owed.len()));
+                    drop(reopened);
+                    let _ = std::fs::remove_dir_all(&copy);
+                }
+            }
+            ChannelResult::Sent
+        }
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn a_batchs_outcomes_are_durable_before_the_next_batch_is_sent() {
+        let dir = std::env::temp_dir().join(format!("simba-pool-outcomes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ledger = Arc::new(Mutex::new(
+            DeliveryLedger::open(LedgerConfig::on_disk(&dir)).expect("open on-disk ledger"),
+        ));
+        enqueue_n(&ledger, 20);
+        ledger.lock().unwrap_or_else(PoisonError::into_inner).commit().expect("commit the enqueues");
+        let batch = 8;
+        let probed: Owed = Arc::default();
+        let probe = CrashProbe {
+            dir: dir.clone(),
+            batch,
+            first_batch: Vec::new(),
+            owed_at_second_batch: Arc::clone(&probed),
+        };
+        let pool = LedgerWorkerPool::spawn(
+            Arc::clone(&ledger),
+            vec![Box::new(probe)],
+            paused_clock(),
+            WorkerPoolConfig { workers: 1, batch, ..WorkerPoolConfig::default() },
+        )
+        .expect("local spawn cannot fail");
+        assert_eq!(pool.drain().await.sent, 20);
+        let owed = probed.lock().unwrap_or_else(PoisonError::into_inner).take();
+        assert_eq!(owed, Some((Vec::new(), 12)), "every first-batch outcome was durable before the second batch");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[tokio::test(start_paused = true)]

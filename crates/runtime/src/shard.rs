@@ -5,8 +5,8 @@
 //! user is the right shape for hundreds of tenants and the wrong one for
 //! a million, so [`ShardedHost`] is a fixed pool of shard workers
 //! (default: one per core), each multiplexing thousands of buddies over
-//! one [`ShardLog`] with **group commit** (one fsync per batch, not per
-//! alert) and **hibernation** (a buddy idle past its deadline — one
+//! one [`ShardLog`] with **group commit** (at most one fsync per batch,
+//! not per alert) and **hibernation** (a buddy idle past its deadline — one
 //! timer-wheel entry per resident buddy — is serialized to a compact
 //! CRC-guarded [`BuddySnapshot`] and rebuilt on the next routed alert or
 //! replay demand), so resident memory tracks *active* users while the
@@ -21,7 +21,9 @@
 //!    and processed-marks buffer in the shard log, observable effects
 //!    (acks, sends, notices) are *staged*;
 //! 2. **commit** — one [`ShardLog::commit`] makes the whole batch
-//!    durable with a single fsync;
+//!    durable with a single fsync — and writes only the records the batch
+//!    left unprocessed, so a batch whose buddies marked everything they
+//!    logged commits for free;
 //! 3. **execute** — release the staged effects. Send outcomes feed back
 //!    into the buddies immediately (fallback blocks, ack scheduling);
 //!    those delivery events never touch the log, so no second fsync is
@@ -269,6 +271,7 @@ impl ShardedSnapshot {
         self.open_windows += other.open_windows;
         self.log.appends += other.log.appends;
         self.log.marks += other.log.marks;
+        self.log.written += other.log.written;
         self.log.group_commits += other.log.group_commits;
         self.log.segments_rotated += other.log.segments_rotated;
     }
@@ -546,8 +549,8 @@ impl ShardedHost {
         self.send(shard, ShardMsg::InjectMarkFailure(user.clone())).await;
     }
 
-    /// Test hook: the next group commit on the user's shard writes
-    /// `bytes` bytes of its batch, then fails
+    /// Test hook: the next group commit on the user's shard that has
+    /// anything to write writes `bytes` bytes of its batch, then fails
     /// ([`ShardLog::inject_write_failure`]).
     pub async fn inject_commit_failure(&self, user: &UserId, bytes: usize) {
         let shard = shard_of(user, self.shards.len());
@@ -1468,28 +1471,34 @@ mod tests {
         }
     }
 
+    /// Every `gw` alert mentioning "Sensor" goes once to the user's IM
+    /// address, fire-and-forget.
+    fn direct_to_im() -> ConfigFactory {
+        use simba_core::address::{Address, CommType};
+        use simba_core::classify::KeywordField;
+        use simba_core::mode::{Block, DeliveryMode};
+
+        Arc::new(|user: &UserId| {
+            let mut config = MabConfig::default();
+            config.classifier.accept_source("gw", KeywordField::Body, "");
+            config.classifier.map_keyword("Sensor", "Home");
+            let profile = config.registry.register_user(user.clone());
+            profile.address_book.add(Address::new("IM", CommType::Im, format!("im:{user}"))).unwrap();
+            let direct = vec![Block::fire_and_forget(vec!["IM".into()])];
+            profile.define_mode(DeliveryMode::new("Direct", direct).unwrap());
+            config.registry.subscribe("Home", user.clone(), "Direct").unwrap();
+            config
+        })
+    }
+
     /// Regression: a batch that ran out of commit+execute rounds dropped
     /// whatever it still had staged — replay sends of a restarted buddy,
     /// whose log records were already marked processed. They must wait in
     /// `withheld` and go out with the next batch.
     #[test]
     fn a_batch_out_of_rounds_parks_its_remainder_instead_of_dropping_it() {
-        use simba_core::address::{Address, CommType};
-        use simba_core::classify::KeywordField;
-        use simba_core::mode::{Block, DeliveryMode};
-
         let user = UserId::new("ada");
-        let factory: ConfigFactory = Arc::new(|user: &UserId| {
-            let mut config = MabConfig::default();
-            config.classifier.accept_source("gw", KeywordField::Body, "");
-            config.classifier.map_keyword("Sensor", "Home");
-            let profile = config.registry.register_user(user.clone());
-            profile.address_book.add(Address::new("IM", CommType::Im, "im:ada")).unwrap();
-            let direct = vec![Block::fire_and_forget(vec!["IM".into()])];
-            profile.define_mode(DeliveryMode::new("Direct", direct).unwrap());
-            config.registry.subscribe("Home", user.clone(), "Direct").unwrap();
-            config
-        });
+        let factory = direct_to_im();
         let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
         let channels = Relentless {
             log: Arc::clone(&log),
@@ -1531,6 +1540,81 @@ mod tests {
         assert_eq!(sent.lock().unwrap().len(), MAX_ROUNDS + 1);
         assert!(worker.withheld.is_empty());
         assert_eq!(worker.lock_log().unprocessed_len(), 0);
+    }
+
+    /// A healthy batch writes nothing, so a failing commit needs a batch
+    /// with a frame to write: here alice's, whose activation replays a
+    /// record an earlier incarnation left committed and unmarked, and so
+    /// must write its mark. The record is seeded behind the worker's back
+    /// because the host's own startup replays every seeded record before
+    /// any test hook could arm the fault.
+    #[test]
+    fn a_failed_group_commit_releases_nothing_and_loses_nothing() {
+        use crate::channels::{LoopbackChannels, SharedChannels};
+
+        let dir = std::env::temp_dir().join(format!("simba-shard-commitfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap()));
+        let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
+        let alert = |body: &str| IncomingAlert::from_im("gw", body, SimTime::ZERO);
+        {
+            let mut log = log.lock().unwrap();
+            log.append(&alice, &alert("Sensor A0 ON"), SimTime::ZERO).unwrap();
+            log.commit().unwrap();
+        }
+        let shared = SharedChannels::new(LoopbackChannels::accept_all());
+        let telemetry = Telemetry::with_sink(Arc::new(simba_telemetry::RingBufferSink::new(64)));
+        let (_tx, rx) = mpsc::channel(1);
+        let (notices, mut notice_rx) = mpsc::channel(64);
+        let mut worker = Worker::new(
+            rx,
+            Arc::default(),
+            shared.clone(),
+            telemetry.clone(),
+            direct_to_im(),
+            notices,
+            Arc::clone(&log),
+            &ShardedHostConfig::default(),
+        );
+        worker.roster.insert(alice.clone(), UserSlot::Fresh);
+        worker.roster.insert(bob.clone(), UserSlot::Fresh);
+        let acks = |rx: &mut mpsc::Receiver<HostNotice>| {
+            std::iter::from_fn(|| rx.try_recv().ok())
+                .filter(|n| matches!(n.notice, RuntimeNotice::AckSent { .. }))
+                .map(|n| n.user)
+                .collect::<Vec<_>>()
+        };
+
+        // Alice's batch: nine bytes of the replayed record's mark, then
+        // the commit fails.
+        worker.lock_log().inject_write_failure(9);
+        let mut staged = Vec::new();
+        worker.route(alice.clone(), MabEvent::AlertByIm(alert("Sensor A1 ON")), SimTime::ZERO, &mut staged);
+        worker.finish_batch(&mut staged, SimTime::ZERO);
+        assert_eq!(telemetry.metrics().snapshot().counter("host.commit_failed"), 1);
+        assert_eq!(worker.lock_log().stats().group_commits, 1, "only the seeding commit");
+        shared.with(|c| assert!(c.sent().is_empty(), "no send on top of a failed commit"));
+        assert!(acks(&mut notice_rx).is_empty(), "no ack either");
+
+        // Bob's batch commits, and covers alice's with it.
+        worker.route(bob.clone(), MabEvent::AlertByIm(alert("Sensor B1 ON")), SimTime::ZERO, &mut staged);
+        worker.finish_batch(&mut staged, SimTime::ZERO);
+        assert_eq!(worker.lock_log().stats().group_commits, 2);
+        assert_eq!(acks(&mut notice_rx), [alice, bob], "the live alerts are acked; the replay is not");
+        shared.with(|c| {
+            let mut bodies: Vec<&str> = c.sent().iter().map(|(_, _, text)| text.as_str()).collect();
+            bodies.sort_unstable();
+            assert_eq!(bodies.len(), 3, "{bodies:?}");
+            for (body, expected) in bodies.iter().zip(["Sensor A0", "Sensor A1", "Sensor B1"]) {
+                assert!(body.contains(expected), "{bodies:?}");
+            }
+        });
+        drop((worker, log));
+
+        // A restart over the same directory finds nothing left to replay:
+        // every alert was delivered exactly once.
+        assert_eq!(ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap().unprocessed_len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -93,7 +93,10 @@ impl Subject for ShardLog {
     }
 
     fn commits_after(op: usize) -> bool {
-        matches!(op, 1 | 3 | 4 | 5 | 7 | 8)
+        // A record is written by the commit after its append, its mark by
+        // the next one after that: committing after op 6 keeps alice's
+        // image ahead of op 7's mark, one frame per mutation in order.
+        matches!(op, 1 | 3 | 4 | 5 | 6 | 7 | 8)
     }
 
     fn commit(&mut self) {
