@@ -38,7 +38,7 @@
 #   make commit-budget — shard-log and ledger commits per delivered alert
 #                 with both logs on disk (one shard, the default 4-worker
 #                 pool, 200 alerts one per ms on the paused clock), against
-#                 0 shard-log commits and 2.4 in all
+#                 0 shard-log commits and 1.05 in all
 #                 (crates/runtime/tests/commit_budget.rs; deterministic, so
 #                 `make ci` runs it here, printing its table)
 #   make loc    — non-test Rust lines under crates/ (every

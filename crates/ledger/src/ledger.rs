@@ -5,17 +5,23 @@
 //!
 //! ```text
 //! R \t id \t user \t delivery \t channel \t enqueued_ms \t state \t attempts \t not_before_ms \t address \t text \t error
-//! L \t id \t worker \t expires_ms \t attempts      lease granted
+//! L \t id \t worker \t expires_ms \t attempts      lease re-granted
 //! S \t id                                         sent (terminal)
 //! F \t id \t attempts \t not_before_ms \t error     send failed, retry scheduled
 //! D \t id \t error                                dead-lettered
 //! Q \t id                                         requeued from the DLQ
-//! X \t id                                         retracted before any lease (terminal)
+//! X \t id                                         retracted before any claim (terminal)
 //! ```
 //!
 //! `R` is a record's whole image: an enqueue journals one, and a
 //! rotation carries one per live or dead-lettered record. A later image
 //! of an id replaces the earlier one.
+//!
+//! An enqueue's image already counts the record's first lease grant
+//! (`attempts` 1): the commit that makes the handoff durable makes that
+//! grant durable with it, so the worker that claims the record writes no
+//! `L` frame and needs no commit of its own before the send. Only
+//! re-grants — after a failure, an expiry or a reopen — journal `L`.
 
 use simba_core::address::CommType;
 use simba_core::journal::{Frames, Journal};
@@ -23,7 +29,6 @@ use simba_core::subscription::UserId;
 use simba_core::wal::{escape, unescape, WalError};
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::Telemetry;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -270,6 +275,9 @@ pub struct LedgerStats {
     pub enqueued: u64,
     /// Lease grants (== send attempts started).
     pub leased: u64,
+    /// Of `leased`, the first grants that rode their record's `R` image:
+    /// claimed without a frame of their own.
+    pub handed: u64,
     /// Leases that expired and were reclaimed for another worker.
     pub lease_expired: u64,
     /// Records that reached [`RecordState::Sent`].
@@ -327,7 +335,10 @@ pub struct DeliveryLedger {
     /// Where [`DeliveryLedger::enqueue_shared`] spells a key before it
     /// knows whether the key is new.
     key_scratch: String,
-    /// `(not_before, id)` over Pending/Retrying records.
+    /// Enqueued records whose first grant rode their `R` image, oldest
+    /// first, until a worker claims them.
+    handed: VecDeque<u64>,
+    /// `(not_before, id)` over the other Pending/Retrying records.
     ready: BTreeSet<(SimTime, u64)>,
     /// `(expires_at, id)` over Leased records.
     leased: BTreeSet<(SimTime, u64)>,
@@ -362,6 +373,7 @@ impl DeliveryLedger {
             live: BTreeMap::new(),
             by_key: HashMap::new(),
             key_scratch: String::new(),
+            handed: VecDeque::new(),
             ready: BTreeSet::new(),
             leased: BTreeSet::new(),
             dlq: VecDeque::new(),
@@ -417,6 +429,13 @@ impl DeliveryLedger {
     /// record returns the existing id (replace/upsert semantics, like
     /// Trace's `alert_deliveries` rows). The record is *not* durable
     /// until the next [`DeliveryLedger::commit`].
+    ///
+    /// A fresh record is granted its first lease here: its `R` image
+    /// counts the attempt, and the next [`DeliveryLedger::lease`] claims
+    /// it without journalling anything, so the commit that makes the
+    /// handoff durable makes the grant durable too. A crash before the
+    /// claim leaves an attempt counted that never started; the reopened
+    /// ledger grants the record again as attempt 2.
     pub fn enqueue(
         &mut self,
         user: &UserId,
@@ -459,7 +478,7 @@ impl DeliveryLedger {
             text,
             idempotency_key: Arc::clone(&key),
             state: RecordState::Pending,
-            attempts: 0,
+            attempts: 1,
             not_before: SimTime::ZERO,
             lease: None,
             enqueued_at: now,
@@ -468,13 +487,13 @@ impl DeliveryLedger {
         self.journal.append(|out| encode_record(out, &record));
         self.live.insert(id, record);
         self.by_key.insert(key, id);
-        self.ready.insert((SimTime::ZERO, id));
+        self.handed.push_back(id);
         self.stats.enqueued += 1;
         self.counter("ledger.enqueued");
         id
     }
 
-    /// Withdraws a record no worker has ever leased, for the enqueuer
+    /// Withdraws a record no worker has claimed yet, for the enqueuer
     /// whose [`DeliveryLedger::commit`] just failed (call it before
     /// releasing the lock the enqueue was made under): the enqueuer is
     /// about to report the attempt failed, so the record must not reach a
@@ -483,19 +502,16 @@ impl DeliveryLedger {
     /// commit finally lands both replays to nothing.
     ///
     /// Returns `false`, changing nothing, when the record is unknown or
-    /// was ever leased: enqueue returned an existing record that an
-    /// earlier handoff committed, and a worker owns its outcome.
+    /// a worker has claimed it: enqueue returned an existing record that
+    /// an earlier handoff committed, and a worker owns its outcome.
     pub fn retract(&mut self, id: u64) -> bool {
-        let record = match self.live.entry(id) {
-            Entry::Occupied(held)
-                if held.get().state == RecordState::Pending && held.get().attempts == 0 =>
-            {
-                held.remove()
-            }
-            _ => return false,
+        let Some(at) = self.handed.iter().rposition(|&held| held == id) else {
+            return false;
         };
-        self.ready.remove(&(record.not_before, id));
-        self.by_key.remove(&record.idempotency_key);
+        self.handed.remove(at);
+        if let Some(record) = self.live.remove(&id) {
+            self.by_key.remove(&record.idempotency_key);
+        }
         self.journal.append(|out| {
             let _ = write!(out, "X\t{id}");
         });
@@ -505,12 +521,17 @@ impl DeliveryLedger {
 
     /// Grants `worker` up to `batch` time-bounded leases. Expired leases
     /// are reclaimed first (counted under `ledger.lease_expired`) — any
-    /// worker resumes any lease — then ready records whose `not_before`
-    /// has passed are granted in backoff order. Records that exhausted
-    /// `max_attempts` while leased dead-letter instead of being granted.
+    /// worker resumes any lease. Then handed records are claimed, oldest
+    /// first: their grant rode their `R` image, so a claim journals
+    /// nothing. Then ready records whose `not_before` has passed are
+    /// granted in backoff order, one `L` frame each. Records that
+    /// exhausted `max_attempts` while leased dead-letter instead of being
+    /// granted.
     ///
-    /// Lease grants buffer in the journal like any other transition; the
-    /// worker pool commits before performing the sends.
+    /// `L` frames buffer in the journal like any other transition; the
+    /// worker pool commits before performing the sends, which costs
+    /// nothing when the batch holds only claims and no outcome is
+    /// buffered.
     pub fn lease(&mut self, worker: &WorkerId, now: SimTime, batch: usize) -> Vec<LeasedWork> {
         // Phase 1: reclaim every expired lease.
         loop {
@@ -532,37 +553,53 @@ impl DeliveryLedger {
                 _ => break,
             }
         }
-        // Phase 2: grant from the ready queue.
+        // Phase 2: claim handed records.
         let mut granted = Vec::new();
+        while granted.len() < batch {
+            let Some(id) = self.handed.pop_front() else { break };
+            granted.extend(self.hold(worker, id, now, false));
+        }
+        // Phase 3: grant from the ready queue.
         while granted.len() < batch {
             let Some(&(not_before, id)) = self.ready.first() else { break };
             if not_before > now {
                 break;
             }
             self.ready.remove(&(not_before, id));
-            let expires_at = now + self.lease_duration;
-            let Some(record) = self.live.get_mut(&id) else { continue };
-            record.state = RecordState::Leased;
-            record.attempts += 1;
-            record.lease = Some(Lease { worker: worker.clone(), expires_at });
-            let attempts = record.attempts;
-            let work = LeasedWork {
-                id,
-                channel: record.channel,
-                address: Arc::clone(&record.address),
-                text: Arc::clone(&record.text),
-                idempotency_key: Arc::clone(&record.idempotency_key),
-                attempt: attempts,
-            };
+            granted.extend(self.hold(worker, id, now, true));
+        }
+        granted
+    }
+
+    /// Leases live record `id` to `worker` for `lease_duration`. A fresh
+    /// grant counts an attempt and journals it as `L`; a claim takes the
+    /// attempt the record's `R` image already counted and writes nothing.
+    fn hold(&mut self, worker: &WorkerId, id: u64, now: SimTime, fresh: bool) -> Option<LeasedWork> {
+        let expires_at = now + self.lease_duration;
+        let record = self.live.get_mut(&id)?;
+        record.state = RecordState::Leased;
+        record.attempts += u32::from(fresh);
+        record.lease = Some(Lease { worker: worker.clone(), expires_at });
+        let attempts = record.attempts;
+        let work = LeasedWork {
+            id,
+            channel: record.channel,
+            address: Arc::clone(&record.address),
+            text: Arc::clone(&record.text),
+            idempotency_key: Arc::clone(&record.idempotency_key),
+            attempt: attempts,
+        };
+        if fresh {
             self.journal.append(|out| {
                 let _ = write!(out, "L\t{id}\t{}\t{}\t{attempts}", escape(&worker.0), expires_at.as_millis());
             });
-            self.leased.insert((expires_at, id));
-            self.stats.leased += 1;
-            self.counter("ledger.leased");
-            granted.push(work);
+        } else {
+            self.stats.handed += 1;
         }
-        granted
+        self.leased.insert((expires_at, id));
+        self.stats.leased += 1;
+        self.counter("ledger.leased");
+        Some(work)
     }
 
     /// Verifies `worker` still holds `id`'s lease. A record that is no
@@ -1070,6 +1107,32 @@ mod tests {
     }
 
     #[test]
+    fn a_handed_records_first_grant_rides_its_image() {
+        let dir = temp_dir("handed");
+        let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
+        let mut ledger = DeliveryLedger::open(config.clone()).unwrap();
+        let id = ledger.enqueue(&user("ada"), 1, CommType::Im, "im:ada", "x", t(0));
+        ledger.commit().unwrap();
+        let work = ledger.lease(&worker("w0"), t(1), 8);
+        assert_eq!((work.len(), work[0].attempt), (1, 1));
+        assert!(!ledger.is_dirty(), "a claim writes nothing");
+        ledger.commit().unwrap();
+        let stats = ledger.stats();
+        assert_eq!(stats.commit_batches, 1, "the handoff's commit is the grant's");
+        assert_eq!((stats.leased, stats.handed), (1, 1));
+        drop(ledger); // the process dies mid-send
+
+        // The image counted the attempt; its re-grant is an `L` frame.
+        let mut ledger = DeliveryLedger::open(config).unwrap();
+        assert_eq!(ledger.records().next().unwrap().attempts, 1);
+        let work = ledger.lease(&worker("w1"), t(0), 8);
+        assert_eq!((work[0].id, work[0].attempt), (id, 2));
+        assert!(ledger.is_dirty(), "a re-grant is journalled");
+        assert_eq!(ledger.stats().handed, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn a_retracted_record_is_never_leased_and_does_not_survive_reopen() {
         let dir = temp_dir("retract");
         let config = LedgerConfig { dir: Some(dir.clone()), ..quick_config() };
@@ -1087,7 +1150,7 @@ mod tests {
         let granted = ledger.lease(&worker("w1"), t(2), 8);
         assert_eq!(granted.iter().map(|w| w.id).collect::<Vec<_>>(), [kept]);
         ledger.commit().unwrap();
-        assert!(!ledger.retract(kept), "a leased record belongs to its worker");
+        assert!(!ledger.retract(kept), "a claimed record belongs to its worker");
         assert_eq!(ledger.stats().retracted, 1);
         // The pair may be handed off afresh (the buddy's next block could
         // name the same channel).

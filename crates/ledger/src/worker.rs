@@ -7,10 +7,13 @@
 //! tests rely on) or an OS thread running its own `block_on` (`threads:
 //! true` — real parallelism for benchmarks and production).
 //!
-//! A worker's cycle is *lease → commit → send → record → yield*, one
-//! ledger commit per cycle: the commit after the lease makes the new
-//! grants durable together with the outcomes this worker (and anyone
-//! else) recorded since the last commit. Two invariants follow:
+//! A worker's cycle is *lease → commit → send → record → yield*. The
+//! commit after the lease makes durable whatever the journal buffers:
+//! re-grants, and the outcomes this worker (and anyone else) recorded
+//! since the last commit. Most batches buffer nothing: a record's first
+//! grant rides its `R` image in the shard worker's handoff commit, so
+//! claiming it writes nothing, and that handoff commit already carried
+//! every outcome recorded before it. Two invariants follow:
 //!
 //! * every lease grant is durable before its send, so a crash can only
 //!   ever re-deliver, never lose;
@@ -18,10 +21,12 @@
 //!   lost to a crash before that leaves its record owed, and the resend
 //!   meets the idempotency key.
 //!
-//! A lease that comes back empty still commits what is buffered before
-//! the worker idles, and a draining worker exits only once the ledger is
-//! clean. A worker leases only *after* its yield: leasing first would
-//! hold every batch through the yield unsent. A killed worker stops dead
+//! A lease that comes back empty commits nothing: an idle pool leaves its
+//! outcomes to the next commit, most often the next handoff's, and a
+//! crash before it re-delivers them. Only a draining worker commits on
+//! an empty lease, and it exits once the ledger is clean. A worker leases
+//! only *after* its yield: leasing first would hold every batch through
+//! the yield unsent. A killed worker stops dead
 //! between sends — it records nothing — and its leases expire for any
 //! surviving worker to resume, which is exactly the crash the
 //! idempotency keys exist to absorb.
@@ -241,14 +246,17 @@ impl Worker {
                 return self.stats;
             }
             let now = (self.clock)();
-            // Lease, then make the grants — and the outcomes recorded
-            // since the last commit — durable *before* sending: a crash
-            // after this point re-delivers, never loses.
+            // Lease, then make what is buffered — re-grants and the
+            // outcomes recorded since the last commit — durable *before*
+            // sending: a crash after this point re-delivers, never loses.
+            // An empty lease leaves the outcomes to the next commit
+            // unless the pool is draining.
             let (work, drained) = {
                 let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
                 let mut work = ledger.lease(&self.id, now, self.batch);
+                let draining = self.stop.load(Ordering::Acquire);
                 // simba-analyze: allow(concurrency.blocking-under-guard): a lease is only actionable once durable — lease+commit must be atomic under the ledger lock
-                if ledger.commit().is_err() {
+                if (draining || !work.is_empty()) && ledger.commit().is_err() {
                     self.stats.io_errors += 1;
                     // Non-durable leases must not be acted on; they sit
                     // leased in memory until they expire and retry.
@@ -278,8 +286,8 @@ impl Worker {
                 }
                 outcomes.push((item.id, self.channels.send(item)));
             }
-            // Outcomes buffer in the journal; the next lease's commit — this
-            // worker's, a sibling's or the shard worker's enqueue — makes
+            // Outcomes buffer in the journal; the next commit — the shard
+            // worker's next handoff, or a lease that finds work — makes
             // them durable.
             let now = (self.clock)();
             {
@@ -306,8 +314,8 @@ impl Worker {
             if self.yield_between_batches {
                 // On a shared executor a worker that always finds work
                 // would otherwise starve its siblings (and the caller).
-                // Without the yield (own thread) the next lease commits
-                // these outcomes at once.
+                // Without the yield (own thread) a next lease that finds
+                // work commits these outcomes at once.
                 tokio::time::sleep(Duration::from_millis(1)).await;
             }
         }
@@ -428,6 +436,37 @@ mod tests {
         let commits = ledger.lock().unwrap_or_else(PoisonError::into_inner).stats().commit_batches;
         let bound = records.div_ceil(batch as u64) + 1;
         assert!(commits <= bound, "{commits} commits for {records} records in batches of {batch} (bound {bound})");
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn an_idle_pools_outcomes_ride_the_next_handoff_commit() {
+        let records = 20u64;
+        let (ledger, channels, effects) = pool_fixture(1, 0);
+        let pool = LedgerWorkerPool::spawn(
+            Arc::clone(&ledger),
+            channels,
+            paused_clock(),
+            WorkerPoolConfig { workers: 1, ..WorkerPoolConfig::default() },
+        )
+        .expect("local spawn cannot fail");
+        let lock = || ledger.lock().unwrap_or_else(PoisonError::into_inner);
+        for i in 0..records {
+            // A handoff as the shard worker makes it: enqueue and commit
+            // under one guard.
+            {
+                let mut guard = lock();
+                let user = UserId::new(format!("user-{i}"));
+                guard.enqueue(&user, i, CommType::Im, "im:addr", "alert", SimTime::ZERO);
+                guard.commit().expect("in-memory commit cannot fail");
+            }
+            tokio::time::sleep(Duration::from_millis(10)).await;
+            assert_eq!(effects.lock().unwrap_or_else(PoisonError::into_inner).len() as u64, i + 1);
+            assert!(lock().is_dirty(), "record {i}: the idle pool left its outcome buffered");
+        }
+        assert_eq!(pool.drain().await.sent, records);
+        let stats = lock().stats();
+        assert_eq!(stats.handed, records, "every first grant rode its image");
+        assert_eq!(stats.commit_batches, records + 1, "one per handoff and one to drain");
     }
 
     /// Copies every file of `from` into a fresh `to`.

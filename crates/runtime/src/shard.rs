@@ -1207,11 +1207,14 @@ impl<C: Channels> Worker<C> {
                                 // Ledger-owned attempt: durable enqueue,
                                 // acknowledge the handoff, and let the
                                 // worker pool own send/retry/dead-letter.
-                                // A handoff whose commit failed is taken
-                                // back under the same guard, so an attempt
-                                // reported failed is never also sent. Only
-                                // a record some earlier handoff committed
-                                // can have been leased; that one stays.
+                                // The record's image carries its first
+                                // lease grant, so this commit is the one
+                                // its send waits on. A handoff whose
+                                // commit failed is taken back under the
+                                // same guard, so an attempt reported
+                                // failed is never also sent. Only a record
+                                // some earlier handoff committed can have
+                                // been claimed; that one stays.
                                 let accepted = {
                                     let mut guard =
                                         ledger.lock().unwrap_or_else(PoisonError::into_inner);

@@ -128,7 +128,7 @@ impl Subject for DeliveryLedger {
     fn open(dir: &Path, segment_max_bytes: u64) -> Result<Self, bool> {
         let config = LedgerConfig {
             segment_max_bytes,
-            max_attempts: 2,
+            max_attempts: 3,
             base_backoff: SimDuration::from_millis(10),
             ..LedgerConfig::on_disk(dir)
         };
@@ -145,7 +145,10 @@ impl Subject for DeliveryLedger {
             0 => enqueue("alice", 1, CommType::Im, "first"),
             1 => enqueue("bob", 2, CommType::Email, "tab\tand\nnewline"),
             4 => enqueue("car\tol", 3, CommType::Sms, "carried by the rotation"),
-            // Leases go out one at a time, lowest ready record first.
+            // Leases go out one at a time. Op 2 claims alice's handed
+            // record, whose image counted the grant, so it writes nothing
+            // (it comes before the rotation); after the reopens every
+            // lease is a re-grant of the lowest ready record, one frame.
             2 | 5 | 7 | 9 => {
                 let granted = self.lease(&worker, now, 1);
                 assert_eq!(granted.len(), 1, "op {op}");
@@ -156,7 +159,9 @@ impl Subject for DeliveryLedger {
                 self.record_sent(&worker, id, now).unwrap();
                 id
             }
-            // Bob's send fails twice: a retry, then (max_attempts = 2) the DLQ.
+            // Bob's handoff grant died unclaimed with the first process
+            // (attempt 1); his sends then fail twice: a retry, then
+            // (max_attempts = 3) the DLQ.
             6 | 10 => {
                 self.record_failed(&worker, 1, "carrier\tdown", now).unwrap();
                 1
