@@ -15,11 +15,11 @@ use crate::experiments::ExperimentOutput;
 use crate::harness::standard_config;
 use crate::report::Table;
 use simba_core::alert::{Alert, AlertId, IncomingAlert, Urgency};
-use simba_core::dedup::DuplicateDetector;
+use simba_core::horizon::Horizon;
 use simba_core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
 use simba_core::shardlog::UserShardWal;
 use simba_core::subscription::UserId;
-use simba_sim::{SimRng, SimTime};
+use simba_sim::{SimDuration, SimRng, SimTime};
 
 /// Alerts pushed through the buddy per arm.
 pub const ALERTS: u64 = 5_000;
@@ -52,7 +52,7 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
     let fresh_log = || UserShardWal::in_memory(UserId::new("alice"));
     let mut wal = fresh_log();
     let mut mab = MyAlertBuddy::new(config.clone(), wal.clone(), SimTime::ZERO);
-    let mut dedup = DuplicateDetector::daily();
+    let mut dedup = Horizon::new(SimDuration::from_hours(24), usize::MAX);
 
     let mut acked_without_delivery = 0u64;
     let mut delivered = 0u64;
@@ -103,7 +103,7 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
                 received_at: now,
                 urgency: Urgency::Critical,
             };
-            if dedup.observe(&delivered_alert, now) {
+            if dedup.first_seen(delivered_alert.dedup_key(), now) {
                 got_fresh = true;
             }
         }
@@ -117,7 +117,7 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
     A2Arm {
         logging,
         acked_but_lost: acked_without_delivery,
-        duplicates_discarded: dedup.duplicates(),
+        duplicates_discarded: dedup.hits(),
         delivered,
         crashes,
     }

@@ -11,15 +11,18 @@
 //! * enqueue `deliveries` records (full scale: 100 000) into an on-disk
 //!   ledger and group-commit them — this is the §4.2.1 durable-before-ack
 //!   boundary moved down a layer;
-//! * drain with `workers` OS threads (the thread-per-shard runner shape),
-//!   leases granted durably before any send;
-//! * at ~25 % progress, throw the kill switch on `kills` workers (they
-//!   stop dead between sends, recording nothing) and force-expire every
-//!   outstanding lease — the worst legal interleaving;
+//! * drain with a pool of `workers` tasks on one executor, leases granted
+//!   durably before any send;
+//! * at ~25 % progress, arm `kills` workers' adapters: each throws its
+//!   own worker's kill switch during the first send of its next batch,
+//!   so the worker dies between two sends of that batch, recording
+//!   nothing; then force-expire every outstanding lease — the worst
+//!   legal interleaving;
 //! * survivors reclaim the abandoned leases; the channel adapter counts
 //!   effects per idempotency key;
 //! * assert the matrix: ledger fully drained, every key's effect count
-//!   exactly 1, expiries and reclaims actually happened.
+//!   exactly 1, expiries, reclaims and idempotent dedups actually
+//!   happened.
 //!
 //! Throughput (deliveries per wall second over the drain window) is a
 //! printed column, not a gate.
@@ -35,6 +38,7 @@ use simba_ledger::{
 use simba_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Experiment shape. [`E9Options::full`] is the recorded configuration;
@@ -43,32 +47,33 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct E9Options {
     /// Channel attempts enqueued (one ledger record each).
     pub deliveries: usize,
-    /// Pool workers (OS threads in the measured shape).
+    /// Pool workers.
     pub workers: usize,
     /// Workers killed mid-run. Must be < `workers`.
     pub kills: usize,
     /// Leases granted per worker cycle (commit amortization lever).
     pub batch: usize,
-    /// Thread-per-worker (the measured shape) vs. local tasks on a
-    /// paused executor (the deterministic unit-test shape).
-    pub threads: bool,
 }
 
 impl E9Options {
     /// Full scale: 4 workers × 100 k deliveries, 2 killed.
     pub fn full() -> Self {
-        E9Options { deliveries: 100_000, workers: 4, kills: 2, batch: 256, threads: true }
+        E9Options { deliveries: 100_000, workers: 4, kills: 2, batch: 256 }
     }
 
     /// CI smoke: 4 workers × 20 k deliveries, 2 killed.
     pub fn smoke() -> Self {
-        E9Options { deliveries: 20_000, workers: 4, kills: 2, batch: 256, threads: true }
+        E9Options { deliveries: 20_000, workers: 4, kills: 2, batch: 256 }
     }
 
     fn validate(&self) {
         assert!(self.workers >= 1, "need at least one worker");
         assert!(self.kills < self.workers, "at least one worker must survive the kills");
         assert!(self.deliveries >= 1, "need at least one delivery");
+        assert!(
+            self.kills == 0 || self.deliveries / 2 >= self.workers * self.batch,
+            "a victim must still find a full batch after the quarter mark"
+        );
     }
 }
 
@@ -106,16 +111,26 @@ pub struct E9Numbers {
     pub throughput: f64,
 }
 
+/// Where `drive` arms a victim's adapter: the kill switch of the
+/// adapter's own worker, thrown (and taken) by its next send.
+type Armed = Arc<Mutex<Option<Arc<AtomicBool>>>>;
+
 /// The counting adapter: one entry per idempotency key, `Duplicate` on
 /// re-sight — the same contract `runtime::LedgerChannelBridge` installs
 /// over real channels, reduced to its observable core so the bench
 /// measures the ledger, not a channel simulation.
 struct CountingChannels {
     effects: Arc<Mutex<HashMap<String, u32>>>,
+    armed: Armed,
 }
 
 impl LedgerChannels for CountingChannels {
     fn send(&mut self, work: &LeasedWork) -> ChannelResult {
+        // The crash: this send happens, but its worker dies before the
+        // next one and records neither.
+        if let Some(switch) = self.armed.lock().unwrap_or_else(PoisonError::into_inner).take() {
+            switch.store(true, Ordering::Release);
+        }
         let mut effects = self.effects.lock().unwrap_or_else(PoisonError::into_inner);
         let count = effects.entry(work.idempotency_key.to_string()).or_insert(0);
         if *count > 0 {
@@ -141,14 +156,14 @@ struct RawE9 {
     wall_secs: f64,
 }
 
-async fn drive(opts: E9Options, dir: &PathBuf, clock: LedgerClock) -> RawE9 {
+async fn drive(opts: E9Options, dir: PathBuf, clock: LedgerClock) -> RawE9 {
     let config = LedgerConfig {
         // Short leases: abandoned work must be reclaimable well inside
         // the bench window even without the forced expiry.
         lease_duration: SimDuration::from_millis(200),
         base_backoff: SimDuration::from_millis(1),
         max_backoff: SimDuration::from_millis(20),
-        ..LedgerConfig::on_disk(dir)
+        ..LedgerConfig::on_disk(&dir)
     };
     let ledger = Arc::new(Mutex::new(DeliveryLedger::open(config).expect("open E9 ledger")));
     let effects: Arc<Mutex<HashMap<String, u32>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -162,23 +177,13 @@ async fn drive(opts: E9Options, dir: &PathBuf, clock: LedgerClock) -> RawE9 {
             guard.enqueue(&user, i as u64, CommType::Im, "im:addr", "alert", SimTime::ZERO);
         }
         guard.commit().expect("commit enqueues");
-        // One worker "crashed" before the pool even started: a batch of
-        // leases durably granted to an id that will never report. The
-        // forced expiry below hands them to the live pool — so the
-        // reclaim path is exercised even on the deterministic
-        // single-task executor, where the pool's own kill always lands
-        // between (atomic) batch cycles.
-        if opts.kills > 0 {
-            let phantom = simba_ledger::WorkerId::new("pre-crash");
-            let orphaned = guard.lease(&phantom, SimTime::ZERO, opts.batch);
-            assert!(!orphaned.is_empty(), "phantom worker must orphan some leases");
-            guard.commit().expect("commit phantom leases");
-        }
     }
 
-    let adapters: Vec<Box<dyn LedgerChannels>> = (0..opts.workers)
-        .map(|_| {
-            Box::new(CountingChannels { effects: Arc::clone(&effects) })
+    let armed: Vec<Armed> = (0..opts.workers).map(|_| Armed::default()).collect();
+    let adapters: Vec<Box<dyn LedgerChannels>> = armed
+        .iter()
+        .map(|armed| {
+            Box::new(CountingChannels { effects: Arc::clone(&effects), armed: Arc::clone(armed) })
                 as Box<dyn LedgerChannels>
         })
         .collect();
@@ -187,30 +192,35 @@ async fn drive(opts: E9Options, dir: &PathBuf, clock: LedgerClock) -> RawE9 {
         Arc::clone(&ledger),
         adapters,
         clock,
-        WorkerPoolConfig {
-            workers: opts.workers,
-            batch: opts.batch,
-            threads: opts.threads,
-            ..WorkerPoolConfig::default()
-        },
+        WorkerPoolConfig { workers: opts.workers, batch: opts.batch },
     )
     .expect("spawn E9 pool");
 
-    // Crash injection at ~25 % progress: kill switches stop the victims
-    // dead between sends (they record nothing), and the forced expiry
-    // hands every outstanding lease — the victims' and the survivors' —
-    // to whoever leases next.
+    // Crash injection at ~25 % progress. A worker's batch runs without a
+    // yield, so this task only ever runs between batches: a victim's
+    // next send is the first of its next batch, and its worker dies
+    // before the second. The forced expiry then hands every outstanding
+    // lease — the victims' and the survivors' — to whoever leases next.
     if opts.kills > 0 {
         let quarter = (opts.deliveries / 4).max(1);
-        loop {
-            let done = effects.lock().unwrap_or_else(PoisonError::into_inner).len();
-            if done >= quarter {
-                break;
-            }
-            tokio::time::sleep(std::time::Duration::from_millis(1)).await;
+        let pause = || tokio::time::sleep(std::time::Duration::from_millis(1));
+        while effects.lock().unwrap_or_else(PoisonError::into_inner).len() < quarter {
+            pause().await;
         }
-        for victim in 0..opts.kills {
-            pool.kill(victim);
+        for (victim, armed) in armed.iter().enumerate().take(opts.kills) {
+            *armed.lock().unwrap_or_else(PoisonError::into_inner) = pool.kill_switch(victim);
+        }
+        // A victim that never leases again (the survivors drained the
+        // rest first) would leave its switch armed forever: fail instead
+        // of waiting for it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while armed.iter().any(|armed| armed.lock().unwrap_or_else(PoisonError::into_inner).is_some()) {
+            let drained = ledger.lock().unwrap_or_else(PoisonError::into_inner).is_drained();
+            assert!(
+                !drained && std::time::Instant::now() < deadline,
+                "every victim must take its armed kill switch before the ledger drains"
+            );
+            pause().await;
         }
         ledger.lock().unwrap_or_else(PoisonError::into_inner).force_expire_leases();
     }
@@ -232,24 +242,10 @@ async fn drive(opts: E9Options, dir: &PathBuf, clock: LedgerClock) -> RawE9 {
 pub fn measure(opts: E9Options) -> (E9Numbers, Vec<Table>) {
     opts.validate();
     let dir = scratch_dir();
-    let raw = if opts.threads {
-        let epoch = std::time::Instant::now();
-        let clock: LedgerClock =
-            Arc::new(move || SimTime::from_millis(epoch.elapsed().as_millis() as u64));
-        let dir = dir.clone();
-        tokio::runtime::block_on(async move { drive(opts, &dir, clock).await })
-    } else {
-        let dir = dir.clone();
-        tokio::runtime::block_on_test(true, async move {
-            let epoch = tokio::time::Instant::now();
-            let clock: LedgerClock = Arc::new(move || {
-                SimTime::from_millis(
-                    tokio::time::Instant::now().duration_since(epoch).as_millis() as u64,
-                )
-            });
-            drive(opts, &dir, clock).await
-        })
-    };
+    let epoch = std::time::Instant::now();
+    let clock: LedgerClock =
+        Arc::new(move || SimTime::from_millis(epoch.elapsed().as_millis() as u64));
+    let raw = tokio::runtime::block_on(drive(opts, dir.clone(), clock));
     let _ = std::fs::remove_dir_all(&dir);
 
     let total = opts.deliveries as u64;
@@ -287,18 +283,21 @@ pub fn measure(opts: E9Options) -> (E9Numbers, Vec<Table>) {
             numbers.lease_expiries > 0,
             "the forced expiry must actually reclaim leases"
         );
+        assert!(
+            numbers.deduped > 0,
+            "a victim's unrecorded sends must come back as idempotent dedups"
+        );
     }
 
     let mut config = Table::new(
         "E9: ledger crash-drain configuration",
-        &["deliveries", "workers", "killed", "batch", "threads"],
+        &["deliveries", "workers", "killed", "batch"],
     );
     config.row(&[
         total.to_string(),
         opts.workers.to_string(),
         opts.kills.to_string(),
         opts.batch.to_string(),
-        opts.threads.to_string(),
     ]);
 
     let mut matrix = Table::new(
@@ -395,11 +394,10 @@ mod tests {
 
     #[test]
     fn e9_tiny_shape_holds_the_matrix() {
-        // Deterministic shape: local tasks on the paused executor, one
-        // kill. The exactly-once assertions run inside measure(); no
-        // throughput floor at test scale.
-        let opts =
-            E9Options { deliveries: 300, workers: 3, kills: 1, batch: 16, threads: false };
+        // One kill. The exactly-once assertions (and that the victim's
+        // sends came back as dedups) run inside measure(); no throughput
+        // floor at test scale.
+        let opts = E9Options { deliveries: 300, workers: 3, kills: 1, batch: 16 };
         let (n, _) = measure(opts);
         assert_eq!(n.deliveries, 300);
         assert_eq!(n.effects, 300);

@@ -240,6 +240,17 @@ mod tests {
         // Same alert re-sent after a crash: different id and receive time,
         // same dedup key.
         assert_eq!(mk(1, 101).dedup_key(), mk(2, 160).dedup_key());
+        // Source, category and origin each make up the key: changing any
+        // one of them is a different alert, not a replay.
+        let key = mk(1, 101).dedup_key();
+        let other_source = Alert { source: "wish".into(), ..mk(2, 160) };
+        let other_category = Alert { category: "Home.Water".into(), ..mk(2, 160) };
+        let other_origin = Alert { origin_timestamp: SimTime::from_secs(200), ..mk(2, 160) };
+        for (what, alert) in
+            [("source", other_source), ("category", other_category), ("origin", other_origin)]
+        {
+            assert_ne!(alert.dedup_key(), key, "a different {what} must change the key");
+        }
     }
 
     #[test]

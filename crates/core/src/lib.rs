@@ -20,8 +20,9 @@
 //!   component writes through) and [`shardlog`] (every buddy's WAL over
 //!   it, in memory or on disk), [`mdc`] (the Master Daemon
 //!   Controller watchdog), [`stabilize`] (self-stabilization invariant
-//!   checks), [`rejuvenate`] (software rejuvenation policy), and [`dedup`]
-//!   (timestamp-based duplicate suppression at the user).
+//!   checks), [`rejuvenate`] (software rejuvenation policy), and
+//!   [`horizon`] (the one bounded first-seen set: timestamp-based
+//!   duplicate suppression at the user, idempotent sends, rule dedupe).
 //!
 //! Everything here is an event-driven state machine over
 //! [`simba_sim::SimTime`]: the same code runs under the deterministic
@@ -33,8 +34,8 @@
 pub mod address;
 pub mod alert;
 pub mod classify;
-pub mod dedup;
 pub mod delivery;
+pub mod horizon;
 pub mod journal;
 pub mod mab;
 pub mod mdc;
@@ -52,10 +53,10 @@ pub mod wal;
 pub use address::{Address, AddressBook, CommType};
 pub use alert::{Alert, AlertId, DigestAlert, IncomingAlert, Urgency};
 pub use classify::{Classifier, KeywordField};
-pub use dedup::DuplicateDetector;
 pub use delivery::{
     AttemptId, DeliveryCommand, DeliveryEvent, DeliveryProcess, DeliveryStatus, SendFailure,
 };
+pub use horizon::Horizon;
 pub use mab::{MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 pub use mdc::{MasterDaemonController, MdcAction, MdcConfig};
 pub use mode::{AckPolicy, Block, DeliveryMode};

@@ -19,6 +19,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+/// Read/write timeout for a single request/response exchange.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -26,8 +29,6 @@ pub struct ClientConfig {
     pub max_attempts: u32,
     /// Pause between attempts.
     pub retry_backoff: Duration,
-    /// Read/write timeout for a single request/response exchange.
-    pub io_timeout: Duration,
     /// Largest reply payload accepted.
     pub max_payload: u32,
 }
@@ -37,7 +38,6 @@ impl Default for ClientConfig {
         ClientConfig {
             max_attempts: 4,
             retry_backoff: Duration::from_millis(25),
-            io_timeout: Duration::from_secs(2),
             max_payload: proto::DEFAULT_MAX_PAYLOAD,
         }
     }
@@ -293,8 +293,8 @@ impl GatewayClient {
                 match TcpStream::connect(&self.addr) {
                     Ok(stream) => {
                         let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(self.config.io_timeout));
-                        let _ = stream.set_write_timeout(Some(self.config.io_timeout));
+                        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                         if self.seq > 0 {
                             self.reconnects += 1;
                         }

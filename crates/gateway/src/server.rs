@@ -54,6 +54,11 @@ use std::time::{Duration, Instant};
 const CONN_TICK: Duration = Duration::from_millis(1);
 /// A connection's read buffer; it grows only for a frame longer than this.
 const READ_BUF: usize = 64 * 1024;
+/// Accepted-socket hand-off queue length; beyond it, connections are
+/// shed at accept time.
+const ACCEPT_BACKLOG: usize = 64;
+/// Retry hint (ms) sent with `QueueFull` / `ConnBusy` / `Shutdown` nacks.
+const SHED_RETRY_AFTER_MS: u32 = 100;
 
 /// Gateway tuning knobs. The defaults suit tests and the CLI; the bench
 /// raises the queue sizes.
@@ -63,9 +68,6 @@ pub struct GatewayConfig {
     pub addr: String,
     /// Worker threads (= concurrently served connections).
     pub workers: usize,
-    /// Accepted-socket hand-off queue length; beyond it, connections are
-    /// shed at accept time.
-    pub accept_backlog: usize,
     /// Per-connection cap on submissions admitted but not yet routed.
     pub per_conn_inflight: usize,
     /// Optional per-source token bucket.
@@ -81,8 +83,6 @@ pub struct GatewayConfig {
     /// When set, submissions for users outside this set are nacked
     /// `UnknownUser` at the gate instead of bouncing off the host.
     pub known_users: Option<BTreeSet<String>>,
-    /// Retry hint sent with `QueueFull` / `ConnBusy` nacks.
-    pub shed_retry_after: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -90,14 +90,12 @@ impl Default for GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            accept_backlog: 64,
             per_conn_inflight: 256,
             rate_limit: None,
             idle_timeout: Duration::from_secs(5),
             read_poll: Duration::from_millis(25),
             max_payload: proto::DEFAULT_MAX_PAYLOAD,
             known_users: None,
-            shed_retry_after: Duration::from_millis(100),
         }
     }
 }
@@ -233,7 +231,6 @@ impl GatewayServer {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let backlog = config.accept_backlog.max(1);
         let shared = Arc::new(Shared {
             buckets: TokenBuckets::new(config.rate_limit),
             counters: Counters::new(&telemetry),
@@ -246,7 +243,7 @@ impl GatewayServer {
             rules,
         });
 
-        let (socket_tx, socket_rx) = std::sync::mpsc::sync_channel::<TcpStream>(backlog);
+        let (socket_tx, socket_rx) = std::sync::mpsc::sync_channel::<TcpStream>(ACCEPT_BACKLOG);
         let socket_rx = Arc::new(Mutex::new(socket_rx));
         let mut worker_handles = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -328,8 +325,8 @@ fn shed_connection(shared: &Shared, mut stream: TcpStream) {
             .telemetry
             .emit(Event::new("gateway.conn_shed", shared.now_ms()));
     }
-    let retry = shared.config.shed_retry_after.as_millis() as u32;
-    let nack = Frame::Nack { seq: 0, reason: NackReason::QueueFull, retry_after_ms: retry };
+    let nack =
+        Frame::Nack { seq: 0, reason: NackReason::QueueFull, retry_after_ms: SHED_RETRY_AFTER_MS };
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = stream.write_all(&proto::encode_to_vec(&nack));
 }
@@ -371,7 +368,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 
     loop {
         if shared.stop.load(Ordering::SeqCst) {
-            return nack_shutdown(shared, &mut stream);
+            return nack_shutdown(&mut stream);
         }
         if filled == inbuf.len() {
             // The frame at the front is longer than the buffer; its header
@@ -492,9 +489,8 @@ fn admit(shared: &Shared, slot: &Arc<AtomicUsize>, submit: SubmitRef<'_>) -> Fra
             return Frame::Nack { seq, reason: NackReason::UnknownUser, retry_after_ms: 0 };
         }
     }
-    let retry_after = shared.config.shed_retry_after.as_millis() as u32;
     if slot.load(Ordering::Relaxed) >= shared.config.per_conn_inflight {
-        return shed(shared, seq, NackReason::ConnBusy, retry_after, source);
+        return shed(shared, seq, NackReason::ConnBusy, SHED_RETRY_AFTER_MS, source);
     }
     let admitted = shared.buckets.try_take(source);
     // Surface any buckets the amortized idle sweep just dropped, on
@@ -526,7 +522,7 @@ fn admit(shared: &Shared, slot: &Arc<AtomicUsize>, submit: SubmitRef<'_>) -> Fra
         }
         Err(submission) => {
             slot.fetch_sub(1, Ordering::Relaxed);
-            shed(shared, seq, NackReason::QueueFull, retry_after, &submission.source)
+            shed(shared, seq, NackReason::QueueFull, SHED_RETRY_AFTER_MS, &submission.source)
         }
     }
 }
@@ -657,9 +653,9 @@ fn close_idle(shared: &Shared, mid_frame: bool) {
     }
 }
 
-fn nack_shutdown(shared: &Shared, stream: &mut TcpStream) {
-    let retry = shared.config.shed_retry_after.as_millis() as u32;
-    let nack = Frame::Nack { seq: 0, reason: NackReason::Shutdown, retry_after_ms: retry };
+fn nack_shutdown(stream: &mut TcpStream) {
+    let nack =
+        Frame::Nack { seq: 0, reason: NackReason::Shutdown, retry_after_ms: SHED_RETRY_AFTER_MS };
     let _ = stream.write_all(&proto::encode_to_vec(&nack));
 }
 

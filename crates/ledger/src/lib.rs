@@ -35,8 +35,11 @@
 //! external send may happen twice. Every outbound send therefore carries
 //! the record's stable **idempotency key** (`user/delivery/channel` —
 //! stamped at enqueue, identical across every retry and re-lease), and
-//! channel adapters dedupe on it (`simba_net::dedupe::IdempotencyFilter`),
-//! making the *visible* effect exactly-once.
+//! channel adapters dedupe on it (`runtime::LedgerChannelBridge`, through
+//! a `simba_core::horizon::Horizon`), making the *visible* effect
+//! exactly-once. The worker pool runs every worker on the caller's
+//! executor, which keeps an adapter's record → send → forget of a key
+//! free of interleaving (see the `worker` module).
 //!
 //! # Durability
 //!

@@ -1,11 +1,14 @@
 //! The ledger worker pool: N workers draining leases into channel
 //! adapters, with per-worker kill switches for crash injection.
 //!
-//! The pool reuses the thread-per-shard runner shape from
-//! `runtime::shard`: each worker is either a task on the current tokio
-//! executor (`threads: false` — the deterministic shape `start_paused`
-//! tests rely on) or an OS thread running its own `block_on` (`threads:
-//! true` — real parallelism for benchmarks and production).
+//! Every worker is a task on the caller's executor, so the whole pool
+//! runs on one thread. That keeps a channel adapter's record → send →
+//! forget of an idempotency key atomic: a send has no yield point, so no
+//! sibling can re-lease the record in between. On parallel threads one
+//! could: it would find the key and close the record as a duplicate of
+//! a send that then failed, leaving an accepted alert terminal with no
+//! visible send. One executor is also the deterministic shape
+//! `start_paused` tests rely on.
 //!
 //! A worker's cycle is *lease → commit → send → record → yield*. The
 //! commit after the lease makes durable whatever the journal buffers:
@@ -32,10 +35,14 @@
 //! idempotency keys exist to absorb.
 
 use crate::ledger::{LeasedWork, LedgerError, SharedLedger, WorkerId};
-use simba_sim::{SimDuration, SimTime};
+use simba_sim::SimTime;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
+
+/// How long an idle worker sleeps before re-polling the ledger.
+const IDLE_BACKOFF: Duration = Duration::from_millis(5);
 
 /// How a channel adapter resolved one outbound send.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,21 +75,11 @@ pub struct WorkerPoolConfig {
     pub workers: usize,
     /// Most leases granted per cycle.
     pub batch: usize,
-    /// `true`: one OS thread per worker. `false`: tokio tasks on the
-    /// current executor.
-    pub threads: bool,
-    /// How long an idle worker sleeps before re-polling the ledger.
-    pub idle_backoff: SimDuration,
 }
 
 impl Default for WorkerPoolConfig {
     fn default() -> Self {
-        WorkerPoolConfig {
-            workers: 4,
-            batch: 64,
-            threads: false,
-            idle_backoff: SimDuration::from_millis(5),
-        }
+        WorkerPoolConfig { workers: 4, batch: 64 }
     }
 }
 
@@ -118,14 +115,9 @@ impl PoolStats {
     }
 }
 
-enum WorkerTask {
-    Local(tokio::task::JoinHandle<PoolStats>),
-    Thread(std::thread::JoinHandle<PoolStats>),
-}
-
 struct WorkerHandle {
     kill: Arc<AtomicBool>,
-    task: WorkerTask,
+    task: tokio::task::JoinHandle<PoolStats>,
 }
 
 /// A running pool of ledger workers. Construct with
@@ -138,19 +130,20 @@ pub struct LedgerWorkerPool {
 }
 
 impl LedgerWorkerPool {
-    /// Spawns `config.workers` workers against `ledger`. `channels`
-    /// supplies each worker its own adapter (its length caps the worker
-    /// count); `clock` supplies the shared notion of now.
+    /// Spawns `config.workers` workers against `ledger` as tasks on the
+    /// current executor. `channels` supplies each worker its own adapter
+    /// (its length caps the worker count); `clock` supplies the shared
+    /// notion of now.
     ///
     /// # Errors
     ///
-    /// Thread spawn failure (`threads: true` only).
+    /// None: spawning a task cannot fail.
     pub fn spawn(
         ledger: SharedLedger,
         channels: Vec<Box<dyn LedgerChannels>>,
         clock: LedgerClock,
         config: WorkerPoolConfig,
-    ) -> std::io::Result<Self> {
+    ) -> Result<Self, Infallible> {
         let stop = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::new();
         for (index, adapter) in channels.into_iter().enumerate().take(config.workers.max(1)) {
@@ -161,21 +154,11 @@ impl LedgerWorkerPool {
                 channels: adapter,
                 clock: Arc::clone(&clock),
                 batch: config.batch.max(1),
-                idle: Duration::from_millis(config.idle_backoff.as_millis().max(1)),
-                yield_between_batches: !config.threads,
                 kill: Arc::clone(&kill),
                 stop: Arc::clone(&stop),
                 stats: PoolStats::default(),
             };
-            let task = if config.threads {
-                let thread = std::thread::Builder::new()
-                    .name(format!("simba-ledger-{index:03}"))
-                    .spawn(move || tokio::runtime::block_on(worker.run()))?;
-                WorkerTask::Thread(thread)
-            } else {
-                WorkerTask::Local(tokio::spawn(worker.run()))
-            };
-            workers.push(WorkerHandle { kill, task });
+            workers.push(WorkerHandle { kill, task: tokio::spawn(worker.run()) });
         }
         Ok(LedgerWorkerPool { stop, workers })
     }
@@ -188,9 +171,16 @@ impl LedgerWorkerPool {
     /// Throws worker `index`'s kill switch: it dies between sends
     /// without recording outcomes, abandoning any leases it holds.
     pub fn kill(&self, index: usize) {
-        if let Some(handle) = self.workers.get(index) {
-            handle.kill.store(true, Ordering::Release);
+        if let Some(switch) = self.kill_switch(index) {
+            switch.store(true, Ordering::Release);
         }
+    }
+
+    /// Worker `index`'s kill switch itself, for a caller that throws it
+    /// from inside a send (a channel adapter): the worker then dies
+    /// between that send and the next one of the same batch.
+    pub fn kill_switch(&self, index: usize) -> Option<Arc<AtomicBool>> {
+        self.workers.get(index).map(|handle| Arc::clone(&handle.kill))
     }
 
     /// Tells every worker to exit once the ledger drains, then joins
@@ -202,19 +192,8 @@ impl LedgerWorkerPool {
         self.stop.store(true, Ordering::Release);
         let mut total = PoolStats::default();
         for handle in self.workers {
-            match handle.task {
-                WorkerTask::Local(task) => {
-                    if let Ok(stats) = task.await {
-                        total.absorb(stats);
-                    }
-                }
-                // The worker saw `stop` and is exiting; the join is a
-                // formality, not a wait for work.
-                WorkerTask::Thread(thread) => {
-                    if let Ok(stats) = thread.join() {
-                        total.absorb(stats);
-                    }
-                }
+            if let Ok(stats) = handle.task.await {
+                total.absorb(stats);
             }
         }
         total
@@ -227,8 +206,6 @@ struct Worker {
     channels: Box<dyn LedgerChannels>,
     clock: LedgerClock,
     batch: usize,
-    idle: Duration,
-    yield_between_batches: bool,
     kill: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     stats: PoolStats,
@@ -269,7 +246,7 @@ impl Worker {
                 if self.stop.load(Ordering::Acquire) && drained {
                     return self.stats;
                 }
-                tokio::time::sleep(self.idle).await;
+                tokio::time::sleep(IDLE_BACKOFF).await;
                 continue;
             }
             self.stats.lease_batches += 1;
@@ -311,13 +288,9 @@ impl Worker {
                     }
                 }
             }
-            if self.yield_between_batches {
-                // On a shared executor a worker that always finds work
-                // would otherwise starve its siblings (and the caller).
-                // Without the yield (own thread) a next lease that finds
-                // work commits these outcomes at once.
-                tokio::time::sleep(Duration::from_millis(1)).await;
-            }
+            // A worker that always finds work would otherwise starve its
+            // siblings (and the caller) on the shared executor.
+            tokio::time::sleep(Duration::from_millis(1)).await;
         }
     }
 }
@@ -328,11 +301,12 @@ mod tests {
     use crate::ledger::{DeliveryLedger, LedgerConfig};
     use simba_core::address::CommType;
     use simba_core::subscription::UserId;
+    use simba_sim::SimDuration;
     use std::collections::HashMap;
     use std::sync::Mutex;
 
-    /// Scripted adapter: dedupes on idempotency key like the real
-    /// `simba_net` filter, optionally failing the first N sends.
+    /// Scripted adapter: dedupes on idempotency key like the runtime's
+    /// ledger bridge, optionally failing the first N sends.
     struct FakeChannels {
         effects: Arc<Mutex<HashMap<String, u32>>>,
         fail_first: Arc<Mutex<u32>>,
@@ -408,7 +382,7 @@ mod tests {
             Arc::clone(&ledger),
             channels,
             paused_clock(),
-            WorkerPoolConfig { workers: 3, batch: 16, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 3, batch: 16 },
         )
         .expect("local spawn cannot fail");
         let stats = pool.drain().await;
@@ -428,7 +402,7 @@ mod tests {
             Arc::clone(&ledger),
             channels,
             paused_clock(),
-            WorkerPoolConfig { workers: 3, batch, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 3, batch },
         )
         .expect("local spawn cannot fail");
         let stats = pool.drain().await;
@@ -535,7 +509,7 @@ mod tests {
             Arc::clone(&ledger),
             vec![Box::new(probe)],
             paused_clock(),
-            WorkerPoolConfig { workers: 1, batch, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 1, batch },
         )
         .expect("local spawn cannot fail");
         assert_eq!(pool.drain().await.sent, 20);
@@ -552,7 +526,7 @@ mod tests {
             Arc::clone(&ledger),
             channels,
             paused_clock(),
-            WorkerPoolConfig { workers: 2, batch: 8, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 2, batch: 8 },
         )
         .expect("local spawn cannot fail");
         let stats = pool.drain().await;
@@ -570,7 +544,7 @@ mod tests {
             Arc::clone(&ledger),
             channels,
             paused_clock(),
-            WorkerPoolConfig { workers: 2, batch: 8, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 2, batch: 8 },
         )
         .expect("local spawn cannot fail");
         // Let the pool get into flight, then kill worker 0 mid-stream.

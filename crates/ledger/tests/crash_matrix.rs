@@ -296,7 +296,7 @@ async fn pool_crash_and_reopen_loses_nothing_and_doubles_nothing() {
             Arc::clone(&ledger),
             adapters(2, &effects),
             Arc::clone(&clock),
-            WorkerPoolConfig { workers: 2, batch: 8, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 2, batch: 8 },
         )
         .expect("spawn pool");
         tokio::time::sleep(std::time::Duration::from_millis(4)).await;
@@ -321,7 +321,7 @@ async fn pool_crash_and_reopen_loses_nothing_and_doubles_nothing() {
             Arc::clone(&ledger),
             adapters(2, &effects),
             Arc::clone(&clock),
-            WorkerPoolConfig { workers: 2, batch: 8, ..WorkerPoolConfig::default() },
+            WorkerPoolConfig { workers: 2, batch: 8 },
         )
         .expect("spawn second pool");
         pool.drain().await;

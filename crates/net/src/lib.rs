@@ -18,12 +18,11 @@
 //!   end-to-end dependability means in this paper.
 //!
 //! Shared building blocks: [`latency`] (delay distributions), [`loss`]
-//! (drop processes including a Gilbert–Elliott burst model), [`outage`]
-//! (service up/down schedules), and [`dedupe`] (bounded idempotency-key
-//! filtering so the delivery ledger's at-least-once redeliveries stay
-//! exactly-once in visible effect). Each service optionally records per-channel
-//! sends, rejections, losses, and transit latency through an
-//! [`observe::ChannelScope`] (install one with `with_telemetry`).
+//! (drop processes including a Gilbert–Elliott burst model), and
+//! [`outage`] (service up/down schedules). Each service optionally
+//! records per-channel sends, rejections, losses, and transit latency
+//! through an [`observe::ChannelScope`] (install one with
+//! `with_telemetry`).
 //!
 //! All types are pure state machines over virtual time: a `send` returns
 //! either a failure or a "deliver after `d`" instruction; the simulation
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dedupe;
 pub mod email;
 pub mod health;
 pub mod im;
@@ -43,7 +41,6 @@ pub mod observe;
 pub mod presence;
 pub mod sms;
 
-pub use dedupe::IdempotencyFilter;
 pub use health::HealthReporter;
 pub use latency::LatencyModel;
 pub use loss::LossModel;

@@ -21,11 +21,11 @@
 //! for every window at shutdown), when its count cap is reached, or when
 //! a later alert escalates its severity. Critical alerts never wait.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use simba_core::{DigestAlert, IncomingAlert, Urgency};
-use simba_sim::SimTime;
+use simba_core::{DigestAlert, Horizon, IncomingAlert, Urgency};
+use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::Telemetry;
 
 use crate::log::{RulesError, RulesLog, RulesLogConfig};
@@ -37,14 +37,17 @@ use crate::rule::{default_correlation_key, expand_template, AlertRule, RuleActio
 pub struct RulesConfig {
     /// Where the rules live (see [`RulesLogConfig`]).
     pub log: RulesLogConfig,
-    /// How long a dedupe-template key suppresses repeats, in ms.
+    /// How long a dedupe-template key suppresses repeats, in ms: a repeat
+    /// at exactly this long after the key was first seen is still
+    /// suppressed (the [`Horizon`] boundary).
     pub dedupe_window_ms: u64,
     /// Per-user bound on open digest windows; alerts that would open one
     /// beyond the bound deliver directly instead (never silently drop).
     pub max_pending_digests_per_user: usize,
-    /// Per-user bound on remembered dedupe keys (oldest evicted first).
-    pub max_dedupe_keys_per_user: usize,
 }
+
+/// Per-user bound on remembered dedupe keys (oldest evicted first).
+const MAX_DEDUPE_KEYS_PER_USER: usize = 128;
 
 impl Default for RulesConfig {
     fn default() -> Self {
@@ -52,7 +55,6 @@ impl Default for RulesConfig {
             log: RulesLogConfig::default(),
             dedupe_window_ms: 60_000,
             max_pending_digests_per_user: 32,
-            max_dedupe_keys_per_user: 128,
         }
     }
 }
@@ -237,9 +239,8 @@ struct Inner {
 /// The per-user bounds every [`Correlator`] of one engine enforces.
 #[derive(Debug, Clone, Copy)]
 struct Bounds {
-    dedupe_window_ms: u64,
+    dedupe_window: SimDuration,
     max_pending_per_user: usize,
-    max_dedupe_keys_per_user: usize,
 }
 
 /// Correlation state for the users one owner evaluates: open digest
@@ -258,8 +259,8 @@ pub struct Correlator {
     /// Flush order: (deadline_ms, seq) → (user, correlation key), one
     /// entry per open window.
     deadlines: BTreeMap<(u64, u64), (String, String)>,
-    /// Per-user recently seen dedupe keys, oldest first.
-    recent: HashMap<String, VecDeque<(u64, String)>>,
+    /// Per-user recently seen dedupe keys.
+    recent: HashMap<String, Horizon<Arc<str>>>,
     seq: u64,
 }
 
@@ -339,21 +340,14 @@ impl Correlator {
     /// Records `key` as recently seen; true when it was already live inside
     /// the dedupe window.
     fn note_recent(&mut self, user: &str, key: String, now_ms: u64) -> bool {
-        let recent = self.recent.entry(user.to_string()).or_default();
-        while let Some((seen, _)) = recent.front() {
-            if now_ms.saturating_sub(*seen) >= self.bounds.dedupe_window_ms {
-                recent.pop_front();
-            } else {
-                break;
-            }
+        let now = SimTime::from_millis(now_ms);
+        if let Some(recent) = self.recent.get_mut(user) {
+            return !recent.first_seen(key.into(), now);
         }
-        if recent.iter().any(|(_, k)| *k == key) {
-            return true;
-        }
-        recent.push_back((now_ms, key));
-        while recent.len() > self.bounds.max_dedupe_keys_per_user {
-            recent.pop_front();
-        }
+        // A user's first dedupe key: the only check that names the user.
+        let mut recent = Horizon::new(self.bounds.dedupe_window, MAX_DEDUPE_KEYS_PER_USER);
+        recent.first_seen(key.into(), now);
+        self.recent.insert(user.to_string(), recent);
         false
     }
 
@@ -475,9 +469,8 @@ impl RuleEngine {
             telemetry.metrics().counter("rules.loaded").add(loaded as u64);
         }
         let bounds = Bounds {
-            dedupe_window_ms: config.dedupe_window_ms.max(1),
+            dedupe_window: SimDuration::from_millis(config.dedupe_window_ms.max(1)),
             max_pending_per_user: config.max_pending_digests_per_user.max(1),
-            max_dedupe_keys_per_user: config.max_dedupe_keys_per_user.max(1),
         };
         Ok(RuleEngine {
             correlator: Mutex::new(Correlator::new(bounds, telemetry.clone())),
@@ -702,6 +695,13 @@ mod tests {
         // A different body is a different key; the old key expires.
         assert!(e.evaluate("ada", &im("s", "other"), 600).is_deliver());
         assert!(e.evaluate("ada", &im("s", "same"), 1500).is_deliver());
+        // The boundary: a repeat at exactly first sight + window is still
+        // suppressed; one millisecond later the key is forgotten.
+        assert_eq!(
+            e.evaluate("ada", &im("s", "same"), 2500),
+            Decision::Suppress { rule: r.id, reason: SuppressReason::Dedupe }
+        );
+        assert!(e.evaluate("ada", &im("s", "same"), 2501).is_deliver());
     }
 
     #[test]

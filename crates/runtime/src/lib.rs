@@ -71,7 +71,7 @@ mod shard;
 pub use channels::{Channels, LoopbackChannels, SendOutcome, SharedChannels};
 pub use clock::RuntimeClock;
 pub use ledger_bridge::{
-    shared_filter, LedgerChannelBridge, SharedFilter, DEFAULT_DEDUPE_CAPACITY,
+    shared_filter, BridgeFilter, LedgerChannelBridge, SharedFilter, DEFAULT_DEDUPE_CAPACITY,
 };
 pub use shard::{
     ConfigFactory, HostNotice, RuntimeNotice, ShardedHost, ShardedHostConfig, ShardedSnapshot,

@@ -15,7 +15,7 @@
 //!
 //! The worker loop is the §4.2.1 pipeline batched:
 //!
-//! 1. **handle** — drain up to `batch_max` inbound messages plus due
+//! 1. **handle** — drain up to `BATCH_MAX` inbound messages plus due
 //!    timer-wheel entries and due digest windows (the worker owns its
 //!    users' windows) through each buddy's state machine; WAL appends
 //!    and processed-marks buffer in the shard log, observable effects
@@ -44,9 +44,7 @@ use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy, RetiredDelivery};
 use simba_core::rejuvenate::RejuvenationTrigger;
-use simba_core::shardlog::{
-    SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats, DEFAULT_SEGMENT_MAX_BYTES,
-};
+use simba_core::shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats};
 use simba_core::snapshot::BuddySnapshot;
 use simba_core::subscription::UserId;
 use simba_core::wal::WalError;
@@ -114,28 +112,18 @@ pub struct ShardedHostConfig {
     /// Directory for the per-shard segmented logs (`shard-NNN/`).
     /// `None` keeps each shard log in memory.
     pub log_dir: Option<PathBuf>,
-    /// Segment-rotation threshold for each shard log.
-    pub segment_max_bytes: u64,
-    /// Most inbound messages a worker drains before committing; bounds
-    /// both ack latency and the blast radius of one commit.
-    pub batch_max: usize,
     /// Idle time after which a buddy hibernates: its idle deadline is
     /// `hibernate_after` past its last alert or acknowledgement, and it
     /// is parked when that deadline fires with no delivery in flight.
     /// [`SimDuration::ZERO`] means never (buddies stay resident once
     /// activated, and no deadline is armed).
     pub hibernate_after: SimDuration,
-    /// How long a terminal delivery lingers before retirement.
-    pub retirement_grace: SimDuration,
     /// Per-buddy completed-ring capacity (0 keeps no retired summaries —
     /// the benchmark shape).
     pub completed_ring: usize,
     /// Capacity of the merged [`HostNotice`] stream; overflow is dropped
     /// and counted under `host.notice_dropped`.
     pub notice_capacity: usize,
-    /// Capacity of each shard's inbound queue; submitters await space,
-    /// so a hot shard exerts backpressure instead of buffering unboundedly.
-    pub queue_capacity: usize,
     /// Run each shard worker on its own dedicated OS thread, each with
     /// its own single-threaded event loop (thread-per-shard). `false`
     /// spawns workers as tasks on the caller's executor — the
@@ -166,13 +154,9 @@ impl Default for ShardedHostConfig {
         ShardedHostConfig {
             shards: default_shards(),
             log_dir: None,
-            segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
-            batch_max: 256,
             hibernate_after: SimDuration::from_mins(5),
-            retirement_grace: SimDuration::ZERO,
             completed_ring: 0,
             notice_capacity: DEFAULT_NOTICE_CAPACITY,
-            queue_capacity: 1024,
             threads: false,
             ledger: None,
             rules: None,
@@ -404,22 +388,17 @@ impl ShardedHost {
         let (notice_tx, notice_rx) = mpsc::channel(config.notice_capacity.max(1));
         let mut shards = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
-            let log_config = match &config.log_dir {
+            let dir = match &config.log_dir {
                 Some(dir) => {
                     let shard_dir = dir.join(format!("shard-{index:03}"));
                     std::fs::create_dir_all(&shard_dir).map_err(WalError::from)?;
-                    ShardLogConfig {
-                        dir: Some(shard_dir),
-                        segment_max_bytes: config.segment_max_bytes,
-                    }
+                    Some(shard_dir)
                 }
-                None => ShardLogConfig {
-                    dir: None,
-                    segment_max_bytes: config.segment_max_bytes,
-                },
+                None => None,
             };
-            let log = Arc::new(Mutex::new(ShardLog::open(log_config)?));
-            let (tx, rx) = mpsc::channel(config.queue_capacity.max(1));
+            let log = ShardLog::open(ShardLogConfig { dir, ..ShardLogConfig::default() })?;
+            let log = Arc::new(Mutex::new(log));
+            let (tx, rx) = mpsc::channel(QUEUE_CAPACITY);
             let depth = Arc::new(AtomicUsize::new(0));
             // Deferred so a threaded worker anchors its clock on its own
             // thread's event loop, not the spawning one's. Everything the
@@ -673,9 +652,7 @@ struct Worker<C> {
     crashes: u64,
     corrupt_snapshots: u64,
     unrouted: u64,
-    batch_max: usize,
     hibernate_after: SimDuration,
-    retirement_grace: SimDuration,
     completed_ring: usize,
     /// Channel attempts go here instead of `channels` when set.
     ledger: Option<simba_ledger::SharedLedger>,
@@ -685,6 +662,14 @@ struct Worker<C> {
     /// Buddies consult this store at delivery start when set.
     store: Option<SoftStateStore>,
 }
+
+/// Most inbound messages a worker drains before committing; bounds both
+/// ack latency and the blast radius of one commit.
+const BATCH_MAX: usize = 256;
+
+/// Capacity of each shard's inbound queue; submitters await space, so a
+/// hot shard exerts backpressure instead of buffering unboundedly.
+const QUEUE_CAPACITY: usize = 1024;
 
 /// Most commit+execute rounds one batch runs: a round past the first
 /// exists only to make a restarted buddy's replay marks durable before
@@ -732,9 +717,7 @@ impl<C: Channels> Worker<C> {
             crashes: 0,
             corrupt_snapshots: 0,
             unrouted: 0,
-            batch_max: config.batch_max.max(1),
             hibernate_after: config.hibernate_after,
-            retirement_grace: config.retirement_grace,
             completed_ring: config.completed_ring,
             ledger: config.ledger.clone(),
             rules: config.rules.as_ref().map(|engine| (Arc::clone(engine), engine.correlator())),
@@ -773,7 +756,7 @@ impl<C: Channels> Worker<C> {
                     match self.handle_msg(msg, now, &mut staged) {
                         Flow::Stop(reply) => stop = Some(reply),
                         Flow::Continue => {
-                            while stop.is_none() && drained < self.batch_max {
+                            while stop.is_none() && drained < BATCH_MAX {
                                 match self.rx.try_recv() {
                                     Ok(msg) => {
                                         drained += 1;
@@ -1014,7 +997,7 @@ impl<C: Channels> Worker<C> {
             },
             _ => MyAlertBuddy::new((self.factory)(user), wal, now),
         };
-        mab.set_retirement(self.retirement_grace, self.completed_ring);
+        mab.set_retirement(SimDuration::ZERO, self.completed_ring);
         mab.set_telemetry(self.telemetry.clone());
         if let Some(store) = &self.store {
             mab.set_mode_selector(Box::new(StoreModeSelector::new(store.clone())));

@@ -86,7 +86,7 @@ async fn measure(body_bytes: usize) -> (f64, f64) {
     let clock: LedgerClock =
         Arc::new(move || SimTime::from_millis(epoch.elapsed().as_millis() as u64));
     let pool = LedgerWorkerPool::spawn(Arc::clone(&ledger), adapters, clock, pool_config)
-        .expect("local workers spawn without threads");
+        .expect("spawning tasks cannot fail");
 
     let pad = "x".repeat(body_bytes);
     // Stands for the gateway's frame buffer: each alert's strings are

@@ -115,7 +115,7 @@ async fn the_durable_path_commits_at_most_its_budget_per_alert() {
         )
     });
     let pool = LedgerWorkerPool::spawn(Arc::clone(&ledger), adapters, clock, pool_config)
-        .expect("local workers spawn without threads");
+        .expect("spawning tasks cannot fail");
 
     for i in 0..ALERTS {
         let alert = IncomingAlert::from_im("bench-normal", format!("Sensor {i} ON"), SimTime::ZERO);

@@ -98,7 +98,7 @@ async fn ledgered_host_with<C: Channels + Clone>(
         Arc::clone(&ledger),
         adapters,
         clock,
-        WorkerPoolConfig { workers: 2, batch: 4, ..WorkerPoolConfig::default() },
+        WorkerPoolConfig { workers: 2, batch: 4 },
     )
     .expect("local spawn cannot fail");
     (host, notices, ledger, pool)

@@ -83,6 +83,8 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
+    /// The longest representable span; a bound that is never reached.
+    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration of `ms` milliseconds.
     pub const fn from_millis(ms: u64) -> Self {

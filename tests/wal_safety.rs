@@ -9,11 +9,11 @@
 
 use proptest::prelude::*;
 use simba::core::alert::{Alert, AlertId, IncomingAlert, Urgency};
-use simba::core::dedup::DuplicateDetector;
+use simba::core::horizon::Horizon;
 use simba::core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
 use simba::core::shardlog::{SharedShardLog, ShardLog, ShardLogConfig, UserShardWal};
 use simba::core::subscription::UserId;
-use simba::sim::SimTime;
+use simba::sim::{SimDuration, SimTime};
 use simba_bench::harness::standard_config;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,7 +95,7 @@ impl Drop for Backing {
 fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
     let config = standard_config();
     let mut mab = MyAlertBuddy::new(config.clone(), backing.wal(), SimTime::ZERO);
-    let mut dedup = DuplicateDetector::daily();
+    let mut dedup = Horizon::new(SimDuration::from_hours(24), usize::MAX);
 
     let mut acked: Vec<u64> = Vec::new();
     let mut delivered_fresh: Vec<u64> = Vec::new();
@@ -137,7 +137,7 @@ fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
                 received_at: now,
                 urgency: Urgency::Normal,
             };
-            if dedup.observe(&user_view, now) {
+            if dedup.first_seen(user_view.dedup_key(), now) {
                 delivered_fresh.push(i);
             }
         }
