@@ -28,6 +28,12 @@
 #                 PR 20's tree spent (crates/runtime/tests/alloc_budget.rs;
 #                 its printed table is the artefact; `test-all` runs the
 #                 same test without printing it)
+#   make footprint — live heap bytes per idle resident buddy (2 000
+#                 users on one shard) and per hibernated user (the heap
+#                 left with 500 and with 2 000 users parked)
+#                 (crates/runtime/tests/footprint.rs; its printed line is
+#                 the artefact; `test-all` runs the same test without
+#                 printing it)
 #   make wake-budget — voluntary context switches per alert of the thread
 #                 that runs the gateway pump, and of the gateway worker
 #                 threads together, over real TCP at 20 000/s, each
@@ -48,7 +54,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget wake-budget commit-budget loc clean
+.PHONY: ci build test test-all bench-selftest e2e-quick doc lint analyze smoke alloc-budget footprint wake-budget commit-budget loc clean
 
 ci: build test-all bench-selftest e2e-quick doc lint analyze smoke commit-budget
 
@@ -87,6 +93,9 @@ smoke:
 
 alloc-budget:
 	$(CARGO) test --release -p simba-runtime --test alloc_budget -- --nocapture
+
+footprint:
+	$(CARGO) test --release -p simba-runtime --test footprint -- --nocapture
 
 wake-budget:
 	$(CARGO) test --release -p simba-gateway --test wake_budget -- --nocapture

@@ -6,7 +6,7 @@
 //! users in the millions while only the *active* fraction costs memory
 //! and CPU. [`simba_runtime::ShardedHost`] multiplexes thousands of
 //! buddies per shard worker, appends every alert to a group-committed
-//! shard log, and hibernates idle buddies to compact snapshots. This
+//! shard log, and hibernates idle buddies down to their roster slot. This
 //! experiment drives that architecture end to end:
 //!
 //! * register `users` (full scale: 1 000 000) — one bulk message per
@@ -327,8 +327,8 @@ fn run_with(opts: E8Options) -> ExperimentOutput {
             ),
             format!(
                 "the shard logs wrote {} records ({:.3} commits per alert): every record was \
-                 marked in the batch that logged it; every buddy parked back to a snapshot \
-                 at its idle deadline (live floor 0)",
+                 marked in the batch that logged it; every buddy parked back to its roster \
+                 slot at its idle deadline (live floor 0)",
                 numbers.written, numbers.commits_per_alert
             ),
         ],

@@ -3,7 +3,9 @@
 use simba_sim::SimTime;
 use std::sync::Arc;
 
-/// Unique id assigned by MyAlertBuddy when an alert enters the pipeline.
+/// An alert's identity: the id of the log record MyAlertBuddy wrote for it
+/// (§4.2.1's pessimistic log). A replay of the record routes the same id,
+/// and every delivery the alert fans out to carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AlertId(pub u64);
 

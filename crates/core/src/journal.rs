@@ -34,7 +34,6 @@
 //! at all, while dirtiness and the commit/rotation counters behave as on
 //! disk (benchmarks compute commits per alert from them).
 
-use crate::snapshot::crc32;
 use crate::wal::WalError;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -357,9 +356,45 @@ fn unframe(line: &[u8]) -> Result<&str, String> {
     std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".into())
 }
 
+/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven: the checksum of
+/// every journal frame and rotation trailer, and of the gateway's wire
+/// frames.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = crc32_table();
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        let idx = ((crc ^ b as u32) & 0xFF) as usize;
+        crc = (crc >> 8) ^ TABLE[idx];
+    }
+    !crc
+}
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crc32_known_vector() {
+        // The classic check value for IEEE CRC-32.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("simba-journal-{tag}-{}", std::process::id()));

@@ -44,7 +44,6 @@ pub mod profile_xml;
 pub mod rejuvenate;
 pub mod routing;
 pub mod shardlog;
-pub mod snapshot;
 pub mod stabilize;
 pub mod subscription;
 pub(crate) mod vecmap;
@@ -64,7 +63,6 @@ pub use profile_xml::{registry_from_xml, registry_to_xml, RegistryXmlError};
 pub use rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
 pub use routing::{apply_routing, ModeSelector, PresenceHint, RoutingContext};
 pub use shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats, UserShardWal};
-pub use snapshot::{BuddySnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use subscription::{Subscription, SubscriptionRegistry, UserId};
 pub use wal::{WalError, WalRecord};
 

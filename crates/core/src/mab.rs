@@ -19,7 +19,6 @@ use crate::classify::Classifier;
 use crate::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryProcess, DeliveryStatus};
 use crate::rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
 use crate::shardlog::UserShardWal;
-use crate::snapshot::BuddySnapshot;
 use crate::subscription::{SubscriptionRegistry, UserId};
 use crate::vecmap::VecMap;
 use simba_sim::{SimDuration, SimTime};
@@ -30,9 +29,46 @@ use std::sync::Arc;
 /// Default capacity of the completed-delivery ring.
 pub const DEFAULT_COMPLETED_CAP: usize = 256;
 
-/// Identifies one in-flight delivery inside MyAlertBuddy.
+/// Identifies one delivery: the log record of the alert it delivers and
+/// the subscriber's position in that alert's fan-out (fixed by the
+/// configuration: [`SubscriptionRegistry::fan_out`]), packed into one
+/// `u64` — the position in the top 16 bits, the record in the low 48, so
+/// a first subscriber's delivery id is the record id itself. A buddy
+/// keeps no id state: a replay of a record reissues the ids of its first
+/// routing (the ledger's idempotency key recognises them), and two
+/// records never share one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeliveryId(pub u64);
+
+impl DeliveryId {
+    /// Most subscribers one alert can fan out to: the positions the id
+    /// has room for. [`SubscriptionRegistry::subscribe`] refuses the
+    /// subscription that would let a fan-out pass it.
+    pub const MAX_FANOUT: usize = 1 << 16;
+
+    const RECORD_BITS: u32 = 48;
+
+    /// The delivery of log record `record` to the subscriber at
+    /// `position` in its fan-out.
+    ///
+    /// # Panics
+    ///
+    /// When `position` is not below [`DeliveryId::MAX_FANOUT`] or
+    /// `record` needs more than 48 bits: the id would be another
+    /// record's.
+    pub fn new(record: u64, position: usize) -> Self {
+        assert!(
+            position < Self::MAX_FANOUT && record >> Self::RECORD_BITS == 0,
+            "delivery {position} of record {record} does not fit a delivery id"
+        );
+        DeliveryId((position as u64) << Self::RECORD_BITS | record)
+    }
+
+    /// The log record of the alert this delivery delivers.
+    pub fn record(self) -> u64 {
+        self.0 & ((1 << Self::RECORD_BITS) - 1)
+    }
+}
 
 /// Configuration that survives MyAlertBuddy restarts (in the real system
 /// this lives on disk; in the simulation the harness clones it into each
@@ -193,8 +229,6 @@ pub struct MyAlertBuddy {
     completed: VecDeque<RetiredDelivery>,
     completed_cap: usize,
     retirement_grace: SimDuration,
-    next_delivery: u64,
-    next_alert: u64,
     stats: MabStats,
     crash_point: Option<CrashPoint>,
     crashed: bool,
@@ -218,8 +252,6 @@ impl MyAlertBuddy {
             completed: VecDeque::new(),
             completed_cap: DEFAULT_COMPLETED_CAP,
             retirement_grace: SimDuration::ZERO,
-            next_delivery: 0,
-            next_alert: 0,
             stats: MabStats::default(),
             crash_point: None,
             crashed: false,
@@ -332,13 +364,6 @@ impl MyAlertBuddy {
         self.completed.len()
     }
 
-    /// Every id below this has been assigned to a delivery. Monotone; the
-    /// runtime snapshots it around an event to learn which deliveries that
-    /// event started.
-    pub fn delivery_watermark(&self) -> u64 {
-        self.next_delivery
-    }
-
     /// Configures delivery retirement: `grace` is how long a terminal
     /// delivery lingers in the active table (giving straggling acks a
     /// chance to upgrade the outcome), `completed_cap` bounds the ring of
@@ -396,45 +421,11 @@ impl MyAlertBuddy {
     }
 
     /// Whether the buddy can hibernate: alive, no tracked deliveries, no
-    /// unprocessed log records. Everything else it holds is counters.
+    /// unprocessed log records. Everything else it holds is counters, and
+    /// its ids come from its log, so a host may drop an idle buddy and
+    /// build a fresh one for the user's next alert.
     pub fn is_idle(&self) -> bool {
         !self.crashed && self.deliveries.is_empty() && !self.wal.has_unprocessed()
-    }
-
-    /// Captures the compact hibernation snapshot, or `None` when the
-    /// buddy is not [idle](MyAlertBuddy::is_idle). `user` tags the
-    /// snapshot with its owner (checked again at rehydration). The caller
-    /// drops the buddy afterwards; its log lives on in the shard.
-    pub fn hibernate(&self, user: &UserId, _now: SimTime) -> Option<BuddySnapshot> {
-        if !self.is_idle() {
-            return None;
-        }
-        Some(BuddySnapshot {
-            user: user.clone(),
-            stats: self.stats,
-            next_delivery: self.next_delivery,
-            next_alert: self.next_alert,
-            last_progress_at: self.last_progress_at,
-        })
-    }
-
-    /// Rebuilds a buddy from a hibernation snapshot: counters and id
-    /// watermarks resume where hibernation left them, so stats survive
-    /// any number of hibernate/rehydrate cycles and delivery/alert ids
-    /// are never reused. Configuration is rebuilt by the caller (it is
-    /// derivable state, deliberately not serialized).
-    pub fn rehydrate(
-        config: MabConfig,
-        wal: UserShardWal,
-        snapshot: &BuddySnapshot,
-        now: SimTime,
-    ) -> Self {
-        let mut buddy = MyAlertBuddy::new(config, wal, now);
-        buddy.stats = snapshot.stats;
-        buddy.next_delivery = snapshot.next_delivery;
-        buddy.next_alert = snapshot.next_alert;
-        buddy.last_progress_at = snapshot.last_progress_at.max(SimTime::ZERO);
-        buddy
     }
 
     /// Replays unprocessed log records (the restart protocol). Returns the
@@ -575,10 +566,12 @@ impl MyAlertBuddy {
         self.route_logged(wal_id, now, &alert, now, cmds);
     }
 
-    /// Classification + routing + processed-mark for logged alert `id`.
+    /// Classification + routing + processed-mark for logged alert
+    /// `record`, whose id is the alert's identity: its [`AlertId`], and
+    /// the record part of every [`DeliveryId`] it fans out to.
     fn route_logged(
         &mut self,
-        id: u64,
+        record: u64,
         received_at: SimTime,
         alert: &IncomingAlert,
         now: SimTime,
@@ -596,7 +589,7 @@ impl MyAlertBuddy {
                         .with("source", &*alert.source),
                 );
             }
-            if !self.mark_processed_or_crash(id, now) {
+            if !self.mark_processed_or_crash(record, now) {
                 return;
             }
             cmds.push(MabCommand::Rejuvenate(trigger));
@@ -607,7 +600,7 @@ impl MyAlertBuddy {
             Ok(category) => {
                 // Borrowed from the registry for the whole fan-out: the
                 // loop below touches other fields of `self` only.
-                let subs = self.config.registry.active_subscriptions(&category, now);
+                let subs = self.config.registry.fan_out(&category, now);
                 if subs.is_empty() {
                     self.stats.unsubscribed += 1;
                     if self.telemetry.enabled() {
@@ -632,7 +625,7 @@ impl MyAlertBuddy {
                         );
                     }
                 }
-                for sub in subs {
+                for (position, sub) in subs {
                     let (user, mode_name) = (&sub.user, &sub.mode_name);
                     let Some(profile) = self.config.registry.user(user) else {
                         continue;
@@ -675,7 +668,7 @@ impl MyAlertBuddy {
                         None => mode,
                     };
                     let alert_out = Alert {
-                        id: AlertId(self.next_alert),
+                        id: AlertId(record),
                         source: Arc::clone(&alert.source),
                         category: Arc::clone(&category),
                         text: display_text(alert),
@@ -683,7 +676,6 @@ impl MyAlertBuddy {
                         received_at: now,
                         urgency: alert.urgency,
                     };
-                    self.next_alert += 1;
                     let (process, commands) = DeliveryProcess::start_observed(
                         alert_out,
                         mode,
@@ -691,8 +683,7 @@ impl MyAlertBuddy {
                         now,
                         self.telemetry.clone(),
                     );
-                    let id = DeliveryId(self.next_delivery);
-                    self.next_delivery += 1;
+                    let id = DeliveryId::new(record, position);
                     self.stats.deliveries_started += 1;
                     if self.telemetry.enabled() {
                         self.telemetry.metrics().counter("mab.deliveries_started").incr();
@@ -723,7 +714,7 @@ impl MyAlertBuddy {
             return;
         }
         // (4) Mark processed.
-        self.mark_processed_or_crash(id, now);
+        self.mark_processed_or_crash(record, now);
     }
 
     /// Marks a log record processed, treating failure as a crash: the
@@ -976,6 +967,75 @@ mod tests {
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
     }
 
+    /// The alert id and delivery ids of every send in `cmds`.
+    fn sent_ids(cmds: &[MabCommand]) -> Vec<(AlertId, DeliveryId)> {
+        cmds.iter()
+            .filter_map(|c| match c {
+                MabCommand::Channel {
+                    delivery,
+                    command: DeliveryCommand::Send { alert, .. },
+                    ..
+                } => Some((*alert, *delivery)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_alerts_ids_are_its_log_records() {
+        let (mut m, log) = mab_and_log();
+        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let MabCommand::AckIm { wal_id, .. } = cmds[0] else { panic!("{cmds:?}") };
+        assert_eq!(sent_ids(&cmds), [(AlertId(wal_id), DeliveryId::new(wal_id, 0))]);
+        assert_eq!(DeliveryId::new(wal_id, 0).0, wal_id, "a first subscriber's id is the record's");
+        // A fresh incarnation over the same log keeps no counter to
+        // restart: its first alert gets the log's next record.
+        let mut m2 = restart(&log, t(2));
+        let cmds = m2.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2));
+        let MabCommand::AckIm { wal_id: next, .. } = cmds[0] else { panic!("{cmds:?}") };
+        assert_ne!(next, wal_id);
+        assert_eq!(sent_ids(&cmds), [(AlertId(next), DeliveryId::new(next, 0))]);
+    }
+
+    #[test]
+    fn fan_out_positions_share_the_record() {
+        let mut config = config();
+        let bob = UserId::new("bob");
+        let profile = config.registry.register_user(bob.clone());
+        profile.address_book.add(Address::new("IM", CommType::Im, "im:bob")).unwrap();
+        let mode = DeliveryMode::im_then_email("Urgent", "IM", "IM", SimDuration::from_secs(60));
+        profile.define_mode(mode);
+        config.registry.subscribe("Home.Security", bob, "Urgent").unwrap();
+        let mut m = MyAlertBuddy::new(config, UserShardWal::in_memory(alice()), t(0));
+        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let MabCommand::AckIm { wal_id, .. } = cmds[0] else { panic!("{cmds:?}") };
+        let ids: Vec<DeliveryId> = sent_ids(&cmds).into_iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, [DeliveryId::new(wal_id, 0), DeliveryId::new(wal_id, 1)]);
+        assert!(ids.iter().all(|id| id.record() == wal_id));
+    }
+
+    #[test]
+    fn delivery_ids_pack_record_and_position_up_to_the_bound() {
+        let last = DeliveryId::MAX_FANOUT - 1;
+        let record = (1 << 48) - 1;
+        let id = DeliveryId::new(record, last);
+        assert_eq!(id.record(), record);
+        assert_ne!(id, DeliveryId::new(record, last - 1));
+        assert_ne!(DeliveryId::new(0, 1), DeliveryId::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a delivery id")]
+    fn a_position_past_the_fan_out_bound_fails_loudly() {
+        let _ = DeliveryId::new(0, DeliveryId::MAX_FANOUT);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a delivery id")]
+    fn a_record_past_48_bits_fails_loudly() {
+        let _ = DeliveryId::new(1 << 48, 0);
+    }
+
     #[test]
     fn crashed_buddy_processes_nothing() {
         let (mut m, log) = mab_and_log();
@@ -1001,18 +1061,7 @@ mod tests {
     #[test]
     fn delivery_events_drive_fallback_through_mab() {
         let mut m = mab();
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
-        let (id, attempt) = cmds
-            .iter()
-            .find_map(|c| match c {
-                MabCommand::Channel {
-                    delivery,
-                    command: DeliveryCommand::Send { attempt, .. },
-                    ..
-                } => Some((*delivery, *attempt)),
-                _ => None,
-            })
-            .unwrap();
+        let (id, attempt) = first_send(&m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1)));
         // IM send fails synchronously → email fallback command emerges.
         let cmds2 = m.handle(
             MabEvent::Delivery {
@@ -1105,18 +1154,7 @@ mod tests {
     /// Drives one alert to a terminal state and returns (mab, delivery id).
     fn delivered_mab(secs: u64) -> (MyAlertBuddy, DeliveryId) {
         let mut m = mab();
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(secs)), t(secs));
-        let (id, attempt) = cmds
-            .iter()
-            .find_map(|c| match c {
-                MabCommand::Channel {
-                    delivery,
-                    command: DeliveryCommand::Send { attempt, .. },
-                    ..
-                } => Some((*delivery, *attempt)),
-                _ => None,
-            })
-            .unwrap();
+        let (id, attempt) = first_send(&m.handle(MabEvent::AlertByIm(sensor_alert(secs)), t(secs)));
         m.handle(
             MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } },
             t(secs + 1),
@@ -1128,11 +1166,25 @@ mod tests {
         (m, id)
     }
 
+    /// The delivery of the first send command in `cmds`.
+    fn first_send(cmds: &[MabCommand]) -> (DeliveryId, AttemptId) {
+        cmds.iter()
+            .find_map(|c| match c {
+                MabCommand::Channel {
+                    delivery,
+                    command: DeliveryCommand::Send { attempt, .. },
+                    ..
+                } => Some((*delivery, *attempt)),
+                _ => None,
+            })
+            .unwrap()
+    }
+
     #[test]
     fn retire_terminal_evicts_only_terminal_deliveries() {
         let (mut m, id) = delivered_mab(1);
         // A second, still-pending delivery.
-        m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
+        let (pending, _) = first_send(&m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5)));
         assert_eq!(m.tracked(), 2);
         assert_eq!(m.in_flight(), 1);
 
@@ -1151,8 +1203,9 @@ mod tests {
         assert_eq!(m.delivery_status(id), None);
         assert_eq!(m.retired_len(), 1);
         assert_eq!(m.stats().retired, 1);
-        // Ids are never reused: the watermark is untouched by retirement.
-        assert_eq!(m.delivery_watermark(), 2);
+        // Ids are never reused: the pending delivery holds its own.
+        assert_ne!(pending, id);
+        assert_eq!(m.delivery_status(pending), Some(DeliveryStatus::InProgress));
     }
 
     #[test]
@@ -1171,19 +1224,11 @@ mod tests {
     fn completed_ring_is_bounded() {
         let mut m = mab();
         m.set_retirement(SimDuration::ZERO, 2);
+        let mut ids = Vec::new();
         for i in 0..4u64 {
             let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(10 * i + 1)), t(10 * i + 1));
-            let (id, attempt) = cmds
-                .iter()
-                .find_map(|c| match c {
-                    MabCommand::Channel {
-                        delivery,
-                        command: DeliveryCommand::Send { attempt, .. },
-                        ..
-                    } => Some((*delivery, *attempt)),
-                    _ => None,
-                })
-                .unwrap();
+            let (id, attempt) = first_send(&cmds);
+            ids.push(id);
             m.handle(
                 MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } },
                 t(10 * i + 2),
@@ -1193,8 +1238,8 @@ mod tests {
         // All four retired, but the ring only keeps the newest two.
         assert_eq!(m.stats().retired, 4);
         assert_eq!(m.retired_len(), 2);
-        let kept: Vec<u64> = m.retired().map(|r| r.id.0).collect();
-        assert_eq!(kept, vec![2, 3]);
+        let kept: Vec<DeliveryId> = m.retired().map(|r| r.id).collect();
+        assert_eq!(kept, ids[2..]);
         assert_eq!(m.tracked(), 0);
     }
 

@@ -203,6 +203,15 @@ impl ShardLog {
         Ok(id)
     }
 
+    /// Makes every later append's id greater than `last`: a caller that
+    /// keeps ids of this log elsewhere (the delivery ledger keys its
+    /// records by them) reserves the ones a previous run issued, which
+    /// the log forgets once it has compacted their records away. Writes
+    /// nothing.
+    pub fn issue_ids_above(&mut self, last: u64) {
+        self.next_id = self.next_id.max(last + 1);
+    }
+
     /// Marks record `id` processed on behalf of `user`; the record leaves
     /// memory immediately. A record an earlier commit wrote gets a `P`
     /// mark, buffered like the rest of the batch; one appended since the
@@ -703,6 +712,18 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         assert_eq!(live(&ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap()), before);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ids_issued_above_a_reservation_and_nothing_written() {
+        let mut log = ShardLog::open(ShardLogConfig::in_memory()).unwrap();
+        assert_eq!(log.append(&user("a"), &alert("x", 0), t(0)), Ok(0));
+        log.issue_ids_above(41);
+        assert_eq!(log.append(&user("a"), &alert("y", 0), t(0)), Ok(42));
+        // A reservation below the next id changes nothing.
+        log.issue_ids_above(7);
+        assert_eq!(log.append(&user("a"), &alert("z", 0), t(0)), Ok(43));
+        assert!(!log.journal.is_dirty(), "the reservation wrote no frame");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! windows ("specifying delivery time constraints").
 
 use crate::address::AddressBook;
+use crate::mab::DeliveryId;
 use crate::mode::DeliveryMode;
 use crate::vecmap::VecMap;
 use simba_sim::SimTime;
@@ -90,6 +91,10 @@ pub enum SubscriptionError {
         /// The subscriber.
         user: UserId,
     },
+    /// The registry already holds [`DeliveryId::MAX_FANOUT`]
+    /// subscriptions: one more could fan an alert out to more deliveries
+    /// than a delivery id has positions for.
+    FanOutFull,
 }
 
 impl std::fmt::Display for SubscriptionError {
@@ -101,6 +106,10 @@ impl std::fmt::Display for SubscriptionError {
             }
             SubscriptionError::Duplicate { category, user } => {
                 write!(f, "user {user} already subscribes to {category:?}")
+            }
+            SubscriptionError::FanOutFull => {
+                let most = DeliveryId::MAX_FANOUT;
+                write!(f, "the registry holds {most} subscriptions, the most one fan-out may reach")
             }
         }
     }
@@ -147,6 +156,9 @@ pub struct SubscriptionRegistry {
     users: VecMap<UserId, UserProfile>,
     /// category → subscriptions.
     subscriptions: VecMap<String, Vec<Subscription>>,
+    /// Subscriptions across every category: a bound on any alert's
+    /// fan-out, which counts each subscriber once.
+    subscribed: usize,
 }
 
 impl SubscriptionRegistry {
@@ -174,7 +186,8 @@ impl SubscriptionRegistry {
     ///
     /// # Errors
     ///
-    /// Fails if the user or mode is unknown, or the pair already exists.
+    /// Fails if the user or mode is unknown, the pair already exists, or
+    /// the registry is full ([`SubscriptionError::FanOutFull`]).
     pub fn subscribe(
         &mut self,
         category: impl Into<String>,
@@ -190,10 +203,14 @@ impl SubscriptionRegistry {
         if profile.mode(&mode_name).is_none() {
             return Err(SubscriptionError::UnknownMode { user, mode_name });
         }
+        if self.subscribed == DeliveryId::MAX_FANOUT {
+            return Err(SubscriptionError::FanOutFull);
+        }
         let subs = self.subscriptions.get_or_default(category.clone());
         if subs.iter().any(|s| s.user == user) {
             return Err(SubscriptionError::Duplicate { category, user });
         }
+        self.subscribed += 1;
         subs.push(Subscription {
             user,
             mode_name,
@@ -209,6 +226,7 @@ impl SubscriptionRegistry {
             Some(subs) => {
                 let before = subs.len();
                 subs.retain(|s| &s.user != user);
+                self.subscribed -= before - subs.len();
                 before != subs.len()
             }
             None => false,
@@ -277,12 +295,26 @@ impl SubscriptionRegistry {
     /// `"Home.Security.Urgent"` unless a more specific subscription exists
     /// for the same user.
     pub fn active_subscriptions(&self, category: &str, now: SimTime) -> Vec<&Subscription> {
-        let mut out: Vec<&Subscription> = Vec::new();
+        self.fan_out(category, now).into_iter().map(|(_, s)| s).collect()
+    }
+
+    /// [`Self::active_subscriptions`], each with its fan-out position: its
+    /// index among every subscription matching `category`, enabled or
+    /// not, in or out of its window. The position is therefore fixed by
+    /// the configuration alone — an enable toggle or a window boundary
+    /// between an alert's first routing and its replay never moves it onto
+    /// another subscriber — and stays below [`DeliveryId::MAX_FANOUT`],
+    /// since each matching subscription is counted once.
+    pub fn fan_out(&self, category: &str, now: SimTime) -> Vec<(usize, &Subscription)> {
+        let mut out: Vec<(usize, &Subscription)> = Vec::new();
+        let mut position = 0;
         // Walk from most-specific to least-specific prefix.
         let mut prefix = category;
         loop {
             if let Some(subs) = self.subscriptions.get(prefix) {
                 for s in subs {
+                    let at = position;
+                    position += 1;
                     if !s.enabled {
                         continue;
                     }
@@ -291,8 +323,8 @@ impl SubscriptionRegistry {
                             continue;
                         }
                     }
-                    if out.iter().all(|existing| existing.user != s.user) {
-                        out.push(s);
+                    if out.iter().all(|(_, existing)| existing.user != s.user) {
+                        out.push((at, s));
                     }
                 }
             }
@@ -372,6 +404,24 @@ mod tests {
     }
 
     #[test]
+    fn a_registry_refuses_a_subscription_past_the_fan_out_bound() {
+        let mut r = registry();
+        let categories = |range: std::ops::Range<usize>| range.map(|i| format!("C{i:05}"));
+        for category in categories(0..DeliveryId::MAX_FANOUT) {
+            r.subscribe(category, alice(), "Urgent").unwrap();
+        }
+        assert_eq!(
+            r.subscribe("Overflow", alice(), "Urgent"),
+            Err(SubscriptionError::FanOutFull)
+        );
+        assert_eq!(r.categories().count(), DeliveryId::MAX_FANOUT, "a refusal adds no category");
+        // Unsubscribing frees a slot.
+        assert!(r.unsubscribe("C00000", &alice()));
+        r.subscribe("Overflow", alice(), "Urgent").unwrap();
+        assert_eq!(r.subscribe("C00000", alice(), "Urgent"), Err(SubscriptionError::FanOutFull));
+    }
+
+    #[test]
     fn multiple_subscribers_per_category() {
         let mut r = registry();
         let bob = UserId::new("bob");
@@ -419,6 +469,31 @@ mod tests {
         // Day boundaries honour millis_of_day: day 3 at 10:00 works too.
         let day3_ten = SimTime::from_days(3) + SimDuration::from_hours(10);
         assert_eq!(r.active_subscriptions("Investment", day3_ten).len(), 1);
+    }
+
+    #[test]
+    fn a_fan_out_position_ignores_toggles_and_windows() {
+        let mut r = registry();
+        let bob = UserId::new("bob");
+        let p = r.register_user(bob.clone());
+        p.address_book.add(Address::new("IM", CommType::Im, "im:bob")).unwrap();
+        p.define_mode(DeliveryMode::im_then_email("M", "IM", "IM", SimDuration::from_secs(30)));
+        r.subscribe("Home", alice(), "Urgent").unwrap();
+        r.subscribe("Home", bob.clone(), "M").unwrap();
+        let positions = |r: &SubscriptionRegistry, at| -> Vec<(usize, String)> {
+            r.fan_out("Home.Door", at).into_iter().map(|(p, s)| (p, s.user.0.to_string())).collect()
+        };
+        let both = vec![(0, "alice".to_string()), (1, "bob".to_string())];
+        assert_eq!(positions(&r, SimTime::ZERO), both);
+        // Alice's window opens at 09:00: bob keeps position 1 either side.
+        r.set_window("Home", &alice(), Some(TimeWindow { start_min: 540, end_min: 1020 }));
+        assert_eq!(positions(&r, SimTime::from_hours(8)), vec![(1, "bob".to_string())]);
+        assert_eq!(positions(&r, SimTime::from_hours(10)), both);
+        r.set_enabled("Home", &alice(), false);
+        assert_eq!(positions(&r, SimTime::from_hours(10)), vec![(1, "bob".to_string())]);
+        // A shadowed parent subscription keeps its position too.
+        r.subscribe("Home.Door", bob, "M").unwrap();
+        assert_eq!(positions(&r, SimTime::from_hours(8)), vec![(0, "bob".to_string())]);
     }
 
     #[test]

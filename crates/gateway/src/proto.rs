@@ -29,9 +29,8 @@ pub const HEADER_LEN: usize = 14;
 /// Default cap on payload size (64 KiB) — protects the decoder's buffer.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 * 1024;
 
-/// CRC-32 (IEEE 802.3) — the workspace's one table, shared with the
-/// journal and the buddy snapshot.
-pub use simba_core::snapshot::crc32;
+/// CRC-32 (IEEE 802.3) — the workspace's one table, the journal's.
+pub use simba_core::journal::crc32;
 
 /// Which delivery front door the alert claims to have arrived by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,11 +7,12 @@
 //! (default: one per core), each multiplexing thousands of buddies over
 //! one [`ShardLog`] with **group commit** (at most one fsync per batch,
 //! not per alert) and **hibernation** (a buddy idle past its deadline — one
-//! timer-wheel entry per resident buddy — is serialized to a compact
-//! CRC-guarded [`BuddySnapshot`] and rebuilt on the next routed alert or
-//! replay demand), so resident memory tracks *active* users while the
-//! roster tracks *registered* ones. One shard with hibernation off is
-//! the small-fleet shape; nothing else changes.
+//! timer-wheel entry per resident buddy — folds its counters into the
+//! shard's totals and is dropped; the user's next routed alert builds a
+//! fresh one, since a buddy's ids come from its log records and it keeps
+//! nothing else worth parking), so resident memory tracks *active* users
+//! while the roster tracks *registered* ones. One shard with hibernation
+//! off is the small-fleet shape; nothing else changes.
 //!
 //! The worker loop is the §4.2.1 pipeline batched:
 //!
@@ -45,7 +46,6 @@ use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliverySt
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy, RetiredDelivery};
 use simba_core::rejuvenate::RejuvenationTrigger;
 use simba_core::shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats};
-use simba_core::snapshot::BuddySnapshot;
 use simba_core::subscription::UserId;
 use simba_core::wal::WalError;
 use simba_core::{DigestAlert, MabConfig, Telemetry, UserShardWal};
@@ -61,9 +61,9 @@ use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
 
 /// Builds a user's [`MabConfig`] on demand. Configuration is derivable
-/// state (profiles, subscriptions), deliberately not serialized into
-/// hibernation snapshots; the factory is called at every activation —
-/// first alert, rehydration, replay demand, and post-crash restart.
+/// state (profiles, subscriptions), kept nowhere while a user is parked;
+/// the factory is called at every activation — first alert, rehydration,
+/// replay demand, and post-crash restart.
 pub type ConfigFactory = Arc<dyn Fn(&UserId) -> MabConfig + Send + Sync>;
 
 /// Default capacity of the merged notice stream.
@@ -76,6 +76,9 @@ pub enum RuntimeNotice {
     AckSent {
         /// The acknowledged source (the alert's own string).
         source: Arc<str>,
+        /// The alert's identity, the shard-log record backing the ack:
+        /// its deliveries are `DeliveryId::new(record, position)`.
+        record: u64,
     },
     /// A delivery reached a terminal state and was retired.
     DeliveryFinished {
@@ -135,7 +138,9 @@ pub struct ShardedHostConfig {
     /// durable delivery ledger (acknowledging the handoff as accepted)
     /// instead of sending inline; a `simba_ledger::LedgerWorkerPool`
     /// over the same handle performs the sends with retry, backoff, and
-    /// idempotency-key dedupe.
+    /// idempotency-key dedupe. Every shard log then issues record ids
+    /// above those of the deliveries the ledger still holds, so a record
+    /// a previous run left pending never absorbs a new alert.
     pub ledger: Option<simba_ledger::SharedLedger>,
     /// When set, every alert for a *registered* user runs through this
     /// rules engine inside the owning shard worker before it reaches the
@@ -191,10 +196,11 @@ pub struct ShardedSnapshot {
     pub users: usize,
     /// Buddies currently resident in memory.
     pub active: usize,
-    /// Buddies currently hibernated to snapshots.
+    /// Users currently hibernated: registered, once active, no buddy
+    /// resident.
     pub hibernated: usize,
-    /// Merged running totals across resident, hibernated, and folded
-    /// (crashed / rejuvenated) buddies.
+    /// Merged running totals across resident and folded (hibernated,
+    /// crashed, rejuvenated) buddies.
     pub stats: MabStats,
     /// Deliveries still executing blocks, summed over resident buddies.
     pub in_flight: usize,
@@ -218,13 +224,11 @@ pub struct ShardedSnapshot {
     pub exhausted: u64,
     /// Hibernation transitions performed.
     pub hibernations: u64,
-    /// Rehydrations performed (snapshot decoded and resumed).
+    /// Rehydrations performed: a hibernated user's alert built a fresh
+    /// buddy.
     pub rehydrations: u64,
     /// Buddies that crashed and were restarted by the worker.
     pub crashes: u64,
-    /// Snapshots rejected at rehydration (corrupt, truncated, foreign);
-    /// each fell back to a fresh buddy plus shard-log replay.
-    pub corrupt_snapshots: u64,
     /// Alerts refused because the user was not registered.
     pub unrouted: u64,
     /// Digest windows open in the shards' correlators.
@@ -250,7 +254,6 @@ impl ShardedSnapshot {
         self.hibernations += other.hibernations;
         self.rehydrations += other.rehydrations;
         self.crashes += other.crashes;
-        self.corrupt_snapshots += other.corrupt_snapshots;
         self.unrouted += other.unrouted;
         self.open_windows += other.open_windows;
         self.log.appends += other.log.appends;
@@ -283,9 +286,6 @@ enum ShardMsg {
     InjectMarkFailure(UserId),
     /// Test hook: fail this shard's next group commit after so many bytes.
     InjectCommitFailure(usize),
-    /// Test hook: flip a byte in the user's stored hibernation snapshot;
-    /// replies whether there was one to damage.
-    CorruptSnapshot(UserId, oneshot::Sender<bool>),
     /// Drain, commit, reply with the final snapshot, and exit.
     Stop(oneshot::Sender<ShardedSnapshot>),
 }
@@ -295,9 +295,10 @@ enum UserSlot {
     /// Registered; never activated (or reset after a crash/rejuvenation,
     /// awaiting its next alert to restart and replay).
     Fresh,
-    /// Hibernated: the encoded [`BuddySnapshot`] — header, user name,
-    /// fourteen varint counters, CRC; about forty bytes.
-    Hibernated(Box<[u8]>),
+    /// Hibernated: the buddy went idle, its counters folded into the
+    /// shard's totals, and it was dropped. Only the count tells this
+    /// from `Fresh`.
+    Hibernated,
     /// Resident.
     Active(Box<ActiveBuddy>),
 }
@@ -385,6 +386,14 @@ impl ShardedHost {
         telemetry: Telemetry,
     ) -> Result<(Self, mpsc::Receiver<HostNotice>), WalError> {
         let shard_count = config.shards.max(1);
+        // Ledger records outlive the run that enqueued them, and their
+        // keys hold shard-log record ids: no shard log may issue one of
+        // those again, or a new alert would merge into an old record.
+        let reserved = config.ledger.as_ref().and_then(|ledger| {
+            let ledger = ledger.lock().unwrap_or_else(PoisonError::into_inner);
+            let held = ledger.records().chain(ledger.dead_letters());
+            held.map(|record| DeliveryId(record.delivery).record()).max()
+        });
         let (notice_tx, notice_rx) = mpsc::channel(config.notice_capacity.max(1));
         let mut shards = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
@@ -396,7 +405,10 @@ impl ShardedHost {
                 }
                 None => None,
             };
-            let log = ShardLog::open(ShardLogConfig { dir, ..ShardLogConfig::default() })?;
+            let mut log = ShardLog::open(ShardLogConfig { dir, ..ShardLogConfig::default() })?;
+            if let Some(last) = reserved {
+                log.issue_ids_above(last);
+            }
             let log = Arc::new(Mutex::new(log));
             let (tx, rx) = mpsc::channel(QUEUE_CAPACITY);
             let depth = Arc::new(AtomicUsize::new(0));
@@ -511,7 +523,7 @@ impl ShardedHost {
     }
 
     /// Test hook: asks the owning shard to hibernate `user` now; resolves
-    /// `true` when the buddy was idle and is now a snapshot.
+    /// `true` when the buddy was idle and is now parked.
     pub async fn force_hibernate(&self, user: &UserId) -> bool {
         let shard = shard_of(user, self.shards.len());
         let (reply_tx, reply_rx) = oneshot::channel();
@@ -534,18 +546,6 @@ impl ShardedHost {
     pub async fn inject_commit_failure(&self, user: &UserId, bytes: usize) {
         let shard = shard_of(user, self.shards.len());
         self.send(shard, ShardMsg::InjectCommitFailure(bytes)).await;
-    }
-
-    /// Test hook: damages the user's stored hibernation snapshot so the
-    /// next activation must take the corrupt-fallback path. Resolves
-    /// `true` when a snapshot existed to damage.
-    pub async fn corrupt_snapshot(&self, user: &UserId) -> bool {
-        let shard = shard_of(user, self.shards.len());
-        let (reply_tx, reply_rx) = oneshot::channel();
-        if !self.send(shard, ShardMsg::CorruptSnapshot(user.clone(), reply_tx)).await {
-            return false;
-        }
-        reply_rx.await.unwrap_or(false)
     }
 
     /// Stops every worker (each drains, commits, and compacts nothing
@@ -600,22 +600,6 @@ impl std::fmt::Debug for ShardedHost {
     }
 }
 
-/// Field-wise saturating subtraction: removes a rehydrated snapshot's
-/// totals from the folded aggregate they were parked in.
-fn stats_sub(total: &mut MabStats, part: MabStats) {
-    total.received_im = total.received_im.saturating_sub(part.received_im);
-    total.received_email = total.received_email.saturating_sub(part.received_email);
-    total.acked = total.acked.saturating_sub(part.acked);
-    total.rejected = total.rejected.saturating_sub(part.rejected);
-    total.routed = total.routed.saturating_sub(part.routed);
-    total.unsubscribed = total.unsubscribed.saturating_sub(part.unsubscribed);
-    total.deliveries_started = total.deliveries_started.saturating_sub(part.deliveries_started);
-    total.replayed = total.replayed.saturating_sub(part.replayed);
-    total.remote_commands = total.remote_commands.saturating_sub(part.remote_commands);
-    total.retired = total.retired.saturating_sub(part.retired);
-    total.mode_overridden = total.mode_overridden.saturating_sub(part.mode_overridden);
-}
-
 /// One shard worker: owns its roster, its log, and its timer wheel.
 struct Worker<C> {
     rx: mpsc::Receiver<ShardMsg>,
@@ -643,14 +627,13 @@ struct Worker<C> {
     /// Where a buddy writes the commands of one event before they are
     /// staged under its owner's name; empty between events.
     fed: Vec<MabCommand>,
-    /// Totals of buddies no longer resident: hibernated (subtracted back
-    /// at rehydration), crashed, and rejuvenated.
+    /// Totals of buddies no longer resident: hibernated, crashed, and
+    /// rejuvenated.
     folded: MabStats,
     outcomes: Outcomes,
     hibernations: u64,
     rehydrations: u64,
     crashes: u64,
-    corrupt_snapshots: u64,
     unrouted: u64,
     hibernate_after: SimDuration,
     completed_ring: usize,
@@ -715,7 +698,6 @@ impl<C: Channels> Worker<C> {
             hibernations: 0,
             rehydrations: 0,
             crashes: 0,
-            corrupt_snapshots: 0,
             unrouted: 0,
             hibernate_after: config.hibernate_after,
             completed_ring: config.completed_ring,
@@ -862,17 +844,6 @@ impl<C: Channels> Worker<C> {
             ShardMsg::InjectCommitFailure(bytes) => {
                 self.lock_log().inject_write_failure(bytes);
             }
-            ShardMsg::CorruptSnapshot(user, reply) => {
-                let damaged = match self.roster.get_mut(&user) {
-                    Some(UserSlot::Hibernated(bytes)) if !bytes.is_empty() => {
-                        let mid = bytes.len() / 2;
-                        bytes[mid] ^= 0x01;
-                        true
-                    }
-                    _ => false,
-                };
-                let _ = reply.send(damaged);
-            }
             ShardMsg::Stop(reply) => return Flow::Stop(reply),
         }
         Flow::Continue
@@ -928,8 +899,7 @@ impl<C: Channels> Worker<C> {
     }
 
     /// The routing step: feed a resident buddy — one roster look-up, the
-    /// one inside [`Self::feed`] — or activate (rehydrating if hibernated)
-    /// and feed.
+    /// one inside [`Self::feed`] — or activate and feed.
     fn route(
         &mut self,
         user: UserId,
@@ -963,40 +933,23 @@ impl<C: Channels> Worker<C> {
         self.roster.get_mut(user).map(|held| std::mem::replace(held, slot))
     }
 
-    /// Ensures `user` is resident: rehydrates a hibernated snapshot
-    /// (falling back to a fresh buddy on corruption — the shard log, not
-    /// the snapshot, is the source of truth) or builds a fresh buddy, then
-    /// runs the §4.2.1 restart protocol and stages its replay commands.
+    /// Ensures `user` is resident: builds a fresh buddy over the user's
+    /// shard-log view (counting a rehydration when the user was parked),
+    /// then runs the §4.2.1 restart protocol and stages its replay
+    /// commands.
     fn activate(&mut self, user: &UserId, now: SimTime, staged: &mut Vec<(UserId, MabCommand)>) {
         match self.roster.get(user) {
             None | Some(UserSlot::Active(_)) => return,
-            Some(UserSlot::Fresh | UserSlot::Hibernated(_)) => {}
+            Some(UserSlot::Hibernated) => {
+                self.rehydrations += 1;
+                if self.telemetry.enabled() {
+                    self.telemetry.metrics().counter("host.rehydrated").incr();
+                }
+            }
+            Some(UserSlot::Fresh) => {}
         }
-        let prev = self.put(user, UserSlot::Fresh);
         let wal = UserShardWal::new(Arc::clone(&self.log), user.clone());
-        let mut mab = match prev {
-            Some(UserSlot::Hibernated(bytes)) => match BuddySnapshot::decode(&bytes) {
-                Ok(snap) if snap.user == *user => {
-                    stats_sub(&mut self.folded, snap.stats);
-                    self.rehydrations += 1;
-                    if self.telemetry.enabled() {
-                        self.telemetry.metrics().counter("host.rehydrated").incr();
-                    }
-                    MyAlertBuddy::rehydrate((self.factory)(user), wal, &snap, now)
-                }
-                _ => {
-                    // Corrupt, truncated, or foreign snapshot: counters are
-                    // lost (they stay folded), deliveries are not — the
-                    // fresh buddy replays its shard-log records below.
-                    self.corrupt_snapshots += 1;
-                    if self.telemetry.enabled() {
-                        self.telemetry.metrics().counter("host.snapshot_corrupt").incr();
-                    }
-                    MyAlertBuddy::new((self.factory)(user), wal, now)
-                }
-            },
-            _ => MyAlertBuddy::new((self.factory)(user), wal, now),
-        };
+        let mut mab = MyAlertBuddy::new((self.factory)(user), wal, now);
         mab.set_retirement(SimDuration::ZERO, self.completed_ring);
         mab.set_telemetry(self.telemetry.clone());
         if let Some(store) = &self.store {
@@ -1169,11 +1122,11 @@ impl<C: Channels> Worker<C> {
         loop {
             for (user, command) in batch.drain(..) {
                 match command {
-                    MabCommand::AckIm { to, .. } => {
+                    MabCommand::AckIm { to, wal_id } => {
                         if self.telemetry.enabled() {
                             self.telemetry.metrics().counter("runtime.acks_sent").incr();
                         }
-                        self.notify(user, RuntimeNotice::AckSent { source: to });
+                        self.notify(user, RuntimeNotice::AckSent { source: to, record: wal_id });
                     }
                     MabCommand::Rejuvenate(trigger) => {
                         if self.telemetry.enabled() {
@@ -1338,24 +1291,21 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Retires leftovers, then hibernates `user` if idle. Counters park in
-    /// the folded aggregate (and are subtracted back out at rehydration,
-    /// so totals are never double-counted).
+    /// Retires leftovers, then hibernates `user` if idle: its counters
+    /// fold into the shard's totals, as a crash's do, and the buddy is
+    /// dropped. Its ids live in its log, so nothing else need be kept.
     fn try_hibernate(&mut self, user: &UserId, now: SimTime) -> bool {
         self.retire_user(user, now);
-        let Some(UserSlot::Active(active)) = self.roster.get(user) else {
-            return false;
+        let stats = match self.roster.get(user) {
+            Some(UserSlot::Active(active)) if active.mab.is_idle() => active.mab.stats(),
+            _ => return false,
         };
-        let Some(snapshot) = active.mab.hibernate(user, now) else {
-            return false;
-        };
-        let bytes = snapshot.encode().into_boxed_slice();
-        self.folded.merge(snapshot.stats);
+        self.folded.merge(stats);
         self.hibernations += 1;
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.hibernated").incr();
         }
-        self.put(user, UserSlot::Hibernated(bytes));
+        self.put(user, UserSlot::Hibernated);
         true
     }
 
@@ -1377,7 +1327,6 @@ impl<C: Channels> Worker<C> {
             hibernations: self.hibernations,
             rehydrations: self.rehydrations,
             crashes: self.crashes,
-            corrupt_snapshots: self.corrupt_snapshots,
             unrouted: self.unrouted,
             open_windows: self.rules.as_ref().map_or(0, |(_, windows)| windows.open_windows()),
             pending_timers: self.timers.len(),
@@ -1393,7 +1342,7 @@ impl<C: Channels> Worker<C> {
                     snap.tracked += active.mab.tracked();
                     snap.retired_ring += active.mab.retired_len();
                 }
-                UserSlot::Hibernated(_) => snap.hibernated += 1,
+                UserSlot::Hibernated => snap.hibernated += 1,
                 UserSlot::Fresh => {}
             }
         }
@@ -1612,18 +1561,5 @@ mod tests {
             seen.insert(shard_of(&UserId::new(format!("user{i}")), 8));
         }
         assert_eq!(seen.len(), 8, "256 users should reach all 8 shards");
-    }
-
-    #[test]
-    fn stats_subtraction_reverses_merge() {
-        let mut total = MabStats { received_im: 5, acked: 5, routed: 4, ..MabStats::default() };
-        let part = MabStats { received_im: 2, acked: 2, routed: 1, ..MabStats::default() };
-        let mut merged = total;
-        merged.merge(part);
-        stats_sub(&mut merged, part);
-        assert_eq!(merged, total);
-        // Saturation, never underflow.
-        stats_sub(&mut total, MabStats { received_im: 99, ..MabStats::default() });
-        assert_eq!(total.received_im, 0);
     }
 }

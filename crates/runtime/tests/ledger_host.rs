@@ -6,6 +6,7 @@
 
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};
+use simba_core::mab::DeliveryId;
 use simba_core::mode::{Block, DeliveryMode};
 use simba_core::rejuvenate::RejuvenationPolicy;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
@@ -21,6 +22,7 @@ use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Telemetry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 fn user_config(name: &str) -> MabConfig {
     user_config_with(name, vec![Block::fire_and_forget(vec!["IM".into()])])
@@ -67,7 +69,15 @@ async fn ledgered_host_with<C: Channels + Clone>(
     storage: LedgerConfig,
     factory: ConfigFactory,
 ) -> LedgeredHost {
-    let ledger = Arc::new(Mutex::new(
+    let ledger = open_ledger(telemetry, storage);
+    let (host, notices) = host_over(&ledger, channels.clone(), users, telemetry, factory).await;
+    let pool = spawn_pool(&ledger, channels);
+    (host, notices, ledger, pool)
+}
+
+/// A ledger with short leases and backoffs, stored as `storage` says.
+fn open_ledger(telemetry: &Telemetry, storage: LedgerConfig) -> simba_ledger::SharedLedger {
+    Arc::new(Mutex::new(
         DeliveryLedger::open(LedgerConfig {
             lease_duration: SimDuration::from_millis(40),
             base_backoff: SimDuration::from_millis(2),
@@ -76,13 +86,32 @@ async fn ledgered_host_with<C: Channels + Clone>(
         })
         .expect("ledger opens")
         .with_telemetry(telemetry.clone()),
-    ));
+    ))
+}
+
+/// A host over in-memory shard logs that hands its attempts to `ledger`,
+/// with `users` users registered.
+async fn host_over<C: Channels + Clone>(
+    ledger: &simba_ledger::SharedLedger,
+    channels: C,
+    users: usize,
+    telemetry: &Telemetry,
+    factory: ConfigFactory,
+) -> (ShardedHost, tokio::sync::mpsc::Receiver<HostNotice>) {
     let config =
-        ShardedHostConfig { ledger: Some(Arc::clone(&ledger)), ..ShardedHostConfig::default() };
-    let (host, notices) = ShardedHost::new(channels.clone(), config, factory, telemetry.clone())
+        ShardedHostConfig { ledger: Some(Arc::clone(ledger)), ..ShardedHostConfig::default() };
+    let (host, notices) = ShardedHost::new(channels, config, factory, telemetry.clone())
         .expect("in-memory shard logs");
     host.register_many((0..users).map(|i| UserId::new(format!("user-{i}"))).collect()).await;
+    (host, notices)
+}
 
+/// Two workers draining `ledger` into `channels` through bridges that
+/// share one idempotency filter.
+fn spawn_pool<C: Channels + Clone>(
+    ledger: &simba_ledger::SharedLedger,
+    channels: C,
+) -> LedgerWorkerPool {
     let filter = shared_filter(1024);
     let adapters: Vec<Box<dyn LedgerChannels>> = (0..2)
         .map(|_| {
@@ -94,14 +123,13 @@ async fn ledgered_host_with<C: Channels + Clone>(
     let clock: LedgerClock = Arc::new(move || {
         SimTime::from_millis(tokio::time::Instant::now().duration_since(epoch).as_millis() as u64)
     });
-    let pool = LedgerWorkerPool::spawn(
-        Arc::clone(&ledger),
+    LedgerWorkerPool::spawn(
+        Arc::clone(ledger),
         adapters,
         clock,
         WorkerPoolConfig { workers: 2, batch: 4 },
     )
-    .expect("local spawn cannot fail");
-    (host, notices, ledger, pool)
+    .expect("local spawn cannot fail")
 }
 
 /// Submits one alert per user and waits until the host has handed every
@@ -254,6 +282,150 @@ async fn an_attempt_whose_ledger_commit_failed_is_not_also_delivered() {
         assert!(ledger.is_drained(), "ledger fully drained");
         assert_eq!(ledger.stats().retracted, 1, "the refused handoff was withdrawn");
     }
+    host.shutdown().await;
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The alerts of the restart cases: two before the restart, two after.
+const FOUR: [&str; 4] = ["Sensor 1 ON", "Sensor 2 ON", "Sensor 3 ON", "Sensor 4 ON"];
+
+/// Submits `bodies` to `user` by IM, in order.
+async fn submit(host: &ShardedHost, user: &UserId, bodies: &[&str]) {
+    for body in bodies {
+        let alert = IncomingAlert::from_im("aladdin-gw", *body, SimTime::ZERO);
+        assert!(host.submit_im(user, alert).await);
+    }
+}
+
+/// The ids of the next `n` finished deliveries. Bounded: on the paused
+/// clock a delivery that never finishes would otherwise idle forever.
+async fn finished_ids(
+    notices: &mut tokio::sync::mpsc::Receiver<HostNotice>,
+    n: usize,
+) -> Vec<DeliveryId> {
+    let wait = async {
+        let mut ids = Vec::new();
+        while ids.len() < n {
+            let HostNotice { notice, .. } = notices.recv().await.expect("notice stream alive");
+            if let RuntimeNotice::DeliveryFinished { delivery, .. } = notice {
+                ids.push(delivery);
+            }
+        }
+        ids
+    };
+    tokio::time::timeout(Duration::from_secs(600), wait).await.expect("every delivery finishes")
+}
+
+/// The channel saw each of `bodies` exactly once, and nothing else.
+fn assert_each_sent_once(sent: &[(CommType, String, String)], bodies: &[&str]) {
+    let texts: Vec<&str> = sent.iter().map(|(_, _, text)| text.as_str()).collect();
+    assert_eq!(texts.len(), bodies.len(), "one send per alert: {texts:?}");
+    for body in bodies {
+        assert_eq!(texts.iter().filter(|t| *t == body).count(), 1, "{body:?} in {texts:?}");
+    }
+}
+
+/// Regression: a buddy numbered its deliveries with a counter that a
+/// remote rejuvenation restarted at 0. The alerts after the restart got
+/// the idempotency keys of the alerts before it, and the ledger closed
+/// them as duplicates without sending them.
+#[tokio::test(start_paused = true)]
+async fn alerts_after_a_remote_rejuvenation_are_each_sent_once() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host(channels.clone(), 1, &Telemetry::disabled()).await;
+    let user = UserId::new("user-0");
+    submit(&host, &user, &FOUR[..2]).await;
+    finished_ids(&mut notices, 2).await;
+    submit(&host, &user, &["SIMBA-REJUVENATE"]).await;
+    while !matches!(notices.recv().await.map(|n| n.notice), Some(RuntimeNotice::Rejuvenating(_))) {}
+    submit(&host, &user, &FOUR[2..]).await;
+    finished_ids(&mut notices, 2).await;
+
+    let stats = pool.drain().await;
+    assert_eq!(stats.deduped, 0, "no alert is a duplicate of another");
+    channels.with(|c| assert_each_sent_once(c.sent(), &FOUR));
+    host.shutdown().await;
+}
+
+/// Regression: a failed processed-mark crashes the buddy, and its
+/// successor replays the alert under a restarted counter — taking the
+/// first alert's key for the replay and the replay's key for the next
+/// alert, which the ledger then merged away. The replay must reuse its
+/// own first routing's key, and every alert must go out once.
+#[tokio::test(start_paused = true)]
+async fn alerts_around_a_crash_and_replay_are_each_sent_once() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host(channels.clone(), 1, &Telemetry::disabled()).await;
+    let user = UserId::new("user-0");
+    submit(&host, &user, &FOUR[..1]).await;
+    finished_ids(&mut notices, 1).await;
+    host.inject_mark_failure(&user).await;
+    submit(&host, &user, &FOUR[1..]).await;
+    finished_ids(&mut notices, 3).await;
+
+    pool.drain().await;
+    channels.with(|c| assert_each_sent_once(c.sent(), &FOUR));
+    let snap = host.shutdown().await;
+    assert_eq!((snap.crashes, snap.stats.replayed), (1, 1));
+}
+
+/// A parked user's next alert builds a fresh buddy, which keeps no id
+/// state: its deliveries take new ids all the same, and every alert goes
+/// out once.
+#[tokio::test(start_paused = true)]
+async fn alerts_after_a_rehydration_take_new_ids_and_are_each_sent_once() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host(channels.clone(), 1, &Telemetry::disabled()).await;
+    let user = UserId::new("user-0");
+    submit(&host, &user, &FOUR[..2]).await;
+    let before = finished_ids(&mut notices, 2).await;
+    assert!(host.force_hibernate(&user).await, "an idle buddy hibernates");
+    submit(&host, &user, &FOUR[2..]).await;
+    let after = finished_ids(&mut notices, 2).await;
+    assert!(after.iter().all(|id| !before.contains(id)), "{before:?} then {after:?}");
+
+    pool.drain().await;
+    channels.with(|c| assert_each_sent_once(c.sent(), &FOUR));
+    let snap = host.shutdown().await;
+    assert_eq!((snap.hibernations, snap.rehydrations), (1, 1));
+}
+
+/// Regression: a shard log forgets the ids of the records it compacted,
+/// so a restarted process issued ids a pending ledger record of the
+/// previous run still held, and the new alert merged into that record —
+/// only the old alert was sent.
+#[tokio::test(start_paused = true)]
+async fn a_restart_over_a_pending_ledger_record_sends_both_alerts() {
+    let dir =
+        std::env::temp_dir().join(format!("simba-ledger-host-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let telemetry = Telemetry::disabled();
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let factory: ConfigFactory = Arc::new(|user: &UserId| user_config(&user.0));
+    let user = UserId::new("user-0");
+
+    // Run 1: the alert is handed to the ledger, and no pool sends it.
+    {
+        let ledger = open_ledger(&telemetry, LedgerConfig::on_disk(&dir));
+        let (host, mut notices) =
+            host_over(&ledger, channels.clone(), 1, &telemetry, Arc::clone(&factory)).await;
+        submit(&host, &user, &["Sensor a ON"]).await;
+        finished_ids(&mut notices, 1).await;
+        host.shutdown().await;
+    }
+
+    // Run 2, over the same ledger directory: a new alert for the same user.
+    let ledger = open_ledger(&telemetry, LedgerConfig::on_disk(&dir));
+    assert_eq!(ledger.lock().unwrap_or_else(PoisonError::into_inner).records().count(), 1);
+    let (host, mut notices) = host_over(&ledger, channels.clone(), 1, &telemetry, factory).await;
+    submit(&host, &user, &["Sensor b ON"]).await;
+    finished_ids(&mut notices, 1).await;
+    let stats = spawn_pool(&ledger, channels.clone()).drain().await;
+    assert_eq!((stats.sent, stats.deduped), (2, 0));
+    channels.with(|c| assert_each_sent_once(c.sent(), &["Sensor a ON", "Sensor b ON"]));
     host.shutdown().await;
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,8 +1,8 @@
 //! Integration tests for the host: routing, bounded state and the notice
 //! stream, the delivery lifecycle against real (paused) time, rules and
 //! presence wiring, the hibernation lifecycle and its races,
-//! corrupt-snapshot fallback, crash-replay over on-disk shard logs,
-//! rejuvenation, and the one-buddy-crashes-alone group-commit contract.
+//! crash-replay over on-disk shard logs, rejuvenation, and the
+//! one-buddy-crashes-alone group-commit contract.
 
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};
@@ -58,6 +58,17 @@ fn test_config(shards: usize) -> ShardedHostConfig {
         shards,
         hibernate_after: SimDuration::ZERO,
         ..ShardedHostConfig::default()
+    }
+}
+
+/// The next acknowledged alert's user and the delivery id of its one
+/// subscriber: the alert's log record at fan-out position 0.
+async fn next_ack(notices: &mut mpsc::Receiver<HostNotice>) -> (UserId, DeliveryId) {
+    loop {
+        let HostNotice { user, notice } = notices.recv().await.expect("host alive");
+        if let RuntimeNotice::AckSent { record, .. } = notice {
+            return (user, DeliveryId::new(record, 0));
+        }
     }
 }
 
@@ -210,17 +221,27 @@ async fn external_ack_reaches_the_right_buddy() {
     // IM window until a user ack is reported through the front door.
     let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(64)));
     let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    // Two shards: alice's and bob's logs each start at record 0. Dave
+    // shares alice's shard and has no alert.
     let (host, mut notices) =
-        ShardedHost::new(shared.clone(), test_config(1), factory(), telemetry.clone()).unwrap();
-    let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
-    host.register_many(vec![alice.clone(), bob.clone()]).await;
+        ShardedHost::new(shared.clone(), test_config(2), factory(), telemetry.clone()).unwrap();
+    let (alice, bob, dave) = (UserId::new("alice"), UserId::new("bob"), UserId::new("dave"));
+    host.register_many(vec![alice.clone(), bob.clone(), dave.clone()]).await;
     let t0 = tokio::time::Instant::now();
     host.submit_im(&alice, sensor_alert("Sensor A ON")).await;
     host.submit_im(&bob, sensor_alert("Sensor B ON")).await;
-    tokio::time::sleep(Duration::from_millis(10)).await;
+    let acks = [next_ack(&mut notices).await, next_ack(&mut notices).await];
+    let of = |user: &UserId| acks.iter().find(|(u, _)| u == user).expect("acked").1;
+    let delivery = of(&alice);
+    assert_eq!(delivery, of(&bob), "both users hold the same delivery id");
 
-    // Delivery and attempt ids are per buddy: both users hold (0, 0).
-    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    // An ack names its user: alice's id acked as dave's reaches no buddy.
+    host.ack(&dave, delivery, AttemptId(0)).await;
+    assert_eq!(host.snapshot().await.in_flight, 2);
+    assert_eq!(telemetry.metrics().snapshot().counter("runtime.stale_dropped"), 1);
+
+    // Acks are routed by user: alice's reaches her buddy alone.
+    host.ack(&alice, delivery, AttemptId(0)).await;
     let (user, status) = next_finished(&mut notices).await;
     assert_eq!(user, alice);
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
@@ -230,9 +251,9 @@ async fn external_ack_reaches_the_right_buddy() {
 
     // The same ack again, now that alice's delivery has retired: dropped
     // and counted, never fed to the buddy.
-    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    host.ack(&alice, delivery, AttemptId(0)).await;
     assert_eq!(host.snapshot().await.stats, snap.stats);
-    assert_eq!(telemetry.metrics().snapshot().counter("runtime.stale_dropped"), 1);
+    assert_eq!(telemetry.metrics().snapshot().counter("runtime.stale_dropped"), 2);
 
     // Nobody acks bob: his 60 s window (a wheel entry, auto-advanced)
     // expires into the email fallback.
@@ -287,7 +308,8 @@ async fn hibernate_and_rehydrate_preserves_totals_exactly_once() {
     assert_eq!(resumed.active, 1);
     assert_eq!(resumed.hibernated, 0);
     assert_eq!(resumed.rehydrations, 1);
-    // No double counting: totals resumed, not re-added.
+    // No double counting: the parked totals stay folded, and the fresh
+    // buddy counts only its own alert.
     assert_eq!(resumed.stats.received_im, 2);
     assert_eq!(resumed.stats.deliveries_started, 2);
     // Exactly one IM send per alert — nothing lost, nothing duplicated.
@@ -309,13 +331,13 @@ async fn hibernation_refused_while_delivery_in_flight() {
     let alice = UserId::new("alice");
     host.register(alice.clone()).await;
     host.submit_im(&alice, sensor_alert("Sensor ON")).await;
-    tokio::time::sleep(Duration::from_millis(10)).await;
+    let (_, first) = next_ack(&mut notices).await;
 
     // In flight (accept_all: no ack yet, 60 s block window pending).
     assert!(!host.force_hibernate(&alice).await, "in-flight buddy must not hibernate");
 
     // The user acks; the delivery retires; now hibernation succeeds.
-    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    host.ack(&alice, first, AttemptId(0)).await;
     let (_, status) = next_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
     assert!(host.force_hibernate(&alice).await);
@@ -323,7 +345,9 @@ async fn hibernation_refused_while_delivery_in_flight() {
     // Rehydrate on the next alert; the stale 60 s block timer from the
     // pre-hibernation incarnation must not produce a duplicate send.
     host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
-    host.ack(&alice, DeliveryId(1), AttemptId(0)).await;
+    let (_, second) = next_ack(&mut notices).await;
+    assert_ne!(second, first, "the rebuilt buddy issues a new id");
+    host.ack(&alice, second, AttemptId(0)).await;
     let (_, status) = next_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
     tokio::time::sleep(Duration::from_secs(120)).await;
@@ -331,37 +355,6 @@ async fn hibernation_refused_while_delivery_in_flight() {
     let snap = host.shutdown().await;
     assert_eq!(snap.stats.deliveries_started, 2);
     assert_eq!(snap.acked, 2);
-}
-
-#[tokio::test(start_paused = true)]
-async fn corrupt_snapshot_falls_back_to_fresh_buddy_and_replay() {
-    let sink = Arc::new(RingBufferSink::new(64));
-    let telemetry = Telemetry::with_sink(sink);
-    let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(100)));
-    let (host, mut notices) =
-        ShardedHost::new(shared.clone(), test_config(1), factory(), telemetry.clone()).unwrap();
-    let alice = UserId::new("alice");
-    host.register(alice.clone()).await;
-    host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
-    next_finished(&mut notices).await;
-    assert!(host.force_hibernate(&alice).await);
-    assert!(host.corrupt_snapshot(&alice).await, "a parked snapshot must exist");
-
-    // The damaged snapshot is rejected (CRC); a fresh buddy takes over and
-    // the alert still delivers — the shard log, not the snapshot, is the
-    // source of truth.
-    host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
-    let (_, status) = next_finished(&mut notices).await;
-    assert!(matches!(status, DeliveryStatus::Acked { .. }));
-    let snap = host.snapshot().await;
-    assert_eq!(snap.corrupt_snapshots, 1);
-    assert_eq!(snap.rehydrations, 0);
-    // The parked totals stay folded, so nothing is lost fleet-wide.
-    assert_eq!(snap.stats.received_im, 2);
-    assert_eq!(snap.stats.deliveries_started, 2);
-    assert_eq!(telemetry.metrics().snapshot().counter("host.snapshot_corrupt"), 1);
-    shared.with(|c| assert_eq!(c.sent().len(), 2));
-    host.shutdown().await;
 }
 
 #[tokio::test(start_paused = true)]
@@ -432,12 +425,13 @@ async fn replay_claims_delivery_ids_before_a_live_alert_queued_behind_it() {
     let dir = std::env::temp_dir().join(format!("simba-shardhost-order-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let carol = UserId::new("carol");
-    {
+    let replays = {
         let mut log = ShardLog::open(ShardLogConfig::on_disk(dir.join("shard-000"))).unwrap();
-        log.append(&carol, &sensor_alert("Sensor replay A"), SimTime::ZERO).unwrap();
-        log.append(&carol, &sensor_alert("Sensor replay B"), SimTime::ZERO).unwrap();
+        let a = log.append(&carol, &sensor_alert("Sensor replay A"), SimTime::ZERO).unwrap();
+        let b = log.append(&carol, &sensor_alert("Sensor replay B"), SimTime::ZERO).unwrap();
         log.commit().unwrap();
-    }
+        [a, b]
+    };
     let config = ShardedHostConfig { log_dir: Some(dir.clone()), ..test_config(1) };
     let shared = SharedChannels::new(LoopbackChannels::accept_all());
     let (host, mut notices) =
@@ -458,21 +452,25 @@ async fn replay_claims_delivery_ids_before_a_live_alert_queued_behind_it() {
     // Only the live alert is acked back to its source (once its record
     // is committed); replays are never re-acked.
     let HostNotice { notice, .. } = notices.recv().await.unwrap();
-    assert_eq!(notice, RuntimeNotice::AckSent { source: "aladdin-gw".into() });
+    let RuntimeNotice::AckSent { source, record: live } = notice else { panic!("{notice:?}") };
+    assert_eq!(&*source, "aladdin-gw");
+    assert!(!replays.contains(&live), "the live alert is a record of its own");
 
-    // The replays hold ids 0 and 1: acking those leaves exactly the live
-    // alert's delivery to run out its IM window into the email fallback.
-    for id in [0, 1] {
-        host.ack(&carol, DeliveryId(id), AttemptId(0)).await;
+    // The replays' deliveries carry their records: acking those leaves
+    // exactly the live alert's delivery to run out its IM window into
+    // the email fallback.
+    for record in replays {
+        let id = DeliveryId::new(record, 0);
+        host.ack(&carol, id, AttemptId(0)).await;
         let HostNotice { notice, .. } = notices.recv().await.unwrap();
         assert!(
-            matches!(notice, RuntimeNotice::DeliveryFinished { delivery, status: DeliveryStatus::Acked { .. } } if delivery == DeliveryId(id)),
+            matches!(notice, RuntimeNotice::DeliveryFinished { delivery, status: DeliveryStatus::Acked { .. } } if delivery == id),
             "{notice:?}"
         );
     }
     let HostNotice { notice, .. } = notices.recv().await.unwrap();
     assert!(
-        matches!(notice, RuntimeNotice::DeliveryFinished { delivery: DeliveryId(2), status: DeliveryStatus::Unconfirmed { block: 1, .. } }),
+        matches!(notice, RuntimeNotice::DeliveryFinished { delivery, status: DeliveryStatus::Unconfirmed { block: 1, .. } } if delivery == DeliveryId::new(live, 0)),
         "{notice:?}"
     );
     shared.with(|c| {
@@ -509,7 +507,7 @@ async fn a_delivery_with_every_block_disabled_finishes_exhausted_exactly_once() 
         seen.push(notice);
     }
     assert_eq!(seen.len(), 2, "{seen:?}");
-    assert_eq!(seen[0], RuntimeNotice::AckSent { source: "aladdin-gw".into() });
+    assert!(matches!(&seen[0], RuntimeNotice::AckSent { source, .. } if &**source == "aladdin-gw"), "{seen:?}");
     assert!(
         matches!(seen[1], RuntimeNotice::DeliveryFinished { status: DeliveryStatus::Exhausted { .. }, .. }),
         "{seen:?}"
@@ -527,6 +525,7 @@ async fn remote_rejuvenation_restarts_the_buddy_and_the_worker_carries_on() {
     let alice = UserId::new("alice");
     host.register(alice.clone()).await;
     host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
+    let (_, first) = next_ack(&mut notices).await;
     next_finished(&mut notices).await;
 
     host.submit_im(&alice, sensor_alert("SIMBA-REJUVENATE")).await;
@@ -546,12 +545,16 @@ async fn remote_rejuvenation_restarts_the_buddy_and_the_worker_carries_on() {
     assert_eq!(snap.stats.replayed, 0, "the command's record was marked before the restart");
     assert_eq!(snap.crashes, 0, "an orderly restart is not a crash");
 
-    // The next alert runs on a fresh incarnation: delivery ids restart.
+    // The next alert runs on a fresh incarnation, which keeps no id
+    // counter: its delivery takes the alert's own log record, never one
+    // the old incarnation issued.
     host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
+    let (_, second) = next_ack(&mut notices).await;
+    assert_ne!(second, first);
     loop {
         let HostNotice { notice, .. } = notices.recv().await.unwrap();
         if let RuntimeNotice::DeliveryFinished { delivery, status } = notice {
-            assert_eq!(delivery, DeliveryId(0));
+            assert_eq!(delivery, second);
             assert!(matches!(status, DeliveryStatus::Acked { .. }));
             break;
         }
@@ -726,13 +729,14 @@ async fn an_in_flight_delivery_defers_the_idle_deadline_by_one_period() {
 
     let t = tokio::time::Instant::now();
     host.submit_im(&alice, sensor_alert("Sensor ON")).await;
+    let (_, delivery) = next_ack(&mut notices).await;
     let (active, hibernated, _) = residency_at(&host, t + ms(501)).await;
     assert_eq!((active, hibernated), (1, 0), "a delivering buddy is not parked");
 
     // The user acks at 700 ms: the delivery retires, and the ack is the
     // buddy's last activity — one period later it is parked.
     tokio::time::sleep_until(t + ms(700)).await;
-    host.ack(&alice, DeliveryId(0), AttemptId(0)).await;
+    host.ack(&alice, delivery, AttemptId(0)).await;
     let (_, status) = next_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { .. }));
     let (active, hibernated, _) = residency_at(&host, t + ms(1_199)).await;

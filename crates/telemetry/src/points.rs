@@ -158,13 +158,12 @@ pub const POINTS: &[PointDef] = &[
     point!("host.buddy_crashed", [Counter], "host", "buddies that crashed on a shard worker and were restarted with log replay"),
     point!("host.commit_failed", [Counter], "host", "shard-log group commits that failed (the batch's effects were withheld)"),
     point!("host.group_commits", [Counter], "host", "shard-log group commits (one fsync each in file mode)"),
-    point!("host.hibernated", [Counter], "host", "idle buddies hibernated to compact snapshots by the host"),
+    point!("host.hibernated", [Counter], "host", "idle buddies hibernated by the host: counters folded into the shard's totals, buddy dropped"),
     point!("host.notice_dropped", [Counter], "host", "MAB notices dropped because the host's notice queue was full"),
-    point!("host.rehydrated", [Counter], "host", "hibernated buddies rebuilt from snapshots on routed demand"),
+    point!("host.rehydrated", [Counter], "host", "hibernated users given a fresh buddy by a routed alert"),
     point!("host.routed", [Counter], "host", "alerts the multi-user host routed to a per-user MAB"),
     point!("host.segments_rotated", [Counter], "host", "shard-log segment rotations (history compacted to live records)"),
     point!("host.shard_depth", [Gauge], "host", "current inbound queue depth of a shard worker"),
-    point!("host.snapshot_corrupt", [Counter], "host", "hibernation snapshots rejected at rehydration; each fell back to shard-log replay"),
     point!("host.unrouted", [Event, Counter], "host", "an alert arrived for a user the host does not run"),
     point!("host.users", [Counter], "host", "users registered on the host over its lifetime"),
     point!("im.one_way", [Summary], "im", "sim: one-way source-to-client IM latency (paper fig. E1)"),

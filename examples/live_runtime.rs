@@ -49,8 +49,8 @@ async fn main() {
     while let Some(notice) = notices.recv().await {
         let at = started.elapsed();
         match notice.notice {
-            RuntimeNotice::AckSent { source } => {
-                println!("[{at:>8.1?}] buddy acked the alert back to {source}");
+            RuntimeNotice::AckSent { source, record } => {
+                println!("[{at:>8.1?}] buddy acked alert {record} back to {source}");
             }
             RuntimeNotice::DeliveryFinished { delivery, status } => {
                 println!("[{at:>8.1?}] delivery {delivery:?} finished: {status:?}");

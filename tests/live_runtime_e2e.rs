@@ -58,7 +58,7 @@ async fn live_alert_is_acked_in_under_a_second() {
     // First the buddy's own ack back to the source, then the user's.
     assert_eq!(
         notices.recv().await.expect("host alive").notice,
-        RuntimeNotice::AckSent { source: "aladdin-gw".into() }
+        RuntimeNotice::AckSent { source: "aladdin-gw".into(), record: 0 }
     );
     let status = wait_finished(&mut notices).await;
     assert!(matches!(status, DeliveryStatus::Acked { block: 0, .. }));
