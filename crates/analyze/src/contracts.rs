@@ -116,6 +116,8 @@ pub const BLOCKING: &[BlockingCall] = &[
     BlockingCall { name: "recv_timeout", qualifier: None, empty_args_only: false, what: "channel receive blocks up to the timeout" },
     BlockingCall { name: "commit", qualifier: None, empty_args_only: false, what: "group commit performs fsync-class file I/O" },
     BlockingCall { name: "write_all", qualifier: None, empty_args_only: false, what: "file/socket write" },
+    BlockingCall { name: "write_all_at", qualifier: None, empty_args_only: false, what: "positional file write" },
+    BlockingCall { name: "set_len", qualifier: None, empty_args_only: false, what: "file truncate or extend" },
     BlockingCall { name: "flush", qualifier: None, empty_args_only: false, what: "file/socket flush" },
     BlockingCall { name: "sync_all", qualifier: None, empty_args_only: false, what: "fsync" },
     BlockingCall { name: "sync_data", qualifier: None, empty_args_only: false, what: "fdatasync" },
@@ -172,6 +174,8 @@ mod tests {
     #[test]
     fn blocking_lookups() {
         assert!(blocking_what("commit", None, false).is_some());
+        assert!(blocking_what("write_all_at", None, false).is_some());
+        assert!(blocking_what("set_len", None, false).is_some());
         assert!(blocking_what("sleep", Some("thread"), false).is_some());
         assert!(blocking_what("sleep", Some("time"), false).is_none(), "tokio sleep is async");
         assert!(blocking_what("recv", None, true).is_some());

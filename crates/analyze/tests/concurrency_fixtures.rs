@@ -124,6 +124,24 @@ fn guard_returning_helper_counts_as_acquisition() {
 }
 
 #[test]
+fn positional_writes_and_length_changes_under_a_guard_fire() {
+    // A journal writes its batch in place and cuts its file back with
+    // `set_len`: both are file I/O, seen directly and one call deep.
+    let src = "impl S { fn f(&self) { let g = self.state.lock(); self.file.write_all_at(b, at); } }";
+    let findings = one_file(src);
+    assert_eq!(rules_fired(&findings), vec!["concurrency.blocking-under-guard"]);
+    assert!(findings[0].message.contains("write_all_at"), "{}", findings[0].message);
+    let src = "impl S {\n        fn cut(&self) { self.file.set_len(n); }\n        fn f(&self) { let g = self.state.lock(); self.cut(); }\n    }";
+    let findings = one_file(src);
+    assert_eq!(rules_fired(&findings), vec!["concurrency.blocking-under-guard"]);
+    assert!(findings[0].message.contains("cut"), "{}", findings[0].message);
+
+    // With no guard held both are clean.
+    let src = "impl S { fn f(&self) { self.file.write_all_at(b, at); self.file.set_len(n); } }";
+    assert!(one_file(src).is_empty());
+}
+
+#[test]
 fn out_of_scope_crates_are_not_checked() {
     // bench drives load with guards held on purpose; it is not on
     // CONCURRENCY_CRATES and must not be checked.

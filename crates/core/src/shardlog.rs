@@ -495,12 +495,20 @@ mod tests {
         assert_eq!(log.stats().group_commits, 1);
     }
 
-    /// Every frame of every segment in `dir`, oldest segment first.
+    /// Every frame of every segment in `dir`, oldest segment first. A
+    /// segment's frames must be followed by zeros and nothing else.
     fn frames_on_disk(dir: &std::path::Path) -> Vec<String> {
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
         paths.sort();
-        let text: String = paths.iter().map(|p| std::fs::read_to_string(p).unwrap()).collect();
-        text.lines().map(str::to_string).collect()
+        let mut frames = Vec::new();
+        for path in paths {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let data = text.trim_end_matches('\0');
+            assert!(data.is_empty() || data.ends_with('\n'), "{}: a fragment before the zeros", path.display());
+            assert!(!data.contains('\0'), "{}: zeros among the frames", path.display());
+            frames.extend(data.lines().map(str::to_string));
+        }
+        frames
     }
 
     #[test]

@@ -73,9 +73,10 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// Escapes tabs, newlines, and backslashes so `s` survives a
+/// Escapes tabs, newlines, backslashes and NULs so `s` survives a
 /// tab-separated, newline-terminated journal payload
-/// ([`crate::journal`]); every record codec in the workspace uses it.
+/// ([`crate::journal`], whose zero tail and torn-write check rely on
+/// frames holding no NUL); every record codec in the workspace uses it.
 /// The escaped form is written where it is formatted — straight into
 /// the journal's buffer — never into a string of its own.
 pub fn escape(s: &str) -> Escaped<'_> {
@@ -89,13 +90,14 @@ pub struct Escaped<'a>(&'a str);
 impl std::fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut rest = self.0;
-        while let Some(at) = rest.find(['\\', '\t', '\n', '\r']) {
+        while let Some(at) = rest.find(['\\', '\t', '\n', '\r', '\0']) {
             f.write_str(&rest[..at])?;
             f.write_str(match rest.as_bytes()[at] {
                 b'\\' => "\\\\",
                 b'\t' => "\\t",
                 b'\n' => "\\n",
-                _ => "\\r",
+                b'\r' => "\\r",
+                _ => "\\0",
             })?;
             rest = &rest[at + 1..];
         }
@@ -117,6 +119,7 @@ pub fn unescape(s: &str) -> String {
             Some('t') => out.push('\t'),
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
+            Some('0') => out.push('\0'),
             Some(other) => {
                 out.push('\\');
                 out.push(other);
@@ -133,8 +136,9 @@ mod tests {
 
     #[test]
     fn escape_unescape_inverse() {
-        for s in ["plain", "a\tb", "a\nb", "a\\b", "\\t literal", "", "trailing\\"] {
+        for s in ["plain", "a\tb", "a\nb", "a\\b", "\\t literal", "", "trailing\\", "nul\0", "\\0 literal"] {
             assert_eq!(unescape(&escape(s).to_string()), s, "for {s:?}");
+            assert!(!escape(s).to_string().contains('\0'), "for {s:?}");
         }
     }
 }

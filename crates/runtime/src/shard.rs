@@ -1067,6 +1067,9 @@ impl<C: Channels> Worker<C> {
                 break;
             }
             for user in self.execute(staged, now) {
+                // What the old incarnation finished in this batch is
+                // reported and counted before its counters fold.
+                self.retire_user(&user, now);
                 if let Some(UserSlot::Active(active)) = self.roster.get_mut(&user) {
                     let stats = active.mab.stats();
                     self.folded.merge(stats);

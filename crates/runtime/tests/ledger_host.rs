@@ -337,15 +337,38 @@ async fn alerts_after_a_remote_rejuvenation_are_each_sent_once() {
     let user = UserId::new("user-0");
     submit(&host, &user, &FOUR[..2]).await;
     finished_ids(&mut notices, 2).await;
+    // The command and the alerts after it share one batch.
     submit(&host, &user, &["SIMBA-REJUVENATE"]).await;
-    while !matches!(notices.recv().await.map(|n| n.notice), Some(RuntimeNotice::Rejuvenating(_))) {}
     submit(&host, &user, &FOUR[2..]).await;
     finished_ids(&mut notices, 2).await;
 
     let stats = pool.drain().await;
     assert_eq!(stats.deduped, 0, "no alert is a duplicate of another");
     channels.with(|c| assert_each_sent_once(c.sent(), &FOUR));
-    host.shutdown().await;
+    let snap = host.shutdown().await;
+    assert_eq!(snap.stats.deliveries_started, 4);
+    assert_eq!(snap.acked + snap.unconfirmed + snap.exhausted, 4, "every delivery is counted once");
+}
+
+/// Regression: a buddy restarted for rejuvenation was folded and
+/// replaced without first retiring what it had finished in that batch,
+/// so a delivery it sent never reported `DeliveryFinished` and was never
+/// counted as acked, unconfirmed or exhausted.
+#[tokio::test(start_paused = true)]
+async fn a_delivery_finished_in_a_rejuvenations_batch_is_reported() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host(channels.clone(), 1, &Telemetry::disabled()).await;
+    let user = UserId::new("user-0");
+    submit(&host, &user, &["Sensor a ON", "SIMBA-REJUVENATE"]).await;
+    let reported = tokio::time::timeout(Duration::from_secs(5), finished_ids(&mut notices, 1)).await;
+    assert!(reported.is_ok(), "the alert sent before the restart never finished");
+
+    pool.drain().await;
+    channels.with(|c| assert_each_sent_once(c.sent(), &["Sensor a ON"]));
+    let snap = host.shutdown().await;
+    assert_eq!(snap.stats.deliveries_started, 1);
+    assert_eq!((snap.acked, snap.unconfirmed, snap.exhausted), (0, 1, 0));
 }
 
 /// Regression: a failed processed-mark crashes the buddy, and its

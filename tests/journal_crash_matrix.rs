@@ -5,14 +5,27 @@
 //! Each log runs a script of single-record mutations: two commits, a
 //! reopen under a one-byte segment cap (so the next commit rotates), a
 //! reopen under no cap, and at least two more commits. What is left is
-//! one segment: the rotation's snapshot, its `K` trailer, and one frame
-//! per later mutation. Two sweeps follow.
+//! one segment: the rotation's snapshot, its `K` trailer, one frame per
+//! later mutation, and the zero tail the file grew by. Five sweeps follow.
 //!
-//! *Truncation*: for every byte length of that segment, open must
-//! succeed, hold exactly the records whose frames lie wholly inside the
-//! length (the state the script had after that many mutations), cut the
-//! file back to that frame boundary, see the same thing on a second open,
-//! and issue fresh ids that collide with nothing that survived.
+//! *Truncation*: for every byte length of the frames, open must succeed,
+//! hold exactly the records whose frames lie wholly inside the length
+//! (the state the script had after that many mutations), cut the file
+//! back to that frame boundary, see the same thing on a second open, and
+//! issue fresh ids that collide with nothing that survived. The same
+//! holds when the bytes past the length are zeros rather than gone — a
+//! commit torn while it overwrote the tail in place.
+//!
+//! *Zero tail*: for the lengths into the tail that can behave
+//! differently (its ends, and either side of a sector and a page
+//! boundary), open yields the undamaged state and leaves the file as it
+//! is; a non-zero byte (or a whole stray frame) inside the tail is cut
+//! with everything after the frames, and the undamaged state is what
+//! opens.
+//!
+//! *Torn middle block*: one more commit of a single record over four
+//! pages, with any one of its inner 4 KiB blocks left as zeros, reopens
+//! to the state before that commit, cut back to the frames before it.
 //!
 //! *Flip*: every bit of every byte before the final line, flipped alone,
 //! yields `Corrupt` or the undamaged state — never a different one.
@@ -47,6 +60,8 @@ trait Subject: Sized {
     fn live_ids(&self) -> Vec<u64>;
     /// Issues (and returns) a fresh id, as the next real mutation would.
     fn fresh_id(&mut self) -> u64;
+    /// Journals one record of at least `bytes` bytes.
+    fn bulk(&mut self, bytes: usize);
 }
 
 fn wal_corrupt(e: WalError) -> bool {
@@ -116,6 +131,11 @@ impl Subject for ShardLog {
 
     fn fresh_id(&mut self) -> u64 {
         self.append(&UserId::new("probe"), &IncomingAlert::from_im("gw", "probe", t(99)), t(99)).unwrap()
+    }
+
+    fn bulk(&mut self, bytes: usize) {
+        let alert = IncomingAlert::from_email("gw", "bulk", "bulk", "b".repeat(bytes), t(98));
+        self.append(&UserId::new("bulk"), &alert, t(98)).unwrap();
     }
 }
 
@@ -204,6 +224,10 @@ impl Subject for DeliveryLedger {
     fn fresh_id(&mut self) -> u64 {
         self.enqueue(&UserId::new("probe"), 99, CommType::Im, "probe", "probe", t(9999))
     }
+
+    fn bulk(&mut self, bytes: usize) {
+        self.enqueue(&UserId::new("bulk"), 98, CommType::Email, "bulk", &"b".repeat(bytes), t(9998));
+    }
 }
 
 // -------------------------------------------------------------------- rules
@@ -263,6 +287,10 @@ impl Subject for RulesLog {
     fn fresh_id(&mut self) -> u64 {
         self.upsert("probe", None, RuleSpec::deliver("probe", "any")).unwrap().id
     }
+
+    fn bulk(&mut self, bytes: usize) {
+        self.upsert("bulk", None, RuleSpec::deliver(&"b".repeat(bytes), "any")).unwrap();
+    }
 }
 
 // ------------------------------------------------------------------ harness
@@ -310,9 +338,19 @@ fn run_script<S: Subject>() -> Scripted {
     out
 }
 
-/// Byte offsets just past each line of `segment`.
-fn line_ends(segment: &[u8]) -> Vec<usize> {
-    segment.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(at, _)| at + 1).collect()
+/// Byte offsets just past each line of `frames`.
+fn line_ends(frames: &[u8]) -> Vec<usize> {
+    frames.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(at, _)| at + 1).collect()
+}
+
+/// Where the frames of `segment` end and its zero tail begins.
+fn data_len(segment: &[u8]) -> usize {
+    segment.iter().position(|&b| b == 0).unwrap_or(segment.len())
+}
+
+/// The segment as it is on disk now.
+fn on_disk(dir: &Path) -> Vec<u8> {
+    std::fs::read(dir.join(SEGMENT)).unwrap()
 }
 
 /// Writes `bytes` as the only segment of `dir` and opens it.
@@ -324,8 +362,11 @@ fn open_over<S: Subject>(dir: &Path, bytes: &[u8]) -> Result<S, bool> {
 fn sweep<S: Subject>() {
     let script = run_script::<S>();
     let segment = &script.segment;
-    let ends = line_ends(segment);
-    assert_eq!(ends.last(), Some(&segment.len()), "{}: the script ends on a frame boundary", S::NAME);
+    let data = data_len(segment);
+    let ends = line_ends(&segment[..data]);
+    assert_eq!(ends.last(), Some(&data), "{}: the script ends on a frame boundary", S::NAME);
+    assert!(data < segment.len(), "{}: the frames are followed by a zero tail", S::NAME);
+    assert!(segment[data..].iter().all(|&b| b == 0), "{}: only zeros follow the frames", S::NAME);
     // Lines: the snapshot's frames, the trailer, then one frame per
     // mutation after the rotation.
     let trailer = (0..ends.len())
@@ -341,12 +382,19 @@ fn sweep<S: Subject>() {
     assert_eq!(whole, *script.digests.last().unwrap(), "{}: reopen equals the live state", S::NAME);
 
     // Truncation sweep.
-    for len in 0..=segment.len() {
-        let ctx = format!("{} cut at {len}/{}", S::NAME, segment.len());
+    for len in 0..=data {
+        let ctx = format!("{} cut at {len}/{data}", S::NAME);
         let lines = ends.iter().take_while(|&&end| end <= len).count();
         let boundary = if lines == 0 { 0 } else { ends[lines - 1] };
+        let mut torn = segment.clone();
+        torn[len..data].fill(0);
+        let in_place = open_over::<S>(&dir, &torn).unwrap_or_else(|_| panic!("{ctx}: open over zeros failed"));
+        // A fragment is cut with the zeros after it; whole frames keep theirs.
+        let expected = if len == boundary { &torn[..] } else { &segment[..boundary] };
+        assert!(on_disk(&dir) == expected, "{ctx}: zeros: file is not {} bytes", expected.len());
         let mut log = open_over::<S>(&dir, &segment[..len]).unwrap_or_else(|_| panic!("{ctx}: open failed"));
         let digest = log.digest();
+        assert_eq!(in_place.digest(), digest, "{ctx}: torn in place differs from torn at the end");
         assert_eq!(std::fs::read(dir.join(SEGMENT)).unwrap(), segment[..boundary], "{ctx}: file not cut to the frame boundary");
         if lines > trailer {
             let surviving = rotated_after + (lines - trailer - 1);
@@ -366,6 +414,58 @@ fn sweep<S: Subject>() {
         assert!(named_after.iter().all(|&id| fresh > id), "{ctx}: fresh id {fresh} reuses one of {named_after:?}");
     }
 
+    // Zero-tail sweep: the lengths into the tail that can differ — its
+    // first bytes, either side of the next sector and page boundary, and
+    // its last bytes.
+    let (sector, page) = (data.next_multiple_of(512), data.next_multiple_of(4096));
+    let mut lengths = vec![data, data + 1, sector - 1, sector, sector + 1, page - 1, page, page + 1];
+    lengths.extend([segment.len() - 1, segment.len()]);
+    lengths.retain(|&len| (data..=segment.len()).contains(&len));
+    lengths.sort_unstable();
+    lengths.dedup();
+    for &len in &lengths {
+        let log = open_over::<S>(&dir, &segment[..len])
+            .unwrap_or_else(|_| panic!("{} tail cut at {len}: open failed", S::NAME));
+        assert_eq!(log.digest(), whole, "{} tail cut at {len}", S::NAME);
+        assert!(on_disk(&dir) == segment[..len], "{} tail cut at {len}: rewritten", S::NAME);
+    }
+    // Stray bytes inside the tail: each of its first KiB, then every
+    // 61st, the last byte, and a copy of the final frame after a gap.
+    let tail = segment.len() - data;
+    let mut strays: Vec<(usize, Vec<u8>)> = (0..tail)
+        .filter(|&at| at < 1024 || at % 61 == 0 || at == tail - 1)
+        .map(|at| (data + at, vec![[0x01, b'\n', b'K', b'0', 0xff][at % 5]]))
+        .collect();
+    let final_frame = segment[ends[ends.len() - 2]..data].to_vec();
+    strays.push((data + 4096, final_frame));
+    for (at, bytes) in &strays {
+        let mut damaged = segment.clone();
+        damaged[*at..*at + bytes.len()].copy_from_slice(bytes);
+        let log = open_over::<S>(&dir, &damaged).unwrap_or_else(|_| panic!("{} stray at {at}: open failed", S::NAME));
+        assert_eq!(log.digest(), whole, "{} stray at {at}", S::NAME);
+        assert!(on_disk(&dir) == segment[..data], "{} stray at {at}: not cut to the frames", S::NAME);
+    }
+
+    // Torn middle block: one more commit, a single record over four
+    // pages, loses one aligned 4 KiB block while the blocks around it
+    // reach the disk. Open yields the state before that commit.
+    let mut log = open_over::<S>(&dir, segment).unwrap_or_else(|_| panic!("{}: reopen failed", S::NAME));
+    log.bulk(4 * 4096);
+    log.commit();
+    drop(log);
+    let grown = on_disk(&dir);
+    let end = data_len(&grown);
+    assert_eq!(line_ends(&grown[..end]), [&ends[..], &[end]].concat(), "{}: the commit is one frame", S::NAME);
+    let blocks: Vec<usize> = (data.next_multiple_of(4096)..end - 4096).step_by(4096).collect();
+    assert!(blocks.len() >= 2, "{}: the commit spans more than three pages", S::NAME);
+    for &block in &blocks {
+        let mut torn = grown.clone();
+        torn[block..block + 4096].fill(0);
+        let log = open_over::<S>(&dir, &torn).unwrap_or_else(|_| panic!("{} block {block} lost: open failed", S::NAME));
+        assert_eq!(log.digest(), whole, "{} block {block} lost", S::NAME);
+        assert!(on_disk(&dir) == segment[..data], "{} block {block} lost: not cut to the commit", S::NAME);
+    }
+
     // Flip sweep: every bit of every byte before the final line.
     let before_final = ends[ends.len() - 2];
     let mut corrupt = 0;
@@ -381,10 +481,13 @@ fn sweep<S: Subject>() {
         }
     }
     println!(
-        "{}: {} truncation lengths over {} frames; {} flips, {corrupt} corrupt, {} harmless",
+        "{}: {} truncation lengths over {} frames, {} into the zero tail, {} stray bytes, {} lost blocks; {} flips, {corrupt} corrupt, {} harmless",
         S::NAME,
-        segment.len() + 1,
+        data + 1,
         ends.len(),
+        lengths.len(),
+        strays.len(),
+        blocks.len(),
         before_final * 8,
         before_final * 8 - corrupt
     );
