@@ -51,7 +51,7 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
     let config = standard_config();
     let fresh_log = || UserShardWal::in_memory(UserId::new("alice"));
     let mut wal = fresh_log();
-    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone(), SimTime::ZERO);
+    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone());
     let mut dedup = Horizon::new(SimDuration::from_hours(24), usize::MAX);
 
     let mut acked_without_delivery = 0u64;
@@ -86,7 +86,7 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
             if !logging {
                 wal = fresh_log();
             }
-            mab = MyAlertBuddy::new(config.clone(), wal.clone(), now);
+            mab = MyAlertBuddy::new(config.clone(), wal.clone());
             let recovery = mab.recover(now);
             routed += routed_count(&recovery);
         }

@@ -6,7 +6,7 @@
 //! deterministic tokio shim (virtual time) and asserts the delivery
 //! lifecycle keeps every in-memory table bounded: once the load drains,
 //! in-flight deliveries, tracked deliveries and the shard timer wheels
-//! all return to zero, and the completed-rings stay at their caps.
+//! all return to zero.
 //! Wall-clock throughput is reported alongside (the virtual clock makes
 //! the traffic pattern reproducible; the wall cost is real scheduler +
 //! state-machine work).
@@ -41,17 +41,15 @@ pub struct SoakOptions {
     pub users: usize,
     /// Alerts submitted to every user.
     pub alerts_per_user: usize,
-    /// Per-user completed-ring capacity.
-    pub completed_ring: usize,
 }
 
 impl SoakOptions {
-    /// Full-scale defaults: 50 users × 200 alerts, ring of 32.
+    /// Full-scale defaults: 50 users × 200 alerts.
     pub fn new(seed: u64) -> Self {
-        SoakOptions { seed, users: 50, alerts_per_user: 200, completed_ring: 32 }
+        SoakOptions { seed, users: 50, alerts_per_user: 200 }
     }
 
-    /// CI smoke: 20 users × 50 alerts, same ring.
+    /// CI smoke: 20 users × 50 alerts.
     pub fn smoke(seed: u64) -> Self {
         SoakOptions { users: 20, alerts_per_user: 50, ..SoakOptions::new(seed) }
     }
@@ -89,8 +87,6 @@ pub struct SoakNumbers {
     /// Highest timer-wheel occupancy sampled (block timers and pending
     /// simulated acks).
     pub peak_pending_timers: usize,
-    /// Total completed-ring occupancy after the drain (≤ users × cap).
-    pub retired_ring: usize,
     /// Wall-clock seconds for the whole soak.
     pub wall_secs: f64,
     /// Alerts per wall-clock second.
@@ -170,7 +166,6 @@ impl Peaks {
 struct RawSoak {
     outcomes: Outcomes,
     peaks: Peaks,
-    retired_ring: usize,
     stale_dropped: u64,
     routed: u64,
     unrouted: u64,
@@ -183,9 +178,8 @@ async fn soak(opts: SoakOptions) -> RawSoak {
         // Fixed, so the seeded outcome script is spent in the same order
         // on every machine.
         shards: 2,
-        // Buddies stay resident: the floor below reads their rings.
+        // Buddies stay resident: the floor below reads their tables.
         hibernate_after: SimDuration::ZERO,
-        completed_ring: opts.completed_ring,
         // The soak counts every terminal notice, so the (bounded) merged
         // stream is sized to the load rather than the operator default.
         notice_capacity: (opts.users * opts.alerts_per_user)
@@ -240,24 +234,18 @@ async fn soak(opts: SoakOptions) -> RawSoak {
     // Drain and assert the bounded floor. Every outcome resolves within
     // the 5 s window, so a bounded number of sampling rounds must reach
     // all-zero tables — anything else is a lifecycle leak.
-    let mut floor = None;
+    let mut drained = false;
     for _ in 0..60 {
         tokio::time::sleep(Duration::from_millis(500)).await;
         let snap = host.snapshot().await;
         peaks.observe(&snap);
         let done = outcomes.borrow().finished == total;
         if done && snap.in_flight == 0 && snap.tracked == 0 && snap.pending_timers == 0 {
-            floor = Some(snap);
+            drained = true;
             break;
         }
     }
-    let floor = floor.expect("delivery state failed to drain to the floor: lifecycle leak");
-    assert!(
-        floor.retired_ring <= opts.users * opts.completed_ring,
-        "completed-rings exceeded their caps: {} > {}",
-        floor.retired_ring,
-        opts.users * opts.completed_ring
-    );
+    assert!(drained, "delivery state failed to drain to the floor: lifecycle leak");
 
     let merged = host.shutdown().await.stats;
     drainer.await.expect("notice drainer");
@@ -269,7 +257,6 @@ async fn soak(opts: SoakOptions) -> RawSoak {
     RawSoak {
         outcomes,
         peaks,
-        retired_ring: floor.retired_ring,
         stale_dropped: metrics.counter("runtime.stale_dropped"),
         routed: metrics.counter("host.routed"),
         unrouted: metrics.counter("host.unrouted"),
@@ -297,20 +284,18 @@ pub fn measure(opts: SoakOptions) -> (SoakNumbers, Vec<Table>) {
         peak_in_flight: raw.peaks.in_flight,
         peak_tracked: raw.peaks.tracked,
         peak_pending_timers: raw.peaks.pending_timers,
-        retired_ring: raw.retired_ring,
         wall_secs,
         throughput: if wall_secs > 0.0 { total as f64 / wall_secs } else { f64::INFINITY },
     };
 
     let mut config = Table::new(
         "E3H: host soak configuration",
-        &["users", "alerts/user", "total alerts", "ring cap", "seed"],
+        &["users", "alerts/user", "total alerts", "seed"],
     );
     config.row(&[
         numbers.users.to_string(),
         numbers.alerts_per_user.to_string(),
         numbers.total_alerts.to_string(),
-        opts.completed_ring.to_string(),
         opts.seed.to_string(),
     ]);
 
@@ -337,11 +322,6 @@ pub fn measure(opts: SoakOptions) -> (SoakNumbers, Vec<Table>) {
         "timer-wheel entries".into(),
         numbers.peak_pending_timers.to_string(),
         "0".into(),
-    ]);
-    bounds.row(&[
-        "completed-ring occupancy".into(),
-        format!("≤ {}", opts.users * opts.completed_ring),
-        numbers.retired_ring.to_string(),
     ]);
 
     let mut perf = Table::new(
@@ -396,13 +376,12 @@ mod tests {
     #[test]
     fn e3h_soak_drains_to_the_floor() {
         // Reduced scale for CI; the floor assertions run inside soak().
-        let opts = SoakOptions { seed: 42, users: 10, alerts_per_user: 30, completed_ring: 8 };
+        let opts = SoakOptions { seed: 42, users: 10, alerts_per_user: 30 };
         let (n, _) = measure(opts);
         assert_eq!(n.finished, 300);
         assert_eq!(n.acked + n.unconfirmed + n.exhausted, 300);
         assert!(n.acked > 0, "some deliveries must ack");
         assert!(n.unconfirmed > 0, "some deliveries must fall back");
-        assert!(n.retired_ring <= 80);
         assert!(n.peak_in_flight > 0, "the load must actually overlap");
         assert_eq!(n.routed, 300, "the host counts every routed alert");
         assert_eq!(n.unrouted, 0);
@@ -410,7 +389,7 @@ mod tests {
 
     #[test]
     fn outcome_mix_tracks_the_channel_script() {
-        let opts = SoakOptions { seed: 7, users: 8, alerts_per_user: 25, completed_ring: 16 };
+        let opts = SoakOptions { seed: 7, users: 8, alerts_per_user: 25 };
         let (n, _) = measure(opts);
         // The script acks ~45 % of IM sends; allow a wide band.
         let acked_frac = n.acked as f64 / n.total_alerts as f64;

@@ -441,7 +441,7 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
     email_mgr.start(SimTime::ZERO);
 
     let wal = UserShardWal::in_memory(UserId::new("alice"));
-    let mab = MyAlertBuddy::new(mab_config.clone(), wal.clone(), SimTime::ZERO);
+    let mab = MyAlertBuddy::new(mab_config.clone(), wal.clone());
 
     let world = World {
         im,
@@ -995,7 +995,7 @@ fn mab_restarted(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
         return; // the reboot path restarts us via MachineUp
     }
     let now = ctx.now();
-    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), world.wal.clone(), now);
+    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), world.wal.clone());
     let commands = mab.recover(now);
     world.metrics.add("mab.replayed", mab.stats().replayed);
     world.mab = Some(mab);

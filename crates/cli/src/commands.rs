@@ -412,7 +412,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
         SimTime::ZERO,
     );
 
-    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice), SimTime::ZERO)
+    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice))
         .with_telemetry(telemetry.clone())
         .with_mode_selector(Box::new(simba_runtime::StoreModeSelector::new(store)));
     let mut rng = SimRng::new(seed);

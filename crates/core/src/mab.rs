@@ -16,18 +16,14 @@
 use crate::address::AddressBook;
 use crate::alert::{Alert, AlertId, IncomingAlert};
 use crate::classify::Classifier;
-use crate::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryProcess, DeliveryStatus};
+use crate::delivery::{DeliveryCommand, DeliveryEvent, DeliveryProcess, DeliveryStatus};
 use crate::rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
 use crate::shardlog::UserShardWal;
 use crate::subscription::{SubscriptionRegistry, UserId};
 use crate::vecmap::VecMap;
-use simba_sim::{SimDuration, SimTime};
+use simba_sim::SimTime;
 use simba_telemetry::{Event, Telemetry};
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Default capacity of the completed-delivery ring.
-pub const DEFAULT_COMPLETED_CAP: usize = 256;
 
 /// Identifies one delivery: the log record of the alert it delivers and
 /// the subscriber's position in that alert's fan-out (fixed by the
@@ -118,7 +114,9 @@ pub enum MabCommand {
         /// The channel command.
         command: DeliveryCommand,
     },
-    /// Gracefully terminate for rejuvenation; the MDC will restart us.
+    /// Gracefully terminate for rejuvenation: the MDC parks the buddy
+    /// once it is idle ([`MyAlertBuddy::is_rejuvenating`]), and the
+    /// user's next alert builds a fresh one.
     Rejuvenate(
         /// Why.
         RejuvenationTrigger,
@@ -197,27 +195,6 @@ impl MabStats {
     }
 }
 
-/// The summary of a delivery evicted from the active table after reaching
-/// a terminal state; kept in a bounded completed-ring for diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetiredDelivery {
-    /// The delivery's id (never reused).
-    pub id: DeliveryId,
-    /// The subscriber it delivered to.
-    pub user: UserId,
-    /// The terminal status at retirement.
-    pub status: DeliveryStatus,
-    /// Every attempt the process issued (the runtime uses this to drop
-    /// its `attempt_owner` entries).
-    pub attempts: Vec<AttemptId>,
-    /// Messages actually sent (the irritability cost).
-    pub messages_sent: usize,
-    /// When the delivery started.
-    pub started_at: SimTime,
-    /// When it was retired.
-    pub retired_at: SimTime,
-}
-
 /// The MyAlertBuddy daemon state machine.
 #[derive(Debug)]
 pub struct MyAlertBuddy {
@@ -226,14 +203,11 @@ pub struct MyAlertBuddy {
     /// Tracked deliveries: usually none or one, filled and emptied once
     /// per alert — hence a [`VecMap`], not a tree with an eleven-slot leaf.
     deliveries: VecMap<DeliveryId, (UserId, DeliveryProcess)>,
-    completed: VecDeque<RetiredDelivery>,
-    completed_cap: usize,
-    retirement_grace: SimDuration,
     stats: MabStats,
     crash_point: Option<CrashPoint>,
     crashed: bool,
     hung: bool,
-    last_progress_at: SimTime,
+    rejuvenating: bool,
     telemetry: Telemetry,
     mode_selector: Option<Box<dyn crate::routing::ModeSelector>>,
 }
@@ -244,19 +218,16 @@ impl MyAlertBuddy {
     /// replays unprocessed alerts "before accepting new alerts". A caller
     /// that restarts the buddy after a crash keeps a clone of `wal` for
     /// the next incarnation.
-    pub fn new(config: MabConfig, wal: UserShardWal, now: SimTime) -> Self {
+    pub fn new(config: MabConfig, wal: UserShardWal) -> Self {
         MyAlertBuddy {
             config,
             wal,
             deliveries: VecMap::default(),
-            completed: VecDeque::new(),
-            completed_cap: DEFAULT_COMPLETED_CAP,
-            retirement_grace: SimDuration::ZERO,
             stats: MabStats::default(),
             crash_point: None,
             crashed: false,
             hung: false,
-            last_progress_at: now,
+            rejuvenating: false,
             telemetry: Telemetry::disabled(),
             mode_selector: None,
         }
@@ -325,9 +296,10 @@ impl MyAlertBuddy {
         !self.crashed && !self.hung
     }
 
-    /// When the pipeline last made progress.
-    pub fn last_progress_at(&self) -> SimTime {
-        self.last_progress_at
+    /// Whether the buddy asked for rejuvenation: its MDC parks it once
+    /// it is idle, and a fresh one takes the user's next alert.
+    pub fn is_rejuvenating(&self) -> bool {
+        self.rejuvenating
     }
 
     /// In-flight delivery count.
@@ -343,81 +315,38 @@ impl MyAlertBuddy {
         self.deliveries.get(&id).map(|(_, p)| p.status())
     }
 
-    /// All deliveries and their owners (for reporting).
-    pub fn deliveries(&self) -> impl Iterator<Item = (DeliveryId, &UserId, &DeliveryProcess)> {
-        self.deliveries.iter().map(|(id, (u, p))| (*id, u, p))
-    }
-
     /// Deliveries held in the active table (in-progress plus terminal ones
     /// not yet retired). The soak harness asserts this returns to zero.
     pub fn tracked(&self) -> usize {
         self.deliveries.len()
     }
 
-    /// The completed-ring contents, oldest first.
-    pub fn retired(&self) -> impl Iterator<Item = &RetiredDelivery> {
-        self.completed.iter()
-    }
-
-    /// Number of retired summaries currently held (≤ the configured cap).
-    pub fn retired_len(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// Configures delivery retirement: `grace` is how long a terminal
-    /// delivery lingers in the active table (giving straggling acks a
-    /// chance to upgrade the outcome), `completed_cap` bounds the ring of
-    /// retired summaries.
-    pub fn set_retirement(&mut self, grace: SimDuration, completed_cap: usize) {
-        self.retirement_grace = grace;
-        self.completed_cap = completed_cap;
-        while self.completed.len() > completed_cap {
-            self.completed.pop_front();
-        }
-    }
-
-    /// Evicts deliveries that reached a terminal state at least
-    /// `retirement_grace` ago: they leave the active table for the bounded
-    /// completed-ring, and their summaries are returned so the harness can
-    /// drop per-attempt bookkeeping and cancel pending timer tasks.
-    pub fn retire_terminal(&mut self, now: SimTime) -> Vec<RetiredDelivery> {
-        let grace = self.retirement_grace;
-        let due = |(id, (_, p)): (&DeliveryId, &(UserId, DeliveryProcess))| {
-            (now.since(p.status().terminal_at()?) >= grace).then_some(*id)
+    /// Evicts every delivery that reached a terminal state, appending its
+    /// id and terminal status to `retired`: the buddy keeps nothing of it,
+    /// and the harness reports it and counts its outcome. A block timer
+    /// or ack the delivery left armed fires into a buddy that no longer
+    /// tracks it and is ignored.
+    pub fn retire_terminal(&mut self, now: SimTime, retired: &mut Vec<(DeliveryId, DeliveryStatus)>) {
+        let terminal = |(id, (_, p)): (&DeliveryId, &(UserId, DeliveryProcess))| {
+            p.status().is_terminal().then_some(*id)
         };
-        let mut out = Vec::with_capacity(self.deliveries.iter().filter_map(due).count());
         loop {
-            let Some(id) = self.deliveries.iter().find_map(due) else { break };
+            let Some(id) = self.deliveries.iter().find_map(terminal) else { break };
             let Some((user, process)) = self.deliveries.remove(&id) else { break };
-            let summary = RetiredDelivery {
-                id,
-                user,
-                status: process.status(),
-                attempts: process.attempts().iter().map(|r| r.attempt).collect(),
-                messages_sent: process.messages_sent(),
-                started_at: process.started_at(),
-                retired_at: now,
-            };
+            let status = process.status();
             self.stats.retired += 1;
             if self.telemetry.enabled() {
                 self.telemetry.metrics().counter("mab.retired").incr();
                 self.telemetry.emit(
                     Event::new("mab.retired", now.as_millis())
                         .with("delivery", id.0)
-                        .with("user", &*summary.user.0)
-                        .with("status", status_name(summary.status))
-                        .with("attempts", summary.attempts.len()),
+                        .with("user", &*user.0)
+                        .with("status", status_name(status))
+                        .with("attempts", process.attempts().len()),
                 );
             }
-            if self.completed_cap > 0 {
-                if self.completed.len() == self.completed_cap {
-                    self.completed.pop_front();
-                }
-                self.completed.push_back(summary.clone());
-            }
-            out.push(summary);
+            retired.push((id, status));
         }
-        out
     }
 
     /// Whether the buddy can hibernate: alive, no tracked deliveries, no
@@ -463,7 +392,6 @@ impl MyAlertBuddy {
         if self.crashed || self.hung {
             return;
         }
-        self.last_progress_at = now;
         match event {
             MabEvent::AlertByIm(alert) => {
                 self.stats.received_im += 1;
@@ -592,6 +520,7 @@ impl MyAlertBuddy {
             if !self.mark_processed_or_crash(record, now) {
                 return;
             }
+            self.rejuvenating = true;
             cmds.push(MabCommand::Rejuvenate(trigger));
             return;
         }
@@ -761,6 +690,7 @@ mod tests {
     use super::*;
     use crate::address::{Address, AddressBook, CommType};
     use crate::classify::KeywordField;
+    use crate::delivery::AttemptId;
     use crate::mode::DeliveryMode;
     use crate::shardlog::{SharedShardLog, ShardLog, ShardLogConfig};
     use simba_sim::SimDuration;
@@ -801,18 +731,18 @@ mod tests {
     }
 
     fn mab() -> MyAlertBuddy {
-        MyAlertBuddy::new(config(), UserShardWal::in_memory(alice()), SimTime::ZERO)
+        MyAlertBuddy::new(config(), UserShardWal::in_memory(alice()))
     }
 
     /// A buddy over a fresh in-memory shard log, and that log.
     fn mab_and_log() -> (MyAlertBuddy, SharedShardLog) {
         let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
-        (restart(&log, SimTime::ZERO), log)
+        (restart(&log), log)
     }
 
     /// A fresh incarnation over `log` — what the MDC's restart does.
-    fn restart(log: &SharedShardLog, now: SimTime) -> MyAlertBuddy {
-        MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), alice()), now)
+    fn restart(log: &SharedShardLog) -> MyAlertBuddy {
+        MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), alice()))
     }
 
     /// Records ever appended — the shard log compacts processed ones away,
@@ -936,7 +866,7 @@ mod tests {
         assert_eq!(unprocessed(&log), 1);
 
         // MDC restarts a fresh incarnation over the same log.
-        let mut m2 = restart(&log, t(10));
+        let mut m2 = restart(&log);
         let cmds = m2.recover(t(10));
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
         assert_eq!(m2.stats().replayed, 1);
@@ -962,7 +892,7 @@ mod tests {
         // ...but unmarked, so recovery routes it again (duplicate; the
         // user-side timestamp dedup discards it).
         assert_eq!(unprocessed(&log), 1);
-        let mut m2 = restart(&log, t(10));
+        let mut m2 = restart(&log);
         let replay = m2.recover(t(10));
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
     }
@@ -990,7 +920,7 @@ mod tests {
         assert_eq!(DeliveryId::new(wal_id, 0).0, wal_id, "a first subscriber's id is the record's");
         // A fresh incarnation over the same log keeps no counter to
         // restart: its first alert gets the log's next record.
-        let mut m2 = restart(&log, t(2));
+        let mut m2 = restart(&log);
         let cmds = m2.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2));
         let MabCommand::AckIm { wal_id: next, .. } = cmds[0] else { panic!("{cmds:?}") };
         assert_ne!(next, wal_id);
@@ -1006,7 +936,7 @@ mod tests {
         let mode = DeliveryMode::im_then_email("Urgent", "IM", "IM", SimDuration::from_secs(60));
         profile.define_mode(mode);
         config.registry.subscribe("Home.Security", bob, "Urgent").unwrap();
-        let mut m = MyAlertBuddy::new(config, UserShardWal::in_memory(alice()), t(0));
+        let mut m = MyAlertBuddy::new(config, UserShardWal::in_memory(alice()));
         let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
         let MabCommand::AckIm { wal_id, .. } = cmds[0] else { panic!("{cmds:?}") };
         let ids: Vec<DeliveryId> = sent_ids(&cmds).into_iter().map(|(_, id)| id).collect();
@@ -1092,6 +1022,7 @@ mod tests {
         assert_eq!(m.stats().remote_commands, 1);
         assert_eq!(m.stats().routed, 0);
         assert_eq!(unprocessed(&log), 0);
+        assert!(m.is_rejuvenating() && m.is_idle(), "idle at once: nothing in flight");
     }
 
     #[test]
@@ -1132,7 +1063,7 @@ mod tests {
         // The record survives unprocessed: the next incarnation replays it
         // (the injected failure was one-shot).
         assert_eq!(unprocessed(&log), 1);
-        let mut m2 = restart(&log, t(10));
+        let mut m2 = restart(&log);
         let replay = m2.recover(t(10));
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
         assert_eq!(unprocessed(&log), 0);
@@ -1149,6 +1080,7 @@ mod tests {
         // Crashing beats gracefully rejuvenating: the MDC restart covers both.
         assert!(!cmds.iter().any(|c| matches!(c, MabCommand::Rejuvenate(_))));
         assert!(m.is_crashed());
+        assert!(!m.is_rejuvenating());
     }
 
     /// Drives one alert to a terminal state and returns (mab, delivery id).
@@ -1188,59 +1120,23 @@ mod tests {
         assert_eq!(m.tracked(), 2);
         assert_eq!(m.in_flight(), 1);
 
-        let retired = m.retire_terminal(t(10));
+        let mut retired = Vec::new();
+        m.retire_terminal(t(10), &mut retired);
         assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].id, id);
-        assert_eq!(retired[0].user, UserId::new("alice"));
-        assert!(matches!(retired[0].status, DeliveryStatus::Acked { .. }));
-        assert_eq!(retired[0].attempts.len(), 1);
-        assert_eq!(retired[0].started_at, t(1));
-        assert_eq!(retired[0].retired_at, t(10));
+        assert_eq!(retired[0].0, id);
+        assert!(matches!(retired[0].1, DeliveryStatus::Acked { .. }));
 
         // The acked delivery left the table; the pending one stayed.
         assert_eq!(m.tracked(), 1);
         assert_eq!(m.in_flight(), 1);
         assert_eq!(m.delivery_status(id), None);
-        assert_eq!(m.retired_len(), 1);
         assert_eq!(m.stats().retired, 1);
         // Ids are never reused: the pending delivery holds its own.
         assert_ne!(pending, id);
         assert_eq!(m.delivery_status(pending), Some(DeliveryStatus::InProgress));
-    }
-
-    #[test]
-    fn retirement_grace_keeps_terminal_deliveries_for_late_acks() {
-        let (mut m, id) = delivered_mab(1);
-        m.set_retirement(SimDuration::from_secs(60), DEFAULT_COMPLETED_CAP);
-        // Terminal at t(3); within the grace window nothing is retired.
-        assert!(m.retire_terminal(t(30)).is_empty());
-        assert_eq!(m.delivery_status(id).map(|s| s.is_terminal()), Some(true));
-        // Past the window it goes.
-        assert_eq!(m.retire_terminal(t(63)).len(), 1);
-        assert_eq!(m.delivery_status(id), None);
-    }
-
-    #[test]
-    fn completed_ring_is_bounded() {
-        let mut m = mab();
-        m.set_retirement(SimDuration::ZERO, 2);
-        let mut ids = Vec::new();
-        for i in 0..4u64 {
-            let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(10 * i + 1)), t(10 * i + 1));
-            let (id, attempt) = first_send(&cmds);
-            ids.push(id);
-            m.handle(
-                MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } },
-                t(10 * i + 2),
-            );
-            m.retire_terminal(t(10 * i + 3));
-        }
-        // All four retired, but the ring only keeps the newest two.
-        assert_eq!(m.stats().retired, 4);
-        assert_eq!(m.retired_len(), 2);
-        let kept: Vec<DeliveryId> = m.retired().map(|r| r.id).collect();
-        assert_eq!(kept, ids[2..]);
-        assert_eq!(m.tracked(), 0);
+        // Nothing is left to retire, and nothing is kept of what was.
+        m.retire_terminal(t(11), &mut retired);
+        assert_eq!(retired.len(), 1);
     }
 
     #[test]

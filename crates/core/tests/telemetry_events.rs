@@ -51,7 +51,7 @@ fn wal() -> UserShardWal {
 fn observed_mab_over(wal: UserShardWal) -> (MyAlertBuddy, Arc<RingBufferSink>, Telemetry) {
     let sink = Arc::new(RingBufferSink::new(256));
     let telemetry = Telemetry::with_sink(sink.clone());
-    let mab = MyAlertBuddy::new(config(), wal, SimTime::ZERO).with_telemetry(telemetry.clone());
+    let mab = MyAlertBuddy::new(config(), wal).with_telemetry(telemetry.clone());
     (mab, sink, telemetry)
 }
 
@@ -113,7 +113,7 @@ fn crash_point_emits_crashed_event_and_replay_is_observed() {
 
     // Fresh incarnation over the same log: replay is one wal.replayed event.
     let sink2 = Arc::new(RingBufferSink::new(64));
-    let mut m2 = MyAlertBuddy::new(config(), wal, t(10))
+    let mut m2 = MyAlertBuddy::new(config(), wal)
         .with_telemetry(Telemetry::with_sink(sink2.clone()));
     m2.recover(t(10));
     let replayed = sink2
@@ -221,7 +221,7 @@ fn stabilization_sweep_emits_violations() {
 fn disabled_telemetry_changes_nothing_observable() {
     // Two identical runs, one instrumented, one not: commands and stats
     // must be byte-for-byte identical (telemetry never alters behavior).
-    let mut plain = MyAlertBuddy::new(config(), wal(), SimTime::ZERO);
+    let mut plain = MyAlertBuddy::new(config(), wal());
     let (mut observed, _, _) = observed_mab();
     let a = plain.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
     let b = observed.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));

@@ -14,10 +14,10 @@
 //! Every buddy lives on a [`ShardedHost`]: a fixed pool of shard workers
 //! multiplexing thousands of buddies each over group-committed shard
 //! logs, routing alerts to the owning buddy, retiring terminal deliveries
-//! so fleet state stays bounded, and hibernating idle buddies to compact
-//! snapshots so memory tracks *active* users rather than registered
-//! ones. The worker is also the live Master Daemon Controller: it
-//! restarts a crashed or rejuvenating buddy and replays its log (the
+//! so fleet state stays bounded, and hibernating idle buddies so memory
+//! tracks *active* users rather than registered ones. The worker is also
+//! the live Master Daemon Controller: it restarts a crashed buddy and
+//! replays its log, and parks a rejuvenating one once it is idle (the
 //! paper's probing MDC is reproduced in the simulator, `simba_core::mdc`).
 //! One shard with hibernation off is the single-buddy shape. Rules, the
 //! delivery ledger and the soft-state store all attach through

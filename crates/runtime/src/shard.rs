@@ -28,22 +28,29 @@
 //! 3. **execute** — release the staged effects. Send outcomes feed back
 //!    into the buddies immediately (fallback blocks, ack scheduling);
 //!    those delivery events never touch the log, so no second fsync is
-//!    needed before their effects run.
+//!    needed before their effects run;
+//! 4. **retire** — every buddy the batch touched hands back its terminal
+//!    deliveries, each reported once as [`RuntimeNotice::DeliveryFinished`].
 //!
-//! Durability ordering is the paper's: no ack leaves the host before the
-//! commit covering its log record returns. The worker is also the live
-//! Master Daemon Controller (§4.2.2): a buddy whose processed-mark fails
-//! crashes *alone* — its stats fold into the shard, a fresh incarnation
-//! replays its log records — a buddy that asks for rejuvenation is
-//! restarted the same way, and the shard worker (with every other buddy
-//! on it) keeps running.
+//! Every buddy a batch needs is built in its handle phase, so one commit
+//! covers the batch, replays included. Durability ordering is the paper's:
+//! no ack leaves the host before the commit covering its log record
+//! returns. The worker is also the live Master Daemon Controller
+//! (§4.2.2): a buddy whose processed-mark fails crashes *alone* — it is
+//! replaced at once by a fresh incarnation that replays its log records —
+//! and a buddy that asks for rejuvenation is parked as soon as it is
+//! idle, so whatever it still had in flight finishes first. A buddy
+//! leaves memory one way, whether it crashed, idled or rejuvenated: its
+//! finished deliveries are retired, its counters fold into the shard's,
+//! and its slot changes. The shard worker (with every other buddy on it)
+//! keeps running.
 
 use crate::channels::{Channels, SendOutcome};
 use crate::clock::RuntimeClock;
 use crate::presence::{spawn_sweeper, StoreModeSelector};
 use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
-use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy, RetiredDelivery};
+use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy};
 use simba_core::rejuvenate::RejuvenationTrigger;
 use simba_core::shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats};
 use simba_core::subscription::UserId;
@@ -87,8 +94,8 @@ pub enum RuntimeNotice {
         /// Its terminal status.
         status: DeliveryStatus,
     },
-    /// The buddy requested rejuvenation; its shard worker folds its
-    /// totals and restarts it in the same batch.
+    /// The buddy requested rejuvenation; its shard worker parks it as
+    /// soon as it is idle, and the user's next alert builds a fresh one.
     Rejuvenating(
         /// Why.
         RejuvenationTrigger,
@@ -119,11 +126,9 @@ pub struct ShardedHostConfig {
     /// `hibernate_after` past its last alert or acknowledgement, and it
     /// is parked when that deadline fires with no delivery in flight.
     /// [`SimDuration::ZERO`] means never (buddies stay resident once
-    /// activated, and no deadline is armed).
+    /// activated, and no deadline is armed) — except for a buddy that
+    /// asked for rejuvenation, which is parked once idle either way.
     pub hibernate_after: SimDuration,
-    /// Per-buddy completed-ring capacity (0 keeps no retired summaries —
-    /// the benchmark shape).
-    pub completed_ring: usize,
     /// Capacity of the merged [`HostNotice`] stream; overflow is dropped
     /// and counted under `host.notice_dropped`.
     pub notice_capacity: usize,
@@ -160,7 +165,6 @@ impl Default for ShardedHostConfig {
             shards: default_shards(),
             log_dir: None,
             hibernate_after: SimDuration::from_mins(5),
-            completed_ring: 0,
             notice_capacity: DEFAULT_NOTICE_CAPACITY,
             threads: false,
             ledger: None,
@@ -213,9 +217,6 @@ pub struct ShardedSnapshot {
     /// hibernation is on. With it off the wheels empty once the last
     /// deadline passes.
     pub pending_timers: usize,
-    /// Retired-delivery summaries held in resident buddies' completed
-    /// rings (each ≤ [`ShardedHostConfig::completed_ring`]).
-    pub retired_ring: usize,
     /// Retired deliveries that ended acknowledged.
     pub acked: u64,
     /// Retired deliveries that ended unconfirmed.
@@ -247,7 +248,6 @@ impl ShardedSnapshot {
         self.in_flight += other.in_flight;
         self.tracked += other.tracked;
         self.pending_timers += other.pending_timers;
-        self.retired_ring += other.retired_ring;
         self.acked += other.acked;
         self.unconfirmed += other.unconfirmed;
         self.exhausted += other.exhausted;
@@ -292,12 +292,12 @@ enum ShardMsg {
 
 /// The roster slot for one registered user.
 enum UserSlot {
-    /// Registered; never activated (or reset after a crash/rejuvenation,
-    /// awaiting its next alert to restart and replay).
+    /// Registered; never activated (or reset after a crash, awaiting its
+    /// next alert to restart and replay).
     Fresh,
-    /// Hibernated: the buddy went idle, its counters folded into the
-    /// shard's totals, and it was dropped. Only the count tells this
-    /// from `Fresh`.
+    /// Hibernated: the buddy went idle (or rejuvenated), its counters
+    /// folded into the shard's totals, and it was dropped. Only the
+    /// count tells this from `Fresh`.
     Hibernated,
     /// Resident.
     Active(Box<ActiveBuddy>),
@@ -620,13 +620,14 @@ struct Worker<C> {
     /// Users that saw events this batch — the retirement set.
     touched: BTreeSet<UserId>,
     /// Effects of batches whose commit failed, released by the first
-    /// later commit that succeeds (it covers their records too) — and
-    /// whatever a batch still had staged when it ran out of
-    /// commit+execute rounds, released by the next batch.
+    /// later commit that succeeds (it covers their records too).
     withheld: Vec<(UserId, MabCommand)>,
     /// Where a buddy writes the commands of one event before they are
     /// staged under its owner's name; empty between events.
     fed: Vec<MabCommand>,
+    /// Where a buddy hands back the deliveries it retires before they
+    /// are reported; empty between retirements.
+    retired: Vec<(DeliveryId, DeliveryStatus)>,
     /// Totals of buddies no longer resident: hibernated, crashed, and
     /// rejuvenated.
     folded: MabStats,
@@ -636,7 +637,6 @@ struct Worker<C> {
     crashes: u64,
     unrouted: u64,
     hibernate_after: SimDuration,
-    completed_ring: usize,
     /// Channel attempts go here instead of `channels` when set.
     ledger: Option<simba_ledger::SharedLedger>,
     /// Registered users' alerts run through this engine before routing,
@@ -653,11 +653,6 @@ const BATCH_MAX: usize = 256;
 /// Capacity of each shard's inbound queue; submitters await space, so a
 /// hot shard exerts backpressure instead of buffering unboundedly.
 const QUEUE_CAPACITY: usize = 1024;
-
-/// Most commit+execute rounds one batch runs: a round past the first
-/// exists only to make a restarted buddy's replay marks durable before
-/// its replay sends go out, and a restart's replay can ask for another.
-const MAX_ROUNDS: usize = 8;
 
 enum Flow {
     Continue,
@@ -693,6 +688,7 @@ impl<C: Channels> Worker<C> {
             touched: BTreeSet::new(),
             withheld: Vec::new(),
             fed: Vec::new(),
+            retired: Vec::new(),
             folded: MabStats::default(),
             outcomes: Outcomes::default(),
             hibernations: 0,
@@ -700,7 +696,6 @@ impl<C: Channels> Worker<C> {
             crashes: 0,
             unrouted: 0,
             hibernate_after: config.hibernate_after,
-            completed_ring: config.completed_ring,
             ledger: config.ledger.clone(),
             rules: config.rules.as_ref().map(|engine| (Arc::clone(engine), engine.correlator())),
             store: config.store.clone(),
@@ -949,34 +944,46 @@ impl<C: Channels> Worker<C> {
             Some(UserSlot::Fresh) => {}
         }
         let wal = UserShardWal::new(Arc::clone(&self.log), user.clone());
-        let mut mab = MyAlertBuddy::new((self.factory)(user), wal, now);
-        mab.set_retirement(SimDuration::ZERO, self.completed_ring);
+        let mut mab = MyAlertBuddy::new((self.factory)(user), wal);
         mab.set_telemetry(self.telemetry.clone());
         if let Some(store) = &self.store {
             mab.set_mode_selector(Box::new(StoreModeSelector::new(store.clone())));
         }
         let recovery = mab.recover(now);
         staged.extend(recovery.into_iter().map(|cmd| (user.clone(), cmd)));
-        if mab.is_crashed() {
-            // Replay itself crashed the buddy (e.g. an injected mark
-            // failure): fold it and leave the slot Fresh for the next
-            // activation to retry.
-            self.fold_crash(user, mab.stats());
-            return;
-        }
-        self.touched.insert(user.clone());
+        let crashed = mab.is_crashed();
         let incarnation = self.next_incarnation;
         self.next_incarnation += 1;
         self.put(user, UserSlot::Active(Box::new(ActiveBuddy { mab, incarnation, last_event_at: now })));
+        if crashed {
+            // Replay itself crashed the buddy (e.g. an injected mark
+            // failure): the slot is left Fresh for the next activation to
+            // retry.
+            self.crash(user, now);
+            return;
+        }
+        self.touched.insert(user.clone());
         if self.hibernate_after != SimDuration::ZERO {
             self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
         }
     }
 
-    fn fold_crash(&mut self, user: &UserId, stats: MabStats) {
-        self.folded.merge(stats);
+    /// The one way a buddy leaves memory, whether it crashed, idled or
+    /// rejuvenated: its slot becomes `slot`, the deliveries it finished
+    /// are reported, and its counters fold into the shard's totals.
+    fn leave(&mut self, user: &UserId, slot: UserSlot, now: SimTime) {
+        if let Some(UserSlot::Active(mut active)) = self.put(user, slot) {
+            active.mab.retire_terminal(now, &mut self.retired);
+            self.report_retired(user);
+            self.folded.merge(active.mab.stats());
+        }
+    }
+
+    /// A crashed buddy leaves its slot Fresh: the next activation replays
+    /// its log records.
+    fn crash(&mut self, user: &UserId, now: SimTime) {
+        self.leave(user, UserSlot::Fresh, now);
         self.crashes += 1;
-        self.put(user, UserSlot::Fresh);
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.buddy_crashed").incr();
         }
@@ -985,9 +992,9 @@ impl<C: Channels> Worker<C> {
     /// Feeds one event through a resident buddy, staging its commands;
     /// `touch` marks the event as the user's own activity, which restarts
     /// the buddy's idle clock. `Err` hands the event back unfed: the user
-    /// is not resident. A crash crashes that buddy alone: stats fold, the
-    /// slot resets, and a fresh incarnation immediately replays the
-    /// user's log records — the shard worker never stops.
+    /// is not resident. A crash crashes that buddy alone: it leaves
+    /// memory, and a fresh incarnation immediately replays the user's log
+    /// records — the shard worker never stops.
     fn feed(
         &mut self,
         user: &UserId,
@@ -1003,10 +1010,10 @@ impl<C: Channels> Worker<C> {
             active.last_event_at = now;
         }
         active.mab.handle_into(event, now, &mut self.fed);
-        let crashed = active.mab.is_crashed().then(|| active.mab.stats());
+        let crashed = active.mab.is_crashed();
         staged.extend(self.fed.drain(..).map(|cmd| (user.clone(), cmd)));
-        if let Some(stats) = crashed {
-            self.fold_crash(user, stats);
+        if crashed {
+            self.crash(user, now);
             self.activate(user, now, staged);
         }
         Ok(())
@@ -1046,37 +1053,18 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Phases 2 and 3: one group commit, then release the staged effects
-    /// (`staged` comes back empty). Restarted buddies' replay commands
-    /// loop back through another commit+execute round, so their marks are
-    /// durable too — for at most [`MAX_ROUNDS`] rounds; what is staged
-    /// after the last one waits in `withheld` for the next batch.
+    /// Phases 2 to 4: one group commit, then release the staged effects
+    /// (`staged` comes back empty), then retire what the batch finished.
+    /// A failed commit leaves the batch not durable, so every staged
+    /// effect is withheld (no acks, no sends): the journal keeps what it
+    /// has buffered, and the first later commit that succeeds covers it
+    /// and releases them.
     fn finish_batch(&mut self, staged: &mut Vec<(UserId, MabCommand)>, now: SimTime) {
         staged.splice(0..0, std::mem::take(&mut self.withheld));
-        for round in 0.. {
-            let dirty = self.lock_log().is_dirty();
-            if staged.is_empty() && !dirty {
-                break;
-            }
-            // Out of rounds, or the commit failed and the batch is not
-            // durable: withhold every staged effect (no acks, no sends).
-            // The journal keeps what it has buffered and the next batch's
-            // commit covers it; only then may they go.
-            if round == MAX_ROUNDS || self.commit_once().is_err() {
-                self.withheld.append(staged);
-                break;
-            }
-            for user in self.execute(staged, now) {
-                // What the old incarnation finished in this batch is
-                // reported and counted before its counters fold.
-                self.retire_user(&user, now);
-                if let Some(UserSlot::Active(active)) = self.roster.get_mut(&user) {
-                    let stats = active.mab.stats();
-                    self.folded.merge(stats);
-                    self.put(&user, UserSlot::Fresh);
-                    self.activate(&user, now, staged);
-                }
-            }
+        if self.commit_once().is_ok() {
+            self.execute(staged, now);
+        } else {
+            self.withheld.append(staged);
         }
         self.retire_touched(now);
         if self.telemetry.enabled() {
@@ -1117,10 +1105,9 @@ impl<C: Channels> Worker<C> {
     /// Phase 3: acks and notices go out, sends hit the channels and their
     /// outcomes feed straight back into the owning buddy (fallback blocks
     /// run immediately; ack windows and block timers go on the wheel).
-    /// Returns users whose buddy requested rejuvenation — the caller
-    /// restarts them (the worker plays the MDC role at shard scale).
-    fn execute(&mut self, batch: &mut Vec<(UserId, MabCommand)>, now: SimTime) -> Vec<UserId> {
-        let mut rejuvenating = Vec::new();
+    /// A rejuvenation is only announced here: the buddy is parked by
+    /// retirement once it is idle.
+    fn execute(&mut self, batch: &mut Vec<(UserId, MabCommand)>, now: SimTime) {
         let mut follow = Vec::new();
         loop {
             for (user, command) in batch.drain(..) {
@@ -1135,8 +1122,7 @@ impl<C: Channels> Worker<C> {
                         if self.telemetry.enabled() {
                             self.telemetry.metrics().counter("runtime.rejuvenations").incr();
                         }
-                        self.notify(user.clone(), RuntimeNotice::Rejuvenating(trigger));
-                        rejuvenating.push(user);
+                        self.notify(user, RuntimeNotice::Rejuvenating(trigger));
                     }
                     MabCommand::Channel { delivery, command, .. } => match command {
                         DeliveryCommand::Send {
@@ -1215,7 +1201,7 @@ impl<C: Channels> Worker<C> {
                 }
             }
             if follow.is_empty() {
-                return rejuvenating;
+                return;
             }
             batch.append(&mut follow);
         }
@@ -1233,13 +1219,11 @@ impl<C: Channels> Worker<C> {
         );
     }
 
-    /// Retires due terminal deliveries on every buddy touched this batch,
-    /// counting outcomes and emitting one `DeliveryFinished` per retired
-    /// delivery.
+    /// Settles every buddy touched this batch.
     fn retire_touched(&mut self, now: SimTime) {
         let touched = std::mem::take(&mut self.touched);
         for user in touched {
-            self.retire_user(&user, now);
+            self.settle(&user, now);
         }
     }
 
@@ -1251,31 +1235,45 @@ impl<C: Channels> Worker<C> {
             .map(|(user, _)| user.clone())
             .collect();
         for user in users {
-            self.retire_user(&user, now);
+            self.settle(&user, now);
+        }
+    }
+
+    /// Retires a resident buddy's terminal deliveries — and parks it, if
+    /// it asked for rejuvenation and that leaves it idle.
+    fn settle(&mut self, user: &UserId, now: SimTime) {
+        let rejuvenating = matches!(
+            self.roster.get(user),
+            Some(UserSlot::Active(active)) if active.mab.is_rejuvenating()
+        );
+        if rejuvenating {
+            self.try_hibernate(user, now);
+        } else {
+            self.retire_user(user, now);
         }
     }
 
     fn retire_user(&mut self, user: &UserId, now: SimTime) {
-        let retired = match self.roster.get_mut(user) {
-            Some(UserSlot::Active(active)) => active.mab.retire_terminal(now),
-            _ => return,
-        };
-        self.note_retired(user, retired);
+        if let Some(UserSlot::Active(active)) = self.roster.get_mut(user) {
+            active.mab.retire_terminal(now, &mut self.retired);
+            self.report_retired(user);
+        }
     }
 
-    fn note_retired(&mut self, user: &UserId, retired: Vec<RetiredDelivery>) {
-        for summary in retired {
-            match summary.status {
+    /// Counts the outcome of every delivery in `retired` and reports it
+    /// with one `DeliveryFinished` notice, leaving the buffer empty.
+    fn report_retired(&mut self, user: &UserId) {
+        let mut retired = std::mem::take(&mut self.retired);
+        for (delivery, status) in retired.drain(..) {
+            match status {
                 DeliveryStatus::Acked { .. } => self.outcomes.acked += 1,
                 DeliveryStatus::Unconfirmed { .. } => self.outcomes.unconfirmed += 1,
                 DeliveryStatus::Exhausted { .. } => self.outcomes.exhausted += 1,
                 DeliveryStatus::InProgress => {}
             }
-            self.notify(
-                user.clone(),
-                RuntimeNotice::DeliveryFinished { delivery: summary.id, status: summary.status },
-            );
+            self.notify(user.clone(), RuntimeNotice::DeliveryFinished { delivery, status });
         }
+        self.retired = retired;
     }
 
     /// A resident buddy's idle deadline fired. Touched since it was armed:
@@ -1294,21 +1292,19 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Retires leftovers, then hibernates `user` if idle: its counters
-    /// fold into the shard's totals, as a crash's do, and the buddy is
-    /// dropped. Its ids live in its log, so nothing else need be kept.
+    /// Retires leftovers, then hibernates `user` if idle: the buddy
+    /// leaves memory as a crashed one does, into a `Hibernated` slot. Its
+    /// ids live in its log, so nothing else need be kept.
     fn try_hibernate(&mut self, user: &UserId, now: SimTime) -> bool {
         self.retire_user(user, now);
-        let stats = match self.roster.get(user) {
-            Some(UserSlot::Active(active)) if active.mab.is_idle() => active.mab.stats(),
-            _ => return false,
-        };
-        self.folded.merge(stats);
+        if !matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_idle()) {
+            return false;
+        }
+        self.leave(user, UserSlot::Hibernated, now);
         self.hibernations += 1;
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.hibernated").incr();
         }
-        self.put(user, UserSlot::Hibernated);
         true
     }
 
@@ -1343,7 +1339,6 @@ impl<C: Channels> Worker<C> {
                     snap.stats.merge(active.mab.stats());
                     snap.in_flight += active.mab.in_flight();
                     snap.tracked += active.mab.tracked();
-                    snap.retired_ring += active.mab.retired_len();
                 }
                 UserSlot::Hibernated => snap.hibernated += 1,
                 UserSlot::Fresh => {}
@@ -1377,38 +1372,6 @@ mod tests {
         assert_send::<ShardedHostConfig>();
     }
 
-    /// A channel that, until told to stop, answers every send by logging
-    /// two more unprocessed records for the user behind the worker's back
-    /// — a remote rejuvenation command and an ordinary alert — so every
-    /// restart's replay asks for another restart and stages another send.
-    struct Relentless {
-        log: SharedShardLog,
-        user: UserId,
-        feeding: Arc<std::sync::atomic::AtomicBool>,
-        sent: Arc<Mutex<Vec<String>>>,
-    }
-
-    impl Relentless {
-        fn feed(&self, n: usize) {
-            let mut log = self.log.lock().unwrap();
-            for body in ["SIMBA-REJUVENATE".to_string(), format!("Sensor {n}")] {
-                let alert = IncomingAlert::from_im("gw", body, SimTime::ZERO);
-                log.append(&self.user, &alert, SimTime::ZERO).unwrap();
-            }
-        }
-    }
-
-    impl Channels for Relentless {
-        fn send(&mut self, _: simba_core::address::CommType, _: &str, text: &str) -> SendOutcome {
-            let mut sent = self.sent.lock().unwrap();
-            sent.push(text.to_string());
-            if self.feeding.load(Ordering::Relaxed) {
-                self.feed(sent.len());
-            }
-            SendOutcome::Accepted
-        }
-    }
-
     /// Every `gw` alert mentioning "Sensor" goes once to the user's IM
     /// address, fire-and-forget.
     fn direct_to_im() -> ConfigFactory {
@@ -1427,57 +1390,6 @@ mod tests {
             config.registry.subscribe("Home", user.clone(), "Direct").unwrap();
             config
         })
-    }
-
-    /// Regression: a batch that ran out of commit+execute rounds dropped
-    /// whatever it still had staged — replay sends of a restarted buddy,
-    /// whose log records were already marked processed. They must wait in
-    /// `withheld` and go out with the next batch.
-    #[test]
-    fn a_batch_out_of_rounds_parks_its_remainder_instead_of_dropping_it() {
-        let user = UserId::new("ada");
-        let factory = direct_to_im();
-        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
-        let channels = Relentless {
-            log: Arc::clone(&log),
-            user: user.clone(),
-            feeding: Arc::new(std::sync::atomic::AtomicBool::new(true)),
-            sent: Arc::default(),
-        };
-        let (feeding, sent) = (Arc::clone(&channels.feeding), Arc::clone(&channels.sent));
-        channels.feed(0);
-        let (_tx, rx) = mpsc::channel(1);
-        let (notices, _notice_rx) = mpsc::channel(64);
-        let mut worker = Worker::new(
-            rx,
-            Arc::default(),
-            channels,
-            Telemetry::disabled(),
-            factory,
-            notices,
-            log,
-            &ShardedHostConfig::default(),
-        );
-        worker.roster.insert(user.clone(), UserSlot::Fresh);
-
-        // Startup replay: the rejuvenation command and "Sensor 0". Every
-        // round sends one alert, whose send logs the next pair.
-        let mut staged = Vec::new();
-        worker.activate(&user, SimTime::ZERO, &mut staged);
-        worker.finish_batch(&mut staged, SimTime::ZERO);
-        let rounds: Vec<String> = (0..MAX_ROUNDS).map(|n| format!("Sensor {n}")).collect();
-        assert_eq!(*sent.lock().unwrap(), rounds);
-        assert!(staged.is_empty());
-        // The ninth round's restart and send were staged when the rounds
-        // ran out: parked, not dropped.
-        assert_eq!(worker.withheld.len(), 2);
-
-        feeding.store(false, Ordering::Relaxed);
-        worker.finish_batch(&mut staged, SimTime::ZERO);
-        assert_eq!(sent.lock().unwrap().last().unwrap(), &format!("Sensor {MAX_ROUNDS}"));
-        assert_eq!(sent.lock().unwrap().len(), MAX_ROUNDS + 1);
-        assert!(worker.withheld.is_empty());
-        assert_eq!(worker.lock_log().unprocessed_len(), 0);
     }
 
     /// A healthy batch writes nothing, so a failing commit needs a batch

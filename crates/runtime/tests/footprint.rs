@@ -27,7 +27,7 @@ impl Channels for Null {
 const USERS: [usize; 2] = [500, 2_000];
 
 /// What hibernating every user leaves on the heap once its roster is
-/// registered: the worker's own scratch, a fixed ≈ 2.7 KiB. A parked
+/// registered: the worker's own scratch, a fixed ≈ 2.9 KiB. A parked
 /// user is its roster slot and nothing else, so this holds at both sizes;
 /// a cost of even 1 B per parked user breaks it at the larger.
 const PARKED_FIXED: isize = 4_096;

@@ -371,6 +371,58 @@ async fn a_delivery_finished_in_a_rejuvenations_batch_is_reported() {
     assert_eq!((snap.acked, snap.unconfirmed, snap.exhausted), (0, 1, 0));
 }
 
+/// Regression (found in PR 37): a rejuvenation restarted the buddy at
+/// once, so an alert whose IM was handed off and whose ack was still
+/// awaited lost its delivery with the old incarnation — the email
+/// fallback was never handed to the ledger and the delivery never
+/// finished.
+#[tokio::test(start_paused = true)]
+async fn an_in_flight_delivery_survives_a_remote_rejuvenation() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let factory: ConfigFactory = Arc::new(|user: &UserId| {
+        let im = Block::acked(vec!["IM".into()], SimDuration::from_secs(1));
+        user_config_with(&user.0, vec![im, Block::fire_and_forget(vec!["Email".into()])])
+    });
+    let telemetry = Telemetry::disabled();
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host_with(channels.clone(), 1, &telemetry, LedgerConfig::in_memory(), factory).await;
+    let user = UserId::new("user-0");
+    submit(&host, &user, &["Sensor a ON"]).await;
+    tokio::time::sleep(Duration::from_millis(100)).await;
+    submit(&host, &user, &["SIMBA-REJUVENATE"]).await;
+
+    let mut finished = Vec::new();
+    let collect = async {
+        while let Some(HostNotice { notice, .. }) = notices.recv().await {
+            if let RuntimeNotice::DeliveryFinished { delivery, .. } = notice {
+                finished.push(delivery);
+            }
+        }
+    };
+    let _ = tokio::time::timeout(Duration::from_secs(10), collect).await;
+    assert_eq!(finished.len(), 1, "the in-flight delivery never finished, or finished twice");
+    let snap = host.snapshot().await;
+    assert_eq!(snap.stats.deliveries_started, 1);
+    assert_eq!(snap.acked + snap.unconfirmed + snap.exhausted, 1, "counted once");
+    assert_eq!((snap.active, snap.hibernated), (0, 1), "parked once idle");
+
+    // The next alert rehydrates a fresh buddy, under a new delivery id.
+    submit(&host, &user, &["Sensor b ON"]).await;
+    let next = finished_ids(&mut notices, 1).await;
+    assert_ne!(next, finished);
+    pool.drain().await;
+    channels.with(|c| {
+        let sent: Vec<(CommType, &str)> =
+            c.sent().iter().map(|(channel, _, text)| (*channel, text.as_str())).collect();
+        let expected = ["Sensor a ON", "Sensor b ON"]
+            .into_iter()
+            .flat_map(|text| [(CommType::Im, text), (CommType::Email, text)]);
+        assert_eq!(sent, expected.collect::<Vec<_>>(), "each alert's fallback is sent once");
+    });
+    let snap = host.shutdown().await;
+    assert_eq!(snap.rehydrations, 1);
+}
+
 /// Regression: a failed processed-mark crashes the buddy, and its
 /// successor replays the alert under a restarted counter — taking the
 /// first alert's key for the replay and the replay's key for the next

@@ -149,9 +149,8 @@ async fn unregistered_user_is_counted_not_routed() {
 #[tokio::test(start_paused = true)]
 async fn fleet_state_returns_to_the_floor_after_mixed_load() {
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
-    let config = ShardedHostConfig { completed_ring: 4, ..test_config(2) };
     let (host, mut notices) =
-        ShardedHost::new(shared.clone(), config, factory(), Telemetry::disabled()).unwrap();
+        ShardedHost::new(shared.clone(), test_config(2), factory(), Telemetry::disabled()).unwrap();
     let users: Vec<UserId> = (0..3).map(|i| UserId::new(format!("user{i}"))).collect();
     host.register_many(users.clone()).await;
     // One failing user exercises the fallback path under the host.
@@ -182,7 +181,6 @@ async fn fleet_state_returns_to_the_floor_after_mixed_load() {
     assert_eq!(snap.in_flight, 0);
     assert_eq!(snap.tracked, 0);
     assert_eq!(snap.pending_timers, 0);
-    assert_eq!(snap.retired_ring, 3 * 4, "five retirements each, rings capped at four");
     host.shutdown().await;
 }
 
@@ -516,7 +514,7 @@ async fn a_delivery_with_every_block_disabled_finishes_exhausted_exactly_once() 
 }
 
 #[tokio::test(start_paused = true)]
-async fn remote_rejuvenation_restarts_the_buddy_and_the_worker_carries_on() {
+async fn remote_rejuvenation_parks_the_buddy_and_its_next_alert_rehydrates() {
     use simba_core::rejuvenate::RejuvenationTrigger;
 
     let shared = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(50)));
@@ -536,18 +534,20 @@ async fn remote_rejuvenation_restarts_the_buddy_and_the_worker_carries_on() {
             break;
         }
     }
-    // The old incarnation's totals are folded, not lost, and the command
-    // itself started no delivery.
+    // Nothing was in flight, so the buddy is parked in the command's own
+    // batch — with hibernation off. Its totals are folded, not lost, and
+    // the command itself started no delivery.
     let snap = host.snapshot().await;
+    assert_eq!((snap.active, snap.hibernated, snap.hibernations), (0, 1, 1));
     assert_eq!(snap.stats.remote_commands, 1);
     assert_eq!(snap.stats.received_im, 2);
     assert_eq!(snap.stats.deliveries_started, 1);
-    assert_eq!(snap.stats.replayed, 0, "the command's record was marked before the restart");
-    assert_eq!(snap.crashes, 0, "an orderly restart is not a crash");
+    assert_eq!(snap.stats.replayed, 0, "the command's record was marked before the park");
+    assert_eq!(snap.crashes, 0, "an orderly rejuvenation is not a crash");
 
-    // The next alert runs on a fresh incarnation, which keeps no id
-    // counter: its delivery takes the alert's own log record, never one
-    // the old incarnation issued.
+    // The next alert rehydrates a fresh buddy, which keeps no id counter:
+    // its delivery takes the alert's own log record, never one the old
+    // incarnation issued.
     host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
     let (_, second) = next_ack(&mut notices).await;
     assert_ne!(second, first);
@@ -560,8 +560,97 @@ async fn remote_rejuvenation_restarts_the_buddy_and_the_worker_carries_on() {
         }
     }
     let snap = host.shutdown().await;
+    assert_eq!((snap.active, snap.rehydrations), (1, 1));
     assert_eq!(snap.stats.deliveries_started, 2);
     shared.with(|c| assert_eq!(c.sent().len(), 2));
+}
+
+/// Every `DeliveryFinished` that arrives within `secs` of virtual time.
+async fn finished_within(
+    notices: &mut mpsc::Receiver<HostNotice>,
+    secs: u64,
+) -> Vec<(DeliveryId, DeliveryStatus)> {
+    let mut finished = Vec::new();
+    let collect = async {
+        while let Some(HostNotice { notice, .. }) = notices.recv().await {
+            if let RuntimeNotice::DeliveryFinished { delivery, status } = notice {
+                finished.push((delivery, status));
+            }
+        }
+    };
+    let _ = tokio::time::timeout(Duration::from_secs(secs), collect).await;
+    finished
+}
+
+/// Regression: a rejuvenation restarted the buddy at once, dropping a
+/// delivery still waiting for its ack with the old incarnation: its
+/// record was already marked processed, so nothing replayed it, and its
+/// block timer fired into the new incarnation and was ignored. The email
+/// fallback was never sent and the delivery never reported.
+#[tokio::test(start_paused = true)]
+async fn an_in_flight_delivery_survives_a_remote_rejuvenation() {
+    let one_second: ConfigFactory = Arc::new(|user: &UserId| {
+        let mut config = user_config(&user.0);
+        let window = SimDuration::from_secs(1);
+        let profile = config.registry.user_mut(user).unwrap();
+        profile.define_mode(DeliveryMode::im_then_email("Urgent", "IM", "EM", window));
+        config
+    });
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices) =
+        ShardedHost::new(shared.clone(), test_config(1), one_second, Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
+    let (_, first) = next_ack(&mut notices).await;
+    tokio::time::sleep(Duration::from_millis(100)).await;
+    host.submit_im(&alice, sensor_alert("SIMBA-REJUVENATE")).await;
+
+    let finished = finished_within(&mut notices, 10).await;
+    assert_eq!(finished.len(), 1, "the in-flight delivery never finished, or finished twice");
+    assert_eq!(finished[0].0, first);
+    assert!(matches!(finished[0].1, DeliveryStatus::Unconfirmed { block: 1, .. }), "{finished:?}");
+    shared.with(|c| {
+        let channels: Vec<CommType> = c.sent().iter().map(|(channel, _, _)| *channel).collect();
+        assert_eq!(channels, [CommType::Im, CommType::Email], "the fallback is sent once");
+    });
+    let snap = host.snapshot().await;
+    assert_eq!(snap.stats.deliveries_started, 1);
+    assert_eq!(snap.acked + snap.unconfirmed + snap.exhausted, 1, "counted once");
+    assert_eq!((snap.active, snap.hibernated), (0, 1), "parked once idle");
+
+    host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
+    let (_, second) = next_ack(&mut notices).await;
+    assert_ne!(second, first);
+    assert_eq!(host.snapshot().await.rehydrations, 1);
+    host.shutdown().await;
+}
+
+/// Regression: a crashed buddy was folded without retiring first, so a
+/// delivery it had finished earlier in the crash's batch was never
+/// reported and never counted.
+#[tokio::test(start_paused = true)]
+async fn a_delivery_finished_in_a_crashs_batch_is_reported() {
+    let shared = SharedChannels::new(LoopbackChannels::accept_all());
+    let (host, mut notices) =
+        ShardedHost::new(shared, test_config(1), factory(), Telemetry::disabled()).unwrap();
+    let alice = UserId::new("alice");
+    host.register(alice.clone()).await;
+    host.submit_im(&alice, sensor_alert("Sensor 1 ON")).await;
+    let (_, first) = next_ack(&mut notices).await;
+
+    // One batch: the user's ack finishes the delivery, then the next
+    // alert's failed mark crashes the buddy.
+    host.ack(&alice, first, AttemptId(0)).await;
+    host.inject_mark_failure(&alice).await;
+    host.submit_im(&alice, sensor_alert("Sensor 2 ON")).await;
+
+    let finished = finished_within(&mut notices, 5).await;
+    assert_eq!(finished.len(), 1, "the acked delivery never finished: {finished:?}");
+    assert_eq!(finished[0].0, first);
+    assert!(matches!(finished[0].1, DeliveryStatus::Acked { .. }), "{finished:?}");
+    let snap = host.shutdown().await;
+    assert_eq!((snap.crashes, snap.acked), (1, 1));
 }
 
 #[tokio::test(start_paused = true)]

@@ -158,7 +158,7 @@ pub const POINTS: &[PointDef] = &[
     point!("host.buddy_crashed", [Counter], "host", "buddies that crashed on a shard worker and were restarted with log replay"),
     point!("host.commit_failed", [Counter], "host", "shard-log group commits that failed (the batch's effects were withheld)"),
     point!("host.group_commits", [Counter], "host", "shard-log group commits (one fsync each in file mode)"),
-    point!("host.hibernated", [Counter], "host", "idle buddies hibernated by the host: counters folded into the shard's totals, buddy dropped"),
+    point!("host.hibernated", [Counter], "host", "buddies hibernated by the host, idle or rejuvenated: counters folded into the shard's totals, buddy dropped"),
     point!("host.notice_dropped", [Counter], "host", "MAB notices dropped because the host's notice queue was full"),
     point!("host.rehydrated", [Counter], "host", "hibernated users given a fresh buddy by a routed alert"),
     point!("host.routed", [Counter], "host", "alerts the multi-user host routed to a per-user MAB"),
@@ -227,7 +227,7 @@ pub const POINTS: &[PointDef] = &[
     point!("rules.suppressed", [Counter], "rules", "alerts dropped by a suppress rule or dedupe template"),
     point!("rules.upserts", [Counter], "rules", "rules created or replaced in the rules log"),
     point!("runtime.acks_sent", [Counter], "runtime", "acknowledgements the runtime forwarded to sources"),
-    point!("runtime.rejuvenations", [Counter], "runtime", "proactive rejuvenation restarts performed"),
+    point!("runtime.rejuvenations", [Counter], "runtime", "rejuvenations requested of the shard worker: the buddy is parked once idle"),
     point!("runtime.sends", [Counter], "runtime", "channel sends dispatched by the runtime"),
     point!("runtime.stale_dropped", [Counter], "runtime", "acks and timer wakeups dropped because their delivery or buddy incarnation was gone"),
     point!("sanity.client_restart", [Counter], "sanity", "sim: client restarts performed by the sanity checker (Table 2)"),

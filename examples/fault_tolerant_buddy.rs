@@ -23,7 +23,7 @@ fn main() {
     println!("— scenario 1: crash after ack, before routing —");
     let config = standard_config();
     let wal = UserShardWal::in_memory(UserId::new("alice"));
-    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone(), SimTime::ZERO);
+    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone());
     mab.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
 
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
@@ -34,7 +34,7 @@ fn main() {
 
     // The MDC restarts a fresh incarnation over the same log.
     println!("  unprocessed alerts in the log: {}", wal.unprocessed().len());
-    let mut mab = MyAlertBuddy::new(config.clone(), wal, SimTime::from_secs(20));
+    let mut mab = MyAlertBuddy::new(config.clone(), wal);
     let replayed = mab.recover(SimTime::from_secs(20));
     let sends = replayed
         .iter()

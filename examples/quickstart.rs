@@ -61,7 +61,7 @@ fn main() {
         registry,
         rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
     };
-    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice), SimTime::ZERO);
+    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice));
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
     let commands = mab.handle(MabEvent::AlertByIm(alert), SimTime::from_secs(5));
 

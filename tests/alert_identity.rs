@@ -86,8 +86,8 @@ fn config() -> MabConfig {
     }
 }
 
-fn incarnation(log: &SharedShardLog, now: SimTime) -> MyAlertBuddy {
-    MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), owner()), now)
+fn incarnation(log: &SharedShardLog) -> MyAlertBuddy {
+    MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), owner()))
 }
 
 /// One send: the delivery, its subscriber, the channel, the alert it
@@ -181,7 +181,7 @@ fn settle(buddy: &mut MyAlertBuddy, cmds: &[MabCommand], now: SimTime) {
             );
         }
     }
-    buddy.retire_terminal(now);
+    buddy.retire_terminal(now, &mut Vec::new());
 }
 
 fn check_identity(steps: &[(Step, u64)]) {
@@ -189,7 +189,7 @@ fn check_identity(steps: &[(Step, u64)]) {
         ShardLog::open(ShardLogConfig::in_memory()).unwrap(),
     ));
     let mut now = SimTime::from_hours(8);
-    let mut buddy = incarnation(&log, now);
+    let mut buddy = incarnation(&log);
     let mut issued = Issued::default();
     for (i, (step, gap_min)) in steps.iter().enumerate() {
         now += SimDuration::from_mins(*gap_min);
@@ -214,7 +214,7 @@ fn check_identity(steps: &[(Step, u64)]) {
                 let record = acked_record(&cmds).expect("acked before the mark failed");
                 issued.note(record, &cmds);
                 now += SimDuration::from_mins(*replay_after_min);
-                buddy = incarnation(&log, now);
+                buddy = incarnation(&log);
                 let replay = buddy.recover(now);
                 issued.note(record, &replay);
                 settle(&mut buddy, &replay, now);
@@ -224,7 +224,7 @@ fn check_identity(steps: &[(Step, u64)]) {
                 let cmds = buddy.handle(MabEvent::AlertByIm(command), now);
                 prop_assert!(cmds.iter().any(|c| matches!(c, MabCommand::Rejuvenate(_))));
                 prop_assert!(sends(&cmds).is_empty());
-                buddy = incarnation(&log, now);
+                buddy = incarnation(&log);
                 prop_assert!(
                     buddy.recover(now).is_empty(),
                     "the command was marked before the restart"
@@ -232,7 +232,7 @@ fn check_identity(steps: &[(Step, u64)]) {
             }
             Step::Rebuild => {
                 prop_assert!(buddy.is_idle());
-                buddy = incarnation(&log, now);
+                buddy = incarnation(&log);
             }
         }
     }
@@ -270,13 +270,13 @@ fn a_replay_across_a_window_boundary_reaches_each_subscriber_once() {
     let before = SimTime::from_hours(8) + SimDuration::from_mins(59);
     let after = SimTime::from_hours(9) + SimDuration::from_mins(1);
 
-    let mut buddy = incarnation(&log, before);
+    let mut buddy = incarnation(&log);
     log.lock().unwrap().inject_mark_failure(&owner());
     let alert = IncomingAlert::from_im("aladdin-gw", "Sensor ON", before);
     let cmds = buddy.handle(MabEvent::AlertByIm(alert), before);
     assert!(buddy.is_crashed());
     hand_off(&cmds, before);
-    let replay = incarnation(&log, after).recover(after);
+    let replay = incarnation(&log).recover(after);
     hand_off(&replay, after);
 
     let mut addresses: Vec<String> = ledger.records().map(|r| r.address.to_string()).collect();

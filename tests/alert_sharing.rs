@@ -47,7 +47,6 @@ fn household() -> MyAlertBuddy {
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
         UserShardWal::in_memory(UserId::new("household")),
-        SimTime::ZERO,
     )
 }
 

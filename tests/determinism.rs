@@ -65,7 +65,7 @@ fn run_scenario(seed: u64, alerts: u64) -> (Vec<String>, String) {
     im.logon(&alice, SimTime::ZERO).unwrap();
 
     // Core pipeline: log → ack → classify → route → deliver.
-    let mut mab = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")), SimTime::ZERO)
+    let mut mab = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")))
         .with_telemetry(telemetry.clone());
 
     let first_send = |cmds: &[MabCommand]| {
@@ -155,9 +155,9 @@ proptest! {
 
 #[test]
 fn instrumented_and_plain_runs_behave_identically() {
-    let mut plain = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")), SimTime::ZERO);
+    let mut plain = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")));
     let sink = Arc::new(RingBufferSink::new(256));
-    let mut observed = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")), SimTime::ZERO)
+    let mut observed = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")))
         .with_telemetry(Telemetry::with_sink(sink));
     for i in 0..4u64 {
         let at = SimTime::from_secs(10 + i * 60);

@@ -58,7 +58,6 @@ fn buddy() -> MyAlertBuddy {
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
         UserShardWal::in_memory(UserId::new("alice")),
-        SimTime::ZERO,
     )
 }
 
@@ -158,7 +157,6 @@ fn whole_configuration_survives_xml_round_trip() {
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
         UserShardWal::in_memory(UserId::new("alice")),
-        SimTime::ZERO,
     );
     let [alert, ..] = service_alerts(SimTime::from_secs(10));
     let cmds = mab2.handle(MabEvent::AlertByEmail(alert), SimTime::from_secs(10));

@@ -94,7 +94,7 @@ impl Drop for Backing {
 /// checks that no acked alert is lost and none is seen twice.
 fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
     let config = standard_config();
-    let mut mab = MyAlertBuddy::new(config.clone(), backing.wal(), SimTime::ZERO);
+    let mut mab = MyAlertBuddy::new(config.clone(), backing.wal());
     let mut dedup = Horizon::new(SimDuration::from_hours(24), usize::MAX);
 
     let mut acked: Vec<u64> = Vec::new();
@@ -119,7 +119,7 @@ fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
             // Restart over the same log; replay completes the pipeline.
             drop(mab);
             backing.reopen();
-            mab = MyAlertBuddy::new(config.clone(), backing.wal(), now);
+            mab = MyAlertBuddy::new(config.clone(), backing.wal());
             let recovery = mab.recover(now);
             backing.commit();
             routed |= recovery.iter().any(|c| matches!(c, MabCommand::Channel { .. }));
@@ -173,7 +173,7 @@ proptest! {
         // replays — the sender knows to fall back.
         let config = standard_config();
         let wal = UserShardWal::in_memory(alice());
-        let mut mab = MyAlertBuddy::new(config.clone(), wal.clone(), SimTime::ZERO);
+        let mut mab = MyAlertBuddy::new(config.clone(), wal.clone());
         for i in 0..n {
             let now = SimTime::from_secs(100 + i * 60);
             mab.inject_crash_at(CrashPoint::BeforeLog);
@@ -183,7 +183,7 @@ proptest! {
             );
             prop_assert!(commands.is_empty());
             prop_assert!(wal.unprocessed().is_empty());
-            mab = MyAlertBuddy::new(config.clone(), wal.clone(), now);
+            mab = MyAlertBuddy::new(config.clone(), wal.clone());
             prop_assert!(mab.recover(now).is_empty());
         }
     }
