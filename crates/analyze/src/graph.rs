@@ -369,7 +369,7 @@ fn interpret(
                         .then(|| tables.guard_helpers.get(name.as_str()))
                         .flatten()
                     {
-                        // `let g = self.lock_log();` — the helper acquires
+                        // `let g = self.lock_ledger();` — the helper acquires
                         // for its caller.
                         let lock = lock.clone();
                         acquire(&mut live, edges, &lock, ev.line, binding.clone(), depth);

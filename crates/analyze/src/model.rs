@@ -83,7 +83,7 @@ pub enum EventKind {
         /// The site is a match/let *pattern*, not an expression.
         in_pattern: bool,
         /// Same binding rule as [`EventKind::Acquire`] — lets `graph`
-        /// treat `let g = self.lock_log();` as an acquisition.
+        /// treat `let g = self.lock_ledger();` as an acquisition.
         binding: Option<String>,
     },
     /// An `.await` point.
@@ -253,7 +253,7 @@ fn matching_open(code: &[(usize, &Token)], close: usize) -> usize {
 }
 
 /// The last type-path segment of an `impl` header: `impl Foo for
-/// Arc<Mutex<ShardLog>>` → `ShardLog` (the innermost type is the most
+/// Arc<Mutex<Ledger>>` → `Ledger` (the innermost type is the most
 /// useful lock identity). `where` clauses are cut first.
 fn impl_type_name(header: &[(usize, &Token)]) -> Option<String> {
     let cut = header
@@ -465,7 +465,7 @@ fn parse_body(
 }
 
 /// A call whose result is immediately chained into another method
-/// (`self.lock_log().is_dirty()`) yields a statement *temporary*: the
+/// (`self.lock_ledger().is_dirty()`) yields a statement *temporary*: the
 /// `let` binding (if any) holds the chain's final value, not the guard,
 /// which drops at the `;`. `unwrap`/`expect`/`unwrap_or_else` are
 /// identity adapters — they return the guard itself — so chains through
@@ -546,7 +546,7 @@ mod tests {
         let src = r#"
             impl Shard {
                 async fn run(&mut self) { }
-                fn lock_log(&self) -> MutexGuard<'_, ShardLog> { self.log.lock() }
+                fn lock_ledger(&self) -> MutexGuard<'_, Ledger> { self.ledger.lock() }
             }
             fn free() { }
         "#;
@@ -562,12 +562,12 @@ mod tests {
 
     #[test]
     fn impl_for_takes_innermost_type() {
-        let src = "impl Lend for std::sync::Arc<std::sync::Mutex<ShardLog>> { fn f(&self) { self.lock(); } }";
+        let src = "impl Lend for std::sync::Arc<std::sync::Mutex<Ledger>> { fn f(&self) { self.lock(); } }";
         let got = fns(src);
-        assert_eq!(got[0].owner.as_deref(), Some("ShardLog"));
+        assert_eq!(got[0].owner.as_deref(), Some("Ledger"));
         assert!(matches!(
             &got[0].events[0].kind,
-            EventKind::Acquire { lock, .. } if lock == "ShardLog"
+            EventKind::Acquire { lock, .. } if lock == "Ledger"
         ));
     }
 
@@ -633,11 +633,11 @@ mod tests {
 
     #[test]
     fn chained_guard_is_a_temporary_but_identity_adapters_keep_binding() {
-        // `lock_log().is_dirty()` binds the *chain result*, not the guard.
-        let ev = events_of("fn f(&self) { let dirty = self.lock_log().is_dirty(); }", "f");
+        // `lock_ledger().is_dirty()` binds the *chain result*, not the guard.
+        let ev = events_of("fn f(&self) { let dirty = self.lock_ledger().is_dirty(); }", "f");
         assert!(matches!(
             &ev[0],
-            EventKind::Call { name, binding: None, .. } if name == "lock_log"
+            EventKind::Call { name, binding: None, .. } if name == "lock_ledger"
         ));
         // `.lock().unwrap_or_else(..)` still yields the guard itself.
         let ev = events_of(
@@ -669,11 +669,11 @@ mod tests {
 
     #[test]
     fn guard_returning_helper_call_keeps_binding() {
-        let ev = events_of("fn f(&self) { let mut log = self.lock_log(); log.commit(); }", "f");
+        let ev = events_of("fn f(&self) { let mut ledger = self.lock_ledger(); ledger.commit(); }", "f");
         assert!(matches!(
             &ev[0],
             EventKind::Call { name, binding: Some(b), empty_args: true, .. }
-                if name == "lock_log" && b == "log"
+                if name == "lock_ledger" && b == "ledger"
         ));
         assert!(matches!(
             &ev[2],

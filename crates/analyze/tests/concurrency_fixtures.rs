@@ -116,11 +116,11 @@ fn one_call_deep_blocking_fires_and_unguarded_is_clean() {
 
 #[test]
 fn guard_returning_helper_counts_as_acquisition() {
-    let src = "impl S {\n        fn lock_log(&self) -> MutexGuard<'_, ShardLog> { self.log.lock() }\n        fn f(&self) { let g = self.lock_log(); std::thread::sleep(d); }\n    }";
+    let src = "impl S {\n        fn lock_ledger(&self) -> MutexGuard<'_, Ledger> { self.ledger.lock() }\n        fn f(&self) { let g = self.lock_ledger(); std::thread::sleep(d); }\n    }";
     let findings = one_file(src);
     assert_eq!(rules_fired(&findings), vec!["concurrency.blocking-under-guard"]);
-    // The helper's lock identity is its receiver field (`self.log`).
-    assert!(findings[0].message.contains("`log`"), "{}", findings[0].message);
+    // The helper's lock identity is its receiver field (`self.ledger`).
+    assert!(findings[0].message.contains("`ledger`"), "{}", findings[0].message);
 }
 
 #[test]

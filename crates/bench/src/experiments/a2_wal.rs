@@ -17,7 +17,7 @@ use crate::report::Table;
 use simba_core::alert::{Alert, AlertId, IncomingAlert, Urgency};
 use simba_core::horizon::Horizon;
 use simba_core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
-use simba_core::shardlog::UserShardWal;
+use simba_core::shardlog::ShardLog;
 use simba_core::subscription::UserId;
 use simba_sim::{SimDuration, SimRng, SimTime};
 
@@ -49,9 +49,9 @@ fn routed_count(commands: &[MabCommand]) -> u64 {
 fn run_arm(seed: u64, logging: bool) -> A2Arm {
     let mut rng = SimRng::new(seed ^ 0xA2);
     let config = standard_config();
-    let fresh_log = || UserShardWal::in_memory(UserId::new("alice"));
-    let mut wal = fresh_log();
-    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone());
+    let alice = UserId::new("alice");
+    let mut log = ShardLog::in_memory();
+    let mut mab = MyAlertBuddy::new(config.clone(), alice.clone());
     let mut dedup = Horizon::new(SimDuration::from_hours(24), usize::MAX);
 
     let mut acked_without_delivery = 0u64;
@@ -75,7 +75,7 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
             mab.inject_crash_at(point);
         }
 
-        let commands = mab.handle(MabEvent::AlertByIm(alert.clone()), now);
+        let commands = mab.handle(&mut log, MabEvent::AlertByIm(alert.clone()), now);
         let acked = commands.iter().any(|c| matches!(c, MabCommand::AckIm { .. }));
         let mut routed = routed_count(&commands);
 
@@ -84,10 +84,10 @@ fn run_arm(seed: u64, logging: bool) -> A2Arm {
             // The MDC restarts the buddy. With logging, the new incarnation
             // replays unprocessed records; without, it starts blank.
             if !logging {
-                wal = fresh_log();
+                log = ShardLog::in_memory();
             }
-            mab = MyAlertBuddy::new(config.clone(), wal.clone());
-            let recovery = mab.recover(now);
+            mab = MyAlertBuddy::new(config.clone(), alice.clone());
+            let recovery = mab.recover(&mut log, now);
             routed += routed_count(&recovery);
         }
 

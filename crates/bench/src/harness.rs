@@ -27,7 +27,7 @@ use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, SendFailur
 use simba_core::mab::{DeliveryId, MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba_core::mdc::{MasterDaemonController, MdcAction, MdcConfig};
 use simba_core::mode::DeliveryMode;
-use simba_core::shardlog::UserShardWal;
+use simba_core::shardlog::ShardLog;
 use simba_core::stabilize::{StabilizationConfig, StabilizationSchedule};
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_net::email::{EmailAddr, EmailService, EmailTransit};
@@ -365,9 +365,9 @@ pub struct World {
     pub sms: SmsGateway,
     /// The buddy (None while restarting).
     pub mab: Option<MyAlertBuddy>,
-    /// The buddy's log: it outlives every incarnation, and each restart
-    /// replays it.
-    wal: UserShardWal,
+    /// The buddy's log, lent to each of its calls: it outlives every
+    /// incarnation, and each restart replays it.
+    log: ShardLog,
     /// Config used to re-create the buddy on restart.
     pub mab_config: MabConfig,
     /// The buddy's IM client manager.
@@ -440,15 +440,14 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
     let mut email_mgr = EmailManager::new(EmailAddr::new(MAB_EMAIL));
     email_mgr.start(SimTime::ZERO);
 
-    let wal = UserShardWal::in_memory(UserId::new("alice"));
-    let mab = MyAlertBuddy::new(mab_config.clone(), wal.clone());
+    let mab = MyAlertBuddy::new(mab_config.clone(), UserId::new("alice"));
 
     let world = World {
         im,
         email,
         sms,
         mab: Some(mab),
-        wal,
+        log: ShardLog::in_memory(),
         mab_config,
         im_mgr,
         email_mgr,
@@ -698,7 +697,7 @@ fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: Inc
     let Some(mab) = world.mab.as_mut() else {
         return;
     };
-    let commands = mab.handle(event, now);
+    let commands = mab.handle(&mut world.log, event, now);
     let crashed = mab.is_crashed();
     let mut acks = Vec::new();
     let mut routed = Vec::new();
@@ -739,7 +738,7 @@ fn mab_handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, event: MabEvent) {
     let Some(mab) = world.mab.as_mut() else {
         return;
     };
-    let commands = mab.handle(event, now);
+    let commands = mab.handle(&mut world.log, event, now);
     let crashed = mab.is_crashed();
     execute_commands(world, ctx, commands);
     if crashed {
@@ -995,8 +994,8 @@ fn mab_restarted(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
         return; // the reboot path restarts us via MachineUp
     }
     let now = ctx.now();
-    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), world.wal.clone());
-    let commands = mab.recover(now);
+    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), UserId::new("alice"));
+    let commands = mab.recover(&mut world.log, now);
     world.metrics.add("mab.replayed", mab.stats().replayed);
     world.mab = Some(mab);
     // Restart also restarts the client software.

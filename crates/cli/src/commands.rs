@@ -263,64 +263,6 @@ fn summary_line(body: &str) -> String {
     }
 }
 
-/// `demo pipeline|faultlog [...]`.
-pub fn demo(args: &[String]) -> Outcome {
-    let Some(which) = args.first() else {
-        return Outcome::usage("demo takes a scenario name");
-    };
-    let mut seed = 42u64;
-    let mut alerts = 50u64;
-    let mut fixes = false;
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return Outcome::usage("--seed needs a number"),
-            },
-            "--alerts" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => alerts = v,
-                None => return Outcome::usage("--alerts needs a number"),
-            },
-            "--fixes" => fixes = true,
-            other => return Outcome::usage(&format!("unknown flag {other:?}")),
-        }
-    }
-    match which.as_str() {
-        "pipeline" => Outcome::ok(demo_pipeline(seed, alerts)),
-        "faultlog" => Outcome::ok(demo_faultlog(seed, fixes)),
-        other => Outcome::usage(&format!("unknown demo {other:?}")),
-    }
-}
-
-fn demo_pipeline(seed: u64, alerts: u64) -> String {
-    use simba_bench::harness::{build, handle, Ev, PipelineOptions};
-    use simba_core::alert::IncomingAlert;
-
-    let horizon = SimTime::from_secs(120 + alerts * 60);
-    let mut engine = build(PipelineOptions::new(seed, horizon));
-    for i in 0..alerts {
-        let at = SimTime::from_secs(30 + i * 60);
-        let alert = IncomingAlert::from_im("aladdin-gw", format!("Sensor demo {i} ON"), at);
-        engine.schedule_at(at, Ev::Emit { tag: i, alert });
-    }
-    engine.run_until(horizon, handle);
-    let world = engine.world();
-    let seen = world
-        .tracks
-        .values()
-        .filter(|t| t.emitted_at.is_some() && t.seen_at.is_some())
-        .count();
-    let mut out = format!("pipeline demo: {alerts} alerts, seed {seed}\n");
-    let _ = writeln!(out, "  seen by the user: {seen}/{alerts}");
-    for name in ["im.one_way", "source.ack_rtt", "user.seen_latency"] {
-        if let Some(s) = world.metrics.summary(name) {
-            let _ = writeln!(out, "  {name}: {s}");
-        }
-    }
-    out
-}
-
 /// `telemetry demo|tail [...]` — inspect the telemetry spine.
 pub fn telemetry(args: &[String]) -> Outcome {
     let Some(which) = args.first() else {
@@ -364,7 +306,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
     use simba_core::{
         Address, AddressBook, Classifier, CommType, DeliveryCommand, DeliveryMode,
         IncomingAlert, KeywordField, MabCommand, MabConfig, RejuvenationPolicy,
-        SubscriptionRegistry, Telemetry, UserId, UserShardWal,
+        ShardLog, SubscriptionRegistry, Telemetry, UserId,
     };
     use simba_sim::{SimDuration, SimRng};
     use simba_telemetry::RingBufferSink;
@@ -412,7 +354,8 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
         SimTime::ZERO,
     );
 
-    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice))
+    let mut log = ShardLog::in_memory();
+    let mut mab = MyAlertBuddy::new(config, alice)
         .with_telemetry(telemetry.clone())
         .with_mode_selector(Box::new(simba_runtime::StoreModeSelector::new(store)));
     let mut rng = SimRng::new(seed);
@@ -432,7 +375,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
         let at = SimTime::from_secs(30 + i * 60);
         let alert =
             IncomingAlert::from_im("aladdin-gw", format!("Basement Sensor demo {i} ON"), at);
-        let cmds = mab.handle(MabEvent::AlertByIm(alert), at);
+        let cmds = mab.handle(&mut log, MabEvent::AlertByIm(alert), at);
         let Some((id, attempt)) = first_send(&cmds) else {
             continue;
         };
@@ -441,6 +384,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
             // the fallback ladder into the email block.
             let failed_at = at + SimDuration::from_secs(1);
             let cmds = mab.handle(
+                &mut log,
                 MabEvent::Delivery {
                     id,
                     event: DeliveryEvent::SendFailed {
@@ -452,6 +396,7 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
             );
             if let Some((id2, attempt2)) = first_send(&cmds) {
                 mab.handle(
+                    &mut log,
                     MabEvent::Delivery {
                         id: id2,
                         event: DeliveryEvent::SendAccepted { attempt: attempt2 },
@@ -462,11 +407,13 @@ fn telemetry_demo(seed: u64, alerts: u64, json: bool) -> String {
         } else {
             let accepted_at = at + SimDuration::from_secs(1);
             mab.handle(
+                &mut log,
                 MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } },
                 accepted_at,
             );
             let ack_lag = SimDuration::from_secs(rng.range(2, 45));
             mab.handle(
+                &mut log,
                 MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } },
                 accepted_at + ack_lag,
             );
@@ -1003,30 +950,6 @@ fn store_watch(args: &[String]) -> Outcome {
         flags.scope, key, flags.duration_ms, changes
     );
     Outcome::ok(out)
-}
-
-fn demo_faultlog(seed: u64, fixes: bool) -> String {
-    use simba_bench::faultlog::{run_campaign, CampaignOptions};
-    let result = run_campaign(&CampaignOptions {
-        seed,
-        with_fixes: fixes,
-        ..CampaignOptions::default()
-    });
-    let mut out = format!(
-        "fault-log demo: 30 simulated days, seed {seed}, fixes {}\n",
-        if fixes { "applied" } else { "not applied" }
-    );
-    let _ = writeln!(out, "  IM downtimes:        {}", result.im_downtimes);
-    let _ = writeln!(out, "  re-logons:           {}", result.relogons);
-    let _ = writeln!(out, "  client restarts:     {}", result.client_restarts);
-    let _ = writeln!(out, "  MDC restarts:        {}", result.mdc_restarts);
-    let _ = writeln!(out, "  unrecovered:         {}", result.unrecovered);
-    let _ = writeln!(
-        out,
-        "  delivery rate:       {:.1} %",
-        result.delivery_rate() * 100.0
-    );
-    out
 }
 
 /// `ledger ls|dlq|retry --dir <dir>`.
@@ -1630,16 +1553,6 @@ mod tests {
         let out = ledger(&strings(&["dlq", "--dir", &dir_s]));
         assert!(out.output.contains("0 dead-lettered"), "{}", out.output);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn demo_pipeline_prints_summary() {
-        let out = demo(&strings(&["pipeline", "--seed", "7", "--alerts", "5"]));
-        assert_eq!(out.code, 0, "{}", out.output);
-        assert!(out.output.contains("seen by the user: 5/5"), "{}", out.output);
-        assert_eq!(demo(&strings(&["pipeline", "--seed", "NaN"])).code, 2);
-        assert_eq!(demo(&strings(&["nonsense"])).code, 2);
-        assert_eq!(demo(&strings(&[])).code, 2);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   the block cascade under chosen failure assumptions;
 //! * `wal inspect <dir>` — print a shard log's unprocessed records per
 //!   user (tolerating a torn tail, as a restarting host would);
-//! * `demo pipeline|faultlog` — run the simulated deployment and print the
-//!   summary tables;
 //! * `gateway serve|send|probe` — run the framed-TCP ingestion gateway
 //!   in front of a live host fleet, submit alerts to one, or check its
 //!   health counters;
@@ -74,8 +72,6 @@ USAGE:
   simba-cli explain --addresses <file.xml> --mode <file.xml>
             [--disable <name>]... [--fail <name>]... [--ack <name>]
   simba-cli wal inspect <shard-log-dir>
-  simba-cli demo pipeline  [--seed <n>] [--alerts <n>]
-  simba-cli demo faultlog  [--seed <n>] [--fixes]
   simba-cli gateway serve [--addr <a>] [--users <n>] [--duration-ms <n>]
             [--workers <n>] [--queue <n>] [--rate <alerts/s>] [--source <s>]
   simba-cli gateway send --addr <a> [--user <u>] [--body <text>]
@@ -116,7 +112,6 @@ pub fn run(args: &[String]) -> Outcome {
         Some("validate") => commands::validate(&args[1..]),
         Some("explain") => commands::explain(&args[1..]),
         Some("wal") => commands::wal(&args[1..]),
-        Some("demo") => commands::demo(&args[1..]),
         Some("gateway") => commands::gateway(&args[1..]),
         Some("store") => commands::store(&args[1..]),
         Some("telemetry") => commands::telemetry(&args[1..]),

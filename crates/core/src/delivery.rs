@@ -148,16 +148,6 @@ impl DeliveryStatus {
     pub fn is_handed_off(self) -> bool {
         matches!(self, DeliveryStatus::Acked { .. } | DeliveryStatus::Unconfirmed { .. })
     }
-
-    /// When the terminal state was reached (`None` while in progress).
-    pub fn terminal_at(self) -> Option<SimTime> {
-        match self {
-            DeliveryStatus::InProgress => None,
-            DeliveryStatus::Acked { at, .. }
-            | DeliveryStatus::Unconfirmed { at, .. }
-            | DeliveryStatus::Exhausted { at } => Some(at),
-        }
-    }
 }
 
 /// Outcome of one attempt, for reporting.
@@ -270,19 +260,6 @@ impl DeliveryProcess {
     /// All attempt records so far.
     pub fn attempts(&self) -> &[AttemptRecord] {
         &self.attempts
-    }
-
-    /// Total messages sent (the "irritability" cost of this delivery).
-    pub fn messages_sent(&self) -> usize {
-        self.attempts
-            .iter()
-            .filter(|a| !matches!(a.outcome, AttemptOutcome::Failed(_)))
-            .count()
-    }
-
-    /// When the process started.
-    pub fn started_at(&self) -> SimTime {
-        self.started_at
     }
 
     /// Feeds one event into the machine; returns follow-up commands.
@@ -601,7 +578,7 @@ mod tests {
         // Stale timer later: ignored.
         assert!(p.handle(DeliveryEvent::TimerFired { timer: tm }, &b, t(60)).is_empty());
         assert_eq!(p.status(), DeliveryStatus::Acked { attempt: a, at: t(2), block: 0 });
-        assert_eq!(p.messages_sent(), 1);
+        assert_eq!(p.attempts().len(), 1);
     }
 
     #[test]
@@ -620,7 +597,7 @@ mod tests {
         let a2 = first_attempt(&cmds2);
         p.handle(DeliveryEvent::SendAccepted { attempt: a2 }, &b, t(61));
         assert_eq!(p.status(), DeliveryStatus::Unconfirmed { at: t(61), block: 1 });
-        assert_eq!(p.messages_sent(), 2);
+        assert_eq!(p.attempts().len(), 2);
     }
 
     #[test]
@@ -803,7 +780,6 @@ mod tests {
         // First accept concludes the block; the SMS attempt never resolves.
         p.handle(DeliveryEvent::SendAccepted { attempt: ids[0] }, &b, t(1));
         assert_eq!(p.status(), DeliveryStatus::Unconfirmed { at: t(1), block: 0 });
-        assert_eq!(p.status().terminal_at(), Some(t(1)));
     }
 
     #[test]
@@ -856,33 +832,5 @@ mod tests {
         let a2 = first_attempt(&cmds2);
         p.handle(DeliveryEvent::SendAccepted { attempt: a2 }, &b, t(62));
         assert_eq!(p.status(), DeliveryStatus::Unconfirmed { at: t(62), block: 1 });
-    }
-
-    #[test]
-    fn terminal_at_reports_conclusion_time() {
-        let b = book();
-        let (mut p, cmds) = DeliveryProcess::start(alert(), im_then_email(), &b, t(0));
-        assert_eq!(p.status().terminal_at(), None);
-        let a = first_attempt(&cmds);
-        p.handle(DeliveryEvent::SendAccepted { attempt: a }, &b, t(1));
-        p.handle(DeliveryEvent::Acked { attempt: a }, &b, t(4));
-        assert_eq!(p.status().terminal_at(), Some(t(4)));
-    }
-
-    #[test]
-    fn messages_sent_counts_non_failed_attempts() {
-        let b = book();
-        let (mut p, cmds) = DeliveryProcess::start(alert(), im_then_email(), &b, t(0));
-        let a = first_attempt(&cmds);
-        let cmds2 = p.handle(
-            DeliveryEvent::SendFailed { attempt: a, failure: SendFailure::ChannelDown },
-            &b,
-            t(1),
-        );
-        let a2 = first_attempt(&cmds2);
-        p.handle(DeliveryEvent::SendAccepted { attempt: a2 }, &b, t(2));
-        // IM failed (not counted), email accepted (counted).
-        assert_eq!(p.messages_sent(), 1);
-        assert_eq!(p.attempts().len(), 2);
     }
 }

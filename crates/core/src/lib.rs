@@ -62,7 +62,7 @@ pub use mode::{AckPolicy, Block, DeliveryMode};
 pub use profile_xml::{registry_from_xml, registry_to_xml, RegistryXmlError};
 pub use rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
 pub use routing::{apply_routing, ModeSelector, PresenceHint, RoutingContext};
-pub use shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats, UserShardWal};
+pub use shardlog::{ShardLog, ShardLogConfig, ShardLogStats};
 pub use subscription::{Subscription, SubscriptionRegistry, UserId};
 pub use wal::{WalError, WalRecord};
 

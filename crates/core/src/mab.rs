@@ -8,7 +8,10 @@
 //! ack makes the *sender's* delivery mode fall back instead.
 //!
 //! [`MyAlertBuddy`] is a state machine like [`DeliveryProcess`]: events in
-//! ([`MabEvent`]), commands out ([`MabCommand`]). Crash points can be
+//! ([`MabEvent`]), commands out ([`MabCommand`]). It owns no log: the
+//! paper's buddy asks "the SIMBA library" to log, and here that library
+//! is its shard worker, which owns the [`ShardLog`] and lends it to each
+//! call that logs, marks or replays. Crash points can be
 //! injected at every pipeline stage, which is how the WAL-safety property
 //! tests exercise "MyAlertBuddy may crash or get terminated due to some
 //! anomaly" at arbitrary moments.
@@ -18,7 +21,7 @@ use crate::alert::{Alert, AlertId, IncomingAlert};
 use crate::classify::Classifier;
 use crate::delivery::{DeliveryCommand, DeliveryEvent, DeliveryProcess, DeliveryStatus};
 use crate::rejuvenate::{RejuvenationPolicy, RejuvenationTrigger};
-use crate::shardlog::UserShardWal;
+use crate::shardlog::ShardLog;
 use crate::subscription::{SubscriptionRegistry, UserId};
 use crate::vecmap::VecMap;
 use simba_sim::SimTime;
@@ -199,7 +202,9 @@ impl MabStats {
 #[derive(Debug)]
 pub struct MyAlertBuddy {
     config: MabConfig,
-    wal: UserShardWal,
+    /// Whose records this buddy appends, marks and replays in the log
+    /// its driver lends it.
+    user: UserId,
     /// Tracked deliveries: usually none or one, filled and emptied once
     /// per alert — hence a [`VecMap`], not a tree with an eleven-slot leaf.
     deliveries: VecMap<DeliveryId, (UserId, DeliveryProcess)>,
@@ -213,15 +218,15 @@ pub struct MyAlertBuddy {
 }
 
 impl MyAlertBuddy {
-    /// Launches MyAlertBuddy over an existing (possibly non-empty) log.
-    /// Call [`MyAlertBuddy::recover`] next — the paper's restart protocol
-    /// replays unprocessed alerts "before accepting new alerts". A caller
-    /// that restarts the buddy after a crash keeps a clone of `wal` for
-    /// the next incarnation.
-    pub fn new(config: MabConfig, wal: UserShardWal) -> Self {
+    /// Launches `user`'s MyAlertBuddy. It holds no log: its driver owns
+    /// the [`ShardLog`] and lends it to every call that logs, marks or
+    /// replays, so a restart is a fresh buddy over the same log. Call
+    /// [`MyAlertBuddy::recover`] next — the paper's restart protocol
+    /// replays unprocessed alerts "before accepting new alerts".
+    pub fn new(config: MabConfig, user: UserId) -> Self {
         MyAlertBuddy {
             config,
-            wal,
+            user,
             deliveries: VecMap::default(),
             stats: MabStats::default(),
             crash_point: None,
@@ -350,18 +355,18 @@ impl MyAlertBuddy {
     }
 
     /// Whether the buddy can hibernate: alive, no tracked deliveries, no
-    /// unprocessed log records. Everything else it holds is counters, and
-    /// its ids come from its log, so a host may drop an idle buddy and
-    /// build a fresh one for the user's next alert.
-    pub fn is_idle(&self) -> bool {
-        !self.crashed && self.deliveries.is_empty() && !self.wal.has_unprocessed()
+    /// unprocessed records in `log`. Everything else it holds is
+    /// counters, and its ids come from its log, so a host may drop an
+    /// idle buddy and build a fresh one for the user's next alert.
+    pub fn is_idle(&self, log: &ShardLog) -> bool {
+        !self.crashed && self.deliveries.is_empty() && !log.has_unprocessed_for(&self.user)
     }
 
-    /// Replays unprocessed log records (the restart protocol). Returns the
-    /// commands to execute; acks are *not* re-sent.
-    pub fn recover(&mut self, now: SimTime) -> Vec<MabCommand> {
+    /// Replays the user's unprocessed records in `log` (the restart
+    /// protocol). Returns the commands to execute; acks are *not* re-sent.
+    pub fn recover(&mut self, log: &mut ShardLog, now: SimTime) -> Vec<MabCommand> {
         let mut cmds = Vec::new();
-        let backlog = self.wal.unprocessed();
+        let backlog = log.unprocessed_for(&self.user);
         if self.telemetry.enabled() && !backlog.is_empty() {
             self.telemetry.metrics().counter("wal.replays").add(backlog.len() as u64);
             self.telemetry.emit(
@@ -370,25 +375,31 @@ impl MyAlertBuddy {
         }
         for record in backlog {
             self.stats.replayed += 1;
-            self.route_logged(record.id, record.received_at, &record.alert, now, &mut cmds);
+            self.route_logged(log, record.id, record.received_at, &record.alert, now, &mut cmds);
         }
         cmds
     }
 
-    /// Feeds one event through the pipeline.
+    /// Feeds one event through the pipeline, logging into `log`.
     ///
     /// A crashed or hung buddy processes nothing (events are effectively
     /// dropped, exactly like a dead process — senders see missing acks and
     /// fall back).
-    pub fn handle(&mut self, event: MabEvent, now: SimTime) -> Vec<MabCommand> {
+    pub fn handle(&mut self, log: &mut ShardLog, event: MabEvent, now: SimTime) -> Vec<MabCommand> {
         let mut cmds = Vec::new();
-        self.handle_into(event, now, &mut cmds);
+        self.handle_into(log, event, now, &mut cmds);
         cmds
     }
 
     /// [`MyAlertBuddy::handle`], appending the commands to `cmds` — for a
     /// driver that feeds many events and keeps one buffer.
-    pub fn handle_into(&mut self, event: MabEvent, now: SimTime, cmds: &mut Vec<MabCommand>) {
+    pub fn handle_into(
+        &mut self,
+        log: &mut ShardLog,
+        event: MabEvent,
+        now: SimTime,
+        cmds: &mut Vec<MabCommand>,
+    ) {
         if self.crashed || self.hung {
             return;
         }
@@ -396,12 +407,12 @@ impl MyAlertBuddy {
             MabEvent::AlertByIm(alert) => {
                 self.stats.received_im += 1;
                 self.note_received("im", &alert, now);
-                self.ingest(alert, true, now, cmds);
+                self.ingest(log, alert, true, now, cmds);
             }
             MabEvent::AlertByEmail(alert) => {
                 self.stats.received_email += 1;
                 self.note_received("email", &alert, now);
-                self.ingest(alert, false, now, cmds);
+                self.ingest(log, alert, false, now, cmds);
             }
             MabEvent::Delivery { id, event } => {
                 if let Some((user, process)) = self.deliveries.get_mut(&id) {
@@ -454,12 +465,19 @@ impl MyAlertBuddy {
     }
 
     /// The §4.2.1 receive pipeline.
-    fn ingest(&mut self, alert: IncomingAlert, ack: bool, now: SimTime, cmds: &mut Vec<MabCommand>) {
+    fn ingest(
+        &mut self,
+        log: &mut ShardLog,
+        alert: IncomingAlert,
+        ack: bool,
+        now: SimTime,
+        cmds: &mut Vec<MabCommand>,
+    ) {
         if self.crash_if(CrashPoint::BeforeLog, now) {
             return;
         }
         // (1) Pessimistic log, before anything observable.
-        let wal_id = self.wal.append(&alert, now);
+        let Ok(wal_id) = log.append(&self.user, &alert, now);
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("wal.appends").incr();
             self.telemetry.emit(
@@ -491,7 +509,7 @@ impl MyAlertBuddy {
             return;
         }
         // (3..) Classify and route.
-        self.route_logged(wal_id, now, &alert, now, cmds);
+        self.route_logged(log, wal_id, now, &alert, now, cmds);
     }
 
     /// Classification + routing + processed-mark for logged alert
@@ -499,6 +517,7 @@ impl MyAlertBuddy {
     /// the record part of every [`DeliveryId`] it fans out to.
     fn route_logged(
         &mut self,
+        log: &mut ShardLog,
         record: u64,
         received_at: SimTime,
         alert: &IncomingAlert,
@@ -517,7 +536,7 @@ impl MyAlertBuddy {
                         .with("source", &*alert.source),
                 );
             }
-            if !self.mark_processed_or_crash(record, now) {
+            if !self.mark_processed_or_crash(log, record, now) {
                 return;
             }
             self.rejuvenating = true;
@@ -643,15 +662,15 @@ impl MyAlertBuddy {
             return;
         }
         // (4) Mark processed.
-        self.mark_processed_or_crash(record, now);
+        self.mark_processed_or_crash(log, record, now);
     }
 
     /// Marks a log record processed, treating failure as a crash: the
     /// buddy stops rather than letting disk and memory diverge silently.
     /// The record stays unprocessed, so the next incarnation replays it —
     /// a duplicate the user-side dedup discards.
-    fn mark_processed_or_crash(&mut self, id: u64, now: SimTime) -> bool {
-        if self.wal.mark_processed(id).is_ok() {
+    fn mark_processed_or_crash(&mut self, log: &mut ShardLog, id: u64, now: SimTime) -> bool {
+        if log.mark_processed(&self.user, id).is_ok() {
             return true;
         }
         self.crashed = true;
@@ -692,9 +711,7 @@ mod tests {
     use crate::classify::KeywordField;
     use crate::delivery::AttemptId;
     use crate::mode::DeliveryMode;
-    use crate::shardlog::{SharedShardLog, ShardLog, ShardLogConfig};
     use simba_sim::SimDuration;
-    use std::sync::Mutex;
 
     fn config() -> MabConfig {
         let mut classifier = Classifier::new();
@@ -730,29 +747,21 @@ mod tests {
         UserId::new("alice")
     }
 
+    /// Alice's buddy — a fresh incarnation is what the MDC's restart
+    /// builds over the log it keeps.
     fn mab() -> MyAlertBuddy {
-        MyAlertBuddy::new(config(), UserShardWal::in_memory(alice()))
+        MyAlertBuddy::new(config(), alice())
     }
 
-    /// A buddy over a fresh in-memory shard log, and that log.
-    fn mab_and_log() -> (MyAlertBuddy, SharedShardLog) {
-        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::in_memory()).unwrap()));
-        (restart(&log), log)
-    }
-
-    /// A fresh incarnation over `log` — what the MDC's restart does.
-    fn restart(log: &SharedShardLog) -> MyAlertBuddy {
-        MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), alice()))
+    /// A buddy and a fresh in-memory shard log to lend it.
+    fn mab_and_log() -> (MyAlertBuddy, ShardLog) {
+        (mab(), ShardLog::in_memory())
     }
 
     /// Records ever appended — the shard log compacts processed ones away,
     /// so this is what tells "logged" from "never logged".
-    fn appends(log: &SharedShardLog) -> u64 {
-        log.lock().unwrap().stats().appends
-    }
-
-    fn unprocessed(log: &SharedShardLog) -> usize {
-        log.lock().unwrap().unprocessed_len()
+    fn appends(log: &ShardLog) -> u64 {
+        log.stats().appends
     }
 
     fn sensor_alert(secs: u64) -> IncomingAlert {
@@ -765,8 +774,8 @@ mod tests {
 
     #[test]
     fn im_alert_logged_acked_and_routed() {
-        let (mut m, log) = mab_and_log();
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let (mut m, mut log) = mab_and_log();
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // Command order is the pipeline order: ack first, then the send.
         assert!(matches!(&cmds[0], MabCommand::AckIm { to, .. } if &**to == "aladdin-gw"));
         assert!(cmds.iter().any(|c| matches!(
@@ -778,7 +787,7 @@ mod tests {
         assert_eq!(m.stats().deliveries_started, 1);
         assert_eq!(m.in_flight(), 1);
         // The log record is already marked processed.
-        assert_eq!(unprocessed(&log), 0);
+        assert_eq!(log.unprocessed_len(), 0);
         assert_eq!(appends(&log), 1);
     }
 
@@ -793,13 +802,14 @@ mod tests {
 
     #[test]
     fn away_presence_overrides_mode_to_skip_im() {
+        let mut log = ShardLog::in_memory();
         let mut m = mab().with_mode_selector(Box::new(FixedSelector(
             crate::routing::RoutingContext {
                 presence: Some(crate::routing::PresenceHint::Away),
                 ..Default::default()
             },
         )));
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // The static profile's first block (IM) is skipped: the first (and
         // only) send goes straight to email.
         assert!(!cmds.iter().any(|c| matches!(
@@ -816,10 +826,11 @@ mod tests {
 
     #[test]
     fn empty_context_keeps_static_profile() {
+        let mut log = ShardLog::in_memory();
         let mut m = mab().with_mode_selector(Box::new(FixedSelector(
             crate::routing::RoutingContext::default(),
         )));
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // No live facts: the static IM-first profile is used untouched.
         assert!(cmds.iter().any(|c| matches!(
             c,
@@ -830,9 +841,9 @@ mod tests {
 
     #[test]
     fn email_alert_not_acked_but_routed() {
-        let mut m = mab();
+        let (mut m, mut log) = mab_and_log();
         let alert = IncomingAlert::from_email("alerts@yahoo", "Yahoo! Stocks", "MSFT", "b", t(0));
-        let cmds = m.handle(MabEvent::AlertByEmail(alert), t(1));
+        let cmds = m.handle(&mut log, MabEvent::AlertByEmail(alert), t(1));
         assert!(!cmds.iter().any(|c| matches!(c, MabCommand::AckIm { .. })));
         assert_eq!(m.stats().acked, 0);
         assert_eq!(m.stats().routed, 1);
@@ -840,8 +851,9 @@ mod tests {
 
     #[test]
     fn rejected_source_counted_and_marked_processed() {
-        let (mut m, log) = mab_and_log();
+        let (mut m, mut log) = mab_and_log();
         let cmds = m.handle(
+            &mut log,
             MabEvent::AlertByIm(IncomingAlert::from_im("spammer", "junk", t(0))),
             t(1),
         );
@@ -849,51 +861,51 @@ mod tests {
         assert_eq!(cmds.len(), 1);
         assert!(matches!(cmds[0], MabCommand::AckIm { .. }));
         assert_eq!(m.stats().rejected, 1);
-        assert_eq!(unprocessed(&log), 0);
+        assert_eq!(log.unprocessed_len(), 0);
     }
 
     #[test]
     fn crash_after_ack_before_route_replays_on_recovery() {
         // The scenario pessimistic logging exists for.
-        let (mut m, log) = mab_and_log();
+        let (mut m, mut log) = mab_and_log();
         m.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5));
         // The ack went out...
         assert_eq!(cmds.len(), 1);
         assert!(matches!(cmds[0], MabCommand::AckIm { .. }));
         assert!(m.is_crashed());
         // ...but nothing was routed. The log still holds the alert.
-        assert_eq!(unprocessed(&log), 1);
+        assert_eq!(log.unprocessed_len(), 1);
 
         // MDC restarts a fresh incarnation over the same log.
-        let mut m2 = restart(&log);
-        let cmds = m2.recover(t(10));
+        let mut m2 = mab();
+        let cmds = m2.recover(&mut log, t(10));
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
         assert_eq!(m2.stats().replayed, 1);
-        assert_eq!(unprocessed(&log), 0);
+        assert_eq!(log.unprocessed_len(), 0);
     }
 
     #[test]
     fn crash_before_log_loses_nothing_durable_and_sends_no_ack() {
-        let (mut m, log) = mab_and_log();
+        let (mut m, mut log) = mab_and_log();
         m.inject_crash_at(CrashPoint::BeforeLog);
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5));
         assert!(cmds.is_empty()); // no ack: sender falls back
         assert_eq!(appends(&log), 0);
     }
 
     #[test]
     fn crash_after_route_before_mark_causes_replayable_duplicate() {
-        let (mut m, log) = mab_and_log();
+        let (mut m, mut log) = mab_and_log();
         m.inject_crash_at(CrashPoint::AfterRouteBeforeMark);
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5));
         // Routed once...
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
         // ...but unmarked, so recovery routes it again (duplicate; the
         // user-side timestamp dedup discards it).
-        assert_eq!(unprocessed(&log), 1);
-        let mut m2 = restart(&log);
-        let replay = m2.recover(t(10));
+        assert_eq!(log.unprocessed_len(), 1);
+        let mut m2 = mab();
+        let replay = m2.recover(&mut log, t(10));
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
     }
 
@@ -913,15 +925,15 @@ mod tests {
 
     #[test]
     fn an_alerts_ids_are_its_log_records() {
-        let (mut m, log) = mab_and_log();
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let (mut m, mut log) = mab_and_log();
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         let MabCommand::AckIm { wal_id, .. } = cmds[0] else { panic!("{cmds:?}") };
         assert_eq!(sent_ids(&cmds), [(AlertId(wal_id), DeliveryId::new(wal_id, 0))]);
         assert_eq!(DeliveryId::new(wal_id, 0).0, wal_id, "a first subscriber's id is the record's");
         // A fresh incarnation over the same log keeps no counter to
         // restart: its first alert gets the log's next record.
-        let mut m2 = restart(&log);
-        let cmds = m2.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2));
+        let mut m2 = mab();
+        let cmds = m2.handle(&mut log, MabEvent::AlertByIm(sensor_alert(2)), t(2));
         let MabCommand::AckIm { wal_id: next, .. } = cmds[0] else { panic!("{cmds:?}") };
         assert_ne!(next, wal_id);
         assert_eq!(sent_ids(&cmds), [(AlertId(next), DeliveryId::new(next, 0))]);
@@ -936,8 +948,8 @@ mod tests {
         let mode = DeliveryMode::im_then_email("Urgent", "IM", "IM", SimDuration::from_secs(60));
         profile.define_mode(mode);
         config.registry.subscribe("Home.Security", bob, "Urgent").unwrap();
-        let mut m = MyAlertBuddy::new(config, UserShardWal::in_memory(alice()));
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let (mut m, mut log) = (MyAlertBuddy::new(config, alice()), ShardLog::in_memory());
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         let MabCommand::AckIm { wal_id, .. } = cmds[0] else { panic!("{cmds:?}") };
         let ids: Vec<DeliveryId> = sent_ids(&cmds).into_iter().map(|(_, id)| id).collect();
         assert_eq!(ids, [DeliveryId::new(wal_id, 0), DeliveryId::new(wal_id, 1)]);
@@ -968,32 +980,33 @@ mod tests {
 
     #[test]
     fn crashed_buddy_processes_nothing() {
-        let (mut m, log) = mab_and_log();
+        let (mut m, mut log) = mab_and_log();
         m.inject_crash_at(CrashPoint::BeforeLog);
-        m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         assert!(m.is_crashed());
         assert!(!m.are_you_working());
-        assert!(m.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
+        assert!(m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
         assert_eq!(appends(&log), 0);
     }
 
     #[test]
     fn hung_buddy_fails_health_probe_but_keeps_state() {
-        let (mut m, log) = mab_and_log();
-        m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let (mut m, mut log) = mab_and_log();
+        m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         m.inject_hang();
         assert!(!m.are_you_working());
         assert!(!m.is_crashed());
-        assert!(m.handle(MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
+        assert!(m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
         assert_eq!(appends(&log), 1); // only the pre-hang alert
     }
 
     #[test]
     fn delivery_events_drive_fallback_through_mab() {
-        let mut m = mab();
-        let (id, attempt) = first_send(&m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1)));
+        let (mut m, mut log) = mab_and_log();
+        let (id, attempt) = first_send(&m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1)));
         // IM send fails synchronously → email fallback command emerges.
         let cmds2 = m.handle(
+            &mut log,
             MabEvent::Delivery {
                 id,
                 event: DeliveryEvent::SendFailed {
@@ -1011,8 +1024,9 @@ mod tests {
 
     #[test]
     fn remote_rejuvenation_command_recognized() {
-        let (mut m, log) = mab_and_log();
+        let (mut m, mut log) = mab_and_log();
         let cmds = m.handle(
+            &mut log,
             MabEvent::AlertByIm(IncomingAlert::from_im("aladdin-gw", "SIMBA-REJUVENATE", t(0))),
             t(1),
         );
@@ -1021,17 +1035,30 @@ mod tests {
             .any(|c| matches!(c, MabCommand::Rejuvenate(RejuvenationTrigger::RemoteCommand))));
         assert_eq!(m.stats().remote_commands, 1);
         assert_eq!(m.stats().routed, 0);
-        assert_eq!(unprocessed(&log), 0);
-        assert!(m.is_rejuvenating() && m.is_idle(), "idle at once: nothing in flight");
+        assert_eq!(log.unprocessed_len(), 0);
+        assert!(m.is_rejuvenating() && m.is_idle(&log), "idle at once: nothing in flight");
+    }
+
+    #[test]
+    fn is_idle_reads_the_lent_log() {
+        let (m, mut log) = mab_and_log();
+        let bob = UserId::new("bob");
+        log.append(&bob, &sensor_alert(1), t(1)).unwrap();
+        assert!(m.is_idle(&log), "bob's unprocessed record is not alice's backlog");
+        let record = log.append(&alice(), &sensor_alert(2), t(2)).unwrap();
+        assert!(!m.is_idle(&log), "alice's unprocessed record keeps her buddy resident");
+        log.mark_processed(&alice(), record).unwrap();
+        assert!(m.is_idle(&log));
+        assert!(log.has_unprocessed_for(&bob));
     }
 
     #[test]
     fn unsubscribed_category_counted() {
-        let mut m = mab();
+        let (mut m, mut log) = mab_and_log();
         m.config_mut()
             .registry
             .set_enabled("Home.Security", &UserId::new("alice"), false);
-        m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         assert_eq!(m.stats().unsubscribed, 1);
         assert_eq!(m.stats().deliveries_started, 0);
     }
@@ -1043,10 +1070,10 @@ mod tests {
         // crash the buddy (the MDC restarts it; replay dedups the alert).
         use simba_telemetry::{RingBufferSink, Telemetry};
         let sink = std::sync::Arc::new(RingBufferSink::new(64));
-        let (m, log) = mab_and_log();
+        let (m, mut log) = mab_and_log();
         let mut m = m.with_telemetry(Telemetry::with_sink(sink.clone()));
-        log.lock().unwrap().inject_mark_failure(&alice());
-        let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        log.inject_mark_failure(&alice());
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
 
         // The pipeline ran (ack + route went out) before the mark failed...
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::AckIm { .. })));
@@ -1062,18 +1089,19 @@ mod tests {
 
         // The record survives unprocessed: the next incarnation replays it
         // (the injected failure was one-shot).
-        assert_eq!(unprocessed(&log), 1);
-        let mut m2 = restart(&log);
-        let replay = m2.recover(t(10));
+        assert_eq!(log.unprocessed_len(), 1);
+        let mut m2 = mab();
+        let replay = m2.recover(&mut log, t(10));
         assert!(replay.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
-        assert_eq!(unprocessed(&log), 0);
+        assert_eq!(log.unprocessed_len(), 0);
     }
 
     #[test]
     fn failed_mark_on_remote_rejuvenate_crashes_without_rejuvenating() {
-        let (mut m, log) = mab_and_log();
-        log.lock().unwrap().inject_mark_failure(&alice());
+        let (mut m, mut log) = mab_and_log();
+        log.inject_mark_failure(&alice());
         let cmds = m.handle(
+            &mut log,
             MabEvent::AlertByIm(IncomingAlert::from_im("aladdin-gw", "SIMBA-REJUVENATE", t(0))),
             t(1),
         );
@@ -1083,19 +1111,21 @@ mod tests {
         assert!(!m.is_rejuvenating());
     }
 
-    /// Drives one alert to a terminal state and returns (mab, delivery id).
-    fn delivered_mab(secs: u64) -> (MyAlertBuddy, DeliveryId) {
-        let mut m = mab();
-        let (id, attempt) = first_send(&m.handle(MabEvent::AlertByIm(sensor_alert(secs)), t(secs)));
+    /// Drives one alert to a terminal state and returns (mab, log, delivery id).
+    fn delivered_mab(secs: u64) -> (MyAlertBuddy, ShardLog, DeliveryId) {
+        let (mut m, mut log) = mab_and_log();
+        let (id, attempt) = first_send(&m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(secs)), t(secs)));
         m.handle(
+            &mut log,
             MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } },
             t(secs + 1),
         );
         m.handle(
+            &mut log,
             MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } },
             t(secs + 2),
         );
-        (m, id)
+        (m, log, id)
     }
 
     /// The delivery of the first send command in `cmds`.
@@ -1114,9 +1144,9 @@ mod tests {
 
     #[test]
     fn retire_terminal_evicts_only_terminal_deliveries() {
-        let (mut m, id) = delivered_mab(1);
+        let (mut m, mut log, id) = delivered_mab(1);
         // A second, still-pending delivery.
-        let (pending, _) = first_send(&m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5)));
+        let (pending, _) = first_send(&m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5)));
         assert_eq!(m.tracked(), 2);
         assert_eq!(m.in_flight(), 1);
 
@@ -1141,9 +1171,9 @@ mod tests {
 
     #[test]
     fn subject_prefixes_display_text() {
-        let mut m = mab();
+        let (mut m, mut log) = mab_and_log();
         let alert = IncomingAlert::from_email("alerts@yahoo", "Yahoo! Stocks", "MSFT at 80", "details", t(0));
-        let cmds = m.handle(MabEvent::AlertByEmail(alert), t(1));
+        let cmds = m.handle(&mut log, MabEvent::AlertByEmail(alert), t(1));
         let text = cmds
             .iter()
             .find_map(|c| match c {

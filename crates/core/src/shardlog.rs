@@ -1,9 +1,10 @@
 //! The write-ahead log of every MyAlertBuddy: every buddy on one shard
 //! multiplexed into a single [`Journal`], so what the whole shard logged
-//! in one batch becomes durable together in one group commit. A buddy
-//! writes it through a [`UserShardWal`] scoped to its user; a simulation
-//! or a test that drives one buddy gives it a log of its own
-//! ([`UserShardWal::in_memory`]). On disk, the §4.2.1 invariant is
+//! in one batch becomes durable together in one group commit. The shard
+//! worker owns the log by value and lends it to each buddy call, which
+//! tags what it appends, marks and replays with its user; a simulation or
+//! a test that drives one buddy lends it a log of its own
+//! ([`ShardLog::in_memory`]). On disk, the §4.2.1 invariant is
 //! preserved by the caller's batching discipline: the shard worker
 //! defers every observable effect of a batch — acks, channel sends,
 //! notices — until the commit that covers the batch has returned.
@@ -41,7 +42,6 @@ use simba_sim::SimTime;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::convert::Infallible;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default segment-rotation threshold (bytes of one segment file).
 pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
@@ -96,8 +96,9 @@ pub struct ShardLogStats {
 
 /// A group-committed write-ahead log shared by every buddy on one shard.
 ///
-/// Not internally synchronized: the owning shard worker serializes all
-/// access, and shares it with its buddies as a [`SharedShardLog`].
+/// Owned by value by its shard worker, which lends it to each buddy call
+/// that logs, marks or replays: one owner writes, commits and replays it,
+/// and no lock guards it.
 #[derive(Debug)]
 pub struct ShardLog {
     journal: Journal,
@@ -137,8 +138,9 @@ impl ShardLog {
         Ok(log)
     }
 
-    /// An empty log with no files behind it.
-    fn in_memory() -> Self {
+    /// An empty log with no files behind it — what a buddy driven outside
+    /// a shard (a simulation, a test, an example) is lent.
+    pub fn in_memory() -> Self {
         ShardLog {
             journal: Journal::in_memory(),
             live: BTreeMap::new(),
@@ -381,68 +383,6 @@ fn decode_record(payload: &str) -> Option<WalRecord> {
         alert: IncomingAlert { source, sender_name, subject, body, origin_timestamp, urgency },
         user,
     })
-}
-
-/// A [`ShardLog`] shared between its shard worker and the buddies on the
-/// shard. `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` so the worker
-/// future is `Send` and can be pinned to a dedicated OS thread; the mutex
-/// is uncontended — a log never leaves its shard's event loop.
-pub type SharedShardLog = Arc<Mutex<ShardLog>>;
-
-/// One buddy's write-ahead log: a [`SharedShardLog`] scoped to its user.
-/// It tags appends, checks mark ownership and scopes the replay set.
-/// Clones share the log, so a caller that must read the log after the
-/// buddy has crashed — or hand it to the next incarnation — keeps one.
-#[derive(Debug, Clone)]
-pub struct UserShardWal {
-    log: SharedShardLog,
-    user: UserId,
-}
-
-impl UserShardWal {
-    /// A view of `log` scoped to `user`.
-    pub fn new(log: SharedShardLog, user: UserId) -> Self {
-        UserShardWal { log, user }
-    }
-
-    /// A view of a fresh in-memory log of its own, for a buddy driven
-    /// outside a shard (simulations, tests, examples).
-    pub fn in_memory(user: UserId) -> Self {
-        UserShardWal::new(Arc::new(Mutex::new(ShardLog::in_memory())), user)
-    }
-
-    fn with_log<R>(&self, f: impl FnOnce(&mut ShardLog) -> R) -> R {
-        f(&mut self.log.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Logs an alert *before* it is acknowledged ([`ShardLog::append`]);
-    /// returns the record's id.
-    pub fn append(&self, alert: &IncomingAlert, received_at: SimTime) -> u64 {
-        let Ok(id) = self.with_log(|log| log.append(&self.user, alert, received_at));
-        id
-    }
-
-    /// Marks a logged alert processed ([`ShardLog::mark_processed`]).
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::UnknownId`] for an id this user does not own live;
-    /// [`WalError::Io`] when a failure was injected for the user.
-    pub fn mark_processed(&self, id: u64) -> Result<(), WalError> {
-        self.with_log(|log| log.mark_processed(&self.user, id))
-    }
-
-    /// The user's unprocessed records in append order — the restart
-    /// replay set.
-    pub fn unprocessed(&self) -> Vec<WalRecord> {
-        self.with_log(|log| log.unprocessed_for(&self.user))
-    }
-
-    /// Whether the user has replay work; a buddy's idle check asks this
-    /// before hibernating it.
-    pub fn has_unprocessed(&self) -> bool {
-        self.with_log(|log| log.has_unprocessed_for(&self.user))
-    }
 }
 
 #[cfg(test)]
@@ -745,23 +685,6 @@ mod tests {
         log.mark_processed(&user("bob"), b).unwrap();
         log.mark_processed(&user("alice"), a).unwrap();
         assert_eq!(log.unprocessed_len(), 0);
-    }
-
-    #[test]
-    fn user_facade_scopes_the_shared_log() {
-        let log: SharedShardLog = Arc::new(Mutex::new(ShardLog::in_memory()));
-        let alice = UserShardWal::new(Arc::clone(&log), user("alice"));
-        let bob = UserShardWal::new(Arc::clone(&log), user("bob"));
-        let a = alice.append(&alert("for alice", 1), t(1));
-        let b = bob.append(&alert("for bob", 2), t(2));
-        assert_eq!(alice.unprocessed().len(), 1);
-        assert!(alice.has_unprocessed());
-        // Ownership enforced through the facade too.
-        assert!(alice.mark_processed(b).is_err());
-        alice.mark_processed(a).unwrap();
-        assert!(!alice.has_unprocessed());
-        assert!(bob.has_unprocessed());
-        assert_eq!(log.lock().unwrap().unprocessed_len(), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! unprocessed IMs before accepting new alerts."
 //!
 //! The log a buddy writes is its shard's [`ShardLog`](crate::shardlog::ShardLog),
-//! in memory or on disk, seen through a
-//! [`UserShardWal`](crate::shardlog::UserShardWal). The invariant this buys
+//! in memory or on disk, which the shard worker — the "SIMBA library" of
+//! the quote — owns and lends to the buddy's calls. The invariant this buys
 //! (property-tested in `tests/wal_safety.rs`, in memory and across a
 //! reopen from disk): an alert that was acknowledged to its sender is never
 //! lost, at any crash point. Crash before append ⇒ no ack ⇒ the sender's

@@ -11,7 +11,7 @@ use simba_core::stabilize::{
 use simba_core::{
     Address, AddressBook, Classifier, CommType, DeliveryCommand, DeliveryMode, IncomingAlert,
     KeywordField, MabCommand, MabConfig, RejuvenationPolicy, SubscriptionRegistry, Telemetry,
-    UserId, UserShardWal,
+    ShardLog, UserId,
 };
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{RingBufferSink, Value};
@@ -44,19 +44,15 @@ fn config() -> MabConfig {
     }
 }
 
-fn wal() -> UserShardWal {
-    UserShardWal::in_memory(UserId::new("alice"))
-}
-
-fn observed_mab_over(wal: UserShardWal) -> (MyAlertBuddy, Arc<RingBufferSink>, Telemetry) {
-    let sink = Arc::new(RingBufferSink::new(256));
-    let telemetry = Telemetry::with_sink(sink.clone());
-    let mab = MyAlertBuddy::new(config(), wal).with_telemetry(telemetry.clone());
-    (mab, sink, telemetry)
+fn alice() -> UserId {
+    UserId::new("alice")
 }
 
 fn observed_mab() -> (MyAlertBuddy, Arc<RingBufferSink>, Telemetry) {
-    observed_mab_over(wal())
+    let sink = Arc::new(RingBufferSink::new(256));
+    let telemetry = Telemetry::with_sink(sink.clone());
+    let mab = MyAlertBuddy::new(config(), alice()).with_telemetry(telemetry.clone());
+    (mab, sink, telemetry)
 }
 
 fn sensor_alert(secs: u64) -> IncomingAlert {
@@ -74,7 +70,8 @@ fn names(sink: &RingBufferSink) -> Vec<String> {
 #[test]
 fn ingest_pipeline_emits_stage_events_in_order() {
     let (mut m, sink, telemetry) = observed_mab();
-    m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+    let mut log = ShardLog::in_memory();
+    m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
 
     let names = names(&sink);
     // The §4.2.1 ordering is visible in the event stream: log before ack,
@@ -100,10 +97,10 @@ fn ingest_pipeline_emits_stage_events_in_order() {
 
 #[test]
 fn crash_point_emits_crashed_event_and_replay_is_observed() {
-    let wal = wal();
-    let (mut m, sink, _) = observed_mab_over(wal.clone());
+    let mut log = ShardLog::in_memory();
+    let (mut m, sink, _) = observed_mab();
     m.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
-    m.handle(MabEvent::AlertByIm(sensor_alert(5)), t(5));
+    m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5));
     let crash = sink
         .events()
         .into_iter()
@@ -113,9 +110,9 @@ fn crash_point_emits_crashed_event_and_replay_is_observed() {
 
     // Fresh incarnation over the same log: replay is one wal.replayed event.
     let sink2 = Arc::new(RingBufferSink::new(64));
-    let mut m2 = MyAlertBuddy::new(config(), wal)
+    let mut m2 = MyAlertBuddy::new(config(), alice())
         .with_telemetry(Telemetry::with_sink(sink2.clone()));
-    m2.recover(t(10));
+    m2.recover(&mut log, t(10));
     let replayed = sink2
         .events()
         .into_iter()
@@ -127,7 +124,8 @@ fn crash_point_emits_crashed_event_and_replay_is_observed() {
 #[test]
 fn delivery_fallback_ladder_is_traced() {
     let (mut m, sink, telemetry) = observed_mab();
-    let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+    let mut log = ShardLog::in_memory();
+    let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
     let (id, attempt) = cmds
         .iter()
         .find_map(|c| match c {
@@ -142,6 +140,7 @@ fn delivery_fallback_ladder_is_traced() {
 
     // IM fails synchronously → the email block is entered as a fallback.
     m.handle(
+        &mut log,
         MabEvent::Delivery {
             id,
             event: DeliveryEvent::SendFailed { attempt, failure: SendFailure::ChannelDown },
@@ -163,7 +162,8 @@ fn delivery_fallback_ladder_is_traced() {
 #[test]
 fn delivery_ack_records_latency_histogram() {
     let (mut m, sink, telemetry) = observed_mab();
-    let cmds = m.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+    let mut log = ShardLog::in_memory();
+    let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
     let (id, attempt) = cmds
         .iter()
         .find_map(|c| match c {
@@ -175,8 +175,8 @@ fn delivery_ack_records_latency_histogram() {
             _ => None,
         })
         .unwrap();
-    m.handle(MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } }, t(2));
-    m.handle(MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } }, t(4));
+    m.handle(&mut log, MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } }, t(2));
+    m.handle(&mut log, MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } }, t(4));
 
     let acked = sink
         .events()
@@ -221,10 +221,10 @@ fn stabilization_sweep_emits_violations() {
 fn disabled_telemetry_changes_nothing_observable() {
     // Two identical runs, one instrumented, one not: commands and stats
     // must be byte-for-byte identical (telemetry never alters behavior).
-    let mut plain = MyAlertBuddy::new(config(), wal());
+    let mut plain = MyAlertBuddy::new(config(), alice());
     let (mut observed, _, _) = observed_mab();
-    let a = plain.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
-    let b = observed.handle(MabEvent::AlertByIm(sensor_alert(1)), t(1));
+    let a = plain.handle(&mut ShardLog::in_memory(), MabEvent::AlertByIm(sensor_alert(1)), t(1));
+    let b = observed.handle(&mut ShardLog::in_memory(), MabEvent::AlertByIm(sensor_alert(1)), t(1));
     assert_eq!(a, b);
     assert_eq!(plain.stats(), observed.stats());
 }

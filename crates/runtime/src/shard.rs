@@ -52,17 +52,17 @@ use simba_core::alert::IncomingAlert;
 use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, DeliveryStatus, TimerId};
 use simba_core::mab::{DeliveryId, MabCommand, MabEvent, MabStats, MyAlertBuddy};
 use simba_core::rejuvenate::RejuvenationTrigger;
-use simba_core::shardlog::{SharedShardLog, ShardLog, ShardLogConfig, ShardLogStats};
+use simba_core::shardlog::{ShardLog, ShardLogConfig, ShardLogStats};
 use simba_core::subscription::UserId;
 use simba_core::wal::WalError;
-use simba_core::{DigestAlert, MabConfig, Telemetry, UserShardWal};
+use simba_core::{DigestAlert, MabConfig, Telemetry};
 use simba_rules::Correlator;
 use simba_sim::{SimDuration, SimTime};
 use simba_store::SoftStateStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
@@ -409,7 +409,6 @@ impl ShardedHost {
             if let Some(last) = reserved {
                 log.issue_ids_above(last);
             }
-            let log = Arc::new(Mutex::new(log));
             let (tx, rx) = mpsc::channel(QUEUE_CAPACITY);
             let depth = Arc::new(AtomicUsize::new(0));
             // Deferred so a threaded worker anchors its clock on its own
@@ -600,7 +599,11 @@ impl std::fmt::Debug for ShardedHost {
     }
 }
 
-/// One shard worker: owns its roster, its log, and its timer wheel.
+/// One shard worker: owns its roster, its log, and its timer wheel. It
+/// is its buddies' "SIMBA library" (§4.2.1): it holds the shard log by
+/// value and lends it to each buddy call that logs, marks or replays, so
+/// one owner writes, commits and replays the log, and a threaded worker
+/// is `Send` because it owns the log, not because a lock guards it.
 struct Worker<C> {
     rx: mpsc::Receiver<ShardMsg>,
     depth: Arc<AtomicUsize>,
@@ -609,7 +612,7 @@ struct Worker<C> {
     telemetry: Telemetry,
     factory: ConfigFactory,
     notices: mpsc::Sender<HostNotice>,
-    log: SharedShardLog,
+    log: ShardLog,
     roster: HashMap<UserId, UserSlot>,
     /// The central timer wheel: `(deadline, seq)` → entry. One `BTreeMap`
     /// instead of a sleeping task per timer: at shard scale that is ten
@@ -669,7 +672,7 @@ impl<C: Channels> Worker<C> {
         telemetry: Telemetry,
         factory: ConfigFactory,
         notices: mpsc::Sender<HostNotice>,
-        log: SharedShardLog,
+        log: ShardLog,
         config: &ShardedHostConfig,
     ) -> Self {
         Worker {
@@ -702,12 +705,6 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Exclusive access to the shard log (uncontended: only this worker
-    /// and its buddies' WAL facades — same thread — ever lock it).
-    fn lock_log(&self) -> MutexGuard<'_, ShardLog> {
-        self.log.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     async fn run(mut self) {
         // Startup replay demand: any user with unprocessed records gets a
         // buddy (auto-registered — the log proves they existed) whose
@@ -715,7 +712,7 @@ impl<C: Channels> Worker<C> {
         let now = self.clock.now();
         // One buffer for every batch: `finish_batch` hands it back empty.
         let mut staged = Vec::new();
-        let demand = self.lock_log().users_with_unprocessed();
+        let demand = self.log.users_with_unprocessed();
         for user in demand {
             self.roster.entry(user.clone()).or_insert(UserSlot::Fresh);
             self.activate(&user, now, &mut staged);
@@ -751,9 +748,9 @@ impl<C: Channels> Worker<C> {
                     self.depth.fetch_sub(drained, Ordering::Relaxed);
                 }
                 Ok(None) => {
-                    // Front door dropped without shutdown: make what we
-                    // have durable and exit.
-                    let _ = self.commit_once();
+                    // Front door dropped without shutdown: stop as `Stop`
+                    // does, with nobody to read the snapshot.
+                    let _ = self.stop(&mut staged, now);
                     return;
                 }
                 Err(_) => {} // idle tick: due timers and windows only
@@ -765,12 +762,21 @@ impl<C: Channels> Worker<C> {
             self.route_digests(due.into_iter().flatten(), now, &mut staged);
             self.finish_batch(&mut staged, now);
             if let Some(reply) = stop {
-                self.retire_all(now);
-                let _ = self.commit_once();
-                let _ = reply.send(self.shard_snapshot());
+                let _ = reply.send(self.stop(&mut staged, now));
                 return;
             }
         }
+    }
+
+    /// The worker's last batch: one more [`Self::finish_batch`], so what a
+    /// failed commit withheld is released by the commit that covers it
+    /// (or, should that fail too, dropped unacknowledged with its marks
+    /// not durable: the next run replays it); then every resident buddy
+    /// settles, and the snapshot is taken.
+    fn stop(&mut self, staged: &mut Vec<(UserId, MabCommand)>, now: SimTime) -> ShardedSnapshot {
+        self.finish_batch(staged, now);
+        self.retire_all(now);
+        self.shard_snapshot()
     }
 
     /// Time until the next timer-wheel deadline (block timer, simulated
@@ -834,10 +840,10 @@ impl<C: Channels> Worker<C> {
                 let _ = reply.send(self.try_hibernate(&user, now));
             }
             ShardMsg::InjectMarkFailure(user) => {
-                self.lock_log().inject_mark_failure(&user);
+                self.log.inject_mark_failure(&user);
             }
             ShardMsg::InjectCommitFailure(bytes) => {
-                self.lock_log().inject_write_failure(bytes);
+                self.log.inject_write_failure(bytes);
             }
             ShardMsg::Stop(reply) => return Flow::Stop(reply),
         }
@@ -928,9 +934,9 @@ impl<C: Channels> Worker<C> {
         self.roster.get_mut(user).map(|held| std::mem::replace(held, slot))
     }
 
-    /// Ensures `user` is resident: builds a fresh buddy over the user's
-    /// shard-log view (counting a rehydration when the user was parked),
-    /// then runs the §4.2.1 restart protocol and stages its replay
+    /// Ensures `user` is resident: builds a fresh buddy (counting a
+    /// rehydration when the user was parked), then runs the §4.2.1
+    /// restart protocol over the shard log and stages its replay
     /// commands.
     fn activate(&mut self, user: &UserId, now: SimTime, staged: &mut Vec<(UserId, MabCommand)>) {
         match self.roster.get(user) {
@@ -943,13 +949,12 @@ impl<C: Channels> Worker<C> {
             }
             Some(UserSlot::Fresh) => {}
         }
-        let wal = UserShardWal::new(Arc::clone(&self.log), user.clone());
-        let mut mab = MyAlertBuddy::new((self.factory)(user), wal);
+        let mut mab = MyAlertBuddy::new((self.factory)(user), user.clone());
         mab.set_telemetry(self.telemetry.clone());
         if let Some(store) = &self.store {
             mab.set_mode_selector(Box::new(StoreModeSelector::new(store.clone())));
         }
-        let recovery = mab.recover(now);
+        let recovery = mab.recover(&mut self.log, now);
         staged.extend(recovery.into_iter().map(|cmd| (user.clone(), cmd)));
         let crashed = mab.is_crashed();
         let incarnation = self.next_incarnation;
@@ -1009,7 +1014,7 @@ impl<C: Channels> Worker<C> {
         if touch {
             active.last_event_at = now;
         }
-        active.mab.handle_into(event, now, &mut self.fed);
+        active.mab.handle_into(&mut self.log, event, now, &mut self.fed);
         let crashed = active.mab.is_crashed();
         staged.extend(self.fed.drain(..).map(|cmd| (user.clone(), cmd)));
         if crashed {
@@ -1078,14 +1083,9 @@ impl<C: Channels> Worker<C> {
     /// One [`ShardLog::commit`] (a no-op when clean), with the commit and
     /// rotation counters surfaced as `host.*` metrics.
     fn commit_once(&mut self) -> Result<(), WalError> {
-        let (before, result, after) = {
-            let mut log = self.lock_log();
-            let before = log.stats();
-            // simba-analyze: allow(concurrency.blocking-under-guard): group commit is the WAL's durability point, and the log lock is uncontended (worker-thread-only) by design
-            let result = log.commit();
-            let after = log.stats();
-            (before, result, after)
-        };
+        let before = self.log.stats();
+        let result = self.log.commit();
+        let after = self.log.stats();
         if self.telemetry.enabled() {
             let commits = after.group_commits.saturating_sub(before.group_commits);
             if commits > 0 {
@@ -1297,7 +1297,7 @@ impl<C: Channels> Worker<C> {
     /// ids live in its log, so nothing else need be kept.
     fn try_hibernate(&mut self, user: &UserId, now: SimTime) -> bool {
         self.retire_user(user, now);
-        if !matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_idle()) {
+        if !matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_idle(&self.log)) {
             return false;
         }
         self.leave(user, UserSlot::Hibernated, now);
@@ -1329,7 +1329,7 @@ impl<C: Channels> Worker<C> {
             unrouted: self.unrouted,
             open_windows: self.rules.as_ref().map_or(0, |(_, windows)| windows.open_windows()),
             pending_timers: self.timers.len(),
-            log: self.lock_log().stats(),
+            log: self.log.stats(),
             ..ShardedSnapshot::default()
         };
         for slot in self.roster.values() {
@@ -1392,30 +1392,29 @@ mod tests {
         })
     }
 
-    /// A healthy batch writes nothing, so a failing commit needs a batch
-    /// with a frame to write: here alice's, whose activation replays a
-    /// record an earlier incarnation left committed and unmarked, and so
-    /// must write its mark. The record is seeded behind the worker's back
-    /// because the host's own startup replays every seeded record before
-    /// any test hook could arm the fault.
-    #[test]
-    fn a_failed_group_commit_releases_nothing_and_loses_nothing() {
-        use crate::channels::{LoopbackChannels, SharedChannels};
+    use crate::channels::{LoopbackChannels, SharedChannels};
 
-        let dir = std::env::temp_dir().join(format!("simba-shard-commitfail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let log = Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap()));
-        let (alice, bob) = (UserId::new("alice"), UserId::new("bob"));
-        let alert = |body: &str| IncomingAlert::from_im("gw", body, SimTime::ZERO);
-        {
-            let mut log = log.lock().unwrap();
-            log.append(&alice, &alert("Sensor A0 ON"), SimTime::ZERO).unwrap();
-            log.commit().unwrap();
-        }
+    type Loopback = SharedChannels<LoopbackChannels>;
+
+    /// A worker over a log in `dir` that holds one record of alice's, an
+    /// earlier incarnation's, committed and unmarked; alice and bob are
+    /// registered. A healthy batch writes nothing, so a failing commit
+    /// needs a batch with a frame to write: alice's, whose activation
+    /// replays the record and so must write its mark. The record is
+    /// seeded behind the worker's back because the host's own startup
+    /// replays every seeded record before any test hook could arm the
+    /// fault.
+    fn seeded_worker(
+        dir: &std::path::Path,
+    ) -> (Worker<Loopback>, Loopback, Telemetry, mpsc::Receiver<HostNotice>) {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut log = ShardLog::open(ShardLogConfig::on_disk(dir)).unwrap();
+        log.append(&UserId::new("alice"), &gw_alert("Sensor A0 ON"), SimTime::ZERO).unwrap();
+        log.commit().unwrap();
         let shared = SharedChannels::new(LoopbackChannels::accept_all());
         let telemetry = Telemetry::with_sink(Arc::new(simba_telemetry::RingBufferSink::new(64)));
         let (_tx, rx) = mpsc::channel(1);
-        let (notices, mut notice_rx) = mpsc::channel(64);
+        let (notices, notice_rx) = mpsc::channel(64);
         let mut worker = Worker::new(
             rx,
             Arc::default(),
@@ -1423,11 +1422,44 @@ mod tests {
             telemetry.clone(),
             direct_to_im(),
             notices,
-            Arc::clone(&log),
+            log,
             &ShardedHostConfig::default(),
         );
-        worker.roster.insert(alice.clone(), UserSlot::Fresh);
-        worker.roster.insert(bob.clone(), UserSlot::Fresh);
+        worker.roster.insert(UserId::new("alice"), UserSlot::Fresh);
+        worker.roster.insert(UserId::new("bob"), UserSlot::Fresh);
+        (worker, shared, telemetry, notice_rx)
+    }
+
+    fn gw_alert(body: &str) -> IncomingAlert {
+        IncomingAlert::from_im("gw", body, SimTime::ZERO)
+    }
+
+    /// Alice's batch: her live alert A1 and the replay of A0, whose mark
+    /// the commit writes nine bytes of before it fails.
+    fn fail_alices_batch(worker: &mut Worker<Loopback>, staged: &mut Vec<(UserId, MabCommand)>) {
+        worker.log.inject_write_failure(9);
+        let alert = MabEvent::AlertByIm(gw_alert("Sensor A1 ON"));
+        worker.route(UserId::new("alice"), alert, SimTime::ZERO, staged);
+        worker.finish_batch(staged, SimTime::ZERO);
+    }
+
+    /// The bodies sent, sorted.
+    fn sent_bodies(shared: &Loopback) -> Vec<String> {
+        let mut bodies: Vec<String> = shared.with(|c| c.sent().iter().map(|(_, _, text)| text.clone()).collect());
+        bodies.sort_unstable();
+        bodies
+    }
+
+    fn unprocessed_after_reopen(dir: &std::path::Path) -> usize {
+        let left = ShardLog::open(ShardLogConfig::on_disk(dir)).unwrap().unprocessed_len();
+        let _ = std::fs::remove_dir_all(dir);
+        left
+    }
+
+    #[test]
+    fn a_failed_group_commit_releases_nothing_and_loses_nothing() {
+        let dir = std::env::temp_dir().join(format!("simba-shard-commitfail-{}", std::process::id()));
+        let (mut worker, shared, telemetry, mut notice_rx) = seeded_worker(&dir);
         let acks = |rx: &mut mpsc::Receiver<HostNotice>| {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .filter(|n| matches!(n.notice, RuntimeNotice::AckSent { .. }))
@@ -1435,36 +1467,48 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        // Alice's batch: nine bytes of the replayed record's mark, then
-        // the commit fails.
-        worker.lock_log().inject_write_failure(9);
         let mut staged = Vec::new();
-        worker.route(alice.clone(), MabEvent::AlertByIm(alert("Sensor A1 ON")), SimTime::ZERO, &mut staged);
-        worker.finish_batch(&mut staged, SimTime::ZERO);
+        fail_alices_batch(&mut worker, &mut staged);
         assert_eq!(telemetry.metrics().snapshot().counter("host.commit_failed"), 1);
-        assert_eq!(worker.lock_log().stats().group_commits, 1, "only the seeding commit");
-        shared.with(|c| assert!(c.sent().is_empty(), "no send on top of a failed commit"));
+        assert_eq!(worker.log.stats().group_commits, 1, "only the seeding commit");
+        assert!(sent_bodies(&shared).is_empty(), "no send on top of a failed commit");
         assert!(acks(&mut notice_rx).is_empty(), "no ack either");
 
         // Bob's batch commits, and covers alice's with it.
-        worker.route(bob.clone(), MabEvent::AlertByIm(alert("Sensor B1 ON")), SimTime::ZERO, &mut staged);
+        let bob = UserId::new("bob");
+        let alert = MabEvent::AlertByIm(gw_alert("Sensor B1 ON"));
+        worker.route(bob.clone(), alert, SimTime::ZERO, &mut staged);
         worker.finish_batch(&mut staged, SimTime::ZERO);
-        assert_eq!(worker.lock_log().stats().group_commits, 2);
-        assert_eq!(acks(&mut notice_rx), [alice, bob], "the live alerts are acked; the replay is not");
-        shared.with(|c| {
-            let mut bodies: Vec<&str> = c.sent().iter().map(|(_, _, text)| text.as_str()).collect();
-            bodies.sort_unstable();
-            assert_eq!(bodies.len(), 3, "{bodies:?}");
-            for (body, expected) in bodies.iter().zip(["Sensor A0", "Sensor A1", "Sensor B1"]) {
-                assert!(body.contains(expected), "{bodies:?}");
-            }
-        });
-        drop((worker, log));
+        assert_eq!(worker.log.stats().group_commits, 2);
+        assert_eq!(acks(&mut notice_rx), [UserId::new("alice"), bob], "the live alerts are acked; the replay is not");
+        let bodies = sent_bodies(&shared);
+        assert_eq!(bodies.len(), 3, "{bodies:?}");
+        for (body, expected) in bodies.iter().zip(["Sensor A0", "Sensor A1", "Sensor B1"]) {
+            assert!(body.contains(expected), "{bodies:?}");
+        }
+        drop(worker);
 
         // A restart over the same directory finds nothing left to replay:
         // every alert was delivered exactly once.
-        assert_eq!(ShardLog::open(ShardLogConfig::on_disk(&dir)).unwrap().unprocessed_len(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(unprocessed_after_reopen(&dir), 0);
+    }
+
+    /// A `Stop` right after a failed commit: the stop's own commit covers
+    /// the failed batch, so it must release what that batch withheld —
+    /// not make its marks durable and drop its sends.
+    #[test]
+    fn a_stop_releases_what_a_failed_commit_withheld() {
+        let dir = std::env::temp_dir().join(format!("simba-shard-stopfail-{}", std::process::id()));
+        let (mut worker, shared, _telemetry, _notice_rx) = seeded_worker(&dir);
+        let mut staged = Vec::new();
+        fail_alices_batch(&mut worker, &mut staged);
+        let snapshot = worker.stop(&mut staged, SimTime::ZERO);
+        assert_eq!(snapshot.log.group_commits, 2, "the seeding commit and the stop's");
+        let bodies = sent_bodies(&shared);
+        assert_eq!(bodies.len(), 2, "{bodies:?}");
+        assert!(bodies[0].contains("Sensor A0") && bodies[1].contains("Sensor A1"), "{bodies:?}");
+        drop(worker);
+        assert_eq!(unprocessed_after_reopen(&dir), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use simba::client::ImManager;
 use simba::core::alert::IncomingAlert;
 use simba::core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
 use simba::core::mdc::{MasterDaemonController, MdcAction, MdcConfig};
-use simba::core::shardlog::UserShardWal;
+use simba::core::shardlog::ShardLog;
 use simba::core::subscription::UserId;
 use simba::net::im::{ImHandle, ImService};
 use simba::sim::{SimRng, SimTime};
@@ -22,20 +22,21 @@ use simba_bench::harness::standard_config;
 fn main() {
     println!("— scenario 1: crash after ack, before routing —");
     let config = standard_config();
-    let wal = UserShardWal::in_memory(UserId::new("alice"));
-    let mut mab = MyAlertBuddy::new(config.clone(), wal.clone());
+    let alice = UserId::new("alice");
+    let mut log = ShardLog::in_memory();
+    let mut mab = MyAlertBuddy::new(config.clone(), alice.clone());
     mab.inject_crash_at(CrashPoint::AfterAckBeforeRoute);
 
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
-    let commands = mab.handle(MabEvent::AlertByIm(alert), SimTime::from_secs(5));
+    let commands = mab.handle(&mut log, MabEvent::AlertByIm(alert), SimTime::from_secs(5));
     println!("  commands before the crash: {} (the ack went out)", commands.len());
     assert!(commands.iter().any(|c| matches!(c, MabCommand::AckIm { .. })));
     println!("  MyAlertBuddy crashed: {}", mab.is_crashed());
 
     // The MDC restarts a fresh incarnation over the same log.
-    println!("  unprocessed alerts in the log: {}", wal.unprocessed().len());
-    let mut mab = MyAlertBuddy::new(config.clone(), wal);
-    let replayed = mab.recover(SimTime::from_secs(20));
+    println!("  unprocessed alerts in the log: {}", log.unprocessed_for(&alice).len());
+    let mut mab = MyAlertBuddy::new(config.clone(), alice);
+    let replayed = mab.recover(&mut log, SimTime::from_secs(20));
     let sends = replayed
         .iter()
         .filter(|c| matches!(c, MabCommand::Channel { .. }))

@@ -12,7 +12,7 @@ use simba::core::classify::{Classifier, KeywordField};
 use simba::core::delivery::{DeliveryCommand, DeliveryEvent, SendFailure};
 use simba::core::mab::{MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::DeliveryMode;
-use simba::core::shardlog::UserShardWal;
+use simba::core::shardlog::ShardLog;
 use simba::core::subscription::{SubscriptionRegistry, UserId};
 use simba::sim::SimTime;
 
@@ -55,15 +55,17 @@ fn main() {
         .subscribe("Home.Security", alice.clone(), "Urgent")
         .expect("alice and Urgent exist");
 
-    // 4. Launch the buddy and push an alert through it.
+    // 4. Launch the buddy and push an alert through it, lending it a log
+    //    (a host's shard worker owns one per shard and lends it the same way).
     let config = MabConfig {
         classifier,
         registry,
         rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
     };
-    let mut mab = MyAlertBuddy::new(config, UserShardWal::in_memory(alice));
+    let mut log = ShardLog::in_memory();
+    let mut mab = MyAlertBuddy::new(config, alice);
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
-    let commands = mab.handle(MabEvent::AlertByIm(alert), SimTime::from_secs(5));
+    let commands = mab.handle(&mut log, MabEvent::AlertByIm(alert), SimTime::from_secs(5));
 
     println!("pipeline commands for the incoming alert:");
     let mut first_attempt = None;
@@ -87,6 +89,7 @@ fn main() {
     //    delivery mode falls back to email automatically.
     let (id, attempt) = (delivery.expect("routed"), first_attempt.expect("sent"));
     let fallback = mab.handle(
+        &mut log,
         MabEvent::Delivery {
             id,
             event: DeliveryEvent::SendFailed { attempt, failure: SendFailure::RecipientUnreachable },

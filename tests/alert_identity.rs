@@ -17,12 +17,11 @@ use simba::core::delivery::{DeliveryCommand, DeliveryEvent};
 use simba::core::mab::{DeliveryId, MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::DeliveryMode;
 use simba::core::rejuvenate::RejuvenationPolicy;
-use simba::core::shardlog::{ShardLog, ShardLogConfig, SharedShardLog, UserShardWal};
+use simba::core::shardlog::ShardLog;
 use simba::core::subscription::{SubscriptionRegistry, TimeWindow, UserId};
 use simba::ledger::{DeliveryLedger, LedgerConfig};
 use simba::sim::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -86,8 +85,9 @@ fn config() -> MabConfig {
     }
 }
 
-fn incarnation(log: &SharedShardLog) -> MyAlertBuddy {
-    MyAlertBuddy::new(config(), UserShardWal::new(Arc::clone(log), owner()))
+/// A new incarnation of alice's buddy, over whatever log it is lent.
+fn incarnation() -> MyAlertBuddy {
+    MyAlertBuddy::new(config(), owner())
 }
 
 /// One send: the delivery, its subscriber, the channel, the alert it
@@ -163,7 +163,7 @@ impl Issued {
 
 /// Acks every send in `cmds` and retires the finished deliveries, so the
 /// buddy holds nothing in flight.
-fn settle(buddy: &mut MyAlertBuddy, cmds: &[MabCommand], now: SimTime) {
+fn settle(buddy: &mut MyAlertBuddy, log: &mut ShardLog, cmds: &[MabCommand], now: SimTime) {
     for cmd in cmds {
         if let MabCommand::Channel {
             delivery,
@@ -173,6 +173,7 @@ fn settle(buddy: &mut MyAlertBuddy, cmds: &[MabCommand], now: SimTime) {
         {
             let event = DeliveryEvent::Acked { attempt: *attempt };
             buddy.handle(
+                log,
                 MabEvent::Delivery {
                     id: *delivery,
                     event,
@@ -185,11 +186,9 @@ fn settle(buddy: &mut MyAlertBuddy, cmds: &[MabCommand], now: SimTime) {
 }
 
 fn check_identity(steps: &[(Step, u64)]) {
-    let log: SharedShardLog = Arc::new(Mutex::new(
-        ShardLog::open(ShardLogConfig::in_memory()).unwrap(),
-    ));
+    let mut log = ShardLog::in_memory();
     let mut now = SimTime::from_hours(8);
-    let mut buddy = incarnation(&log);
+    let mut buddy = incarnation();
     let mut issued = Issued::default();
     for (i, (step, gap_min)) in steps.iter().enumerate() {
         now += SimDuration::from_mins(*gap_min);
@@ -200,39 +199,39 @@ fn check_identity(steps: &[(Step, u64)]) {
         ));
         match step {
             Step::Alert => {
-                let cmds = buddy.handle(sensor, now);
+                let cmds = buddy.handle(&mut log, sensor, now);
                 let record = acked_record(&cmds).expect("an IM alert is acked");
                 issued.note(record, &cmds);
                 let subscribers = config().registry.active_subscriptions("Home", now).len();
                 prop_assert_eq!(sends(&cmds).len(), subscribers, "one send per subscriber");
-                settle(&mut buddy, &cmds, now);
+                settle(&mut buddy, &mut log, &cmds, now);
             }
             Step::MarkFailure(replay_after_min) => {
-                log.lock().unwrap().inject_mark_failure(&owner());
-                let cmds = buddy.handle(sensor, now);
+                log.inject_mark_failure(&owner());
+                let cmds = buddy.handle(&mut log, sensor, now);
                 prop_assert!(buddy.is_crashed());
                 let record = acked_record(&cmds).expect("acked before the mark failed");
                 issued.note(record, &cmds);
                 now += SimDuration::from_mins(*replay_after_min);
-                buddy = incarnation(&log);
-                let replay = buddy.recover(now);
+                buddy = incarnation();
+                let replay = buddy.recover(&mut log, now);
                 issued.note(record, &replay);
-                settle(&mut buddy, &replay, now);
+                settle(&mut buddy, &mut log, &replay, now);
             }
             Step::Rejuvenate => {
                 let command = IncomingAlert::from_im("aladdin-gw", "SIMBA-REJUVENATE", now);
-                let cmds = buddy.handle(MabEvent::AlertByIm(command), now);
+                let cmds = buddy.handle(&mut log, MabEvent::AlertByIm(command), now);
                 prop_assert!(cmds.iter().any(|c| matches!(c, MabCommand::Rejuvenate(_))));
                 prop_assert!(sends(&cmds).is_empty());
-                buddy = incarnation(&log);
+                buddy = incarnation();
                 prop_assert!(
-                    buddy.recover(now).is_empty(),
+                    buddy.recover(&mut log, now).is_empty(),
                     "the command was marked before the restart"
                 );
             }
             Step::Rebuild => {
-                prop_assert!(buddy.is_idle());
-                buddy = incarnation(&log);
+                prop_assert!(buddy.is_idle(&log));
+                buddy = incarnation();
             }
         }
     }
@@ -258,9 +257,7 @@ proptest! {
 /// delivery is one record.
 #[test]
 fn a_replay_across_a_window_boundary_reaches_each_subscriber_once() {
-    let log: SharedShardLog = Arc::new(Mutex::new(
-        ShardLog::open(ShardLogConfig::in_memory()).unwrap(),
-    ));
+    let mut log = ShardLog::in_memory();
     let mut ledger = DeliveryLedger::open(LedgerConfig::in_memory()).unwrap();
     let mut hand_off = |cmds: &[MabCommand], now| {
         for (delivery, _, channel, _, address) in sends(cmds) {
@@ -270,13 +267,13 @@ fn a_replay_across_a_window_boundary_reaches_each_subscriber_once() {
     let before = SimTime::from_hours(8) + SimDuration::from_mins(59);
     let after = SimTime::from_hours(9) + SimDuration::from_mins(1);
 
-    let mut buddy = incarnation(&log);
-    log.lock().unwrap().inject_mark_failure(&owner());
+    let mut buddy = incarnation();
+    log.inject_mark_failure(&owner());
     let alert = IncomingAlert::from_im("aladdin-gw", "Sensor ON", before);
-    let cmds = buddy.handle(MabEvent::AlertByIm(alert), before);
+    let cmds = buddy.handle(&mut log, MabEvent::AlertByIm(alert), before);
     assert!(buddy.is_crashed());
     hand_off(&cmds, before);
-    let replay = incarnation(&log).recover(after);
+    let replay = incarnation().recover(&mut log, after);
     hand_off(&replay, after);
 
     let mut addresses: Vec<String> = ledger.records().map(|r| r.address.to_string()).collect();

@@ -11,7 +11,7 @@ use simba::core::classify::{Classifier, KeywordField};
 use simba::core::delivery::{DeliveryCommand, DeliveryEvent, DeliveryStatus, SendFailure};
 use simba::core::mab::{DeliveryId, MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::DeliveryMode;
-use simba::core::shardlog::UserShardWal;
+use simba::core::shardlog::ShardLog;
 use simba::core::subscription::{SubscriptionRegistry, UserId};
 use simba::sim::{SimDuration, SimTime};
 
@@ -46,7 +46,7 @@ fn household() -> MyAlertBuddy {
             registry,
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
-        UserShardWal::in_memory(UserId::new("household")),
+        UserId::new("household"),
     )
 }
 
@@ -67,9 +67,9 @@ fn sends(commands: &[MabCommand]) -> Vec<(DeliveryId, String, simba::core::deliv
 
 #[test]
 fn one_alert_fans_out_to_every_subscriber() {
-    let mut mab = household();
+    let (mut mab, mut log) = (household(), ShardLog::in_memory());
     let alert = IncomingAlert::from_im("aladdin-gw", "Basement Water Sensor ON", SimTime::from_secs(5));
-    let commands = mab.handle(MabEvent::AlertByIm(alert), SimTime::from_secs(5));
+    let commands = mab.handle(&mut log, MabEvent::AlertByIm(alert), SimTime::from_secs(5));
 
     let out = sends(&commands);
     assert_eq!(out.len(), 2, "one IM per subscriber");
@@ -85,9 +85,9 @@ fn one_alert_fans_out_to_every_subscriber() {
 
 #[test]
 fn sharers_deliveries_are_independent() {
-    let mut mab = household();
+    let (mut mab, mut log) = (household(), ShardLog::in_memory());
     let alert = IncomingAlert::from_im("aladdin-gw", "Garage Door Sensor ON", SimTime::from_secs(1));
-    let commands = mab.handle(MabEvent::AlertByIm(alert), SimTime::from_secs(1));
+    let commands = mab.handle(&mut log, MabEvent::AlertByIm(alert), SimTime::from_secs(1));
     let out = sends(&commands);
 
     let (alice_delivery, _, alice_attempt, _) =
@@ -97,14 +97,17 @@ fn sharers_deliveries_are_independent() {
 
     // Alice acks her IM; bob's IM fails and falls back to email.
     mab.handle(
+        &mut log,
         MabEvent::Delivery { id: alice_delivery, event: DeliveryEvent::SendAccepted { attempt: alice_attempt } },
         SimTime::from_secs(2),
     );
     mab.handle(
+        &mut log,
         MabEvent::Delivery { id: alice_delivery, event: DeliveryEvent::Acked { attempt: alice_attempt } },
         SimTime::from_secs(3),
     );
     let fallback = mab.handle(
+        &mut log,
         MabEvent::Delivery {
             id: bob_delivery,
             event: DeliveryEvent::SendFailed { attempt: bob_attempt, failure: SendFailure::RecipientUnreachable },

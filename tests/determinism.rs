@@ -11,7 +11,7 @@ use simba::core::mab::{MabEvent, MyAlertBuddy};
 use simba::core::{
     Address, AddressBook, Classifier, CommType, DeliveryCommand, DeliveryMode, IncomingAlert,
     KeywordField, MabCommand, MabConfig, RejuvenationPolicy, SubscriptionRegistry, Telemetry,
-    UserId, UserShardWal,
+    ShardLog, UserId,
 };
 use simba::net::im::{ImHandle, ImService};
 use simba::net::{LatencyModel, LossModel};
@@ -65,7 +65,8 @@ fn run_scenario(seed: u64, alerts: u64) -> (Vec<String>, String) {
     im.logon(&alice, SimTime::ZERO).unwrap();
 
     // Core pipeline: log → ack → classify → route → deliver.
-    let mut mab = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")))
+    let mut log = ShardLog::in_memory();
+    let mut mab = MyAlertBuddy::new(config(), UserId::new("alice"))
         .with_telemetry(telemetry.clone());
 
     let first_send = |cmds: &[MabCommand]| {
@@ -88,6 +89,7 @@ fn run_scenario(seed: u64, alerts: u64) -> (Vec<String>, String) {
             }
         }
         let cmds = mab.handle(
+            &mut log,
             MabEvent::AlertByIm(IncomingAlert::from_im("aladdin-gw", body, at)),
             at,
         );
@@ -96,6 +98,7 @@ fn run_scenario(seed: u64, alerts: u64) -> (Vec<String>, String) {
         };
         if rng.chance(0.3) {
             mab.handle(
+                &mut log,
                 MabEvent::Delivery {
                     id,
                     event: DeliveryEvent::SendFailed {
@@ -108,10 +111,12 @@ fn run_scenario(seed: u64, alerts: u64) -> (Vec<String>, String) {
         } else {
             let accepted_at = at + SimDuration::from_secs(1);
             mab.handle(
+                &mut log,
                 MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } },
                 accepted_at,
             );
             mab.handle(
+                &mut log,
                 MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } },
                 accepted_at + SimDuration::from_secs(rng.range(2, 50)),
             );
@@ -155,15 +160,16 @@ proptest! {
 
 #[test]
 fn instrumented_and_plain_runs_behave_identically() {
-    let mut plain = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")));
+    let (mut plain_log, mut observed_log) = (ShardLog::in_memory(), ShardLog::in_memory());
+    let mut plain = MyAlertBuddy::new(config(), UserId::new("alice"));
     let sink = Arc::new(RingBufferSink::new(256));
-    let mut observed = MyAlertBuddy::new(config(), UserShardWal::in_memory(UserId::new("alice")))
+    let mut observed = MyAlertBuddy::new(config(), UserId::new("alice"))
         .with_telemetry(Telemetry::with_sink(sink));
     for i in 0..4u64 {
         let at = SimTime::from_secs(10 + i * 60);
         let alert = IncomingAlert::from_im("aladdin-gw", format!("Sensor {i} ON"), at);
-        let a = plain.handle(MabEvent::AlertByIm(alert.clone()), at);
-        let b = observed.handle(MabEvent::AlertByIm(alert), at);
+        let a = plain.handle(&mut plain_log, MabEvent::AlertByIm(alert.clone()), at);
+        let b = observed.handle(&mut observed_log, MabEvent::AlertByIm(alert), at);
         assert_eq!(a, b);
     }
     assert_eq!(plain.stats(), observed.stats());

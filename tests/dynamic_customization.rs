@@ -14,7 +14,7 @@ use simba::core::classify::{Classifier, KeywordField};
 use simba::core::delivery::DeliveryCommand;
 use simba::core::mab::{MabCommand, MabConfig, MabEvent, MyAlertBuddy};
 use simba::core::mode::{Block, DeliveryMode};
-use simba::core::shardlog::UserShardWal;
+use simba::core::shardlog::ShardLog;
 use simba::core::subscription::{SubscriptionRegistry, TimeWindow, UserId};
 use simba::sim::{SimDuration, SimTime};
 
@@ -57,7 +57,7 @@ fn buddy() -> MyAlertBuddy {
             registry,
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
-        UserShardWal::in_memory(UserId::new("alice")),
+        UserId::new("alice"),
     )
 }
 
@@ -79,9 +79,9 @@ fn first_send_channel(commands: &[MabCommand]) -> Option<CommType> {
 
 #[test]
 fn aggregation_joins_three_services_into_one_category() {
-    let mut mab = buddy();
+    let (mut mab, mut log) = (buddy(), ShardLog::in_memory());
     for (i, alert) in service_alerts(SimTime::from_secs(10)).into_iter().enumerate() {
-        let cmds = mab.handle(MabEvent::AlertByEmail(alert), SimTime::from_secs(10 + i as u64));
+        let cmds = mab.handle(&mut log, MabEvent::AlertByEmail(alert), SimTime::from_secs(10 + i as u64));
         // All three route via the Investment subscription: SMS first.
         assert_eq!(first_send_channel(&cmds), Some(CommType::Sms), "service {i}");
     }
@@ -90,7 +90,7 @@ fn aggregation_joins_three_services_into_one_category() {
 
 #[test]
 fn one_mode_switch_redirects_all_three_services() {
-    let mut mab = buddy();
+    let (mut mab, mut log) = (buddy(), ShardLog::in_memory());
     // "She would like to temporarily switch the delivery mechanism for all
     // 'Investment' alerts from SMS to IM" — one update, not three.
     mab.config_mut()
@@ -98,14 +98,14 @@ fn one_mode_switch_redirects_all_three_services() {
         .set_mode("Investment", &UserId::new("alice"), "ImFirst")
         .expect("mode exists");
     for alert in service_alerts(SimTime::from_secs(100)) {
-        let cmds = mab.handle(MabEvent::AlertByEmail(alert), SimTime::from_secs(100));
+        let cmds = mab.handle(&mut log, MabEvent::AlertByEmail(alert), SimTime::from_secs(100));
         assert_eq!(first_send_channel(&cmds), Some(CommType::Im));
     }
 }
 
 #[test]
 fn disabling_the_sms_address_falls_back_automatically() {
-    let mut mab = buddy();
+    let (mut mab, mut log) = (buddy(), ShardLog::in_memory());
     // "When the user travels to an area where her cell phone doesn't work
     // ... she only needs to ask MyAlertBuddy to temporarily disable her
     // SMS address. Any delivery block that contains an SMS action will
@@ -117,14 +117,14 @@ fn disabling_the_sms_address_falls_back_automatically() {
         .address_book
         .set_enabled("SMS", false);
     let [alert, ..] = service_alerts(SimTime::from_secs(200));
-    let cmds = mab.handle(MabEvent::AlertByEmail(alert), SimTime::from_secs(200));
+    let cmds = mab.handle(&mut log, MabEvent::AlertByEmail(alert), SimTime::from_secs(200));
     // Block 1 (SMS) is skipped entirely; block 2 (email) fires at once.
     assert_eq!(first_send_channel(&cmds), Some(CommType::Email));
 }
 
 #[test]
 fn quiet_hours_suppress_the_category() {
-    let mut mab = buddy();
+    let (mut mab, mut log) = (buddy(), ShardLog::in_memory());
     // "She may need to disable these alerts during certain hours to avoid
     // distractions" — a 09:00–17:00 window.
     mab.config_mut().registry.set_window(
@@ -134,13 +134,13 @@ fn quiet_hours_suppress_the_category() {
     );
     let night = SimTime::from_hours(23);
     let [alert, ..] = service_alerts(night);
-    let cmds = mab.handle(MabEvent::AlertByEmail(alert), night);
+    let cmds = mab.handle(&mut log, MabEvent::AlertByEmail(alert), night);
     assert_eq!(first_send_channel(&cmds), None, "night alert must not route");
     assert_eq!(mab.stats().unsubscribed, 1);
 
     let noon = SimTime::from_days(1) + SimDuration::from_hours(12);
     let [alert, ..] = service_alerts(noon);
-    let cmds = mab.handle(MabEvent::AlertByEmail(alert), noon);
+    let cmds = mab.handle(&mut log, MabEvent::AlertByEmail(alert), noon);
     assert_eq!(first_send_channel(&cmds), Some(CommType::Sms));
 }
 
@@ -150,15 +150,16 @@ fn whole_configuration_survives_xml_round_trip() {
     let xml = simba::core::registry_to_xml(&mab.config().registry);
     let restored = simba::core::registry_from_xml(&xml).expect("own output parses");
     // The restored registry routes identically.
+    let mut log = ShardLog::in_memory();
     let mut mab2 = MyAlertBuddy::new(
         MabConfig {
             classifier: mab.config().classifier.clone(),
             registry: restored,
             rejuvenation: simba::core::rejuvenate::RejuvenationPolicy::default(),
         },
-        UserShardWal::in_memory(UserId::new("alice")),
+        UserId::new("alice"),
     );
     let [alert, ..] = service_alerts(SimTime::from_secs(10));
-    let cmds = mab2.handle(MabEvent::AlertByEmail(alert), SimTime::from_secs(10));
+    let cmds = mab2.handle(&mut log, MabEvent::AlertByEmail(alert), SimTime::from_secs(10));
     assert_eq!(first_send_channel(&cmds), Some(CommType::Sms));
 }

@@ -11,13 +11,12 @@ use proptest::prelude::*;
 use simba::core::alert::{Alert, AlertId, IncomingAlert, Urgency};
 use simba::core::horizon::Horizon;
 use simba::core::mab::{CrashPoint, MabCommand, MabEvent, MyAlertBuddy};
-use simba::core::shardlog::{SharedShardLog, ShardLog, ShardLogConfig, UserShardWal};
+use simba::core::shardlog::{ShardLog, ShardLogConfig};
 use simba::core::subscription::UserId;
 use simba::sim::{SimDuration, SimTime};
 use simba_bench::harness::standard_config;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 fn arb_crash_point() -> impl Strategy<Value = Option<CrashPoint>> {
     prop_oneof![
@@ -33,57 +32,51 @@ fn alice() -> UserId {
     UserId::new("alice")
 }
 
-/// Where the buddy's log lives across restarts.
-enum Backing {
-    /// One in-memory log that outlives every incarnation.
-    Memory(UserShardWal),
-    /// A directory, reopened by every restart. Like the shard worker, the
-    /// driver commits after each event, and only then are the event's
-    /// ack and sends released.
-    Disk { dir: PathBuf, log: SharedShardLog },
+/// Where the buddy's log lives across restarts: one in-memory log that
+/// outlives every incarnation, or (with `dir`) a directory every restart
+/// reopens. Like the shard worker, the driver owns the log, lends it to
+/// each buddy call and commits after each event; only then are the
+/// event's ack and sends released.
+struct Backing {
+    log: ShardLog,
+    dir: Option<PathBuf>,
 }
 
 impl Backing {
+    fn in_memory() -> Self {
+        Backing { log: ShardLog::in_memory(), dir: None }
+    }
+
     fn on_disk() -> Self {
         static CASE: AtomicU64 = AtomicU64::new(0);
         let case = CASE.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir()
             .join(format!("simba-wal-safety-{}-{case}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let log = Self::open(&dir);
-        Backing::Disk { dir, log }
+        Backing { log: Self::open(&dir), dir: Some(dir) }
     }
 
-    fn open(dir: &Path) -> SharedShardLog {
-        Arc::new(Mutex::new(ShardLog::open(ShardLogConfig::on_disk(dir)).expect("open the log")))
-    }
-
-    fn wal(&self) -> UserShardWal {
-        match self {
-            Backing::Memory(wal) => wal.clone(),
-            Backing::Disk { log, .. } => UserShardWal::new(Arc::clone(log), alice()),
-        }
+    fn open(dir: &Path) -> ShardLog {
+        ShardLog::open(ShardLogConfig::on_disk(dir)).expect("open the log")
     }
 
     /// Makes the event's log writes durable; its effects count from here.
-    fn commit(&self) {
-        if let Backing::Disk { log, .. } = self {
-            log.lock().unwrap().commit().expect("commit");
-        }
+    fn commit(&mut self) {
+        self.log.commit().expect("commit");
     }
 
     /// What a restart sees of the log: the same one in memory, or
     /// whatever a fresh open finds in the directory.
     fn reopen(&mut self) {
-        if let Backing::Disk { dir, log } = self {
-            *log = Self::open(dir);
+        if let Some(dir) = &self.dir {
+            self.log = Self::open(dir);
         }
     }
 }
 
 impl Drop for Backing {
     fn drop(&mut self) {
-        if let Backing::Disk { dir, .. } = self {
+        if let Some(dir) = &self.dir {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -94,7 +87,7 @@ impl Drop for Backing {
 /// checks that no acked alert is lost and none is seen twice.
 fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
     let config = standard_config();
-    let mut mab = MyAlertBuddy::new(config.clone(), backing.wal());
+    let mut mab = MyAlertBuddy::new(config.clone(), alice());
     let mut dedup = Horizon::new(SimDuration::from_hours(24), usize::MAX);
 
     let mut acked: Vec<u64> = Vec::new();
@@ -107,7 +100,7 @@ fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
             mab.inject_crash_at(*point);
         }
         let alert = IncomingAlert::from_im("aladdin-gw", format!("Sensor p{i} ON"), now);
-        let commands = mab.handle(MabEvent::AlertByIm(alert), now);
+        let commands = mab.handle(&mut backing.log, MabEvent::AlertByIm(alert), now);
         backing.commit();
 
         let mut routed = commands.iter().any(|c| matches!(c, MabCommand::Channel { .. }));
@@ -119,8 +112,8 @@ fn check_schedule(schedule: &[Option<CrashPoint>], mut backing: Backing) {
             // Restart over the same log; replay completes the pipeline.
             drop(mab);
             backing.reopen();
-            mab = MyAlertBuddy::new(config.clone(), backing.wal());
-            let recovery = mab.recover(now);
+            mab = MyAlertBuddy::new(config.clone(), alice());
+            let recovery = mab.recover(&mut backing.log, now);
             backing.commit();
             routed |= recovery.iter().any(|c| matches!(c, MabCommand::Channel { .. }));
         }
@@ -162,7 +155,7 @@ proptest! {
 
     #[test]
     fn acked_alerts_are_never_lost(schedule in proptest::collection::vec(arb_crash_point(), 1..40)) {
-        check_schedule(&schedule, Backing::Memory(UserShardWal::in_memory(alice())));
+        check_schedule(&schedule, Backing::in_memory());
     }
 
     #[test]
@@ -172,19 +165,20 @@ proptest! {
         // Crash before the log on every alert: no acks, no log records, no
         // replays — the sender knows to fall back.
         let config = standard_config();
-        let wal = UserShardWal::in_memory(alice());
-        let mut mab = MyAlertBuddy::new(config.clone(), wal.clone());
+        let mut log = ShardLog::in_memory();
+        let mut mab = MyAlertBuddy::new(config.clone(), alice());
         for i in 0..n {
             let now = SimTime::from_secs(100 + i * 60);
             mab.inject_crash_at(CrashPoint::BeforeLog);
             let commands = mab.handle(
+                &mut log,
                 MabEvent::AlertByIm(IncomingAlert::from_im("aladdin-gw", "Sensor q ON", now)),
                 now,
             );
             prop_assert!(commands.is_empty());
-            prop_assert!(wal.unprocessed().is_empty());
-            mab = MyAlertBuddy::new(config.clone(), wal.clone());
-            prop_assert!(mab.recover(now).is_empty());
+            prop_assert_eq!(log.unprocessed_len(), 0);
+            mab = MyAlertBuddy::new(config.clone(), alice());
+            prop_assert!(mab.recover(&mut log, now).is_empty());
         }
     }
 }
