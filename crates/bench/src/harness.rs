@@ -704,6 +704,9 @@ fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: Inc
     for c in commands {
         match c {
             MabCommand::AckIm { to, .. } => acks.push(to),
+            // The simulation never retires: its buddy keeps every
+            // delivery, and the end of one needs no routing delay.
+            MabCommand::Finished { .. } => {}
             other => routed.push(other),
         }
     }
@@ -751,6 +754,7 @@ fn execute_commands(world: &mut World, ctx: &mut Ctx<'_, Ev>, commands: Vec<MabC
     for command in commands {
         match command {
             MabCommand::AckIm { .. } => { /* replay acks are suppressed */ }
+            MabCommand::Finished { .. } => { /* the simulation never retires */ }
             MabCommand::Rejuvenate(trigger) => {
                 ctx.trace("mab.rejuvenate", trigger.to_string());
                 world.metrics.incr("mab.rejuvenations");

@@ -32,15 +32,6 @@ impl EmailManager {
         }
     }
 
-    /// Creates a manager with a custom client process.
-    pub fn with_process(identity: EmailAddr, process: ClientProcess, memory_limit_kb: u64) -> Self {
-        EmailManager {
-            core: ManagerCore::new(process, memory_limit_kb),
-            identity,
-            unread: Vec::new(),
-        }
-    }
-
     /// Records sanity checks, anomalies, repairs, and restarts through
     /// `telemetry` under the `client.*` namespace.
     #[must_use]

@@ -49,14 +49,6 @@ impl ImManager {
         }
     }
 
-    /// Creates a manager with a custom client process (tests, leak studies).
-    pub fn with_process(identity: ImHandle, process: ClientProcess, memory_limit_kb: u64) -> Self {
-        ImManager {
-            core: ManagerCore::new(process, memory_limit_kb),
-            identity,
-        }
-    }
-
     /// Records sanity checks, anomalies, repairs, and restarts through
     /// `telemetry` under the `client.*` namespace.
     #[must_use]

@@ -11,7 +11,10 @@
 //! ([`MabEvent`]), commands out ([`MabCommand`]). It owns no log: the
 //! paper's buddy asks "the SIMBA library" to log, and here that library
 //! is its shard worker, which owns the [`ShardLog`] and lends it to each
-//! call that logs, marks or replays. Crash points can be
+//! call that logs, marks or replays. The end of a delivery is a command
+//! too, [`MabCommand::Finished`], released after the log write that
+//! covers it like an ack; the driver then [`MyAlertBuddy::retire`]s the
+//! delivery. Crash points can be
 //! injected at every pipeline stage, which is how the WAL-safety property
 //! tests exercise "MyAlertBuddy may crash or get terminated due to some
 //! anomaly" at arbitrary moments.
@@ -124,6 +127,16 @@ pub enum MabCommand {
         /// Why.
         RejuvenationTrigger,
     ),
+    /// `delivery` left `InProgress`: once this runs, the driver retires
+    /// it ([`MyAlertBuddy::retire`]) and reports `status`. Emitted once
+    /// per delivery; a late ack that upgrades an unconfirmed delivery to
+    /// acked emits no second one.
+    Finished {
+        /// Which delivery.
+        delivery: DeliveryId,
+        /// Its status as it concluded.
+        status: DeliveryStatus,
+    },
 }
 
 /// Where to crash, for fault-injection tests.
@@ -175,8 +188,6 @@ pub struct MabStats {
     pub replayed: u64,
     /// Remote rejuvenation commands honoured.
     pub remote_commands: u64,
-    /// Terminal deliveries retired out of the active table.
-    pub retired: u64,
     /// Deliveries whose mode was adjusted by live presence/health facts.
     pub mode_overridden: u64,
 }
@@ -193,7 +204,6 @@ impl MabStats {
         self.deliveries_started += other.deliveries_started;
         self.replayed += other.replayed;
         self.remote_commands += other.remote_commands;
-        self.retired += other.retired;
         self.mode_overridden += other.mode_overridden;
     }
 }
@@ -320,38 +330,29 @@ impl MyAlertBuddy {
         self.deliveries.get(&id).map(|(_, p)| p.status())
     }
 
-    /// Deliveries held in the active table (in-progress plus terminal ones
-    /// not yet retired). The soak harness asserts this returns to zero.
-    pub fn tracked(&self) -> usize {
-        self.deliveries.len()
-    }
-
-    /// Evicts every delivery that reached a terminal state, appending its
-    /// id and terminal status to `retired`: the buddy keeps nothing of it,
-    /// and the harness reports it and counts its outcome. A block timer
-    /// or ack the delivery left armed fires into a buddy that no longer
-    /// tracks it and is ignored.
-    pub fn retire_terminal(&mut self, now: SimTime, retired: &mut Vec<(DeliveryId, DeliveryStatus)>) {
-        let terminal = |(id, (_, p)): (&DeliveryId, &(UserId, DeliveryProcess))| {
-            p.status().is_terminal().then_some(*id)
-        };
-        loop {
-            let Some(id) = self.deliveries.iter().find_map(terminal) else { break };
-            let Some((user, process)) = self.deliveries.remove(&id) else { break };
-            let status = process.status();
-            self.stats.retired += 1;
-            if self.telemetry.enabled() {
-                self.telemetry.metrics().counter("mab.retired").incr();
-                self.telemetry.emit(
-                    Event::new("mab.retired", now.as_millis())
-                        .with("delivery", id.0)
-                        .with("user", &*user.0)
-                        .with("status", status_name(status))
-                        .with("attempts", process.attempts().len()),
-                );
-            }
-            retired.push((id, status));
+    /// Drops delivery `id` if the buddy holds it in a terminal status,
+    /// and says whether it did: its driver calls this when the delivery's
+    /// [`MabCommand::Finished`] runs. A replay's in-flight delivery under
+    /// the same id is refused. A block timer or ack the delivery left
+    /// armed fires into a buddy that no longer holds it and is ignored.
+    pub fn retire(&mut self, id: DeliveryId, now: SimTime) -> bool {
+        if !self.delivery_status(id).is_some_and(DeliveryStatus::is_terminal) {
+            return false;
         }
+        let Some((user, process)) = self.deliveries.remove(&id) else {
+            return false;
+        };
+        if self.telemetry.enabled() {
+            self.telemetry.metrics().counter("mab.retired").incr();
+            self.telemetry.emit(
+                Event::new("mab.retired", now.as_millis())
+                    .with("delivery", id.0)
+                    .with("user", &*user.0)
+                    .with("status", status_name(process.status()))
+                    .with("attempts", process.attempts().len()),
+            );
+        }
+        true
     }
 
     /// Whether the buddy can hibernate: alive, no tracked deliveries, no
@@ -426,12 +427,17 @@ impl MyAlertBuddy {
                         .user(user)
                         .map(|p| &p.address_book)
                         .unwrap_or(&empty);
+                    let live = !process.status().is_terminal();
                     for command in process.handle(event, book, now) {
                         cmds.push(MabCommand::Channel {
                             delivery: id,
                             user: user.clone(),
                             command,
                         });
+                    }
+                    let status = process.status();
+                    if live && status.is_terminal() {
+                        cmds.push(MabCommand::Finished { delivery: id, status });
                     }
                 }
             }
@@ -642,6 +648,11 @@ impl MyAlertBuddy {
                             user: user.clone(),
                             command,
                         });
+                    }
+                    // Every block disabled: over before it began.
+                    let status = process.status();
+                    if status.is_terminal() {
+                        cmds.push(MabCommand::Finished { delivery: id, status });
                     }
                     self.deliveries.insert(id, (user.clone(), process));
                 }
@@ -1111,23 +1122,6 @@ mod tests {
         assert!(!m.is_rejuvenating());
     }
 
-    /// Drives one alert to a terminal state and returns (mab, log, delivery id).
-    fn delivered_mab(secs: u64) -> (MyAlertBuddy, ShardLog, DeliveryId) {
-        let (mut m, mut log) = mab_and_log();
-        let (id, attempt) = first_send(&m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(secs)), t(secs)));
-        m.handle(
-            &mut log,
-            MabEvent::Delivery { id, event: DeliveryEvent::SendAccepted { attempt } },
-            t(secs + 1),
-        );
-        m.handle(
-            &mut log,
-            MabEvent::Delivery { id, event: DeliveryEvent::Acked { attempt } },
-            t(secs + 2),
-        );
-        (m, log, id)
-    }
-
     /// The delivery of the first send command in `cmds`.
     fn first_send(cmds: &[MabCommand]) -> (DeliveryId, AttemptId) {
         cmds.iter()
@@ -1142,31 +1136,86 @@ mod tests {
             .unwrap()
     }
 
+    /// The `Finished` commands in `cmds`.
+    fn finished(cmds: &[MabCommand]) -> Vec<(DeliveryId, DeliveryStatus)> {
+        cmds.iter()
+            .filter_map(|c| match c {
+                MabCommand::Finished { delivery, status } => Some((*delivery, *status)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn delivery(id: DeliveryId, event: DeliveryEvent) -> MabEvent {
+        MabEvent::Delivery { id, event }
+    }
+
     #[test]
-    fn retire_terminal_evicts_only_terminal_deliveries() {
-        let (mut m, mut log, id) = delivered_mab(1);
-        // A second, still-pending delivery.
-        let (pending, _) = first_send(&m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5)));
-        assert_eq!(m.tracked(), 2);
-        assert_eq!(m.in_flight(), 1);
+    fn a_delivery_finishes_once_and_retires_once() {
+        let (mut m, mut log) = mab_and_log();
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        assert!(finished(&cmds).is_empty(), "{cmds:?}");
+        let (id, attempt) = first_send(&cmds);
+        let accepted = m.handle(&mut log, delivery(id, DeliveryEvent::SendAccepted { attempt }), t(2));
+        assert!(finished(&accepted).is_empty(), "still waiting for the ack");
+        let acked = m.handle(&mut log, delivery(id, DeliveryEvent::Acked { attempt }), t(3));
+        let done = finished(&acked);
+        assert_eq!(done.len(), 1, "{acked:?}");
+        assert_eq!(done[0].0, id);
+        assert!(matches!(done[0].1, DeliveryStatus::Acked { .. }), "{done:?}");
+        let again = m.handle(&mut log, delivery(id, DeliveryEvent::Acked { attempt }), t(4));
+        assert!(finished(&again).is_empty(), "a repeated ack finishes nothing");
 
-        let mut retired = Vec::new();
-        m.retire_terminal(t(10), &mut retired);
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].0, id);
-        assert!(matches!(retired[0].1, DeliveryStatus::Acked { .. }));
-
-        // The acked delivery left the table; the pending one stayed.
-        assert_eq!(m.tracked(), 1);
-        assert_eq!(m.in_flight(), 1);
-        assert_eq!(m.delivery_status(id), None);
-        assert_eq!(m.stats().retired, 1);
-        // Ids are never reused: the pending delivery holds its own.
+        // The driver retires a concluded delivery once, an in-flight one never.
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(5)), t(5));
+        let (pending, im) = first_send(&cmds);
         assert_ne!(pending, id);
-        assert_eq!(m.delivery_status(pending), Some(DeliveryStatus::InProgress));
-        // Nothing is left to retire, and nothing is kept of what was.
-        m.retire_terminal(t(11), &mut retired);
-        assert_eq!(retired.len(), 1);
+        assert!(!m.retire(pending, t(6)), "in flight");
+        assert_eq!(m.in_flight(), 1);
+        assert!(m.retire(id, t(6)));
+        assert_eq!(m.delivery_status(id), None);
+        assert!(!m.retire(id, t(7)), "already retired");
+
+        // The ack window lapses and the email fallback concludes it
+        // unconfirmed; the IM ack that straggles in upgrades the status but
+        // finishes nothing a second time.
+        let timer = cmds
+            .iter()
+            .find_map(|c| match c {
+                MabCommand::Channel { command: DeliveryCommand::StartTimer { timer, .. }, .. } => Some(*timer),
+                _ => None,
+            })
+            .unwrap();
+        m.handle(&mut log, delivery(pending, DeliveryEvent::SendAccepted { attempt: im }), t(6));
+        let fallback = m.handle(&mut log, delivery(pending, DeliveryEvent::TimerFired { timer }), t(65));
+        assert!(finished(&fallback).is_empty());
+        let (_, email) = first_send(&fallback);
+        let sent = m.handle(&mut log, delivery(pending, DeliveryEvent::SendAccepted { attempt: email }), t(66));
+        let done = finished(&sent);
+        assert_eq!(done.len(), 1, "{sent:?}");
+        assert!(matches!(done[0], (d, DeliveryStatus::Unconfirmed { block: 1, .. }) if d == pending), "{done:?}");
+        let late = m.handle(&mut log, delivery(pending, DeliveryEvent::Acked { attempt: im }), t(70));
+        assert!(finished(&late).is_empty(), "{late:?}");
+        assert!(matches!(m.delivery_status(pending), Some(DeliveryStatus::Acked { block: 0, .. })));
+        assert!(m.retire(pending, t(71)));
+        assert!(m.is_idle(&log));
+
+        // With every block disabled a delivery is over as it starts: its
+        // `Finished` rides with the routing call's own commands.
+        let (mut m, mut log) = mab_and_log();
+        let book = &mut m.config_mut().registry.user_mut(&alice()).unwrap().address_book;
+        book.set_enabled("IM", false);
+        book.set_enabled("EM", false);
+        let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
+        let MabCommand::AckIm { wal_id, .. } = cmds[0] else { panic!("{cmds:?}") };
+        assert!(!cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })), "{cmds:?}");
+        let done = finished(&cmds);
+        assert_eq!(done.len(), 1, "{cmds:?}");
+        assert!(matches!(done[0], (d, DeliveryStatus::Exhausted { .. }) if d == DeliveryId::new(wal_id, 0)));
+        assert_eq!(m.in_flight(), 0);
+        assert!(!m.is_idle(&log), "held until its driver retires it");
+        assert!(m.retire(done[0].0, t(1)));
+        assert!(m.is_idle(&log));
     }
 
     #[test]

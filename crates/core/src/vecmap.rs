@@ -76,10 +76,6 @@ impl<K: Ord, V> VecMap<K, V> {
         Some(value)
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
     pub(crate) fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
@@ -131,7 +127,7 @@ mod tests {
                 }
                 assert!(map.iter().eq(model.iter()), "seed {seed} step {step}");
                 assert!(map.values().eq(model.values()));
-                assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
+                assert_eq!(map.is_empty(), model.is_empty());
             }
         }
     }

@@ -163,11 +163,6 @@ impl LedgerWorkerPool {
         Ok(LedgerWorkerPool { stop, workers })
     }
 
-    /// How many workers are running.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Throws worker `index`'s kill switch: it dies between sends
     /// without recording outcomes, abandoning any leases it holds.
     pub fn kill(&self, index: usize) {

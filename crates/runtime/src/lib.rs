@@ -13,8 +13,10 @@
 //!
 //! Every buddy lives on a [`ShardedHost`]: a fixed pool of shard workers
 //! multiplexing thousands of buddies each over group-committed shard
-//! logs, routing alerts to the owning buddy, retiring terminal deliveries
-//! so fleet state stays bounded, and hibernating idle buddies so memory
+//! logs, routing alerts to the owning buddy, retiring each delivery when
+//! its staged end runs after the commit that covers it (so fleet state
+//! stays bounded and nothing is reported before it is durable), and
+//! hibernating idle buddies so memory
 //! tracks *active* users rather than registered ones. The worker is also
 //! the live Master Daemon Controller: it restarts a crashed buddy and
 //! replays its log, and parks a rejuvenating one once it is idle (the

@@ -20,30 +20,33 @@
 //!    timer-wheel entries and due digest windows (the worker owns its
 //!    users' windows) through each buddy's state machine; WAL appends
 //!    and processed-marks buffer in the shard log, observable effects
-//!    (acks, sends, notices) are *staged*;
+//!    (acks, sends, the end of a delivery) are *staged* on one FIFO;
 //! 2. **commit** — one [`ShardLog::commit`] makes the whole batch
 //!    durable with a single fsync — and writes only the records the batch
 //!    left unprocessed, so a batch whose buddies marked everything they
 //!    logged commits for free;
-//! 3. **execute** — release the staged effects. Send outcomes feed back
-//!    into the buddies immediately (fallback blocks, ack scheduling);
-//!    those delivery events never touch the log, so no second fsync is
-//!    needed before their effects run;
-//! 4. **retire** — every buddy the batch touched hands back its terminal
-//!    deliveries, each reported once as [`RuntimeNotice::DeliveryFinished`].
+//! 3. **execute** — release the staged effects in order. Send outcomes
+//!    feed back into the buddies immediately (fallback blocks, ack
+//!    scheduling), and what they produce joins the back of the same FIFO
+//!    and runs in the same pass; those delivery events never touch the
+//!    log, so no second fsync is needed before their effects run. A
+//!    delivery's end ([`MabCommand::Finished`]) is one such effect: when
+//!    it runs, the buddy retires the delivery and the worker counts it
+//!    and reports it once as [`RuntimeNotice::DeliveryFinished`].
 //!
 //! Every buddy a batch needs is built in its handle phase, so one commit
 //! covers the batch, replays included. Durability ordering is the paper's:
-//! no ack leaves the host before the commit covering its log record
-//! returns. The worker is also the live Master Daemon Controller
-//! (§4.2.2): a buddy whose processed-mark fails crashes *alone* — it is
-//! replaced at once by a fresh incarnation that replays its log records —
-//! and a buddy that asks for rejuvenation is parked as soon as it is
-//! idle, so whatever it still had in flight finishes first. A buddy
-//! leaves memory one way, whether it crashed, idled or rejuvenated: its
-//! finished deliveries are retired, its counters fold into the shard's,
-//! and its slot changes. The shard worker (with every other buddy on it)
-//! keeps running.
+//! nothing a batch staged — ack, send or conclusion — leaves the host
+//! before the commit covering its log records returns; a failed commit
+//! leaves the FIFO in place for the next commit that succeeds. The worker
+//! is also the live Master Daemon Controller (§4.2.2): a buddy whose
+//! processed-mark fails crashes *alone* — it is replaced at once by a
+//! fresh incarnation that replays its log records — and a buddy that asks
+//! for rejuvenation is parked as soon as it is idle, so whatever it still
+//! had in flight finishes first. A buddy leaves memory one way, whether
+//! it crashed, idled or rejuvenated: its counters fold into the shard's
+//! and its slot changes, while what it staged still runs. The shard
+//! worker (with every other buddy on it) keeps running.
 
 use crate::channels::{Channels, SendOutcome};
 use crate::clock::RuntimeClock;
@@ -59,7 +62,7 @@ use simba_core::{DigestAlert, MabConfig, Telemetry};
 use simba_rules::Correlator;
 use simba_sim::{SimDuration, SimTime};
 use simba_store::SoftStateStore;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -87,7 +90,8 @@ pub enum RuntimeNotice {
         /// its deliveries are `DeliveryId::new(record, position)`.
         record: u64,
     },
-    /// A delivery reached a terminal state and was retired.
+    /// A delivery concluded: its [`MabCommand::Finished`] ran once the
+    /// batch that staged it was durable.
     DeliveryFinished {
         /// Which delivery.
         delivery: DeliveryId,
@@ -208,8 +212,6 @@ pub struct ShardedSnapshot {
     pub stats: MabStats,
     /// Deliveries still executing blocks, summed over resident buddies.
     pub in_flight: usize,
-    /// Deliveries tracked (in-flight plus awaiting retirement).
-    pub tracked: usize,
     /// Entries waiting on the shard timer wheels: block timers and
     /// simulated acks (including ones a retired delivery left behind —
     /// those fire into a buddy that no longer tracks the delivery and
@@ -217,11 +219,11 @@ pub struct ShardedSnapshot {
     /// hibernation is on. With it off the wheels empty once the last
     /// deadline passes.
     pub pending_timers: usize,
-    /// Retired deliveries that ended acknowledged.
+    /// Concluded deliveries that ended acknowledged.
     pub acked: u64,
-    /// Retired deliveries that ended unconfirmed.
+    /// Concluded deliveries that ended unconfirmed.
     pub unconfirmed: u64,
-    /// Retired deliveries that exhausted every block.
+    /// Concluded deliveries that exhausted every block.
     pub exhausted: u64,
     /// Hibernation transitions performed.
     pub hibernations: u64,
@@ -246,7 +248,6 @@ impl ShardedSnapshot {
         self.hibernated += other.hibernated;
         self.stats.merge(other.stats);
         self.in_flight += other.in_flight;
-        self.tracked += other.tracked;
         self.pending_timers += other.pending_timers;
         self.acked += other.acked;
         self.unconfirmed += other.unconfirmed;
@@ -335,7 +336,7 @@ struct TimerEntry {
     incarnation: u64,
 }
 
-/// Delivery outcomes counted at retirement.
+/// Delivery outcomes, counted as each `Finished` runs.
 #[derive(Debug, Clone, Copy, Default)]
 struct Outcomes {
     acked: u64,
@@ -620,17 +621,14 @@ struct Worker<C> {
     timers: BTreeMap<(SimTime, u64), TimerEntry>,
     timer_seq: u64,
     next_incarnation: u64,
-    /// Users that saw events this batch — the retirement set.
-    touched: BTreeSet<UserId>,
-    /// Effects of batches whose commit failed, released by the first
-    /// later commit that succeeds (it covers their records too).
-    withheld: Vec<(UserId, MabCommand)>,
+    /// The effects staged under their owners' names, in order. A commit
+    /// that succeeds drains it, and what running an effect feeds back
+    /// joins its back and runs in the same pass; a failed commit leaves
+    /// it in place, withheld until a later commit covers it too.
+    staged: VecDeque<(UserId, MabCommand)>,
     /// Where a buddy writes the commands of one event before they are
     /// staged under its owner's name; empty between events.
     fed: Vec<MabCommand>,
-    /// Where a buddy hands back the deliveries it retires before they
-    /// are reported; empty between retirements.
-    retired: Vec<(DeliveryId, DeliveryStatus)>,
     /// Totals of buddies no longer resident: hibernated, crashed, and
     /// rejuvenated.
     folded: MabStats,
@@ -688,10 +686,8 @@ impl<C: Channels> Worker<C> {
             timers: BTreeMap::new(),
             timer_seq: 0,
             next_incarnation: 0,
-            touched: BTreeSet::new(),
-            withheld: Vec::new(),
+            staged: VecDeque::new(),
             fed: Vec::new(),
-            retired: Vec::new(),
             folded: MabStats::default(),
             outcomes: Outcomes::default(),
             hibernations: 0,
@@ -710,14 +706,12 @@ impl<C: Channels> Worker<C> {
         // buddy (auto-registered — the log proves they existed) whose
         // `recover()` replays them before new traffic is accepted.
         let now = self.clock.now();
-        // One buffer for every batch: `finish_batch` hands it back empty.
-        let mut staged = Vec::new();
         let demand = self.log.users_with_unprocessed();
         for user in demand {
             self.roster.entry(user.clone()).or_insert(UserSlot::Fresh);
-            self.activate(&user, now, &mut staged);
+            self.activate(&user, now);
         }
-        self.finish_batch(&mut staged, now);
+        self.finish_batch(now);
 
         loop {
             let wait = self.idle_wait();
@@ -727,16 +721,14 @@ impl<C: Channels> Worker<C> {
             match inbound {
                 Ok(Some(msg)) => {
                     let mut drained = 1usize;
-                    match self.handle_msg(msg, now, &mut staged) {
+                    match self.handle_msg(msg, now) {
                         Flow::Stop(reply) => stop = Some(reply),
                         Flow::Continue => {
                             while stop.is_none() && drained < BATCH_MAX {
                                 match self.rx.try_recv() {
                                     Ok(msg) => {
                                         drained += 1;
-                                        if let Flow::Stop(reply) =
-                                            self.handle_msg(msg, now, &mut staged)
-                                        {
+                                        if let Flow::Stop(reply) = self.handle_msg(msg, now) {
                                             stop = Some(reply);
                                         }
                                     }
@@ -750,19 +742,19 @@ impl<C: Channels> Worker<C> {
                 Ok(None) => {
                     // Front door dropped without shutdown: stop as `Stop`
                     // does, with nobody to read the snapshot.
-                    let _ = self.stop(&mut staged, now);
+                    let _ = self.stop(now);
                     return;
                 }
                 Err(_) => {} // idle tick: due timers and windows only
             }
-            self.fire_due_timers(now, &mut staged);
+            self.fire_due_timers(now);
             // Stop flushes every open window: windows live in memory only.
             let flush_at = if stop.is_some() { u64::MAX } else { now.as_millis() };
             let due = self.rules.as_mut().map(|(_, windows)| windows.flush_due(flush_at));
-            self.route_digests(due.into_iter().flatten(), now, &mut staged);
-            self.finish_batch(&mut staged, now);
+            self.route_digests(due.into_iter().flatten(), now);
+            self.finish_batch(now);
             if let Some(reply) = stop {
-                let _ = reply.send(self.stop(&mut staged, now));
+                let _ = reply.send(self.stop(now));
                 return;
             }
         }
@@ -771,11 +763,9 @@ impl<C: Channels> Worker<C> {
     /// The worker's last batch: one more [`Self::finish_batch`], so what a
     /// failed commit withheld is released by the commit that covers it
     /// (or, should that fail too, dropped unacknowledged with its marks
-    /// not durable: the next run replays it); then every resident buddy
-    /// settles, and the snapshot is taken.
-    fn stop(&mut self, staged: &mut Vec<(UserId, MabCommand)>, now: SimTime) -> ShardedSnapshot {
-        self.finish_batch(staged, now);
-        self.retire_all(now);
+    /// not durable: the next run replays it); then the snapshot is taken.
+    fn stop(&mut self, now: SimTime) -> ShardedSnapshot {
+        self.finish_batch(now);
         self.shard_snapshot()
     }
 
@@ -791,12 +781,7 @@ impl<C: Channels> Worker<C> {
         Duration::from_millis(wait.clamp(1, 1_000))
     }
 
-    fn handle_msg(
-        &mut self,
-        msg: ShardMsg,
-        now: SimTime,
-        staged: &mut Vec<(UserId, MabCommand)>,
-    ) -> Flow {
+    fn handle_msg(&mut self, msg: ShardMsg, now: SimTime) -> Flow {
         match msg {
             ShardMsg::Register(users) => {
                 if self.telemetry.enabled() && !users.is_empty() {
@@ -810,13 +795,13 @@ impl<C: Channels> Worker<C> {
                 }
             }
             ShardMsg::Im(user, alert) => {
-                if let Some(alert) = self.apply_rules(&user, alert, now, staged) {
-                    self.route(user, MabEvent::AlertByIm(alert), now, staged);
+                if let Some(alert) = self.apply_rules(&user, alert, now) {
+                    self.route(user, MabEvent::AlertByIm(alert), now);
                 }
             }
             ShardMsg::Email(user, alert) => {
-                if let Some(alert) = self.apply_rules(&user, alert, now, staged) {
-                    self.route(user, MabEvent::AlertByEmail(alert), now, staged);
+                if let Some(alert) = self.apply_rules(&user, alert, now) {
+                    self.route(user, MabEvent::AlertByEmail(alert), now);
                 }
             }
             ShardMsg::Ack { user, delivery, attempt } => {
@@ -825,19 +810,17 @@ impl<C: Channels> Worker<C> {
                     Some(UserSlot::Active(active)) if active.mab.delivery_status(delivery).is_some()
                 );
                 if live {
-                    self.touched.insert(user.clone());
                     let event = DeliveryEvent::Acked { attempt };
-                    let _ = self.feed(&user, MabEvent::Delivery { id: delivery, event }, now, true, staged);
+                    let _ = self.feed(&user, MabEvent::Delivery { id: delivery, event }, now, true);
                 } else if self.telemetry.enabled() {
                     self.telemetry.metrics().counter("runtime.stale_dropped").incr();
                 }
             }
             ShardMsg::Snapshot(reply) => {
-                self.retire_all(now);
                 let _ = reply.send(self.shard_snapshot());
             }
             ShardMsg::Hibernate(user, reply) => {
-                let _ = reply.send(self.try_hibernate(&user, now));
+                let _ = reply.send(self.try_hibernate(&user));
             }
             ShardMsg::InjectMarkFailure(user) => {
                 self.log.inject_mark_failure(&user);
@@ -861,7 +844,6 @@ impl<C: Channels> Worker<C> {
         user: &UserId,
         mut alert: IncomingAlert,
         now: SimTime,
-        staged: &mut Vec<(UserId, MabCommand)>,
     ) -> Option<IncomingAlert> {
         let decision = match &mut self.rules {
             Some((engine, windows)) if self.roster.contains_key(user) => {
@@ -878,7 +860,7 @@ impl<C: Channels> Worker<C> {
             }
             simba_rules::Decision::Suppress { .. } => None,
             simba_rules::Decision::Digest { flushed, .. } => {
-                self.route_digests(flushed.map(|digest| *digest), now, staged);
+                self.route_digests(flushed.map(|digest| *digest), now);
                 None
             }
         }
@@ -887,28 +869,17 @@ impl<C: Channels> Worker<C> {
     /// The one way a digest enters a buddy: by the email door, *never*
     /// re-evaluated (the digest keeps its original source, so a by-source
     /// digest rule would re-absorb it forever).
-    fn route_digests(
-        &mut self,
-        digests: impl IntoIterator<Item = DigestAlert>,
-        now: SimTime,
-        staged: &mut Vec<(UserId, MabCommand)>,
-    ) {
+    fn route_digests(&mut self, digests: impl IntoIterator<Item = DigestAlert>, now: SimTime) {
         for digest in digests {
             let owner = UserId::new(digest.user.clone());
-            self.route(owner, MabEvent::AlertByEmail(digest.to_incoming()), now, staged);
+            self.route(owner, MabEvent::AlertByEmail(digest.to_incoming()), now);
         }
     }
 
     /// The routing step: feed a resident buddy — one roster look-up, the
     /// one inside [`Self::feed`] — or activate and feed.
-    fn route(
-        &mut self,
-        user: UserId,
-        event: MabEvent,
-        now: SimTime,
-        staged: &mut Vec<(UserId, MabCommand)>,
-    ) {
-        if let Err(event) = self.feed(&user, event, now, true, staged) {
+    fn route(&mut self, user: UserId, event: MabEvent, now: SimTime) {
+        if let Err(event) = self.feed(&user, event, now, true) {
             if !self.roster.contains_key(&user) {
                 self.unrouted += 1;
                 if self.telemetry.enabled() {
@@ -916,16 +887,15 @@ impl<C: Channels> Worker<C> {
                 }
                 return;
             }
-            self.activate(&user, now, staged);
+            self.activate(&user, now);
             // Still not resident if the replay crashed the fresh buddy:
             // the alert is dropped unlogged and unacknowledged, so its
             // sender falls back, as with any dead process.
-            let _ = self.feed(&user, event, now, true, staged);
+            let _ = self.feed(&user, event, now, true);
         }
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.routed").incr();
         }
-        self.touched.insert(user);
     }
 
     /// Replaces a registered user's roster slot in place and returns the
@@ -938,7 +908,7 @@ impl<C: Channels> Worker<C> {
     /// rehydration when the user was parked), then runs the §4.2.1
     /// restart protocol over the shard log and stages its replay
     /// commands.
-    fn activate(&mut self, user: &UserId, now: SimTime, staged: &mut Vec<(UserId, MabCommand)>) {
+    fn activate(&mut self, user: &UserId, now: SimTime) {
         match self.roster.get(user) {
             None | Some(UserSlot::Active(_)) => return,
             Some(UserSlot::Hibernated) => {
@@ -955,7 +925,7 @@ impl<C: Channels> Worker<C> {
             mab.set_mode_selector(Box::new(StoreModeSelector::new(store.clone())));
         }
         let recovery = mab.recover(&mut self.log, now);
-        staged.extend(recovery.into_iter().map(|cmd| (user.clone(), cmd)));
+        self.staged.extend(recovery.into_iter().map(|cmd| (user.clone(), cmd)));
         let crashed = mab.is_crashed();
         let incarnation = self.next_incarnation;
         self.next_incarnation += 1;
@@ -964,30 +934,28 @@ impl<C: Channels> Worker<C> {
             // Replay itself crashed the buddy (e.g. an injected mark
             // failure): the slot is left Fresh for the next activation to
             // retry.
-            self.crash(user, now);
+            self.crash(user);
             return;
         }
-        self.touched.insert(user.clone());
         if self.hibernate_after != SimDuration::ZERO {
             self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
         }
     }
 
     /// The one way a buddy leaves memory, whether it crashed, idled or
-    /// rejuvenated: its slot becomes `slot`, the deliveries it finished
-    /// are reported, and its counters fold into the shard's totals.
-    fn leave(&mut self, user: &UserId, slot: UserSlot, now: SimTime) {
-        if let Some(UserSlot::Active(mut active)) = self.put(user, slot) {
-            active.mab.retire_terminal(now, &mut self.retired);
-            self.report_retired(user);
+    /// rejuvenated: its slot becomes `slot` and its counters fold into the
+    /// shard's totals. What it staged stays staged: a delivery it finished
+    /// is still reported when its `Finished` runs.
+    fn leave(&mut self, user: &UserId, slot: UserSlot) {
+        if let Some(UserSlot::Active(active)) = self.put(user, slot) {
             self.folded.merge(active.mab.stats());
         }
     }
 
     /// A crashed buddy leaves its slot Fresh: the next activation replays
     /// its log records.
-    fn crash(&mut self, user: &UserId, now: SimTime) {
-        self.leave(user, UserSlot::Fresh, now);
+    fn crash(&mut self, user: &UserId) {
+        self.leave(user, UserSlot::Fresh);
         self.crashes += 1;
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.buddy_crashed").incr();
@@ -1000,14 +968,7 @@ impl<C: Channels> Worker<C> {
     /// is not resident. A crash crashes that buddy alone: it leaves
     /// memory, and a fresh incarnation immediately replays the user's log
     /// records — the shard worker never stops.
-    fn feed(
-        &mut self,
-        user: &UserId,
-        event: MabEvent,
-        now: SimTime,
-        touch: bool,
-        staged: &mut Vec<(UserId, MabCommand)>,
-    ) -> Result<(), MabEvent> {
+    fn feed(&mut self, user: &UserId, event: MabEvent, now: SimTime, touch: bool) -> Result<(), MabEvent> {
         let Some(UserSlot::Active(active)) = self.roster.get_mut(user) else {
             return Err(event);
         };
@@ -1016,10 +977,10 @@ impl<C: Channels> Worker<C> {
         }
         active.mab.handle_into(&mut self.log, event, now, &mut self.fed);
         let crashed = active.mab.is_crashed();
-        staged.extend(self.fed.drain(..).map(|cmd| (user.clone(), cmd)));
+        self.staged.extend(self.fed.drain(..).map(|cmd| (user.clone(), cmd)));
         if crashed {
-            self.crash(user, now);
-            self.activate(user, now, staged);
+            self.crash(user);
+            self.activate(user, now);
         }
         Ok(())
     }
@@ -1027,7 +988,7 @@ impl<C: Channels> Worker<C> {
     /// Fires every due timer-wheel entry; entries whose incarnation no
     /// longer matches the resident buddy are stale and dropped (counted
     /// when a delivery event was lost with them, not for idle deadlines).
-    fn fire_due_timers(&mut self, now: SimTime, staged: &mut Vec<(UserId, MabCommand)>) {
+    fn fire_due_timers(&mut self, now: SimTime) {
         while let Some(((at, seq), entry)) = self.timers.pop_first() {
             if at > now {
                 self.timers.insert((at, seq), entry);
@@ -1053,25 +1014,19 @@ impl<C: Channels> Worker<C> {
                 TimerFire::Block(id, timer) => (id, DeliveryEvent::TimerFired { timer }),
                 TimerFire::Ack(id, attempt) => (id, DeliveryEvent::Acked { attempt }),
             };
-            self.touched.insert(entry.user.clone());
-            let _ = self.feed(&entry.user, MabEvent::Delivery { id, event }, now, false, staged);
+            let _ = self.feed(&entry.user, MabEvent::Delivery { id, event }, now, false);
         }
     }
 
-    /// Phases 2 to 4: one group commit, then release the staged effects
-    /// (`staged` comes back empty), then retire what the batch finished.
+    /// Phases 2 and 3: one group commit, then release the staged effects.
     /// A failed commit leaves the batch not durable, so every staged
-    /// effect is withheld (no acks, no sends): the journal keeps what it
-    /// has buffered, and the first later commit that succeeds covers it
-    /// and releases them.
-    fn finish_batch(&mut self, staged: &mut Vec<(UserId, MabCommand)>, now: SimTime) {
-        staged.splice(0..0, std::mem::take(&mut self.withheld));
+    /// effect is withheld (no acks, no sends, no conclusions): the journal
+    /// keeps what it has buffered, and the first later commit that
+    /// succeeds covers it and releases them, ahead of its own batch's.
+    fn finish_batch(&mut self, now: SimTime) {
         if self.commit_once().is_ok() {
-            self.execute(staged, now);
-        } else {
-            self.withheld.append(staged);
+            self.execute(now);
         }
-        self.retire_touched(now);
         if self.telemetry.enabled() {
             self.telemetry
                 .metrics()
@@ -1104,106 +1059,102 @@ impl<C: Channels> Worker<C> {
 
     /// Phase 3: acks and notices go out, sends hit the channels and their
     /// outcomes feed straight back into the owning buddy (fallback blocks
-    /// run immediately; ack windows and block timers go on the wheel).
-    /// A rejuvenation is only announced here: the buddy is parked by
-    /// retirement once it is idle.
-    fn execute(&mut self, batch: &mut Vec<(UserId, MabCommand)>, now: SimTime) {
-        let mut follow = Vec::new();
-        loop {
-            for (user, command) in batch.drain(..) {
-                match command {
-                    MabCommand::AckIm { to, wal_id } => {
-                        if self.telemetry.enabled() {
-                            self.telemetry.metrics().counter("runtime.acks_sent").incr();
-                        }
-                        self.notify(user, RuntimeNotice::AckSent { source: to, record: wal_id });
+    /// run immediately; ack windows and block timers go on the wheel), and
+    /// each concluded delivery is retired and reported. A rejuvenating
+    /// buddy is parked once it is idle: at its `Rejuvenate`, or else at
+    /// the `Finished` of its last delivery.
+    fn execute(&mut self, now: SimTime) {
+        while let Some((user, command)) = self.staged.pop_front() {
+            match command {
+                MabCommand::AckIm { to, wal_id } => {
+                    if self.telemetry.enabled() {
+                        self.telemetry.metrics().counter("runtime.acks_sent").incr();
                     }
-                    MabCommand::Rejuvenate(trigger) => {
-                        if self.telemetry.enabled() {
-                            self.telemetry.metrics().counter("runtime.rejuvenations").incr();
-                        }
-                        self.notify(user, RuntimeNotice::Rejuvenating(trigger));
+                    self.notify(user, RuntimeNotice::AckSent { source: to, record: wal_id });
+                }
+                MabCommand::Rejuvenate(trigger) => {
+                    if self.telemetry.enabled() {
+                        self.telemetry.metrics().counter("runtime.rejuvenations").incr();
                     }
-                    MabCommand::Channel { delivery, command, .. } => match command {
-                        DeliveryCommand::Send {
-                            attempt, comm_type, address_value, text, ..
-                        } => {
-                            if let Some(ledger) = &self.ledger {
-                                // Ledger-owned attempt: durable enqueue,
-                                // acknowledge the handoff, and let the
-                                // worker pool own send/retry/dead-letter.
-                                // The record's image carries its first
-                                // lease grant, so this commit is the one
-                                // its send waits on. A handoff whose
-                                // commit failed is taken back under the
-                                // same guard, so an attempt reported
-                                // failed is never also sent. Only a record
-                                // some earlier handoff committed can have
-                                // been claimed; that one stays.
-                                let accepted = {
-                                    let mut guard =
-                                        ledger.lock().unwrap_or_else(PoisonError::into_inner);
-                                    let record = guard.enqueue_shared(
-                                        &user,
-                                        delivery.0,
-                                        comm_type,
-                                        address_value,
-                                        text,
-                                        now,
-                                    );
-                                    // simba-analyze: allow(concurrency.blocking-under-guard): enqueue+commit is the atomic handoff to the delivery workers; the guard scope IS the durability point
-                                    guard.commit().is_ok() || !guard.retract(record)
-                                };
-                                if self.telemetry.enabled() {
-                                    self.telemetry.metrics().counter("runtime.sends").incr();
-                                }
-                                let event = if accepted {
-                                    DeliveryEvent::SendAccepted { attempt }
-                                } else {
-                                    DeliveryEvent::SendFailed {
-                                        attempt,
-                                        failure:
-                                            simba_core::delivery::SendFailure::ChannelDown,
-                                    }
-                                };
-                                let event = MabEvent::Delivery { id: delivery, event };
-                                let _ = self.feed(&user, event, now, false, &mut follow);
-                                continue;
-                            }
-                            let outcome = self.channels.send(comm_type, &address_value, &text);
+                    self.notify(user.clone(), RuntimeNotice::Rejuvenating(trigger));
+                    self.park_if_rejuvenating(&user);
+                }
+                MabCommand::Finished { delivery, status } => self.conclude(user, delivery, status, now),
+                MabCommand::Channel { delivery, command, .. } => match command {
+                    DeliveryCommand::Send {
+                        attempt, comm_type, address_value, text, ..
+                    } => {
+                        if let Some(ledger) = &self.ledger {
+                            // Ledger-owned attempt: durable enqueue,
+                            // acknowledge the handoff, and let the
+                            // worker pool own send/retry/dead-letter.
+                            // The record's image carries its first
+                            // lease grant, so this commit is the one
+                            // its send waits on. A handoff whose
+                            // commit failed is taken back under the
+                            // same guard, so an attempt reported
+                            // failed is never also sent. Only a record
+                            // some earlier handoff committed can have
+                            // been claimed; that one stays.
+                            let accepted = {
+                                let mut guard =
+                                    ledger.lock().unwrap_or_else(PoisonError::into_inner);
+                                let record = guard.enqueue_shared(
+                                    &user,
+                                    delivery.0,
+                                    comm_type,
+                                    address_value,
+                                    text,
+                                    now,
+                                );
+                                // simba-analyze: allow(concurrency.blocking-under-guard): enqueue+commit is the atomic handoff to the delivery workers; the guard scope IS the durability point
+                                guard.commit().is_ok() || !guard.retract(record)
+                            };
                             if self.telemetry.enabled() {
                                 self.telemetry.metrics().counter("runtime.sends").incr();
                             }
-                            let event = match outcome {
-                                // simba-analyze: allow(durability.ack-before-commit): direct (unledgered) send path — this mirrors the adapter's synchronous accept; durable-before-ack applies to the ledgered path
-                                SendOutcome::Accepted => DeliveryEvent::SendAccepted { attempt },
-                                SendOutcome::AcceptedWithAck(after) => {
-                                    self.schedule(
-                                        &user,
-                                        TimerFire::Ack(delivery, attempt),
-                                        SimDuration::from_millis(after.as_millis() as u64),
-                                        now,
-                                    );
-                                    // simba-analyze: allow(durability.ack-before-commit): direct (unledgered) send path — the adapter accepted synchronously
-                                    DeliveryEvent::SendAccepted { attempt }
-                                }
-                                SendOutcome::Failed(failure) => {
-                                    DeliveryEvent::SendFailed { attempt, failure }
+                            let event = if accepted {
+                                DeliveryEvent::SendAccepted { attempt }
+                            } else {
+                                DeliveryEvent::SendFailed {
+                                    attempt,
+                                    failure:
+                                        simba_core::delivery::SendFailure::ChannelDown,
                                 }
                             };
                             let event = MabEvent::Delivery { id: delivery, event };
-                            let _ = self.feed(&user, event, now, false, &mut follow);
+                            let _ = self.feed(&user, event, now, false);
+                            continue;
                         }
-                        DeliveryCommand::StartTimer { timer, after } => {
-                            self.schedule(&user, TimerFire::Block(delivery, timer), after, now);
+                        let outcome = self.channels.send(comm_type, &address_value, &text);
+                        if self.telemetry.enabled() {
+                            self.telemetry.metrics().counter("runtime.sends").incr();
                         }
-                    },
-                }
+                        let event = match outcome {
+                            // simba-analyze: allow(durability.ack-before-commit): direct (unledgered) send path — this mirrors the adapter's synchronous accept; durable-before-ack applies to the ledgered path
+                            SendOutcome::Accepted => DeliveryEvent::SendAccepted { attempt },
+                            SendOutcome::AcceptedWithAck(after) => {
+                                self.schedule(
+                                    &user,
+                                    TimerFire::Ack(delivery, attempt),
+                                    SimDuration::from_millis(after.as_millis() as u64),
+                                    now,
+                                );
+                                // simba-analyze: allow(durability.ack-before-commit): direct (unledgered) send path — the adapter accepted synchronously
+                                DeliveryEvent::SendAccepted { attempt }
+                            }
+                            SendOutcome::Failed(failure) => {
+                                DeliveryEvent::SendFailed { attempt, failure }
+                            }
+                        };
+                        let event = MabEvent::Delivery { id: delivery, event };
+                        let _ = self.feed(&user, event, now, false);
+                    }
+                    DeliveryCommand::StartTimer { timer, after } => {
+                        self.schedule(&user, TimerFire::Block(delivery, timer), after, now);
+                    }
+                },
             }
-            if follow.is_empty() {
-                return;
-            }
-            batch.append(&mut follow);
         }
     }
 
@@ -1219,61 +1170,33 @@ impl<C: Channels> Worker<C> {
         );
     }
 
-    /// Settles every buddy touched this batch.
-    fn retire_touched(&mut self, now: SimTime) {
-        let touched = std::mem::take(&mut self.touched);
-        for user in touched {
-            self.settle(&user, now);
+    /// A delivery's `Finished` runs: the resident buddy retires it (unless
+    /// it is a replay's, still in flight under the same id), its outcome
+    /// is counted and reported once, and a rejuvenating buddy it leaves
+    /// idle is parked. A buddy that crashed after staging it is gone, but
+    /// the delivery is still counted and reported.
+    fn conclude(&mut self, user: UserId, delivery: DeliveryId, status: DeliveryStatus, now: SimTime) {
+        match status {
+            DeliveryStatus::Acked { .. } => self.outcomes.acked += 1,
+            DeliveryStatus::Unconfirmed { .. } => self.outcomes.unconfirmed += 1,
+            DeliveryStatus::Exhausted { .. } => self.outcomes.exhausted += 1,
+            DeliveryStatus::InProgress => {}
         }
+        let retired = match self.roster.get_mut(&user) {
+            Some(UserSlot::Active(active)) => active.mab.retire(delivery, now),
+            _ => false,
+        };
+        if retired {
+            self.park_if_rejuvenating(&user);
+        }
+        self.notify(user, RuntimeNotice::DeliveryFinished { delivery, status });
     }
 
-    fn retire_all(&mut self, now: SimTime) {
-        let users: Vec<UserId> = self
-            .roster
-            .iter()
-            .filter(|(_, slot)| matches!(slot, UserSlot::Active(_)))
-            .map(|(user, _)| user.clone())
-            .collect();
-        for user in users {
-            self.settle(&user, now);
+    /// Parks `user`'s buddy if it asked for rejuvenation and is idle.
+    fn park_if_rejuvenating(&mut self, user: &UserId) {
+        if matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_rejuvenating()) {
+            self.try_hibernate(user);
         }
-    }
-
-    /// Retires a resident buddy's terminal deliveries — and parks it, if
-    /// it asked for rejuvenation and that leaves it idle.
-    fn settle(&mut self, user: &UserId, now: SimTime) {
-        let rejuvenating = matches!(
-            self.roster.get(user),
-            Some(UserSlot::Active(active)) if active.mab.is_rejuvenating()
-        );
-        if rejuvenating {
-            self.try_hibernate(user, now);
-        } else {
-            self.retire_user(user, now);
-        }
-    }
-
-    fn retire_user(&mut self, user: &UserId, now: SimTime) {
-        if let Some(UserSlot::Active(active)) = self.roster.get_mut(user) {
-            active.mab.retire_terminal(now, &mut self.retired);
-            self.report_retired(user);
-        }
-    }
-
-    /// Counts the outcome of every delivery in `retired` and reports it
-    /// with one `DeliveryFinished` notice, leaving the buffer empty.
-    fn report_retired(&mut self, user: &UserId) {
-        let mut retired = std::mem::take(&mut self.retired);
-        for (delivery, status) in retired.drain(..) {
-            match status {
-                DeliveryStatus::Acked { .. } => self.outcomes.acked += 1,
-                DeliveryStatus::Unconfirmed { .. } => self.outcomes.unconfirmed += 1,
-                DeliveryStatus::Exhausted { .. } => self.outcomes.exhausted += 1,
-                DeliveryStatus::InProgress => {}
-            }
-            self.notify(user.clone(), RuntimeNotice::DeliveryFinished { delivery, status });
-        }
-        self.retired = retired;
     }
 
     /// A resident buddy's idle deadline fired. Touched since it was armed:
@@ -1287,20 +1210,19 @@ impl<C: Channels> Worker<C> {
         let deadline = active.last_event_at + self.hibernate_after;
         if deadline > now {
             self.schedule(user, TimerFire::Idle, deadline.since(now), now);
-        } else if !self.try_hibernate(user, now) {
+        } else if !self.try_hibernate(user) {
             self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
         }
     }
 
-    /// Retires leftovers, then hibernates `user` if idle: the buddy
-    /// leaves memory as a crashed one does, into a `Hibernated` slot. Its
-    /// ids live in its log, so nothing else need be kept.
-    fn try_hibernate(&mut self, user: &UserId, now: SimTime) -> bool {
-        self.retire_user(user, now);
+    /// Hibernates `user` if idle: the buddy leaves memory as a crashed
+    /// one does, into a `Hibernated` slot. Its ids live in its log, so
+    /// nothing else need be kept.
+    fn try_hibernate(&mut self, user: &UserId) -> bool {
         if !matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_idle(&self.log)) {
             return false;
         }
-        self.leave(user, UserSlot::Hibernated, now);
+        self.leave(user, UserSlot::Hibernated);
         self.hibernations += 1;
         if self.telemetry.enabled() {
             self.telemetry.metrics().counter("host.hibernated").incr();
@@ -1338,7 +1260,6 @@ impl<C: Channels> Worker<C> {
                     snap.active += 1;
                     snap.stats.merge(active.mab.stats());
                     snap.in_flight += active.mab.in_flight();
-                    snap.tracked += active.mab.tracked();
                 }
                 UserSlot::Hibernated => snap.hibernated += 1,
                 UserSlot::Fresh => {}
@@ -1373,18 +1294,20 @@ mod tests {
     }
 
     /// Every `gw` alert mentioning "Sensor" goes once to the user's IM
-    /// address, fire-and-forget.
-    fn direct_to_im() -> ConfigFactory {
+    /// address, fire-and-forget; with the address disabled, each delivery
+    /// is exhausted as it starts.
+    fn direct_to_im(enabled: bool) -> ConfigFactory {
         use simba_core::address::{Address, CommType};
         use simba_core::classify::KeywordField;
         use simba_core::mode::{Block, DeliveryMode};
 
-        Arc::new(|user: &UserId| {
+        Arc::new(move |user: &UserId| {
             let mut config = MabConfig::default();
             config.classifier.accept_source("gw", KeywordField::Body, "");
             config.classifier.map_keyword("Sensor", "Home");
             let profile = config.registry.register_user(user.clone());
             profile.address_book.add(Address::new("IM", CommType::Im, format!("im:{user}"))).unwrap();
+            profile.address_book.set_enabled("IM", enabled);
             let direct = vec![Block::fire_and_forget(vec!["IM".into()])];
             profile.define_mode(DeliveryMode::new("Direct", direct).unwrap());
             config.registry.subscribe("Home", user.clone(), "Direct").unwrap();
@@ -1403,9 +1326,10 @@ mod tests {
     /// replays the record and so must write its mark. The record is
     /// seeded behind the worker's back because the host's own startup
     /// replays every seeded record before any test hook could arm the
-    /// fault.
+    /// fault. `factory` builds each user's configuration.
     fn seeded_worker(
         dir: &std::path::Path,
+        factory: ConfigFactory,
     ) -> (Worker<Loopback>, Loopback, Telemetry, mpsc::Receiver<HostNotice>) {
         let _ = std::fs::remove_dir_all(dir);
         let mut log = ShardLog::open(ShardLogConfig::on_disk(dir)).unwrap();
@@ -1420,7 +1344,7 @@ mod tests {
             Arc::default(),
             shared.clone(),
             telemetry.clone(),
-            direct_to_im(),
+            factory,
             notices,
             log,
             &ShardedHostConfig::default(),
@@ -1436,11 +1360,19 @@ mod tests {
 
     /// Alice's batch: her live alert A1 and the replay of A0, whose mark
     /// the commit writes nine bytes of before it fails.
-    fn fail_alices_batch(worker: &mut Worker<Loopback>, staged: &mut Vec<(UserId, MabCommand)>) {
+    fn fail_alices_batch(worker: &mut Worker<Loopback>) {
         worker.log.inject_write_failure(9);
         let alert = MabEvent::AlertByIm(gw_alert("Sensor A1 ON"));
-        worker.route(UserId::new("alice"), alert, SimTime::ZERO, staged);
-        worker.finish_batch(staged, SimTime::ZERO);
+        worker.route(UserId::new("alice"), alert, SimTime::ZERO);
+        worker.finish_batch(SimTime::ZERO);
+    }
+
+    /// Bob's batch: his live alert B1, whose commit succeeds and covers
+    /// alice's failed batch too.
+    fn commit_bobs_batch(worker: &mut Worker<Loopback>) {
+        let alert = MabEvent::AlertByIm(gw_alert("Sensor B1 ON"));
+        worker.route(UserId::new("bob"), alert, SimTime::ZERO);
+        worker.finish_batch(SimTime::ZERO);
     }
 
     /// The bodies sent, sorted.
@@ -1459,7 +1391,7 @@ mod tests {
     #[test]
     fn a_failed_group_commit_releases_nothing_and_loses_nothing() {
         let dir = std::env::temp_dir().join(format!("simba-shard-commitfail-{}", std::process::id()));
-        let (mut worker, shared, telemetry, mut notice_rx) = seeded_worker(&dir);
+        let (mut worker, shared, telemetry, mut notice_rx) = seeded_worker(&dir, direct_to_im(true));
         let acks = |rx: &mut mpsc::Receiver<HostNotice>| {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .filter(|n| matches!(n.notice, RuntimeNotice::AckSent { .. }))
@@ -1467,20 +1399,17 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        let mut staged = Vec::new();
-        fail_alices_batch(&mut worker, &mut staged);
+        fail_alices_batch(&mut worker);
         assert_eq!(telemetry.metrics().snapshot().counter("host.commit_failed"), 1);
         assert_eq!(worker.log.stats().group_commits, 1, "only the seeding commit");
         assert!(sent_bodies(&shared).is_empty(), "no send on top of a failed commit");
         assert!(acks(&mut notice_rx).is_empty(), "no ack either");
 
         // Bob's batch commits, and covers alice's with it.
-        let bob = UserId::new("bob");
-        let alert = MabEvent::AlertByIm(gw_alert("Sensor B1 ON"));
-        worker.route(bob.clone(), alert, SimTime::ZERO, &mut staged);
-        worker.finish_batch(&mut staged, SimTime::ZERO);
+        commit_bobs_batch(&mut worker);
         assert_eq!(worker.log.stats().group_commits, 2);
-        assert_eq!(acks(&mut notice_rx), [UserId::new("alice"), bob], "the live alerts are acked; the replay is not");
+        let live = [UserId::new("alice"), UserId::new("bob")];
+        assert_eq!(acks(&mut notice_rx), live, "the live alerts are acked; the replay is not");
         let bodies = sent_bodies(&shared);
         assert_eq!(bodies.len(), 3, "{bodies:?}");
         for (body, expected) in bodies.iter().zip(["Sensor A0", "Sensor A1", "Sensor B1"]) {
@@ -1499,14 +1428,47 @@ mod tests {
     #[test]
     fn a_stop_releases_what_a_failed_commit_withheld() {
         let dir = std::env::temp_dir().join(format!("simba-shard-stopfail-{}", std::process::id()));
-        let (mut worker, shared, _telemetry, _notice_rx) = seeded_worker(&dir);
-        let mut staged = Vec::new();
-        fail_alices_batch(&mut worker, &mut staged);
-        let snapshot = worker.stop(&mut staged, SimTime::ZERO);
+        let (mut worker, shared, _telemetry, _notice_rx) = seeded_worker(&dir, direct_to_im(true));
+        fail_alices_batch(&mut worker);
+        let snapshot = worker.stop(SimTime::ZERO);
         assert_eq!(snapshot.log.group_commits, 2, "the seeding commit and the stop's");
         let bodies = sent_bodies(&shared);
         assert_eq!(bodies.len(), 2, "{bodies:?}");
         assert!(bodies[0].contains("Sensor A0") && bodies[1].contains("Sensor A1"), "{bodies:?}");
+        drop(worker);
+        assert_eq!(unprocessed_after_reopen(&dir), 0);
+    }
+
+    /// Regression: the end of a delivery was reported by a sweep after the
+    /// commit, whether or not the commit succeeded, so a failed batch
+    /// reported deliveries whose records were not durable — and a crash
+    /// there would report them again after replay. With the IM address
+    /// disabled, each delivery is exhausted in the batch that routes it.
+    #[test]
+    fn a_failed_commit_withholds_its_conclusion_reports() {
+        let dir = std::env::temp_dir().join(format!("simba-shard-finishfail-{}", std::process::id()));
+        let (mut worker, shared, _telemetry, mut notice_rx) = seeded_worker(&dir, direct_to_im(false));
+        let finished = |rx: &mut mpsc::Receiver<HostNotice>| {
+            std::iter::from_fn(|| rx.try_recv().ok())
+                .filter_map(|n| match n.notice {
+                    RuntimeNotice::DeliveryFinished { delivery, .. } => Some((n.user, delivery)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+
+        fail_alices_batch(&mut worker);
+        assert_eq!(finished(&mut notice_rx), [], "nothing concluded on top of a failed commit");
+        assert_eq!(worker.shard_snapshot().exhausted, 0);
+
+        commit_bobs_batch(&mut worker);
+        let reported = finished(&mut notice_rx);
+        assert_eq!(reported.len(), 3, "A0's replay, A1 and B1: {reported:?}");
+        let users: Vec<&str> = reported.iter().map(|(user, _)| &*user.0).collect();
+        assert_eq!(users, ["alice", "alice", "bob"]);
+        assert_eq!(worker.shard_snapshot().exhausted, 3);
+        assert_eq!(worker.shard_snapshot().in_flight, 0);
+        assert!(sent_bodies(&shared).is_empty());
         drop(worker);
         assert_eq!(unprocessed_after_reopen(&dir), 0);
     }

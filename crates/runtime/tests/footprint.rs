@@ -27,7 +27,7 @@ impl Channels for Null {
 const USERS: [usize; 2] = [500, 2_000];
 
 /// What hibernating every user leaves on the heap once its roster is
-/// registered: the worker's own scratch, a fixed ≈ 2.9 KiB. A parked
+/// registered: the worker's own scratch, a fixed ≈ 2.7 KiB. A parked
 /// user is its roster slot and nothing else, so this holds at both sizes;
 /// a cost of even 1 B per parked user breaks it at the larger.
 const PARKED_FIXED: isize = 4_096;
@@ -62,7 +62,7 @@ fn measure(users: usize) -> (isize, isize) {
         // Once more: a snapshot can share its batch with the alert before
         // it, whose send runs (and delivery retires) when the batch ends.
         let snap = host.snapshot().await;
-        assert_eq!((snap.active, snap.tracked), (users.len(), 0));
+        assert_eq!((snap.active, snap.in_flight), (users.len(), 0));
         assert_eq!(snap.stats.deliveries_started, users.len() as u64);
         while notices.try_recv().is_ok() {}
         let per_buddy = (heap().0 - registered) / users.len() as isize;

@@ -38,13 +38,6 @@ impl<W, E> Engine<W, E> {
         }
     }
 
-    /// Replaces the trace (e.g. with [`Trace::disabled`] for benchmarks).
-    #[must_use]
-    pub fn with_trace(mut self, trace: Trace) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Caps the total number of events processed across all runs; the engine
     /// stops silently when the cap is reached. A guard against runaway
     /// self-rescheduling loops in experiment code.
@@ -72,11 +65,6 @@ impl<W, E> Engine<W, E> {
     /// The trace accumulated so far.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Mutable trace access (for recording setup markers).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The engine's root random stream.

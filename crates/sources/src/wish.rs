@@ -248,11 +248,6 @@ impl WishServer {
         &self.source_id
     }
 
-    /// The AP table.
-    pub fn access_points(&self) -> &[AccessPoint] {
-        &self.aps
-    }
-
     /// The propagation model.
     pub fn model(&self) -> &RadioModel {
         &self.model

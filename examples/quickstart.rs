@@ -82,6 +82,7 @@ fn main() {
                 println!("  → start {after} ack timer");
             }
             MabCommand::Rejuvenate(t) => println!("  → rejuvenate ({t})"),
+            MabCommand::Finished { status, .. } => println!("  → finished: {status:?}"),
         }
     }
 

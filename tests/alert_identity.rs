@@ -161,28 +161,26 @@ impl Issued {
     }
 }
 
-/// Acks every send in `cmds` and retires the finished deliveries, so the
-/// buddy holds nothing in flight.
+/// Acks every send in `cmds` and retires each delivery as its `Finished`
+/// comes back, as a host does, so the buddy holds nothing.
 fn settle(buddy: &mut MyAlertBuddy, log: &mut ShardLog, cmds: &[MabCommand], now: SimTime) {
     for cmd in cmds {
-        if let MabCommand::Channel {
-            delivery,
-            command: DeliveryCommand::Send { attempt, .. },
-            ..
-        } = cmd
-        {
-            let event = DeliveryEvent::Acked { attempt: *attempt };
-            buddy.handle(
-                log,
-                MabEvent::Delivery {
-                    id: *delivery,
-                    event,
-                },
-                now,
-            );
+        match cmd {
+            MabCommand::Channel {
+                delivery,
+                command: DeliveryCommand::Send { attempt, .. },
+                ..
+            } => {
+                let event = DeliveryEvent::Acked { attempt: *attempt };
+                let done = buddy.handle(log, MabEvent::Delivery { id: *delivery, event }, now);
+                settle(buddy, log, &done, now);
+            }
+            MabCommand::Finished { delivery, .. } => {
+                buddy.retire(*delivery, now);
+            }
+            _ => {}
         }
     }
-    buddy.retire_terminal(now, &mut Vec::new());
 }
 
 fn check_identity(steps: &[(Step, u64)]) {
