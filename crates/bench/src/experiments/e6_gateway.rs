@@ -27,7 +27,7 @@ use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::MabConfig;
 use simba_gateway::proto::WireChannel;
 use simba_gateway::{
-    intake, pump_into_sharded_host, ClientConfig, GatewayClient, GatewayConfig, GatewayServer,
+    intake, pump_into_sharded_host, GatewayClient, GatewayConfig, GatewayServer,
     RateLimit, SubmitResult,
 };
 use simba_runtime::{
@@ -173,7 +173,7 @@ pub fn measure(opts: GatewayBenchOptions) -> GatewayNumbers {
             let alerts = opts.alerts_per_conn;
             let drop_every = opts.drop_every;
             std::thread::spawn(move || {
-                let mut client = GatewayClient::connect(addr.to_string(), ClientConfig::default())
+                let mut client = GatewayClient::connect(addr.to_string())
                     .expect("loadgen connects");
                 let mut ledger = ConnLedger::default();
                 for i in 0..alerts {

@@ -24,12 +24,22 @@
 //!   (list, add/replace, delete) and dry-run an alert against them to see
 //!   which rule would fire and what the engine would decide.
 //!
-//! All command logic lives here (testable); `main.rs` is a thin shim.
+//! Each subcommand is a module holding its code and its tests, and each
+//! declares its flags to the one parser in `flags`; `main.rs` is a thin
+//! shim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod commands;
+mod explain;
+mod flags;
+mod gateway;
+mod ledger;
+mod rules;
+mod store;
+mod telemetry;
+mod validate;
+mod wal;
 
 use std::fmt::Write as _;
 
@@ -104,41 +114,60 @@ user acknowledges (default: nothing is acknowledged, so every ack window
 expires).
 ";
 
+/// What a subcommand returns: `Err` is an early exit (a usage or user
+/// error), which [`run`] reports like any other outcome.
+type Done = Result<Outcome, Outcome>;
+
 /// Dispatches a command line (without the program name).
 pub fn run(args: &[String]) -> Outcome {
     let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        None | Some("help" | "--help" | "-h") => Outcome::ok(USAGE),
-        Some("validate") => commands::validate(&args[1..]),
-        Some("explain") => commands::explain(&args[1..]),
-        Some("wal") => commands::wal(&args[1..]),
-        Some("gateway") => commands::gateway(&args[1..]),
-        Some("store") => commands::store(&args[1..]),
-        Some("telemetry") => commands::telemetry(&args[1..]),
-        Some("ledger") => commands::ledger(&args[1..]),
-        Some("rules") => commands::rules(&args[1..]),
-        Some(other) => Outcome::usage(&format!("unknown command {other:?}")),
-    }
+    let done = match it.next() {
+        None | Some("help" | "--help" | "-h") => Ok(Outcome::ok(USAGE)),
+        Some("validate") => validate::validate(&args[1..]),
+        Some("explain") => explain::explain(&args[1..]),
+        Some("wal") => wal::wal(&args[1..]),
+        Some("gateway") => gateway::gateway(&args[1..]),
+        Some("store") => store::store(&args[1..]),
+        Some("telemetry") => telemetry::telemetry(&args[1..]),
+        Some("ledger") => ledger::ledger(&args[1..]),
+        Some("rules") => rules::rules(&args[1..]),
+        Some(other) => Err(Outcome::usage(&format!("unknown command {other:?}"))),
+    };
+    done.unwrap_or_else(|early| early)
+}
+
+fn read_file(path: &str) -> Result<String, Outcome> {
+    std::fs::read_to_string(path)
+        .map_err(|e| Outcome::error(format!("cannot read {path}: {e}\n")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
+    pub(crate) fn strings(s: &[&str]) -> Vec<String> {
         s.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Writes `content` to a file in this process's own temp directory.
+    pub(crate) fn tmp(name: &str, content: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("simba-cli-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, content).unwrap();
+        path.to_string_lossy().into_owned()
     }
 
     #[test]
     fn help_paths() {
         assert_eq!(run(&[]).code, 0);
-        assert_eq!(run(&args(&["help"])).code, 0);
-        assert!(run(&args(&["--help"])).output.contains("USAGE"));
+        assert_eq!(run(&strings(&["help"])).code, 0);
+        assert!(run(&strings(&["--help"])).output.contains("USAGE"));
     }
 
     #[test]
     fn unknown_command_is_usage_error() {
-        let out = run(&args(&["frobnicate"]));
+        let out = run(&strings(&["frobnicate"]));
         assert_eq!(out.code, 2);
         assert!(out.output.contains("unknown command"));
     }

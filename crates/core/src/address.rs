@@ -213,6 +213,11 @@ impl AddressBook {
     /// </Addresses>
     /// ```
     pub fn to_xml(&self) -> String {
+        self.to_element().to_xml_pretty()
+    }
+
+    /// The `<Addresses>` element [`AddressBook::to_xml`] renders.
+    pub fn to_element(&self) -> Element {
         let mut root = Element::new("Addresses");
         for a in &self.addresses {
             root = root.with_child(
@@ -223,17 +228,25 @@ impl AddressBook {
                     .with_attr("enabled", if a.enabled { "true" } else { "false" }),
             );
         }
-        root.to_xml_pretty()
+        root
     }
 
     /// Parses the §4.1 XML document shape.
     ///
     /// # Errors
     ///
-    /// Fails on malformed XML, a wrong root element, missing attributes,
-    /// unknown communication types, or duplicate friendly names.
+    /// Fails on malformed XML, or as [`AddressBook::from_element`] does.
     pub fn from_xml(xml: &str) -> Result<Self, AddressBookError> {
-        let root = simba_xml::parse(xml)?;
+        Self::from_element(&simba_xml::parse(xml)?)
+    }
+
+    /// Reads an `<Addresses>` element.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a wrong element name, missing attributes, unknown
+    /// communication types, or duplicate friendly names.
+    pub fn from_element(root: &Element) -> Result<Self, AddressBookError> {
         if root.name != "Addresses" {
             return Err(AddressBookError::Structure(format!(
                 "expected <Addresses> root, found <{}>",

@@ -261,16 +261,8 @@ impl MyAlertBuddy {
     }
 
     /// Consults `selector` for live presence/health facts when starting a
-    /// delivery (builder style). Without one, the static profile always
-    /// wins — exactly the behaviour when every fact has expired.
-    #[must_use]
-    pub fn with_mode_selector(mut self, selector: Box<dyn crate::routing::ModeSelector>) -> Self {
-        self.mode_selector = Some(selector);
-        self
-    }
-
-    /// Consults `selector` for live presence/health facts when starting a
-    /// delivery.
+    /// delivery. Without one, the static profile always wins — exactly the
+    /// behaviour when every fact has expired.
     pub fn set_mode_selector(&mut self, selector: Box<dyn crate::routing::ModeSelector>) {
         self.mode_selector = Some(selector);
     }
@@ -814,12 +806,11 @@ mod tests {
     #[test]
     fn away_presence_overrides_mode_to_skip_im() {
         let mut log = ShardLog::in_memory();
-        let mut m = mab().with_mode_selector(Box::new(FixedSelector(
-            crate::routing::RoutingContext {
-                presence: Some(crate::routing::PresenceHint::Away),
-                ..Default::default()
-            },
-        )));
+        let mut m = mab();
+        m.set_mode_selector(Box::new(FixedSelector(crate::routing::RoutingContext {
+            presence: Some(crate::routing::PresenceHint::Away),
+            ..Default::default()
+        })));
         let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // The static profile's first block (IM) is skipped: the first (and
         // only) send goes straight to email.
@@ -838,9 +829,8 @@ mod tests {
     #[test]
     fn empty_context_keeps_static_profile() {
         let mut log = ShardLog::in_memory();
-        let mut m = mab().with_mode_selector(Box::new(FixedSelector(
-            crate::routing::RoutingContext::default(),
-        )));
+        let mut m = mab();
+        m.set_mode_selector(Box::new(FixedSelector(crate::routing::RoutingContext::default())));
         let cmds = m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         // No live facts: the static IM-first profile is used untouched.
         assert!(cmds.iter().any(|c| matches!(

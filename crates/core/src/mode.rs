@@ -128,15 +128,15 @@ impl DeliveryMode {
         email_address: impl Into<String>,
         ack_timeout: SimDuration,
     ) -> Self {
-        DeliveryMode::new(
-            name,
-            vec![
+        // Two blocks of one action each: valid by construction, so the
+        // fallible `DeliveryMode::new` has nothing to check.
+        DeliveryMode {
+            name: name.into(),
+            blocks: vec![
                 Block::acked(vec![im_address.into()], ack_timeout),
                 Block::fire_and_forget(vec![email_address.into()]),
             ],
-        )
-        // simba-analyze: allow(hygiene.unwrap): the two-block vec above is statically non-empty
-        .expect("statically non-empty")
+        }
     }
 
     /// The ordered blocks.
@@ -167,6 +167,11 @@ impl DeliveryMode {
     /// </DeliveryMode>
     /// ```
     pub fn to_xml(&self) -> String {
+        self.to_element().to_xml_pretty()
+    }
+
+    /// The `<DeliveryMode>` element [`DeliveryMode::to_xml`] renders.
+    pub fn to_element(&self) -> Element {
         let mut root = Element::new("DeliveryMode").with_attr("name", self.name.clone());
         for b in &self.blocks {
             let mut block = Element::new("Block");
@@ -178,18 +183,26 @@ impl DeliveryMode {
             }
             root = root.with_child(block);
         }
-        root.to_xml_pretty()
+        root
     }
 
     /// Parses the Figure 4 XML shape.
     ///
     /// # Errors
     ///
-    /// Fails on malformed XML, a wrong root element, a missing mode name,
-    /// an action without an address, a non-numeric/zero ack timeout, or a
-    /// structurally empty mode/block.
+    /// Fails on malformed XML, or as [`DeliveryMode::from_element`] does.
     pub fn from_xml(xml: &str) -> Result<Self, ModeError> {
-        let root = simba_xml::parse(xml)?;
+        Self::from_element(&simba_xml::parse(xml)?)
+    }
+
+    /// Reads a `<DeliveryMode>` element.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a wrong element name, a missing mode name, an action
+    /// without an address, a non-numeric/zero ack timeout, or a
+    /// structurally empty mode/block.
+    pub fn from_element(root: &Element) -> Result<Self, ModeError> {
         if root.name != "DeliveryMode" {
             return Err(ModeError::Structure(format!(
                 "expected <DeliveryMode> root, found <{}>",

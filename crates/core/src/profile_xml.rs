@@ -88,16 +88,10 @@ pub fn registry_to_xml(registry: &SubscriptionRegistry) -> String {
     for (user, profile) in registry.users() {
         let mut user_el = Element::new("User").with_attr("id", &*user.0);
 
-        // Inline the address book (reparse of its own document shape).
-        // simba-analyze: allow(hygiene.unwrap): reparsing our own serializer's output; a failure is a codec bug the roundtrip tests catch
-        let book_doc = simba_xml::parse(&profile.address_book.to_xml()).expect("own XML parses");
-        user_el = user_el.with_child(book_doc);
-
+        user_el = user_el.with_child(profile.address_book.to_element());
         for name in profile.mode_names().collect::<Vec<_>>() {
             let Some(mode) = profile.mode(name) else { continue };
-            // simba-analyze: allow(hygiene.unwrap): reparsing our own serializer's output; a failure is a codec bug the roundtrip tests catch
-            let mode_doc = simba_xml::parse(&mode.to_xml()).expect("own XML parses");
-            user_el = user_el.with_child(mode_doc);
+            user_el = user_el.with_child(mode.to_element());
         }
 
         if let Some(subs) = subs_by_user.get(user) {
@@ -142,11 +136,10 @@ pub fn registry_from_xml(xml: &str) -> Result<SubscriptionRegistry, RegistryXmlE
         let user = UserId::new(id);
         let profile = registry.register_user(user.clone());
         if let Some(book_el) = user_el.child("Addresses") {
-            profile.address_book = AddressBook::from_xml(&book_el.to_xml())?;
+            profile.address_book = AddressBook::from_element(book_el)?;
         }
         for mode_el in user_el.children_named("DeliveryMode") {
-            let mode = DeliveryMode::from_xml(&mode_el.to_xml())?;
-            profile.define_mode(mode);
+            profile.define_mode(DeliveryMode::from_element(mode_el)?);
         }
     }
     // Second pass: subscriptions (need users/modes in place).

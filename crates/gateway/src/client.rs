@@ -22,26 +22,10 @@ use std::time::Duration;
 /// Read/write timeout for a single request/response exchange.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Client tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Connection (and per-request resend) attempts before giving up.
-    pub max_attempts: u32,
-    /// Pause between attempts.
-    pub retry_backoff: Duration,
-    /// Largest reply payload accepted.
-    pub max_payload: u32,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            max_attempts: 4,
-            retry_backoff: Duration::from_millis(25),
-            max_payload: proto::DEFAULT_MAX_PAYLOAD,
-        }
-    }
-}
+/// Connection (and per-request resend) attempts before giving up.
+const MAX_ATTEMPTS: u32 = 4;
+/// Pause between attempts.
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Why a client call failed for good (after its bounded retries).
 #[derive(Debug)]
@@ -119,7 +103,6 @@ pub struct StateFact {
 #[derive(Debug)]
 pub struct GatewayClient {
     addr: String,
-    config: ClientConfig,
     stream: Option<TcpStream>,
     seq: u64,
     /// Reconnections performed so far (visible for loadgen accounting).
@@ -128,10 +111,9 @@ pub struct GatewayClient {
 
 impl GatewayClient {
     /// Creates the client and eagerly dials `addr` (with bounded retry).
-    pub fn connect(addr: impl Into<String>, config: ClientConfig) -> Result<Self, ClientError> {
+    pub fn connect(addr: impl Into<String>) -> Result<Self, ClientError> {
         let mut client = GatewayClient {
             addr: addr.into(),
-            config,
             stream: None,
             seq: 0,
             reconnects: 0,
@@ -284,40 +266,41 @@ impl GatewayClient {
     }
 
     fn ensure_connected(&mut self) -> Result<&mut TcpStream, ClientError> {
-        if self.stream.is_none() {
-            let mut last_err = None;
-            for attempt in 0..self.config.max_attempts.max(1) {
-                if attempt > 0 {
-                    std::thread::sleep(self.config.retry_backoff);
+        match self.stream {
+            Some(ref mut stream) => Ok(stream),
+            None => {
+                let stream = self.dial()?;
+                if self.seq > 0 {
+                    self.reconnects += 1;
                 }
-                match TcpStream::connect(&self.addr) {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                        if self.seq > 0 {
-                            self.reconnects += 1;
-                        }
-                        self.stream = Some(stream);
-                        last_err = None;
-                        break;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if let Some(e) = last_err {
-                return Err(ClientError::Connect(e));
+                Ok(self.stream.insert(stream))
             }
         }
-        // Reachable with `stream == None` only when the address list is
-        // empty — surface that as an error instead of panicking.
-        self.stream
-            .as_mut()
-            .ok_or(ClientError::Protocol("no gateway addresses configured"))
+    }
+
+    /// Dials the gateway, up to [`MAX_ATTEMPTS`] times [`RETRY_BACKOFF`]
+    /// apart.
+    fn dial(&self) -> Result<TcpStream, ClientError> {
+        let mut attempt = 1;
+        loop {
+            match TcpStream::connect(&self.addr) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                    return Ok(stream);
+                }
+                Err(e) if attempt == MAX_ATTEMPTS => return Err(ClientError::Connect(e)),
+                Err(_) => {
+                    attempt += 1;
+                    std::thread::sleep(RETRY_BACKOFF);
+                }
+            }
+        }
     }
 
     /// One request/response exchange, retrying across reconnects on
-    /// connection-level failures (bounded by `max_attempts`). Permanent
+    /// connection-level failures (bounded by [`MAX_ATTEMPTS`]). Permanent
     /// nacks (`Unsupported`, `Rejected`) are classified here, centrally,
     /// so *no* request path ever retries or resends one — they surface
     /// as typed errors tagged with `what`.
@@ -327,8 +310,8 @@ impl GatewayClient {
         what: &'static str,
     ) -> Result<Frame, ClientError> {
         let bytes = proto::encode_to_vec(request);
-        let mut last_err = ClientError::Protocol("no attempts configured");
-        for _ in 0..self.config.max_attempts.max(1) {
+        let mut attempt = 1;
+        loop {
             match self.exchange_once(&bytes) {
                 Ok(Frame::Nack { reason: NackReason::Unsupported, .. }) => {
                     return Err(ClientError::Unsupported(what));
@@ -344,20 +327,21 @@ impl GatewayClient {
                 }
                 Err(err) => {
                     self.stream = None;
-                    last_err = err;
+                    if attempt == MAX_ATTEMPTS {
+                        return Err(err);
+                    }
+                    attempt += 1;
                 }
             }
         }
-        Err(last_err)
     }
 
     fn exchange_once(&mut self, request_bytes: &[u8]) -> Result<Frame, ClientError> {
-        let max_payload = self.config.max_payload;
         let stream = self.ensure_connected()?;
         stream.write_all(request_bytes).map_err(ClientError::Io)?;
         let mut header_buf = [0u8; HEADER_LEN];
         stream.read_exact(&mut header_buf).map_err(ClientError::Io)?;
-        let header = Header::parse(&header_buf, max_payload).map_err(ClientError::Frame)?;
+        let header = Header::parse(&header_buf, proto::DEFAULT_MAX_PAYLOAD).map_err(ClientError::Frame)?;
         let mut payload = vec![0u8; header.payload_len as usize];
         stream.read_exact(&mut payload).map_err(ClientError::Io)?;
         proto::decode_payload(&header, &payload).map_err(ClientError::Frame)

@@ -43,6 +43,6 @@ pub use bridge::{
     intake, pump_into_sharded_host, IntakeReceiver, IntakeSender, PumpReport,
     Submission,
 };
-pub use client::{ClientConfig, ClientError, GatewayClient, StateFact, SubmitResult};
+pub use client::{ClientError, GatewayClient, StateFact, SubmitResult};
 pub use proto::{Frame, FrameError, NackReason, ProbeStats, WireChannel, WireRule};
 pub use server::{GatewayConfig, GatewayServer};

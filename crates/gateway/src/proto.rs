@@ -15,8 +15,9 @@
 //! Integers are little-endian; strings are a `u16` length followed by
 //! UTF-8 bytes. The magic makes a client that dials the wrong port fail
 //! fast, the version byte leaves room to evolve the frame set, and the
-//! length prefix bounds how much a decoder ever buffers (the server caps
-//! it further via [`crate::GatewayConfig::max_payload`]).
+//! length prefix bounds how much a decoder ever buffers (the server and
+//! the client refuse any frame whose header announces more than
+//! [`DEFAULT_MAX_PAYLOAD`]).
 
 use std::fmt;
 
@@ -26,7 +27,7 @@ pub const MAGIC: [u8; 4] = *b"SMBA";
 pub const VERSION: u8 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 14;
-/// Default cap on payload size (64 KiB) — protects the decoder's buffer.
+/// Cap on payload size (64 KiB) — protects the decoder's buffer.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 64 * 1024;
 
 /// CRC-32 (IEEE 802.3) — the workspace's one table, the journal's.

@@ -30,7 +30,8 @@
 use crate::admission::{RateLimit, TokenBuckets};
 use crate::bridge::{IntakeSender, Submission};
 use crate::proto::{
-    self, Frame, FrameError, Header, NackReason, ProbeStats, SubmitRef, WireRule, HEADER_LEN,
+    self, Frame, FrameError, Header, NackReason, ProbeStats, SubmitRef, WireRule, DEFAULT_MAX_PAYLOAD,
+    HEADER_LEN,
 };
 use crate::rulewire;
 use simba_core::subscription::UserId;
@@ -52,6 +53,8 @@ use std::time::{Duration, Instant};
 /// After a read that held two or more frames, a worker reads that
 /// connection again only this long after the read returned.
 const CONN_TICK: Duration = Duration::from_millis(1);
+/// How often a blocked read wakes to check idleness and shutdown.
+const READ_POLL: Duration = Duration::from_millis(25);
 /// A connection's read buffer; it grows only for a frame longer than this.
 const READ_BUF: usize = 64 * 1024;
 /// Accepted-socket hand-off queue length; beyond it, connections are
@@ -76,10 +79,6 @@ pub struct GatewayConfig {
     /// (the slow-loris guard; also reaps idle-but-healthy connections,
     /// which clients transparently survive by reconnecting).
     pub idle_timeout: Duration,
-    /// How often a blocked read wakes to check idleness and shutdown.
-    pub read_poll: Duration,
-    /// Largest accepted frame payload.
-    pub max_payload: u32,
     /// When set, submissions for users outside this set are nacked
     /// `UnknownUser` at the gate instead of bouncing off the host.
     pub known_users: Option<BTreeSet<String>>,
@@ -93,8 +92,6 @@ impl Default for GatewayConfig {
             per_conn_inflight: 256,
             rate_limit: None,
             idle_timeout: Duration::from_secs(5),
-            read_poll: Duration::from_millis(25),
-            max_payload: proto::DEFAULT_MAX_PAYLOAD,
             known_users: None,
         }
     }
@@ -352,12 +349,12 @@ fn worker_loop(shared: &Shared, socket_rx: &Arc<Mutex<Receiver<TcpStream>>>) {
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     shared.counters.conn_opened.incr();
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_poll));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     // A peer that stops *reading* must not pin the worker either.
     let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
 
     let slot = Arc::new(AtomicUsize::new(0));
-    let max_frame = HEADER_LEN + shared.config.max_payload as usize;
+    let max_frame = HEADER_LEN + DEFAULT_MAX_PAYLOAD as usize;
     // `inbuf[..filled]` is read but not yet answered: at most the start of
     // one frame between turns. Zeroed only when it grows.
     let mut inbuf = vec![0u8; READ_BUF];
@@ -372,7 +369,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         }
         if filled == inbuf.len() {
             // The frame at the front is longer than the buffer; its header
-            // passed `max_payload`, so `max_frame` holds it.
+            // passed `DEFAULT_MAX_PAYLOAD`, so `max_frame` holds it.
             inbuf.resize((2 * filled).min(max_frame), 0);
         }
         match stream.read(&mut inbuf[filled..]) {
@@ -431,8 +428,7 @@ fn answer_all(
     replies: &mut Vec<u8>,
 ) -> Result<(usize, usize), FrameError> {
     let (mut used, mut frames) = (0, 0);
-    let max_payload = shared.config.max_payload;
-    while let Some((header, payload)) = proto::split_frame(&buf[used..], max_payload)? {
+    while let Some((header, payload)) = proto::split_frame(&buf[used..], DEFAULT_MAX_PAYLOAD)? {
         proto::encode(&answer(shared, slot, &header, payload)?, replies);
         used += HEADER_LEN + payload.len();
         frames += 1;

@@ -12,7 +12,7 @@ use simba_core::subscription::UserId;
 use simba_core::Telemetry;
 use simba_gateway::proto::{self, Frame, NackReason, WireChannel, WireRule};
 use simba_gateway::{
-    intake, pump_into_sharded_host, ClientConfig, ClientError, GatewayClient, GatewayConfig,
+    intake, pump_into_sharded_host, ClientError, GatewayClient, GatewayConfig,
     GatewayServer, RateLimit, Submission, SubmitResult,
 };
 use simba_rules::{RuleEngine, RulesConfig, SharedRuleEngine};
@@ -43,7 +43,7 @@ fn submissions_flow_through_tcp_into_the_host() {
         .map(|name| {
             std::thread::spawn(move || {
                 let mut client =
-                    GatewayClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
+                    GatewayClient::connect(addr.to_string()).unwrap();
                 let mut accepted = 0u64;
                 for i in 0..40 {
                     let result = client
@@ -220,7 +220,6 @@ fn slow_loris_does_not_starve_other_connections() {
     let config = GatewayConfig {
         workers: 2,
         idle_timeout: Duration::from_millis(200),
-        read_poll: Duration::from_millis(10),
         ..GatewayConfig::default()
     };
     let server = GatewayServer::bind(config, intake_tx, telemetry.clone()).unwrap();
@@ -232,7 +231,7 @@ fn slow_loris_does_not_starve_other_connections() {
     loris.write_all(partial).unwrap();
 
     // A healthy client keeps getting served the whole time.
-    let mut client = GatewayClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
+    let mut client = GatewayClient::connect(addr.to_string()).unwrap();
     for i in 0..20 {
         let result =
             client.submit(WireChannel::Im, "alice", "gw-src", &format!("Sensor {i} ON")).unwrap();
@@ -249,7 +248,7 @@ fn slow_loris_does_not_starve_other_connections() {
         assert!(Instant::now() < deadline, "idle connection was never reaped");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let mut second = GatewayClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
+    let mut second = GatewayClient::connect(addr.to_string()).unwrap();
     let stats = second.probe().unwrap();
     assert_eq!(stats.accepted, 20);
 
@@ -275,7 +274,7 @@ fn full_intake_queue_sheds_with_retry_after() {
     let server =
         GatewayServer::bind(GatewayConfig::default(), intake_tx, telemetry.clone()).unwrap();
     let mut client =
-        GatewayClient::connect(server.local_addr().to_string(), ClientConfig::default()).unwrap();
+        GatewayClient::connect(server.local_addr().to_string()).unwrap();
 
     assert_eq!(
         client.submit(WireChannel::Im, "alice", "gw-src", "Sensor ON").unwrap(),
@@ -306,7 +305,7 @@ fn unknown_users_and_rate_limits_are_nacked() {
     };
     let server = GatewayServer::bind(config, intake_tx, telemetry.clone()).unwrap();
     let mut client =
-        GatewayClient::connect(server.local_addr().to_string(), ClientConfig::default()).unwrap();
+        GatewayClient::connect(server.local_addr().to_string()).unwrap();
 
     match client.submit(WireChannel::Im, "mallory", "gw-src", "Sensor ON").unwrap() {
         SubmitResult::Rejected { reason: NackReason::UnknownUser, .. } => {}
@@ -393,7 +392,7 @@ fn a_stop_and_wait_client_is_never_paced() {
     let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
     let client = std::thread::spawn(move || {
         ready_rx.recv().unwrap();
-        let mut client = GatewayClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
+        let mut client = GatewayClient::connect(addr.to_string()).unwrap();
         let started = Instant::now();
         for i in 0..500 {
             let result =
@@ -488,21 +487,17 @@ fn frames_ahead_of_a_corrupt_one_are_acked_before_the_nack() {
     assert_eq!((snap.counter("gateway.accepted"), snap.counter("gateway.decode_err")), (5, 1));
 }
 
-/// A header announcing more than `max_payload` is refused on sight: the
+/// A header announcing more than `DEFAULT_MAX_PAYLOAD` is refused on sight: the
 /// nack comes back with none of the payload sent, long before the idle
 /// timeout that a gateway waiting for that payload would hit.
 #[test]
 fn an_oversized_header_is_refused_before_its_payload_arrives() {
     let telemetry = telemetry();
     let (intake_tx, _intake_rx) = intake(16);
-    let config = GatewayConfig {
-        max_payload: 1024,
-        idle_timeout: Duration::from_secs(30),
-        ..GatewayConfig::default()
-    };
+    let config = GatewayConfig { idle_timeout: Duration::from_secs(30), ..GatewayConfig::default() };
     let server = GatewayServer::bind(config, intake_tx, telemetry.clone()).unwrap();
     let mut header = submit_frame(1)[..proto::HEADER_LEN].to_vec();
-    header[6..10].copy_from_slice(&1025u32.to_le_bytes());
+    header[6..10].copy_from_slice(&(proto::DEFAULT_MAX_PAYLOAD + 1).to_le_bytes());
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     let started = Instant::now();
@@ -524,7 +519,7 @@ fn client_reconnects_after_a_dropped_connection() {
     let server =
         GatewayServer::bind(GatewayConfig::default(), intake_tx, telemetry.clone()).unwrap();
     let mut client =
-        GatewayClient::connect(server.local_addr().to_string(), ClientConfig::default()).unwrap();
+        GatewayClient::connect(server.local_addr().to_string()).unwrap();
 
     assert_eq!(
         client.submit(WireChannel::Im, "alice", "gw-src", "Sensor ON").unwrap(),
@@ -557,7 +552,7 @@ fn state_facts_round_trip_over_tcp() {
     )
     .unwrap();
     let mut client =
-        GatewayClient::connect(server.local_addr().to_string(), ClientConfig::default()).unwrap();
+        GatewayClient::connect(server.local_addr().to_string()).unwrap();
 
     assert_eq!(
         client.state_put("presence", "alice", "away", 60_000, "wish").unwrap(),
@@ -602,15 +597,7 @@ fn unsupported_nack_is_permanent_and_never_retried() {
     let (intake_tx, _intake_rx) = intake(256);
     let server =
         GatewayServer::bind(GatewayConfig::default(), intake_tx, telemetry.clone()).unwrap();
-    // A long backoff so any accidental retry loop makes the test
-    // visibly slow and the elapsed-time assertion below fail.
-    let config = ClientConfig {
-        max_attempts: 4,
-        retry_backoff: Duration::from_millis(400),
-        ..ClientConfig::default()
-    };
-    let mut client =
-        GatewayClient::connect(server.local_addr().to_string(), config).unwrap();
+    let mut client = GatewayClient::connect(server.local_addr().to_string()).unwrap();
 
     let started = Instant::now();
     for _ in 0..2 {
@@ -631,8 +618,10 @@ fn unsupported_nack_is_permanent_and_never_retried() {
         assert!(matches!(list, Err(ClientError::Unsupported(_))), "rule_list: {list:?}");
         assert!(list.unwrap_err().is_permanent());
     }
+    // Ten requests that each went through the client's three 25 ms
+    // retry backoffs would take 750 ms; a permanent nack fails at once.
     assert!(
-        started.elapsed() < Duration::from_millis(400),
+        started.elapsed() < Duration::from_millis(250),
         "a permanent nack must fail fast, not loop through the retry backoff"
     );
     assert_eq!(client.reconnects, 0, "permanent nacks must not trigger reconnects");
@@ -656,7 +645,7 @@ fn rule_frames_manage_the_engine_over_tcp() {
     )
     .unwrap();
     let mut client =
-        GatewayClient::connect(server.local_addr().to_string(), ClientConfig::default()).unwrap();
+        GatewayClient::connect(server.local_addr().to_string()).unwrap();
 
     // Create: id 0 asks the engine to assign one.
     let rule = WireRule {

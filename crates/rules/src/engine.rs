@@ -33,31 +33,23 @@ use crate::predicate::AlertView;
 use crate::rule::{default_correlation_key, expand_template, AlertRule, RuleAction, RuleSpec};
 
 /// Engine construction knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RulesConfig {
     /// Where the rules live (see [`RulesLogConfig`]).
     pub log: RulesLogConfig,
-    /// How long a dedupe-template key suppresses repeats, in ms: a repeat
-    /// at exactly this long after the key was first seen is still
-    /// suppressed (the [`Horizon`] boundary).
-    pub dedupe_window_ms: u64,
-    /// Per-user bound on open digest windows; alerts that would open one
-    /// beyond the bound deliver directly instead (never silently drop).
-    pub max_pending_digests_per_user: usize,
 }
+
+/// How long a dedupe-template key suppresses repeats: a repeat at exactly
+/// this long after the key was first seen is still suppressed (the
+/// [`Horizon`] boundary).
+const DEDUPE_WINDOW: SimDuration = SimDuration::from_secs(60);
 
 /// Per-user bound on remembered dedupe keys (oldest evicted first).
 const MAX_DEDUPE_KEYS_PER_USER: usize = 128;
 
-impl Default for RulesConfig {
-    fn default() -> Self {
-        RulesConfig {
-            log: RulesLogConfig::default(),
-            dedupe_window_ms: 60_000,
-            max_pending_digests_per_user: 32,
-        }
-    }
-}
+/// Per-user bound on open digest windows; alerts that would open one
+/// beyond the bound deliver directly instead (never silently drop).
+const MAX_PENDING_DIGESTS_PER_USER: usize = 32;
 
 impl RulesConfig {
     /// An in-memory engine (tests, benches, simulation).
@@ -67,7 +59,7 @@ impl RulesConfig {
 
     /// A file-backed engine persisting rules under `dir`.
     pub fn on_disk(dir: impl Into<std::path::PathBuf>) -> Self {
-        RulesConfig { log: RulesLogConfig::on_disk(dir), ..RulesConfig::default() }
+        RulesConfig { log: RulesLogConfig::on_disk(dir) }
     }
 }
 
@@ -236,13 +228,6 @@ struct Inner {
     index: HashMap<String, UserIndex>,
 }
 
-/// The per-user bounds every [`Correlator`] of one engine enforces.
-#[derive(Debug, Clone, Copy)]
-struct Bounds {
-    dedupe_window: SimDuration,
-    max_pending_per_user: usize,
-}
-
 /// Correlation state for the users one owner evaluates: open digest
 /// windows and recently seen dedupe keys. It is not synchronized. Each
 /// owner holds its own (a host's shard worker, or the engine itself for
@@ -250,7 +235,6 @@ struct Bounds {
 #[derive(Debug)]
 pub struct Correlator {
     telemetry: Telemetry,
-    bounds: Bounds,
     /// Open digest windows, user → correlation key → window. Nesting by
     /// user means a custom key template without `{user}` can never
     /// collide two users into one window (which would leak one user's
@@ -265,9 +249,9 @@ pub struct Correlator {
 }
 
 impl Correlator {
-    fn new(bounds: Bounds, telemetry: Telemetry) -> Correlator {
+    fn new(telemetry: Telemetry) -> Correlator {
         let (pending, deadlines, recent) = Default::default();
-        Correlator { telemetry, bounds, pending, deadlines, recent, seq: 0 }
+        Correlator { telemetry, pending, deadlines, recent, seq: 0 }
     }
 
     /// Open digest windows across this correlator's users.
@@ -345,7 +329,7 @@ impl Correlator {
             return !recent.first_seen(key.into(), now);
         }
         // A user's first dedupe key: the only check that names the user.
-        let mut recent = Horizon::new(self.bounds.dedupe_window, MAX_DEDUPE_KEYS_PER_USER);
+        let mut recent = Horizon::new(DEDUPE_WINDOW, MAX_DEDUPE_KEYS_PER_USER);
         recent.first_seen(key.into(), now);
         self.recent.insert(user.to_string(), recent);
         false
@@ -365,7 +349,7 @@ impl Correlator {
     ) -> Decision {
         let open_for_user = self.pending.get(user).map_or(0, HashMap::len);
         if !self.pending.get(user).is_some_and(|open| open.contains_key(key)) {
-            if open_for_user >= self.bounds.max_pending_per_user {
+            if open_for_user >= MAX_PENDING_DIGESTS_PER_USER {
                 // Bounded correlator state: deliver directly (keeping the
                 // rule's severity override, like the critical-bypass path)
                 // rather than grow without bound or silently drop.
@@ -432,7 +416,6 @@ impl Correlator {
 #[derive(Debug)]
 pub struct RuleEngine {
     telemetry: Telemetry,
-    bounds: Bounds,
     inner: Mutex<Inner>,
     /// The correlator behind [`RuleEngine::evaluate`] and
     /// [`RuleEngine::flush_due`].
@@ -468,14 +451,9 @@ impl RuleEngine {
         if loaded > 0 && telemetry.enabled() {
             telemetry.metrics().counter("rules.loaded").add(loaded as u64);
         }
-        let bounds = Bounds {
-            dedupe_window: SimDuration::from_millis(config.dedupe_window_ms.max(1)),
-            max_pending_per_user: config.max_pending_digests_per_user.max(1),
-        };
         Ok(RuleEngine {
-            correlator: Mutex::new(Correlator::new(bounds, telemetry.clone())),
+            correlator: Mutex::new(Correlator::new(telemetry.clone())),
             telemetry,
-            bounds,
             inner: Mutex::new(Inner { log, index }),
         })
     }
@@ -490,10 +468,10 @@ impl RuleEngine {
         }
     }
 
-    /// A fresh, empty correlator with this engine's bounds and telemetry,
-    /// for an owner that evaluates through [`RuleEngine::evaluate_in`].
+    /// A fresh, empty correlator with this engine's telemetry, for an
+    /// owner that evaluates through [`RuleEngine::evaluate_in`].
     pub fn correlator(&self) -> Correlator {
-        Correlator::new(self.bounds, self.telemetry.clone())
+        Correlator::new(self.telemetry.clone())
     }
 
     /// Creates (`id: None`) or replaces (`id: Some`) a rule and commits
@@ -682,26 +660,26 @@ mod tests {
 
     #[test]
     fn dedupe_template_suppresses_repeats_within_window() {
-        let e = RuleEngine::open(RulesConfig { dedupe_window_ms: 1000, ..RulesConfig::in_memory() })
-            .expect("open");
+        let e = engine();
+        let w = DEDUPE_WINDOW.as_millis();
         let mut spec = RuleSpec::deliver("once", "source == s");
         spec.dedupe = Some("{source}/{body}".into());
         let r = e.upsert("ada", None, spec).unwrap();
         assert!(e.evaluate("ada", &im("s", "same"), 0).is_deliver());
         assert_eq!(
-            e.evaluate("ada", &im("s", "same"), 500),
+            e.evaluate("ada", &im("s", "same"), w / 2),
             Decision::Suppress { rule: r.id, reason: SuppressReason::Dedupe }
         );
         // A different body is a different key; the old key expires.
-        assert!(e.evaluate("ada", &im("s", "other"), 600).is_deliver());
-        assert!(e.evaluate("ada", &im("s", "same"), 1500).is_deliver());
+        assert!(e.evaluate("ada", &im("s", "other"), w / 2 + w / 10).is_deliver());
+        assert!(e.evaluate("ada", &im("s", "same"), 3 * w / 2).is_deliver());
         // The boundary: a repeat at exactly first sight + window is still
         // suppressed; one millisecond later the key is forgotten.
         assert_eq!(
-            e.evaluate("ada", &im("s", "same"), 2500),
+            e.evaluate("ada", &im("s", "same"), 5 * w / 2),
             Decision::Suppress { rule: r.id, reason: SuppressReason::Dedupe }
         );
-        assert!(e.evaluate("ada", &im("s", "same"), 2501).is_deliver());
+        assert!(e.evaluate("ada", &im("s", "same"), 5 * w / 2 + 1).is_deliver());
     }
 
     #[test]
@@ -821,11 +799,7 @@ mod tests {
 
     #[test]
     fn pending_windows_are_bounded_per_user() {
-        let e = RuleEngine::open(RulesConfig {
-            max_pending_digests_per_user: 2,
-            ..RulesConfig::in_memory()
-        })
-        .expect("open");
+        let e = engine();
         let r = e
             .upsert(
                 "ada",
@@ -837,14 +811,16 @@ mod tests {
                 ),
             )
             .unwrap();
-        assert!(matches!(e.evaluate("ada", &im("s", "a"), 0), Decision::Digest { .. }));
-        assert!(matches!(e.evaluate("ada", &im("s", "b"), 0), Decision::Digest { .. }));
-        // A third distinct key would exceed the bound: deliver directly.
+        for i in 0..MAX_PENDING_DIGESTS_PER_USER {
+            let d = e.evaluate("ada", &im("s", &format!("key {i}")), 0);
+            assert!(matches!(d, Decision::Digest { .. }), "window {i}: {d:?}");
+        }
+        // A 33rd distinct key would exceed the bound: deliver directly.
         assert_eq!(
-            e.evaluate("ada", &im("s", "c"), 0),
+            e.evaluate("ada", &im("s", "one too many"), 0),
             Decision::Deliver { rule: Some(r.id), severity: None }
         );
-        assert_eq!(e.pending_digests(), 2);
+        assert_eq!(e.pending_digests(), MAX_PENDING_DIGESTS_PER_USER);
     }
 
     #[test]
@@ -912,11 +888,7 @@ mod tests {
 
     #[test]
     fn bound_overflow_delivery_keeps_severity_override() {
-        let e = RuleEngine::open(RulesConfig {
-            max_pending_digests_per_user: 1,
-            ..RulesConfig::in_memory()
-        })
-        .expect("open");
+        let e = engine();
         let mut spec = RuleSpec::digest(
             "per-body",
             "source == s",
@@ -924,9 +896,12 @@ mod tests {
         );
         spec.severity = Some(Urgency::Low);
         let r = e.upsert("ada", None, spec).unwrap();
-        assert!(matches!(e.evaluate("ada", &im("s", "a"), 0), Decision::Digest { .. }));
+        for i in 0..MAX_PENDING_DIGESTS_PER_USER {
+            let d = e.evaluate("ada", &im("s", &format!("key {i}")), 0);
+            assert!(matches!(d, Decision::Digest { .. }), "window {i}: {d:?}");
+        }
         assert_eq!(
-            e.evaluate("ada", &im("s", "b"), 0),
+            e.evaluate("ada", &im("s", "one too many"), 0),
             Decision::Deliver { rule: Some(r.id), severity: Some(Urgency::Low) },
             "overflow delivery carries the rule's severity override"
         );

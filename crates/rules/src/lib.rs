@@ -35,7 +35,7 @@ pub mod rule;
 pub use engine::{
     view_of, Correlator, Decision, RuleEngine, RulesConfig, SharedRuleEngine, SuppressReason,
 };
-pub use log::{RulesError, RulesLog, RulesLogConfig, DEFAULT_MAX_RULES_PER_USER, RULES_LOG_VERSION};
+pub use log::{RulesError, RulesLog, RulesLogConfig, MAX_RULES_PER_USER, RULES_LOG_VERSION};
 pub use predicate::{AlertView, ParseError, Predicate};
 pub use rule::{
     default_correlation_key, expand_template, severity_from_name, severity_name, AlertRule,

@@ -31,8 +31,9 @@ pub const RULES_LOG_VERSION: u32 = 1;
 /// Default segment-rotation threshold.
 pub const DEFAULT_SEGMENT_MAX_BYTES: u64 = 1024 * 1024;
 
-/// Default per-user rule-set bound.
-pub const DEFAULT_MAX_RULES_PER_USER: usize = 64;
+/// Per-user rule-set bound: upserts that would grow a user past this many
+/// rules are rejected.
+pub const MAX_RULES_PER_USER: usize = 64;
 
 /// How a [`RulesLog`] is stored and bounded.
 #[derive(Debug, Clone)]
@@ -42,8 +43,6 @@ pub struct RulesLogConfig {
     pub dir: Option<PathBuf>,
     /// Rotate once the active segment grows past this many bytes.
     pub segment_max_bytes: u64,
-    /// Upserts that would grow a user past this many rules are rejected.
-    pub max_rules_per_user: usize,
 }
 
 impl Default for RulesLogConfig {
@@ -51,7 +50,6 @@ impl Default for RulesLogConfig {
         RulesLogConfig {
             dir: None,
             segment_max_bytes: DEFAULT_SEGMENT_MAX_BYTES,
-            max_rules_per_user: DEFAULT_MAX_RULES_PER_USER,
         }
     }
 }
@@ -125,7 +123,6 @@ impl From<ParseError> for RulesError {
 #[derive(Debug)]
 pub struct RulesLog {
     journal: Journal,
-    max_rules_per_user: usize,
     /// Live rules by user, each user's set ordered by id.
     rules: HashMap<String, BTreeMap<u64, AlertRule>>,
     next_id: u64,
@@ -140,7 +137,6 @@ impl RulesLog {
     pub fn open(config: RulesLogConfig) -> Result<Self, WalError> {
         let mut log = RulesLog {
             journal: Journal::in_memory(),
-            max_rules_per_user: config.max_rules_per_user.max(1),
             rules: HashMap::new(),
             next_id: 1,
         };
@@ -231,8 +227,8 @@ impl RulesLog {
                 id
             }
             None => {
-                if per_user_len >= self.max_rules_per_user {
-                    return Err(RulesError::Bound { user: user.into(), max: self.max_rules_per_user });
+                if per_user_len >= MAX_RULES_PER_USER {
+                    return Err(RulesError::Bound { user: user.into(), max: MAX_RULES_PER_USER });
                 }
                 let id = self.next_id;
                 self.next_id += 1;
@@ -374,28 +370,29 @@ mod tests {
 
     #[test]
     fn upsert_delete_and_per_user_bounds() {
-        let mut log = RulesLog::open(RulesLogConfig {
-            max_rules_per_user: 2,
-            ..RulesLogConfig::in_memory()
-        })
-        .unwrap();
+        let mut log = RulesLog::open(RulesLogConfig::in_memory()).unwrap();
         let r1 = log.upsert("ada", None, RuleSpec::deliver("a", "any")).unwrap();
+        for i in 2..MAX_RULES_PER_USER {
+            log.upsert("ada", None, RuleSpec::deliver(&format!("r{i}"), "any")).unwrap();
+        }
         let r2 = log.upsert("ada", None, RuleSpec::suppress("b", "source == noisy")).unwrap();
         assert!(r2.id > r1.id);
+        assert_eq!(log.list("ada").len(), MAX_RULES_PER_USER);
+        // The 65th rule is one past the bound.
         assert!(matches!(
             log.upsert("ada", None, RuleSpec::deliver("c", "any")),
-            Err(RulesError::Bound { max: 2, .. })
+            Err(RulesError::Bound { max: 64, .. })
         ));
         // Replacing an existing rule is allowed at the bound.
         let replaced = log.upsert("ada", Some(r1.id), RuleSpec::deliver("a2", "any")).unwrap();
         assert_eq!(replaced.id, r1.id);
-        assert_eq!(log.list("ada").len(), 2);
+        assert_eq!(log.list("ada").len(), MAX_RULES_PER_USER);
         // Other users have their own budget.
         log.upsert("bob", None, RuleSpec::deliver("d", "any")).unwrap();
 
         assert!(log.delete("ada", r2.id));
         assert!(!log.delete("ada", r2.id), "double delete reports absent");
-        assert_eq!(log.list("ada").len(), 1);
+        assert_eq!(log.list("ada").len(), MAX_RULES_PER_USER - 1);
         assert!(matches!(
             log.upsert("ada", Some(999), RuleSpec::deliver("x", "any")),
             Err(RulesError::UnknownRule { id: 999, .. })
@@ -435,11 +432,7 @@ mod tests {
     #[test]
     fn rotation_compacts_churn_and_state_survives() {
         let dir = temp_dir("rotate");
-        let config = RulesLogConfig {
-            dir: Some(dir.clone()),
-            segment_max_bytes: 512,
-            ..RulesLogConfig::default()
-        };
+        let config = RulesLogConfig { dir: Some(dir.clone()), segment_max_bytes: 512 };
         let mut log = RulesLog::open(config).unwrap();
         for i in 0..40 {
             let r = log.upsert("ada", None, RuleSpec::deliver(&format!("r{i}"), "any")).unwrap();

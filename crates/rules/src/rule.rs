@@ -4,7 +4,7 @@
 //! A rule is a predicate (see [`crate::predicate`]) plus an action —
 //! deliver, suppress, or digest — with optional severity override and a
 //! dedupe-key template. Rules are owned by one user, bounded per user
-//! (see `RulesConfig::max_rules_per_user`), and survive restart through
+//! (see [`crate::MAX_RULES_PER_USER`]), and survive restart through
 //! the CRC-guarded rules log (`crate::log`).
 
 use std::fmt;

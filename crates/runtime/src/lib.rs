@@ -79,4 +79,4 @@ pub use shard::{
     ConfigFactory, HostNotice, RuntimeNotice, ShardedHost, ShardedHostConfig, ShardedSnapshot,
     DEFAULT_NOTICE_CAPACITY,
 };
-pub use presence::{chanhealth_key, StoreModeSelector, HEALTHY_VALUE};
+pub use presence::{chanhealth_key, HEALTHY_VALUE};

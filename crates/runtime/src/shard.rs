@@ -64,7 +64,6 @@ use simba_sim::{SimDuration, SimTime};
 use simba_store::SoftStateStore;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 use tokio::sync::{mpsc, oneshot};
@@ -157,7 +156,7 @@ pub struct ShardedHostConfig {
     /// flushes them on their deadlines, and every open one at shutdown.
     pub rules: Option<simba_rules::SharedRuleEngine>,
     /// When set, every buddy consults this soft-state store through a
-    /// [`StoreModeSelector`] at delivery start (presence-aware routing),
+    /// `StoreModeSelector` at delivery start (presence-aware routing),
     /// and the host sweeps expired facts once a second until shutdown.
     /// Publish presence/health facts into a clone of the same store.
     pub store: Option<SoftStateStore>,
@@ -353,7 +352,6 @@ enum ShardTask {
 
 struct ShardHandle {
     tx: mpsc::Sender<ShardMsg>,
-    depth: Arc<AtomicUsize>,
     task: ShardTask,
 }
 
@@ -411,12 +409,10 @@ impl ShardedHost {
                 log.issue_ids_above(last);
             }
             let (tx, rx) = mpsc::channel(QUEUE_CAPACITY);
-            let depth = Arc::new(AtomicUsize::new(0));
             // Deferred so a threaded worker anchors its clock on its own
             // thread's event loop, not the spawning one's. Everything the
             // closure captures is `Send` — the compile-time proof lives in
             // the `shard_worker_future_is_send` test below.
-            let worker_depth = Arc::clone(&depth);
             let worker_channels = channels.clone();
             let worker_telemetry = telemetry.clone();
             let worker_factory = Arc::clone(&factory);
@@ -425,7 +421,6 @@ impl ShardedHost {
             let build = move || {
                 Worker::new(
                     rx,
-                    worker_depth,
                     worker_channels,
                     worker_telemetry,
                     worker_factory,
@@ -443,7 +438,7 @@ impl ShardedHost {
             } else {
                 ShardTask::Local(tokio::spawn(build().run()))
             };
-            shards.push(ShardHandle { tx, depth, task });
+            shards.push(ShardHandle { tx, task });
         }
         let clock = RuntimeClock::start();
         let sweeper = config.store.map(|store| spawn_sweeper(store, clock));
@@ -517,11 +512,6 @@ impl ShardedHost {
         merged
     }
 
-    /// Sum of inbound queue depths across shards (a load signal).
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.depth.load(Ordering::Relaxed)).sum()
-    }
-
     /// Test hook: asks the owning shard to hibernate `user` now; resolves
     /// `true` when the buddy was idle and is now parked.
     pub async fn force_hibernate(&self, user: &UserId) -> bool {
@@ -561,7 +551,6 @@ impl ShardedHost {
         let mut merged = ShardedSnapshot::default();
         for shard in self.shards {
             let (reply_tx, reply_rx) = oneshot::channel();
-            shard.depth.fetch_add(1, Ordering::Relaxed);
             if shard.tx.send(ShardMsg::Stop(reply_tx)).await.is_ok() {
                 if let Ok(snap) = reply_rx.await {
                     merged.merge(&snap);
@@ -582,13 +571,7 @@ impl ShardedHost {
     }
 
     async fn send(&self, shard: usize, msg: ShardMsg) -> bool {
-        let handle = &self.shards[shard];
-        handle.depth.fetch_add(1, Ordering::Relaxed);
-        if handle.tx.send(msg).await.is_err() {
-            handle.depth.fetch_sub(1, Ordering::Relaxed);
-            return false;
-        }
-        true
+        self.shards[shard].tx.send(msg).await.is_ok()
     }
 }
 
@@ -607,7 +590,6 @@ impl std::fmt::Debug for ShardedHost {
 /// is `Send` because it owns the log, not because a lock guards it.
 struct Worker<C> {
     rx: mpsc::Receiver<ShardMsg>,
-    depth: Arc<AtomicUsize>,
     channels: C,
     clock: RuntimeClock,
     telemetry: Telemetry,
@@ -662,10 +644,8 @@ enum Flow {
 
 impl<C: Channels> Worker<C> {
     /// A worker with an empty roster, on the calling thread's clock.
-    #[allow(clippy::too_many_arguments)]
     fn new(
         rx: mpsc::Receiver<ShardMsg>,
-        depth: Arc<AtomicUsize>,
         channels: C,
         telemetry: Telemetry,
         factory: ConfigFactory,
@@ -675,7 +655,6 @@ impl<C: Channels> Worker<C> {
     ) -> Self {
         Worker {
             rx,
-            depth,
             channels,
             clock: RuntimeClock::start(),
             telemetry,
@@ -737,7 +716,6 @@ impl<C: Channels> Worker<C> {
                             }
                         }
                     }
-                    self.depth.fetch_sub(drained, Ordering::Relaxed);
                 }
                 Ok(None) => {
                     // Front door dropped without shutdown: stop as `Stop`
@@ -1026,12 +1004,6 @@ impl<C: Channels> Worker<C> {
     fn finish_batch(&mut self, now: SimTime) {
         if self.commit_once().is_ok() {
             self.execute(now);
-        }
-        if self.telemetry.enabled() {
-            self.telemetry
-                .metrics()
-                .gauge("host.shard_depth")
-                .set(self.depth.load(Ordering::Relaxed) as u64);
         }
     }
 
@@ -1341,7 +1313,6 @@ mod tests {
         let (notices, notice_rx) = mpsc::channel(64);
         let mut worker = Worker::new(
             rx,
-            Arc::default(),
             shared.clone(),
             telemetry.clone(),
             factory,

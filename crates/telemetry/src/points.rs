@@ -163,7 +163,6 @@ pub const POINTS: &[PointDef] = &[
     point!("host.rehydrated", [Counter], "host", "hibernated users given a fresh buddy by a routed alert"),
     point!("host.routed", [Counter], "host", "alerts the multi-user host routed to a per-user MAB"),
     point!("host.segments_rotated", [Counter], "host", "shard-log segment rotations (history compacted to live records)"),
-    point!("host.shard_depth", [Gauge], "host", "current inbound queue depth of a shard worker"),
     point!("host.unrouted", [Event, Counter], "host", "an alert arrived for a user the host does not run"),
     point!("host.users", [Counter], "host", "users registered on the host over its lifetime"),
     point!("im.one_way", [Summary], "im", "sim: one-way source-to-client IM latency (paper fig. E1)"),
