@@ -5,7 +5,7 @@
 //! logging, the alert source receives an acknowledgement in about 1.5
 //! seconds."
 
-use crate::harness::{build, handle, Ev, PipelineOptions};
+use crate::harness::{build, handle, Ev, PipelineOptions, World};
 use crate::report::{dist, secs, Table};
 use crate::experiments::ExperimentOutput;
 use simba_core::alert::IncomingAlert;
@@ -27,23 +27,29 @@ pub struct E1Numbers {
     pub ack_rtt_no_log_mean: f64,
 }
 
+/// The measured run: [`ALERTS`] alerts a minute apart to a user at the
+/// desk, with pessimistic logging on or off.
+pub(crate) fn simulate(seed: u64, logging: bool) -> World {
+    let horizon = SimTime::from_secs(60 * ALERTS + 3_600);
+    let mut options = PipelineOptions::new(seed, horizon);
+    options.pessimistic_logging = logging;
+    let mut engine = build(options);
+    for i in 0..ALERTS {
+        let at = SimTime::from_secs(30 + i * 60);
+        let alert = IncomingAlert::from_im("aladdin-gw", format!("Sensor ping {i} ON"), at);
+        engine.schedule_at(at, Ev::Emit { tag: i, alert });
+    }
+    engine.run_until(horizon, handle);
+    engine.into_parts().0
+}
+
 /// Runs the measurement and returns the headline numbers plus tables.
 pub fn measure(seed: u64) -> (E1Numbers, Vec<Table>) {
     let mut tables = Vec::new();
     let mut by_logging = Vec::new();
 
     for logging in [true, false] {
-        let horizon = SimTime::from_secs(60 * ALERTS + 3_600);
-        let mut options = PipelineOptions::new(seed, horizon);
-        options.pessimistic_logging = logging;
-        let mut engine = build(options);
-        for i in 0..ALERTS {
-            let at = SimTime::from_secs(30 + i * 60);
-            let alert = IncomingAlert::from_im("aladdin-gw", format!("Sensor ping {i} ON"), at);
-            engine.schedule_at(at, Ev::Emit { tag: i, alert });
-        }
-        engine.run_until(horizon, handle);
-        let (world, _) = engine.into_parts();
+        let world = simulate(seed, logging);
         let one_way = world.metrics.summary("im.one_way").cloned().unwrap_or_default();
         let rtt = world.metrics.summary("source.ack_rtt").cloned().unwrap_or_default();
         by_logging.push((logging, one_way, rtt));

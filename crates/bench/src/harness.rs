@@ -3,10 +3,12 @@
 //!
 //! This is the §5 experimental setting (Figure 5) as a simulation: alert
 //! sources deliver to MyAlertBuddy over IM (falling back to email), the
-//! buddy logs/acks/classifies/routes, its Communication Managers drive
-//! flaky client software, the MDC watchdog and the self-stabilization
-//! schedule run at the paper's cadences, and a presence-modelled human
-//! finally *sees* each alert.
+//! host's shard core ([`simba_runtime::Shard`], the only code that runs
+//! a buddy) logs/acks/classifies/routes on simulated time, its outbound
+//! sends leave through `SimChannels` — the Communication Managers
+//! driving flaky client software, and the IM, email and SMS services — the
+//! MDC watchdog and the self-stabilization schedule run at the paper's
+//! cadences, and a presence-modelled human finally *sees* each alert.
 //!
 //! Timing model (calibrated to §5's prose numbers):
 //!
@@ -15,7 +17,10 @@
 //! * client pickup ≈ 0.2 s + pessimistic-log fsync ≈ 0.25 s before the
 //!   ack → ack RTT ≈ 1.5 s;
 //! * classification + delivery-mode parsing + client automation ≈ 1.2 s
-//!   before outbound sends → proxy-to-user ≈ 2.5 s (E2).
+//!   before outbound sends → proxy-to-user ≈ 2.5 s (E2). The shard runs
+//!   a batch's sends at its commit, so this stage (and the log write
+//!   before it) is added to each outbound send's transit; a block's ack
+//!   window opens at the commit.
 
 use simba_client::faults::{ClientFaultModel, FaultKind};
 use simba_client::dialogs::DialogBox;
@@ -23,22 +28,30 @@ use simba_client::{EmailManager, ImManager};
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::alert::IncomingAlert;
 use simba_core::classify::{Classifier, KeywordField};
-use simba_core::delivery::{AttemptId, DeliveryCommand, DeliveryEvent, SendFailure};
-use simba_core::mab::{DeliveryId, MabCommand, MabConfig, MabEvent, MyAlertBuddy};
+use simba_core::delivery::{DeliveryStatus, SendFailure};
+use simba_core::mab::MabConfig;
 use simba_core::mdc::{MasterDaemonController, MdcAction, MdcConfig};
 use simba_core::mode::DeliveryMode;
 use simba_core::shardlog::ShardLog;
 use simba_core::stabilize::{StabilizationConfig, StabilizationSchedule};
 use simba_core::subscription::{SubscriptionRegistry, UserId};
+use simba_core::Telemetry;
 use simba_net::email::{EmailAddr, EmailService, EmailTransit};
-use simba_net::im::{ImHandle, ImMessage, ImService, Transit};
+use simba_net::im::{ImHandle, ImMessage, ImSendError, ImService, Transit};
 use simba_net::latency::LatencyModel;
 use simba_net::loss::LossModel;
 use simba_net::outage::OutageSchedule;
 use simba_net::presence::{HumanModel, PresenceTimeline, UserContext};
 use simba_net::sms::{PhoneState, SmsGateway, SmsNumber, SmsTransit};
+use simba_runtime::{
+    Channels, Door, HostNotice, RuntimeNotice, SendOutcome, Shard, ShardedHostConfig,
+    DEFAULT_NOTICE_CAPACITY,
+};
 use simba_sim::{Ctx, Engine, MetricSet, ObserveDurationNamed, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
+use tokio::sync::mpsc;
 
 /// Fixed identities used by the standard pipeline.
 pub const MAB_IM: &str = "mab-im";
@@ -276,29 +289,15 @@ pub enum Ev {
         /// Whether it arrived over IM (gets an ack).
         via_im: bool,
     },
-    /// Deferred execution of routed channel commands.
-    MabRoute {
-        /// Commands produced by the routing stage.
-        commands: Vec<MabCommand>,
-    },
     /// The MAB→source ack IM completed transit.
     SourceAckArrive {
         /// Tracking tag.
         tag: u64,
     },
-    /// A delivery-mode ack timer fired.
-    DeliveryTimer {
-        /// Which delivery.
-        delivery: DeliveryId,
-        /// Which timer.
-        timer: simba_core::delivery::TimerId,
-    },
+    /// The shard's next deadline (block timer or user ack) is due.
+    ShardDue,
     /// An outbound IM reached the user's desktop.
     UserImArrive {
-        /// Which delivery/attempt it answers.
-        delivery: DeliveryId,
-        /// The attempt.
-        attempt: AttemptId,
         /// Tracking tag.
         tag: u64,
         /// The message.
@@ -318,12 +317,13 @@ pub enum Ev {
         /// The message.
         transit: EmailTransit,
     },
-    /// The human read the alert (and acks if it was an IM).
+    /// The human read the alert.
     UserSees {
         /// Tracking tag.
         tag: u64,
-        /// The delivery/attempt to ack, when IM.
-        ack: Option<(DeliveryId, AttemptId)>,
+        /// Whether it was an IM, which the user acknowledges: the shard
+        /// hears that ack at this same instant.
+        acks: bool,
     },
     /// Periodic MDC ping.
     MdcPing,
@@ -355,32 +355,113 @@ pub enum Ev {
     },
 }
 
+/// The shard's outbound channels: the buddy's Communication Managers in
+/// front of the IM, email and SMS services. A send leaves what follows —
+/// arrival, and the user's sighting of an IM — on the outbox.
+struct SimChannels {
+    im: ImService,
+    email: EmailService,
+    sms: SmsGateway,
+    im_mgr: ImManager,
+    email_mgr: EmailManager,
+    /// The IM service's outage windows: whether a message outlives the
+    /// user's session in transit.
+    im_outages: OutageSchedule,
+    presence: PresenceTimeline,
+    human: HumanModel,
+    rng: SimRng,
+    /// The instant of the batch being executed.
+    now: SimTime,
+    /// How long the batch's sends wait before they leave: the log write
+    /// and the routing stage for a new alert, nothing for a timer's.
+    stage: SimDuration,
+    /// What the batch's sends counted, for the world's metrics.
+    metrics: MetricSet,
+    /// What the batch's sends cause, as delays from `now`.
+    outbox: Vec<(SimDuration, Ev)>,
+}
+
+impl Channels for SimChannels {
+    fn send(&mut self, comm_type: CommType, address: &str, text: &str) -> SendOutcome {
+        // All outbound sends go through the buddy's client software.
+        let client = if comm_type == CommType::Im { self.im_mgr.core_mut() } else { self.email_mgr.core_mut() };
+        if client.automation_op().is_err() {
+            self.metrics.incr("mab.outbound_client_failure");
+            return SendOutcome::Failed(SendFailure::ClientSoftware);
+        }
+        let (now, stage) = (self.now, self.stage);
+        let tag = parse_tag(text).unwrap_or(u64::MAX);
+        match comm_type {
+            CommType::Im => match self.im.send(&ImHandle::new(MAB_IM), &ImHandle::new(address), text, now) {
+                Ok(Transit { message, delay, lost }) => {
+                    self.metrics.incr("user.im_sent");
+                    if lost {
+                        return SendOutcome::Accepted;
+                    }
+                    let arrival = stage + delay;
+                    self.outbox.push((arrival, Ev::UserImArrive { tag, message }));
+                    // The user's session outlives the transit unless an
+                    // outage overlaps it; a user at the desk then reads
+                    // the IM and acknowledges it.
+                    let at = now + arrival;
+                    let reaches = !self.im_outages.windows().iter().any(|&(start, end)| start <= at && end > now);
+                    if !(reaches && self.presence.context_at(at).sees_im()) {
+                        return SendOutcome::Accepted;
+                    }
+                    let lag = arrival + self.human.im_reaction(&mut self.rng);
+                    self.outbox.push((lag, Ev::UserSees { tag, acks: true }));
+                    SendOutcome::AcceptedWithAck(Duration::from_millis(lag.as_millis()))
+                }
+                Err(e) => {
+                    self.metrics.incr("user.im_send_failed");
+                    SendOutcome::Failed(match e {
+                        ImSendError::ServiceDown => SendFailure::ChannelDown,
+                        _ => SendFailure::RecipientUnreachable,
+                    })
+                }
+            },
+            CommType::Sms => {
+                let transit = self.sms.send(&SmsNumber::new(address), text, now);
+                self.metrics.incr("user.sms_sent");
+                if !transit.lost {
+                    self.outbox.push((stage + transit.delay, Ev::UserSmsArrive { tag, transit }));
+                }
+                SendOutcome::Accepted
+            }
+            CommType::Email => {
+                let from = EmailAddr::new(MAB_EMAIL);
+                let transit = self.email.send(&from, &EmailAddr::new(address), "MyAlertBuddy", "alert", text, now);
+                self.metrics.incr("user.email_sent");
+                if !transit.lost {
+                    self.outbox.push((stage + transit.delay, Ev::UserEmailArrive { tag, transit }));
+                }
+                SendOutcome::Accepted
+            }
+        }
+    }
+}
+
+/// The MyAlertBuddy process: alice's one-user shard while it runs, the
+/// shard's log while it is down.
+enum Process {
+    Up(Box<Shard>),
+    Down(Box<ShardLog>),
+}
+
 /// The pipeline world.
 pub struct World {
-    /// IM service shared by sources, the buddy, and the user.
-    pub im: ImService,
-    /// Email service.
-    pub email: EmailService,
-    /// SMS gateway.
-    pub sms: SmsGateway,
-    /// The buddy (None while restarting).
-    pub mab: Option<MyAlertBuddy>,
-    /// The buddy's log, lent to each of its calls: it outlives every
-    /// incarnation, and each restart replays it.
-    log: ShardLog,
-    /// Config used to re-create the buddy on restart.
-    pub mab_config: MabConfig,
-    /// The buddy's IM client manager.
-    pub im_mgr: ImManager,
-    /// The buddy's email client manager.
-    pub email_mgr: EmailManager,
+    channels: SimChannels,
+    process: Process,
+    /// The process is wedged: it answers no probe and processes nothing.
+    hung: bool,
+    /// What every incarnation of the shard reports.
+    notices: mpsc::Receiver<HostNotice>,
+    notice_tx: mpsc::Sender<HostNotice>,
+    /// When the earliest pending [`Ev::ShardDue`] fires.
+    due: Option<SimTime>,
     /// The watchdog.
     pub mdc: MasterDaemonController,
     sched: StabilizationSchedule,
-    /// Presence timeline for the user.
-    pub presence: PresenceTimeline,
-    /// Human model.
-    pub human: HumanModel,
     timing: PipelineTiming,
     pessimistic_logging: bool,
     source_ack_timeout: SimDuration,
@@ -394,7 +475,6 @@ pub struct World {
     pub tracks: BTreeMap<u64, AlertTrack>,
     /// Aggregated counters and latency summaries.
     pub metrics: MetricSet,
-    rng: SimRng,
 }
 
 impl World {
@@ -404,8 +484,19 @@ impl World {
 
     /// True while the buddy process exists and responds.
     pub fn mab_alive(&self) -> bool {
-        self.mab.as_ref().is_some_and(|m| m.are_you_working())
+        matches!(self.process, Process::Up(_)) && !self.hung
     }
+}
+
+/// Opens alice's shard over `log` (hibernation off, no ledger) and
+/// starts it, which replays whatever she left unprocessed.
+fn open_shard(log: ShardLog, notices: mpsc::Sender<HostNotice>, now: SimTime) -> Shard {
+    let config = ShardedHostConfig { shards: 1, hibernate_after: SimDuration::ZERO, ..ShardedHostConfig::default() };
+    let factory = Arc::new(|_: &UserId| standard_config());
+    let mut shard = Shard::open(log, &config, factory, notices, Telemetry::disabled());
+    shard.register(vec![UserId::new("alice")]);
+    shard.start(now);
+    shard
 }
 
 /// Builds the engine and schedules the maintenance loops.
@@ -434,27 +525,41 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
         let _ = im.logon(&ImHandle::new(handle), SimTime::ZERO);
     }
 
-    let mab_config = standard_config();
     let mut im_mgr = ImManager::new(ImHandle::new(MAB_IM));
     let _ = im_mgr.start(&mut im, SimTime::ZERO);
     let mut email_mgr = EmailManager::new(EmailAddr::new(MAB_EMAIL));
     email_mgr.start(SimTime::ZERO);
+    if options.preregistered_dialog_rules {
+        for (caption, button) in UNKNOWN_DIALOG_CAPTIONS {
+            im_mgr.register_dialog_rule(caption, button);
+            email_mgr.register_dialog_rule(caption, button);
+        }
+    }
 
-    let mab = MyAlertBuddy::new(mab_config.clone(), UserId::new("alice"));
-
+    let (notice_tx, notices) = mpsc::channel(DEFAULT_NOTICE_CAPACITY);
     let world = World {
-        im,
-        email,
-        sms,
-        mab: Some(mab),
-        log: ShardLog::in_memory(),
-        mab_config,
-        im_mgr,
-        email_mgr,
+        channels: SimChannels {
+            im,
+            email,
+            sms,
+            im_mgr,
+            email_mgr,
+            im_outages: options.im_outages,
+            presence: options.presence,
+            human: options.human,
+            rng: world_rng,
+            now: SimTime::ZERO,
+            stage: SimDuration::ZERO,
+            metrics: MetricSet::new(),
+            outbox: Vec::new(),
+        },
+        process: Process::Up(Box::new(open_shard(ShardLog::in_memory(), notice_tx.clone(), SimTime::ZERO))),
+        hung: false,
+        notices,
+        notice_tx,
+        due: None,
         mdc: MasterDaemonController::new(options.mdc),
         sched: StabilizationSchedule::new(options.stabilization, SimTime::ZERO),
-        presence: options.presence,
-        human: options.human,
         timing: options.timing,
         pessimistic_logging: options.pessimistic_logging,
         source_ack_timeout: options.source_ack_timeout,
@@ -466,16 +571,9 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
         machine_down: false,
         tracks: BTreeMap::new(),
         metrics: MetricSet::new(),
-        rng: world_rng,
     };
 
     let mut engine = Engine::new(world, options.seed ^ 0xD15C0);
-    if options.preregistered_dialog_rules {
-        for (caption, button) in UNKNOWN_DIALOG_CAPTIONS {
-            engine.world_mut().im_mgr.register_dialog_rule(caption, button);
-            engine.world_mut().email_mgr.register_dialog_rule(caption, button);
-        }
-    }
     for (start, duration) in &options.power_outages {
         engine.schedule_at(*start, Ev::PowerOut { restore_after: *duration });
     }
@@ -509,7 +607,6 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
 }
 
 /// The event handler: pass to `Engine::run_until`.
-#[allow(clippy::too_many_lines)]
 pub fn handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
     match ev {
         Ev::Emit { tag, alert } => emit(world, ctx, tag, alert),
@@ -524,13 +621,12 @@ pub fn handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
                     transit.message.body.clone(),
                     transit.message.sent_at,
                 );
-                world.email.deposit(transit.message);
+                world.channels.email.deposit(transit.message);
                 let pickup = lognormal(world, world.timing.pickup_median_secs);
                 ctx.schedule_in(pickup, Ev::MabIngest { tag, alert, via_im: false });
             }
         }
         Ev::MabIngest { tag, alert, via_im } => mab_ingest(world, ctx, tag, alert, via_im),
-        Ev::MabRoute { commands } => execute_commands(world, ctx, commands),
         Ev::SourceAckArrive { tag } => {
             let now = ctx.now();
             let t = world.track(tag);
@@ -541,19 +637,36 @@ pub fn handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
                 }
             }
         }
-        Ev::DeliveryTimer { delivery, timer } => {
-            let event = MabEvent::Delivery {
-                id: delivery,
-                event: DeliveryEvent::TimerFired { timer },
-            };
-            mab_handle(world, ctx, event);
+        Ev::ShardDue => {
+            let now = ctx.now();
+            if world.due.is_some_and(|due| due <= now) {
+                world.due = None;
+            }
+            // A wedged or dead process runs nothing: its timers and the
+            // acks they carry die with it at the next restart.
+            if world.mab_alive() {
+                if let Process::Up(shard) = &mut world.process {
+                    shard.fire_due(now);
+                }
+                finish(world, ctx, SimDuration::ZERO);
+            }
         }
-        Ev::UserImArrive { delivery, attempt, tag, message } => {
-            user_im_arrive(world, ctx, delivery, attempt, tag, message)
+        Ev::UserImArrive { tag, message } => {
+            let now = ctx.now();
+            if world.channels.im.deliver(message, now) {
+                mark_reached(world, tag, now);
+            }
         }
-        Ev::UserSmsArrive { tag, transit } => user_sms_arrive(world, ctx, tag, transit),
-        Ev::UserEmailArrive { tag, transit } => user_email_arrive(world, ctx, tag, transit),
-        Ev::UserSees { tag, ack } => user_sees(world, ctx, tag, ack),
+        Ev::UserSmsArrive { tag, transit } => {
+            if world.channels.sms.deliver(&transit.message) {
+                user_looks_later(world, ctx, tag, UserContext::sees_sms, HumanModel::sms_reaction);
+            }
+        }
+        Ev::UserEmailArrive { tag, transit } => {
+            world.channels.email.deposit(transit.message);
+            user_looks_later(world, ctx, tag, UserContext::sees_email, HumanModel::email_poll);
+        }
+        Ev::UserSees { tag, acks } => user_sees(world, ctx, tag, acks),
         Ev::MdcPing => mdc_ping(world, ctx),
         Ev::MdcDeadline => {
             // The probe answers at deadline-check time if the buddy came
@@ -580,16 +693,16 @@ pub fn handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
             ctx.trace("power.out", format!("machine dark for {restore_after}"));
             world.metrics.incr("power.outages");
             world.machine_down = true;
-            world.mab = None;
-            world.im_mgr.core_mut().process_mut().kill();
-            world.email_mgr.core_mut().process_mut().kill();
+            kill(world);
+            world.channels.im_mgr.core_mut().process_mut().kill();
+            world.channels.email_mgr.core_mut().process_mut().kill();
             ctx.schedule_in(restore_after, Ev::MachineUp);
         }
     }
 }
 
 fn lognormal(world: &mut World, median: f64) -> SimDuration {
-    SimDuration::from_secs_f64(world.rng.lognormal(median.max(1e-3), world.timing.sigma))
+    SimDuration::from_secs_f64(world.channels.rng.lognormal(median.max(1e-3), world.timing.sigma))
 }
 
 /// Source emission: IM first; synchronous failure → email fallback.
@@ -598,15 +711,16 @@ fn emit(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, alert: IncomingAlert
     world.track(tag).emitted_at = Some(now);
     world.metrics.incr("source.emitted");
     let source = ImHandle::new(&*alert.source);
+    let im = &mut world.channels.im;
     // Sources keep their own sessions alive: re-logon before emitting if a
     // recovery or outage dropped the session.
-    if !world.im.is_logged_on(&source, now) {
-        let _ = world.im.logon(&source, now);
+    if !im.is_logged_on(&source, now) {
+        let _ = im.logon(&source, now);
     }
-    if !world.im.is_logged_on(&ImHandle::new(USER_IM), now) {
-        let _ = world.im.logon(&ImHandle::new(USER_IM), now);
+    if !im.is_logged_on(&ImHandle::new(USER_IM), now) {
+        let _ = im.logon(&ImHandle::new(USER_IM), now);
     }
-    match world.im.send(&source, &ImHandle::new(MAB_IM), &*alert.body, now) {
+    match im.send(&source, &ImHandle::new(MAB_IM), &*alert.body, now) {
         Ok(Transit { message, delay, lost }) => {
             world.track(tag).via = Some(CommType::Im);
             if !lost {
@@ -625,7 +739,7 @@ fn emit_email_fallback(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, alert
     let now = ctx.now();
     world.track(tag).via = Some(CommType::Email);
     world.metrics.incr("source.email_fallback");
-    let transit = world.email.send(
+    let transit = world.channels.email.send(
         &EmailAddr::new(&*alert.source),
         &EmailAddr::new(MAB_EMAIL),
         alert.sender_name.clone(),
@@ -654,7 +768,7 @@ fn source_ack_timeout(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64) {
 
 fn mab_im_arrive(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, message: ImMessage) {
     let now = ctx.now();
-    if !world.im.deliver(message.clone(), now) {
+    if !world.channels.im.deliver(message.clone(), now) {
         world.metrics.incr("mab.im_undeliverable");
         return;
     }
@@ -670,10 +784,12 @@ fn mab_im_arrive(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, message: Im
     ctx.schedule_in(pickup, Ev::MabIngest { tag, alert, via_im: true });
 }
 
-/// The §4.2.1 pipeline with explicit stage timing.
+/// The §4.2.1 pipeline with explicit stage timing: the shard takes the
+/// alert, and its batch commits now; the ack leaves after the log write,
+/// the outbound sends after the log write and the routing stage.
 fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: IncomingAlert, via_im: bool) {
     // Client software must be usable for the buddy to see the message.
-    if world.im_mgr.core_mut().automation_op().is_err() || !world.mab_alive() {
+    if world.channels.im_mgr.core_mut().automation_op().is_err() || !world.mab_alive() {
         // Left in the inbox / unread; the sanity sweep will re-ingest.
         world.metrics.incr("mab.ingest_deferred");
         // Re-try after the next sanity interval.
@@ -689,228 +805,79 @@ fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: Inc
         SimDuration::ZERO
     };
     let now = ctx.now();
-    let event = if via_im {
-        MabEvent::AlertByIm(alert)
-    } else {
-        MabEvent::AlertByEmail(alert)
-    };
-    let Some(mab) = world.mab.as_mut() else {
-        return;
-    };
-    let commands = mab.handle(&mut world.log, event, now);
-    let crashed = mab.is_crashed();
-    let mut acks = Vec::new();
-    let mut routed = Vec::new();
-    for c in commands {
-        match c {
-            MabCommand::AckIm { to, .. } => acks.push(to),
-            // The simulation never retires: its buddy keeps every
-            // delivery, and the end of one needs no routing delay.
-            MabCommand::Finished { .. } => {}
-            other => routed.push(other),
+    let door = if via_im { Door::Im } else { Door::Email };
+    if let Process::Up(shard) = &mut world.process {
+        shard.submit(UserId::new("alice"), alert, door, now);
+    }
+    let stage = wal_cost + lognormal(world, world.timing.route_median_secs);
+    for source in finish(world, ctx, stage) {
+        let ack = world.channels.im.send(&ImHandle::new(MAB_IM), &ImHandle::new(&*source), format!("ACK [#{tag}]"), now);
+        if let Ok(Transit { delay, lost: false, .. }) = ack {
+            ctx.schedule_in(wal_cost + delay, Ev::SourceAckArrive { tag });
         }
     }
-    // The ack leaves after the log write.
-    for to in acks {
-        let send_at_delay = wal_cost;
-        let mab_handle_im = ImHandle::new(MAB_IM);
-        let target = ImHandle::new(&*to);
-        // Model: schedule the ack IM send after the fsync. We send now
-        // with the service latency standing in for (fsync + transit).
-        if let Ok(Transit { delay, lost, .. }) =
-            world.im.send(&mab_handle_im, &target, format!("ACK [#{tag}]"), now)
-        {
-            if !lost {
-                ctx.schedule_in(send_at_delay + delay, Ev::SourceAckArrive { tag });
+}
+
+/// Finishes the shard's batch, its sends leaving `stage` after it, and
+/// schedules what follows: the outbox, the next [`Ev::ShardDue`], and a
+/// requested rejuvenation. Returns the sources the batch acknowledged.
+fn finish(world: &mut World, ctx: &mut Ctx<'_, Ev>, stage: SimDuration) -> Vec<Arc<str>> {
+    let now = ctx.now();
+    let Process::Up(shard) = &mut world.process else {
+        return Vec::new();
+    };
+    world.channels.now = now;
+    world.channels.stage = stage;
+    shard.finish_batch(&mut world.channels, now);
+    if let Some(at) = shard.next_deadline().filter(|at| world.due.is_none_or(|due| *at < due)) {
+        let at = at.max(now);
+        ctx.schedule_at(at, Ev::ShardDue);
+        world.due = Some(at);
+    }
+    let counted = std::mem::take(&mut world.channels.metrics);
+    for name in counted.counter_names() {
+        world.metrics.add(name, counted.counter(name));
+    }
+    for (delay, event) in world.channels.outbox.drain(..) {
+        ctx.schedule_in(delay, event);
+    }
+    let mut acked = Vec::new();
+    let mut rejuvenate = false;
+    while let Ok(HostNotice { notice, .. }) = world.notices.try_recv() {
+        match notice {
+            RuntimeNotice::AckSent { source, .. } => acked.push(source),
+            RuntimeNotice::DeliveryFinished { status: DeliveryStatus::Acked { .. }, .. } => {
+                world.metrics.incr("mab.acked");
             }
-        }
-    }
-    // Routing continues after classification/parsing.
-    if !routed.is_empty() {
-        let route_delay = wal_cost + lognormal(world, world.timing.route_median_secs);
-        ctx.schedule_in(route_delay, Ev::MabRoute { commands: routed });
-    }
-    if crashed {
-        on_mab_crashed(world, ctx);
-    }
-}
-
-/// Runs a MabEvent through the buddy and executes resulting commands.
-fn mab_handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, event: MabEvent) {
-    let now = ctx.now();
-    let Some(mab) = world.mab.as_mut() else {
-        return;
-    };
-    let commands = mab.handle(&mut world.log, event, now);
-    let crashed = mab.is_crashed();
-    execute_commands(world, ctx, commands);
-    if crashed {
-        on_mab_crashed(world, ctx);
-    }
-}
-
-fn execute_commands(world: &mut World, ctx: &mut Ctx<'_, Ev>, commands: Vec<MabCommand>) {
-    let now = ctx.now();
-    for command in commands {
-        match command {
-            MabCommand::AckIm { .. } => { /* replay acks are suppressed */ }
-            MabCommand::Finished { .. } => { /* the simulation never retires */ }
-            MabCommand::Rejuvenate(trigger) => {
+            RuntimeNotice::DeliveryFinished { .. } => {}
+            RuntimeNotice::Rejuvenating(trigger) => {
                 ctx.trace("mab.rejuvenate", trigger.to_string());
                 world.metrics.incr("mab.rejuvenations");
-                graceful_restart(world, ctx);
+                rejuvenate = true;
             }
-            MabCommand::Channel { delivery, command, .. } => match command {
-                DeliveryCommand::StartTimer { timer, after } => {
-                    ctx.schedule_in(after, Ev::DeliveryTimer { delivery, timer });
-                }
-                DeliveryCommand::Send { attempt, comm_type, address_value, text, .. } => {
-                    let tag = parse_tag(&text).unwrap_or(u64::MAX);
-                    send_to_user(world, ctx, delivery, attempt, comm_type, &address_value, text.to_string(), tag);
-                }
-            },
         }
     }
-    let _ = now;
+    if rejuvenate {
+        graceful_restart(world, ctx);
+    }
+    acked
 }
 
-#[allow(clippy::too_many_arguments)]
-fn send_to_user(
+/// An SMS or email reached the user's device: they see it once they can
+/// look at that device (`sees`), after their reaction (`look`).
+fn user_looks_later(
     world: &mut World,
     ctx: &mut Ctx<'_, Ev>,
-    delivery: DeliveryId,
-    attempt: AttemptId,
-    comm_type: CommType,
-    address_value: &str,
-    text: String,
     tag: u64,
+    sees: fn(UserContext) -> bool,
+    look: fn(&HumanModel, &mut SimRng) -> SimDuration,
 ) {
     let now = ctx.now();
-    // All outbound sends go through the buddy's client software.
-    let client_ok = match comm_type {
-        CommType::Im => world.im_mgr.core_mut().automation_op().is_ok(),
-        _ => world.email_mgr.core_mut().automation_op().is_ok(),
-    };
-    if !client_ok {
-        world.metrics.incr("mab.outbound_client_failure");
-        mab_handle(
-            world,
-            ctx,
-            MabEvent::Delivery {
-                id: delivery,
-                event: DeliveryEvent::SendFailed { attempt, failure: SendFailure::ClientSoftware },
-            },
-        );
-        return;
-    }
-    match comm_type {
-        CommType::Im => {
-            match world.im.send(&ImHandle::new(MAB_IM), &ImHandle::new(address_value), text, now) {
-                Ok(Transit { message, delay, lost }) => {
-                    world.metrics.incr("user.im_sent");
-                    mab_handle(
-                        world,
-                        ctx,
-                        MabEvent::Delivery { id: delivery, event: DeliveryEvent::SendAccepted { attempt } },
-                    );
-                    if !lost {
-                        ctx.schedule_in(delay, Ev::UserImArrive { delivery, attempt, tag, message });
-                    }
-                }
-                Err(e) => {
-                    world.metrics.incr("user.im_send_failed");
-                    let failure = match e {
-                        simba_net::im::ImSendError::ServiceDown => SendFailure::ChannelDown,
-                        _ => SendFailure::RecipientUnreachable,
-                    };
-                    mab_handle(
-                        world,
-                        ctx,
-                        MabEvent::Delivery { id: delivery, event: DeliveryEvent::SendFailed { attempt, failure } },
-                    );
-                }
-            }
-        }
-        CommType::Sms => {
-            let transit = world.sms.send(&SmsNumber::new(address_value), &text, now);
-            world.metrics.incr("user.sms_sent");
-            mab_handle(
-                world,
-                ctx,
-                MabEvent::Delivery { id: delivery, event: DeliveryEvent::SendAccepted { attempt } },
-            );
-            if !transit.lost {
-                let delay = transit.delay;
-                ctx.schedule_in(delay, Ev::UserSmsArrive { tag, transit });
-            }
-        }
-        CommType::Email => {
-            let transit = world.email.send(
-                &EmailAddr::new(MAB_EMAIL),
-                &EmailAddr::new(address_value),
-                "MyAlertBuddy",
-                "alert",
-                text,
-                now,
-            );
-            world.metrics.incr("user.email_sent");
-            mab_handle(
-                world,
-                ctx,
-                MabEvent::Delivery { id: delivery, event: DeliveryEvent::SendAccepted { attempt } },
-            );
-            if !transit.lost {
-                let delay = transit.delay;
-                ctx.schedule_in(delay, Ev::UserEmailArrive { tag, transit });
-            }
-        }
-    }
-}
-
-fn user_im_arrive(
-    world: &mut World,
-    ctx: &mut Ctx<'_, Ev>,
-    delivery: DeliveryId,
-    attempt: AttemptId,
-    tag: u64,
-    message: ImMessage,
-) {
-    let now = ctx.now();
-    if !world.im.deliver(message, now) {
-        return;
-    }
+    let channels = &mut world.channels;
+    let seen = next_matching(&channels.presence, now, sees).map(|visible| visible + look(&channels.human, &mut channels.rng));
     mark_reached(world, tag, now);
-    if world.presence.context_at(now).sees_im() {
-        let reaction = world.human.im_reaction(&mut world.rng);
-        ctx.schedule_in(reaction, Ev::UserSees { tag, ack: Some((delivery, attempt)) });
-    }
-}
-
-fn user_sms_arrive(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, transit: SmsTransit) {
-    let now = ctx.now();
-    if !world.sms.deliver(&transit.message) {
-        return;
-    }
-    mark_reached(world, tag, now);
-    if let Some(visible) = next_matching(&world.presence, now, UserContext::sees_sms) {
-        let reaction = world.human.sms_reaction(&mut world.rng);
-        let at = visible + reaction;
-        if at >= now {
-            ctx.schedule_at(at, Ev::UserSees { tag, ack: None });
-        }
-    }
-}
-
-fn user_email_arrive(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, transit: EmailTransit) {
-    let now = ctx.now();
-    world.email.deposit(transit.message);
-    mark_reached(world, tag, now);
-    if let Some(visible) = next_matching(&world.presence, now, UserContext::sees_email) {
-        let poll = world.human.email_poll(&mut world.rng);
-        let at = visible + poll;
-        if at >= now {
-            ctx.schedule_at(at, Ev::UserSees { tag, ack: None });
-        }
+    if let Some(at) = seen.filter(|at| *at >= now) {
+        ctx.schedule_at(at, Ev::UserSees { tag, acks: false });
     }
 }
 
@@ -924,9 +891,13 @@ fn mark_reached(world: &mut World, tag: u64, now: SimTime) {
     }
 }
 
-fn user_sees(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, ack: Option<(DeliveryId, AttemptId)>) {
+fn user_sees(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, acks: bool) {
     let now = ctx.now();
+    if acks {
+        world.metrics.incr("user.acked");
+    }
     let t = world.track(tag);
+    t.user_acked |= acks;
     if t.seen_at.is_none() {
         t.seen_at = Some(now);
         if let Some(emit) = t.emitted_at {
@@ -937,14 +908,6 @@ fn user_sees(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, ack: Option<(De
         // The user reads the same alert again (duplicate delivery or the
         // email fallback arriving after the IM was acked).
         world.metrics.incr("user.duplicate_sightings");
-    }
-    if let Some((delivery, attempt)) = ack {
-        world.track(tag).user_acked = true;
-        mab_handle(
-            world,
-            ctx,
-            MabEvent::Delivery { id: delivery, event: DeliveryEvent::Acked { attempt } },
-        );
     }
 }
 
@@ -972,45 +935,62 @@ fn perform_mdc_action(world: &mut World, ctx: &mut Ctx<'_, Ev>, action: MdcActio
         MdcAction::RestartMab => {
             ctx.trace("mdc.restart", "restarting MyAlertBuddy");
             world.metrics.incr("mdc.restarts");
-            world.mab = None;
+            kill(world);
             ctx.schedule_in(world.timing.restart_delay, Ev::MabRestarted);
         }
         MdcAction::RebootMachine => {
             ctx.trace("mdc.reboot", "rebooting the machine");
             world.metrics.incr("mdc.reboots");
             world.machine_down = true;
-            world.mab = None;
+            kill(world);
             ctx.schedule_in(world.timing.reboot_delay, Ev::MachineUp);
         }
+    }
+}
+
+/// A process death: the shard goes down, and only its log remains.
+fn kill(world: &mut World) {
+    world.process = Process::Down(Box::new(take_log(world)));
+}
+
+/// Takes whatever runs down, memory lost, and hands over its log.
+fn take_log(world: &mut World) -> ShardLog {
+    world.hung = false;
+    let placeholder = Process::Down(Box::new(ShardLog::in_memory()));
+    match std::mem::replace(&mut world.process, placeholder) {
+        Process::Up(shard) => shard.into_log(),
+        Process::Down(log) => *log,
     }
 }
 
 fn on_mab_crashed(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
     ctx.trace("mab.crash", "MyAlertBuddy terminated abnormally");
     world.metrics.incr("mab.crashes");
-    world.mab = None;
+    kill(world);
     let action = world.mdc.on_mab_terminated(ctx.now());
     perform_mdc_action(world, ctx, action);
 }
 
+/// The process (re)starts: a shard reopens over the log — replacing one
+/// still running — and replays what it holds unprocessed, its sends
+/// leaving after the routing stage.
 fn mab_restarted(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
     if world.machine_down {
         return; // the reboot path restarts us via MachineUp
     }
     let now = ctx.now();
-    let mut mab = MyAlertBuddy::new(world.mab_config.clone(), UserId::new("alice"));
-    let commands = mab.recover(&mut world.log, now);
-    world.metrics.add("mab.replayed", mab.stats().replayed);
-    world.mab = Some(mab);
+    let shard = open_shard(take_log(world), world.notice_tx.clone(), now);
+    let replayed = shard.snapshot().stats.replayed;
+    world.metrics.add("mab.replayed", replayed);
+    world.process = Process::Up(Box::new(shard));
     // Restart also restarts the client software.
-    world.im_mgr.core_mut().shutdown_restart(now);
-    let _ = world.im_mgr.start(&mut world.im, now);
-    world.email_mgr.start(now);
+    let channels = &mut world.channels;
+    channels.im_mgr.core_mut().shutdown_restart(now);
+    let _ = channels.im_mgr.start(&mut channels.im, now);
+    channels.email_mgr.start(now);
     ctx.trace("mab.restarted", "MyAlertBuddy up");
-    if !commands.is_empty() {
-        let delay = lognormal(world, world.timing.route_median_secs);
-        ctx.schedule_in(delay, Ev::MabRoute { commands });
-    }
+    let stage = if replayed > 0 { lognormal(world, world.timing.route_median_secs) } else { SimDuration::ZERO };
+    finish(world, ctx, stage);
     // Sweep anything that arrived while down.
     sweep_backlog(world, ctx);
 }
@@ -1020,7 +1000,8 @@ fn sweep_backlog(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
     if !world.mab_alive() {
         return;
     }
-    if let Ok(messages) = world.im_mgr.receive(&mut world.im, now) {
+    let channels = &mut world.channels;
+    if let Ok(messages) = channels.im_mgr.receive(&mut channels.im, now) {
         for message in messages {
             let tag = parse_tag(&message.body).unwrap_or(u64::MAX);
             let alert = IncomingAlert::from_im(message.from.0.clone(), message.body, message.sent_at);
@@ -1028,7 +1009,7 @@ fn sweep_backlog(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
             ctx.schedule_in(pickup, Ev::MabIngest { tag, alert, via_im: true });
         }
     }
-    for mail in world.email_mgr.take_unread() {
+    for mail in world.channels.email_mgr.take_unread() {
         let tag = parse_tag(&mail.body).unwrap_or(u64::MAX);
         let alert = IncomingAlert::from_email(
             mail.from.0.clone(),
@@ -1045,7 +1026,8 @@ fn sweep_backlog(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
 fn sanity_check(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
     let now = ctx.now();
     if !world.machine_down {
-        let report = world.im_mgr.sanity_check(&mut world.im, now);
+        let channels = &mut world.channels;
+        let report = channels.im_mgr.sanity_check(&mut channels.im, now);
         for repair in &report.repairs {
             match repair {
                 simba_client::RepairAction::ReLogon => {
@@ -1066,10 +1048,10 @@ fn sanity_check(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
                 }
             }
         }
-        let _ = world.email_mgr.sanity_check(&mut world.email, now);
+        let _ = channels.email_mgr.sanity_check(&mut channels.email, now);
         // The user's own IM client recovers its session independently.
-        if !world.im.is_logged_on(&ImHandle::new(USER_IM), now) {
-            let _ = world.im.logon(&ImHandle::new(USER_IM), now);
+        if !channels.im.is_logged_on(&ImHandle::new(USER_IM), now) {
+            let _ = channels.im.logon(&ImHandle::new(USER_IM), now);
         }
         // The sweep half of self-stabilization: unprocessed messages.
         sweep_backlog(world, ctx);
@@ -1080,18 +1062,18 @@ fn sanity_check(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
 fn dialog_scan(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
     let now = ctx.now();
     if !world.machine_down {
-        let (dismissed, stuck) = world.im_mgr.core_mut().pump_dialogs();
+        let (dismissed, stuck) = world.channels.im_mgr.core_mut().pump_dialogs();
         world.metrics.add("monkey.dismissed", dismissed.len() as u64);
         for caption in stuck {
             world.metrics.incr("monkey.stuck");
             ctx.trace("monkey.stuck", caption);
         }
-        let (dismissed, _) = world.email_mgr.core_mut().pump_dialogs();
+        let (dismissed, _) = world.channels.email_mgr.core_mut().pump_dialogs();
         world.metrics.add("monkey.dismissed", dismissed.len() as u64);
         // A stuck dialog eventually gets a human: the paper's two unknown
         // dialog boxes were unrecoverable until someone clicked them away.
         if let Some(delay) = world.operator_attention_delay {
-            let process = world.im_mgr.core_mut().process_mut();
+            let process = world.channels.im_mgr.core_mut().process_mut();
             let overdue: Vec<usize> = process
                 .dialogs()
                 .iter()
@@ -1124,7 +1106,7 @@ fn nightly(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
 /// An orderly shutdown + relaunch (rejuvenation): the MDC observes the
 /// exit but treats it as planned — no failure-streak accounting.
 fn graceful_restart(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
-    world.mab = None;
+    kill(world);
     ctx.schedule_in(world.timing.restart_delay, Ev::MabRestarted);
 }
 
@@ -1133,21 +1115,17 @@ fn client_fault(world: &mut World, ctx: &mut Ctx<'_, Ev>, kind: FaultKind) {
     if !world.machine_down {
         ctx.trace("fault.injected", kind.to_string());
         world.metrics.incr(&format!("fault.{kind}"));
+        let channels = &mut world.channels;
+        let process = channels.im_mgr.core_mut().process_mut();
         match kind {
-            FaultKind::Logout => world.im.force_logout(&ImHandle::new(MAB_IM)),
-            FaultKind::Hang => world.im_mgr.core_mut().process_mut().inject_hang(),
-            FaultKind::Crash => world.im_mgr.core_mut().process_mut().inject_crash(),
-            FaultKind::KnownDialog => world.im_mgr.core_mut().process_mut().inject_dialog(
-                DialogBox::blocking("Connection Lost", "Retry", now),
-            ),
+            FaultKind::Logout => channels.im.force_logout(&ImHandle::new(MAB_IM)),
+            FaultKind::Hang => process.inject_hang(),
+            FaultKind::Crash => process.inject_crash(),
+            FaultKind::KnownDialog => process.inject_dialog(DialogBox::blocking("Connection Lost", "Retry", now)),
             FaultKind::UnknownDialog => {
-                let idx = world.rng.range(0, UNKNOWN_DIALOG_CAPTIONS.len() as u64 - 1) as usize;
+                let idx = channels.rng.range(0, UNKNOWN_DIALOG_CAPTIONS.len() as u64 - 1) as usize;
                 let (caption, button) = UNKNOWN_DIALOG_CAPTIONS[idx];
-                world
-                    .im_mgr
-                    .core_mut()
-                    .process_mut()
-                    .inject_dialog(DialogBox::blocking(caption, button, now));
+                process.inject_dialog(DialogBox::blocking(caption, button, now));
             }
         }
     }
@@ -1159,7 +1137,7 @@ fn client_fault(world: &mut World, ctx: &mut Ctx<'_, Ev>, kind: FaultKind) {
 }
 
 fn mab_crash(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
-    if !world.machine_down && world.mab.is_some() {
+    if !world.machine_down && matches!(world.process, Process::Up(_)) {
         on_mab_crashed(world, ctx);
     }
     if let Some(mtbf) = world.mab_crash_mtbf {
@@ -1169,14 +1147,10 @@ fn mab_crash(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
 }
 
 fn mab_hang(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
-    if !world.machine_down {
-        if let Some(mab) = world.mab.as_mut() {
-            if mab.are_you_working() {
-                mab.inject_hang();
-                world.metrics.incr("mab.hangs");
-                ctx.trace("mab.hang", "MyAlertBuddy wedged");
-            }
-        }
+    if !world.machine_down && world.mab_alive() {
+        world.hung = true;
+        world.metrics.incr("mab.hangs");
+        ctx.trace("mab.hang", "MyAlertBuddy wedged");
     }
     if let Some(mtbf) = world.mab_hang_mtbf {
         let delay = SimDuration::from_secs_f64(ctx.rng().exponential(mtbf.as_secs_f64()));
@@ -1288,6 +1262,18 @@ mod tests {
         assert!(seen >= 48, "only {seen}/50 seen");
         let summary = world.metrics.summary("user.seen_latency").unwrap();
         assert!(summary.mean() < 30.0, "mean seen latency {}", summary.mean());
+    }
+
+    /// The user's acks reach the shard through its own timer wheel, at
+    /// the instant the harness records them: over E1's run every ack the
+    /// user gives concludes one delivery acknowledged, and the user
+    /// acknowledges nearly every alert.
+    #[test]
+    fn e1_every_user_ack_concludes_one_acked_delivery() {
+        let world = crate::experiments::e1_im_latency::simulate(42, true);
+        let acked = world.tracks.iter().filter(|(tag, t)| **tag != u64::MAX && t.user_acked).count();
+        assert!(acked > 1_990, "{acked} of 2 000 alerts acknowledged");
+        assert_eq!(world.metrics.counter("mab.acked"), world.metrics.counter("user.acked"));
     }
 
     #[test]

@@ -221,7 +221,6 @@ pub struct MyAlertBuddy {
     stats: MabStats,
     crash_point: Option<CrashPoint>,
     crashed: bool,
-    hung: bool,
     rejuvenating: bool,
     telemetry: Telemetry,
     mode_selector: Option<Box<dyn crate::routing::ModeSelector>>,
@@ -241,7 +240,6 @@ impl MyAlertBuddy {
             stats: MabStats::default(),
             crash_point: None,
             crashed: false,
-            hung: false,
             rejuvenating: false,
             telemetry: Telemetry::disabled(),
             mode_selector: None,
@@ -288,19 +286,9 @@ impl MyAlertBuddy {
         self.crash_point = Some(point);
     }
 
-    /// Wedges the main loop (AreYouWorking() will stop responding).
-    pub fn inject_hang(&mut self) {
-        self.hung = true;
-    }
-
     /// Whether the process is crashed (terminated).
     pub fn is_crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// The watchdog's non-blocking health probe.
-    pub fn are_you_working(&self) -> bool {
-        !self.crashed && !self.hung
     }
 
     /// Whether the buddy asked for rejuvenation: its MDC parks it once
@@ -375,7 +363,7 @@ impl MyAlertBuddy {
 
     /// Feeds one event through the pipeline, logging into `log`.
     ///
-    /// A crashed or hung buddy processes nothing (events are effectively
+    /// A crashed buddy processes nothing (events are effectively
     /// dropped, exactly like a dead process — senders see missing acks and
     /// fall back).
     pub fn handle(&mut self, log: &mut ShardLog, event: MabEvent, now: SimTime) -> Vec<MabCommand> {
@@ -393,7 +381,7 @@ impl MyAlertBuddy {
         now: SimTime,
         cmds: &mut Vec<MabCommand>,
     ) {
-        if self.crashed || self.hung {
+        if self.crashed {
             return;
         }
         match event {
@@ -985,20 +973,8 @@ mod tests {
         m.inject_crash_at(CrashPoint::BeforeLog);
         m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
         assert!(m.is_crashed());
-        assert!(!m.are_you_working());
         assert!(m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
         assert_eq!(appends(&log), 0);
-    }
-
-    #[test]
-    fn hung_buddy_fails_health_probe_but_keeps_state() {
-        let (mut m, mut log) = mab_and_log();
-        m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(1)), t(1));
-        m.inject_hang();
-        assert!(!m.are_you_working());
-        assert!(!m.is_crashed());
-        assert!(m.handle(&mut log, MabEvent::AlertByIm(sensor_alert(2)), t(2)).is_empty());
-        assert_eq!(appends(&log), 1); // only the pre-hang alert
     }
 
     #[test]
@@ -1081,7 +1057,6 @@ mod tests {
         assert!(cmds.iter().any(|c| matches!(c, MabCommand::Channel { .. })));
         // ...then the buddy crashed instead of continuing with divergent state.
         assert!(m.is_crashed());
-        assert!(!m.are_you_working());
         assert!(sink
             .events()
             .iter()

@@ -5,11 +5,10 @@
 //! [`simba_core::DeliveryProcess`]) against real time: shard workers,
 //! channel adapters, and a timer wheel for delivery ack windows.
 //!
-//! Nothing in `simba-core` knows about tokio — a shard worker simply maps
-//! wall-clock instants onto [`simba_sim::SimTime`] through
-//! [`RuntimeClock`] and feeds events in. That is the architectural payoff
-//! of keeping the core event-driven: one implementation, two drivers —
-//! the simulator and the shard worker.
+//! Nothing in `simba-core` knows about tokio, and neither does
+//! [`Shard`], the synchronous core that drives it: a shard worker feeds
+//! it wall-clock instants through [`RuntimeClock`], the §5 simulator
+//! feeds it simulated time — one implementation on two clocks.
 //!
 //! Every buddy lives on a [`ShardedHost`]: a fixed pool of shard workers
 //! multiplexing thousands of buddies each over group-committed shard
@@ -76,7 +75,7 @@ pub use ledger_bridge::{
     shared_filter, BridgeFilter, LedgerChannelBridge, SharedFilter, DEFAULT_DEDUPE_CAPACITY,
 };
 pub use shard::{
-    ConfigFactory, HostNotice, RuntimeNotice, ShardedHost, ShardedHostConfig, ShardedSnapshot,
-    DEFAULT_NOTICE_CAPACITY,
+    ConfigFactory, Door, HostNotice, RuntimeNotice, Shard, ShardedHost, ShardedHostConfig,
+    ShardedSnapshot, DEFAULT_NOTICE_CAPACITY,
 };
 pub use presence::{chanhealth_key, HEALTHY_VALUE};

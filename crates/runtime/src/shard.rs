@@ -14,7 +14,9 @@
 //! while the roster tracks *registered* ones. One shard with hibernation
 //! off is the small-fleet shape; nothing else changes.
 //!
-//! The worker loop is the §4.2.1 pipeline batched:
+//! Each shard is a synchronous core, [`Shard`], inside a thin tokio loop
+//! that owns only its queue, clock and channels. The loop is the §4.2.1
+//! pipeline batched:
 //!
 //! 1. **handle** — drain up to `BATCH_MAX` inbound messages plus due
 //!    timer-wheel entries and due digest windows (the worker owns its
@@ -264,14 +266,22 @@ impl ShardedSnapshot {
     }
 }
 
+/// The door an alert arrives by: an IM-borne alert is acknowledged to
+/// its source once its record is durable, an email-borne one is not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Door {
+    /// Instant messaging.
+    Im,
+    /// Email.
+    Email,
+}
+
 /// What the front door sends a shard worker.
 enum ShardMsg {
     /// Add users to the roster (bulk — registration is just a map entry).
     Register(Vec<UserId>),
-    /// An IM-borne alert for a user.
-    Im(UserId, IncomingAlert),
-    /// An email-borne alert for a user.
-    Email(UserId, IncomingAlert),
+    /// An alert for a user, by the door it arrived at.
+    Submit(UserId, IncomingAlert, Door),
     /// An external user acknowledgement for a delivery attempt.
     Ack {
         user: UserId,
@@ -409,26 +419,13 @@ impl ShardedHost {
                 log.issue_ids_above(last);
             }
             let (tx, rx) = mpsc::channel(QUEUE_CAPACITY);
+            let shard = Shard::open(log, &config, Arc::clone(&factory), notice_tx.clone(), telemetry.clone());
             // Deferred so a threaded worker anchors its clock on its own
             // thread's event loop, not the spawning one's. Everything the
             // closure captures is `Send` — the compile-time proof lives in
             // the `shard_worker_future_is_send` test below.
-            let worker_channels = channels.clone();
-            let worker_telemetry = telemetry.clone();
-            let worker_factory = Arc::clone(&factory);
-            let worker_notices = notice_tx.clone();
-            let worker_config = config.clone();
-            let build = move || {
-                Worker::new(
-                    rx,
-                    worker_channels,
-                    worker_telemetry,
-                    worker_factory,
-                    worker_notices,
-                    log,
-                    &worker_config,
-                )
-            };
+            let channels = channels.clone();
+            let build = move || Worker { rx, channels, clock: RuntimeClock::start(), shard };
             let task = if config.threads {
                 let thread = std::thread::Builder::new()
                     .name(format!("simba-shard-{index:03}"))
@@ -482,13 +479,13 @@ impl ShardedHost {
     /// is counted by the worker under `host.unrouted`.
     pub async fn submit_im(&self, user: &UserId, alert: IncomingAlert) -> bool {
         let shard = shard_of(user, self.shards.len());
-        self.send(shard, ShardMsg::Im(user.clone(), alert)).await
+        self.send(shard, ShardMsg::Submit(user.clone(), alert, Door::Im)).await
     }
 
     /// Like [`ShardedHost::submit_im`] for an email-borne alert.
     pub async fn submit_email(&self, user: &UserId, alert: IncomingAlert) -> bool {
         let shard = shard_of(user, self.shards.len());
-        self.send(shard, ShardMsg::Email(user.clone(), alert)).await
+        self.send(shard, ShardMsg::Submit(user.clone(), alert, Door::Email)).await
     }
 
     /// Reports an external user acknowledgement for a delivery attempt.
@@ -583,15 +580,97 @@ impl std::fmt::Debug for ShardedHost {
     }
 }
 
-/// One shard worker: owns its roster, its log, and its timer wheel. It
-/// is its buddies' "SIMBA library" (§4.2.1): it holds the shard log by
-/// value and lends it to each buddy call that logs, marks or replays, so
-/// one owner writes, commits and replays the log, and a threaded worker
-/// is `Send` because it owns the log, not because a lock guards it.
+/// One shard worker: the tokio loop around a [`Shard`], owning only the
+/// queue, the clock and the channels it lends to [`Shard::finish_batch`].
 struct Worker<C> {
     rx: mpsc::Receiver<ShardMsg>,
     channels: C,
     clock: RuntimeClock,
+    shard: Shard,
+}
+
+/// Most inbound messages a worker drains before committing; bounds both
+/// ack latency and the blast radius of one commit.
+const BATCH_MAX: usize = 256;
+
+/// Capacity of each shard's inbound queue; submitters await space, so a
+/// hot shard exerts backpressure instead of buffering unboundedly.
+const QUEUE_CAPACITY: usize = 1024;
+
+impl<C: Channels> Worker<C> {
+    async fn run(mut self) {
+        let now = self.clock.now();
+        self.shard.start(now);
+        self.shard.finish_batch(&mut self.channels, now);
+
+        loop {
+            let wait = self.idle_wait();
+            let inbound = tokio::time::timeout(wait, self.rx.recv()).await;
+            let now = self.clock.now();
+            let mut stop = None;
+            match inbound {
+                Ok(Some(msg)) => {
+                    stop = self.handle_msg(msg, now);
+                    let mut drained = 1;
+                    while stop.is_none() && drained < BATCH_MAX {
+                        let Ok(msg) = self.rx.try_recv() else { break };
+                        drained += 1;
+                        stop = self.handle_msg(msg, now);
+                    }
+                }
+                Ok(None) => {
+                    // Front door dropped without shutdown: release what
+                    // is staged, with nobody to read a snapshot.
+                    self.shard.finish_batch(&mut self.channels, now);
+                    return;
+                }
+                Err(_) => {} // idle tick: due timers and windows only
+            }
+            self.shard.fire_due(now);
+            if let Some(reply) = stop {
+                let _ = reply.send(self.shard.stop(&mut self.channels, now));
+                return;
+            }
+            self.shard.finish_batch(&mut self.channels, now);
+        }
+    }
+
+    /// Time until the shard's next deadline, clamped to [1 ms, 1 s] so
+    /// the worker stays responsive without spinning.
+    fn idle_wait(&self) -> Duration {
+        let now = self.clock.now();
+        let next = self.shard.next_deadline();
+        let wait = next.map_or(1_000, |at| at.as_millis().saturating_sub(now.as_millis()));
+        Duration::from_millis(wait.clamp(1, 1_000))
+    }
+
+    /// One message, one `Shard` call; `Some` is a `Stop`'s reply.
+    fn handle_msg(&mut self, msg: ShardMsg, now: SimTime) -> Option<oneshot::Sender<ShardedSnapshot>> {
+        match msg {
+            ShardMsg::Register(users) => self.shard.register(users),
+            ShardMsg::Submit(user, alert, door) => self.shard.submit(user, alert, door, now),
+            ShardMsg::Ack { user, delivery, attempt } => self.shard.ack(&user, delivery, attempt, now),
+            ShardMsg::Snapshot(reply) => {
+                let _ = reply.send(self.shard.snapshot());
+            }
+            ShardMsg::Hibernate(user, reply) => {
+                let _ = reply.send(self.shard.hibernate(&user));
+            }
+            ShardMsg::InjectMarkFailure(user) => self.shard.inject_mark_failure(&user),
+            ShardMsg::InjectCommitFailure(bytes) => self.shard.inject_commit_failure(bytes),
+            ShardMsg::Stop(reply) => return Some(reply),
+        }
+        None
+    }
+}
+
+/// One shard's synchronous core — roster, log, timer wheel, staged
+/// effects, digest windows, counters — and its buddies' "SIMBA library"
+/// (§4.2.1): it owns the shard log and lends it to each buddy call that
+/// logs, marks or replays, so a threaded worker is `Send` by ownership,
+/// not by a lock. Nothing here waits: every call is told the time, by a
+/// shard worker's clock or by the §5 simulator's.
+pub struct Shard {
     telemetry: Telemetry,
     factory: ConfigFactory,
     notices: mpsc::Sender<HostNotice>,
@@ -620,43 +699,27 @@ struct Worker<C> {
     crashes: u64,
     unrouted: u64,
     hibernate_after: SimDuration,
-    /// Channel attempts go here instead of `channels` when set.
+    /// Channel attempts go here instead of the lent channels when set.
     ledger: Option<simba_ledger::SharedLedger>,
     /// Registered users' alerts run through this engine before routing,
-    /// against this worker's correlator: the digest windows of its users.
+    /// against this shard's correlator: the digest windows of its users.
     rules: Option<(simba_rules::SharedRuleEngine, Correlator)>,
     /// Buddies consult this store at delivery start when set.
     store: Option<SoftStateStore>,
 }
 
-/// Most inbound messages a worker drains before committing; bounds both
-/// ack latency and the blast radius of one commit.
-const BATCH_MAX: usize = 256;
-
-/// Capacity of each shard's inbound queue; submitters await space, so a
-/// hot shard exerts backpressure instead of buffering unboundedly.
-const QUEUE_CAPACITY: usize = 1024;
-
-enum Flow {
-    Continue,
-    Stop(oneshot::Sender<ShardedSnapshot>),
-}
-
-impl<C: Channels> Worker<C> {
-    /// A worker with an empty roster, on the calling thread's clock.
-    fn new(
-        rx: mpsc::Receiver<ShardMsg>,
-        channels: C,
-        telemetry: Telemetry,
-        factory: ConfigFactory,
-        notices: mpsc::Sender<HostNotice>,
+impl Shard {
+    /// A shard with an empty roster over `log`, with `config`'s
+    /// hibernation, ledger, rules and store; `factory` builds a user's
+    /// configuration at every activation.
+    pub fn open(
         log: ShardLog,
         config: &ShardedHostConfig,
+        factory: ConfigFactory,
+        notices: mpsc::Sender<HostNotice>,
+        telemetry: Telemetry,
     ) -> Self {
-        Worker {
-            rx,
-            channels,
-            clock: RuntimeClock::start(),
+        Shard {
             telemetry,
             factory,
             notices,
@@ -680,139 +743,127 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    async fn run(mut self) {
-        // Startup replay demand: any user with unprocessed records gets a
-        // buddy (auto-registered — the log proves they existed) whose
-        // `recover()` replays them before new traffic is accepted.
-        let now = self.clock.now();
-        let demand = self.log.users_with_unprocessed();
-        for user in demand {
+    /// Startup replay demand: every user with unprocessed records gets a
+    /// buddy (auto-registered — the log proves they existed) that replays
+    /// them, released by the next [`Shard::finish_batch`].
+    pub fn start(&mut self, now: SimTime) {
+        for user in self.log.users_with_unprocessed() {
             self.roster.entry(user.clone()).or_insert(UserSlot::Fresh);
             self.activate(&user, now);
         }
-        self.finish_batch(now);
+    }
 
-        loop {
-            let wait = self.idle_wait();
-            let inbound = tokio::time::timeout(wait, self.rx.recv()).await;
-            let now = self.clock.now();
-            let mut stop = None;
-            match inbound {
-                Ok(Some(msg)) => {
-                    let mut drained = 1usize;
-                    match self.handle_msg(msg, now) {
-                        Flow::Stop(reply) => stop = Some(reply),
-                        Flow::Continue => {
-                            while stop.is_none() && drained < BATCH_MAX {
-                                match self.rx.try_recv() {
-                                    Ok(msg) => {
-                                        drained += 1;
-                                        if let Flow::Stop(reply) = self.handle_msg(msg, now) {
-                                            stop = Some(reply);
-                                        }
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(None) => {
-                    // Front door dropped without shutdown: stop as `Stop`
-                    // does, with nobody to read the snapshot.
-                    let _ = self.stop(now);
-                    return;
-                }
-                Err(_) => {} // idle tick: due timers and windows only
-            }
-            self.fire_due_timers(now);
-            // Stop flushes every open window: windows live in memory only.
-            let flush_at = if stop.is_some() { u64::MAX } else { now.as_millis() };
-            let due = self.rules.as_mut().map(|(_, windows)| windows.flush_due(flush_at));
-            self.route_digests(due.into_iter().flatten(), now);
-            self.finish_batch(now);
-            if let Some(reply) = stop {
-                let _ = reply.send(self.stop(now));
-                return;
-            }
+    /// Adds users to the roster (a map entry each; no buddy is built
+    /// until a user's first alert).
+    pub fn register(&mut self, users: Vec<UserId>) {
+        if self.telemetry.enabled() && !users.is_empty() {
+            self.telemetry.metrics().counter("host.users").add(users.len() as u64);
+        }
+        // One table allocation, not a run of doublings whose old+new
+        // copies set the process's memory high-water mark.
+        self.roster.reserve(users.len());
+        for user in users {
+            self.roster.entry(user).or_insert(UserSlot::Fresh);
         }
     }
 
-    /// The worker's last batch: one more [`Self::finish_batch`], so what a
-    /// failed commit withheld is released by the commit that covers it
-    /// (or, should that fail too, dropped unacknowledged with its marks
-    /// not durable: the next run replays it); then the snapshot is taken.
-    fn stop(&mut self, now: SimTime) -> ShardedSnapshot {
-        self.finish_batch(now);
-        self.shard_snapshot()
+    /// An alert for `user` arrived by `door`: rules first (if any), then
+    /// the user's buddy, built if not resident; an unregistered user's
+    /// alert is counted unrouted.
+    pub fn submit(&mut self, user: UserId, alert: IncomingAlert, door: Door, now: SimTime) {
+        if let Some(alert) = self.apply_rules(&user, alert, now) {
+            let event = match door {
+                Door::Im => MabEvent::AlertByIm(alert),
+                Door::Email => MabEvent::AlertByEmail(alert),
+            };
+            self.route(user, event, now);
+        }
     }
 
-    /// Time until the next timer-wheel deadline (block timer, simulated
-    /// ack or idle deadline) or digest-window deadline, clamped to
-    /// [1 ms, 1 s] so the worker stays responsive without spinning.
-    fn idle_wait(&self) -> Duration {
-        let now = self.clock.now();
+    /// An external user acknowledgement for a delivery attempt; one for a
+    /// delivery the resident buddy no longer tracks is dropped as stale.
+    pub fn ack(&mut self, user: &UserId, delivery: DeliveryId, attempt: AttemptId, now: SimTime) {
+        let live = matches!(
+            self.roster.get(user),
+            Some(UserSlot::Active(active)) if active.mab.delivery_status(delivery).is_some()
+        );
+        if live {
+            let event = DeliveryEvent::Acked { attempt };
+            let _ = self.feed(user, MabEvent::Delivery { id: delivery, event }, now, true);
+        } else if self.telemetry.enabled() {
+            self.telemetry.metrics().counter("runtime.stale_dropped").incr();
+        }
+    }
+
+    /// Runs every timer-wheel entry and digest window due at `now`.
+    pub fn fire_due(&mut self, now: SimTime) {
+        self.fire_due_timers(now);
+        let due = self.rules.as_mut().map(|(_, windows)| windows.flush_due(now.as_millis()));
+        self.route_digests(due.into_iter().flatten(), now);
+    }
+
+    /// When [`Shard::fire_due`] next has work: the first timer-wheel
+    /// entry (block timer, simulated ack, idle deadline) or digest window.
+    pub fn next_deadline(&self) -> Option<SimTime> {
         let window = self.rules.as_ref().and_then(|(_, windows)| windows.next_deadline());
-        let timer = self.timers.first_key_value().map(|((at, _), _)| at.as_millis());
-        let next = window.into_iter().chain(timer).min();
-        let wait = next.map_or(1_000, |at| at.saturating_sub(now.as_millis()));
-        Duration::from_millis(wait.clamp(1, 1_000))
+        let timer = self.timers.first_key_value().map(|((at, _), _)| *at);
+        window.map(SimTime::from_millis).into_iter().chain(timer).min()
     }
 
-    fn handle_msg(&mut self, msg: ShardMsg, now: SimTime) -> Flow {
-        match msg {
-            ShardMsg::Register(users) => {
-                if self.telemetry.enabled() && !users.is_empty() {
-                    self.telemetry.metrics().counter("host.users").add(users.len() as u64);
-                }
-                // One table allocation, not a run of doublings whose
-                // old+new copies set the process's memory high-water mark.
-                self.roster.reserve(users.len());
-                for user in users {
-                    self.roster.entry(user).or_insert(UserSlot::Fresh);
-                }
-            }
-            ShardMsg::Im(user, alert) => {
-                if let Some(alert) = self.apply_rules(&user, alert, now) {
-                    self.route(user, MabEvent::AlertByIm(alert), now);
-                }
-            }
-            ShardMsg::Email(user, alert) => {
-                if let Some(alert) = self.apply_rules(&user, alert, now) {
-                    self.route(user, MabEvent::AlertByEmail(alert), now);
-                }
-            }
-            ShardMsg::Ack { user, delivery, attempt } => {
-                let live = matches!(
-                    self.roster.get(&user),
-                    Some(UserSlot::Active(active)) if active.mab.delivery_status(delivery).is_some()
-                );
-                if live {
-                    let event = DeliveryEvent::Acked { attempt };
-                    let _ = self.feed(&user, MabEvent::Delivery { id: delivery, event }, now, true);
-                } else if self.telemetry.enabled() {
-                    self.telemetry.metrics().counter("runtime.stale_dropped").incr();
-                }
-            }
-            ShardMsg::Snapshot(reply) => {
-                let _ = reply.send(self.shard_snapshot());
-            }
-            ShardMsg::Hibernate(user, reply) => {
-                let _ = reply.send(self.try_hibernate(&user));
-            }
-            ShardMsg::InjectMarkFailure(user) => {
-                self.log.inject_mark_failure(&user);
-            }
-            ShardMsg::InjectCommitFailure(bytes) => {
-                self.log.inject_write_failure(bytes);
-            }
-            ShardMsg::Stop(reply) => return Flow::Stop(reply),
+    /// Phases 2 and 3: one group commit, then release the staged effects
+    /// through `channels`. A failed commit withholds every one (no acks,
+    /// sends or conclusions); the first later commit that succeeds covers
+    /// the batch and releases them, ahead of its own batch's.
+    pub fn finish_batch<C: Channels>(&mut self, channels: &mut C, now: SimTime) {
+        if self.commit_once().is_ok() {
+            self.execute(channels, now);
         }
-        Flow::Continue
+    }
+
+    /// The last batch: every open digest window is flushed (windows live
+    /// in memory only) and the batch finished twice, so what a failed
+    /// commit withheld is released by the commit covering it — or, should
+    /// that fail too, replayed by the next run. Returns the snapshot.
+    pub fn stop<C: Channels>(&mut self, channels: &mut C, now: SimTime) -> ShardedSnapshot {
+        let open = self.rules.as_mut().map(|(_, windows)| windows.flush_due(u64::MAX));
+        self.route_digests(open.into_iter().flatten(), now);
+        self.finish_batch(channels, now);
+        self.finish_batch(channels, now);
+        self.snapshot()
+    }
+
+    /// Hibernates `user` if idle and says whether it did (also a test
+    /// hook): the buddy leaves memory as a crashed one does; its ids live
+    /// in its log.
+    pub fn hibernate(&mut self, user: &UserId) -> bool {
+        if !matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_idle(&self.log)) {
+            return false;
+        }
+        self.leave(user, UserSlot::Hibernated);
+        self.hibernations += 1;
+        if self.telemetry.enabled() {
+            self.telemetry.metrics().counter("host.hibernated").incr();
+        }
+        true
+    }
+
+    /// Test hook: the user's next processed-mark fails, crashing its buddy.
+    pub fn inject_mark_failure(&mut self, user: &UserId) {
+        self.log.inject_mark_failure(user);
+    }
+
+    /// Test hook: [`ShardLog::inject_write_failure`] on the next commit.
+    pub fn inject_commit_failure(&mut self, bytes: usize) {
+        self.log.inject_write_failure(bytes);
+    }
+
+    /// A process death: only the log survives, for a restart to reopen.
+    pub fn into_log(self) -> ShardLog {
+        self.log
     }
 
     /// Runs one registered user's alert through the rules engine, against
-    /// this worker's correlator. `Some` means route it (urgency possibly
+    /// this shard's correlator. `Some` means route it (urgency possibly
     /// rewritten); `None` means a rule consumed it. Unregistered users
     /// bypass evaluation so [`Self::route`] still counts them unrouted —
     /// rules never absorb unhosted traffic. A digest forced out early
@@ -996,17 +1047,6 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    /// Phases 2 and 3: one group commit, then release the staged effects.
-    /// A failed commit leaves the batch not durable, so every staged
-    /// effect is withheld (no acks, no sends, no conclusions): the journal
-    /// keeps what it has buffered, and the first later commit that
-    /// succeeds covers it and releases them, ahead of its own batch's.
-    fn finish_batch(&mut self, now: SimTime) {
-        if self.commit_once().is_ok() {
-            self.execute(now);
-        }
-    }
-
     /// One [`ShardLog::commit`] (a no-op when clean), with the commit and
     /// rotation counters surfaced as `host.*` metrics.
     fn commit_once(&mut self) -> Result<(), WalError> {
@@ -1035,7 +1075,7 @@ impl<C: Channels> Worker<C> {
     /// each concluded delivery is retired and reported. A rejuvenating
     /// buddy is parked once it is idle: at its `Rejuvenate`, or else at
     /// the `Finished` of its last delivery.
-    fn execute(&mut self, now: SimTime) {
+    fn execute<C: Channels>(&mut self, channels: &mut C, now: SimTime) {
         while let Some((user, command)) = self.staged.pop_front() {
             match command {
                 MabCommand::AckIm { to, wal_id } => {
@@ -1098,7 +1138,7 @@ impl<C: Channels> Worker<C> {
                             let _ = self.feed(&user, event, now, false);
                             continue;
                         }
-                        let outcome = self.channels.send(comm_type, &address_value, &text);
+                        let outcome = channels.send(comm_type, &address_value, &text);
                         if self.telemetry.enabled() {
                             self.telemetry.metrics().counter("runtime.sends").incr();
                         }
@@ -1167,7 +1207,7 @@ impl<C: Channels> Worker<C> {
     /// Parks `user`'s buddy if it asked for rejuvenation and is idle.
     fn park_if_rejuvenating(&mut self, user: &UserId) {
         if matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_rejuvenating()) {
-            self.try_hibernate(user);
+            self.hibernate(user);
         }
     }
 
@@ -1182,24 +1222,9 @@ impl<C: Channels> Worker<C> {
         let deadline = active.last_event_at + self.hibernate_after;
         if deadline > now {
             self.schedule(user, TimerFire::Idle, deadline.since(now), now);
-        } else if !self.try_hibernate(user) {
+        } else if !self.hibernate(user) {
             self.schedule(user, TimerFire::Idle, self.hibernate_after, now);
         }
-    }
-
-    /// Hibernates `user` if idle: the buddy leaves memory as a crashed
-    /// one does, into a `Hibernated` slot. Its ids live in its log, so
-    /// nothing else need be kept.
-    fn try_hibernate(&mut self, user: &UserId) -> bool {
-        if !matches!(self.roster.get(user), Some(UserSlot::Active(active)) if active.mab.is_idle(&self.log)) {
-            return false;
-        }
-        self.leave(user, UserSlot::Hibernated);
-        self.hibernations += 1;
-        if self.telemetry.enabled() {
-            self.telemetry.metrics().counter("host.hibernated").incr();
-        }
-        true
     }
 
     fn notify(&self, user: UserId, notice: RuntimeNotice) {
@@ -1210,7 +1235,9 @@ impl<C: Channels> Worker<C> {
         }
     }
 
-    fn shard_snapshot(&self) -> ShardedSnapshot {
+    /// This shard's state: its counters merged with those of every
+    /// resident buddy.
+    pub fn snapshot(&self) -> ShardedSnapshot {
         let mut snap = ShardedSnapshot {
             users: self.roster.len(),
             stats: self.folded,
@@ -1240,6 +1267,7 @@ impl<C: Channels> Worker<C> {
         snap
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -1287,42 +1315,31 @@ mod tests {
         })
     }
 
-    use crate::channels::{LoopbackChannels, SharedChannels};
+    use crate::channels::LoopbackChannels;
+    use simba_core::address::CommType;
 
-    type Loopback = SharedChannels<LoopbackChannels>;
-
-    /// A worker over a log in `dir` that holds one record of alice's, an
+    /// A shard over a log in `dir` that holds one record of alice's, an
     /// earlier incarnation's, committed and unmarked; alice and bob are
     /// registered. A healthy batch writes nothing, so a failing commit
     /// needs a batch with a frame to write: alice's, whose activation
-    /// replays the record and so must write its mark. The record is
-    /// seeded behind the worker's back because the host's own startup
-    /// replays every seeded record before any test hook could arm the
-    /// fault. `factory` builds each user's configuration.
-    fn seeded_worker(
+    /// replays the record and so must write its mark. The shard is not
+    /// started, so the record waits for alice's next alert; a started one
+    /// would replay it before any test hook could arm the fault.
+    /// `factory` builds each user's configuration.
+    fn seeded_shard(
         dir: &std::path::Path,
         factory: ConfigFactory,
-    ) -> (Worker<Loopback>, Loopback, Telemetry, mpsc::Receiver<HostNotice>) {
+    ) -> (Shard, Telemetry, mpsc::Receiver<HostNotice>) {
         let _ = std::fs::remove_dir_all(dir);
         let mut log = ShardLog::open(ShardLogConfig::on_disk(dir)).unwrap();
         log.append(&UserId::new("alice"), &gw_alert("Sensor A0 ON"), SimTime::ZERO).unwrap();
         log.commit().unwrap();
-        let shared = SharedChannels::new(LoopbackChannels::accept_all());
         let telemetry = Telemetry::with_sink(Arc::new(simba_telemetry::RingBufferSink::new(64)));
-        let (_tx, rx) = mpsc::channel(1);
         let (notices, notice_rx) = mpsc::channel(64);
-        let mut worker = Worker::new(
-            rx,
-            shared.clone(),
-            telemetry.clone(),
-            factory,
-            notices,
-            log,
-            &ShardedHostConfig::default(),
-        );
-        worker.roster.insert(UserId::new("alice"), UserSlot::Fresh);
-        worker.roster.insert(UserId::new("bob"), UserSlot::Fresh);
-        (worker, shared, telemetry, notice_rx)
+        let config = ShardedHostConfig::default();
+        let mut shard = Shard::open(log, &config, factory, notices, telemetry.clone());
+        shard.register(vec![UserId::new("alice"), UserId::new("bob")]);
+        (shard, telemetry, notice_rx)
     }
 
     fn gw_alert(body: &str) -> IncomingAlert {
@@ -1331,24 +1348,22 @@ mod tests {
 
     /// Alice's batch: her live alert A1 and the replay of A0, whose mark
     /// the commit writes nine bytes of before it fails.
-    fn fail_alices_batch(worker: &mut Worker<Loopback>) {
-        worker.log.inject_write_failure(9);
-        let alert = MabEvent::AlertByIm(gw_alert("Sensor A1 ON"));
-        worker.route(UserId::new("alice"), alert, SimTime::ZERO);
-        worker.finish_batch(SimTime::ZERO);
+    fn fail_alices_batch(shard: &mut Shard, channels: &mut LoopbackChannels) {
+        shard.inject_commit_failure(9);
+        shard.submit(UserId::new("alice"), gw_alert("Sensor A1 ON"), Door::Im, SimTime::ZERO);
+        shard.finish_batch(channels, SimTime::ZERO);
     }
 
     /// Bob's batch: his live alert B1, whose commit succeeds and covers
     /// alice's failed batch too.
-    fn commit_bobs_batch(worker: &mut Worker<Loopback>) {
-        let alert = MabEvent::AlertByIm(gw_alert("Sensor B1 ON"));
-        worker.route(UserId::new("bob"), alert, SimTime::ZERO);
-        worker.finish_batch(SimTime::ZERO);
+    fn commit_bobs_batch(shard: &mut Shard, channels: &mut LoopbackChannels) {
+        shard.submit(UserId::new("bob"), gw_alert("Sensor B1 ON"), Door::Im, SimTime::ZERO);
+        shard.finish_batch(channels, SimTime::ZERO);
     }
 
     /// The bodies sent, sorted.
-    fn sent_bodies(shared: &Loopback) -> Vec<String> {
-        let mut bodies: Vec<String> = shared.with(|c| c.sent().iter().map(|(_, _, text)| text.clone()).collect());
+    fn sent_bodies(channels: &LoopbackChannels) -> Vec<String> {
+        let mut bodies: Vec<String> = channels.sent().iter().map(|(_, _, text)| text.clone()).collect();
         bodies.sort_unstable();
         bodies
     }
@@ -1362,7 +1377,8 @@ mod tests {
     #[test]
     fn a_failed_group_commit_releases_nothing_and_loses_nothing() {
         let dir = std::env::temp_dir().join(format!("simba-shard-commitfail-{}", std::process::id()));
-        let (mut worker, shared, telemetry, mut notice_rx) = seeded_worker(&dir, direct_to_im(true));
+        let (mut shard, telemetry, mut notice_rx) = seeded_shard(&dir, direct_to_im(true));
+        let mut channels = LoopbackChannels::accept_all();
         let acks = |rx: &mut mpsc::Receiver<HostNotice>| {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .filter(|n| matches!(n.notice, RuntimeNotice::AckSent { .. }))
@@ -1370,43 +1386,44 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        fail_alices_batch(&mut worker);
+        fail_alices_batch(&mut shard, &mut channels);
         assert_eq!(telemetry.metrics().snapshot().counter("host.commit_failed"), 1);
-        assert_eq!(worker.log.stats().group_commits, 1, "only the seeding commit");
-        assert!(sent_bodies(&shared).is_empty(), "no send on top of a failed commit");
+        assert_eq!(shard.snapshot().log.group_commits, 1, "only the seeding commit");
+        assert!(sent_bodies(&channels).is_empty(), "no send on top of a failed commit");
         assert!(acks(&mut notice_rx).is_empty(), "no ack either");
 
         // Bob's batch commits, and covers alice's with it.
-        commit_bobs_batch(&mut worker);
-        assert_eq!(worker.log.stats().group_commits, 2);
+        commit_bobs_batch(&mut shard, &mut channels);
+        assert_eq!(shard.snapshot().log.group_commits, 2);
         let live = [UserId::new("alice"), UserId::new("bob")];
         assert_eq!(acks(&mut notice_rx), live, "the live alerts are acked; the replay is not");
-        let bodies = sent_bodies(&shared);
+        let bodies = sent_bodies(&channels);
         assert_eq!(bodies.len(), 3, "{bodies:?}");
         for (body, expected) in bodies.iter().zip(["Sensor A0", "Sensor A1", "Sensor B1"]) {
             assert!(body.contains(expected), "{bodies:?}");
         }
-        drop(worker);
+        drop(shard);
 
         // A restart over the same directory finds nothing left to replay:
         // every alert was delivered exactly once.
         assert_eq!(unprocessed_after_reopen(&dir), 0);
     }
 
-    /// A `Stop` right after a failed commit: the stop's own commit covers
+    /// A stop right after a failed commit: the stop's own commit covers
     /// the failed batch, so it must release what that batch withheld —
     /// not make its marks durable and drop its sends.
     #[test]
     fn a_stop_releases_what_a_failed_commit_withheld() {
         let dir = std::env::temp_dir().join(format!("simba-shard-stopfail-{}", std::process::id()));
-        let (mut worker, shared, _telemetry, _notice_rx) = seeded_worker(&dir, direct_to_im(true));
-        fail_alices_batch(&mut worker);
-        let snapshot = worker.stop(SimTime::ZERO);
+        let (mut shard, _telemetry, _notice_rx) = seeded_shard(&dir, direct_to_im(true));
+        let mut channels = LoopbackChannels::accept_all();
+        fail_alices_batch(&mut shard, &mut channels);
+        let snapshot = shard.stop(&mut channels, SimTime::ZERO);
         assert_eq!(snapshot.log.group_commits, 2, "the seeding commit and the stop's");
-        let bodies = sent_bodies(&shared);
+        let bodies = sent_bodies(&channels);
         assert_eq!(bodies.len(), 2, "{bodies:?}");
         assert!(bodies[0].contains("Sensor A0") && bodies[1].contains("Sensor A1"), "{bodies:?}");
-        drop(worker);
+        drop(shard);
         assert_eq!(unprocessed_after_reopen(&dir), 0);
     }
 
@@ -1418,7 +1435,8 @@ mod tests {
     #[test]
     fn a_failed_commit_withholds_its_conclusion_reports() {
         let dir = std::env::temp_dir().join(format!("simba-shard-finishfail-{}", std::process::id()));
-        let (mut worker, shared, _telemetry, mut notice_rx) = seeded_worker(&dir, direct_to_im(false));
+        let (mut shard, _telemetry, mut notice_rx) = seeded_shard(&dir, direct_to_im(false));
+        let mut channels = LoopbackChannels::accept_all();
         let finished = |rx: &mut mpsc::Receiver<HostNotice>| {
             std::iter::from_fn(|| rx.try_recv().ok())
                 .filter_map(|n| match n.notice {
@@ -1428,20 +1446,141 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        fail_alices_batch(&mut worker);
+        fail_alices_batch(&mut shard, &mut channels);
         assert_eq!(finished(&mut notice_rx), [], "nothing concluded on top of a failed commit");
-        assert_eq!(worker.shard_snapshot().exhausted, 0);
+        assert_eq!(shard.snapshot().exhausted, 0);
 
-        commit_bobs_batch(&mut worker);
+        commit_bobs_batch(&mut shard, &mut channels);
         let reported = finished(&mut notice_rx);
         assert_eq!(reported.len(), 3, "A0's replay, A1 and B1: {reported:?}");
         let users: Vec<&str> = reported.iter().map(|(user, _)| &*user.0).collect();
         assert_eq!(users, ["alice", "alice", "bob"]);
-        assert_eq!(worker.shard_snapshot().exhausted, 3);
-        assert_eq!(worker.shard_snapshot().in_flight, 0);
-        assert!(sent_bodies(&shared).is_empty());
-        drop(worker);
+        assert_eq!(shard.snapshot().exhausted, 3);
+        assert_eq!(shard.snapshot().in_flight, 0);
+        assert!(sent_bodies(&channels).is_empty());
+        drop(shard);
         assert_eq!(unprocessed_after_reopen(&dir), 0);
+    }
+
+    type Sent = Vec<(CommType, String, String)>;
+
+    /// Every third IM send fails; the others are acknowledged after a lag
+    /// that is 1 more than a multiple of 7 ms, up to ≈ 84 s — past the
+    /// 60 s ack window for some. Email is accepted. Every send is logged.
+    #[derive(Clone, Default)]
+    struct EveryThirdImFails {
+        ims: u64,
+        sent: Arc<std::sync::Mutex<Sent>>,
+    }
+
+    impl Channels for EveryThirdImFails {
+        fn send(&mut self, comm_type: CommType, address: &str, text: &str) -> SendOutcome {
+            self.sent.lock().unwrap().push((comm_type, address.to_string(), text.to_string()));
+            if comm_type != CommType::Im {
+                return SendOutcome::Accepted;
+            }
+            self.ims += 1;
+            if self.ims.is_multiple_of(3) {
+                return SendOutcome::Failed(simba_core::delivery::SendFailure::ChannelDown);
+            }
+            SendOutcome::AcceptedWithAck(Duration::from_millis(7 * (self.ims * 4_099 % 12_000) + 1))
+        }
+    }
+
+    /// Alice's `gw` alerts go to her IM address, then to her email when
+    /// no ack comes within 60 s.
+    fn im_then_email() -> ConfigFactory {
+        use simba_core::address::Address;
+        use simba_core::classify::KeywordField;
+        use simba_core::mode::DeliveryMode;
+
+        Arc::new(|user: &UserId| {
+            let mut config = MabConfig::default();
+            config.classifier.accept_source("gw", KeywordField::Body, "");
+            config.classifier.map_keyword("Sensor", "Home");
+            let profile = config.registry.register_user(user.clone());
+            profile.address_book.add(Address::new("IM", CommType::Im, format!("im:{user}"))).unwrap();
+            profile.address_book.add(Address::new("EM", CommType::Email, format!("{user}@work"))).unwrap();
+            let mode = DeliveryMode::im_then_email("Urgent", "IM", "EM", SimDuration::from_secs(60));
+            profile.define_mode(mode);
+            config.registry.subscribe("Home", user.clone(), "Urgent").unwrap();
+            config
+        })
+    }
+
+    /// Twenty alerts for alice at seeded instants, all multiples of 7 ms:
+    /// no ack (1 more than a multiple of 7 ms away) or block timer (60 s,
+    /// 4 more) falls due at the instant an alert arrives, so a batch never
+    /// depends on whether the worker saw the alert or the deadline first.
+    fn seeded_script() -> Vec<(SimTime, IncomingAlert)> {
+        let mut rng = simba_sim::SimRng::new(44);
+        let mut at = 0;
+        (0..20)
+            .map(|i| {
+                at += 7 * rng.range(100, 6_000);
+                let at = SimTime::from_millis(at);
+                (at, IncomingAlert::from_im("gw", format!("Sensor {i} ON"), at))
+            })
+            .collect()
+    }
+
+    fn one_buddy() -> ShardedHostConfig {
+        ShardedHostConfig { shards: 1, hibernate_after: SimDuration::ZERO, ..ShardedHostConfig::default() }
+    }
+
+    /// The shard core run by hand: each alert is its own batch, and so is
+    /// each deadline that falls between alerts.
+    fn drive_by_hand(script: &[(SimTime, IncomingAlert)]) -> (Sent, Vec<HostNotice>) {
+        let (notices, mut notice_rx) = mpsc::channel(DEFAULT_NOTICE_CAPACITY);
+        let log = ShardLog::in_memory();
+        let mut shard = Shard::open(log, &one_buddy(), im_then_email(), notices, Telemetry::disabled());
+        let mut channels = EveryThirdImFails::default();
+        let alice = UserId::new("alice");
+        shard.register(vec![alice.clone()]);
+        let run_due_before = |shard: &mut Shard, channels: &mut EveryThirdImFails, end: SimTime| {
+            while let Some(due) = shard.next_deadline().filter(|due| *due < end) {
+                shard.fire_due(due);
+                shard.finish_batch(channels, due);
+            }
+        };
+        for (at, alert) in script {
+            run_due_before(&mut shard, &mut channels, *at);
+            shard.submit(alice.clone(), alert.clone(), Door::Im, *at);
+            shard.fire_due(*at);
+            shard.finish_batch(&mut channels, *at);
+        }
+        run_due_before(&mut shard, &mut channels, SimTime::from_millis(u64::MAX));
+        drop(shard);
+        let sent = channels.sent.lock().unwrap().clone();
+        (sent, std::iter::from_fn(|| notice_rx.try_recv().ok()).collect())
+    }
+
+    /// The shard core is the host's: the same script through a one-shard
+    /// host on the paused clock makes the same sends, in the same order,
+    /// and reports the same notices.
+    #[tokio::test(start_paused = true)]
+    async fn a_shard_driven_by_hand_behaves_as_the_host_does() {
+        let script = seeded_script();
+        let channels = EveryThirdImFails::default();
+        let (host, mut notice_rx) =
+            ShardedHost::new(channels.clone(), one_buddy(), im_then_email(), Telemetry::disabled()).unwrap();
+        let alice = UserId::new("alice");
+        host.register(alice.clone()).await;
+        let clock = host.clock();
+        for (at, alert) in &script {
+            tokio::time::sleep(Duration::from_millis(at.as_millis() - clock.now().as_millis())).await;
+            host.submit_im(&alice, alert.clone()).await;
+        }
+        tokio::time::sleep(Duration::from_secs(600)).await;
+        host.shutdown().await;
+        let host_notices: Vec<HostNotice> = std::iter::from_fn(|| notice_rx.try_recv().ok()).collect();
+        let host_sent = channels.sent.lock().unwrap().clone();
+
+        let (sent, notices) = drive_by_hand(&script);
+        let emails = sent.iter().filter(|(comm_type, ..)| *comm_type == CommType::Email).count();
+        assert!(emails > 6, "failed and unacknowledged IMs fall back to email: {emails}");
+        assert_eq!(host_sent, sent);
+        assert_eq!(host_notices, notices);
     }
 
     #[test]

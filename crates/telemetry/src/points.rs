@@ -251,6 +251,7 @@ pub const POINTS: &[PointDef] = &[
     point!("store.sub_dropped", [Counter], "store", "lagging subscribers dropped to keep writers unblocked"),
     point!("store.subscribers", [Gauge], "store", "live store-event subscribers"),
     point!("store.sweeps", [Counter], "store", "periodic TTL sweep passes completed"),
+    point!("user.acked", [Counter], "user", "sim: IM sightings a user acknowledged back to the MAB"),
     point!("user.duplicate_sightings", [Counter], "user", "sim: times a user saw the same alert more than once"),
     point!("user.email_sent", [Counter], "user", "sim: alert emails that reached a user"),
     point!("user.im_send_failed", [Counter], "user", "sim: MAB-to-user IM pushes that failed"),
