@@ -31,9 +31,11 @@
 #   make footprint — live heap bytes per idle resident buddy (2 000
 #                 users on one shard) and per hibernated user (the heap
 #                 left with 500 and with 2 000 users parked)
-#                 (crates/runtime/tests/footprint.rs; its printed line is
-#                 the artefact; `test-all` runs the same test without
-#                 printing it)
+#                 (crates/runtime/tests/footprint.rs), and per rule-owning
+#                 user with one rule and with four, at 500 and 2 000 users
+#                 (crates/rules/tests/footprint.rs); their printed lines
+#                 are the artefact; `test-all` runs the same tests without
+#                 printing them
 #   make wake-budget — voluntary context switches per alert of the thread
 #                 that runs the gateway pump, and of the gateway worker
 #                 threads together, over real TCP at 20 000/s, each
@@ -96,6 +98,7 @@ alloc-budget:
 
 footprint:
 	$(CARGO) test --release -p simba-runtime --test footprint -- --nocapture
+	$(CARGO) test --release -p simba-rules --test footprint -- --nocapture
 
 wake-budget:
 	$(CARGO) test --release -p simba-gateway --test wake_budget -- --nocapture

@@ -3,7 +3,7 @@
 //! Two claims, one harness. First, the rule engine's `evaluate` call is
 //! cheap enough to sit on the ingestion hot path: a single thread pushes
 //! a mixed workload (no match / deliver-override / suppress / digest
-//! absorb) through per-user indexed rule sets; the decision counts are
+//! absorb) through per-user rule lists; the decision counts are
 //! exact, evals/s is printed. Second, the storm scenario from the paper's
 //! motivation (§1: one flapping source must not cost the user thousands
 //! of interruptions): a flapping source fires 10 000 alarms at one user

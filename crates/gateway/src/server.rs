@@ -615,7 +615,7 @@ fn rule_list(shared: &Shared, seq: u64, user: &str) -> Frame {
     let Some(engine) = &shared.rules else {
         return Frame::Nack { seq, reason: NackReason::Unsupported, retry_after_ms: 0 };
     };
-    let rules = engine.list(user).iter().map(rulewire::wire_of_rule).collect();
+    let rules = engine.list(user).iter().map(|rule| rulewire::wire_of_rule(rule)).collect();
     Frame::RuleListReply { seq, rules }
 }
 

@@ -1,16 +1,16 @@
 //! The streaming rule engine: compiled per-user matching, Deliver /
 //! Suppress / Digest decisions, and the windowed storm correlator.
 //!
-//! Rules compile into a per-user index keyed by the exact
-//! `source`/`kind` equality constraints their predicates pin, so the hot
-//! path evaluates O(candidate rules), not O(all rules). The index is
-//! maintained per user: open compiles every user's entry, a mutation
-//! recompiles only the mutated user's, so the engine lock is held for
-//! O(that user's rules) plus the commit. When several rules match, the
-//! lowest id wins — rule order is creation order, which users can reason
-//! about.
+//! Each rule compiles once, when it is upserted or replayed, and is held
+//! once: in its owner's id-ordered list in the [`RulesLog`]. Evaluation
+//! scans that one user's list for the first enabled match, so it costs
+//! at most [`crate::MAX_RULES_PER_USER`] predicate checks and no lookup
+//! beyond the user's; a mutation edits only the mutated user's list, so
+//! the engine lock is held for one binary search plus the commit. When
+//! several rules match, the lowest id wins — rule order is creation
+//! order, which users can reason about.
 //!
-//! The engine's lock guards definitions (rules log, index); a
+//! The engine's lock guards definitions (the rules log); a
 //! [`Correlator`] holds what evaluation leaves behind: the dedupe horizon
 //! and [`PendingDigest`] windows keyed per user and correlation key (so a
 //! key template without `{user}` cannot collide two users' bursts). Each
@@ -154,78 +154,6 @@ impl PendingDigest {
             urgency: self.urgency,
         }
     }
-}
-
-/// One user's compiled matcher program: candidate buckets keyed by the
-/// exact source/kind values the predicates pin. Each bucket is sorted by
-/// rule id; evaluation merges the four candidate buckets and picks the
-/// lowest-id match.
-#[derive(Debug, Default)]
-struct UserIndex {
-    /// Rules pinning both source and kind, nested so hot-path lookups
-    /// need no allocation.
-    exact: HashMap<String, HashMap<String, Vec<AlertRule>>>,
-    by_source: HashMap<String, Vec<AlertRule>>,
-    by_kind: HashMap<String, Vec<AlertRule>>,
-    wildcard: Vec<AlertRule>,
-}
-
-impl UserIndex {
-    /// Compiles one user's rules. `rules` must come in id order (as
-    /// [`RulesLog::rules_of`] yields them), so every bucket comes out
-    /// id-sorted and `best_match` can stop at the first hit.
-    fn compile<'a>(rules: impl Iterator<Item = &'a AlertRule>) -> UserIndex {
-        let mut index = UserIndex::default();
-        for rule in rules {
-            let (source, kind) = rule.predicate.index_keys();
-            let bucket = match (source, kind) {
-                (Some(s), Some(k)) => {
-                    index.exact.entry(s.into()).or_default().entry(k.into()).or_default()
-                }
-                (Some(s), None) => index.by_source.entry(s.into()).or_default(),
-                (None, Some(k)) => index.by_kind.entry(k.into()).or_default(),
-                (None, None) => &mut index.wildcard,
-            };
-            bucket.push(rule.clone());
-        }
-        index
-    }
-
-    /// The lowest-id enabled rule whose predicate matches `view`.
-    fn best_match(&self, view: AlertView<'_>) -> Option<&AlertRule> {
-        let mut best: Option<&AlertRule> = None;
-        if let Some(bucket) = self.exact.get(view.source).and_then(|by_kind| by_kind.get(view.kind))
-        {
-            consider(&mut best, bucket, view);
-        }
-        if let Some(bucket) = self.by_source.get(view.source) {
-            consider(&mut best, bucket, view);
-        }
-        if let Some(bucket) = self.by_kind.get(view.kind) {
-            consider(&mut best, bucket, view);
-        }
-        consider(&mut best, &self.wildcard, view);
-        best
-    }
-}
-
-fn consider<'a>(best: &mut Option<&'a AlertRule>, bucket: &'a [AlertRule], view: AlertView<'_>) {
-    for rule in bucket {
-        if best.is_some_and(|b| b.id <= rule.id) {
-            // Buckets are id-sorted: nothing later in this one can win.
-            break;
-        }
-        if rule.matches(view) {
-            *best = Some(rule);
-            break;
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Inner {
-    log: RulesLog,
-    index: HashMap<String, UserIndex>,
 }
 
 /// Correlation state for the users one owner evaluates: open digest
@@ -416,15 +344,14 @@ impl Correlator {
 #[derive(Debug)]
 pub struct RuleEngine {
     telemetry: Telemetry,
-    inner: Mutex<Inner>,
+    log: Mutex<RulesLog>,
     /// The correlator behind [`RuleEngine::evaluate`] and
     /// [`RuleEngine::flush_due`].
     correlator: Mutex<Correlator>,
 }
 
 impl RuleEngine {
-    /// Opens the engine, replaying persisted rules and compiling the
-    /// matcher index.
+    /// Opens the engine, replaying (and compiling) the persisted rules.
     ///
     /// # Errors
     ///
@@ -443,10 +370,6 @@ impl RuleEngine {
         telemetry: Telemetry,
     ) -> Result<RuleEngine, RulesError> {
         let log = RulesLog::open(config.log)?;
-        let mut index = HashMap::new();
-        for user in log.users() {
-            reindex_user(&log, &mut index, user);
-        }
         let loaded = log.len();
         if loaded > 0 && telemetry.enabled() {
             telemetry.metrics().counter("rules.loaded").add(loaded as u64);
@@ -454,12 +377,12 @@ impl RuleEngine {
         Ok(RuleEngine {
             correlator: Mutex::new(Correlator::new(telemetry.clone())),
             telemetry,
-            inner: Mutex::new(Inner { log, index }),
+            log: Mutex::new(log),
         })
     }
 
-    fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
-        f(&mut lock(&self.inner))
+    fn with_log<R>(&self, f: impl FnOnce(&mut RulesLog) -> R) -> R {
+        f(&mut lock(&self.log))
     }
 
     fn counter(&self, name: &str) {
@@ -481,15 +404,19 @@ impl RuleEngine {
     /// # Errors
     ///
     /// See [`RulesLog::upsert`]; rejected mutations count `rules.rejected`.
-    pub fn upsert(&self, user: &str, id: Option<u64>, spec: RuleSpec) -> Result<AlertRule, RulesError> {
-        let result = self.with_inner(|inner| {
-            let rule = inner.log.upsert(user, id, spec)?;
-            // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline — the log write, its commit and the one user's index entry change together
-            let committed = inner.log.commit();
+    pub fn upsert(
+        &self,
+        user: &str,
+        id: Option<u64>,
+        spec: RuleSpec,
+    ) -> Result<Arc<AlertRule>, RulesError> {
+        let result = self.with_log(|log| {
             // Even when the commit fails the log keeps the mutation (buffered
-            // for the retry), so the index follows the log, not the outcome.
-            reindex_user(&inner.log, &mut inner.index, user);
-            committed?;
+            // for the retry), and evaluation reads the log's lists: the rules
+            // follow the log, not the outcome.
+            let rule = log.upsert(user, id, spec)?;
+            // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline — the user's rule list and its journal record change together
+            log.commit()?;
             Ok(rule)
         });
         match &result {
@@ -506,13 +433,11 @@ impl RuleEngine {
     ///
     /// Fails only on rules-log I/O errors.
     pub fn delete(&self, user: &str, id: u64) -> Result<bool, RulesError> {
-        let existed = self.with_inner(|inner| {
-            let existed = inner.log.delete(user, id);
+        let existed = self.with_log(|log| {
+            let existed = log.delete(user, id);
             if existed {
-                // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline
-                let committed = inner.log.commit();
-                reindex_user(&inner.log, &mut inner.index, user);
-                committed?;
+                // simba-analyze: allow(concurrency.blocking-under-guard): rule mutations are rare control-plane writes; the engine lock is the single-writer discipline — the user's rule list and its tombstone change together
+                log.commit()?;
             }
             Ok::<bool, RulesError>(existed)
         })?;
@@ -523,13 +448,13 @@ impl RuleEngine {
     }
 
     /// One user's rules, ordered by id.
-    pub fn list(&self, user: &str) -> Vec<AlertRule> {
-        self.with_inner(|inner| inner.log.list(user))
+    pub fn list(&self, user: &str) -> Vec<Arc<AlertRule>> {
+        self.with_log(|log| log.list(user))
     }
 
     /// Total rules across all users.
     pub fn rule_count(&self) -> usize {
-        self.with_inner(|inner| inner.log.len())
+        self.with_log(|log| log.len())
     }
 
     /// Open digest windows in the engine's own correlator.
@@ -556,9 +481,10 @@ impl RuleEngine {
         now_ms: u64,
     ) -> Decision {
         self.counter("rules.evaluated");
-        let (decision, critical_bypass) = self.with_inner(|inner| {
+        let (decision, critical_bypass) = self.with_log(|log| {
             let view = view_of(alert);
-            match inner.index.get(user).and_then(|idx| idx.best_match(view)) {
+            // The list is id-ordered: the first enabled match is the lowest.
+            match log.rules_of(user).iter().find(|rule| rule.matches(view)) {
                 Some(rule) => correlator.decide(user, rule, alert.urgency, view, now_ms),
                 None => (Decision::Deliver { rule: None, severity: None }, false),
             }
@@ -599,18 +525,6 @@ impl RuleEngine {
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Recompiles `user`'s index entry from the log — the one path that
-/// writes the index, at open (once per user) and after every mutation.
-/// A user left with no rules has no entry.
-fn reindex_user(log: &RulesLog, index: &mut HashMap<String, UserIndex>, user: &str) {
-    let mut rules = log.rules_of(user).peekable();
-    if rules.peek().is_none() {
-        index.remove(user);
-    } else {
-        index.insert(user.to_string(), UserIndex::compile(rules));
-    }
 }
 
 #[cfg(test)]
@@ -907,30 +821,15 @@ mod tests {
         );
     }
 
-    /// Heap addresses of `user`'s non-empty index buckets, `None` without
-    /// an entry. A recompiled entry is built before the old one drops, so
-    /// its buckets are fresh allocations: equal addresses mean untouched.
-    fn bucket_addrs(e: &RuleEngine, user: &str) -> Option<Vec<usize>> {
-        e.with_inner(|inner| {
-            let idx = inner.index.get(user)?;
-            let mut addrs: Vec<usize> = idx
-                .exact
-                .values()
-                .flat_map(HashMap::values)
-                .chain(idx.by_source.values())
-                .chain(idx.by_kind.values())
-                .chain(std::iter::once(&idx.wildcard))
-                .filter(|bucket| !bucket.is_empty())
-                .map(|bucket| bucket.as_ptr() as usize)
-                .collect();
-            addrs.sort_unstable();
-            Some(addrs)
-        })
+    /// Where `user`'s stored rules live. The log compiles a replacement
+    /// into a fresh `Arc`, so equal addresses mean untouched rules.
+    fn rule_addrs(e: &RuleEngine, user: &str) -> Vec<*const AlertRule> {
+        e.list(user).iter().map(Arc::as_ptr).collect()
     }
 
-    /// Every decision `user` gets over a grid of alerts covering all four
-    /// bucket kinds. The generated rules neither digest nor dedupe, so
-    /// evaluating is free of side effects.
+    /// Every decision `user` gets over a grid of alerts that pins source,
+    /// kind, both or neither. The generated rules neither digest nor
+    /// dedupe, so evaluating is free of side effects.
     fn decisions(e: &RuleEngine, user: &str) -> Vec<Decision> {
         let mut out = Vec::new();
         for source in ["s0", "s1", "s2", "elsewhere"] {
@@ -965,21 +864,16 @@ mod tests {
     }
 
     #[test]
-    fn incremental_index_equals_a_full_build_from_the_log() {
+    fn every_mutation_leaves_the_rules_a_reopen_replays() {
         const USERS: [&str; 4] = ["ada", "bob", "cy", "dee"];
         let assert_same_as_reopened = |e: &RuleEngine, dir: &std::path::Path, ctx: &str| {
             let full = RuleEngine::open(RulesConfig::on_disk(dir)).expect("reopen");
             for user in USERS {
                 let specs = |e: &RuleEngine| -> Vec<(u64, RuleSpec)> {
-                    e.list(user).into_iter().map(|r| (r.id, r.spec)).collect()
+                    e.list(user).iter().map(|r| (r.id, r.spec.clone())).collect()
                 };
                 assert_eq!(specs(e), specs(&full), "{ctx}: {user}'s list");
                 assert_eq!(decisions(e, user), decisions(&full, user), "{ctx}: {user}'s decisions");
-                assert_eq!(
-                    bucket_addrs(e, user).is_some(),
-                    bucket_addrs(&full, user).is_some(),
-                    "{ctx}: {user}'s index entry"
-                );
             }
         };
         let mut emptied = 0;
@@ -993,12 +887,12 @@ mod tests {
                 let ctx = format!("seed {seed} step {step}");
                 let at = rng.range(0, 3) as usize;
                 let (user, bystander) = (USERS[at], USERS[(at + 1 + rng.range(0, 2) as usize) % 4]);
-                let bystander_before = (bucket_addrs(&e, bystander), decisions(&e, bystander));
+                let bystander_before = (rule_addrs(&e, bystander), decisions(&e, bystander));
                 let held = e.list(user);
                 let pick = held.get(rng.range(0, 63) as usize % held.len().max(1));
                 match (rng.range(0, 9), pick) {
-                    // Replace with a different source literal: the rule
-                    // moves to another bucket (or bucket kind).
+                    // Replace with another predicate: the rule keeps its
+                    // place in the list.
                     (0..=1, Some(rule)) => {
                         let source = rng.range(0, 2);
                         e.upsert(user, Some(rule.id), random_spec(&mut rng, source)).unwrap();
@@ -1016,13 +910,10 @@ mod tests {
                         e.upsert(user, None, random_spec(&mut rng, source)).unwrap();
                     }
                 }
+                let ids: Vec<u64> = e.list(user).iter().map(|r| r.id).collect();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ctx}: {user}'s list is id-ordered");
                 assert_eq!(
-                    bucket_addrs(&e, user).is_some(),
-                    !e.list(user).is_empty(),
-                    "{ctx}: an index entry exists exactly while {user} has rules"
-                );
-                assert_eq!(
-                    (bucket_addrs(&e, bystander), decisions(&e, bystander)),
+                    (rule_addrs(&e, bystander), decisions(&e, bystander)),
                     bystander_before,
                     "{ctx}: mutating {user} touched {bystander}"
                 );
@@ -1035,10 +926,54 @@ mod tests {
         assert!(emptied > 0, "the sequences must delete some user's last rule");
     }
 
+    /// Two rules match the same alert, and the list order, not the insertion
+    /// order, decides: the lower id wins once it is enabled again.
+    #[test]
+    fn a_disabled_lower_id_rule_yields_to_an_enabled_higher_id_one() {
+        let e = engine();
+        let off = RuleSpec { enabled: false, ..RuleSpec::suppress("mute", "source == s") };
+        let low = e.upsert("ada", None, off).unwrap();
+        let high = e.upsert("ada", None, RuleSpec::deliver("pass", "source == s")).unwrap();
+        assert_eq!(
+            e.evaluate("ada", &im("s", "x"), 0),
+            Decision::Deliver { rule: Some(high.id), severity: None },
+            "the disabled rule is skipped"
+        );
+        e.upsert("ada", Some(low.id), RuleSpec::suppress("mute", "source == s")).unwrap();
+        assert_eq!(
+            e.evaluate("ada", &im("s", "x"), 0),
+            Decision::Suppress { rule: low.id, reason: SuppressReason::Rule },
+            "re-enabled, the lower id wins again"
+        );
+    }
+
+    #[test]
+    fn replacing_a_rule_keeps_the_list_id_ordered() {
+        let e = engine();
+        let off = RuleSpec { enabled: false, ..RuleSpec::suppress("off", "any") };
+        let ids: Vec<u64> = [off, RuleSpec::deliver("b", "source == s"), RuleSpec::deliver("c", "any")]
+            .into_iter()
+            .map(|spec| e.upsert("ada", None, spec).unwrap().id)
+            .collect();
+        let mut lowered = RuleSpec::deliver("b, replaced", "source == s and body contains x");
+        lowered.severity = Some(Urgency::Low);
+        let replaced = e.upsert("ada", Some(ids[1]), lowered).unwrap();
+        assert_eq!(e.list("ada").iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+        assert!(Arc::ptr_eq(&replaced, &e.list("ada")[1]), "upsert returns the stored rule");
+        assert_eq!(
+            e.evaluate("ada", &im("s", "x"), 0),
+            Decision::Deliver { rule: Some(ids[1]), severity: Some(Urgency::Low) }
+        );
+        assert_eq!(
+            e.evaluate("ada", &im("s", "y"), 0),
+            Decision::Deliver { rule: Some(ids[2]), severity: None }
+        );
+    }
+
     /// Complexity guard: a mutation costs one user's rules, not the whole
-    /// engine. Rebuilding the whole index per upsert made this run
+    /// engine. Rebuilding every user's rules per upsert made this run
     /// quadratic (0.86 ms per upsert at 2 000 rules in release, so over a
-    /// minute here and far longer in debug); per-user recompilation takes
+    /// minute here and far longer in debug); editing one user's list takes
     /// well under a second, so the bound has no scheduler to blame.
     #[test]
     fn twenty_thousand_upserts_stay_linear() {

@@ -11,10 +11,10 @@
 //!    dedupe-key template — bounded per user and persisted in a
 //!    versioned rules log (a record codec over `simba_core::journal`),
 //!    so rules survive restart.
-//! 2. **Evaluation** ([`engine`]): rules compile once into a per-user
-//!    matcher index keyed by the exact source/kind values predicates
-//!    pin; [`RuleEngine::evaluate`] is the allocation-light hot path
-//!    emitting `rules.*` telemetry.
+//! 2. **Evaluation** ([`engine`]): each rule compiles once and is held
+//!    once, in its owner's id-ordered list; [`RuleEngine::evaluate`]
+//!    scans that list for the lowest-id enabled match — the
+//!    allocation-light hot path emitting `rules.*` telemetry.
 //! 3. **Correlation & digests** ([`engine`]): a windowed [`Correlator`],
 //!    one per owner (a host's shard worker owns its users' windows),
 //!    collapses bursts sharing a correlation key into one

@@ -14,10 +14,11 @@
 //! no longer held is tolerated — so a rotation's snapshot replays
 //! idempotently over whatever history a crash left beside it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use simba_core::journal::{Frames, Journal};
 use simba_core::wal::{escape, unescape, WalError};
@@ -123,8 +124,10 @@ impl From<ParseError> for RulesError {
 #[derive(Debug)]
 pub struct RulesLog {
     journal: Journal,
-    /// Live rules by user, each user's set ordered by id.
-    rules: HashMap<String, BTreeMap<u64, AlertRule>>,
+    /// Live rules by user: each user's list is id-ordered, so the first
+    /// enabled match in it is the lowest-id one. No user holds an empty
+    /// list.
+    rules: HashMap<String, Vec<Arc<AlertRule>>>,
     next_id: u64,
 }
 
@@ -187,15 +190,10 @@ impl RulesLog {
                 // text that no longer parses is corruption, not user error.
                 let rule = AlertRule::compile(id, &user, spec)
                     .map_err(|e| format!("stored predicate: {e}"))?;
-                self.rules.entry(user).or_default().insert(id, rule);
+                self.put(Arc::new(rule));
             }
             Some("D") => {
-                if let Some(per_user) = self.rules.get_mut(&user) {
-                    per_user.remove(&id);
-                    if per_user.is_empty() {
-                        self.rules.remove(&user);
-                    }
-                }
+                self.remove(&user, id);
             }
             _ => return Err("unknown tag".into()),
         }
@@ -204,7 +202,7 @@ impl RulesLog {
 
     /// Creates (id `None`) or replaces (id `Some`) a rule for `user`,
     /// buffering the record; call [`RulesLog::commit`] to make it
-    /// durable. Returns the stored rule with its assigned id.
+    /// durable. Returns the stored rule itself, with its assigned id.
     ///
     /// # Errors
     ///
@@ -217,17 +215,17 @@ impl RulesLog {
         user: &str,
         id: Option<u64>,
         spec: RuleSpec,
-    ) -> Result<AlertRule, RulesError> {
-        let per_user_len = self.rules.get(user).map_or(0, BTreeMap::len);
+    ) -> Result<Arc<AlertRule>, RulesError> {
+        let held = self.rules_of(user);
         let id = match id {
             Some(id) => {
-                if !self.rules.get(user).is_some_and(|m| m.contains_key(&id)) {
+                if held.binary_search_by_key(&id, |rule| rule.id).is_err() {
                     return Err(RulesError::UnknownRule { user: user.into(), id });
                 }
                 id
             }
             None => {
-                if per_user_len >= MAX_RULES_PER_USER {
+                if held.len() >= MAX_RULES_PER_USER {
                     return Err(RulesError::Bound { user: user.into(), max: MAX_RULES_PER_USER });
                 }
                 let id = self.next_id;
@@ -235,29 +233,42 @@ impl RulesLog {
                 id
             }
         };
-        let rule = AlertRule::compile(id, user, spec)?;
+        let rule = Arc::new(AlertRule::compile(id, user, spec)?);
         self.journal.append(|out| encode_upsert(out, &rule));
-        self.rules.entry(user.into()).or_default().insert(id, rule.clone());
+        self.put(Arc::clone(&rule));
         Ok(rule)
     }
 
     /// Deletes rule `id` for `user`, buffering the tombstone. Returns
     /// whether the rule existed.
     pub fn delete(&mut self, user: &str, id: u64) -> bool {
-        let existed = self
-            .rules
-            .get_mut(user)
-            .map(|per_user| per_user.remove(&id).is_some())
-            .unwrap_or(false);
-        if !existed {
+        if !self.remove(user, id) {
             return false;
-        }
-        if self.rules.get(user).is_some_and(BTreeMap::is_empty) {
-            self.rules.remove(user);
         }
         self.journal.append(|out| {
             let _ = write!(out, "{RULES_LOG_VERSION}\tD\t{}\t{id}", escape(user));
         });
+        true
+    }
+
+    /// Stores `rule` in its owner's list, replacing the rule with its id
+    /// if there is one, keeping the list id-ordered.
+    fn put(&mut self, rule: Arc<AlertRule>) {
+        let held = self.rules.entry(rule.user.clone()).or_default();
+        match held.binary_search_by_key(&rule.id, |r| r.id) {
+            Ok(at) => held[at] = rule,
+            Err(at) => held.insert(at, rule),
+        }
+    }
+
+    /// Drops rule `id` from `user`'s list, and the list once it is empty.
+    fn remove(&mut self, user: &str, id: u64) -> bool {
+        let Some(held) = self.rules.get_mut(user) else { return false };
+        let Ok(at) = held.binary_search_by_key(&id, |r| r.id) else { return false };
+        held.remove(at);
+        if held.is_empty() {
+            self.rules.remove(user);
+        }
         true
     }
 
@@ -270,51 +281,35 @@ impl RulesLog {
     /// retry; callers must not acknowledge the mutation.
     pub fn commit(&mut self) -> Result<(), WalError> {
         self.journal.commit(|out: &mut Frames| {
-            for rule in self.rules.values().flat_map(BTreeMap::values) {
+            for rule in self.rules.values().flatten() {
                 out.push(|line| encode_upsert(line, rule));
             }
         })
     }
 
     /// One user's rules, ordered by id.
-    pub fn list(&self, user: &str) -> Vec<AlertRule> {
-        self.rules_of(user).cloned().collect()
-    }
-
-    /// One rule, if the user owns it.
-    pub fn get(&self, user: &str, id: u64) -> Option<&AlertRule> {
-        self.rules.get(user).and_then(|per_user| per_user.get(&id))
+    pub fn list(&self, user: &str) -> Vec<Arc<AlertRule>> {
+        self.rules_of(user).to_vec()
     }
 
     /// Every live rule, in no particular user order.
     pub fn iter(&self) -> impl Iterator<Item = &AlertRule> {
-        self.rules.values().flat_map(BTreeMap::values)
+        self.rules.values().flatten().map(Arc::as_ref)
     }
 
-    /// The users holding at least one rule.
-    pub fn users(&self) -> impl Iterator<Item = &str> {
-        self.rules.keys().map(String::as_str)
-    }
-
-    /// One user's rules in id order, borrowed — what the engine compiles
-    /// that user's index entry from.
-    pub fn rules_of(&self, user: &str) -> impl Iterator<Item = &AlertRule> {
-        self.rules.get(user).into_iter().flat_map(BTreeMap::values)
+    /// One user's rules in id order, borrowed — what the engine scans.
+    pub fn rules_of(&self, user: &str) -> &[Arc<AlertRule>] {
+        self.rules.get(user).map_or(&[], Vec::as_slice)
     }
 
     /// Total live rules.
     pub fn len(&self) -> usize {
-        self.rules.values().map(BTreeMap::len).sum()
+        self.rules.values().map(Vec::len).sum()
     }
 
     /// Whether the log holds no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Whether a commit is pending.
-    pub fn is_dirty(&self) -> bool {
-        self.journal.is_dirty()
     }
 }
 

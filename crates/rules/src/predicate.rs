@@ -16,7 +16,7 @@
 //! operators, boolean combinators, and parentheses. Parsing happens once
 //! at rule-upsert time; evaluation is a straight AST walk with no
 //! allocation, so the hot path stays cheap (see `engine.rs` for the
-//! per-user source/kind index that keeps evaluation O(candidate rules)).
+//! per-user scan, bounded by `MAX_RULES_PER_USER`).
 
 use std::fmt;
 
@@ -166,34 +166,6 @@ impl Predicate {
                 format!("({})", inner.join(" or "))
             }
             Predicate::Not(inner) => format!("not ({})", inner.to_text()),
-        }
-    }
-
-    /// Exact-match constraints the predicate implies on `source` and
-    /// `kind`: equality comparisons reachable through top-level `and`
-    /// chains. The engine indexes rules by these keys so evaluation only
-    /// touches candidate rules; `None` means "could match any value".
-    pub fn index_keys(&self) -> (Option<&str>, Option<&str>) {
-        let mut source = None;
-        let mut kind = None;
-        self.collect_keys(&mut source, &mut kind);
-        (source, kind)
-    }
-
-    fn collect_keys<'a>(&'a self, source: &mut Option<&'a str>, kind: &mut Option<&'a str>) {
-        match self {
-            Predicate::Cmp { field: Field::Source, op: Op::Eq, value } => {
-                source.get_or_insert(value.as_str());
-            }
-            Predicate::Cmp { field: Field::Kind, op: Op::Eq, value } => {
-                kind.get_or_insert(value.as_str());
-            }
-            Predicate::And(parts) => {
-                for p in parts {
-                    p.collect_keys(source, kind);
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -448,19 +420,6 @@ mod tests {
             let round = Predicate::parse(&p.to_text()).expect("re-parse");
             assert_eq!(p, round, "canonical text round-trips for {src:?}");
         }
-    }
-
-    #[test]
-    fn index_keys_from_conjunctions() {
-        let p = Predicate::parse("source == aladdin and kind == water and body contains leak")
-            .expect("parse");
-        assert_eq!(p.index_keys(), (Some("aladdin"), Some("water")));
-
-        let p = Predicate::parse("source == a or source == b").expect("parse");
-        assert_eq!(p.index_keys(), (None, None), "disjunctions pin nothing");
-
-        let p = Predicate::parse("kind prefix water").expect("parse");
-        assert_eq!(p.index_keys(), (None, None), "prefix is not an exact key");
     }
 
     #[test]
