@@ -33,7 +33,10 @@
 #                 left with 500 and with 2 000 users parked)
 #                 (crates/runtime/tests/footprint.rs), and per rule-owning
 #                 user with one rule and with four, at 500 and 2 000 users
-#                 (crates/rules/tests/footprint.rs); their printed lines
+#                 (crates/rules/tests/footprint.rs), and the live heap a
+#                 ledgered host and its pool keep per drained alert over
+#                 two drains of 2 000 and 8 000 alerts, against 8 B
+#                 (crates/runtime/tests/retention.rs); their printed lines
 #                 are the artefact; `test-all` runs the same tests without
 #                 printing them
 #   make wake-budget — voluntary context switches per alert of the thread
@@ -98,6 +101,7 @@ alloc-budget:
 
 footprint:
 	$(CARGO) test --release -p simba-runtime --test footprint -- --nocapture
+	$(CARGO) test --release -p simba-runtime --test retention -- --nocapture
 	$(CARGO) test --release -p simba-rules --test footprint -- --nocapture
 
 wake-budget:

@@ -144,7 +144,9 @@ pub fn run_campaign(options: &CampaignOptions) -> CampaignResult {
 }
 
 fn summarize(world: &World, trace: Trace, downtimes: &[SimDuration], emitted: u64) -> CampaignResult {
-    let seen = world.tracks.values().filter(|t| t.seen_at.is_some()).count() as u64;
+    // Only the campaign's own tags: an untagged send would have a track
+    // of its own that no emitted alert owns.
+    let seen = world.tracks.iter().filter(|(tag, t)| **tag < emitted && t.seen_at.is_some()).count() as u64;
     let unrecovered_power = world.metrics.counter("power.outages");
     let unrecovered_dialogs = world.metrics.counter("operator.manual_fix");
     CampaignResult {

@@ -77,15 +77,19 @@ impl<K: Hash + Eq + Clone> Horizon<K> {
     }
 
     /// Forgets `key`, so its next occurrence reads as new again. For a
-    /// caller that recorded the key before an effect that then failed:
-    /// the effect never happened, so its retry is not a repeat.
+    /// caller that recorded the key before an effect that then failed —
+    /// the effect never happened, so its retry is not a repeat — and for
+    /// one whose key stops mattering once its effect is settled.
     pub fn forget(&mut self, key: &K) {
-        if self.seen.remove(key) {
-            // Just recorded, so it sits at or near the back: search from
-            // there rather than scanning the whole horizon.
-            if let Some(at) = self.order.iter().rposition(|(_, k)| k == key) {
-                self.order.remove(at);
-            }
+        if !self.seen.remove(key) {
+            return;
+        }
+        // A settled key is usually the oldest, a failed one the newest:
+        // look at the front, then search from the back.
+        if self.order.front().is_some_and(|(_, k)| k == key) {
+            self.order.pop_front();
+        } else if let Some(at) = self.order.iter().rposition(|(_, k)| k == key) {
+            self.order.remove(at);
         }
     }
 

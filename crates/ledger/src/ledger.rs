@@ -110,8 +110,9 @@ pub struct Lease {
 }
 
 /// One durable queue entry: a channel attempt for one `(delivery,
-/// channel)` pair of one user. Its strings are shared with the send
-/// command that produced it and with every [`LeasedWork`] cut from it.
+/// channel, address)` destination of one user. Its strings are shared
+/// with the send command that produced it and with every [`LeasedWork`]
+/// cut from it.
 #[derive(Debug, Clone)]
 pub struct LedgerRecord {
     /// Ledger-monotonic id (never reused, even across restarts).
@@ -126,8 +127,9 @@ pub struct LedgerRecord {
     pub address: Arc<str>,
     /// The alert text to send.
     pub text: Arc<str>,
-    /// Stable idempotency key (`user/delivery/channel`): identical on
-    /// every retry and re-lease, so channel adapters can dedupe.
+    /// Stable idempotency key (`user/delivery/channel/address`):
+    /// identical on every retry and re-lease, so channel adapters can
+    /// dedupe.
     pub idempotency_key: Arc<str>,
     /// Lifecycle state.
     pub state: RecordState,
@@ -330,7 +332,7 @@ pub struct DeliveryLedger {
     /// Live (non-terminal, non-DLQ) records by id.
     live: BTreeMap<u64, LedgerRecord>,
     /// Stable-key index over live records, for the one-record-per-
-    /// `(delivery, channel)` upsert contract.
+    /// `(delivery, channel, address)` upsert contract.
     by_key: HashMap<Arc<str>, u64>,
     /// Where [`DeliveryLedger::enqueue_shared`] spells a key before it
     /// knows whether the key is new.
@@ -414,20 +416,21 @@ impl DeliveryLedger {
         }
     }
 
-    /// The stable idempotency key for a `(user, delivery, channel)`
-    /// attempt — identical across retries, re-leases, and even a fresh
-    /// enqueue after the record already concluded (so adapter-level
-    /// dedupe catches host-replay double-enqueues too).
-    pub fn idempotency_key(user: &UserId, delivery: u64, channel: CommType) -> String {
+    /// The stable idempotency key for a `(user, delivery, channel,
+    /// address)` attempt — identical across retries, re-leases and
+    /// restarts, so an adapter can recognise a redelivery of a send
+    /// still in flight. A fresh enqueue after the record concluded
+    /// carries the same key, and no adapter remembers it by then.
+    pub fn idempotency_key(user: &UserId, delivery: u64, channel: CommType, address: &str) -> String {
         let mut key = String::new();
-        write_key(&mut key, user, delivery, channel);
+        write_key(&mut key, user, delivery, channel, address);
         key
     }
 
     /// Enqueues a channel attempt. One live record exists per `(user,
-    /// delivery, channel)`: enqueueing a pair that already has a live
-    /// record returns the existing id (replace/upsert semantics, like
-    /// Trace's `alert_deliveries` rows). The record is *not* durable
+    /// delivery, channel, address)`: enqueueing a destination that
+    /// already has a live record returns the existing id (replace/upsert
+    /// semantics, like Trace's `alert_deliveries` rows). The record is *not* durable
     /// until the next [`DeliveryLedger::commit`].
     ///
     /// A fresh record is granted its first lease here: its `R` image
@@ -462,7 +465,7 @@ impl DeliveryLedger {
         now: SimTime,
     ) -> u64 {
         self.key_scratch.clear();
-        write_key(&mut self.key_scratch, user, delivery, channel);
+        write_key(&mut self.key_scratch, user, delivery, channel, &address);
         if let Some(&id) = self.by_key.get(self.key_scratch.as_str()) {
             return id;
         }
@@ -965,9 +968,9 @@ impl DeliveryLedger {
     }
 }
 
-/// Spells the `user/delivery/channel` idempotency key onto `out`.
-fn write_key(out: &mut String, user: &UserId, delivery: u64, channel: CommType) {
-    let _ = write!(out, "{}/{}/{}", user.0, delivery, channel);
+/// Spells the `user/delivery/channel/address` idempotency key onto `out`.
+fn write_key(out: &mut String, user: &UserId, delivery: u64, channel: CommType, address: &str) {
+    let _ = write!(out, "{}/{}/{}/{}", user.0, delivery, channel, address);
 }
 
 /// FNV-1a over three words — the deterministic jitter source.
@@ -1017,12 +1020,12 @@ fn decode_record(payload: &str) -> Option<LedgerRecord> {
     let state = RecordState::parse(fields.next()?)?;
     let attempts = fields.next()?.parse().ok()?;
     let _not_before: u64 = fields.next()?.parse().ok()?;
-    let address = unescape(fields.next()?).into();
+    let address: Arc<str> = unescape(fields.next()?).into();
     let text = unescape(fields.next()?).into();
     let error = unescape(fields.next()?);
     Some(LedgerRecord {
         id,
-        idempotency_key: DeliveryLedger::idempotency_key(&user, delivery, channel).into(),
+        idempotency_key: DeliveryLedger::idempotency_key(&user, delivery, channel, &address).into(),
         user,
         delivery,
         channel,
@@ -1084,7 +1087,7 @@ mod tests {
         assert_eq!(work.len(), 1);
         assert_eq!(work[0].id, id);
         assert_eq!(work[0].attempt, 1);
-        assert_eq!(&*work[0].idempotency_key, "alice/7/IM");
+        assert_eq!(&*work[0].idempotency_key, "alice/7/IM/im:alice");
         assert_eq!(ledger.counts().leased, 1);
         // Nothing else to lease while held.
         assert!(ledger.lease(&worker("w1"), t(2), 10).is_empty());
@@ -1096,14 +1099,16 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_upserts_one_record_per_delivery_channel() {
+    fn enqueue_upserts_one_record_per_destination() {
         let mut ledger = DeliveryLedger::open(quick_config()).unwrap();
         let a = ledger.enqueue(&user("alice"), 7, CommType::Im, "im:alice", "hi", t(0));
         let b = ledger.enqueue(&user("alice"), 7, CommType::Im, "im:alice", "hi again", t(5));
-        assert_eq!(a, b, "same (user, delivery, channel) upserts the live record");
+        assert_eq!(a, b, "same (user, delivery, channel, address) upserts the live record");
         let c = ledger.enqueue(&user("alice"), 7, CommType::Email, "a@b", "hi", t(5));
         assert_ne!(a, c, "another channel is another record");
-        assert_eq!(ledger.stats().enqueued, 2);
+        let d = ledger.enqueue(&user("alice"), 7, CommType::Im, "im2:alice", "hi", t(5));
+        assert_ne!(a, d, "another address of the same channel is another record");
+        assert_eq!(ledger.stats().enqueued, 3);
     }
 
     #[test]
@@ -1178,7 +1183,7 @@ mod tests {
         assert_eq!(reclaimed.len(), 1);
         assert_eq!(reclaimed[0].id, id);
         assert_eq!(reclaimed[0].attempt, 2);
-        assert_eq!(&*reclaimed[0].idempotency_key, "alice/1/IM", "key is stable across re-lease");
+        assert_eq!(&*reclaimed[0].idempotency_key, "alice/1/IM/im:alice", "key is stable across re-lease");
         assert_eq!(ledger.stats().lease_expired, 1);
         // The loser's late report is rejected.
         assert!(matches!(

@@ -5,7 +5,7 @@
 //! replay") historically lived in per-shard WALs that only the owning
 //! buddy could replay. The ledger generalizes it, modelled on the Trace
 //! delivery service: one durable [`LedgerRecord`] per `(delivery,
-//! channel)` attempt, which any worker can *lease*, send, and record an
+//! channel, address)` attempt, which any worker can *lease*, send, and record an
 //! outcome on. Crash-recovery becomes "any worker resumes any lease"
 //! instead of "replay one buddy's WAL" — the precondition for running
 //! several host processes against shared delivery state.
@@ -33,11 +33,14 @@
 //! Internal execution is **at-least-once**: a worker that dies between
 //! send and outcome leaves a lease that expires and is re-leased, so the
 //! external send may happen twice. Every outbound send therefore carries
-//! the record's stable **idempotency key** (`user/delivery/channel` —
-//! stamped at enqueue, identical across every retry and re-lease), and
-//! channel adapters dedupe on it (`runtime::LedgerChannelBridge`, through
-//! a `simba_core::horizon::Horizon`), making the *visible* effect
-//! exactly-once. The worker pool runs every worker on the caller's
+//! the record's stable **idempotency key**
+//! (`user/delivery/channel/address` — stamped at enqueue, identical
+//! across every retry and re-lease), and channel adapters dedupe on it
+//! (`runtime::LedgerChannelBridge`, through a
+//! `simba_core::horizon::Horizon`), making the *visible* effect
+//! exactly-once. An adapter holds a key only while its record is in
+//! flight: the worker tells it when the ledger closes the record
+//! ([`LedgerChannels::concluded`]). The worker pool runs every worker on the caller's
 //! executor, which keeps an adapter's record → send → forget of a key
 //! free of interleaving (see the `worker` module).
 //!

@@ -33,6 +33,13 @@
 //! between sends — it records nothing — and its leases expire for any
 //! surviving worker to resume, which is exactly the crash the
 //! idempotency keys exist to absorb.
+//!
+//! Once the ledger accepts a `Sent` or `Duplicate` outcome, the record
+//! is closed and no worker leases it again, so the worker tells its
+//! adapter ([`LedgerChannels::concluded`]) before it yields: an adapter's
+//! memory of keys then spans only the records in flight. A failed send
+//! stays owed, and a stale report means a sibling holds the record now
+//! and will close it.
 
 use crate::ledger::{LeasedWork, LedgerError, SharedLedger, WorkerId};
 use simba_sim::SimTime;
@@ -61,6 +68,12 @@ pub enum ChannelResult {
 pub trait LedgerChannels: Send {
     /// Performs (or dedupes, or fails) one outbound send.
     fn send(&mut self, work: &LeasedWork) -> ChannelResult;
+
+    /// The ledger closed `work`'s record on this adapter's `Sent` or
+    /// `Duplicate`: no worker leases it again, so an adapter that keeps
+    /// its idempotency key can let it go. Not called for a failed send,
+    /// nor for an outcome the ledger refused as stale.
+    fn concluded(&mut self, _work: &LeasedWork) {}
 }
 
 /// How workers read the current time. [`SimTime`] is process-relative,
@@ -256,32 +269,38 @@ impl Worker {
                     self.stats.killed = 1;
                     return self.stats;
                 }
-                outcomes.push((item.id, self.channels.send(item)));
+                outcomes.push((item, self.channels.send(item)));
             }
             // Outcomes buffer in the journal; the next commit — the shard
             // worker's next handoff, or a lease that finds work — makes
-            // them durable.
+            // them durable. What remains of `outcomes` is the records
+            // this worker closed.
             let now = (self.clock)();
             {
                 let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
-                for (id, outcome) in outcomes {
-                    let result = match &outcome {
-                        ChannelResult::Sent => ledger.record_sent(&self.id, id, now),
-                        ChannelResult::Duplicate => ledger.record_duplicate(&self.id, id, now),
+                let stats = &mut self.stats;
+                outcomes.retain(|(item, outcome)| {
+                    let result = match outcome {
+                        ChannelResult::Sent => ledger.record_sent(&self.id, item.id, now),
+                        ChannelResult::Duplicate => ledger.record_duplicate(&self.id, item.id, now),
                         ChannelResult::Failed(error) => {
-                            ledger.record_failed(&self.id, id, error, now)
+                            ledger.record_failed(&self.id, item.id, error, now)
                         }
                     };
                     match result {
                         Ok(()) => match outcome {
-                            ChannelResult::Sent => self.stats.sent += 1,
-                            ChannelResult::Duplicate => self.stats.deduped += 1,
-                            ChannelResult::Failed(_) => self.stats.failed += 1,
+                            ChannelResult::Sent => stats.sent += 1,
+                            ChannelResult::Duplicate => stats.deduped += 1,
+                            ChannelResult::Failed(_) => stats.failed += 1,
                         },
-                        Err(LedgerError::StaleLease { .. }) => self.stats.stale_reports += 1,
-                        Err(_) => self.stats.io_errors += 1,
+                        Err(LedgerError::StaleLease { .. }) => stats.stale_reports += 1,
+                        Err(_) => stats.io_errors += 1,
                     }
-                }
+                    result.is_ok() && !matches!(outcome, ChannelResult::Failed(_))
+                });
+            }
+            for (item, _) in &outcomes {
+                self.channels.concluded(item);
             }
             // A worker that always finds work would otherwise starve its
             // siblings (and the caller) on the shared executor.

@@ -19,6 +19,15 @@
 //! pool runs on one executor, so no sibling can act between them. That
 //! holds only while one filter serves the bridges of one pool on one
 //! thread; debug builds assert it on every send.
+//!
+//! A key is held only while its record is in flight: once the ledger
+//! closes the record on a `Sent` or `Duplicate`, its worker calls
+//! [`LedgerChannels::concluded`] and the key is forgotten, since no
+//! worker leases that record again. The filter then holds about one
+//! lease batch per worker, plus the sends of a killed worker until a
+//! sibling closes their records as duplicates. A concluded record's key
+//! is not remembered here: a restart never had that memory, and a
+//! durable horizon of concluded keys belongs to the ledger.
 
 use crate::channels::{Channels, SendOutcome};
 use simba_core::Horizon;
@@ -27,8 +36,9 @@ use simba_sim::{SimDuration, SimTime};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
 
-/// Default idempotency window. Keys stop arriving once their record goes
-/// terminal, so this bounds the *redelivery* window, not total volume.
+/// Default hard bound on the keys a filter holds. A key leaves when its
+/// record concludes, so a filter holds the pool's in-flight sends; the
+/// bound only matters if records stop concluding.
 pub const DEFAULT_DEDUPE_CAPACITY: usize = 64 * 1024;
 
 /// A [`LedgerChannels`] adapter over any [`Channels`] implementation,
@@ -46,8 +56,9 @@ pub struct LedgerChannelBridge<C> {
 /// The filter handle shared across a pool's bridges.
 ///
 /// One filter serves the bridges of **one pool on one executor thread**.
-/// A key is recorded before its send and forgotten if the send fails;
-/// a bridge on another thread could find the key in that gap, answer
+/// A key is recorded before its send, forgotten if the send fails, and
+/// forgotten once its record concludes. Between the record and a failed
+/// send's forget, a bridge on another thread could find the key, answer
 /// `Duplicate` and close a record whose only send then fails. Debug
 /// builds assert that every send through one filter comes from the
 /// thread of its first.
@@ -62,7 +73,7 @@ pub struct BridgeFilter {
     owner: Option<ThreadId>,
 }
 
-/// A fresh shared filter remembering up to `capacity` keys.
+/// A fresh shared filter holding up to `capacity` in-flight keys.
 pub fn shared_filter(capacity: usize) -> SharedFilter {
     let horizon = Horizon::new(SimDuration::MAX, capacity);
     Arc::new(Mutex::new(BridgeFilter { horizon, owner: None }))
@@ -106,6 +117,10 @@ impl<C: Channels> LedgerChannels for LedgerChannelBridge<C> {
                 ChannelResult::Failed(failure.to_string())
             }
         }
+    }
+
+    fn concluded(&mut self, work: &LeasedWork) {
+        self.filter.lock().unwrap_or_else(PoisonError::into_inner).horizon.forget(&work.idempotency_key);
     }
 }
 
@@ -156,6 +171,20 @@ mod tests {
         assert_eq!(bridge.send(&work("alice/1/IM")), ChannelResult::Duplicate);
         let attempts = channels.with(|c| c.sent().len());
         assert_eq!(attempts, 2, "the refused attempt plus exactly one visible send");
+    }
+
+    #[test]
+    fn a_key_is_held_until_its_record_concludes() {
+        let filter = shared_filter(16);
+        let mut a = LedgerChannelBridge::with_filter(LoopbackChannels::accept_all(), Arc::clone(&filter));
+        let mut b = LedgerChannelBridge::with_filter(LoopbackChannels::accept_all(), Arc::clone(&filter));
+        let held = || filter.lock().unwrap_or_else(PoisonError::into_inner).horizon.len();
+        assert_eq!(a.send(&work("alice/1/IM/im:alice")), ChannelResult::Sent);
+        // A killed worker's redelivery, before anyone closed the record.
+        assert_eq!(b.send(&work("alice/1/IM/im:alice")), ChannelResult::Duplicate);
+        assert_eq!(held(), 1);
+        b.concluded(&work("alice/1/IM/im:alice"));
+        assert_eq!(held(), 0, "a closed record's key is let go");
     }
 
     #[test]

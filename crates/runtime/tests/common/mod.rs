@@ -1,7 +1,7 @@
-//! What `footprint.rs` and `alloc_budget.rs` share: a counting global
-//! allocator and E11's per-user configuration. Each of the two is its own
-//! test binary with a single `#[test]`, so nothing else allocates while
-//! it counts.
+//! What `footprint.rs`, `alloc_budget.rs` and `retention.rs` share: a
+//! counting global allocator and E11's per-user configuration. Each is
+//! its own test binary with a single `#[test]`, so nothing else
+//! allocates while it counts.
 
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};

@@ -28,8 +28,8 @@ fn user_config(name: &str) -> MabConfig {
     user_config_with(name, vec![Block::fire_and_forget(vec!["IM".into()])])
 }
 
-/// One user subscribed to `Home` under a mode made of `blocks`, with an
-/// `IM` and an `Email` address to name in them.
+/// One user subscribed to `Home` under a mode made of `blocks`, with two
+/// IM addresses (`IM`, `IM2`) and an `Email` address to name in them.
 fn user_config_with(name: &str, blocks: Vec<Block>) -> MabConfig {
     let mut classifier = Classifier::new();
     classifier.accept_source("aladdin-gw", KeywordField::Body, "cfg");
@@ -39,6 +39,7 @@ fn user_config_with(name: &str, blocks: Vec<Block>) -> MabConfig {
     let profile = registry.register_user(user.clone());
     let mut book = AddressBook::new();
     book.add(Address::new("IM", CommType::Im, format!("im:{name}"))).expect("unique");
+    book.add(Address::new("IM2", CommType::Im, format!("im2:{name}"))).expect("unique");
     book.add(Address::new("Email", CommType::Email, format!("{name}@example.org"))).expect("unique");
     profile.address_book = book;
     profile.define_mode(DeliveryMode::new("Urgent", blocks).expect("valid mode"));
@@ -284,6 +285,58 @@ async fn an_attempt_whose_ledger_commit_failed_is_not_also_delivered() {
     }
     host.shutdown().await;
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The addresses `sent` went to, in order.
+fn addresses(sent: &[(CommType, String, String)]) -> Vec<&str> {
+    sent.iter().map(|(_, address, _)| address.as_str()).collect()
+}
+
+/// Regression: the ledger keyed a record by user, delivery and channel
+/// type, so a block naming two IM addresses merged the second send into
+/// the first's live record, and only one address was sent to.
+#[tokio::test(start_paused = true)]
+async fn a_block_naming_two_addresses_of_one_channel_sends_to_each() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let factory: ConfigFactory = Arc::new(|user: &UserId| {
+        user_config_with(&user.0, vec![Block::fire_and_forget(vec!["IM".into(), "IM2".into()])])
+    });
+    let telemetry = Telemetry::disabled();
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host_with(channels.clone(), 1, &telemetry, LedgerConfig::in_memory(), factory).await;
+    submit_one_each(&host, &mut notices, 1).await;
+
+    let stats = pool.drain().await;
+    assert_eq!((stats.sent, stats.deduped), (2, 0));
+    channels.with(|c| {
+        let mut sent = addresses(c.sent());
+        sent.sort_unstable();
+        assert_eq!(sent, ["im2:user-0", "im:user-0"], "each address exactly once");
+    });
+    host.shutdown().await;
+}
+
+/// Regression: the bridge remembered every concluded send's key, and the
+/// key named only the channel type, so an unacknowledged IM's fallback
+/// to a second IM address reused the first send's key and was closed as
+/// a duplicate without being sent.
+#[tokio::test(start_paused = true)]
+async fn a_fallback_to_another_address_of_the_same_channel_is_sent() {
+    let channels = SharedChannels::new(LoopbackChannels::accept_all());
+    let factory: ConfigFactory = Arc::new(|user: &UserId| {
+        let im = Block::acked(vec!["IM".into()], SimDuration::from_millis(500));
+        user_config_with(&user.0, vec![im, Block::fire_and_forget(vec!["IM2".into()])])
+    });
+    let telemetry = Telemetry::disabled();
+    let (host, mut notices, _ledger, pool) =
+        ledgered_host_with(channels.clone(), 1, &telemetry, LedgerConfig::in_memory(), factory).await;
+    submit_one_each(&host, &mut notices, 1).await;
+
+    let stats = pool.drain().await;
+    assert_eq!((stats.sent, stats.deduped), (2, 0), "the fallback is no duplicate");
+    channels.with(|c| assert_eq!(addresses(c.sent()), ["im:user-0", "im2:user-0"]));
+    let snap = host.shutdown().await;
+    assert_eq!((snap.acked, snap.unconfirmed, snap.exhausted), (0, 1, 0));
 }
 
 /// The alerts of the restart cases: two before the restart, two after.
