@@ -139,8 +139,8 @@ mod tests {
         assert_eq!((write, seed), (false, 7));
         let out = run.expect("one experiment")(seed);
         assert_eq!(out.id, "E7");
-        // StoreBenchOptions::smoke(): 8 writers × 2 000 facts, 4 subscribers.
-        assert!(out.tables[0].to_markdown().contains("| 8 | 2000 | 4 |"), "{:?}", out.tables[0]);
+        // StoreBenchOptions::smoke(): 8 writers × 2 000 facts over 64 keys.
+        assert!(out.tables[0].to_markdown().contains("| 8 | 2000 | 64 |"), "{:?}", out.tables[0]);
         assert_eq!(main_with(&args(&["e7", "--smoke", "7"])), 0);
 
         let (all, write, seed) = parse(&args(&["all", "--write"])).expect("a valid line");

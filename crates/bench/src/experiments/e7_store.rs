@@ -1,4 +1,4 @@
-//! E7 — soft-state store under concurrent write/read/subscribe load.
+//! E7 — soft-state store under concurrent write/read load.
 //!
 //! WISH-style context facts are only useful if publishing them is cheap
 //! enough to do on every send and reading them never returns stale truth
@@ -6,16 +6,13 @@
 //! fact must behave exactly like an absent one). This harness hammers a
 //! [`SoftStateStore`] with many writer threads publishing TTL'd facts —
 //! a mix of short TTLs that decay mid-run and long TTLs that survive —
-//! while every writer interleaves reads of other writers' keys and a
-//! pool of bounded-channel subscribers drains the change feed, and
+//! while every writer interleaves reads of other writers' keys, and
 //! checks:
 //!
 //! * **zero expired-fact reads**: no `get` ever returns a fact already
 //!   expired at the `now` the reader passed (asserted per read);
 //! * **accounting balances**: hits + misses == reads, puts match the
 //!   `store.puts` counter, and a final sweep leaves only live facts;
-//! * **writers never block on observers**: laggy subscribers are shed
-//!   (counted under `store.sub_dropped`), never waited on;
 //! * combined puts + gets per second are printed, not gated.
 
 use crate::experiments::ExperimentOutput;
@@ -23,10 +20,9 @@ use crate::report::Table;
 use simba_sim::{SimDuration, SimTime};
 use simba_store::{SoftStateStore, StoreConfig};
 use simba_telemetry::{RingBufferSink, Telemetry};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use tokio::sync::mpsc::error::TryRecvError;
+use std::time::Instant;
 
 /// Load shape for one store run.
 #[derive(Debug, Clone, Copy)]
@@ -35,8 +31,6 @@ pub struct StoreBenchOptions {
     pub writers: usize,
     /// Facts each writer publishes (each put is paired with one read).
     pub facts_per_writer: usize,
-    /// Subscriber threads draining the change feed.
-    pub subscribers: usize,
     /// Distinct keys per writer; smaller means more refresh churn.
     pub keyspace: usize,
     /// Store tuning for the run.
@@ -44,24 +38,22 @@ pub struct StoreBenchOptions {
 }
 
 impl StoreBenchOptions {
-    /// Full-scale defaults: 50 writers × 10 000 facts with 20
-    /// subscribers on the default 16-shard store.
+    /// Full-scale defaults: 50 writers × 10 000 facts on the default
+    /// 16-shard store.
     pub fn full() -> Self {
         StoreBenchOptions {
             writers: 50,
             facts_per_writer: 10_000,
-            subscribers: 20,
             keyspace: 128,
             config: StoreConfig::default(),
         }
     }
 
-    /// CI smoke: 8 writers × 2 000 facts, 4 subscribers.
+    /// CI smoke: 8 writers × 2 000 facts.
     pub fn smoke() -> Self {
         StoreBenchOptions {
             writers: 8,
             facts_per_writer: 2_000,
-            subscribers: 4,
             keyspace: 64,
             config: StoreConfig::default(),
         }
@@ -85,10 +77,6 @@ pub struct StoreNumbers {
     pub counter_expired: u64,
     /// `store.evicted` (per-scope LRU shedding).
     pub counter_evicted: u64,
-    /// Subscriber events the pool drained.
-    pub events_seen: u64,
-    /// Subscribers shed for lagging (`store.sub_dropped`).
-    pub subs_dropped: u64,
     /// Live facts left after the final sweep.
     pub final_size: u64,
     /// Wall-clock seconds of the write/read phase.
@@ -106,44 +94,12 @@ pub fn measure(opts: StoreBenchOptions, seed: u64) -> StoreNumbers {
     let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(256)));
     let store = SoftStateStore::new(opts.config, telemetry.clone());
     let clock = Arc::new(AtomicU64::new(1));
-    let done = Arc::new(AtomicBool::new(false));
 
     // Short TTLs sized so roughly half the facts decay under full load;
     // long TTLs outlive the whole run.
     let ops_total = (opts.writers * opts.facts_per_writer) as u64;
     let short_ttl = SimDuration::from_millis((ops_total / 4).max(64));
     let long_ttl = SimDuration::from_millis(u64::MAX / 4);
-
-    let subscribers: Vec<_> = (0..opts.subscribers)
-        .map(|i| {
-            let mut feed = store.subscribe(Some("bench"));
-            let done = Arc::clone(&done);
-            // Odd-numbered subscribers drain slowly, exercising the
-            // bounded-channel shed path under full load.
-            let laggy = i % 2 == 1;
-            std::thread::spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    match feed.try_recv() {
-                        Ok(event) => {
-                            debug_assert_eq!(event.scope(), "bench");
-                            seen += 1;
-                            if laggy && seen.is_multiple_of(32) {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => break seen,
-                        Err(TryRecvError::Empty) => {
-                            if done.load(Ordering::Acquire) {
-                                break seen;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
 
     let started = Instant::now();
     let writers: Vec<_> = (0..opts.writers)
@@ -206,9 +162,6 @@ pub fn measure(opts: StoreBenchOptions, seed: u64) -> StoreNumbers {
         assert!(!fact.is_expired(final_now), "sweep left expired fact {key:?}");
     }
 
-    done.store(true, Ordering::Release);
-    let events_seen: u64 = subscribers.into_iter().map(|t| t.join().unwrap()).sum();
-
     let snap = telemetry.metrics().snapshot();
     let numbers = StoreNumbers {
         puts: ops_total,
@@ -218,8 +171,6 @@ pub fn measure(opts: StoreBenchOptions, seed: u64) -> StoreNumbers {
         expired_reads,
         counter_expired: snap.counter("store.expired"),
         counter_evicted: snap.counter("store.evicted"),
-        events_seen,
-        subs_dropped: snap.counter("store.sub_dropped"),
         final_size: survivors.len() as u64,
         wall_secs,
         ops_per_sec: if wall_secs > 0.0 {
@@ -248,12 +199,11 @@ fn run_with(opts: StoreBenchOptions, seed: u64) -> ExperimentOutput {
 
     let mut config = Table::new(
         "E7: store load shape",
-        &["writers", "facts/writer", "subscribers", "keyspace", "shards"],
+        &["writers", "facts/writer", "keyspace", "shards"],
     );
     config.row(&[
         opts.writers.to_string(),
         opts.facts_per_writer.to_string(),
-        opts.subscribers.to_string(),
         opts.keyspace.to_string(),
         opts.config.shards.to_string(),
     ]);
@@ -273,20 +223,18 @@ fn run_with(opts: StoreBenchOptions, seed: u64) -> ExperimentOutput {
 
     let mut perf = Table::new(
         "E7: concurrent throughput and decay churn",
-        &["ops/s", "wall seconds", "expired", "evicted", "sub events", "subs dropped"],
+        &["ops/s", "wall seconds", "expired", "evicted"],
     );
     perf.row(&[
         format!("{:.0}", n.ops_per_sec),
         format!("{:.2}", n.wall_secs),
         n.counter_expired.to_string(),
         n.counter_evicted.to_string(),
-        n.events_seen.to_string(),
-        n.subs_dropped.to_string(),
     ]);
 
     ExperimentOutput {
         id: "E7",
-        title: "soft-state store: sharded TTL'd facts under write/read/subscribe load",
+        title: "soft-state store: sharded TTL'd facts under write/read load",
         paper_claim: "§4.3: presence/context is soft state — cheap to publish on every send, and an expired fact must behave exactly like an absent one",
         tables: vec![config, ledger, perf],
         notes: vec![
@@ -296,9 +244,8 @@ fn run_with(opts: StoreBenchOptions, seed: u64) -> ExperimentOutput {
                 n.puts, n.reads, opts.writers
             ),
             format!(
-                "{:.0} combined ops/s; {} facts decayed and {} were LRU-shed while {} \
-                 subscriber events were drained without ever blocking a writer",
-                n.ops_per_sec, n.counter_expired, n.counter_evicted, n.events_seen
+                "{:.0} combined ops/s; {} facts decayed and {} were LRU-shed",
+                n.ops_per_sec, n.counter_expired, n.counter_evicted
             ),
         ],
     }
@@ -335,9 +282,8 @@ mod tests {
             StoreBenchOptions {
                 writers: 4,
                 facts_per_writer: 500,
-                subscribers: 2,
                 keyspace: 64,
-                config: StoreConfig { shards: 2, scope_capacity: 16, subscriber_capacity: 8 },
+                config: StoreConfig { shards: 2, scope_capacity: 16 },
             },
             7,
         );

@@ -33,7 +33,7 @@ use simba_core::mab::MabConfig;
 use simba_core::mdc::{MasterDaemonController, MdcAction, MdcConfig};
 use simba_core::mode::DeliveryMode;
 use simba_core::shardlog::ShardLog;
-use simba_core::stabilize::{StabilizationConfig, StabilizationSchedule};
+use simba_core::stabilize::StabilizationConfig;
 use simba_core::subscription::{SubscriptionRegistry, UserId};
 use simba_core::Telemetry;
 use simba_net::email::{EmailAddr, EmailService, EmailTransit};
@@ -314,8 +314,6 @@ pub enum Ev {
     UserEmailArrive {
         /// Tracking tag.
         tag: u64,
-        /// The message.
-        transit: EmailTransit,
     },
     /// The human read the alert.
     UserSees {
@@ -433,7 +431,7 @@ impl Channels for SimChannels {
                 let transit = self.email.send(&from, &EmailAddr::new(address), "MyAlertBuddy", "alert", text, now);
                 self.metrics.incr("user.email_sent");
                 if !transit.lost {
-                    self.outbox.push((stage + transit.delay, Ev::UserEmailArrive { tag, transit }));
+                    self.outbox.push((stage + transit.delay, Ev::UserEmailArrive { tag }));
                 }
                 SendOutcome::Accepted
             }
@@ -461,7 +459,7 @@ pub struct World {
     due: Option<SimTime>,
     /// The watchdog.
     pub mdc: MasterDaemonController,
-    sched: StabilizationSchedule,
+    stabilization: StabilizationConfig,
     timing: PipelineTiming,
     pessimistic_logging: bool,
     source_ack_timeout: SimDuration,
@@ -559,7 +557,7 @@ pub fn build(options: PipelineOptions) -> Engine<World, Ev> {
         notice_tx,
         due: None,
         mdc: MasterDaemonController::new(options.mdc),
-        sched: StabilizationSchedule::new(options.stabilization, SimTime::ZERO),
+        stabilization: options.stabilization,
         timing: options.timing,
         pessimistic_logging: options.pessimistic_logging,
         source_ack_timeout: options.source_ack_timeout,
@@ -664,8 +662,8 @@ pub fn handle(world: &mut World, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
                 user_looks_later(world, ctx, tag, UserContext::sees_sms, HumanModel::sms_reaction);
             }
         }
-        Ev::UserEmailArrive { tag, transit } => {
-            world.channels.email.deposit(transit.message);
+        Ev::UserEmailArrive { tag } => {
+            world.channels.email.deposit();
             user_looks_later(world, ctx, tag, UserContext::sees_email, HumanModel::email_poll);
         }
         Ev::UserSees { tag, acks } => user_sees(world, ctx, tag, acks),
@@ -799,7 +797,7 @@ fn mab_ingest(world: &mut World, ctx: &mut Ctx<'_, Ev>, tag: u64, mut alert: Inc
     if world.channels.im_mgr.core_mut().automation_op().is_err() || !world.mab_alive() {
         // Left unread; retried after the next sanity interval.
         world.metrics.incr("mab.ingest_deferred");
-        ctx.schedule_in(world.sched.config().sanity_interval, Ev::MabIngest { tag, alert, via_im });
+        ctx.schedule_in(world.stabilization.sanity_interval, Ev::MabIngest { tag, alert, via_im });
         return;
     }
     // Tag the text so user-side events can find the track.
@@ -1024,13 +1022,13 @@ fn sanity_check(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
                 }
             }
         }
-        let _ = channels.email_mgr.sanity_check(&mut channels.email, now);
+        let _ = channels.email_mgr.sanity_check(now);
         // The user's own IM client recovers its session independently.
         if !channels.im.is_logged_on(&ImHandle::new(USER_IM), now) {
             let _ = channels.im.logon(&ImHandle::new(USER_IM), now);
         }
     }
-    ctx.schedule_in(world.sched.config().sanity_interval, Ev::SanityCheck);
+    ctx.schedule_in(world.stabilization.sanity_interval, Ev::SanityCheck);
 }
 
 fn dialog_scan(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
@@ -1062,7 +1060,7 @@ fn dialog_scan(world: &mut World, ctx: &mut Ctx<'_, Ev>) {
             }
         }
     }
-    ctx.schedule_in(world.sched.config().dialog_interval, Ev::DialogScan);
+    ctx.schedule_in(world.stabilization.dialog_interval, Ev::DialogScan);
 }
 
 fn nightly(world: &mut World, ctx: &mut Ctx<'_, Ev>) {

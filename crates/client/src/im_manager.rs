@@ -206,21 +206,6 @@ impl ImManager {
         self.core.automation_op().map_err(ImManagerError::Client)?;
         Ok(service.presence(buddy, now))
     }
-
-    /// Drains the client's inbox (received IMs).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the client software is unusable.
-    pub fn receive(
-        &mut self,
-        service: &mut ImService,
-        now: SimTime,
-    ) -> Result<Vec<simba_net::im::ImMessage>, ImManagerError> {
-        let _ = now;
-        self.core.automation_op().map_err(ImManagerError::Client)?;
-        Ok(service.take_inbox(&self.identity))
-    }
 }
 
 #[cfg(test)]
@@ -380,17 +365,5 @@ mod tests {
         let anomaly = events.iter().find(|e| e.name == "client.anomaly").unwrap();
         assert_eq!(anomaly.field("kind"), Some(&Value::Str("logged_out".into())));
         assert_eq!(anomaly.time_ms, 2_000);
-    }
-
-    #[test]
-    fn receive_drains_inbox() {
-        let (mut svc, mut mgr, peer) = setup();
-        // peer sends to mab
-        let transit = svc.send(&peer, mgr.identity(), "hello mab", t(1)).unwrap();
-        svc.deliver(transit.message, t(2));
-        let msgs = mgr.receive(&mut svc, t(3)).unwrap();
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].body, "hello mab");
-        assert!(mgr.receive(&mut svc, t(4)).unwrap().is_empty());
     }
 }

@@ -178,65 +178,6 @@ pub fn check_invariants_observed(
     out
 }
 
-/// Tracks when each periodic check is next due.
-#[derive(Debug, Clone, Copy)]
-pub struct StabilizationSchedule {
-    config: StabilizationConfig,
-    next_health: SimTime,
-    next_sanity: SimTime,
-    next_dialog: SimTime,
-}
-
-impl StabilizationSchedule {
-    /// Starts the schedule at `now` (first checks due one interval later).
-    pub fn new(config: StabilizationConfig, now: SimTime) -> Self {
-        StabilizationSchedule {
-            config,
-            next_health: now + config.health_interval,
-            next_sanity: now + config.sanity_interval,
-            next_dialog: now + config.dialog_interval,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> StabilizationConfig {
-        self.config
-    }
-
-    /// Whether the deep health check is due; if so, advances it.
-    pub fn health_due(&mut self, now: SimTime) -> bool {
-        due(&mut self.next_health, self.config.health_interval, now)
-    }
-
-    /// Whether the manager sanity check is due; if so, advances it.
-    pub fn sanity_due(&mut self, now: SimTime) -> bool {
-        due(&mut self.next_sanity, self.config.sanity_interval, now)
-    }
-
-    /// Whether the dialog scan is due; if so, advances it.
-    pub fn dialog_due(&mut self, now: SimTime) -> bool {
-        due(&mut self.next_dialog, self.config.dialog_interval, now)
-    }
-
-    /// The soonest instant at which any check becomes due.
-    pub fn next_due(&self) -> SimTime {
-        self.next_health.min(self.next_sanity).min(self.next_dialog)
-    }
-}
-
-fn due(next: &mut SimTime, interval: SimDuration, now: SimTime) -> bool {
-    if now >= *next {
-        // Skip forward past missed slots (e.g. after an outage) without
-        // bursting.
-        while *next <= now {
-            *next += interval;
-        }
-        true
-    } else {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,27 +257,5 @@ mod tests {
         assert_eq!(cfg.health_interval, SimDuration::from_mins(3));
         assert_eq!(cfg.sanity_interval, SimDuration::from_mins(1));
         assert_eq!(cfg.dialog_interval, SimDuration::from_secs(20));
-    }
-
-    #[test]
-    fn schedule_fires_each_check_at_its_own_cadence() {
-        let mut s = StabilizationSchedule::new(StabilizationConfig::default(), t(0));
-        assert!(!s.dialog_due(t(10)));
-        assert!(s.dialog_due(t(20)));
-        assert!(!s.dialog_due(t(21)));
-        assert!(s.sanity_due(t(60)));
-        assert!(!s.health_due(t(60)));
-        assert!(s.health_due(t(180)));
-        assert_eq!(s.next_due(), t(40)); // next dialog scan
-    }
-
-    #[test]
-    fn schedule_skips_missed_slots_without_bursting() {
-        let mut s = StabilizationSchedule::new(StabilizationConfig::default(), t(0));
-        // MAB was down for an hour; exactly one dialog check fires, and the
-        // next is due 20 s later — not 180 back-to-back.
-        assert!(s.dialog_due(t(3_600)));
-        assert!(!s.dialog_due(t(3_610)));
-        assert!(s.dialog_due(t(3_620)));
     }
 }

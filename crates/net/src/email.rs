@@ -6,14 +6,14 @@
 //! transit times, outright loss, and asynchronous mailbox deposit. Email is
 //! SIMBA's *fallback* channel, so the model also exposes the new-mail
 //! notification event that client software can miss ("potential loss of
-//! new-email events", §4.2.1).
+//! new-email events", §4.2.1). The service keeps no mailbox contents: the
+//! simulation's arrival event carries each message to its reader.
 
 use crate::latency::LatencyModel;
 use crate::loss::LossModel;
 use crate::observe::ChannelScope;
 use simba_sim::{SimDuration, SimRng, SimTime};
 use simba_telemetry::Telemetry;
-use std::collections::BTreeMap;
 
 /// An email address.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,7 +71,6 @@ pub struct EmailTransit {
 /// The simulated email service.
 #[derive(Debug)]
 pub struct EmailService {
-    mailboxes: BTreeMap<EmailAddr, Vec<Email>>,
     latency: LatencyModel,
     loss: LossModel,
     /// Probability that the new-mail notification event is lost even though
@@ -88,7 +87,6 @@ impl EmailService {
     /// 0.5 % silent loss, and 2 % new-mail-event loss.
     pub fn new(rng: SimRng) -> Self {
         EmailService {
-            mailboxes: BTreeMap::new(),
             latency: LatencyModel::store_and_forward_email(),
             loss: LossModel::Bernoulli(0.005),
             notify_loss: 0.02,
@@ -156,26 +154,12 @@ impl EmailService {
         EmailTransit { message, delay, lost }
     }
 
-    /// Deposits an in-transit message into the recipient mailbox. Returns
+    /// Lands an in-transit message in its recipient's mailbox. Returns
     /// `true` if the new-mail notification event fires (the common case) or
     /// `false` if the deposit was silent (notification lost).
-    pub fn deposit(&mut self, message: Email) -> bool {
-        self.mailboxes
-            .entry(message.to.clone())
-            .or_default()
-            .push(message);
+    pub fn deposit(&mut self) -> bool {
         self.scope.delivered(true);
         !self.rng.chance(self.notify_loss)
-    }
-
-    /// Drains and returns all mail waiting for `addr` (a full mailbox poll).
-    pub fn take_mailbox(&mut self, addr: &EmailAddr) -> Vec<Email> {
-        self.mailboxes.get_mut(addr).map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Number of messages waiting for `addr`.
-    pub fn mailbox_len(&self, addr: &EmailAddr) -> usize {
-        self.mailboxes.get(addr).map_or(0, Vec::len)
     }
 }
 
@@ -207,19 +191,9 @@ mod tests {
         );
         assert!(!transit.lost);
         assert_eq!(transit.delay, SimDuration::from_secs(10));
-        assert!(s.deposit(transit.message.clone()));
-        assert_eq!(s.mailbox_len(&addr("mab@home")), 1);
-        let mail = s.take_mailbox(&addr("mab@home"));
-        assert_eq!(mail[0].sender_name, "Yahoo! Stocks");
-        assert_eq!(mail[0].subject, "MSFT crossed 80");
-        assert_eq!(s.mailbox_len(&addr("mab@home")), 0);
-    }
-
-    #[test]
-    fn unknown_mailbox_is_empty_not_error() {
-        let mut s = svc();
-        assert!(s.take_mailbox(&addr("nobody@nowhere")).is_empty());
-        assert_eq!(s.mailbox_len(&addr("nobody@nowhere")), 0);
+        assert_eq!(transit.message.sender_name, "Yahoo! Stocks");
+        assert_eq!(transit.message.subject, "MSFT crossed 80");
+        assert!(s.deposit());
     }
 
     #[test]
@@ -230,11 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn notify_loss_suppresses_notification_but_not_deposit() {
+    fn notify_loss_suppresses_notification() {
         let mut s = svc().with_notify_loss(1.0);
-        let t = s.send(&addr("a"), &addr("b"), "n", "s", "b", SimTime::ZERO);
-        assert!(!s.deposit(t.message)); // notification lost...
-        assert_eq!(s.mailbox_len(&addr("b")), 1); // ...but mail is there
+        s.send(&addr("a"), &addr("b"), "n", "s", "b", SimTime::ZERO);
+        assert!(!s.deposit());
     }
 
     #[test]

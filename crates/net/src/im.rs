@@ -123,7 +123,6 @@ pub struct ImService {
     next_id: u64,
     rng: SimRng,
     scope: ChannelScope,
-    health: Option<crate::health::HealthReporter>,
 }
 
 impl ImService {
@@ -143,7 +142,6 @@ impl ImService {
             next_id: 0,
             rng,
             scope: ChannelScope::disabled("im"),
-            health: None,
         }
     }
 
@@ -173,16 +171,6 @@ impl ImService {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.scope = ChannelScope::new("im", telemetry);
-        self
-    }
-
-    /// Publishes `chanhealth/im` facts through `reporter`: every accepted
-    /// send refreshes `healthy`, every outage rejection publishes
-    /// `outage`. Health is observation-driven — a silent service decays
-    /// to "unknown" when the fact's TTL runs out.
-    #[must_use]
-    pub fn with_health_reporter(mut self, reporter: crate::health::HealthReporter) -> Self {
-        self.health = Some(reporter);
         self
     }
 
@@ -324,23 +312,8 @@ impl ImService {
     ) -> Result<Transit, ImSendError> {
         let result = self.send_inner(from, to, body.into(), now);
         match &result {
-            Ok(transit) => {
-                self.scope.sent(now, transit.delay, transit.lost);
-                if let Some(health) = &self.health {
-                    health.report_healthy(now);
-                }
-            }
-            Err(e) => {
-                let outage = matches!(e, ImSendError::ServiceDown);
-                self.scope.rejected(now, &e.to_string(), outage);
-                // Only service-level failures are channel health; a bad
-                // sender or recipient says nothing about the substrate.
-                if outage {
-                    if let Some(health) = &self.health {
-                        health.report_unhealthy("outage", now);
-                    }
-                }
-            }
+            Ok(transit) => self.scope.sent(now, transit.delay, transit.lost),
+            Err(e) => self.scope.rejected(now, &e.to_string(), matches!(e, ImSendError::ServiceDown)),
         }
         result
     }
@@ -613,51 +586,5 @@ mod tests {
         let id1 = s.send(&a, &b, "1", t(0)).unwrap().message.id;
         let id2 = s.send(&a, &b, "2", t(0)).unwrap().message.id;
         assert_ne!(id1, id2);
-    }
-
-    #[test]
-    fn health_reporter_tracks_outages_through_the_store() {
-        use crate::health::HealthReporter;
-        use simba_store::{SoftStateStore, StoreConfig, CHANHEALTH_SCOPE, HEALTHY_VALUE};
-
-        let store = SoftStateStore::new(StoreConfig::default(), simba_telemetry::Telemetry::disabled());
-        let mut s = svc()
-            .with_outages(OutageSchedule::from_windows(vec![(t(100), t(200))]))
-            .with_health_reporter(HealthReporter::new(
-                store.clone(),
-                "im",
-                SimDuration::from_secs(30),
-            ));
-        let a = ImHandle::new("a");
-        let b = ImHandle::new("b");
-        s.register(a.clone());
-        s.register(b.clone());
-        s.logon(&a, t(0)).unwrap();
-        s.logon(&b, t(0)).unwrap();
-
-        // A working send publishes the healthy fact.
-        s.send(&a, &b, "x", t(1)).unwrap();
-        let fact = store.get(CHANHEALTH_SCOPE, "im", t(2)).unwrap();
-        assert_eq!(fact.value, HEALTHY_VALUE);
-
-        // An outage rejection overwrites it with the failure verdict...
-        assert_eq!(s.send(&a, &b, "x", t(150)), Err(ImSendError::ServiceDown));
-        let fact = store.get(CHANHEALTH_SCOPE, "im", t(151)).unwrap();
-        assert_eq!(fact.value, "outage");
-
-        // ...but a *caller* error during the outage is not channel health.
-        let gen_before = fact.generation;
-        let ghost = ImHandle::new("ghost");
-        assert_eq!(s.send(&ghost, &b, "x", t(152)), Err(ImSendError::UnknownSender));
-        let fact = store.get(CHANHEALTH_SCOPE, "im", t(153)).unwrap();
-        assert_eq!(fact.generation, gen_before, "caller errors publish nothing");
-
-        // After recovery the next send flips the fact back to healthy;
-        // with no traffic at all it would simply have decayed at t+30s.
-        s.logon(&a, t(201)).unwrap();
-        s.logon(&b, t(201)).unwrap();
-        s.send(&a, &b, "x", t(202)).unwrap();
-        let fact = store.get(CHANHEALTH_SCOPE, "im", t(203)).unwrap();
-        assert_eq!(fact.value, HEALTHY_VALUE);
     }
 }

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod email;
-pub mod health;
 pub mod im;
 pub mod latency;
 pub mod loss;
@@ -41,7 +40,6 @@ pub mod observe;
 pub mod presence;
 pub mod sms;
 
-pub use health::HealthReporter;
 pub use latency::LatencyModel;
 pub use loss::LossModel;
 pub use observe::ChannelScope;

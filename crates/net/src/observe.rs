@@ -157,7 +157,7 @@ mod tests {
         let to = crate::email::EmailAddr::new("b");
         let transit = s.send(&from, &to, "n", "s", "b", t(5));
         assert!(transit.lost);
-        s.deposit(transit.message);
+        s.deposit();
 
         let snap = telemetry.metrics().snapshot();
         assert_eq!(snap.counter("net.email.sends"), 1);

@@ -1,8 +1,8 @@
-//! Presence-aware routing end to end on the host: presence facts
-//! published into the soft-state store (`ShardedHostConfig::store`)
-//! change a delivery's block order, and once the facts expire the buddy
-//! reverts to static-profile routing — with every alert delivered
-//! exactly once either way.
+//! Presence-aware routing end to end on the host: presence and
+//! channel-health facts published into the soft-state store
+//! (`ShardedHostConfig::store`) change a delivery's block order, and once
+//! the facts expire the buddy reverts to static-profile routing — with
+//! every alert delivered exactly once either way.
 
 use simba_core::address::{Address, AddressBook, CommType};
 use simba_core::classify::{Classifier, KeywordField};
@@ -15,7 +15,7 @@ use simba_runtime::{
     ShardedHostConfig,
 };
 use simba_sim::{SimDuration, SimTime};
-use simba_store::{SoftStateStore, StoreConfig, PRESENCE_SCOPE};
+use simba_store::{SoftStateStore, StoreConfig, CHANHEALTH_SCOPE, PRESENCE_SCOPE};
 use simba_telemetry::{RingBufferSink, Telemetry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,12 +65,28 @@ async fn wait_finished(notices: &mut tokio::sync::mpsc::Receiver<HostNotice>) {
     }
 }
 
-/// The flagship scenario: with a live `presence/alice = away` fact the
-/// IM block is skipped (first and only send goes to email); after the
-/// fact's TTL has elapsed the next delivery runs the static IM-first
-/// profile again. Each alert is sent exactly once.
+/// The flagship scenario, for each fact that reroutes alice: with a
+/// live `presence/alice = away` fact the IM block is skipped, and with a
+/// live `chanhealth/im = outage` fact it is demoted behind email — either
+/// way the first and only send goes to email. After the fact's TTL has
+/// elapsed the next delivery runs the static IM-first profile again.
+/// Each alert is sent exactly once.
 #[tokio::test(start_paused = true)]
 async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
+    // WISH reports alice away from her desk, valid for five seconds.
+    live_fact_reroutes_then_expiry_restores_static_profile(PRESENCE_SCOPE, "alice", "away", "wish")
+        .await;
+    // The IM service is reported down, valid for five seconds.
+    live_fact_reroutes_then_expiry_restores_static_profile(CHANHEALTH_SCOPE, "im", "outage", "net")
+        .await;
+}
+
+async fn live_fact_reroutes_then_expiry_restores_static_profile(
+    scope: &str,
+    key: &str,
+    value: &str,
+    source: &str,
+) {
     let telemetry = Telemetry::with_sink(Arc::new(RingBufferSink::new(512)));
     let channels = SharedChannels::new(LoopbackChannels::always_ack(Duration::from_millis(200)));
     let store = SoftStateStore::new(StoreConfig::default(), telemetry.clone());
@@ -78,35 +94,25 @@ async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
     let (host, mut notices) =
         host_with_store(channels.clone(), &store, alice_config(), telemetry.clone()).await;
 
-    // WISH reports alice away from her desk, valid for five seconds.
-    store.put(
-        PRESENCE_SCOPE,
-        "alice",
-        "away",
-        SimDuration::from_secs(5),
-        "wish",
-        host.clock().now(),
-    );
+    store.put(scope, key, value, SimDuration::from_secs(5), source, host.clock().now());
 
-    // Delivery 1 starts while the fact is live: the IM block is skipped,
-    // the alert goes straight (and only) to email.
+    // Delivery 1 starts while the fact is live: the IM block is skipped
+    // or demoted, and the alert goes straight (and only) to email, whose
+    // fire-and-forget block concludes the delivery.
     let alert1 = IncomingAlert::from_im("aladdin-gw", "Sensor A ON", SimTime::ZERO);
     assert!(host.submit_im(&UserId::new("alice"), alert1).await);
     wait_finished(&mut notices).await;
     channels.with(|c| {
         let sent = c.sent().to_vec();
         assert_eq!(sent.len(), 1, "exactly one send for alert 1: {sent:?}");
-        assert_eq!(sent[0].0, CommType::Email, "away presence skips the IM block");
+        assert_eq!(sent[0].0, CommType::Email, "{scope}/{key} = {value} leads with email");
         assert_eq!(sent[0].1, "alice@mail");
     });
 
     // Let the fact decay: past its 5 s TTL the sweeper (period 1 s) or a
     // lazy read drops it, and routing must revert to the static profile.
     tokio::time::sleep(Duration::from_secs(6)).await;
-    assert!(
-        store.get(PRESENCE_SCOPE, "alice", host.clock().now()).is_none(),
-        "presence fact expired"
-    );
+    assert!(store.get(scope, key, host.clock().now()).is_none(), "{scope}/{key} expired");
 
     // Delivery 2 runs IM-first again; the loopback ack completes block 1,
     // so email never fires.
@@ -125,7 +131,7 @@ async fn presence_fact_reorders_blocks_then_expiry_restores_static_profile() {
 
     let stats = host.shutdown().await.stats;
     assert_eq!(stats.deliveries_started, 2, "no alert lost, none double-started");
-    assert_eq!(stats.mode_overridden, 1, "only delivery 1 was presence-adjusted");
+    assert_eq!(stats.mode_overridden, 1, "only delivery 1 was adjusted");
 
     let snap = telemetry.metrics().snapshot();
     assert_eq!(snap.counter("mab.mode_overridden"), 1);

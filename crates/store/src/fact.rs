@@ -33,55 +33,3 @@ impl Fact {
         self.expires_at.since(now)
     }
 }
-
-/// A change notification delivered to subscribers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreEvent {
-    /// A fact was published (new key or refresh of an existing one).
-    Published {
-        /// The fact's scope.
-        scope: String,
-        /// The fact's key.
-        key: String,
-        /// The fact as stored.
-        fact: Fact,
-    },
-    /// A fact expired (noticed lazily by a read or by a sweep).
-    Expired {
-        /// The fact's scope.
-        scope: String,
-        /// The fact's key.
-        key: String,
-        /// Generation of the fact that expired.
-        generation: u64,
-    },
-    /// A fact was shed to keep its scope inside its capacity bound.
-    Evicted {
-        /// The fact's scope.
-        scope: String,
-        /// The fact's key.
-        key: String,
-        /// Generation of the fact that was shed.
-        generation: u64,
-    },
-}
-
-impl StoreEvent {
-    /// The scope the event happened in.
-    pub fn scope(&self) -> &str {
-        match self {
-            StoreEvent::Published { scope, .. }
-            | StoreEvent::Expired { scope, .. }
-            | StoreEvent::Evicted { scope, .. } => scope,
-        }
-    }
-
-    /// The key the event happened to.
-    pub fn key(&self) -> &str {
-        match self {
-            StoreEvent::Published { key, .. }
-            | StoreEvent::Expired { key, .. }
-            | StoreEvent::Evicted { key, .. } => key,
-        }
-    }
-}

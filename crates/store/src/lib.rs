@@ -16,10 +16,12 @@
 //!   never reads a wall clock);
 //! * **bounded per-scope capacity** with LRU shedding — soft state is
 //!   rediscoverable by design, so the oldest-touched fact is dropped
-//!   rather than growing without bound;
-//! * a **subscription API** over bounded channels: a subscriber that
-//!   lags is dropped (counted under `store.sub_dropped`), never allowed
-//!   to block a writer.
+//!   rather than growing without bound.
+//!
+//! Soft state is read, never broadcast: whoever decides reads the facts
+//! at the moment of deciding, and nothing subscribes to changes. Facts
+//! arrive from outside the process over the gateway's `StateUpdate`
+//! frame; this crate has no publisher of its own.
 //!
 //! Facts carry a **generation** from a store-wide monotone counter: a
 //! later publication always carries a larger generation, so expiry can
@@ -32,7 +34,7 @@
 mod fact;
 mod store;
 
-pub use fact::{Fact, StoreEvent};
+pub use fact::Fact;
 pub use store::{SoftStateStore, StoreConfig};
 
 /// The scope presence facts are published under (`presence/<user>`).

@@ -1,7 +1,7 @@
-//! The sharded store: per-shard locking, lazy + swept TTL expiry,
-//! per-scope LRU shedding, and non-blocking subscriber fan-out.
+//! The sharded store: per-shard locking, lazy + swept TTL expiry, and
+//! per-scope LRU shedding.
 
-use crate::fact::{Fact, StoreEvent};
+use crate::fact::Fact;
 use simba_sim::{SimDuration, SimTime};
 use simba_telemetry::{CounterHandle, GaugeHandle, Telemetry};
 use std::collections::hash_map::DefaultHasher;
@@ -9,10 +9,9 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tokio::sync::mpsc;
 
-/// Tuning knobs. The defaults suit the runtime and CLI; the bench raises
-/// the capacities.
+/// Tuning knobs. The defaults suit the runtime, the CLI and E7; E7's
+/// tiny-store test shrinks both to exercise the LRU bound.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// Number of lock shards `(scope, key)` pairs hash across. More
@@ -24,10 +23,6 @@ pub struct StoreConfig {
     /// least-recently-touched beyond that. With `shards == 1` the bound
     /// is exact; with `n` shards a scope holds at most `n × cap` facts.
     pub scope_capacity: usize,
-    /// Bounded capacity of each subscriber's event channel. A subscriber
-    /// whose channel is full when an event arrives is dropped (counted
-    /// under `store.sub_dropped`) — writers never block on observers.
-    pub subscriber_capacity: usize,
 }
 
 impl Default for StoreConfig {
@@ -35,7 +30,6 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 16,
             scope_capacity: 4_096,
-            subscriber_capacity: 64,
         }
     }
 }
@@ -50,9 +44,7 @@ struct Counters {
     expired: CounterHandle,
     evicted: CounterHandle,
     sweeps: CounterHandle,
-    sub_dropped: CounterHandle,
     size: GaugeHandle,
-    subscribers: GaugeHandle,
 }
 
 impl Counters {
@@ -65,9 +57,7 @@ impl Counters {
             expired: m.counter("store.expired"),
             evicted: m.counter("store.evicted"),
             sweeps: m.counter("store.sweeps"),
-            sub_dropped: m.counter("store.sub_dropped"),
             size: m.gauge("store.size"),
-            subscribers: m.gauge("store.subscribers"),
         }
     }
 }
@@ -129,18 +119,22 @@ impl Shard {
         tick
     }
 
-    fn remove(&mut self, scope: &str, key: &str) -> Option<Entry> {
-        let entry = self.entries.remove(&(scope.to_string(), key.to_string()))?;
+    fn remove(&mut self, scope: &str, key: &str) -> bool {
+        if self.entries.remove(&(scope.to_string(), key.to_string())).is_none() {
+            return false;
+        }
         if let Some(len) = self.scope_len.get_mut(scope) {
             *len = len.saturating_sub(1);
         }
-        Some(entry)
+        true
     }
 
     /// Sheds the least-recently-touched live fact in `scope` other than
-    /// `keep`. Returns the evicted `(key, generation)`.
-    fn evict_lru(&mut self, scope: &str, keep: &str) -> Option<(String, u64)> {
-        let queue = self.lru.get_mut(scope)?;
+    /// `keep`. Returns whether one was shed.
+    fn evict_lru(&mut self, scope: &str, keep: &str) -> bool {
+        let Some(queue) = self.lru.get_mut(scope) else {
+            return false;
+        };
         while let Some((tick, key)) = queue.pop_front() {
             if key == keep {
                 // The just-touched key carries the newest tick; a live
@@ -152,19 +146,11 @@ impl Shard {
                 .get(&(scope.to_string(), key.clone()))
                 .is_some_and(|e| e.tick == tick);
             if is_live {
-                let entry = self.remove(scope, &key)?;
-                return Some((key, entry.generation));
+                return self.remove(scope, &key);
             }
         }
-        None
+        false
     }
-}
-
-#[derive(Debug)]
-struct Subscriber {
-    /// `None` subscribes to every scope.
-    scope: Option<String>,
-    tx: mpsc::Sender<StoreEvent>,
 }
 
 #[derive(Debug)]
@@ -176,9 +162,7 @@ struct Inner {
     /// fact it can observe or replace.
     generation: AtomicU64,
     size: AtomicU64,
-    subs: Mutex<Vec<Subscriber>>,
     counters: Counters,
-    telemetry: Telemetry,
 }
 
 /// The sharded soft-state store. Cloning is cheap (an `Arc`); all clones
@@ -200,27 +184,10 @@ impl SoftStateStore {
                 shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
                 generation: AtomicU64::new(0),
                 size: AtomicU64::new(0),
-                subs: Mutex::new(Vec::new()),
                 counters: Counters::new(&telemetry),
                 config: StoreConfig { shards, ..config },
-                telemetry,
             }),
         }
-    }
-
-    /// A default-shaped store with telemetry disabled (tests, tools).
-    pub fn disabled() -> Self {
-        SoftStateStore::new(StoreConfig::default(), Telemetry::disabled())
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> StoreConfig {
-        self.inner.config
-    }
-
-    /// The telemetry handle the store reports through.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.inner.telemetry
     }
 
     fn shard_for(&self, scope: &str, key: &str) -> &Mutex<Shard> {
@@ -250,7 +217,7 @@ impl SoftStateStore {
     ) -> u64 {
         let generation = self.inner.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let expires_at = SimTime::from_millis(now.as_millis().saturating_add(ttl.as_millis()));
-        let entry = Entry {
+        let mut entry = Entry {
             value: value.into(),
             source: source.into(),
             published_at: now,
@@ -258,13 +225,9 @@ impl SoftStateStore {
             generation,
             tick: 0,
         };
-        let fact = entry.fact();
-        let mut events = Vec::with_capacity(2);
         {
             let mut shard = Self::lock(self.shard_for(scope, key));
-            let tick = shard.touch(scope, key);
-            let mut entry = entry;
-            entry.tick = tick;
+            entry.tick = shard.touch(scope, key);
             let replaced = shard
                 .entries
                 .insert((scope.to_string(), key.to_string()), entry)
@@ -273,27 +236,14 @@ impl SoftStateStore {
                 *shard.scope_len.entry(scope.to_string()).or_insert(0) += 1;
                 self.inner.size.fetch_add(1, Ordering::Relaxed);
                 let live = shard.scope_len.get(scope).copied().unwrap_or(0);
-                if live > self.inner.config.scope_capacity.max(1) {
-                    if let Some((shed_key, shed_gen)) = shard.evict_lru(scope, key) {
-                        self.inner.size.fetch_sub(1, Ordering::Relaxed);
-                        self.inner.counters.evicted.incr();
-                        events.push(StoreEvent::Evicted {
-                            scope: scope.to_string(),
-                            key: shed_key,
-                            generation: shed_gen,
-                        });
-                    }
+                if live > self.inner.config.scope_capacity.max(1) && shard.evict_lru(scope, key) {
+                    self.inner.size.fetch_sub(1, Ordering::Relaxed);
+                    self.inner.counters.evicted.incr();
                 }
             }
         }
         self.inner.counters.puts.incr();
         self.inner.counters.size.set(self.inner.size.load(Ordering::Relaxed));
-        events.push(StoreEvent::Published {
-            scope: scope.to_string(),
-            key: key.to_string(),
-            fact,
-        });
-        self.notify(events);
         generation
     }
 
@@ -301,18 +251,13 @@ impl SoftStateStore {
     /// is removed on the spot (counted under `store.expired`) and never
     /// returned — a hit is always a live fact.
     pub fn get(&self, scope: &str, key: &str, now: SimTime) -> Option<Fact> {
-        let mut expired_event = None;
+        let mut expired = false;
         let result = {
             let mut shard = Self::lock(self.shard_for(scope, key));
             match shard.entries.get(&(scope.to_string(), key.to_string())) {
                 None => None,
                 Some(entry) if now >= entry.expires_at => {
-                    let entry = shard.remove(scope, key)?;
-                    expired_event = Some(StoreEvent::Expired {
-                        scope: scope.to_string(),
-                        key: key.to_string(),
-                        generation: entry.generation,
-                    });
+                    expired = shard.remove(scope, key);
                     None
                 }
                 Some(_) => {
@@ -325,16 +270,15 @@ impl SoftStateStore {
                 }
             }
         };
-        match (&result, expired_event) {
-            (Some(_), _) => self.inner.counters.hits.incr(),
-            (None, Some(event)) => {
-                self.inner.size.fetch_sub(1, Ordering::Relaxed);
-                self.inner.counters.expired.incr();
-                self.inner.counters.misses.incr();
-                self.inner.counters.size.set(self.inner.size.load(Ordering::Relaxed));
-                self.notify(vec![event]);
-            }
-            (None, None) => self.inner.counters.misses.incr(),
+        if result.is_some() {
+            self.inner.counters.hits.incr();
+        } else {
+            self.inner.counters.misses.incr();
+        }
+        if expired {
+            self.inner.size.fetch_sub(1, Ordering::Relaxed);
+            self.inner.counters.expired.incr();
+            self.inner.counters.size.set(self.inner.size.load(Ordering::Relaxed));
         }
         result
     }
@@ -344,7 +288,7 @@ impl SoftStateStore {
     /// clock (the runtime spawns a sweeper task; the simulation calls it
     /// from its event loop).
     pub fn sweep(&self, now: SimTime) -> usize {
-        let mut events = Vec::new();
+        let mut removed = 0;
         for shard in &self.inner.shards {
             let mut shard = Self::lock(shard);
             let dead: Vec<(String, String)> = shard
@@ -354,41 +298,16 @@ impl SoftStateStore {
                 .map(|(k, _)| k.clone())
                 .collect();
             for (scope, key) in dead {
-                if let Some(entry) = shard.remove(&scope, &key) {
-                    events.push(StoreEvent::Expired {
-                        scope,
-                        key,
-                        generation: entry.generation,
-                    });
-                }
+                removed += usize::from(shard.remove(&scope, &key));
             }
         }
-        let removed = events.len();
         if removed > 0 {
             self.inner.size.fetch_sub(removed as u64, Ordering::Relaxed);
             self.inner.counters.expired.add(removed as u64);
             self.inner.counters.size.set(self.inner.size.load(Ordering::Relaxed));
         }
         self.inner.counters.sweeps.incr();
-        self.notify(events);
         removed
-    }
-
-    /// Subscribes to store events, optionally filtered to one scope.
-    /// The channel is bounded by [`StoreConfig::subscriber_capacity`]; a
-    /// subscriber whose channel is full when an event arrives is dropped
-    /// (its receiver ends) and counted under `store.sub_dropped`.
-    pub fn subscribe(&self, scope: Option<&str>) -> mpsc::Receiver<StoreEvent> {
-        let (tx, rx) = mpsc::channel(self.inner.config.subscriber_capacity.max(1));
-        let mut subs = Self::lock_subs(&self.inner.subs);
-        subs.push(Subscriber { scope: scope.map(str::to_string), tx });
-        self.inner.counters.subscribers.set(subs.len() as u64);
-        rx
-    }
-
-    /// Live subscriber count (drops are noticed on the next event).
-    pub fn subscriber_count(&self) -> usize {
-        Self::lock_subs(&self.inner.subs).len()
     }
 
     /// Total live facts (facts expired but not yet noticed by a read or
@@ -416,42 +335,6 @@ impl SoftStateStore {
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    fn lock_subs(subs: &Mutex<Vec<Subscriber>>) -> std::sync::MutexGuard<'_, Vec<Subscriber>> {
-        subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Fans events out to subscribers. `try_send` only: a full (or
-    /// closed) channel drops the subscriber then and there — the cost of
-    /// lagging lands on the observer, never on the write path.
-    fn notify(&self, events: Vec<StoreEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        let mut subs = Self::lock_subs(&self.inner.subs);
-        if subs.is_empty() {
-            return;
-        }
-        let mut dropped = 0u64;
-        for event in events {
-            subs.retain(|sub| {
-                let wants = sub.scope.as_deref().is_none_or(|s| s == event.scope());
-                if !wants {
-                    return true;
-                }
-                if sub.tx.try_send(event.clone()).is_err() {
-                    dropped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if dropped > 0 {
-            self.inner.counters.sub_dropped.add(dropped);
-            self.inner.counters.subscribers.set(subs.len() as u64);
-        }
     }
 }
 
@@ -521,7 +404,7 @@ mod tests {
     #[test]
     fn scope_capacity_sheds_least_recently_touched() {
         let store = SoftStateStore::new(
-            StoreConfig { shards: 1, scope_capacity: 2, ..StoreConfig::default() },
+            StoreConfig { shards: 1, scope_capacity: 2 },
             Telemetry::disabled(),
         );
         store.put("presence", "a", "1", d(10_000), "s", t(0));
@@ -536,72 +419,6 @@ mod tests {
         // Other scopes are not charged against this scope's bound.
         store.put("chanhealth", "im", "healthy", d(10_000), "s", t(5));
         assert_eq!(store.len(), 3);
-    }
-
-    #[test]
-    fn subscriber_sees_publish_expire_and_evict() {
-        let store = SoftStateStore::new(
-            StoreConfig { shards: 1, scope_capacity: 1, ..StoreConfig::default() },
-            Telemetry::disabled(),
-        );
-        let mut rx = store.subscribe(Some("presence"));
-        let g_a = store.put("presence", "a", "1", d(100), "s", t(0));
-        let g_b = store.put("presence", "b", "2", d(100), "s", t(1));
-        assert!(store.get("presence", "b", t(200)).is_none());
-
-        assert_eq!(
-            rx.try_recv().ok().map(|e| e.key().to_string()),
-            Some("a".to_string())
-        );
-        match rx.try_recv().expect("evict event") {
-            StoreEvent::Evicted { key, generation, .. } => {
-                assert_eq!(key, "a");
-                assert_eq!(generation, g_a);
-            }
-            other => panic!("expected eviction, got {other:?}"),
-        }
-        // b's publish, then b's lazy expiry.
-        assert!(matches!(rx.try_recv(), Ok(StoreEvent::Published { .. })));
-        match rx.try_recv().expect("expiry event") {
-            StoreEvent::Expired { key, generation, .. } => {
-                assert_eq!(key, "b");
-                assert_eq!(generation, g_b);
-            }
-            other => panic!("expected expiry, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scope_filter_limits_events() {
-        let store = store1();
-        let mut rx = store.subscribe(Some("chanhealth"));
-        store.put("presence", "alice", "away", d(100), "s", t(0));
-        store.put("chanhealth", "im", "down", d(100), "s", t(0));
-        let event = rx.try_recv().expect("one event");
-        assert_eq!(event.scope(), "chanhealth");
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
-    fn lagging_subscriber_is_dropped_not_blocking() {
-        let telemetry = Telemetry::with_sink(std::sync::Arc::new(
-            simba_telemetry::RingBufferSink::new(16),
-        ));
-        let store = SoftStateStore::new(
-            StoreConfig { shards: 1, subscriber_capacity: 2, ..StoreConfig::default() },
-            telemetry.clone(),
-        );
-        let _rx = store.subscribe(None);
-        assert_eq!(store.subscriber_count(), 1);
-        for i in 0..10 {
-            store.put("presence", &format!("u{i}"), "x", d(100), "s", t(i));
-        }
-        // The two-slot channel filled; the third event dropped the
-        // subscriber, and later puts stopped paying for it.
-        assert_eq!(store.subscriber_count(), 0);
-        let snap = telemetry.metrics().snapshot();
-        assert_eq!(snap.counter("store.sub_dropped"), 1);
-        assert_eq!(snap.counter("store.puts"), 10);
     }
 
     #[test]

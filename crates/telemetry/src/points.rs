@@ -248,8 +248,6 @@ pub const POINTS: &[PointDef] = &[
     point!("store.misses", [Counter], "store", "store reads that found nothing live"),
     point!("store.puts", [Counter], "store", "facts published into the soft-state store"),
     point!("store.size", [Gauge], "store", "facts currently held across all shards"),
-    point!("store.sub_dropped", [Counter], "store", "lagging subscribers dropped to keep writers unblocked"),
-    point!("store.subscribers", [Gauge], "store", "live store-event subscribers"),
     point!("store.sweeps", [Counter], "store", "periodic TTL sweep passes completed"),
     point!("user.acked", [Counter], "user", "sim: IM sightings a user acknowledged back to the MAB"),
     point!("user.duplicate_sightings", [Counter], "user", "sim: times a user saw the same alert more than once"),
